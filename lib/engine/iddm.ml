@@ -403,51 +403,66 @@ type session = {
 }
 
 (* The per-run state shared by a whole-circuit [start] and a
-   cone-restricted [start_cone]: everything except the waveform/level
-   seeding policy, which is the caller's. *)
-let make_state cfg c (cp : Compiled.t) ~wf ~pin_level ~out_target =
-  let nsignals = cp.Compiled.nsignals and npins = cp.Compiled.npins in
-  {
-    cfg;
-    c;
-    rev_trace = [];
-    wf;
-    g_kind = cp.Compiled.g_kind;
-    g_out = cp.Compiled.g_out;
-    g_base = cp.Compiled.g_base;
-    pin_fanin = cp.Compiled.pin_fanin;
-    pin_vt = cp.Compiled.pin_vt;
-    pin_level;
-    pending =
-      (if cfg.cancellation then
-         Array.init npins (fun _ -> { pq_buf = [||]; pq_head = 0; pq_tail = 0 })
-       else [||]);
-    fan_off = cp.Compiled.fan_off;
-    fan_gate = cp.Compiled.fan_gate;
-    fan_pin = cp.Compiled.fan_pin;
-    out_target;
-    queue = Heap.Unboxed.create ~capacity:64 ();
-    ev_gate = [||];
-    ev_pin = [||];
-    ev_tau = [||];
-    ev_key = [||];
-    ev_rising = Bytes.empty;
-    ev_dead = Bytes.empty;
-    ev_free = [||];
-    ev_free_top = 0;
-    cache = cp.Compiled.cache;
-    injections = [||];
-    max_tr =
-      (match cfg.budget.Budget.max_transitions with Some n -> n | None -> max_int);
-    stats = Stats.create ();
-    wd = Option.map (fun w -> Watchdog.create w ~nsignals) cfg.watchdog;
-    frozen = Bytes.make nsignals '\000';
-    frozen_on = false;
-    rev_frozen = [];
-    stop = Stop.Completed;
-    last_pop = Array.make (max 1 npins) neg_infinity;
-    replay_hazard = false;
-  }
+   cone-restricted [start_cone]: everything except the circuit-sized
+   arrays, which [start] allocates fresh and a cone run borrows from its
+   workspace. *)
+let make_state ?pool cfg c (cp : Compiled.t) ~wf ~pin_level ~out_target ~pending
+    ~last_pop ~frozen =
+  let st =
+    {
+      cfg;
+      c;
+      rev_trace = [];
+      wf;
+      g_kind = cp.Compiled.g_kind;
+      g_out = cp.Compiled.g_out;
+      g_base = cp.Compiled.g_base;
+      pin_fanin = cp.Compiled.pin_fanin;
+      pin_vt = cp.Compiled.pin_vt;
+      pin_level;
+      pending;
+      fan_off = cp.Compiled.fan_off;
+      fan_gate = cp.Compiled.fan_gate;
+      fan_pin = cp.Compiled.fan_pin;
+      out_target;
+      queue =
+        (match pool with Some p -> p.queue | None -> Heap.Unboxed.create ~capacity:64 ());
+      ev_gate = [||];
+      ev_pin = [||];
+      ev_tau = [||];
+      ev_key = [||];
+      ev_rising = Bytes.empty;
+      ev_dead = Bytes.empty;
+      ev_free = [||];
+      ev_free_top = 0;
+      cache = cp.Compiled.cache;
+      injections = [||];
+      max_tr =
+        (match cfg.budget.Budget.max_transitions with Some n -> n | None -> max_int);
+      stats = Stats.create ();
+      wd = Option.map (fun w -> Watchdog.create w ~nsignals:cp.Compiled.nsignals) cfg.watchdog;
+      frozen;
+      frozen_on = false;
+      rev_frozen = [];
+      stop = Stop.Completed;
+      last_pop;
+      replay_hazard = false;
+    }
+  in
+  (* [pool]: a drained earlier state whose event pool and queue carry
+     over (cone runs, see {!start_cone}) *)
+  (match pool with
+  | None -> ()
+  | Some p ->
+      st.ev_gate <- p.ev_gate;
+      st.ev_pin <- p.ev_pin;
+      st.ev_tau <- p.ev_tau;
+      st.ev_key <- p.ev_key;
+      st.ev_rising <- p.ev_rising;
+      st.ev_dead <- p.ev_dead;
+      st.ev_free <- p.ev_free;
+      st.ev_free_top <- p.ev_free_top);
+  st
 
 (* The simulated-time horizon folds [t_stop] and the budget's
    [max_sim_time] into one comparison (recording which bound applied);
@@ -475,6 +490,14 @@ let make_session st =
   { st; monitor; s_horizon = horizon; s_horizon_stop = horizon_stop;
     s_end_time = 0.; s_done = false }
 
+(* A shared [Compiled.t] must be exactly this run's netlist, tech and
+   overlay; the first two are checked by physical equality. *)
+let check_compiled who (cp : Compiled.t) cfg c =
+  let fail what = invalid_arg (who ^ ": compiled structure is for a different " ^ what) in
+  if cp.Compiled.circuit != c then fail "netlist";
+  if cp.Compiled.tech != cfg.tech then fail "technology";
+  if not (Halotis_tech.Param_overlay.equal cp.Compiled.overlay cfg.overlay) then fail "overlay"
+
 let start ?(injections = []) ?compiled cfg c ~drives =
   let drives_tbl = Hashtbl.create 16 in
   List.iter
@@ -492,13 +515,7 @@ let start ?(injections = []) ?compiled cfg c ~drives =
   let cp =
     match compiled with
     | Some cp ->
-        if cp.Compiled.circuit != c then
-          invalid_arg "Iddm.start: compiled structure is for a different netlist";
-        if cp.Compiled.tech != cfg.tech then
-          invalid_arg "Iddm.start: compiled structure is for a different technology";
-        if not (Halotis_tech.Param_overlay.equal cp.Compiled.overlay cfg.overlay)
-        then
-          invalid_arg "Iddm.start: compiled structure is for a different overlay";
+        check_compiled "Iddm.start" cp cfg c;
         cp
     | None -> Compiled.compile ~overlay:cfg.overlay cfg.tech c
   in
@@ -515,7 +532,15 @@ let start ?(injections = []) ?compiled cfg c ~drives =
   let out_target =
     Array.init ngates (fun gid -> levels.(cp.Compiled.g_out.(gid)))
   in
-  let st = make_state cfg c cp ~wf ~pin_level ~out_target in
+  let st =
+    make_state cfg c cp ~wf ~pin_level ~out_target
+      ~pending:
+        (if cfg.cancellation then
+           Array.init npins (fun _ -> { pq_buf = [||]; pq_head = 0; pq_tail = 0 })
+         else [||])
+      ~last_pop:(Array.make (max 1 npins) neg_infinity)
+      ~frozen:(Bytes.make nsignals '\000')
+  in
   (* Seed: apply the primary-input drives, then schedule the crossings
      the finished input waveforms actually contain. *)
   Hashtbl.iter
@@ -553,39 +578,114 @@ let start ?(injections = []) ?compiled cfg c ~drives =
    as the full run did.  From there the cone evolves under the same
    kernel as a full run; with the injection spliced in, the delta
    against the baseline cone run equals the full-run delta, which is
-   all campaign classification consumes. *)
-let start_cone ?(injections = []) ~compiled:cp ~(cone : Compiled.cone) ~(baseline : result)
-    ~levels cfg c =
-  if cp.Compiled.circuit != c then
-    invalid_arg "Iddm.start_cone: compiled structure is for a different netlist";
-  if cp.Compiled.tech != cfg.tech then
-    invalid_arg "Iddm.start_cone: compiled structure is for a different technology";
-  if not (Halotis_tech.Param_overlay.equal cp.Compiled.overlay cfg.overlay) then
-    invalid_arg "Iddm.start_cone: compiled structure is for a different overlay";
+   all campaign classification consumes.
+
+   A cone run reads and writes only its cone: the member gates' pins
+   and output targets, the member signals' waveforms, the signals it
+   freezes, and the event pool.  (The cone is closed under fanout, so
+   no event ever lands on a non-member gate.)  The workspace therefore
+   allocates the circuit-sized per-run arrays once, and each run resets
+   just the cone's entries; entries a previous run left behind outside
+   the current cone are never read.  Two things do need undoing: the
+   previous cone's member waveforms, which the next cone may read as
+   boundary feeds, go back to their baseline aliases, and the previous
+   run's freeze marks are cleared.  The event pool and queue carry over
+   once fully drained — a run cut short by its horizon or a guardrail
+   leaves events queued.  Pool slot numbers never reach the pop order
+   (the queue ranks by pin slot), so reuse is unobservable. *)
+type cone_workspace = {
+  cw_cfg : config;
+  cw_cp : Compiled.t;
+  cw_baseline : result;
+  cw_levels : bool array;
+  cw_wf : Waveform.t array; (* baseline aliases, fresh for the current cone *)
+  cw_pin_level : Bytes.t;
+  cw_pending : pin_queue array;
+  cw_out_target : bool array;
+  cw_last_pop : float array;
+  cw_frozen : Bytes.t;
+  mutable cw_prev : (Compiled.cone * state) option; (* the latest run *)
+}
+
+let cone_workspace ~compiled:cp ~(baseline : result) ~levels cfg c =
+  check_compiled "Iddm.cone_workspace" cp cfg c;
   if not cfg.cancellation then
     (* without Fig. 4 cancellation, processed events and final-waveform
-       crossings no longer coincide, so the seeding below is unsound *)
-    invalid_arg "Iddm.start_cone: requires event cancellation";
+       crossings no longer coincide, so boundary seeding is unsound *)
+    invalid_arg "Iddm.cone_workspace: requires event cancellation";
   let nsignals = cp.Compiled.nsignals and npins = cp.Compiled.npins in
-  let ngates = cp.Compiled.ngates in
   if Array.length baseline.waveforms <> nsignals then
-    invalid_arg "Iddm.start_cone: baseline is for a different netlist";
+    invalid_arg "Iddm.cone_workspace: baseline is for a different netlist";
   if Array.length levels <> nsignals then
-    invalid_arg "Iddm.start_cone: DC level array is for a different netlist";
-  let vdd = Tech.vdd cfg.tech in
+    invalid_arg "Iddm.cone_workspace: DC level array is for a different netlist";
+  {
+    cw_cfg = cfg;
+    cw_cp = cp;
+    cw_baseline = baseline;
+    cw_levels = levels;
+    cw_wf = Array.copy baseline.waveforms;
+    cw_pin_level = Bytes.make (max 1 npins) '\000';
+    cw_pending = Array.init npins (fun _ -> { pq_buf = [||]; pq_head = 0; pq_tail = 0 });
+    cw_out_target = Array.make cp.Compiled.ngates false;
+    cw_last_pop = Array.make (max 1 npins) neg_infinity;
+    cw_frozen = Bytes.make nsignals '\000';
+    cw_prev = None;
+  }
+
+(* Undo what the latest run left outside its own cone's pins and gates
+   (see above) and hand back its drained state, whose pool and queue
+   the next run reuses. *)
+let reclaim ws =
+  match ws.cw_prev with
+  | None -> None
+  | Some (cone, prev) ->
+      while not (Heap.Unboxed.is_empty prev.queue) do
+        free_event prev (Heap.Unboxed.pop prev.queue)
+      done;
+      Array.iter
+        (fun sid -> ws.cw_wf.(sid) <- ws.cw_baseline.waveforms.(sid))
+        cone.Compiled.cone_signals;
+      List.iter (fun (sid, _) -> Bytes.set ws.cw_frozen sid '\000') prev.rev_frozen;
+      ws.cw_prev <- None;
+      Some prev
+
+let start_cone ?(injections = []) ws ~(cone : Compiled.cone) =
+  let cp = ws.cw_cp and cfg = ws.cw_cfg and levels = ws.cw_levels in
   let member = cone.Compiled.cone_signal_member in
-  let wf =
-    Array.init nsignals (fun sid ->
-        if Bytes.get member sid = '\001' then
-          Waveform.create ~initial:(if levels.(sid) then vdd else 0.) ~vdd ()
-        else baseline.waveforms.(sid))
+  if Bytes.length member <> cp.Compiled.nsignals then
+    invalid_arg "Iddm.start_cone: cone is for a different netlist";
+  List.iter
+    (fun inj ->
+      if inj.inj_signal < 0 || inj.inj_signal >= cp.Compiled.nsignals then
+        invalid_arg "Iddm.start_cone: injection on unknown signal";
+      (* an injection outside the cone would append to an aliased
+         baseline waveform — a correctness bug, not a fallback case *)
+      if Bytes.get member inj.inj_signal <> '\001' then
+        invalid_arg "Iddm.start_cone: injection outside the cone")
+    injections;
+  let pool = reclaim ws in
+  let vdd = Tech.vdd cfg.tech in
+  Array.iter
+    (fun sid ->
+      ws.cw_wf.(sid) <- Waveform.create ~initial:(if levels.(sid) then vdd else 0.) ~vdd ())
+    cone.Compiled.cone_signals;
+  Array.iter
+    (fun g ->
+      ws.cw_out_target.(g) <- levels.(cp.Compiled.g_out.(g));
+      for p = cp.Compiled.g_base.(g) to cp.Compiled.g_base.(g + 1) - 1 do
+        Bytes.set ws.cw_pin_level p (if levels.(cp.Compiled.pin_fanin.(p)) then '\001' else '\000');
+        let pq = ws.cw_pending.(p) in
+        pq.pq_head <- 0;
+        pq.pq_tail <- 0;
+        ws.cw_last_pop.(p) <- neg_infinity
+      done)
+    cone.Compiled.cone_gates;
+  let st =
+    make_state ?pool cfg cp.Compiled.circuit cp ~wf:ws.cw_wf ~pin_level:ws.cw_pin_level
+      ~out_target:ws.cw_out_target ~pending:ws.cw_pending ~last_pop:ws.cw_last_pop
+      ~frozen:ws.cw_frozen
   in
-  let pin_level = Bytes.make (max 1 npins) '\000' in
-  for p = 0 to npins - 1 do
-    Bytes.set pin_level p (if levels.(cp.Compiled.pin_fanin.(p)) then '\001' else '\000')
-  done;
-  let out_target = Array.init ngates (fun gid -> levels.(cp.Compiled.g_out.(gid))) in
-  let st = make_state cfg c cp ~wf ~pin_level ~out_target in
+  ws.cw_prev <- Some (cone, st);
   (* Seed: replay each boundary feed's final baseline waveform into the
      cone, the same way [start] replays primary-input drives. *)
   Array.iteri
@@ -603,16 +703,7 @@ let start_cone ?(injections = []) ~compiled:cp ~(cone : Compiled.cone) ~(baselin
             ~tau_in:tr.Transition.slope_time)
         (Waveform.crossings_with_transitions st.wf.(sid) ~vt:st.pin_vt.(slot)))
     cone.Compiled.cone_bnd_gate;
-  List.iter
-    (fun inj ->
-      if inj.inj_signal < 0 || inj.inj_signal >= nsignals then
-        invalid_arg "Iddm.start_cone: injection on unknown signal";
-      (* an injection outside the cone would append to an aliased
-         baseline waveform — a correctness bug, not a fallback case *)
-      if Bytes.get member inj.inj_signal <> '\001' then
-        invalid_arg "Iddm.start_cone: injection outside the cone";
-      add_injection st inj)
-    injections;
+  List.iter (add_injection st) injections;
   make_session st
 
 let snapshot sess =

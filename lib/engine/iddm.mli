@@ -155,33 +155,56 @@ val start :
 (** Validates, seeds drives and injections, and returns without
     processing any event.  Same contract (and exceptions) as {!run}. *)
 
-val start_cone :
-  ?injections:injection list ->
+type cone_workspace
+(** The circuit-sized state of cone-restricted runs, allocated once and
+    reused by every {!start_cone} against one baseline: waveform
+    aliases, per-pin levels and pending queues, per-gate output
+    targets, freeze marks, and the event pool.  Each run resets only
+    what its cone touches, so a run costs O(cone), not O(circuit).
+    Single-threaded, like {!Compiled.t}. *)
+
+val cone_workspace :
   compiled:Compiled.t ->
-  cone:Compiled.cone ->
   baseline:result ->
   levels:bool array ->
   config ->
   Halotis_netlist.Netlist.t ->
+  cone_workspace
+(** A workspace for cone runs of [config] against [baseline], a finished
+    run of the same netlist and config.  [levels] must be the baseline's
+    DC operating point ({!Dc.levels} of the same drives).  Soundness
+    requires the baseline to be [Completed] with [replay_hazard =
+    false] (see {!start_cone}).
+    @raise Invalid_argument on compiled/baseline/levels mismatches
+    (compiled is checked by physical equality, as in {!start}), or
+    [config.cancellation = false] (without cancellation, processed
+    events and final-waveform crossings no longer coincide, so the
+    boundary seeding is unsound). *)
+
+val start_cone :
+  ?injections:injection list ->
+  cone_workspace ->
+  cone:Compiled.cone ->
   session
 (** A run restricted to a {!Compiled.cone}: fresh waveforms for the
-    cone's member signals, [baseline]'s finished waveforms aliased
+    cone's member signals, the baseline's finished waveforms aliased
     read-only everywhere else, and the event queue seeded by replaying
     each boundary feed's baseline crossings (the cone's closure under
     fanout guarantees nothing ever escapes, so no runtime frontier
-    check is needed).  [levels] must be the baseline's DC operating
-    point ({!Dc.levels} of the same drives).
+    check is needed).
 
-    Soundness requires the baseline to be [Completed] with
-    [replay_hazard = false]; the cone session's own [replay_hazard]
-    must be checked by the caller before trusting its delta (see
-    {!Sim.Cone}, which drives both checks and falls back to a full run
-    otherwise).  Every injection must name a cone member signal — an
-    outside splice would write an aliased baseline waveform.
-    @raise Invalid_argument on compiled/baseline/levels mismatches, an
-    out-of-cone injection, or [config.cancellation = false] (without
-    cancellation, processed events and final-waveform crossings no
-    longer coincide, so the boundary seeding is unsound). *)
+    The session and its results live in the workspace: starting the
+    next cone run on the same workspace invalidates them (their
+    waveform array is overwritten), so consume a run before starting
+    another.  Its {!Stats.t} is the run's own and stays valid.
+
+    The cone session's own [replay_hazard] must be checked by the
+    caller before trusting its delta (see {!Sim.Cone}, which drives
+    every check and falls back to a full run otherwise).  Every
+    injection must name a cone member signal — an outside splice would
+    write an aliased baseline waveform.
+    @raise Invalid_argument on a cone of a different netlist or an
+    out-of-cone injection. *)
 
 val advance : session -> upto:Halotis_util.Units.time -> result
 (** Processes every queued event with instant [<= upto] (clamped to the

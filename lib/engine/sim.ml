@@ -112,13 +112,13 @@ let wrap_iddm engine spec ~vt (r : Iddm.result) =
       lazy (Array.map (fun wf -> Waveform.initial wf > vt) r.Iddm.waveforms);
   }
 
-let run engine spec =
+let run ?compiled engine spec =
   let c = spec.sp_circuit in
   let vt = Tech.vdd spec.sp_tech /. 2. in
   match engine with
   | Ddm | Cdm ->
       let r =
-        Iddm.run ~injections:(iddm_injections spec) (iddm_config engine spec) c
+        Iddm.run ~injections:(iddm_injections spec) ?compiled (iddm_config engine spec) c
           ~drives:spec.sp_drives
       in
       wrap_iddm engine spec ~vt r
@@ -239,18 +239,20 @@ module Cone = struct
 
   (* Per-victim memo: campaigns strike the same driver outputs many
      times, and the cone plus its baseline replay depend only on the
-     victim. *)
-  type victim_entry = { ve_cone : Compiled_.cone; ve_base : Iddm.result }
+     victim.  Only the replay's counters are kept: its waveforms live in
+     the workspace, which the next cone run overwrites. *)
+  type victim_entry = { ve_cone : Compiled_.cone; ve_base_stats : Stats.t }
   type victim_state = Good of victim_entry | Bad of string
 
   type ctx = {
     cx_engine : engine;
     cx_spec : spec;
-    cx_cfg : Iddm.config;
     cx_compiled : Compiled_.t;
-    cx_levels : bool array;
-    cx_baseline : Iddm.result;
+    cx_ws : Iddm.cone_workspace;
     cx_base_edges : Digital.edge list array; (* full-baseline digitized view *)
+    cx_edges : Digital.edge list array;
+        (* the latest graft: [cx_base_edges] with [cx_grafted] replaced *)
+    mutable cx_grafted : int array;
     cx_base_stats : Stats.t;
     cx_vt : Halotis_util.Units.voltage;
     cx_victims : (int, victim_state) Hashtbl.t;
@@ -263,13 +265,14 @@ module Cone = struct
   type outcome =
     | Exact of {
         edges : Digital.edge list array;
+        members : int array;
         stats : Stats.t;
         cone_gates : int;
         cone_events : int;
       }
     | Fallback of string
 
-  let create engine spec ~baseline =
+  let create ?compiled engine spec ~baseline =
     match engine with
     | Classic_inertial -> None
     | Ddm | Cdm -> (
@@ -292,16 +295,23 @@ module Cone = struct
                   | Some (d : Drive.t) -> d.Drive.initial
                   | None -> false
                 in
+                let compiled =
+                  match compiled with
+                  | Some cp -> cp
+                  | None -> Compiled_.compile ~overlay:spec.sp_overlay spec.sp_tech c
+                in
+                let base_edges = Lazy.force baseline.rs_edges in
                 Some
                   {
                     cx_engine = engine;
                     cx_spec = spec;
-                    cx_cfg = iddm_config engine spec;
-                    cx_compiled =
-                      Compiled_.compile ~overlay:spec.sp_overlay spec.sp_tech c;
-                    cx_levels = Dc.levels c ~input_level;
-                    cx_baseline = br;
-                    cx_base_edges = Lazy.force baseline.rs_edges;
+                    cx_compiled = compiled;
+                    cx_ws =
+                      Iddm.cone_workspace ~compiled ~baseline:br
+                        ~levels:(Dc.levels c ~input_level) (iddm_config engine spec) c;
+                    cx_base_edges = base_edges;
+                    cx_edges = Array.copy base_edges;
+                    cx_grafted = [||];
                     cx_base_stats = baseline.rs_stats;
                     cx_vt = baseline.rs_vt;
                     cx_victims = Hashtbl.create 64;
@@ -313,11 +323,7 @@ module Cone = struct
               end)
 
   let run_cone ctx ~cone ~injections =
-    Iddm.advance
-      (Iddm.start_cone ~injections ~compiled:ctx.cx_compiled ~cone
-         ~baseline:ctx.cx_baseline ~levels:ctx.cx_levels ctx.cx_cfg
-         ctx.cx_spec.sp_circuit)
-      ~upto:infinity
+    Iddm.advance (Iddm.start_cone ~injections ctx.cx_ws ~cone) ~upto:infinity
 
   (* The baseline cone replay must land exactly on the full baseline:
      completed, hazard-free, and digitizing to the same edges on every
@@ -345,7 +351,7 @@ module Cone = struct
                   <> ctx.cx_base_edges.(sid))
                 cone.Compiled_.cone_signals
             then Bad "baseline cone replay diverged from the baseline"
-            else Good { ve_cone = cone; ve_base = base }
+            else Good { ve_cone = cone; ve_base_stats = base.Iddm.stats }
           end
         in
         Hashtbl.replace ctx.cx_victims victim st;
@@ -361,7 +367,7 @@ module Cone = struct
     else
       match victim_entry ctx i.inj_signal with
       | Bad reason -> fallback reason
-      | Good { ve_cone; ve_base } -> (
+      | Good { ve_cone; ve_base_stats } -> (
           let inj =
             run_cone ctx ~cone:ve_cone
               ~injections:[ { Iddm.inj_signal = i.inj_signal; inj_transitions = i.inj_ramps } ]
@@ -372,23 +378,30 @@ module Cone = struct
           else if inj.Iddm.frozen <> [] then fallback "injected cone run froze signals"
           else begin
             (* Graft: member signals re-digitized from the injected cone
-               run, every other signal aliasing the baseline edge list
-               (structurally — and physically — equal, so classification
-               compares them for free).  The stats are the baseline's
-               plus the cone delta, which equals the full-run counters
-               exactly when the runs are order-deterministic. *)
-            let edges = Array.copy ctx.cx_base_edges in
+               run into the context's edge array, every other signal
+               aliasing the baseline edge list.  Only the previous
+               graft's members need restoring, so the graft costs
+               O(cone), and non-members are physically equal to the
+               baseline: classification compares [members] only (a
+               structural [<>] on the aliased lists would still walk
+               them).  The stats are the baseline's plus the cone delta,
+               which equals the full-run counters exactly when the runs
+               are order-deterministic. *)
+            let edges = ctx.cx_edges in
+            Array.iter (fun sid -> edges.(sid) <- ctx.cx_base_edges.(sid)) ctx.cx_grafted;
+            let members = ve_cone.Compiled_.cone_signals in
             Array.iter
               (fun sid -> edges.(sid) <- Digital.edges inj.Iddm.waveforms.(sid) ~vt:ctx.cx_vt)
-              ve_cone.Compiled_.cone_signals;
+              members;
+            ctx.cx_grafted <- members;
             let stats = Stats.copy ctx.cx_base_stats in
-            Stats.merge stats (Stats.diff inj.Iddm.stats ve_base.Iddm.stats);
+            Stats.merge stats (Stats.diff inj.Iddm.stats ve_base_stats);
             let cone_gates = Array.length ve_cone.Compiled_.cone_gates in
             let cone_events = inj.Iddm.stats.Stats.events_processed in
             ctx.cx_exact <- ctx.cx_exact + 1;
             ctx.cx_cone_gates <- ctx.cx_cone_gates + cone_gates;
             ctx.cx_cone_events <- ctx.cx_cone_events + cone_events;
-            Exact { edges; stats; cone_gates; cone_events }
+            Exact { edges; members; stats; cone_gates; cone_events }
           end)
 
   let totals ctx =

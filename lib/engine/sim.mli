@@ -89,11 +89,17 @@ type result = {
       (** memoization cell behind {!initial_levels} *)
 }
 
-val run : engine -> spec -> result
+val run : ?compiled:Compiled.t -> engine -> spec -> result
 (** Runs the spec on the chosen engine.  This is the {e only}
     engine-dispatch point in the code base: [Ddm]/[Cdm] configure and
     call {!Iddm.run}; [Classic_inertial] abstracts the ramps to
     toggles and calls {!Classic.run}.
+
+    [compiled] shares a pre-flattened circuit with the [Ddm]/[Cdm]
+    engines, which then skip their own compilation (a campaign compiles
+    once for its baselines, cone context and full re-runs).  It must be
+    {!Compiled.compile} of exactly the spec's netlist, tech and overlay,
+    checked as {!Iddm.start} does.  [Classic_inertial] ignores it.
     @raise Invalid_argument as the underlying engines do (unsettled DC
     point, unknown injection signal, bad drive). *)
 
@@ -164,8 +170,13 @@ module Cone : sig
     | Exact of {
         edges : Halotis_wave.Digital.edge list array;
             (** per-signal digitized edges of the injected run: cone
-                members re-digitized, all others aliasing the baseline
-                lists *)
+                members re-digitized, all others the baseline's own
+                (physically equal) lists.  The array belongs to the
+                context and the next {!run_site} overwrites it: consume
+                or copy it first *)
+        members : int array;
+            (** the cone's member signals, ascending — the only entries
+                of [edges] that can differ from the baseline *)
         stats : Stats.t;
             (** baseline counters plus the cone delta — equal to the
                 full injected run's counters *)
@@ -174,18 +185,23 @@ module Cone : sig
       }
     | Fallback of string  (** human-readable reason; run the site in full *)
 
-  val create : engine -> spec -> baseline:result -> ctx option
-  (** Compiles the circuit, captures the baseline's DC operating point
-      and digitized view, and arms the per-victim memo.  [spec] must be
+  val create : ?compiled:Compiled.t -> engine -> spec -> baseline:result -> ctx option
+  (** Compiles the circuit (or takes [compiled], checked as in {!run}),
+      captures the baseline's DC operating point and digitized view,
+      allocates the {!Iddm.cone_workspace} every cone run of the
+      context reuses, and arms the per-victim memo.  [spec] must be
       the baseline's spec (same circuit, drives, tech, horizon) and
       [baseline] its finished result on [engine].  Returns [None] —
       incremental disabled for the whole campaign — for the classic
       engine, an engine/baseline mismatch, or a baseline that is
-      truncated, watchdog-frozen or replay-hazardous. *)
+      truncated, watchdog-frozen or replay-hazardous.
+      @raise Invalid_argument when [compiled] is for another netlist,
+      tech or overlay. *)
 
   val run_site : ctx -> injection -> outcome
   (** One injection site.  Cone construction and the clean cone replay
       are memoized per victim signal; the injected cone run is fresh.
+      A site's cost scales with its cone, not with the circuit.
       Falls back (never raises) on driverless victims, guardrail trips,
       replay hazards, or a cone replay that fails to reproduce the
       baseline edges. *)

@@ -1,6 +1,7 @@
 module Netlist = Halotis_netlist.Netlist
 module Sim = Halotis_engine.Sim
 module Stats = Halotis_engine.Stats
+module Compiled = Halotis_engine.Compiled
 module Digital = Halotis_wave.Digital
 module Transition = Halotis_wave.Transition
 module Hazard = Halotis_sta.Hazard
@@ -115,29 +116,54 @@ type t = {
 }
 
 (* One injected run reduced to what classification needs: per-signal
-   digital edges and the engine counters. *)
-type observed = { ob_edges : Digital.edge list array; ob_stats : Stats.t }
+   digital edges, the engine counters, and — for a cone graft — the
+   member signals, the only ones whose edges can differ from the
+   baseline ([None]: a full re-run, where any signal can). *)
+type observed = {
+  ob_edges : Digital.edge list array;
+  ob_stats : Stats.t;
+  ob_members : int array option;
+}
+
+let rec mem_sorted (a : int array) (x : int) lo hi =
+  lo < hi
+  &&
+  let mid = (lo + hi) / 2 in
+  let v = a.(mid) in
+  v = x || if v < x then mem_sorted a x (mid + 1) hi else mem_sorted a x lo mid
 
 let classify ~c ~is_classic ~(base : observed) ~(site : Site.t) (inj : observed) =
   let delta = Stats.diff inj.ob_stats base.ob_stats in
   let victim = site.Site.st_signal in
+  (* Non-members of a cone graft alias the baseline lists; skipping
+     them spares a structural walk of every baseline edge per site. *)
+  let may_differ =
+    match inj.ob_members with
+    | None -> fun _ -> true
+    | Some m -> fun sid -> mem_sorted m sid 0 (Array.length m)
+  in
   let differs sid = inj.ob_edges.(sid) <> base.ob_edges.(sid) in
   let pos = Netlist.primary_outputs c in
-  let po_diff = List.filter differs pos in
+  let po_diff = List.filter (fun sid -> may_differ sid && differs sid) pos in
   let po_edges_delta =
     List.fold_left
       (fun acc sid ->
-        acc + List.length inj.ob_edges.(sid) - List.length base.ob_edges.(sid))
+        if may_differ sid then
+          acc + List.length inj.ob_edges.(sid) - List.length base.ob_edges.(sid)
+        else acc)
       0 pos
   in
   let outcome =
     if po_diff <> [] then Propagated
     else begin
       let downstream_differs =
-        Array.exists
-          (fun (s : Netlist.signal) ->
-            s.Netlist.signal_id <> victim && differs s.Netlist.signal_id)
-          (Netlist.signals c)
+        match inj.ob_members with
+        | Some m -> Array.exists (fun sid -> sid <> victim && differs sid) m
+        | None ->
+            Array.exists
+              (fun (s : Netlist.signal) ->
+                s.Netlist.signal_id <> victim && differs s.Netlist.signal_id)
+              (Netlist.signals c)
       in
       (* The classic engine records the forced victim toggles as
          emitted transitions; subtract them so only fanout responses
@@ -181,7 +207,10 @@ let run ?on_verdict cfg tech c ~drives =
     Sim.spec ~drives ?injections ~t_stop:cfg.t_stop ?budget
       ~overlay:cfg.overlay ~tech c
   in
-  let ddm_baseline_run = Sim.run Sim.Ddm (spec ()) in
+  (* One compilation serves every waveform-engine run of the campaign:
+     the baselines, the cone context and each full re-run. *)
+  let compiled = Compiled.compile ~overlay:cfg.overlay tech c in
+  let ddm_baseline_run = Sim.run ~compiled Sim.Ddm (spec ()) in
   let ddm_baseline =
     match Sim.iddm ddm_baseline_run with Some r -> r | None -> assert false
   in
@@ -194,12 +223,12 @@ let run ?on_verdict cfg tech c ~drives =
         Site.sample ~baseline:ddm_baseline ~prng ~n:cfg.n ~t0 ~t1
   in
   let observe (r : Sim.result) =
-    { ob_edges = Sim.edges r; ob_stats = r.Sim.rs_stats }
+    { ob_edges = Sim.edges r; ob_stats = r.Sim.rs_stats; ob_members = None }
   in
   let base_run =
     match cfg.engine with
     | Ddm -> ddm_baseline_run
-    | Cdm | Classic_inertial -> Sim.run cfg.engine (spec ())
+    | Cdm | Classic_inertial -> Sim.run ~compiled cfg.engine (spec ())
   in
   let base = observe base_run in
   (* Static pruning oracle.  Only armed when every injected run would
@@ -243,11 +272,11 @@ let run ?on_verdict cfg tech c ~drives =
     else
       match cfg.engine with
       | Classic_inertial -> None
-      | Ddm | Cdm -> Sim.Cone.create cfg.engine (spec ()) ~baseline:base_run
+      | Ddm | Cdm -> Sim.Cone.create ~compiled cfg.engine (spec ()) ~baseline:base_run
   in
   let run_site_full site =
     observe
-      (Sim.run cfg.engine
+      (Sim.run ~compiled cfg.engine
          (spec ~injections:[ Inject.injection site cfg.pulse ] ~budget:cfg.site_budget ()))
   in
   let run_site site =
@@ -255,7 +284,8 @@ let run ?on_verdict cfg tech c ~drives =
     | None -> run_site_full site
     | Some ctx -> (
         match Sim.Cone.run_site ctx (Inject.injection site cfg.pulse) with
-        | Sim.Cone.Exact { edges; stats; _ } -> { ob_edges = edges; ob_stats = stats }
+        | Sim.Cone.Exact { edges; members; stats; _ } ->
+            { ob_edges = edges; ob_stats = stats; ob_members = Some members }
         | Sim.Cone.Fallback _ -> run_site_full site)
   in
   let is_classic = cfg.engine = Classic_inertial in
@@ -383,12 +413,6 @@ let run ?on_verdict cfg tech c ~drives =
     cam_cone = Option.map Sim.Cone.totals cone_ctx;
     cam_quarantined = List.map (fun i -> (i, site_arr.(i))) quarantined;
   }
-
-let run_legacy ?sites ?range ?(completed = []) ?(quarantined = []) ?limit
-    ?on_verdict cfg tech c ~drives =
-  run ?on_verdict
-    { cfg with sites; range; completed; quarantined; limit }
-    tech c ~drives
 
 let counts t =
   List.fold_left

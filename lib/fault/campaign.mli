@@ -208,26 +208,6 @@ val run :
     [completed] does not match the campaign's site list, or
     ([shard-range]) when [range] exceeds the enumeration. *)
 
-val run_legacy :
-  ?sites:Site.t list ->
-  ?range:int * int ->
-  ?completed:verdict list ->
-  ?quarantined:int list ->
-  ?limit:int ->
-  ?on_verdict:(int -> verdict -> unit) ->
-  config ->
-  Halotis_tech.Tech.t ->
-  Halotis_netlist.Netlist.t ->
-  drives:(Halotis_netlist.Netlist.signal_id * Halotis_engine.Drive.t) list ->
-  t
-  [@@deprecated
-    "use Campaign.run with the per-call knobs (sites/range/completed/\
-     quarantined/limit) folded into Campaign.config"]
-(** The pre-overlay calling convention: per-call knobs as optional
-    arguments overriding whatever the config carries.  Equivalent to
-    [run ?on_verdict { cfg with sites; range; completed; quarantined;
-    limit }].  Kept for one release. *)
-
 val counts : t -> int * int * int
 (** [(propagated, electrically_masked, logically_masked)] —
     {!Timed_out} verdicts are counted by {!timed_out} alone. *)

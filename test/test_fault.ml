@@ -476,6 +476,161 @@ let test_cone_same_instant_strike_exact () =
   Alcotest.(check string) "report byte-identical" (Fault_report.to_string t_off)
     (Fault_report.to_string t_on)
 
+(* Workspace reuse: one context driven through a random site sequence —
+   repeated victims, primary-input victims that fall back, and strikes
+   so late that the horizon cuts the cone run with events still queued
+   — must answer every site exactly as a fresh context would, its exact
+   grafts must equal full re-simulation, and a campaign over the same
+   sites must report what full re-simulation reports. *)
+let prop_cone_reuse_equals_fresh =
+  QCheck.Test.make ~name:"reused cone context == fresh context per site" ~count:20
+    QCheck.(pair (int_range 10 35) (int_range 0 1000))
+    (fun (gates, seed) ->
+      let t_stop = 12_000. in
+      let c, drives = Test_perf_equiv.workload ~gates ~seed in
+      let engine = if seed land 1 = 0 then Sim.Ddm else Sim.Cdm in
+      let spec = Sim.spec ~drives ~t_stop ~tech:DL.tech c in
+      let base = Sim.run engine spec in
+      let baseline = Option.get (Sim.iddm base) in
+      let fresh () =
+        match Sim.Cone.create engine spec ~baseline:base with
+        | Some ctx -> ctx
+        | None -> Alcotest.fail "cone context refused a completed baseline"
+      in
+      let rng = Prng.create ~seed:(seed + 3) in
+      let pick a = a.(Prng.int rng ~bound:(Array.length a)) in
+      (* late strikes need a victim with loads, or nothing is queued *)
+      let loaded =
+        Array.of_list
+          (List.filter
+             (fun s -> Array.length (N.signal c s).N.loads > 0)
+             (Site.candidates c))
+      in
+      let victims = Array.init 3 (fun _ -> pick loaded) in
+      let pis = Array.of_list (N.primary_inputs c) in
+      let pulse = Inject.pulse ~width:150. () in
+      let site_at at = Site.of_signal ~baseline (pick victims) ~at in
+      let plan =
+        List.init 16 (fun k ->
+            match k mod 4 with
+            | 3 -> `Pi (pick pis, Prng.float rng ~bound:3000.)
+            | 2 -> `Late (site_at (t_stop -. Prng.float rng ~bound:100.))
+            | _ -> `Early (site_at (Prng.float rng ~bound:3000.)))
+      in
+      let shared = fresh () in
+      let cut = ref 0 and late_exact = ref 0 and exact = ref 0 in
+      let same_site step =
+        let inj =
+          match step with
+          | `Pi (s, at) ->
+              { Sim.inj_signal = s; inj_ramps = Inject.transitions ~at ~polarity:T.Rising pulse }
+          | `Late site | `Early site -> Inject.injection site pulse
+        in
+        match (Sim.Cone.run_site shared inj, Sim.Cone.run_site (fresh ()) inj, step) with
+        | Sim.Cone.Fallback r1, Sim.Cone.Fallback r2, _ -> r1 = r2
+        | Sim.Cone.Exact _, _, `Pi _ -> false
+        | ( Sim.Cone.Exact
+              { edges = e1; members = m1; stats = s1; cone_gates = g1; cone_events = v1 },
+            Sim.Cone.Exact
+              { edges = e2; members = m2; stats = s2; cone_gates = g2; cone_events = v2 },
+            _ ) ->
+            incr exact;
+            (match step with
+            | `Late _ ->
+                incr late_exact;
+                let d = Halotis_engine.Stats.diff s1 base.Sim.rs_stats in
+                let open Halotis_engine.Stats in
+                if d.events_scheduled > d.events_processed + d.events_filtered then incr cut
+            | `Early _ | `Pi _ -> ());
+            let full = Sim.run engine { spec with Sim.sp_injections = [ inj ] } in
+            e1 = e2 && m1 = m2 && s1 = s2 && g1 = g2 && v1 = v2
+            && e1 = Sim.edges full
+            && s1 = Halotis_engine.Stats.copy full.Sim.rs_stats
+        | _ -> false
+      in
+      let sites_same = List.for_all same_site plan in
+      let sites =
+        List.filter_map (function `Late s | `Early s -> Some s | `Pi _ -> None) plan
+      in
+      let campaign incremental =
+        Fault_report.to_string
+          (Campaign.run
+             { (Campaign.config ~engine ~incremental ~t_stop ()) with Campaign.sites = Some sites }
+             DL.tech c ~drives)
+      in
+      sites_same
+      && (!late_exact = 0 || !cut > 0)
+      && !exact > 0
+      && campaign true = campaign false)
+
+(* The O(cone) claim, host-independently: the words one cone site
+   allocates must not grow with the circuit around the cone.  The same
+   three-gate cone sits next to ~50 and then ~2000 unrelated gates.  A
+   strike so late that the horizon leaves its events queued must not
+   grow the cost from site to site either: the workspace reclaims the
+   queued events instead of leaking pool slots. *)
+let test_cone_site_alloc_independent_of_circuit () =
+  let circuit unrelated =
+    let b = Buffer.create 4096 in
+    Buffer.add_string b "circuit alloc\ninput a u\noutput y\n";
+    Buffer.add_string b "gate c1 inv n1 a\ngate c2 nand2 n2 n1 a\ngate c3 inv y n2\n";
+    for k = 0 to unrelated - 1 do
+      let src = if k mod 10 = 0 then "u" else Printf.sprintf "u%d" (k - 1) in
+      Printf.bprintf b "gate g%d inv u%d %s\n" k k src
+    done;
+    Buffer.add_string b "end\n";
+    match Halotis_netlist.Hnl.parse_string (Buffer.contents b) with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "fixture: %a" Halotis_netlist.Hnl.pp_error e
+  in
+  let site_words ?(repeat = 1) ~at unrelated =
+    let c = circuit unrelated in
+    let drive = Drive.of_levels ~slope:60. ~initial:false [ (1000., true); (5000., false) ] in
+    let drives = [ (sid c "a", drive); (sid c "u", drive) ] in
+    let spec = Sim.spec ~drives ~t_stop:8000. ~tech:DL.tech c in
+    let base = Sim.run Sim.Ddm spec in
+    let baseline = Option.get (Sim.iddm base) in
+    let ctx =
+      match Sim.Cone.create Sim.Ddm spec ~baseline:base with
+      | Some ctx -> ctx
+      | None -> Alcotest.fail "cone context refused a completed baseline"
+    in
+    let inj =
+      Inject.injection (Site.of_signal ~baseline (sid c "n1") ~at) (Inject.pulse ~width:150. ())
+    in
+    let run () =
+      match Sim.Cone.run_site ctx inj with
+      | Sim.Cone.Exact { cone_gates; _ } -> checki "cone size" 3 cone_gates
+      | Sim.Cone.Fallback r -> Alcotest.failf "unexpected fallback: %s" r
+    in
+    (* the first site builds the victim's cone, replays it clean and
+       warms the workspace's pools *)
+    run ();
+    (* every allocated word, minor or direct-to-major *)
+    let allocated () =
+      let minor, promoted, major = Gc.counters () in
+      minor +. major -. promoted
+    in
+    List.init repeat (fun _ ->
+        let w0 = allocated () in
+        run ();
+        allocated () -. w0)
+  in
+  let close a b = Float.abs (a -. b) <= 16. in
+  let small = List.hd (site_words ~at:3000. 50) in
+  let large = List.hd (site_words ~at:3000. 2000) in
+  checkb
+    (Printf.sprintf "site words independent of circuit size (%.0f vs %.0f)" small large)
+    true (close small large);
+  match site_words ~repeat:64 ~at:7960. 2000 with
+  | [] -> assert false
+  | first :: rest ->
+      List.iter
+        (fun w ->
+          checkb (Printf.sprintf "cut site words stay flat (%.0f vs %.0f)" first w) true
+            (close first w))
+        rest
+
 let test_engine_of_string () =
   checkb "ddm" true (Campaign.engine_of_string "ddm" = Some Campaign.Ddm);
   checkb "cdm" true (Campaign.engine_of_string "cdm" = Some Campaign.Cdm);
@@ -524,5 +679,8 @@ let tests =
         QCheck_alcotest.to_alcotest prop_incremental_equals_full;
         Alcotest.test_case "same-instant strike stays exact" `Quick
           test_cone_same_instant_strike_exact;
+        QCheck_alcotest.to_alcotest prop_cone_reuse_equals_fresh;
+        Alcotest.test_case "site allocation independent of circuit size" `Quick
+          test_cone_site_alloc_independent_of_circuit;
       ] );
   ]
