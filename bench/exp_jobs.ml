@@ -1,6 +1,6 @@
-(* JOBS — multi-process campaign sharding (extension).
+(* JOBS — multi-process fault campaigns (extension).
 
-   `halotis faults --jobs N` forks N workers over disjoint site ranges
+   `halotis faults --jobs N` supervises a pool of N workers over chunks
    of the same seeded enumeration and merges their verdict journals, so
    the contract under test is twofold: the merged report must be
    byte-identical to the serial run, and the wall-clock cost must scale
@@ -8,7 +8,7 @@
    expectation is parity plus a small fork/merge overhead, which this
    experiment records rather than hides).
 
-   Unlike the in-process experiments this one must shell out: the shard
+   Unlike the in-process experiments this one must shell out: the
    workers re-exec the halotis binary, so the measurement is of the
    real CLI path, fork and fsync included. *)
 
@@ -49,7 +49,7 @@ let run_campaign ~jobs out =
   (dt, Digest.file out)
 
 let run () =
-  section "JOBS -- sharded fault campaigns: identity and scaling (extension)";
+  section "JOBS -- supervised fault campaigns: identity and scaling (extension)";
   Printf.printf "circuit mult4x4, %d injections, seed %d, host cores: %s\n\n" injections
     seed
     (try String.trim (In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all)
@@ -85,7 +85,7 @@ let run () =
       in
       [
         Experiment.make ~data ~exp_id:"JOBS"
-          ~title:"Sharded fault campaigns (extension)"
+          ~title:"Supervised multi-process fault campaigns (extension)"
           [
             Experiment.observation ~agrees:identical
               ~metric:"--jobs N report byte-identical to the serial run"

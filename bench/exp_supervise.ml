@@ -1,13 +1,14 @@
 (* SUPERVISE — fault-tolerant campaign supervision (extension).
 
-   The supervisor turns one-shot sharding into a work-queue of chunks
-   with heartbeats, retry/backoff and poison quarantine.  Its costs are
-   (a) a fixed overhead over unsupervised sharding — more process
-   spawns (chunks instead of workers) and per-verdict fsyncs — and
-   (b) recovery cost per injected worker death.  This experiment
-   measures both: a supervised campaign with 0, 1 and 2 injected
-   SIGKILLs (bounded by a chaos token directory) against the
-   unsupervised `--supervise off` baseline, asserting every recovered
+   Every multi-process campaign runs under the supervisor: a work-queue
+   of chunks with heartbeats, retry/backoff and poison quarantine.  Its
+   costs are (a) a fixed overhead over the serial in-process run —
+   process spawns, per-chunk re-parse and baseline, per-verdict fsyncs
+   with a cursor, and the merge — and (b) recovery cost per injected
+   worker death.  This experiment measures both: a supervised campaign
+   with 0, 1 and 2 injected SIGKILLs (bounded by a chaos token
+   directory) against the serial `--jobs 1` run, the same denominator
+   as perfbench's supervise_overhead_x, asserting every recovered
    report stays byte-identical. *)
 
 open Common
@@ -46,17 +47,19 @@ let with_token_dir kills f =
 
 let run_campaign ~mode out =
   let flags =
-    match mode with `Unsupervised -> "--supervise off" | `Supervised _ -> "--supervise on"
+    match mode with
+    | `Serial -> "--jobs 1"
+    | `Supervised _ -> Printf.sprintf "--jobs %d" jobs
   in
   let go env_prefix =
     let cmd =
       Printf.sprintf
         "%s%s faults %s --stim %s -n %d --seed %d --t-stop 20000 --format json \
-         --jobs %d %s > %s 2> /dev/null"
+         %s > %s 2> /dev/null"
         env_prefix (Filename.quote cli_exe)
         (Filename.quote (data "mult4x4.hnl"))
         (Filename.quote (data "mult4x4.hsv"))
-        injections seed jobs flags (Filename.quote out)
+        injections seed flags (Filename.quote out)
     in
     let t0 = Unix.gettimeofday () in
     let status = Sys.command cmd in
@@ -78,21 +81,21 @@ let run_campaign ~mode out =
 let run () =
   section "SUPERVISE -- fault-tolerant campaign supervision (extension)";
   Printf.printf
-    "circuit mult4x4, %d injections, seed %d, --jobs %d; injected worker kills \
-     bounded by a chaos token directory\n\n"
+    "circuit mult4x4, %d injections, seed %d, supervised --jobs %d vs serial \
+     --jobs 1; injected worker kills bounded by a chaos token directory\n\n"
     injections seed jobs;
   let out = Filename.temp_file "halotis_supervise" ".json" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
     (fun () ->
-      let base_t, base_digest = run_campaign ~mode:`Unsupervised out in
+      let base_t, base_digest = run_campaign ~mode:`Serial out in
       let rows =
         List.map
           (fun kills -> (kills, run_campaign ~mode:(`Supervised kills) out))
           [ 0; 1; 2 ]
       in
       Printf.printf "  %-16s %10s %10s %s\n" "mode" "wall (s)" "overhead" "report";
-      Printf.printf "  %-16s %10.3f %10s %s\n" "unsupervised" base_t "--" "baseline";
+      Printf.printf "  %-16s %10.3f %10s %s\n" "serial" base_t "--" "baseline";
       List.iter
         (fun (kills, (dt, digest)) ->
           Printf.printf "  %-16s %10.3f %9.2fx %s\n"
@@ -106,7 +109,7 @@ let run () =
       let sup0_t = fst (List.assoc 0 rows) in
       let sup2_t = fst (List.assoc 2 rows) in
       let data =
-        ("faults_unsupervised_wall_s", base_t)
+        ("faults_serial_wall_s", base_t)
         :: List.map
              (fun (kills, (dt, _)) ->
                (Printf.sprintf "faults_supervised_%dkill_wall_s" kills, dt))
@@ -117,16 +120,16 @@ let run () =
           ~title:"Fault-tolerant campaign supervision (extension)"
           [
             Experiment.observation ~agrees:identical
-              ~metric:"supervised report byte-identical to unsupervised (0/1/2 kills)"
+              ~metric:"supervised report byte-identical to serial (0/1/2 kills)"
               ~paper:"(determinism of the seeded campaign enumeration)"
               ~measured:(if identical then "identical in all three runs" else "MISMATCH")
               ();
             Experiment.observation
-              ~metric:"supervision overhead, no failures"
+              ~metric:"supervision overhead vs serial --jobs 1, no failures"
               ~paper:"(expected: small constant from chunking + per-verdict fsync)"
               ~measured:
-                (Printf.sprintf "%.3f s supervised vs %.3f s unsupervised (%.2fx)"
-                   sup0_t base_t (sup0_t /. base_t))
+                (Printf.sprintf "%.3f s supervised (--jobs %d) vs %.3f s serial (%.2fx)"
+                   sup0_t jobs base_t (sup0_t /. base_t))
               ();
             Experiment.observation
               ~metric:"recovery cost of injected worker deaths"

@@ -29,7 +29,7 @@ let experiments : (string * string * (unit -> Halotis_report.Experiment.t list))
     ("vdd", "low-voltage operation (extension)", Exp_vdd.run);
     ("mult8", "the paper's protocol on an 8x8 multiplier (extension)", Exp_mult8.run);
     ("faults", "SET campaigns: DDM vs classic masking (extension)", Exp_faults.run);
-    ("jobs", "sharded fault campaigns: identity and scaling (extension)", Exp_jobs.run);
+    ("jobs", "supervised fault campaigns: identity and scaling (extension)", Exp_jobs.run);
     ("prune", "statically pruned fault campaigns (extension)", Exp_prune.run);
     ("cone", "incremental cone re-simulation for fault campaigns (extension)", Exp_cone.run);
     ("serve", "persistent service: cache speedup and request throughput (extension)", Exp_serve.run);

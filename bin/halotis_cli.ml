@@ -562,27 +562,121 @@ let chaos_post cz ~journal =
       chaos_die ()
   | _ -> ()
 
+(* [--jobs 0] resolves to the detected core count; a negative count is a
+   usage error. *)
+let resolve_jobs cmd jobs =
+  if jobs < 0 then usage_diag "--jobs must be non-negative (0 auto-detects cores)";
+  if jobs > 0 then jobs
+  else begin
+    let n = Shard.available_cores () in
+    Printf.eprintf "%s: --jobs 0: using %d detected core%s\n%!" cmd n
+      (if n = 1 then "" else "s");
+    n
+  end
+
+(* The journal of a [--range] worker: the supervisor always passes
+   --journal, and a retried worker resumes it by itself. *)
+let range_journal journal_path resume_path =
+  let jpath =
+    match journal_path with
+    | Some p -> p
+    | None -> usage_diag "a --range worker needs --journal"
+  in
+  if resume_path <> None then
+    usage_diag "--range workers resume their own --journal automatically";
+  jpath
+
+(* The supervised worker body shared by [faults --range] and
+   [vary --range]: simulate the campaign's sites [lo - offset,
+   hi - offset) and journal each verdict under its global index
+   [idx + offset] in the chunk journal, fsynced per verdict with a
+   heartbeat cursor.  A retried worker resumes the chunk journal,
+   quarantined sites included.  [faults] passes offset 0; [vary] passes
+   [k * nsites] for sample k. *)
+let run_range_worker ~cmd cfg ~offset ~range:(lo, hi) ~journal tech c ~drives =
+  let circuit = N.name c in
+  let open_fresh () =
+    ( [],
+      [],
+      Journal.open_new ~sync_every:1 ~cursor:true journal
+        (Journal.header_of ~circuit ~range:(lo, hi) cfg) )
+  in
+  let completed, quarantined, writer =
+    if not (Sys.file_exists journal) then open_fresh ()
+    else
+      match Journal.load journal with
+      | h, indexed ->
+          Journal.check h ~circuit ~range:(lo, hi) cfg;
+          let entries = Journal.contiguous ~first:lo indexed in
+          let completed, quarantined = Journal.partition ~first:lo entries in
+          Printf.eprintf "%s: range [%d,%d): resuming %s: %d of %d entries kept\n%!" cmd
+            lo hi journal (List.length entries) (hi - lo);
+          ( completed,
+            List.map (fun g -> g - offset) quarantined,
+            Journal.open_append ~sync_every:1 ~cursor:true journal )
+      | exception Diag.Fail _ ->
+          (* died inside the header write: nothing durable to keep *)
+          open_fresh ()
+  in
+  let cz = chaos_of_env () in
+  let campaign =
+    Campaign.run
+      ~on_verdict:(fun idx v ->
+        let g = idx + offset in
+        chaos_pre cz g;
+        Journal.write writer g v;
+        chaos_post cz ~journal)
+      {
+        cfg with
+        Campaign.range = Some (lo - offset, hi - offset);
+        completed;
+        quarantined;
+      }
+      tech c ~drives
+  in
+  Journal.close writer;
+  Printf.eprintf "%s: range [%d,%d): %d sites done\n%!" cmd lo hi
+    (List.length campaign.Campaign.cam_verdicts);
+  0
+
+(* The base path of a supervised campaign's chunk journals (BASE.ID):
+   the user's --journal/--resume file, or a temporary one. *)
+let supervised_base prefix journal_path resume_path =
+  match (journal_path, resume_path) with
+  | Some p, None | None, Some p -> (p, true)
+  | None, None -> (Filename.temp_file prefix ".journal", false)
+  | Some _, Some _ -> assert false
+
+(* Removes what supervision leaves beside the base path: every chunk's
+   stderr capture, cursor and chaos sentinel, and the chunk journal
+   itself unless [keep]. *)
+let remove_chunk_files ?(keep = false) base slots =
+  for k = 0 to slots - 1 do
+    let jpath = Shard.journal_path base k in
+    if (not keep) && Sys.file_exists jpath then Sys.remove jpath;
+    List.iter
+      (fun p -> if Sys.file_exists p then Sys.remove p)
+      [ Shard.stderr_path base k; Journal.cursor_path jpath; jpath ^ ".chaos" ]
+  done
+
+let report_recoveries cmd (outcome : Supervisor.outcome) =
+  let plural n = if n = 1 then "" else "s" in
+  if outcome.Supervisor.sv_retries > 0 then
+    Printf.eprintf "%s: supervisor recovered %d worker failure%s (%d stall kill%s)\n%!"
+      cmd outcome.Supervisor.sv_retries
+      (plural outcome.Supervisor.sv_retries)
+      outcome.Supervisor.sv_kills
+      (plural outcome.Supervisor.sv_kills)
+
 let run_faults path stim_path engine n seed width slope t_stop exhaustive grid format
-    vcd_dir liberty journal_path resume_path limit_sites site_max_events jobs shard
-    range_spec supervise worker_timeout max_retries chunk_sites poison_after
-    prune_mode incremental keep_shards =
+    vcd_dir liberty journal_path resume_path limit_sites site_max_events jobs
+    range_spec worker_timeout max_retries chunk_sites poison_after prune_mode
+    incremental keep_shards =
   let tech = load_tech liberty in
   let c = or_die (load_circuit path) in
   let stim = or_die (load_stimfile stim_path) in
-  if jobs < 0 then usage_diag "--jobs must be non-negative (0 auto-detects cores)";
-  let jobs =
-    if jobs > 0 then jobs
-    else begin
-      let n = Halotis_fault.Shard.available_cores () in
-      Printf.eprintf "faults: --jobs 0: using %d detected core%s\n%!" n
-        (if n = 1 then "" else "s");
-      n
-    end
-  in
-  let is_worker = shard <> None || range_spec <> None in
-  let supervised =
-    match supervise with `On -> true | `Off -> false | `Auto -> jobs > 1
-  in
+  let jobs = resolve_jobs "faults" jobs in
+  let is_worker = range_spec <> None in
   let prune = prune_mode = `Static in
   (* the campaign silently ignores the flag in these cases; say why *)
   if prune && not is_worker then begin
@@ -595,10 +689,7 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
         "halotis: --prune static is disabled by --site-max-events (a budget-tripped \
          site must be able to report timed-out); all sites will be simulated"
   end;
-  if shard <> None && range_spec <> None then
-    usage_diag "--shard and --range are mutually exclusive";
-  if is_worker && jobs > 1 then
-    usage_diag "--shard/--range and --jobs are mutually exclusive";
+  if is_worker && jobs > 1 then usage_diag "--range and --jobs are mutually exclusive";
   if is_worker && limit_sites <> None then
     usage_diag "--limit-sites cannot be used inside a worker";
   (* A worker's stderr should carry verdict progress, not N copies of
@@ -637,8 +728,8 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
       usage_diag ~hint:"--resume already appends new verdicts to the journal it loads"
         "--journal and --resume are mutually exclusive"
   | _ -> ());
-  (* Report rendering shared by the serial and the sharded-parent
-     paths — byte-identical output is the whole point. *)
+  (* Report rendering shared by the serial and the supervised paths —
+     byte-identical output is the whole point. *)
   let emit_report campaign =
     (match format with
     | `Json -> print_endline (Fault_report.to_string campaign)
@@ -670,108 +761,16 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
     | None -> ());
     0
   in
-  (* The campaign-defining flags a parent hands its workers, shared by
-     the supervised and the legacy one-shot paths. *)
-  let campaign_argv =
-    [ Sys.executable_name; "faults"; path; "--stim"; stim_path ]
-    @ [ "--engine"; Campaign.engine_to_string engine ]
-    @ [ "-n"; string_of_int n; "--seed"; string_of_int seed ]
-    @ [ "--width"; farg width; "--slope"; farg slope ]
-    @ [ "--t-stop"; farg horizon ]
-    @ (if exhaustive then [ "--exhaustive"; "--grid"; string_of_int grid ] else [])
-    @ (match liberty with Some p -> [ "--liberty"; p ] | None -> [])
-    @ (match site_max_events with
-      | Some e -> [ "--site-max-events"; string_of_int e ]
-      | None -> [])
-    @ (if prune then [ "--prune"; "static" ] else [])
-    @ [ "--incremental"; (if incremental then "on" else "off") ]
-  in
-  match (shard, range_spec) with
-  | Some _, Some _ -> assert false (* rejected above *)
-  | None, Some (lo, hi) ->
-      (* ----- supervised worker: one chunk of the site enumeration,
-         fsynced per verdict with a heartbeat cursor; on a retry it
-         resumes its own chunk journal, skipping quarantined sites ----- *)
-      let jpath =
-        match journal_path with
-        | Some p -> p
-        | None -> usage_diag "a --range worker needs --journal"
-      in
-      if resume_path <> None then
-        usage_diag "--range workers resume their own --journal automatically";
-      if lo < 0 || lo >= hi || hi > sites_total then
+  match range_spec with
+  | Some (lo, hi) ->
+      (* ----- supervised worker: one chunk of the site enumeration ----- *)
+      let journal = range_journal journal_path resume_path in
+      if hi > sites_total then
         usage_diag
-          (Printf.sprintf "--range %d:%d out of bounds for %d sites" lo hi
-             sites_total);
-      let open_fresh () =
-        ( [],
-          [],
-          Journal.open_new ~sync_every:1 ~cursor:true jpath
-            (Journal.header_of ~circuit:(N.name c) ~range:(lo, hi) cfg) )
-      in
-      let completed, quarantined, writer =
-        if not (Sys.file_exists jpath) then open_fresh ()
-        else
-          match Journal.load jpath with
-          | h, indexed ->
-              Journal.check h ~circuit:(N.name c) ~range:(lo, hi) cfg;
-              let entries = Journal.contiguous ~first:lo indexed in
-              let completed, quarantined = Journal.partition ~first:lo entries in
-              Printf.eprintf "faults: range [%d,%d): resuming %s: %d of %d entries kept\n%!"
-                lo hi jpath (List.length entries) (hi - lo);
-              (completed, quarantined, Journal.open_append ~sync_every:1 ~cursor:true jpath)
-          | exception Diag.Fail _ ->
-              (* died inside the header write: nothing durable to keep *)
-              open_fresh ()
-      in
-      let cz = chaos_of_env () in
-      let campaign =
-        Campaign.run
-          ~on_verdict:(fun idx v ->
-            chaos_pre cz idx;
-            Journal.write writer idx v;
-            chaos_post cz ~journal:jpath)
-          { cfg with Campaign.sites; range = Some (lo, hi); completed; quarantined }
-          tech c ~drives
-      in
-      Journal.close writer;
-      Printf.eprintf "faults: range [%d,%d): %d sites done\n%!" lo hi
-        (List.length campaign.Campaign.cam_verdicts);
-      0
-  | Some (k, nworkers), None ->
-      (* ----- worker: simulate one deterministic site range, journal
-         verdicts under their global indices, render nothing ----- *)
-      let lo, hi = Halotis_fault.Shard.range ~total:sites_total ~jobs:nworkers k in
-      let completed, quarantined, writer =
-        match (journal_path, resume_path) with
-        | Some p, None ->
-            ( [],
-              [],
-              Journal.open_new p
-                (Journal.header_of ~circuit:(N.name c) ~range:(lo, hi) cfg) )
-        | None, Some p ->
-            let h, indexed = Journal.load p in
-            Journal.check h ~circuit:(N.name c) ~range:(lo, hi) cfg;
-            let entries = Journal.contiguous ~first:lo indexed in
-            let completed, quarantined = Journal.partition ~first:lo entries in
-            Printf.eprintf "faults: shard %d/%d: resuming %s: %d of %d verdicts kept\n"
-              k nworkers p (List.length entries) (hi - lo);
-            (completed, quarantined, Journal.open_append p)
-        | None, None ->
-            usage_diag "a shard worker needs --journal or --resume"
-        | Some _, Some _ -> assert false
-      in
-      let campaign =
-        Campaign.run
-          ~on_verdict:(fun idx v -> Journal.write writer idx v)
-          { cfg with Campaign.sites; range = Some (lo, hi); completed; quarantined }
-          tech c ~drives
-      in
-      Journal.close writer;
-      Printf.eprintf "faults: shard %d/%d: %d sites done\n" k nworkers
-        (List.length campaign.Campaign.cam_verdicts);
-      0
-  | None, None when supervised ->
+          (Printf.sprintf "--range %d:%d out of bounds for %d sites" lo hi sites_total);
+      run_range_worker ~cmd:"faults" { cfg with Campaign.sites } ~offset:0
+        ~range:(lo, hi) ~journal tech c ~drives
+  | None when jobs > 1 ->
       (* ----- supervised parent: a work-queue of chunk sub-ranges
          dispatched to a bounded pool, with heartbeats, retry/backoff
          and poison-site quarantine; the merged report stays
@@ -779,14 +778,21 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
       if limit_sites <> None then
         usage_diag ~hint:"chunking is per worker range under --jobs"
           "--limit-sites cannot be combined with --jobs";
-      let base, user_journal =
-        match (journal_path, resume_path) with
-        | Some p, None | None, Some p -> (p, true)
-        | None, None -> (Filename.temp_file "halotis-faults" ".journal", false)
-        | Some _, Some _ -> assert false
-      in
+      let base, user_journal = supervised_base "halotis-faults" journal_path resume_path in
+      (* the campaign-defining flags, handed to every --range worker *)
       let worker_argv ~range:(lo, hi) ~journal =
-        campaign_argv
+        [ Sys.executable_name; "faults"; path; "--stim"; stim_path ]
+        @ [ "--engine"; Campaign.engine_to_string engine ]
+        @ [ "-n"; string_of_int n; "--seed"; string_of_int seed ]
+        @ [ "--width"; farg width; "--slope"; farg slope ]
+        @ [ "--t-stop"; farg horizon ]
+        @ (if exhaustive then [ "--exhaustive"; "--grid"; string_of_int grid ] else [])
+        @ (match liberty with Some p -> [ "--liberty"; p ] | None -> [])
+        @ (match site_max_events with
+          | Some e -> [ "--site-max-events"; string_of_int e ]
+          | None -> [])
+        @ (if prune then [ "--prune"; "static" ] else [])
+        @ [ "--incremental"; (if incremental then "on" else "off") ]
         @ [ "--range"; Printf.sprintf "%d:%d" lo hi ]
         @ [ "--journal"; journal ]
       in
@@ -802,11 +808,7 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
       Printf.eprintf
         "faults: supervising %d sites across %d workers (chunks of %d)\n%!"
         sites_total jobs scfg.Supervisor.sv_chunk_sites;
-      let check h =
-        match h.Journal.jh_range with
-        | Some r -> Journal.check h ~circuit:(N.name c) ~range:r cfg
-        | None -> Journal.check h ~circuit:(N.name c) cfg
-      in
+      let check h = Journal.check h ~circuit:(N.name c) ?range:h.Journal.jh_range cfg in
       let mk_header ~range = Journal.header_of ~circuit:(N.name c) ~range cfg in
       let outcome =
         Supervisor.run scfg ~total:sites_total ~base ~worker_argv ~check ~mk_header
@@ -825,13 +827,7 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
         Campaign.run { cfg with Campaign.sites; completed; quarantined } tech c ~drives
       in
       Format.eprintf "faults: %s: %s@." (N.name c) (Fault_report.summary campaign);
-      if outcome.Supervisor.sv_retries > 0 then
-        Printf.eprintf
-          "faults: supervisor recovered %d worker failure%s (%d stall kill%s)\n%!"
-          outcome.Supervisor.sv_retries
-          (if outcome.Supervisor.sv_retries = 1 then "" else "s")
-          outcome.Supervisor.sv_kills
-          (if outcome.Supervisor.sv_kills = 1 then "" else "s");
+      report_recoveries "faults" outcome;
       (match campaign.Campaign.cam_quarantined with
       | [] -> ()
       | qs ->
@@ -859,13 +855,7 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
           indexed;
         Journal.close w
       end;
-      for k = 0 to slots - 1 do
-        let jpath = Shard.journal_path base k in
-        if (not keep_shards) && Sys.file_exists jpath then Sys.remove jpath;
-        List.iter
-          (fun p -> if Sys.file_exists p then Sys.remove p)
-          [ Shard.stderr_path base k; jpath ^ ".cursor"; jpath ^ ".chaos" ]
-      done;
+      remove_chunk_files ~keep:keep_shards base slots;
       if keep_shards then
         Printf.eprintf "faults: keeping per-chunk shard journals %s.0 .. %s.%d\n" base
           base (slots - 1);
@@ -873,101 +863,7 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
       let rc = emit_report campaign in
       if outcome.Supervisor.sv_exit_code <> 0 then outcome.Supervisor.sv_exit_code
       else rc
-  | None, None when jobs > 1 ->
-      (* ----- legacy one-shot parent (--supervise off): fork one worker
-         per shard, wait, merge their journals, render the serial
-         report ----- *)
-      if limit_sites <> None then
-        usage_diag ~hint:"chunking is per worker range under --jobs"
-          "--limit-sites cannot be combined with --jobs";
-      let base, user_journal =
-        match (journal_path, resume_path) with
-        | Some p, None | None, Some p -> (p, true)
-        | None, None -> (Filename.temp_file "halotis-faults" ".journal", false)
-        | Some _, Some _ -> assert false
-      in
-      let resuming = resume_path <> None in
-      let worker_plan k =
-        let jpath = Shard.journal_path base k in
-        let resume_worker = resuming && Sys.file_exists jpath in
-        let argv =
-          campaign_argv
-          @ [ "--shard"; Shard.spec_to_string (k, jobs) ]
-          @ [ (if resume_worker then "--resume" else "--journal"); jpath ]
-        in
-        (jpath, resume_worker, argv)
-      in
-      Printf.eprintf "faults: sharding %d sites across %d workers\n%!" sites_total jobs;
-      let workers =
-        List.init jobs (fun k ->
-            let jpath, resume_worker, argv = worker_plan k in
-            let range = Shard.range ~total:sites_total ~jobs k in
-            let w = Shard.spawn ~argv ~index:k ~range ~journal:jpath () in
-            Printf.eprintf "faults: worker %d (pid %d): sites [%d, %d)%s\n%!" k
-              w.Shard.wk_pid (fst range) (snd range)
-              (if resume_worker then ", resuming" else "");
-            w)
-      in
-      let results = Shard.wait_all workers in
-      let failed =
-        List.filter (fun (_, st) -> Shard.status_exit_code st <> 0) results
-      in
-      if failed <> [] then begin
-        List.iter
-          (fun ((w : Shard.worker), st) ->
-            Printf.eprintf "faults: worker %d (sites [%d, %d)): %s\n" w.Shard.wk_index
-              (fst w.Shard.wk_range) (snd w.Shard.wk_range)
-              (Shard.status_to_string st))
-          failed;
-        Printf.eprintf
-          "faults: %d of %d workers failed; their journaled verdicts survive in %s.K — \
-           re-run with --jobs %d --resume %s to finish\n"
-          (List.length failed) jobs base jobs base;
-        (* a parent without --journal/--resume used a temp base: keep
-           the shard files (they hold the survivors' work) and name it *)
-        Shard.exit_code results
-      end
-      else begin
-        let h, indexed = Shard.load_merged ~base ~jobs in
-        Journal.check h ~circuit:(N.name c) cfg;
-        let entries = Journal.contiguous ~first:0 indexed in
-        let completed, quarantined = Journal.partition ~first:0 entries in
-        (* re-running zero fresh sites revalidates every journaled
-           verdict against the deterministic site list and rebuilds the
-           aggregate stats exactly as a serial run would *)
-        let campaign =
-          Campaign.run { cfg with Campaign.sites; completed; quarantined } tech c ~drives
-        in
-        Format.eprintf "faults: %s: %s@." (N.name c) (Fault_report.summary campaign);
-        if user_journal then begin
-          (* leave the user one merged serial journal, as if --jobs 1
-             had written it *)
-          let w =
-            Journal.open_new ~sync_every:1024 base
-              (Journal.header_of ~circuit:(N.name c) cfg)
-          in
-          List.iter
-            (fun (i, e) ->
-              match e with
-              | Journal.Verdict v -> Journal.write w i v
-              | Journal.Quarantined -> Journal.write_quarantine w i)
-            indexed;
-          Journal.close w
-        end;
-        if keep_shards then
-          Printf.eprintf "faults: keeping per-worker shard journals %s.0 .. %s.%d\n" base
-            base (jobs - 1)
-        else
-          List.iter
-            (fun ((w : Shard.worker), _) ->
-              if Sys.file_exists w.Shard.wk_journal then Sys.remove w.Shard.wk_journal)
-            results;
-        if (not user_journal) && Sys.file_exists base then Sys.remove base;
-        let rc = emit_report campaign in
-        if campaign.Campaign.cam_quarantined <> [] then Stop.degraded_exit_code
-        else rc
-      end
-  | None, None ->
+  | None ->
       (* ----- serial: the original single-process path ----- *)
       let completed, quarantined =
         match resume_path with
@@ -1013,18 +909,19 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
 
 (* --- vary --- *)
 
-(* Sample k's journal lives beside the base path, mirroring the shard
-   naming scheme ("base.k") with an "s" so the two never collide when a
-   vary campaign and a faults campaign share a directory. *)
+(* Sample k's journal lives beside the base path, mirroring the chunk
+   naming scheme ("base.ID") with an "s" so the two never collide. *)
 let sample_journal base k = Printf.sprintf "%s.s%d" base k
 
 let run_vary path stim_path engine seed n width slope t_stop samples sigma_device
     sigma_chip sigma_lot stress_hours ttf jobs journal_path resume_path liberty
-    sample_worker format =
+    range_spec format =
   let tech = load_tech liberty in
   let c = or_die (load_circuit path) in
   let stim = or_die (load_stimfile stim_path) in
-  let is_worker = sample_worker <> None in
+  let jobs = resolve_jobs "vary" jobs in
+  let is_worker = range_spec <> None in
+  if is_worker && jobs > 1 then usage_diag "--range and --jobs are mutually exclusive";
   if not is_worker then preflight ~stim tech c;
   let drives = bind_stim stim c in
   let horizon = horizon_of_drives drives t_stop in
@@ -1043,78 +940,69 @@ let run_vary path stim_path engine seed n width slope t_stop samples sigma_devic
       usage_diag ~hint:"--resume already appends new verdicts to the journals it loads"
         "--journal and --resume are mutually exclusive"
   | _ -> ());
+  let circuit = N.name c in
   let cfg = Campaign.config ~engine ~seed ~n ~pulse ~t_stop:horizon () in
   (* The nominal (empty overlay) campaign fixes the shared strike list
      every sampled corner replays, and is the flip reference of the
      report.  It is deterministic, so workers re-derive the identical
      list without any coordination. *)
+  let t_nominal = Unix.gettimeofday () in
   let nominal = Campaign.run cfg tech c ~drives in
+  let nominal_s = Unix.gettimeofday () -. t_nominal in
   let sites =
     List.map (fun (v : Campaign.verdict) -> v.Campaign.vd_site) nominal.Campaign.cam_verdicts
   in
   let overlay_of k = Sampler.sample ~stress_hours sigmas ~seed ~index:k c in
   let sample_cfg k = { cfg with Campaign.overlay = overlay_of k; sites = Some sites } in
-  (* One sample's campaign, optionally journaled/resumed — the exact
-     serial-faults journaling discipline, so a zero-sigma sample's
-     journal is byte-identical to the plain faults one. *)
-  let run_sample ?jpath ?(resume = false) k =
-    let scfg = sample_cfg k in
-    let completed, quarantined, writer =
-      match jpath with
-      | None -> ([], [], None)
-      | Some p ->
-          if resume && Sys.file_exists p then begin
-            let h, indexed = Journal.load p in
-            Journal.check h ~circuit:(N.name c) scfg;
-            let entries = Journal.contiguous ~first:0 indexed in
-            let completed, quarantined = Journal.partition ~first:0 entries in
-            (completed, quarantined, Some (Journal.open_append p))
-          end
-          else
-            ( [],
-              [],
-              Some (Journal.open_new p (Journal.header_of ~circuit:(N.name c) scfg)) )
-    in
-    let on_verdict = Option.map (fun w idx v -> Journal.write w idx v) writer in
-    let campaign =
-      Campaign.run ?on_verdict { scfg with Campaign.completed; quarantined } tech c ~drives
-    in
-    (match writer with Some w -> Journal.close w | None -> ());
-    campaign
-  in
-  match sample_worker with
-  | Some k ->
-      (* ----- internal worker (spawned by --jobs): one sample into its
-         own journal, no report ----- *)
-      let base =
-        match (journal_path, resume_path) with
-        | Some p, None | None, Some p -> p
-        | None, None -> usage_diag "a --sample worker needs --journal or --resume"
-        | Some _, Some _ -> assert false
-      in
-      if k < 0 || k >= samples then
-        usage_diag (Printf.sprintf "--sample %d out of range for %d samples" k samples);
-      let campaign =
-        run_sample ~jpath:(sample_journal base k) ~resume:(resume_path <> None) k
-      in
-      Printf.eprintf "vary: sample %d: %s\n%!" k (Fault_report.summary campaign);
-      0
+  (* Under --jobs the campaign is one index space: global index
+     [k * nsites + i] is strike i of sample k. *)
+  let nsites = List.length sites in
+  let total = samples * nsites in
+  match range_spec with
+  | Some (lo, hi) ->
+      (* ----- supervised worker: a chunk of one sample's strikes ----- *)
+      let journal = range_journal journal_path resume_path in
+      if hi > total || (hi - 1) / nsites <> lo / nsites then
+        usage_diag
+          (Printf.sprintf
+             "--range %d:%d must lie inside one sample (%d samples of %d strikes)" lo hi
+             samples nsites);
+      let k = lo / nsites in
+      run_range_worker ~cmd:"vary" (sample_cfg k) ~offset:(k * nsites) ~range:(lo, hi)
+        ~journal tech c ~drives
   | None ->
-      let jobs = if jobs = 0 then Shard.available_cores () else jobs in
-      let sample_results, cleanup =
-        if jobs > 1 && samples > 0 then begin
-          (* ----- parallel parent: one worker process per sample, at
-             most [jobs] in flight, each journaling base.sK; the parent
-             reloads and revalidates every journal (overlay fingerprint
-             included) before aggregating ----- *)
-          let base, user_journal =
-            match (journal_path, resume_path) with
-            | Some p, None | None, Some p -> (p, true)
-            | None, None -> (Filename.temp_file "halotis-vary" ".journal", false)
-            | Some _, Some _ -> assert false
+      let supervised = jobs > 1 && total > 0 in
+      (* Resume stays within a mode: refuse a base that holds only the
+         other mode's journals rather than silently starting over. *)
+      (match resume_path with
+      | Some base ->
+          let any journal =
+            List.exists (fun k -> Sys.file_exists (journal base k)) (List.init samples Fun.id)
           in
-          let resuming = resume_path <> None in
-          let worker_argv k =
+          let serial_files = any sample_journal and chunk_files = any Shard.journal_path in
+          if supervised && serial_files && not chunk_files then
+            usage_diag ~hint:"resume it with --jobs 1"
+              (Printf.sprintf "--resume %s holds serial sample journals (%s.sK)" base base)
+          else if (not supervised) && chunk_files && not serial_files then
+            usage_diag ~hint:"resume it with --jobs N, N > 1"
+              (Printf.sprintf "--resume %s holds --jobs chunk journals (%s.N)" base base)
+      | None -> ());
+      let sample_results =
+        if supervised then begin
+          (* ----- supervised parent: one chunk per sample, each chunk
+             journal revalidated against its own corner (overlay
+             fingerprint included) before aggregating ----- *)
+          let base, user_journal = supervised_base "halotis-vary" journal_path resume_path in
+          let sample_of (h : Journal.header) =
+            match h.Journal.jh_range with Some (lo, _) -> lo / nsites | None -> 0
+          in
+          let check h =
+            Journal.check h ~circuit ?range:h.Journal.jh_range (sample_cfg (sample_of h))
+          in
+          let mk_header ~range:((lo, _) as range) =
+            Journal.header_of ~circuit ~range (sample_cfg (lo / nsites))
+          in
+          let worker_argv ~range:(lo, hi) ~journal =
             [ Sys.executable_name; "vary"; path; "--stim"; stim_path ]
             @ [ "--engine"; Campaign.engine_to_string engine ]
             @ [ "-n"; string_of_int n; "--seed"; string_of_int seed ]
@@ -1126,87 +1014,134 @@ let run_vary path stim_path engine seed n width slope t_stop samples sigma_devic
             @ [ "--sigma-lot"; farg sigma_lot ]
             @ [ "--stress-hours"; farg stress_hours ]
             @ (match liberty with Some p -> [ "--liberty"; p ] | None -> [])
-            @ [ "--sample"; string_of_int k ]
-            @ [
-                (if resuming && Sys.file_exists (sample_journal base k) then "--resume"
-                 else "--journal");
-                base;
-              ]
+            @ [ "--range"; Printf.sprintf "%d:%d" lo hi ]
+            @ [ "--journal"; journal ]
           in
-          Printf.eprintf "vary: %d samples across %d workers\n%!" samples jobs;
-          let rec waves k acc =
-            if k >= samples then acc
-            else begin
-              let batch = min jobs (samples - k) in
-              let ws =
-                List.init batch (fun i ->
-                    let idx = k + i in
-                    Shard.spawn ~argv:(worker_argv idx) ~index:idx
-                      ~range:(idx, idx + 1)
-                      ~journal:(sample_journal base idx) ())
-              in
-              waves (k + batch) (acc @ Shard.wait_all ws)
+          (* A worker replays the nominal campaign and its sample's
+             baseline before its first verdict moves the heartbeat
+             cursor, so the stall timeout must outlast that silent start
+             even when all [jobs] workers share a single core. *)
+          let worker_timeout = Float.max 30. (2. *. float jobs *. nominal_s) in
+          Printf.eprintf "vary: supervising %d samples across %d workers\n%!" samples jobs;
+          let outcome =
+            Supervisor.run
+              (Supervisor.config ~chunk_sites:nsites ~worker_timeout ~jobs ())
+              ~total ~base ~worker_argv ~check ~mk_header
+              ~log:(fun m -> Printf.eprintf "vary: %s\n%!" m)
+              ()
+          in
+          report_recoveries "vary" outcome;
+          let slots = outcome.Supervisor.sv_slots in
+          (* a chunk is exactly one sample; chunk journals carry
+             different overlays, so each is loaded on its own *)
+          let loaded = Array.make samples None in
+          for id = 0 to slots - 1 do
+            let jpath = Shard.journal_path base id in
+            if Sys.file_exists jpath then begin
+              let h, indexed = Journal.load jpath in
+              check h;
+              let k = sample_of h in
+              let first = k * nsites in
+              loaded.(k) <- Some (Journal.partition ~first (Journal.contiguous ~first indexed))
             end
-          in
-          let results = waves 0 [] in
-          let failed =
-            List.filter (fun (_, st) -> Shard.status_exit_code st <> 0) results
-          in
-          if failed <> [] then begin
-            List.iter
-              (fun ((w : Shard.worker), st) ->
-                Printf.eprintf "vary: sample %d worker: %s\n" w.Shard.wk_index
-                  (Shard.status_to_string st))
-              failed;
-            Printf.eprintf
-              "vary: %d of %d sample workers failed; finished samples survive in \
-               %s.sK — re-run with --resume %s to finish\n"
-              (List.length failed) samples base base;
-            exit (Shard.exit_code results)
-          end;
+          done;
           let loaded =
             List.init samples (fun k ->
-                let jpath = sample_journal base k in
-                let h, indexed = Journal.load jpath in
-                Journal.check h ~circuit:(N.name c) (sample_cfg k);
-                let entries = Journal.contiguous ~first:0 indexed in
-                let completed, _ = Journal.partition ~first:0 entries in
-                (k, Param_overlay.fingerprint (overlay_of k), completed))
+                match loaded.(k) with
+                | Some l -> l
+                | None ->
+                    die_diag
+                      (Diag.make ~code:"journal-merge"
+                         (Printf.sprintf "no chunk journal covers sample %d" k)))
           in
-          let cleanup () =
-            if not user_journal then begin
-              for k = 0 to samples - 1 do
-                let p = sample_journal base k in
-                if Sys.file_exists p then Sys.remove p
-              done;
-              if Sys.file_exists base then Sys.remove base
-            end
+          (* BASE.sK exactly as a serial --journal run writes it *)
+          let write_sample_journal k completed =
+            let w =
+              Journal.open_new (sample_journal base k)
+                (Journal.header_of ~circuit (sample_cfg k))
+            in
+            List.iteri (fun i v -> Journal.write w i v) completed;
+            Journal.close w
           in
-          (loaded, cleanup)
+          let remove_temporaries ~keep =
+            remove_chunk_files ~keep base slots;
+            if not user_journal then Sys.remove base
+          in
+          List.iteri
+            (fun k (_, quarantined) ->
+              match quarantined with
+              | [] -> ()
+              | g :: _ ->
+                  (* a failed run keeps its chunk journals and journals
+                     every clean sample, so a serial --resume
+                     re-simulates only the failing ones *)
+                  if user_journal then
+                    List.iteri
+                      (fun j (completed, q) -> if q = [] then write_sample_journal j completed)
+                      loaded;
+                  remove_temporaries ~keep:user_journal;
+                  let i = g - (k * nsites) in
+                  die_diag
+                    (Diag.make ~code:"site-quarantined"
+                       ~hint:
+                         (if user_journal then
+                            Printf.sprintf
+                              "vary has no degraded report: --jobs 1 --resume %s \
+                               reproduces the crash in-process and re-simulates only \
+                               the failing samples"
+                              base
+                          else
+                            "vary has no degraded report: rerun with --jobs 1 to \
+                             reproduce the crash in-process")
+                       (Printf.sprintf
+                          "sample %d site %d (%s) crashed or hung its worker \
+                           repeatedly and was quarantined"
+                          k i
+                          (Format.asprintf "%a" (Site.pp c) (List.nth sites i)))))
+            loaded;
+          if user_journal then
+            List.iteri (fun k (completed, _) -> write_sample_journal k completed) loaded;
+          remove_temporaries ~keep:false;
+          List.mapi
+            (fun k (completed, _) -> (k, Param_overlay.fingerprint (overlay_of k), completed))
+            loaded
         end
         else begin
-          (* ----- serial: run every sample in-process ----- *)
+          (* ----- serial: run every sample in-process; one sample's
+             campaign, optionally journaled/resumed, follows the exact
+             serial-faults journaling discipline, so a zero-sigma
+             sample's journal is byte-identical to the plain faults
+             one ----- *)
           let base =
             match (journal_path, resume_path) with
             | Some p, None | None, Some p -> Some p
             | None, None -> None
             | Some _, Some _ -> assert false
           in
-          let resuming = resume_path <> None in
-          let results =
-            List.init samples (fun k ->
-                let campaign =
-                  run_sample
-                    ?jpath:(Option.map (fun b -> sample_journal b k) base)
-                    ~resume:resuming k
-                in
-                Printf.eprintf "vary: sample %d/%d: %s\n%!" (k + 1) samples
-                  (Fault_report.summary campaign);
-                ( k,
-                  Param_overlay.fingerprint (overlay_of k),
-                  campaign.Campaign.cam_verdicts ))
-          in
-          (results, fun () -> ())
+          List.init samples (fun k ->
+              let scfg = sample_cfg k in
+              let completed, quarantined, writer =
+                match Option.map (fun b -> sample_journal b k) base with
+                | None -> ([], [], None)
+                | Some p when resume_path <> None && Sys.file_exists p ->
+                    let h, indexed = Journal.load p in
+                    Journal.check h ~circuit scfg;
+                    let entries = Journal.contiguous ~first:0 indexed in
+                    let completed, quarantined = Journal.partition ~first:0 entries in
+                    (completed, quarantined, Some (Journal.open_append p))
+                | Some p ->
+                    ([], [], Some (Journal.open_new p (Journal.header_of ~circuit scfg)))
+              in
+              let on_verdict = Option.map (fun w idx v -> Journal.write w idx v) writer in
+              let campaign =
+                Campaign.run ?on_verdict
+                  { scfg with Campaign.completed; quarantined }
+                  tech c ~drives
+              in
+              (match writer with Some w -> Journal.close w | None -> ());
+              Printf.eprintf "vary: sample %d/%d: %s\n%!" (k + 1) samples
+                (Fault_report.summary campaign);
+              (k, Param_overlay.fingerprint (overlay_of k), campaign.Campaign.cam_verdicts))
         end
       in
       (* TTF sweep: age the whole circuit along the stress-hours ladder
@@ -1246,12 +1181,11 @@ let run_vary path stim_path engine seed n width slope t_stop samples sigma_devic
               Some (Sweep.run ~probe ())
       in
       let report =
-        Vary_report.make ~circuit:(N.name c)
+        Vary_report.make ~circuit
           ~engine:(Campaign.engine_to_string engine)
           ~seed ~sigmas ~stress_hours ~nominal:nominal.Campaign.cam_verdicts
           ~samples:sample_results ?ttf:ttf_result ()
       in
-      cleanup ();
       (match format with
       | `Json -> print_endline (Vary_report.to_string report)
       | `Text -> print_string (Vary_report.to_text report));
@@ -1689,6 +1623,31 @@ let simulate_cmd =
       $ max_sim_time_arg $ watchdog $ degrade $ wd_window $ wd_threshold $ json
       $ checkpoint)
 
+(* Worker mode of [faults] and [vary]: the supervisor spawns every
+   worker with [--range LO:HI --journal FILE]. *)
+let range_arg =
+  let parse s =
+    match String.index_opt s ':' with
+    | Some i -> (
+        let lo = String.sub s 0 i in
+        let hi = String.sub s (i + 1) (String.length s - i - 1) in
+        match (int_of_string_opt lo, int_of_string_opt hi) with
+        | Some lo, Some hi when 0 <= lo && lo < hi -> Ok (lo, hi)
+        | _ -> Error (`Msg (Printf.sprintf "invalid range %S: expected LO:HI with 0 <= LO < HI" s))
+        )
+    | None -> Error (`Msg (Printf.sprintf "invalid range %S: expected LO:HI" s))
+  in
+  let print fmt (lo, hi) = Format.fprintf fmt "%d:%d" lo hi in
+  Arg.(
+    value
+    & opt (some (conv (parse, print))) None
+    & info [ "range" ] ~docv:"LO:HI"
+        ~doc:
+          "Internal (spawned by the campaign supervisor): run as a worker owning \
+           global site indices [LO, HI), journaling each verdict fsynced with a \
+           heartbeat cursor into $(b,--journal); an existing chunk journal is \
+           resumed automatically.  No report is rendered.")
+
 let faults_cmd =
   let doc = "SET fault-injection campaign: soft-error robustness analysis" in
   let engine =
@@ -1757,8 +1716,8 @@ let faults_cmd =
   in
   let resume =
     (* not Arg.file: under --jobs the merged journal may not exist yet —
-       only the shard files base.K do — and the worker resume path wants
-       Journal.load's own diagnostics for a missing file. *)
+       only the chunk journals base.ID do — and the serial resume path
+       wants Journal.load's own diagnostics for a missing file. *)
     Arg.(
       value
       & opt (some string) None
@@ -1767,8 +1726,8 @@ let faults_cmd =
             "Resume a campaign from a checkpoint journal: completed sites are \
              skipped, new verdicts keep appending to the same file, and the final \
              report is byte-identical to an uninterrupted run. With $(b,--jobs), \
-             FILE is the base path whose per-worker shard journals (FILE.0, \
-             FILE.1, ...) are resumed.")
+             FILE is the base path whose per-chunk journals (FILE.0, FILE.1, \
+             ...) are resumed.")
   in
   let limit_sites =
     Arg.(
@@ -1794,65 +1753,16 @@ let faults_cmd =
       value & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Shard the campaign across N worker processes, each simulating a \
-             disjoint site range and journaling its verdicts; the merged report \
-             is byte-identical to $(b,--jobs) 1 with the same seed.  N=0 \
+            "Run the campaign across N supervised worker processes: the site \
+             enumeration is split into chunks dispatched to a bounded pool, \
+             each worker's journal progress is heartbeated, stalled or crashed \
+             workers are killed and their chunks re-queued with exponential \
+             backoff, and sites that repeatedly crash or hang workers are \
+             quarantined (the campaign then completes $(i,degraded), exit code \
+             5, with the quarantined sites listed in the report).  The merged \
+             report is byte-identical to $(b,--jobs) 1 with the same seed.  N=0 \
              auto-detects the available cores (getconf, falling back to \
-             /proc/cpuinfo).  Default: 1 (serial).")
-  in
-  let shard =
-    let parse s =
-      match Shard.parse_spec s with
-      | Some p -> Ok p
-      | None -> Error (`Msg (Printf.sprintf "invalid shard spec %S: expected K/N with 0 <= K < N" s))
-    in
-    let print fmt p = Format.pp_print_string fmt (Shard.spec_to_string p) in
-    Arg.(
-      value
-      & opt (some (conv (parse, print))) None
-      & info [ "shard" ] ~docv:"K/N"
-          ~doc:
-            "Internal (spawned by $(b,--jobs)): run as worker K of N, simulating \
-             only this shard's site range into its own journal; no report is \
-             rendered.")
-  in
-  let range =
-    let parse s =
-      match String.index_opt s ':' with
-      | Some i -> (
-          let lo = String.sub s 0 i in
-          let hi = String.sub s (i + 1) (String.length s - i - 1) in
-          match (int_of_string_opt lo, int_of_string_opt hi) with
-          | Some lo, Some hi when 0 <= lo && lo < hi -> Ok (lo, hi)
-          | _ -> Error (`Msg (Printf.sprintf "invalid range %S: expected LO:HI with 0 <= LO < HI" s))
-          )
-      | None -> Error (`Msg (Printf.sprintf "invalid range %S: expected LO:HI" s))
-    in
-    let print fmt (lo, hi) = Format.fprintf fmt "%d:%d" lo hi in
-    Arg.(
-      value
-      & opt (some (conv (parse, print))) None
-      & info [ "range" ] ~docv:"LO:HI"
-          ~doc:
-            "Internal (spawned by the campaign supervisor): run as a worker \
-             owning global site indices [LO, HI), journaling each verdict \
-             fsynced with a heartbeat cursor into $(b,--journal); an existing \
-             chunk journal is resumed automatically.  No report is rendered.")
-  in
-  let supervise =
-    Arg.(
-      value
-      & opt (enum [ ("auto", `Auto); ("on", `On); ("off", `Off) ]) `Auto
-      & info [ "supervise" ] ~docv:"auto|on|off"
-          ~doc:
-            "Fault-tolerant campaign supervision: split the site enumeration \
-             into chunks dispatched to a bounded worker pool, heartbeat each \
-             worker's journal progress, kill and re-queue stalled workers with \
-             exponential backoff, and quarantine sites that repeatedly crash \
-             or hang workers (the campaign then completes $(i,degraded), exit \
-             code 5, with the quarantined sites listed in the report).  auto \
-             (default) supervises whenever $(b,--jobs) > 1; off restores the \
-             one-shot spawn/wait sharding.")
+             /proc/cpuinfo).  Default: 1 (serial, in-process).")
   in
   let worker_timeout =
     Arg.(
@@ -1914,17 +1824,16 @@ let faults_cmd =
       value & flag
       & info [ "keep-shards" ]
           ~doc:
-            "With $(b,--jobs), keep the per-worker shard journals (FILE.0, FILE.1, \
-             ...) after a successful merge instead of deleting them — e.g. to audit \
+            "With $(b,--jobs), keep the per-chunk journals (FILE.0, FILE.1, ...) \
+             after a successful merge instead of deleting them — e.g. to audit \
              each worker's verdict stream.  Failed runs always keep them.")
   in
   Cmd.v (Cmd.info "faults" ~doc)
     Term.(
       const run_faults $ circuit_arg $ stim_arg $ engine $ n $ seed $ width $ slope
       $ t_stop_arg $ exhaustive $ grid $ format $ vcd_dir $ liberty_arg $ journal
-      $ resume $ limit_sites $ site_max_events $ jobs $ shard $ range $ supervise
-      $ worker_timeout $ max_retries $ chunk_sites $ poison_after $ prune
-      $ incremental $ keep_shards)
+      $ resume $ limit_sites $ site_max_events $ jobs $ range_arg $ worker_timeout
+      $ max_retries $ chunk_sites $ poison_after $ prune $ incremental $ keep_shards)
 
 let vary_cmd =
   let doc = "Monte-Carlo variation & aging campaigns over sampled parameter corners" in
@@ -2007,9 +1916,13 @@ let vary_cmd =
       value & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Run samples across N worker processes (each sample's campaign stays \
-             serial); the report is byte-identical to $(b,--jobs) 1 with the same \
-             seed.  N=0 auto-detects the available cores.  Default: 1.")
+            "Run samples across N supervised worker processes, one sample per \
+             work-queue chunk, with the $(b,faults) supervisor's heartbeat, \
+             stall-kill (after the larger of 30 s and 2N nominal passes \
+             without progress) and retry; a strike that repeatedly crashes or \
+             hangs its worker is quarantined and fails the run.  The report is \
+             byte-identical to $(b,--jobs) 1 with the same seed.  N=0 \
+             auto-detects the available cores.  Default: 1 (serial).")
   in
   let journal =
     Arg.(
@@ -2029,16 +1942,10 @@ let vary_cmd =
           ~doc:
             "Resume from per-sample journals BASE.sK: completed verdicts are \
              kept, the rest simulated, and the final report is byte-identical to \
-             an uninterrupted run.")
-  in
-  let sample_worker =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "sample" ] ~docv:"K"
-          ~doc:
-            "Internal (spawned by $(b,--jobs)): run only sample K into its own \
-             journal; no report is rendered.")
+             an uninterrupted run.  With $(b,--jobs) N > 1, BASE is the base \
+             path of the interrupted run's per-chunk journals (BASE.0, BASE.1, \
+             ...): resume in the mode the run was started in; a BASE holding \
+             only the other mode's journals is rejected.")
   in
   let format =
     Arg.(
@@ -2050,7 +1957,7 @@ let vary_cmd =
     Term.(
       const run_vary $ circuit_arg $ stim_arg $ engine $ seed $ n $ width $ slope
       $ t_stop_arg $ samples $ sigma_device $ sigma_chip $ sigma_lot $ stress_hours
-      $ ttf $ jobs $ journal $ resume $ liberty_arg $ sample_worker $ format)
+      $ ttf $ jobs $ journal $ resume $ liberty_arg $ range_arg $ format)
 
 let export_cmd =
   let doc = "export a netlist as structural Verilog" in
@@ -2361,10 +2268,12 @@ let main_cmd =
     ]
 
 (* The last line of defence: user-facing failures raised anywhere in a
-   subcommand render as one diagnostic line, never a backtrace. *)
+   subcommand render as one diagnostic line, never a backtrace.
+   [~catch:false] because cmdliner would otherwise report them as
+   internal errors before they reach this handler. *)
 let () =
   exit
-    (try Cmd.eval' main_cmd with
+    (try Cmd.eval' ~catch:false main_cmd with
     | Diag.Fail d ->
         prerr_endline ("halotis: " ^ Diag.to_string d);
         1
@@ -2378,4 +2287,7 @@ let () =
         in
         prerr_endline
           ("halotis: " ^ Diag.to_string (Diag.make ~code:"invalid-input" ?hint m));
-        1)
+        1
+    | e ->
+        prerr_endline ("halotis: internal error: " ^ Printexc.to_string e);
+        Cmd.Exit.internal_error)

@@ -1,4 +1,3 @@
-module Stop = Halotis_guard.Stop
 module Diag = Halotis_guard.Diag
 
 (* Core-count autodetection for [--jobs 0].  [getconf] is POSIX and
@@ -52,28 +51,8 @@ let detect_cores ?(getconf = fun () -> read_command_line "getconf _NPROCESSORS_O
 
 let available_cores () = detect_cores ()
 
-let range ~total ~jobs k =
-  if total < 0 then invalid_arg "Shard.range: total must be non-negative";
-  if jobs <= 0 then invalid_arg "Shard.range: jobs must be positive";
-  if k < 0 || k >= jobs then invalid_arg "Shard.range: worker index out of range";
-  (k * total / jobs, (k + 1) * total / jobs)
-
-let ranges ~total ~jobs = List.init jobs (fun k -> range ~total ~jobs k)
-
 let journal_path base k = Printf.sprintf "%s.%d" base k
 let stderr_path base k = Printf.sprintf "%s.%d.err" base k
-
-let parse_spec s =
-  match String.index_opt s '/' with
-  | None -> None
-  | Some i -> (
-      let k = String.sub s 0 i in
-      let n = String.sub s (i + 1) (String.length s - i - 1) in
-      match (int_of_string_opt k, int_of_string_opt n) with
-      | Some k, Some n when 0 <= k && k < n -> Some (k, n)
-      | _ -> None)
-
-let spec_to_string (k, n) = Printf.sprintf "%d/%d" k n
 
 type worker = {
   wk_index : int;
@@ -113,28 +92,10 @@ let stderr_tail ?(lines = 5) path =
       let n = List.length all in
       List.filteri (fun i _ -> i >= n - lines) all
 
-let wait_all workers =
-  List.map
-    (fun w ->
-      let rec wait () =
-        match Unix.waitpid [] w.wk_pid with
-        | _, status -> (w, status)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-      in
-      wait ())
-    workers
-
-let status_exit_code = function
-  | Unix.WEXITED n -> n
-  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> 1
-
 let status_to_string = function
   | Unix.WEXITED n -> Printf.sprintf "exit %d" n
   | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
   | Unix.WSTOPPED s -> Printf.sprintf "stopped %d" s
-
-let exit_code results =
-  Stop.worst_exit_code (List.map (fun (_, st) -> status_exit_code st) results)
 
 let load_merged ~base ~jobs =
   let parts =

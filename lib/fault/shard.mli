@@ -1,24 +1,18 @@
-(** Multi-process campaign sharding.
+(** Process plumbing for the campaign {!Supervisor}.
 
     A campaign's site enumeration is deterministic (seeded PRNG or an
-    exhaustive grid), so N worker processes can share it without any
-    coordination: worker [k] of [N] claims the contiguous global index
-    range {!range}[ ~total ~jobs k] and journals its verdicts — with
-    their global indices — into its own shard journal
-    ({!journal_path}).  The parent forks the workers (re-executing its
-    own binary with [--shard k/N]), waits, merges the shard journals
-    ({!Journal.merge}) and renders a report byte-identical to the
-    serial run.
+    exhaustive grid), so worker processes can share it without any
+    coordination: each owns a contiguous global index range and
+    journals its verdicts — with their global indices — into its own
+    chunk journal ({!journal_path}).  {!Supervisor.run} is the only
+    caller of {!spawn}; it decides the ranges, watches the workers and
+    merges their journals with {!load_merged}.
 
-    Crash recovery falls out of the journal: a dead worker's completed
-    verdicts survive in its shard file, and re-running the parent with
-    [--resume] hands each worker its existing journal so only the
-    missing suffix of each range is simulated.
-
-    This module holds the process plumbing (range arithmetic, worker
-    spawn via [Unix.create_process], wait loop, exit-code folding); the
-    argv a worker receives is the caller's business — the CLI
-    reconstructs its own campaign flags. *)
+    This module holds what the supervisor needs from the operating
+    system: core-count detection, worker spawn via
+    [Unix.create_process], stderr capture and the journal/capture file
+    naming.  The argv a worker receives is the caller's business — the
+    CLI reconstructs its own campaign flags. *)
 
 val available_cores : unit -> int
 (** The number of processor cores available to this process — what
@@ -48,29 +42,13 @@ val count_cpuinfo_processors : string -> int option
 (** Counts [processor] lines in [/proc/cpuinfo]-format contents;
     [None] when there are none (the caller falls through). *)
 
-val range : total:int -> jobs:int -> int -> int * int
-(** [range ~total ~jobs k] is worker [k]'s half-open global site-index
-    range [\[k*total/jobs, (k+1)*total/jobs)].  The ranges of
-    [0 .. jobs-1] partition [\[0, total)] with sizes differing by at
-    most one.
-    @raise Invalid_argument unless [0 <= k < jobs] and [total >= 0]. *)
-
-val ranges : total:int -> jobs:int -> (int * int) list
-(** All [jobs] ranges in worker order. *)
-
 val journal_path : string -> int -> string
-(** [journal_path base k] is ["base.k"] — where worker [k]'s shard
-    journal lives. *)
+(** [journal_path base k] is ["base.k"] — where chunk [k]'s journal
+    lives. *)
 
 val stderr_path : string -> int -> string
-(** [stderr_path base k] is ["base.k.err"] — where worker [k]'s
-    captured stderr lands when the caller passes it to {!spawn}. *)
-
-val parse_spec : string -> (int * int) option
-(** Parses a [--shard] argument ["K/N"] into [(k, n)]; [None] unless
-    [0 <= k < n]. *)
-
-val spec_to_string : int * int -> string
+(** [stderr_path base k] is ["base.k.err"] — where chunk [k]'s worker
+    stderr lands when the caller passes it to {!spawn}. *)
 
 type worker = {
   wk_index : int;
@@ -97,26 +75,16 @@ val stderr_tail : ?lines:int -> string -> string list
     capture file; [[]] when the file is missing or empty.  Replayed
     into the supervisor's diagnostics after a worker dies. *)
 
-val wait_all : worker list -> (worker * Unix.process_status) list
-(** Blocks until every worker has exited, in worker order.  Never
-    raises on a worker that died to a signal — the status records it. *)
-
-val status_exit_code : Unix.process_status -> int
-(** [WEXITED n] is [n]; a signalled or stopped worker is a hard error
-    ([1]). *)
-
 val status_to_string : Unix.process_status -> string
 (** ["exit 0"], ["signal -9"], ... for progress messages. *)
 
-val exit_code : (worker * Unix.process_status) list -> int
-(** The parent's verdict over all workers
-    ({!Halotis_guard.Stop.worst_exit_code} of the per-worker codes). *)
-
 val load_merged :
   base:string -> jobs:int -> Journal.header * (int * Journal.entry) list
-(** Loads every existing shard journal [base.0 .. base.(jobs-1)] and
-    {!Journal.merge}s them.  Shard files that do not exist (a worker
-    died before writing its header) are skipped — the gap surfaces in
-    {!Journal.contiguous}.
-    @raise Halotis_guard.Diag.Fail ([journal-merge]) when no shard
+(** Loads every existing chunk journal [base.0 .. base.(jobs-1)] (pass
+    the supervisor's [sv_slots] as [jobs]) and {!Journal.merge}s them.
+    Files that do not exist (a worker died before writing its header)
+    are skipped — the gap surfaces in {!Journal.contiguous}.  The
+    chunks must share one campaign fingerprint: [vary], whose samples
+    carry different overlays, loads its chunk journals one by one.
+    @raise Halotis_guard.Diag.Fail ([journal-merge]) when no chunk
     journal exists at all, or on merge conflicts. *)

@@ -110,8 +110,10 @@ let mk_chunk ~base ~id ~range =
     ch_ready_at = 0.;
   }
 
-(* Existing [base.N] chunk journals from an interrupted supervised (or
-   legacy sharded) campaign: their header ranges become resumed chunks.
+(* Existing [base.N] chunk journals from an interrupted campaign — any
+   journal with a [! range] header, including per-worker journals left
+   by the older one-shot K/N shard workers: their header ranges become
+   resumed chunks.
    Unparseable files (a worker died inside the header write) carry no
    data and are removed so the final merge never trips over them. *)
 let scan_existing ~base ~total ~check =

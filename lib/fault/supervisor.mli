@@ -1,12 +1,12 @@
-(** Fault-tolerant campaign supervision.
+(** Fault-tolerant campaign supervision — the only way a campaign runs
+    in more than one process ([faults --jobs N] and [vary --jobs N]).
 
-    {!Shard} gives a campaign N one-shot workers: spawn, wait, merge.
-    One worker dying — OOM kill, node eviction, a site whose injected
-    run trips a simulator bug — loses its whole remaining range and
-    fails the campaign.  The supervisor replaces that with a
-    work-queue of {e chunks} (sub-ranges of the global site
-    enumeration, each with its own shard journal) dispatched to a
-    bounded pool:
+    The supervisor splits a campaign's global site enumeration into
+    {e chunks} (sub-ranges, each with its own chunk journal) and
+    dispatches them to a bounded pool of worker processes spawned
+    through {!Shard}.  A worker dying — OOM kill, node eviction, a site
+    whose injected run trips a simulator bug — costs at most its
+    in-flight site:
 
     - {e heartbeats} — supervised workers fsync every verdict and
       maintain a progress cursor ({!Journal.cursor_path}); a worker
@@ -21,21 +21,24 @@
     - {e poison quarantine} — the {e blame site} of a failure is the
       first unjournaled site of the chunk.  When the same site is
       blamed [poison_after] consecutive times, the supervisor writes a
-      [q] record for it into the chunk journal and moves on: the
-      campaign completes {e degraded}
+      [q] record for it into the chunk journal and moves on: a
+      [faults] campaign completes {e degraded}
       ({!Halotis_guard.Stop.degraded_exit_code}) instead of failing,
-      with the quarantined sites listed explicitly in the report.
+      with the quarantined sites listed explicitly in the report;
+      [vary], which has no degraded report, fails naming the sample
+      and site.
 
     Because every verdict is journaled under its global site index and
     retries replay into the same chunk journal, the merged campaign
     report is byte-identical to a serial [--jobs 1] run — quarantined
     sites are the only permitted delta, and they are enumerated.
 
-    Chunk journals reuse {!Shard.journal_path} naming ([base.ID]), so
-    an interrupted supervised campaign — or a legacy one-shot sharded
-    one — resumes: {!run} scans existing [base.N] files, adopts their
-    header ranges as chunks, and covers any missing indices with fresh
-    chunks. *)
+    Chunk journals use {!Shard.journal_path} naming ([base.ID]), so an
+    interrupted supervised campaign resumes: {!run} scans existing
+    [base.N] files, adopts every one whose header carries a [! range]
+    as a chunk — including the per-worker journals that releases with
+    one-shot K/N shard workers left behind — and covers any missing
+    indices with fresh chunks. *)
 
 type config = {
   sv_jobs : int;  (** worker-pool size *)

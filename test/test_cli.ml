@@ -162,19 +162,21 @@ let test_faults_jobs_byte_identical () =
   Alcotest.(check string) "--jobs 3 report byte-identical to serial" serial sharded
 
 let test_faults_jobs_crash_resume () =
-  (* A worker "crash" is a shard journal with a torn tail: run one shard
-     to completion, tear its last record in half, then let the parent
-     resume all three shards.  The other two shards start from nothing
-     (their journals never existed), the torn one re-simulates only its
-     lost suffix, and the merged report must still match serial. *)
+  (* A worker "crash" is a chunk journal with a torn tail: run the
+     worker owning sites [3, 6) of the 9 (the middle third, as a
+     one-shot sharded run laid them out) to completion, tear its last
+     record in half, then let the supervisor resume.  It adopts the torn
+     journal as a chunk, which re-simulates only its lost suffix, covers
+     the never-journaled sites with fresh chunks, and the merged report
+     must still match serial. *)
   let _, serial = run_capture mult_faults_args in
   let base = Filename.temp_file "halotis_cli_shard" ".journal" in
   Sys.remove base;
   let shard1 = base ^ ".1" in
   let status_w, _ =
-    run_capture (mult_faults_args @ [ "--shard"; "1/3"; "--journal"; shard1 ])
+    run_capture (mult_faults_args @ [ "--range"; "3:6"; "--journal"; shard1 ])
   in
-  checki "shard worker exits 0" 0 status_w;
+  checki "range worker exits 0" 0 status_w;
   (* tear: drop the trailing newline and half the final record *)
   let ic = open_in_bin shard1 in
   let contents = really_input_string ic (in_channel_length ic) in
@@ -195,10 +197,30 @@ let test_faults_jobs_crash_resume () =
   Alcotest.(check string) "post-crash resume report byte-identical to serial" serial
     resumed;
   (* the parent leaves one merged serial journal at the base path and
-     removes the per-shard files *)
+     removes the chunk files *)
   checkb "merged journal written" true (Sys.file_exists base);
-  checkb "shard journals cleaned up" false (Sys.file_exists shard1);
+  checkb "chunk journals cleaned up" false (Sys.file_exists shard1);
+  checkb "chunk cursor cleaned up" false (Sys.file_exists (shard1 ^ ".cursor"));
   Sys.remove base
+
+(* A Diag raised inside a subcommand renders as a diagnostic with exit
+   1, not as an uncaught exception. *)
+let test_faults_missing_resume_journal () =
+  let missing = Filename.temp_file "halotis_cli_missing" ".journal" in
+  Sys.remove missing;
+  let status, report = run_capture (mult_faults_args @ [ "--resume"; missing ]) in
+  checki "missing journal is a diagnostic" 1 status;
+  Alcotest.(check string) "no report" "" report
+
+(* The one-shot sharding options are gone: every --jobs N > 1 campaign
+   is supervised. *)
+let test_faults_removed_options () =
+  let status_shard, _ = run_capture (mult_faults_args @ [ "--shard"; "0/2" ]) in
+  checki "--shard is an unknown option" 124 status_shard;
+  let status_sup, _ =
+    run_capture (mult_faults_args @ [ "--jobs"; "2"; "--supervise"; "off" ])
+  in
+  checki "--supervise is an unknown option" 124 status_sup
 
 (* --- survival subcommand + static pruning --- *)
 
@@ -269,6 +291,10 @@ let tests =
           test_faults_jobs_byte_identical;
         Alcotest.test_case "crash-resume byte-identical" `Quick
           test_faults_jobs_crash_resume;
+        Alcotest.test_case "--shard/--supervise removed" `Quick
+          test_faults_removed_options;
+        Alcotest.test_case "missing --resume journal is a diagnostic" `Quick
+          test_faults_missing_resume_journal;
       ] );
     ( "cli.lint",
       [

@@ -27,7 +27,7 @@ module Watchdog = Halotis_guard.Watchdog
 module Diag = Halotis_guard.Diag
 module Campaign = Halotis_fault.Campaign
 module Journal = Halotis_fault.Journal
-module Shard = Halotis_fault.Shard
+module Supervisor = Halotis_fault.Supervisor
 module Fault_report = Halotis_fault.Fault_report
 module Lint = Halotis_lint.Lint
 module Finding = Halotis_lint.Finding
@@ -497,15 +497,17 @@ let serial_journal_fixture =
 
 let sublist lo hi l = List.filteri (fun i _ -> lo <= i && i < hi) l
 
-(* Shards with arbitrary overlaps and torn tails: merging them must
-   reproduce the serial journal whenever their (post-tear) ranges cover
-   every site, and [contiguous] must name the gap whenever they don't. *)
+(* Chunk journals with arbitrary overlaps and torn tails: merging them
+   must reproduce the serial journal whenever their (post-tear) ranges
+   cover every site, and [contiguous] must name the gap whenever they
+   don't.  The ranges are the supervisor's fresh plan for [jobs]
+   roughly equal chunks. *)
 let prop_shard_merge_equals_serial =
   let gen =
     QCheck.Gen.(
       2 -- 4 >>= fun jobs ->
-      list_repeat jobs (0 -- 2) >>= fun exts ->
-      list_repeat jobs bool >>= fun tears -> return (jobs, exts, tears))
+      list_repeat 4 (0 -- 2) >>= fun exts ->
+      list_repeat 4 bool >>= fun tears -> return (jobs, exts, tears))
   in
   let print (jobs, exts, tears) =
     Printf.sprintf "jobs=%d exts=[%s] tears=[%s]" jobs
@@ -548,7 +550,9 @@ let prop_shard_merge_equals_serial =
             List.iter (output_string oc) body;
             close_out oc;
             path)
-          (List.combine (Shard.ranges ~total ~jobs) (List.combine exts tears))
+          (List.mapi
+             (fun i range -> (range, (List.nth exts i, List.nth tears i)))
+             (Supervisor.plan_chunks ~total ~chunk_sites:((total + jobs - 1) / jobs)))
       in
       Fun.protect
         ~finally:(fun () -> List.iter Sys.remove files)
@@ -573,28 +577,28 @@ let prop_shard_merge_equals_serial =
           | vs -> is_prefix && List.length vs = prefix_len
           | exception Diag.Fail d -> (not is_prefix) && d.Diag.code = "journal-merge"))
 
-(* Worker ranges partition the site list: every campaign size and job
-   count, no gaps, no overlaps, balanced to within one site. *)
+(* The supervisor's fresh chunk plan partitions the site list: for
+   every campaign size and chunk size the chunks are contiguous and
+   non-empty, cover [0, total) exactly, and all hold [chunk_sites]
+   sites except possibly a shorter last one. *)
 let prop_shard_ranges_partition =
   QCheck.Test.make ~count:200 ~name:"shard ranges partition the site indices"
-    QCheck.(pair (int_range 0 500) (int_range 1 17))
-    (fun (total, jobs) ->
-      let rs = Shard.ranges ~total ~jobs in
+    QCheck.(pair (int_range 0 500) (int_range 1 60))
+    (fun (total, chunk_sites) ->
+      let rs = Supervisor.plan_chunks ~total ~chunk_sites in
       let sizes = List.map (fun (lo, hi) -> hi - lo) rs in
-      List.length rs = jobs
-      && List.for_all (fun s -> s >= 0) sizes
-      && List.fold_left ( + ) 0 sizes = total
-      && fst (List.hd rs) = 0
-      && snd (List.nth rs (jobs - 1)) = total
-      && List.for_all2
-           (fun (_, hi) (lo, _) -> hi = lo)
-           (sublist 0 (jobs - 1) rs)
-           (List.tl rs)
-      && List.for_all (fun s -> abs (s - (total / jobs)) <= 1) sizes)
+      let n = List.length rs in
+      List.fold_left
+        (fun next (lo, hi) -> if next = lo then hi else -1)
+        0 rs
+      = total
+      && List.for_all (fun s -> 0 < s && s <= chunk_sites) sizes
+      && List.for_all (fun s -> s = chunk_sites) (sublist 0 (n - 1) sizes)
+      && n = (total + chunk_sites - 1) / chunk_sites)
 
-(* Library-level sharding: running each range separately and handing the
-   concatenated verdicts back as [completed] reproduces the serial
-   report byte for byte. *)
+(* Library-level chunking: running each chunk range separately and
+   handing the concatenated verdicts back as [completed] reproduces the
+   serial report byte for byte. *)
 let test_range_runs_merge_byte_identical () =
   let c, drives, cfg = Lazy.force campaign_fixture in
   let serial = Campaign.run cfg DL.tech c ~drives in
@@ -603,7 +607,8 @@ let test_range_runs_merge_byte_identical () =
       (fun range ->
         (Campaign.run { cfg with Campaign.range = Some range } DL.tech c ~drives)
           .Campaign.cam_verdicts)
-      (Shard.ranges ~total:serial.Campaign.cam_sites_total ~jobs:3)
+      (let total = serial.Campaign.cam_sites_total in
+       Supervisor.plan_chunks ~total ~chunk_sites:(max 1 ((total + 2) / 3)))
   in
   let merged =
     Campaign.run { cfg with Campaign.completed = verdicts } DL.tech c ~drives

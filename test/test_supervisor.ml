@@ -5,7 +5,9 @@
      the chunk planner;
    - end-to-end CLI tests of recovery: a worker SIGKILLed mid-journal
      (torn tail), a hung worker (heartbeat stall), and a deterministic
-     poison site that must be quarantined with the degraded exit code;
+     poison site that must be quarantined with the degraded exit code —
+     for [faults], and for [vary], whose samples are supervisor chunks
+     and whose quarantine fails the run;
    - a QCheck property: over random circuits, seeds, chunk sizes and
      injected kills/hangs, the supervised report AND merged journal are
      byte-identical to --jobs 1, with nothing quarantined when no
@@ -135,6 +137,11 @@ let run_env env args =
   Sys.remove err;
   (status, stdout, stderr)
 
+let contains hay needle =
+  let n = String.length needle and m = String.length hay in
+  let rec find i = i + n <= m && (String.sub hay i n = needle || find (i + 1)) in
+  find 0
+
 let mult_args =
   [
     "faults"; data "mult4x4.hnl"; "--stim"; data "mult4x4.hsv"; "-n"; "9";
@@ -177,14 +184,7 @@ let test_chaos_hang_recovers_byte_identical () =
   in
   checki "hung workers are killed and the run recovers" 0 s1;
   checks "recovered report byte-identical to serial" serial recovered;
-  checkb "the stall kill is reported" true
-    (let needle = "no journal progress" in
-     let n = String.length needle and m = String.length stderr in
-     let rec find i =
-       if i + n > m then false
-       else String.sub stderr i n = needle || find (i + 1)
-     in
-     find 0)
+  checkb "the stall kill is reported" true (contains stderr "no journal progress")
 
 (* --- deterministic poison site: quarantine + degraded exit code --- *)
 
@@ -216,13 +216,108 @@ let test_poison_quarantine_degraded () =
             | _ -> false)
       | _ -> Alcotest.fail "quarantined_sites must list exactly site 4"));
   checkb "stderr carries the site-quarantined warning" true
-    (let needle = "site-quarantined" in
-     let n = String.length needle and m = String.length stderr in
-     let rec find i =
-       if i + n > m then false
-       else String.sub stderr i n = needle || find (i + 1)
-     in
-     find 0)
+    (contains stderr "site-quarantined")
+
+(* --- vary --jobs: one chunk per sample under the same supervisor --- *)
+
+(* c17 at width 60: 3 samples of 6 strikes, global index k*6 + i *)
+let vary_args more =
+  [
+    "vary"; data "c17.hnl"; "--stim"; data "c17_walk.hsv"; "-n"; "6"; "--seed"; "7";
+    "--width"; "60"; "--samples"; "3"; "--sigma-device"; "0.15";
+  ]
+  @ more
+
+let test_vary_chaos_kill_recovers_byte_identical () =
+  let s0, serial, _ = run_env [] (vary_args []) in
+  checki "serial exits 0" 0 s0;
+  let s1, recovered, stderr =
+    run_env [ ("HALOTIS_CHAOS_KILL", "1") ] (vary_args [ "--jobs"; "2" ])
+  in
+  checki "supervised vary recovers to exit 0" 0 s1;
+  checks "recovered report byte-identical to serial" serial recovered;
+  checkb "stall warnings were emitted" true (contains stderr "worker-stall")
+
+let temp_base tag =
+  let p = Filename.temp_file "halotis_sv_vary" tag in
+  Sys.remove p;
+  p
+
+let test_vary_journals_match_serial () =
+  let sbase = temp_base ".serial" and pbase = temp_base ".jobs" in
+  let s0, _, _ = run_env [] (vary_args [ "--journal"; sbase ]) in
+  let s1, _, _ = run_env [] (vary_args [ "--jobs"; "2"; "--journal"; pbase ]) in
+  checki "serial exits 0" 0 s0;
+  checki "supervised exits 0" 0 s1;
+  for k = 0 to 2 do
+    let sj = Printf.sprintf "%s.s%d" sbase k and pj = Printf.sprintf "%s.s%d" pbase k in
+    checks (Printf.sprintf "sample %d journal byte-identical" k) (read_file sj)
+      (read_file pj);
+    Sys.remove sj;
+    Sys.remove pj
+  done;
+  checkb "chunk journals removed" false (Sys.file_exists (Shard.journal_path pbase 0));
+  checkb "chunk cursors removed" false
+    (Sys.file_exists (Shard.journal_path pbase 0 ^ ".cursor"))
+
+let test_vary_poison_fails_naming_site () =
+  (* global index 8 is strike 2 of sample 1 *)
+  let base = temp_base ".poison" in
+  let s, report, stderr =
+    run_env
+      [ ("HALOTIS_CHAOS_POISON", "8") ]
+      (vary_args [ "--jobs"; "2"; "--journal"; base ])
+  in
+  checki "quarantine fails the vary run" 1 s;
+  checks "no report is rendered" "" report;
+  checkb "the quarantine diagnostic" true (contains stderr "error[site-quarantined]");
+  checkb "names the sample and site" true (contains stderr "sample 1 site 2 (");
+  (* the failed run keeps what it finished *)
+  for id = 0 to 2 do
+    checkb (Printf.sprintf "chunk journal %d kept" id) true
+      (Sys.file_exists (Shard.journal_path base id));
+    checkb (Printf.sprintf "chunk cursor %d removed" id) false
+      (Sys.file_exists (Shard.journal_path base id ^ ".cursor"))
+  done;
+  let sj k = Printf.sprintf "%s.s%d" base k in
+  checkb "clean sample 0 journaled" true (Sys.file_exists (sj 0));
+  checkb "clean sample 2 journaled" true (Sys.file_exists (sj 2));
+  checkb "failing sample 1 not journaled" false (Sys.file_exists (sj 1));
+  (* ... so a serial resume finishes it, re-simulating only sample 1 *)
+  let s0, serial, _ = run_env [] (vary_args []) in
+  checki "serial exits 0" 0 s0;
+  let s1, resumed, _ = run_env [] (vary_args [ "--resume"; base ]) in
+  checki "serial resume exits 0" 0 s1;
+  checks "resumed report byte-identical to serial" serial resumed;
+  for k = 0 to 2 do
+    Sys.remove (sj k);
+    Sys.remove (Shard.journal_path base k)
+  done
+
+(* --jobs resumes chunk journals and serial resumes BASE.sK; a base
+   holding only the other mode's journals is refused, not ignored *)
+let test_vary_resume_refused_across_modes () =
+  let sbase = temp_base ".serial" in
+  let s0, _, _ = run_env [] (vary_args [ "--journal"; sbase ]) in
+  checki "serial journal run exits 0" 0 s0;
+  let s1, report, stderr = run_env [] (vary_args [ "--jobs"; "2"; "--resume"; sbase ]) in
+  checki "--jobs resume of serial journals is refused" 1 s1;
+  checks "no report is rendered" "" report;
+  checkb "points at --jobs 1" true (contains stderr "resume it with --jobs 1");
+  for k = 0 to 2 do
+    Sys.remove (Printf.sprintf "%s.s%d" sbase k)
+  done;
+  let pbase = temp_base ".jobs" in
+  let chunk = Shard.journal_path pbase 0 in
+  let s2, _, _ = run_env [] (vary_args [ "--range"; "0:6"; "--journal"; chunk ]) in
+  checki "a sample-0 worker exits 0" 0 s2;
+  let s3, report, stderr = run_env [] (vary_args [ "--resume"; pbase ]) in
+  checki "serial resume of chunk journals is refused" 1 s3;
+  checks "no report is rendered" "" report;
+  checkb "points at --jobs N" true (contains stderr "resume it with --jobs N");
+  List.iter
+    (fun p -> if Sys.file_exists p then Sys.remove p)
+    [ chunk; chunk ^ ".cursor" ]
 
 (* --- property: supervised == serial over random campaigns --- *)
 
@@ -338,5 +433,16 @@ let tests =
         Alcotest.test_case "poison site quarantined, exit 5" `Quick
           test_poison_quarantine_degraded;
         QCheck_alcotest.to_alcotest prop_supervised_equals_serial;
+      ] );
+    ( "supervisor.vary",
+      [
+        Alcotest.test_case "SIGKILL recovers byte-identical" `Quick
+          test_vary_chaos_kill_recovers_byte_identical;
+        Alcotest.test_case "sample journals == serial --journal" `Quick
+          test_vary_journals_match_serial;
+        Alcotest.test_case "poison site fails naming sample and site" `Quick
+          test_vary_poison_fails_naming_site;
+        Alcotest.test_case "resume refused across modes" `Quick
+          test_vary_resume_refused_across_modes;
       ] );
   ]

@@ -5,7 +5,7 @@
    zero-stress vary sample is the empty overlay, the empty overlay
    reproduces the plain faults campaign byte-for-byte (reports AND
    journals), and a fixed seed reproduces the whole distribution —
-   serial or sharded across workers. *)
+   serial or supervised across workers. *)
 
 module N = Halotis_netlist.Netlist
 module G = Halotis_netlist.Generators
@@ -282,7 +282,7 @@ let test_checkpoint_classic_raises () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* CLI: serial / sharded / faults crosschecks on c17                  *)
+(* CLI: serial / supervised / faults crosschecks on c17               *)
 (* ------------------------------------------------------------------ *)
 
 let build_root = Filename.concat (Filename.dirname Sys.executable_name) ".."
@@ -315,10 +315,15 @@ let vary_args more =
 
 let test_cli_jobs_identical () =
   let st1, serial = run_capture (vary_args []) in
-  let st2, sharded = run_capture (vary_args [ "--jobs"; "2" ]) in
+  let st2, supervised = run_capture (vary_args [ "--jobs"; "2" ]) in
   checki "serial run exits 0" 0 st1;
-  checki "sharded run exits 0" 0 st2;
-  checks "worker sharding changes no output byte" serial sharded
+  checki "supervised run exits 0" 0 st2;
+  checks "worker supervision changes no output byte" serial supervised
+
+let test_cli_negative_jobs_rejected () =
+  let st, out = run_capture (vary_args [ "--jobs=-3" ]) in
+  checki "negative --jobs is a usage error" 1 st;
+  checks "no report is rendered" "" out
 
 let test_cli_fixed_seed_golden () =
   let _, a = run_capture (vary_args [ "--format"; "json" ]) in
@@ -377,6 +382,8 @@ let tests =
         Alcotest.test_case "checkpoint: roundtrip" `Quick test_checkpoint_roundtrip;
         Alcotest.test_case "checkpoint: classic raises" `Quick test_checkpoint_classic_raises;
         Alcotest.test_case "cli: --jobs 2 byte-identical" `Slow test_cli_jobs_identical;
+        Alcotest.test_case "cli: negative --jobs rejected" `Quick
+          test_cli_negative_jobs_rejected;
         Alcotest.test_case "cli: fixed-seed golden" `Slow test_cli_fixed_seed_golden;
         Alcotest.test_case "cli: zero-sigma journal == faults" `Slow
           test_cli_zero_sigma_journal_matches_faults;
