@@ -72,7 +72,7 @@ let product_lanes_of_classic (r : Classic.result) =
   List.mapi
     (fun i sid ->
       Figures.lane_of_edges ~label:(Printf.sprintf "s%d" i)
-        ~initial:r.Classic.initial_levels.(sid) r.Classic.edges.(sid))
+        ~initial:r.Classic.initial_levels.(sid) (Lazy.force r.Classic.edges).(sid))
     m.G.product_bits
   |> List.rev
 

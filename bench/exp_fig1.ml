@@ -45,7 +45,7 @@ let print_waveforms (f, r, rc, ra) =
       (fun n ->
         let sid = match N.find_signal f.G.circuit n with Some s -> s | None -> assert false in
         Figures.lane_of_edges ~label:n ~initial:rc.Classic.initial_levels.(sid)
-          rc.Classic.edges.(sid))
+          (Lazy.force rc.Classic.edges).(sid))
       names
   in
   print_string (Figures.timing_diagram ~width:90 ~t0 ~t1 lanes_c)

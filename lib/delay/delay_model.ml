@@ -35,12 +35,6 @@ let compute tech ~gate_tech ~cl kind req =
           in
           { tp; tau_out; tp_nominal = tp0; degraded = tp < tp0 -. 1e-9 })
 
-let for_gate tech c ~loads gid kind req =
-  let g = Netlist.gate c gid in
-  let gate_tech = Tech.gate_tech tech g.Netlist.kind in
-  let cl = loads.(g.Netlist.output) in
-  compute tech ~gate_tech ~cl kind req
-
 (* Per-run coefficient cache.  [Tech.gate_tech] resolves the cell
    record through the library's lookup function on every call — the
    default library even rebuilds the record — and the load term, output
@@ -52,8 +46,8 @@ let for_gate tech c ~loads gid kind req =
    Layout: edge-indexed arrays use slot [2 * gid] for a rising output
    edge and [2 * gid + 1] for a falling one; per-pin factors are
    flattened with a per-gate offset table.  All partial expressions are
-   evaluated exactly as {!compute} associates them, so cached responses
-   are bit-identical to the uncached reference. *)
+   evaluated exactly as {!compute} associates them, so cached delays are
+   bit-identical to evaluating [compute] on the cell record. *)
 module Cache = struct
   (* Coefficients are interleaved, five per (gate, edge), so one delay
      evaluation reads a single run of adjacent floats:
@@ -113,34 +107,12 @@ module Cache = struct
     done;
     { coef; pf_off; pf; scratch = Array.make 2 0. }
 
-  let for_gate cache gid kind req =
-    let base = 5 * ((2 * gid) + if req.rising_out then 0 else 1) in
-    let tp0 =
-      cache.pf.(cache.pf_off.(gid) + req.pin)
-      *. (cache.coef.(base) +. (cache.coef.(base + 1) *. req.tau_in))
-    in
-    let tau_out = cache.coef.(base + 2) in
-    match kind with
-    | Cdm -> { tp = tp0; tau_out; tp_nominal = tp0; degraded = false }
-    | Ddm -> (
-        match req.last_output_start with
-        | None -> { tp = tp0; tau_out; tp_nominal = tp0; degraded = false }
-        | Some t_last ->
-            let time_since_last = req.t_event +. tp0 -. t_last in
-            let t0 = Float.max 0.0 (cache.coef.(base + 4) *. req.tau_in) in
-            let tp =
-              Halotis_tech.Calibrate.predicted_delay ~tp0 ~tau:cache.coef.(base + 3) ~t0
-                ~time_since_last
-            in
-            { tp; tau_out; tp_nominal = tp0; degraded = tp < tp0 -. 1e-9 })
-
-  (* Allocation-free [for_gate] for the event hot paths: scalar
-     arguments in, results deposited in [scratch] (read them with
-     {!tp} / {!tau_out} before the next [eval]).  [last_output_start]
-     is [Float.nan] when the output has no previous transition —
-     legitimate start instants are always finite, so the encoding is
-     exact.  Float expressions are associated exactly as [for_gate]'s,
-     so the two are bit-identical. *)
+  (* The event hot paths' delay evaluation: scalar arguments in,
+     results deposited in [scratch] (read them with {!tp} / {!tau_out}
+     before the next [eval]), so nothing is allocated.
+     [last_output_start] is [Float.nan] when the output has no previous
+     transition — legitimate start instants are always finite, so the
+     encoding is exact. *)
   let eval cache gid kind ~rising_out ~pin ~tau_in ~t_event ~last_output_start =
     let base = 5 * ((2 * gid) + if rising_out then 0 else 1) in
     let tp0 =

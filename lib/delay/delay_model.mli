@@ -45,19 +45,6 @@ val compute :
   response
 (** Evaluates the chosen model.  [cl] is the output load in fF. *)
 
-val for_gate :
-  Halotis_tech.Tech.t ->
-  Halotis_netlist.Netlist.t ->
-  loads:float array ->
-  Halotis_netlist.Netlist.gate_id ->
-  kind ->
-  request ->
-  response
-(** Convenience wrapper that fetches [gate_tech] and [cl] from a
-    netlist and a precomputed load table.  Resolves the cell record
-    through the technology lookup on every call — this is the uncached
-    reference; simulation hot paths should go through {!Cache}. *)
-
 (** Per-run delay coefficient cache.
 
     [Tech.gate_tech] re-resolves the cell record (and, with the default
@@ -68,9 +55,9 @@ val for_gate :
     A [Cache.t] precomputes all of them once at [run] setup into flat
     unboxed arrays.
 
-    Responses are bit-identical to {!for_gate}: every partial
-    expression is associated exactly as the uncached path computes
-    it. *)
+    Delays are bit-identical to {!compute} on the gate's cell record
+    and output load: every partial expression is associated exactly as
+    [compute] associates it. *)
 module Cache : sig
   type t
 
@@ -90,10 +77,6 @@ module Cache : sig
       cache bytes are identical to the historical overlay-free
       path. *)
 
-  val for_gate : t -> Halotis_netlist.Netlist.gate_id -> kind -> request -> response
-  (** Drop-in cached equivalent of {!val-for_gate}: same request, same
-      response, no table resolution. *)
-
   val eval :
     t ->
     Halotis_netlist.Netlist.gate_id ->
@@ -104,12 +87,11 @@ module Cache : sig
     t_event:float ->
     last_output_start:float ->
     unit
-  (** Allocation-free {!for_gate} for the event hot paths: scalar
+  (** {!compute} for the event hot paths, without allocation: scalar
       arguments instead of a {!request} ([last_output_start] is
       [Float.nan] when the output has no previous live transition), and
       the [tp] / [tau_out] results are deposited in the cache — read
-      them with {!tp} and {!tau_out} before the next [eval].
-      Bit-identical to {!for_gate}. *)
+      them with {!tp} and {!tau_out} before the next [eval]. *)
 
   val tp : t -> float
   (** Propagation delay computed by the last {!eval}, ps. *)

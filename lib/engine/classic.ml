@@ -1,12 +1,10 @@
 module Netlist = Halotis_netlist.Netlist
-module Check = Halotis_netlist.Check
 module Transition = Halotis_wave.Transition
 module Digital = Halotis_wave.Digital
 module Tech = Halotis_tech.Tech
 module Delay_model = Halotis_delay.Delay_model
 module Heap = Halotis_util.Heap
 module Gate_kind = Halotis_logic.Gate_kind
-module Value = Halotis_logic.Value
 module Stop = Halotis_guard.Stop
 module Budget = Halotis_guard.Budget
 module Watchdog = Halotis_guard.Watchdog
@@ -30,7 +28,7 @@ let config ?(overlay = Halotis_tech.Param_overlay.empty) ?t_stop
 
 type result = {
   circuit : Netlist.t;
-  edges : Digital.edge list array;
+  edges : Digital.edge list array Lazy.t;
   initial_levels : bool array;
   final_levels : bool array;
   stats : Stats.t;
@@ -40,37 +38,14 @@ type result = {
   frozen : (Netlist.signal_id * float) list;
 }
 
-(* Per-signal deque of live pending transaction slots, oldest at
-   [txq_head].  Preemption trims a suffix (newest first), commits
-   consume the head; both O(1), allocation-free, and popped
-   transactions are reclaimed immediately instead of leaking until the
-   next preemption scan. *)
-type tx_queue = {
-  mutable txq_buf : int array;
-  mutable txq_head : int;
-  mutable txq_tail : int;
-}
+type injection = Netlist.signal_id * (float * bool) list
 
-let txq_push txq slot =
-  let cap = Array.length txq.txq_buf in
-  if txq.txq_tail = cap then begin
-    let live = txq.txq_tail - txq.txq_head in
-    if txq.txq_head > 0 && 2 * live <= cap then
-      Array.blit txq.txq_buf txq.txq_head txq.txq_buf 0 live
-    else begin
-      let buf = Array.make (max 4 (2 * cap)) (-1) in
-      Array.blit txq.txq_buf txq.txq_head buf 0 live;
-      txq.txq_buf <- buf
-    end;
-    txq.txq_head <- 0;
-    txq.txq_tail <- live
-  end;
-  txq.txq_buf.(txq.txq_tail) <- slot;
-  txq.txq_tail <- txq.txq_tail + 1
-
-(* Hot netlist structure flattened into CSR-style int arrays, built
-   once at setup — the per-event path never touches the boxed gate
-   records (see the matching comment in {!Iddm}).
+(* The netlist structure comes from the shared {!Compiled.t} (the same
+   CSR arrays and delay cache the IDDM kernel reads), so the per-event
+   path never touches the boxed gate records.  Compiled fanout lists one
+   edge per (gate, pin) load; this engine evaluates each distinct gate
+   once per committed change, so a fanout walk stamps the gates it has
+   evaluated in [seen].
 
    Transactions live in a recycled structure-of-arrays pool and are
    passed around as small-int slots (heap payloads are bare ints), so
@@ -81,17 +56,16 @@ let txq_push txq slot =
    single-free by construction. *)
 type state = {
   cfg : config;
+  cp : Compiled.t;
+  levels : bool array; (* the DC operating point *)
   value : bool array; (* committed signal values *)
-  pending : tx_queue array; (* per signal: live scheduled driver transactions *)
-  queue : Heap.Unboxed.t;
+  pending : Slot_deque.t array;
+      (* per signal: live scheduled driver transactions, or an input's
+         queued switches *)
+  queue : Heap.t;
   rev_edges : Digital.edge list array; (* newest first *)
-  g_kind : Gate_kind.t array; (* gate -> logic function *)
-  g_out : int array; (* gate -> output signal *)
-  g_base : int array; (* gate -> first slot in [g_fanin]; length ngates + 1 *)
-  g_fanin : int array; (* flattened gate fanin signals *)
-  fan_off : int array; (* signal -> first fanout edge; length nsignals + 1 *)
-  fan_gate : int array; (* fanout edge -> loading gate (distinct per signal) *)
-  fan_pin : int array; (* fanout edge -> first pin of that gate on the signal *)
+  seen : int array; (* gate -> the fanout walk that last evaluated it *)
+  mutable walk : int;
   (* transaction pool: parallel arrays indexed by slot *)
   mutable tx_sid : int array;
   mutable tx_at : float array;
@@ -99,15 +73,11 @@ type state = {
   mutable tx_dead : Bytes.t;
   mutable tx_free : int array; (* stack of recycled slots *)
   mutable tx_free_top : int;
-  cache : Delay_model.Cache.t;
   stats : Stats.t;
   (* guardrails *)
-  c : Netlist.t;
   wd : Watchdog.t option;
-  frozen : Bytes.t; (* signal -> '\001' once the watchdog froze it *)
-  mutable frozen_on : bool;
-  mutable rev_frozen : (int * float) list;
-  mutable stop : Stop.t;
+  fz : Watchdog.frozen;
+  ctl : Run_control.t; (* limits, stop reason, progress *)
 }
 
 let grow_pool st =
@@ -149,50 +119,50 @@ let enqueue_tx st ~sid ~at ~value =
   st.tx_at.(slot) <- at;
   Bytes.set st.tx_value slot (if value then '\001' else '\000');
   Bytes.set st.tx_dead slot '\000';
-  ignore (Heap.Unboxed.insert st.queue ~key:at slot);
+  ignore (Heap.insert st.queue ~key:at slot);
   slot
 
 (* The value the driver will settle to once pending transactions fire. *)
 let scheduled_target st sid =
-  let txq = st.pending.(sid) in
-  if txq.txq_head < txq.txq_tail then
-    Bytes.get st.tx_value (txq.txq_buf.(txq.txq_tail - 1)) = '\001'
+  let txq : Slot_deque.t = st.pending.(sid) in
+  if txq.head < txq.tail then
+    Bytes.get st.tx_value (txq.buf.(txq.tail - 1)) = '\001'
   else st.value.(sid)
 
-(* Classical inertial scheduling on signal [sid]. *)
-let schedule_inertial st sid ~at ~value ~window =
-  (* Transport preemption: kill pending transactions at or after [at] —
-     a suffix of the (time-sorted) deque, tombstoned in place. *)
-  let txq = st.pending.(sid) in
-  let i = ref (txq.txq_tail - 1) in
-  while !i >= txq.txq_head && st.tx_at.(txq.txq_buf.(!i)) >= at do
-    Bytes.set st.tx_dead txq.txq_buf.(!i) '\001';
+(* Transport preemption: kill the pending transactions of [sid] at or
+   after [at] — a suffix of the (time-sorted) deque, tombstoned in
+   place. *)
+let preempt st sid ~at =
+  let txq : Slot_deque.t = st.pending.(sid) in
+  let i = ref (txq.tail - 1) in
+  while !i >= txq.head && st.tx_at.(txq.buf.(!i)) >= at do
+    Bytes.set st.tx_dead txq.buf.(!i) '\001';
     st.stats.Stats.events_filtered <- st.stats.Stats.events_filtered + 1;
     decr i
   done;
-  txq.txq_tail <- !i + 1;
-  let target =
-    if txq.txq_head < txq.txq_tail then
-      Bytes.get st.tx_value (txq.txq_buf.(txq.txq_tail - 1)) = '\001'
-    else st.value.(sid)
-  in
-  if target = value then st.stats.Stats.noop_evaluations <- st.stats.Stats.noop_evaluations + 1
+  txq.tail <- !i + 1
+
+(* Classical inertial scheduling on signal [sid]. *)
+let schedule_inertial st sid ~at ~value ~window =
+  preempt st sid ~at;
+  let txq : Slot_deque.t = st.pending.(sid) in
+  if scheduled_target st sid = value then st.stats.Stats.noop_evaluations <- st.stats.Stats.noop_evaluations + 1
   else begin
     (* Inertial rejection: a reversal closer than the gate's window to
        the previous pending transaction annihilates with it.  Transport
        mode never rejects. *)
     if
-      txq.txq_head < txq.txq_tail
+      txq.head < txq.tail
       && st.cfg.mode = Inertial
-      && at -. st.tx_at.(txq.txq_buf.(txq.txq_tail - 1)) < window
+      && at -. st.tx_at.(txq.buf.(txq.tail - 1)) < window
     then begin
-      Bytes.set st.tx_dead txq.txq_buf.(txq.txq_tail - 1) '\001';
-      txq.txq_tail <- txq.txq_tail - 1;
+      Bytes.set st.tx_dead txq.buf.(txq.tail - 1) '\001';
+      txq.tail <- txq.tail - 1;
       st.stats.Stats.events_filtered <- st.stats.Stats.events_filtered + 2
     end
     else begin
       let slot = enqueue_tx st ~sid ~at ~value in
-      txq_push txq slot;
+      Slot_deque.push txq slot;
       st.stats.Stats.events_scheduled <- st.stats.Stats.events_scheduled + 1
     end
   end
@@ -209,274 +179,214 @@ let rec parity_v (value : bool array) fanin base n i acc =
   if i >= n then acc else parity_v value fanin base n (i + 1) (acc <> value.(fanin.(base + i)))
 
 let eval_gate st gid =
-  let base = st.g_base.(gid) in
-  let n = st.g_base.(gid + 1) - base in
-  let v i = st.value.(st.g_fanin.(base + i)) in
-  match st.g_kind.(gid) with
+  let cp = st.cp in
+  let fanin = cp.Compiled.pin_fanin in
+  let base = cp.Compiled.g_base.(gid) in
+  let n = cp.Compiled.g_base.(gid + 1) - base in
+  let v i = st.value.(fanin.(base + i)) in
+  match cp.Compiled.g_kind.(gid) with
   | Gate_kind.Buf -> v 0
   | Gate_kind.Inv -> not (v 0)
-  | Gate_kind.And _ -> all_v st.value st.g_fanin base n 0
-  | Gate_kind.Nand _ -> not (all_v st.value st.g_fanin base n 0)
-  | Gate_kind.Or _ -> any_v st.value st.g_fanin base n 0
-  | Gate_kind.Nor _ -> not (any_v st.value st.g_fanin base n 0)
-  | Gate_kind.Xor _ -> parity_v st.value st.g_fanin base n 0 false
-  | Gate_kind.Xnor _ -> not (parity_v st.value st.g_fanin base n 0 false)
+  | Gate_kind.And _ -> all_v st.value fanin base n 0
+  | Gate_kind.Nand _ -> not (all_v st.value fanin base n 0)
+  | Gate_kind.Or _ -> any_v st.value fanin base n 0
+  | Gate_kind.Nor _ -> not (any_v st.value fanin base n 0)
+  | Gate_kind.Xor _ -> parity_v st.value fanin base n 0 false
+  | Gate_kind.Xnor _ -> not (parity_v st.value fanin base n 0 false)
   | Gate_kind.Aoi21 -> not ((v 0 && v 1) || v 2)
   | Gate_kind.Oai21 -> not ((v 0 || v 1) && v 2)
   | Gate_kind.Mux2 -> if v 2 then v 1 else v 0
 
-(* A watchdog trip: in [Halt] mode flag the whole run for stopping; in
-   [Degrade] mode freeze the offending feedback loop so no new
-   transactions get scheduled on it while the rest keeps simulating. *)
-let watchdog_trip st wd ~signal ~at =
-  let fs = Watchdog.freeze_set st.c ~signal in
-  match Watchdog.mode wd with
-  | Watchdog.Halt -> st.stop <- Stop.Oscillation (Watchdog.offender_names st.c fs)
-  | Watchdog.Degrade ->
-      List.iter
-        (fun s ->
-          if Bytes.get st.frozen s = '\000' then begin
-            Bytes.set st.frozen s '\001';
-            st.rev_frozen <- (s, at) :: st.rev_frozen
-          end)
-        fs;
-      st.frozen_on <- true
+(* The lowest pin of [gid] that reads [sid]: the pin whose delay a
+   distinct-gate evaluation is priced at. *)
+let first_pin (cp : Compiled.t) gid sid =
+  let base = cp.Compiled.g_base.(gid) in
+  let rec find p = if cp.Compiled.pin_fanin.(base + p) = sid then p else find (p + 1) in
+  find 0
 
 let evaluate_fanout st ~now sid =
   (* A gate with several pins on [sid] evaluates once per pin in the
      paper's event model; one evaluation per distinct gate suffices
-     here because values, not thresholds, drive the baseline. *)
-  for e = st.fan_off.(sid) to st.fan_off.(sid + 1) - 1 do
-    let gid = st.fan_gate.(e) in
-    let new_out = eval_gate st gid in
-    let out_sid = st.g_out.(gid) in
-    if st.frozen_on && Bytes.get st.frozen out_sid = '\001' then
-      (* frozen output: the gate evaluated but schedules nothing *)
-      st.stats.Stats.noop_evaluations <- st.stats.Stats.noop_evaluations + 1
-    else if new_out <> scheduled_target st out_sid then begin
-      Delay_model.Cache.eval st.cache gid Delay_model.Cdm ~rising_out:new_out
-        ~pin:st.fan_pin.(e) ~tau_in:0. ~t_event:now ~last_output_start:Float.nan;
-      let tp = Delay_model.Cache.tp st.cache in
-      schedule_inertial st out_sid ~at:(now +. tp) ~value:new_out ~window:tp
+     here because values, not thresholds, drive the baseline.  Gates
+     evaluate in the order of their first load on [sid]. *)
+  let cp = st.cp in
+  st.walk <- st.walk + 1;
+  for e = cp.Compiled.fan_off.(sid) to cp.Compiled.fan_off.(sid + 1) - 1 do
+    let gid = cp.Compiled.fan_gate.(e) in
+    if st.seen.(gid) <> st.walk then begin
+      st.seen.(gid) <- st.walk;
+      let new_out = eval_gate st gid in
+      let out_sid = cp.Compiled.g_out.(gid) in
+      if st.fz.Watchdog.fz_any && Bytes.get st.fz.Watchdog.fz_marks out_sid = '\001' then
+        (* frozen output: the gate evaluated but schedules nothing *)
+        st.stats.Stats.noop_evaluations <- st.stats.Stats.noop_evaluations + 1
+      else if new_out <> scheduled_target st out_sid then begin
+        let cache = cp.Compiled.cache in
+        Delay_model.Cache.eval cache gid Delay_model.Cdm ~rising_out:new_out
+          ~pin:(first_pin cp gid sid) ~tau_in:0. ~t_event:now ~last_output_start:Float.nan;
+        let tp = Delay_model.Cache.tp cache in
+        schedule_inertial st out_sid ~at:(now +. tp) ~value:new_out ~window:tp
+      end
+      else st.stats.Stats.noop_evaluations <- st.stats.Stats.noop_evaluations + 1
     end
-    else st.stats.Stats.noop_evaluations <- st.stats.Stats.noop_evaluations + 1
   done
 
-let dc_levels c drives_tbl =
-  let input_level sid =
-    match Hashtbl.find_opt drives_tbl sid with
-    | Some (d : Drive.t) -> d.Drive.initial
-    | None -> false
-  in
-  Dc.levels c ~input_level
+let toggle (tr : Transition.t) =
+  ( tr.Transition.start +. (tr.Transition.slope_time /. 2.),
+    match tr.Transition.polarity with Transition.Rising -> true | Transition.Falling -> false )
 
-let run ?(injections = []) cfg c ~drives =
-  let drives_tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (sid, d) ->
-      Drive.check d;
-      if not (Netlist.signal c sid).Netlist.is_primary_input then
-        invalid_arg
-          (Printf.sprintf "Classic.run: drive on non-input signal %s"
-             (Netlist.signal_name c sid));
-      Hashtbl.replace drives_tbl sid d)
-    drives;
-  let levels = dc_levels c drives_tbl in
-  let nsignals = Netlist.signal_count c and ngates = Netlist.gate_count c in
-  let loads = Halotis_delay.Loads.of_netlist cfg.tech c in
-  let g_kind = Array.init ngates (fun gid -> (Netlist.gate c gid).Netlist.kind) in
-  let g_out = Array.init ngates (fun gid -> (Netlist.gate c gid).Netlist.output) in
-  let g_base = Array.make (ngates + 1) 0 in
-  for gid = 0 to ngates - 1 do
-    g_base.(gid + 1) <- g_base.(gid) + Array.length (Netlist.gate c gid).Netlist.fanin
-  done;
-  let g_fanin = Array.make (max 1 g_base.(ngates)) (-1) in
-  for gid = 0 to ngates - 1 do
-    Array.iteri
-      (fun pin sid -> g_fanin.(g_base.(gid) + pin) <- sid)
-      (Netlist.gate c gid).Netlist.fanin
-  done;
-  (* Distinct fanout gates per signal, with the first pin each has on
-     it — what the former per-event [Netlist.fanout_gates] computed. *)
-  let fanouts =
-    Array.init nsignals (fun sid ->
-        List.map
-          (fun gid ->
-            let g = Netlist.gate c gid in
-            let rec find i = if g.Netlist.fanin.(i) = sid then i else find (i + 1) in
-            (gid, find 0))
-          (Netlist.fanout_gates c sid))
-  in
-  let fan_off = Array.make (nsignals + 1) 0 in
-  for sid = 0 to nsignals - 1 do
-    fan_off.(sid + 1) <- fan_off.(sid) + List.length fanouts.(sid)
-  done;
-  let nedges = fan_off.(nsignals) in
-  let fan_gate = Array.make (max 1 nedges) 0 and fan_pin = Array.make (max 1 nedges) 0 in
-  for sid = 0 to nsignals - 1 do
-    List.iteri
-      (fun k (gid, pin) ->
-        fan_gate.(fan_off.(sid) + k) <- gid;
-        fan_pin.(fan_off.(sid) + k) <- pin)
-      fanouts.(sid)
-  done;
+(* A primary-input switch.  Nothing but its stimulus drives an input,
+   so the input's deque holds just its queued switches, which
+   {!session_set_input} annuls.  A switch whose 50 % point falls before
+   an already queued one (overlapping drive ramps) stays out of the
+   deque, which has to remain time-sorted. *)
+let seed_input st sid (tr : Transition.t) =
+  let at, value = toggle tr in
+  let slot = enqueue_tx st ~sid ~at ~value in
+  let txq : Slot_deque.t = st.pending.(sid) in
+  if txq.head = txq.tail || st.tx_at.(txq.buf.(txq.tail - 1)) <= at then
+    Slot_deque.push txq slot;
+  st.stats.Stats.events_scheduled <- st.stats.Stats.events_scheduled + 1
+
+(* Injections: forced value toggles on arbitrary signals (the boolean
+   abstraction of a SET pulse).  They go into the queue but
+   deliberately NOT into the signal's pending-transaction deque: a
+   particle strike is not a driver transaction, so earlier driver
+   activity must not preempt it.  Fanout gates still apply the
+   classical inertial filter to the pulse they observe.  Like IDDM
+   splices, they are stimulus and do not count as scheduled events. *)
+let add_injection st (sid, toggles) =
+  if sid < 0 || sid >= st.cp.Compiled.nsignals then
+    invalid_arg "Classic: injection on unknown signal";
+  List.iter (fun (at, value) -> ignore (enqueue_tx st ~sid ~at ~value)) toggles
+
+(* A paused run is its state, as in {!Iddm}. *)
+type session = state
+
+let start ?(injections = []) ?compiled cfg c ~drives =
+  let drives_tbl, levels = Drive.bind ~who:"Classic.start" c drives in
+  let cp = Compiled.resolve ~who:"Classic.start" ?compiled ~overlay:cfg.overlay cfg.tech c in
+  let nsignals = cp.Compiled.nsignals in
   let st =
     {
       cfg;
+      cp;
+      levels;
       value = Array.copy levels;
-      pending = Array.init nsignals (fun _ -> { txq_buf = [||]; txq_head = 0; txq_tail = 0 });
-      queue = Heap.Unboxed.create ~capacity:64 ();
+      pending = Array.init nsignals (fun _ -> Slot_deque.create ());
+      queue = Heap.create ~capacity:64 ();
       rev_edges = Array.make nsignals [];
-      g_kind;
-      g_out;
-      g_base;
-      g_fanin;
-      fan_off;
-      fan_gate;
-      fan_pin;
+      seen = Array.make cp.Compiled.ngates 0;
+      walk = 0;
       tx_sid = [||];
       tx_at = [||];
       tx_value = Bytes.empty;
       tx_dead = Bytes.empty;
       tx_free = [||];
       tx_free_top = 0;
-      cache = Delay_model.Cache.create ~overlay:cfg.overlay cfg.tech c ~loads;
       stats = Stats.create ();
-      c;
       wd = Option.map (fun w -> Watchdog.create w ~nsignals) cfg.watchdog;
-      frozen = Bytes.make nsignals '\000';
-      frozen_on = false;
-      rev_frozen = [];
-      stop = Stop.Completed;
+      fz = Watchdog.frozen ~nsignals;
+      ctl = Run_control.create cfg.budget ~t_stop:cfg.t_stop ~max_events:cfg.max_events;
     }
   in
-  (* Seed input switches at the ramps' 50% instants. *)
-  Hashtbl.iter
-    (fun sid (d : Drive.t) ->
-      List.iter
-        (fun (tr : Transition.t) ->
-          let at = tr.Transition.start +. (tr.Transition.slope_time /. 2.) in
-          let value =
-            match tr.Transition.polarity with
-            | Transition.Rising -> true
-            | Transition.Falling -> false
-          in
-          let slot = enqueue_tx st ~sid ~at ~value in
-          txq_push st.pending.(sid) slot;
-          st.stats.Stats.events_scheduled <- st.stats.Stats.events_scheduled + 1)
-        d.Drive.transitions)
-    drives_tbl;
-  (* Injections: forced value toggles on arbitrary signals (the
-     boolean abstraction of a SET pulse).  They go into the queue but
-     deliberately NOT into the signal's pending-transaction deque: a
-     particle strike is not a driver transaction, so earlier driver
-     activity must not preempt it.  Fanout gates still apply the
-     classical inertial filter to the pulse they observe. *)
-  List.iter
-    (fun (sid, toggles) ->
-      if sid < 0 || sid >= nsignals then
-        invalid_arg "Classic.run: injection on unknown signal";
-      List.iter (fun (at, value) -> ignore (enqueue_tx st ~sid ~at ~value)) toggles)
-    injections;
-  (* Main loop; see the matching comment in {!Iddm} — the horizon folds
-     [t_stop] and the budget's [max_sim_time], the monitor folds the
-     legacy [max_events]. *)
-  let horizon, horizon_stop =
-    match (cfg.t_stop, cfg.budget.Budget.max_sim_time) with
-    | None, None -> (infinity, Stop.Completed)
-    | Some ts, None -> (ts, Stop.Completed)
-    | None, Some mt -> (mt, Stop.Sim_time mt)
-    | Some ts, Some mt -> if mt < ts then (mt, Stop.Sim_time mt) else (ts, Stop.Completed)
-  in
-  let monitor =
-    let b = cfg.budget in
-    let max_events =
-      match b.Budget.max_events with
-      | Some n -> Some (min n cfg.max_events)
-      | None -> Some cfg.max_events
-    in
-    Budget.Monitor.create { b with Budget.max_events }
-  in
-  let max_tr =
-    match cfg.budget.Budget.max_transitions with Some n -> n | None -> max_int
-  in
-  let end_time = ref 0. in
-  let continue = ref true in
-  while !continue do
-    if Heap.Unboxed.is_empty st.queue then continue := false
-    else begin
-      let t = Heap.Unboxed.min_key st.queue in
-      if t > horizon then begin
-        st.stop <- horizon_stop;
-        continue := false
-      end
-      else begin
-        let slot = Heap.Unboxed.pop st.queue in
-        if Bytes.get st.tx_dead slot = '\001' then begin
-          st.stats.Stats.stale_skipped <- st.stats.Stats.stale_skipped + 1;
-          free_tx st slot
-        end
-        else if st.stats.Stats.transitions_emitted >= max_tr then begin
-          (* committed-edge (memory) cap: same pre-event check as the
-             IDDM engine's *)
-          free_tx st slot;
-          st.stop <- Stop.Transition_cap max_tr;
-          continue := false
-        end
-        else begin
-          match Budget.Monitor.hit monitor ~queue:(Heap.Unboxed.length st.queue) with
-          | Some reason ->
-              free_tx st slot;
-              st.stop <- reason;
-              continue := false
-          | None ->
-              st.stats.Stats.events_processed <- st.stats.Stats.events_processed + 1;
-              end_time := Float.max !end_time t;
-              let sid = st.tx_sid.(slot) in
-              let value = Bytes.get st.tx_value slot = '\001' in
-              (* reclaim a committed driver transaction from its deque;
-                 injected toggles were never entered *)
-              let txq = st.pending.(sid) in
-              if txq.txq_head < txq.txq_tail && txq.txq_buf.(txq.txq_head) = slot then
-                txq.txq_head <- txq.txq_head + 1;
-              free_tx st slot;
-              if
-                st.value.(sid) <> value
-                && not (st.frozen_on && Bytes.get st.frozen sid = '\001')
-              then begin
-                st.value.(sid) <- value;
-                let polarity = if value then Transition.Rising else Transition.Falling in
-                st.rev_edges.(sid) <- { Digital.at = t; polarity } :: st.rev_edges.(sid);
-                st.stats.Stats.transitions_emitted <-
-                  st.stats.Stats.transitions_emitted + 1;
-                (match st.wd with
-                | Some wd ->
-                    if Watchdog.record wd ~signal:sid ~now:t then
-                      watchdog_trip st wd ~signal:sid ~at:t
-                | None -> ());
-                evaluate_fanout st ~now:t sid
-              end;
-              (* a Halt-mode watchdog trip *)
-              if not (Stop.completed st.stop) then continue := false
-        end
-      end
-    end
-  done;
-  let final_stop = st.stop in
-  st.stats.Stats.stopped_by <- final_stop;
+  Hashtbl.iter (fun sid (d : Drive.t) -> List.iter (seed_input st sid) d.Drive.transitions) drives_tbl;
+  List.iter (add_injection st) injections;
+  st
+
+(* The edge lists are fixed at the call (the per-signal lists are
+   immutable) but reversed only when read, so a snapshot costs
+   O(signals) however long the run. *)
+let snapshot st =
+  let ctl = st.ctl in
+  st.stats.Stats.stopped_by <- ctl.Run_control.stop;
+  let rev_edges = Array.copy st.rev_edges in
   {
-    circuit = c;
-    edges = Array.map List.rev st.rev_edges;
-    initial_levels = levels;
+    circuit = st.cp.Compiled.circuit;
+    edges = lazy (Array.map List.rev rev_edges);
+    initial_levels = st.levels;
     final_levels = st.value;
     stats = st.stats;
-    end_time = !end_time;
-    truncated = not (Stop.completed final_stop);
-    stopped_by = final_stop;
-    frozen = List.rev st.rev_frozen;
+    end_time = ctl.Run_control.end_time;
+    truncated = not (Stop.completed ctl.Run_control.stop);
+    stopped_by = ctl.Run_control.stop;
+    frozen = List.rev st.fz.Watchdog.fz_rev;
   }
+
+(* The main loop, paused at [upto]; pausing is free and exact for the
+   same reason as in {!Iddm.advance}. *)
+let advance st ~upto =
+  let ctl = st.ctl in
+  let continue = ref true in
+  while !continue do
+    let t = Run_control.next ctl st.queue ~upto in
+    if Float.is_nan t then continue := false
+    else begin
+      let slot = Heap.pop st.queue in
+      if Bytes.get st.tx_dead slot = '\001' then begin
+        st.stats.Stats.stale_skipped <- st.stats.Stats.stale_skipped + 1;
+        free_tx st slot
+      end
+      else if
+        (* committed-edge (memory) cap and budget: the same pre-event
+           checks as the IDDM engine's *)
+        Run_control.admit ctl ~at:t ~emitted:st.stats.Stats.transitions_emitted
+          ~queue:(Heap.length st.queue)
+      then begin
+        st.stats.Stats.events_processed <- st.stats.Stats.events_processed + 1;
+        let sid = st.tx_sid.(slot) in
+        let value = Bytes.get st.tx_value slot = '\001' in
+        (* reclaim a committed transaction from its deque; injected
+           toggles were never entered *)
+        let txq : Slot_deque.t = st.pending.(sid) in
+        if txq.head < txq.tail && txq.buf.(txq.head) = slot then txq.head <- txq.head + 1;
+        free_tx st slot;
+        if
+          st.value.(sid) <> value
+          && not (st.fz.Watchdog.fz_any && Bytes.get st.fz.Watchdog.fz_marks sid = '\001')
+        then begin
+          st.value.(sid) <- value;
+          let polarity = if value then Transition.Rising else Transition.Falling in
+          st.rev_edges.(sid) <- { Digital.at = t; polarity } :: st.rev_edges.(sid);
+          st.stats.Stats.transitions_emitted <- st.stats.Stats.transitions_emitted + 1;
+          (match st.wd with
+          | Some wd ->
+              (* a Halt-mode trip halts [ctl] *)
+              if Watchdog.record wd ~signal:sid ~now:t then
+                Option.iter (Run_control.halt ctl)
+                  (Watchdog.trip wd st.cp.Compiled.circuit st.fz ~signal:sid ~at:t)
+          | None -> ());
+          evaluate_fanout st ~now:t sid
+        end
+      end
+      else free_tx st slot
+    end
+  done;
+  snapshot st
+
+let run ?injections ?compiled cfg c ~drives =
+  advance (start ?injections ?compiled cfg c ~drives) ~upto:infinity
+
+(* Live stimulus replaces the input's queued future: switches at or
+   after a new one are annulled first, as {!Iddm.session_set_input}'s
+   waveform append drops the stored ramps from the new one's start. *)
+let session_set_input st sid transitions =
+  Drive.check_input ~who:"Classic.session_set_input" st.cp.Compiled.circuit sid;
+  List.iter
+    (fun tr ->
+      preempt st sid ~at:(fst (toggle tr));
+      seed_input st sid tr)
+    transitions;
+  Run_control.revive st.ctl st.queue
+
+let session_inject st injection =
+  add_injection st injection;
+  Run_control.revive st.ctl st.queue
+
+let session_finished st = st.ctl.Run_control.finished
+let session_result st = snapshot st
 
 let edges_of_name result name =
   match Netlist.find_signal result.circuit name with
-  | Some sid -> result.edges.(sid)
+  | Some sid -> (Lazy.force result.edges).(sid)
   | None -> raise Not_found

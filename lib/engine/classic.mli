@@ -9,7 +9,12 @@
     drivers): a new transaction preempts pending transactions scheduled
     at or after it; a transaction landing closer than the gate's own
     delay to the previous pending one annihilates with it (the pulse is
-    filtered and the output never moves). *)
+    filtered and the output never moves).
+
+    The engine runs on the same {!Compiled.t} as {!Iddm} (structure and
+    CDM delay coefficients) and has the same run shape: {!start},
+    {!advance}, live {!session_set_input} / {!session_inject}, and
+    {!run} as a session advanced to the end. *)
 
 type mode =
   | Inertial  (** pulses narrower than the gate delay annihilate (default) *)
@@ -42,8 +47,9 @@ val config :
 
 type result = {
   circuit : Halotis_netlist.Netlist.t;
-  edges : Halotis_wave.Digital.edge list array;
-      (** committed value changes per signal, time-ordered *)
+  edges : Halotis_wave.Digital.edge list array Lazy.t;
+      (** committed value changes per signal, time-ordered; fixed when
+          the result is taken, built when first forced *)
   initial_levels : bool array;
   final_levels : bool array;
   stats : Stats.t;
@@ -58,22 +64,65 @@ type result = {
           instant — their values are meaningless (X) from that time on *)
 }
 
+type injection =
+  Halotis_netlist.Netlist.signal_id * (Halotis_util.Units.time * bool) list
+(** Forced [(time, value)] toggles on one signal — the boolean
+    abstraction of a SET strike.  Fanout gates apply the classical
+    inertial filter to the resulting pulse, which is precisely the model
+    {!Halotis_fault} campaigns compare against the IDDM treatment. *)
+
+val toggle : Halotis_wave.Transition.t -> Halotis_util.Units.time * bool
+(** A ramp's classic abstraction: an instantaneous switch, at its 50 %
+    point ([start + slope_time / 2]), to the level it rises or falls
+    to. *)
+
 val run :
-  ?injections:(Halotis_netlist.Netlist.signal_id * (Halotis_util.Units.time * bool) list) list ->
+  ?injections:injection list ->
+  ?compiled:Compiled.t ->
   config ->
   Halotis_netlist.Netlist.t ->
   drives:(Halotis_netlist.Netlist.signal_id * Drive.t) list ->
   result
-(** Input ramps are abstracted to instantaneous switches at their 50 %
-    point ([start + slope_time / 2]).
+(** Input ramps are abstracted by {!toggle}.  [compiled] is as in
+    {!Iddm.run}.
+    A changed signal evaluates each distinct fanout gate once, in the
+    order of the gates' first loads, priced at the gate's lowest pin on
+    the signal.  Equivalent to [advance (start ...) ~upto:infinity].
+    @raise Invalid_argument as {!Iddm.run} does. *)
 
-    [injections] are forced [(time, value)] toggles on arbitrary
-    signals — the boolean abstraction of a SET strike.  Fanout gates
-    apply the classical inertial filter to the resulting pulse, which
-    is precisely the model {!Halotis_fault} campaigns compare against
-    the IDDM treatment.
-    @raise Invalid_argument when an injection names an unknown
-    signal. *)
+(** {1 Resumable sessions}
+
+    The run shape of {!Iddm}, with the same contracts: stepping is
+    bit-identical to a one-shot {!run}.  Equal-instant transactions pop
+    in insertion order, so stimulus added to a live session ranks after
+    everything already queued. *)
+
+type session
+
+val start :
+  ?injections:injection list ->
+  ?compiled:Compiled.t ->
+  config ->
+  Halotis_netlist.Netlist.t ->
+  drives:(Halotis_netlist.Netlist.signal_id * Drive.t) list ->
+  session
+
+val advance : session -> upto:Halotis_util.Units.time -> result
+(** As {!Iddm.advance}; the result's [final_levels] and [stats] alias
+    the session.  Taking it costs O(signals); forcing its [edges] costs
+    O(committed edges). *)
+
+val session_set_input :
+  session -> Halotis_netlist.Netlist.signal_id -> Halotis_wave.Transition.t list -> unit
+(** Queues each ramp's 50 % point as an input switch, exactly as a
+    drive's transitions are seeded, after annulling the input's queued
+    switches at or after that point — the new ramp replaces the
+    input's future, as in {!Iddm.session_set_input}.
+    @raise Invalid_argument for unknown or non-input signals. *)
+
+val session_inject : session -> injection -> unit
+val session_finished : session -> bool
+val session_result : session -> result
 
 val edges_of_name : result -> string -> Halotis_wave.Digital.edge list
 (** @raise Not_found for unknown names. *)

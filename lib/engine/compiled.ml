@@ -149,3 +149,18 @@ let compile ?(overlay = Param_overlay.empty) tech c =
     fan_pin;
     cache = Delay_model.Cache.create ~overlay tech c ~loads;
   }
+
+(* A shared [Compiled.t] must be exactly the run's netlist, tech and
+   overlay; the first two are checked by physical equality. *)
+let check ~who cp ~overlay tech c =
+  let fail what = invalid_arg (who ^ ": compiled structure is for a different " ^ what) in
+  if cp.circuit != c then fail "netlist";
+  if cp.tech != tech then fail "technology";
+  if not (Param_overlay.equal cp.overlay overlay) then fail "overlay"
+
+let resolve ~who ?compiled ~overlay tech c =
+  match compiled with
+  | Some cp ->
+      check ~who cp ~overlay tech c;
+      cp
+  | None -> compile ~overlay tech c

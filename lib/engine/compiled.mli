@@ -51,6 +51,26 @@ val compile :
     empty overlay is skipped entirely, so the compiled bytes match the
     historical overlay-free path bit-for-bit. *)
 
+val check :
+  who:string ->
+  t ->
+  overlay:Halotis_tech.Param_overlay.t ->
+  Halotis_tech.Tech.t ->
+  Halotis_netlist.Netlist.t ->
+  unit
+(** Checks that a shared {!t} is {!compile} of exactly this netlist and
+    tech (physical equality) and overlay.
+    @raise Invalid_argument prefixed with [who] otherwise. *)
+
+val resolve :
+  who:string ->
+  ?compiled:t ->
+  overlay:Halotis_tech.Param_overlay.t ->
+  Halotis_tech.Tech.t ->
+  Halotis_netlist.Netlist.t ->
+  t
+(** [compiled] once {!check}ed, else a fresh {!compile}. *)
+
 (** {1 Fanout cones}
 
     The static region a perturbation of one signal can reach: the

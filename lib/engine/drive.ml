@@ -1,3 +1,4 @@
+module Netlist = Halotis_netlist.Netlist
 module Transition = Halotis_wave.Transition
 
 type t = { initial : bool; transitions : Transition.t list }
@@ -30,3 +31,20 @@ let check d =
     | [ _ ] | [] -> ()
   in
   ordered d.transitions
+
+let check_input ~who c sid =
+  if sid < 0 || sid >= Netlist.signal_count c then invalid_arg (who ^ ": unknown signal");
+  if not (Netlist.signal c sid).Netlist.is_primary_input then
+    invalid_arg
+      (Printf.sprintf "%s: drive on non-input signal %s" who (Netlist.signal_name c sid))
+
+let bind ~who c drives =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (sid, d) ->
+      check d;
+      check_input ~who c sid;
+      Hashtbl.replace tbl sid d)
+    drives;
+  let input_level sid = match Hashtbl.find_opt tbl sid with Some d -> d.initial | None -> false in
+  (tbl, Dc.levels c ~input_level)

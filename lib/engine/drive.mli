@@ -30,3 +30,18 @@ val pulse :
 
 val check : t -> unit
 (** @raise Invalid_argument when transitions are unordered. *)
+
+val check_input : who:string -> Halotis_netlist.Netlist.t -> Halotis_netlist.Netlist.signal_id -> unit
+(** @raise Invalid_argument prefixed with [who] unless the signal is a
+    primary input of the netlist. *)
+
+val bind :
+  who:string ->
+  Halotis_netlist.Netlist.t ->
+  (Halotis_netlist.Netlist.signal_id * t) list ->
+  (Halotis_netlist.Netlist.signal_id, t) Hashtbl.t * bool array
+(** The drives of one run keyed by signal, each {!check}ed and
+    {!check_input}ed (a later drive of a signal replaces an earlier
+    one), and the DC operating point ({!Dc.levels}) they start from,
+    undriven inputs low.
+    @raise Invalid_argument prefixed with [who], or as {!Dc.levels}. *)

@@ -56,37 +56,6 @@ type injection = {
   inj_transitions : Transition.t list;
 }
 
-(* Per-pin deque of scheduled-but-unprocessed events (pool slots),
-   oldest at [pq_head].  Because every cancellation at time T is
-   followed by at most one fresh crossing at a key >= T, the live
-   events of a pin are always sorted by key: cancellation trims a
-   suffix (newest first), processing consumes the head — both O(1) per
-   event, no allocation, no per-pop heap surgery, and no dead-handle
-   leak. *)
-type pin_queue = {
-  mutable pq_buf : int array;
-  mutable pq_head : int;
-  mutable pq_tail : int;
-}
-
-let pq_push pq slot =
-  let cap = Array.length pq.pq_buf in
-  if pq.pq_tail = cap then begin
-    let live = pq.pq_tail - pq.pq_head in
-    if pq.pq_head > 0 && 2 * live <= cap then
-      (* plenty of consumed slots at the front: slide instead of grow *)
-      Array.blit pq.pq_buf pq.pq_head pq.pq_buf 0 live
-    else begin
-      let buf = Array.make (max 4 (2 * cap)) (-1) in
-      Array.blit pq.pq_buf pq.pq_head buf 0 live;
-      pq.pq_buf <- buf
-    end;
-    pq.pq_head <- 0;
-    pq.pq_tail <- live
-  end;
-  pq.pq_buf.(pq.pq_tail) <- slot;
-  pq.pq_tail <- pq.pq_tail + 1
-
 (* The netlist's gate records, fanin arrays and load lists are boxed
    structures scattered across the heap; chasing them per event costs
    more cache misses than the arithmetic it feeds.  The run state holds
@@ -115,12 +84,15 @@ type state = {
   pin_fanin : int array; (* pin slot -> driving signal *)
   pin_vt : float array; (* pin slot -> switching threshold *)
   pin_level : Bytes.t; (* pin slot -> current logic level, '\000' / '\001' *)
-  pending : pin_queue array; (* pin slot -> live scheduled events; [||] = off *)
+  pending : Slot_deque.t array;
+      (* pin slot -> live scheduled events; [||] = off.  Key-sorted:
+         every cancellation at T precedes at most one fresh crossing at
+         a key >= T *)
   fan_off : int array; (* signal -> first fanout edge; length nsignals + 1 *)
   fan_gate : int array; (* fanout edge -> loading gate *)
   fan_pin : int array; (* fanout edge -> pin of that gate *)
   out_target : bool array; (* gate -> target logic of last output transition *)
-  queue : Heap.Unboxed.t;
+  queue : Heap.t;
   (* event pool: parallel arrays indexed by slot *)
   mutable ev_gate : int array; (* -1 = injection splice *)
   mutable ev_pin : int array; (* injection index when ev_gate = -1 *)
@@ -132,14 +104,11 @@ type state = {
   mutable ev_free_top : int;
   cache : Delay_model.Cache.t; (* compiled delay coefficients (shareable) *)
   mutable injections : injection array; (* grows when a live session injects *)
-  max_tr : int; (* committed-transition cap; max_int when unbudgeted *)
   stats : Stats.t;
   (* guardrails *)
   wd : Watchdog.t option;
-  frozen : Bytes.t; (* signal -> '\001' once the watchdog froze it *)
-  mutable frozen_on : bool; (* cheap gate on the frozen lookups *)
-  mutable rev_frozen : (int * float) list;
-  mutable stop : Stop.t; (* Completed until a guardrail trips *)
+  fz : Watchdog.frozen;
+  ctl : Run_control.t; (* limits, stop reason, progress *)
   (* Replay-hazard bookkeeping: cone re-simulation (see {!start_cone})
      reconstructs a pin's event history from the {e final} baseline
      waveform of its driving signal.  That reconstruction is exact
@@ -200,14 +169,6 @@ let free_event st slot =
   st.ev_free.(st.ev_free_top) <- slot;
   st.ev_free_top <- st.ev_free_top + 1
 
-let dc_levels c drives_tbl =
-  let input_level sid =
-    match Hashtbl.find_opt drives_tbl sid with
-    | Some (d : Drive.t) -> d.Drive.initial
-    | None -> false
-  in
-  Dc.levels c ~input_level
-
 (* [Gate_kind.eval_bool] over the flat level bytes, without building a
    per-call input array.  Same boolean function, same arity handling. *)
 let rec all_set lv base n i =
@@ -242,8 +203,8 @@ let schedule st ~key ~gate ~pin ~slot ~rising ~tau_in =
   st.ev_key.(ev) <- key;
   Bytes.set st.ev_rising ev (if rising then '\001' else '\000');
   Bytes.set st.ev_dead ev '\000';
-  ignore (Heap.Unboxed.insert st.queue ~key ~rank:slot ev);
-  if st.cfg.cancellation then pq_push st.pending.(slot) ev;
+  ignore (Heap.insert st.queue ~key ~rank:slot ev);
+  if st.cfg.cancellation then Slot_deque.push st.pending.(slot) ev;
   st.stats.Stats.events_scheduled <- st.stats.Stats.events_scheduled + 1
 
 (* Fig. 4's "delete Ej-1": drop every pending event on this input whose
@@ -259,15 +220,15 @@ let cancel_invalidated st ~slot ~from_time =
      waveform no longer records that event — a cone replay seeded from
      final waveforms would diverge here, so flag the run. *)
   if from_time <= st.last_pop.(slot) then st.replay_hazard <- true;
-  let pq = st.pending.(slot) in
-  let buf = pq.pq_buf in
-  let i = ref (pq.pq_tail - 1) in
-  while !i >= pq.pq_head && st.ev_key.(buf.(!i)) >= from_time do
+  let pq : Slot_deque.t = st.pending.(slot) in
+  let buf = pq.buf in
+  let i = ref (pq.tail - 1) in
+  while !i >= pq.head && st.ev_key.(buf.(!i)) >= from_time do
     Bytes.set st.ev_dead buf.(!i) '\001';
     st.stats.Stats.events_filtered <- st.stats.Stats.events_filtered + 1;
     decr i
   done;
-  pq.pq_tail <- !i + 1
+  pq.tail <- !i + 1
 
 (* Propagate a freshly appended transition on [sid] to its fanout:
    cancel invalidated pending events, then schedule the new crossing. *)
@@ -289,30 +250,14 @@ let fan_out st sid (outcome : Waveform.append_outcome) (tr : Transition.t) =
     end
   done
 
-(* A watchdog trip: in [Halt] mode flag the whole run for stopping; in
-   [Degrade] mode freeze the offending feedback loop so its events die
-   out while the rest of the circuit keeps simulating. *)
-let watchdog_trip st wd ~signal ~at =
-  let fs = Watchdog.freeze_set st.c ~signal in
-  match Watchdog.mode wd with
-  | Watchdog.Halt -> st.stop <- Stop.Oscillation (Watchdog.offender_names st.c fs)
-  | Watchdog.Degrade ->
-      List.iter
-        (fun s ->
-          if Bytes.get st.frozen s = '\000' then begin
-            Bytes.set st.frozen s '\001';
-            st.rev_frozen <- (s, at) :: st.rev_frozen
-          end)
-        fs;
-      st.frozen_on <- true
-
 let process_pin_event st ~now ~gate ~pin ~rising ~tau_in =
   let base = st.g_base.(gate) in
   Bytes.set st.pin_level (base + pin) (if rising then '\001' else '\000');
   let new_out = eval_gate st.g_kind.(gate) st.pin_level base (st.g_base.(gate + 1) - base) in
   if new_out = st.out_target.(gate) then
     st.stats.Stats.noop_evaluations <- st.stats.Stats.noop_evaluations + 1
-  else if st.frozen_on && Bytes.get st.frozen st.g_out.(gate) = '\001' then
+  else if st.fz.Watchdog.fz_any && Bytes.get st.fz.Watchdog.fz_marks st.g_out.(gate) = '\001'
+  then
     (* frozen output: the gate evaluated but emits nothing *)
     st.stats.Stats.noop_evaluations <- st.stats.Stats.noop_evaluations + 1
   else begin
@@ -335,7 +280,8 @@ let process_pin_event st ~now ~gate ~pin ~rising ~tau_in =
       (match st.wd with
       | Some wd ->
           if Watchdog.record wd ~signal:out_sid ~now:tr.Transition.start then
-            watchdog_trip st wd ~signal:out_sid ~at:tr.Transition.start
+            Option.iter (Run_control.halt st.ctl)
+              (Watchdog.trip wd st.c st.fz ~signal:out_sid ~at:tr.Transition.start)
       | None -> ());
       if st.cfg.trace then
         st.rev_trace <-
@@ -385,29 +331,19 @@ let add_injection st inj =
       Bytes.set st.ev_rising ev '\000';
       Bytes.set st.ev_dead ev '\000';
       ignore
-        (Heap.Unboxed.insert st.queue ~key:first.Transition.start
+        (Heap.insert st.queue ~key:first.Transition.start
            ~rank:(splice_rank idx) ev)
 
-(* A paused run: the state plus everything the main loop kept in locals
-   when [run] was monolithic.  [s_done] means no queued event can ever
-   be processed again (drained, past the horizon, or a guardrail/
-   watchdog stop) — fresh stimulus may clear it, a non-[Completed] stop
-   never does. *)
-type session = {
-  st : state;
-  monitor : Budget.Monitor.t;
-  s_horizon : float;
-  s_horizon_stop : Stop.t;
-  mutable s_end_time : float;
-  mutable s_done : bool;
-}
+(* A paused run is its state: [ctl] carries what the main loop kept in
+   locals when [run] was monolithic. *)
+type session = state
 
 (* The per-run state shared by a whole-circuit [start] and a
    cone-restricted [start_cone]: everything except the circuit-sized
    arrays, which [start] allocates fresh and a cone run borrows from its
    workspace. *)
 let make_state ?pool cfg c (cp : Compiled.t) ~wf ~pin_level ~out_target ~pending
-    ~last_pop ~frozen =
+    ~last_pop ~fz =
   let st =
     {
       cfg;
@@ -426,7 +362,7 @@ let make_state ?pool cfg c (cp : Compiled.t) ~wf ~pin_level ~out_target ~pending
       fan_pin = cp.Compiled.fan_pin;
       out_target;
       queue =
-        (match pool with Some p -> p.queue | None -> Heap.Unboxed.create ~capacity:64 ());
+        (match pool with Some p -> p.queue | None -> Heap.create ~capacity:64 ());
       ev_gate = [||];
       ev_pin = [||];
       ev_tau = [||];
@@ -437,14 +373,10 @@ let make_state ?pool cfg c (cp : Compiled.t) ~wf ~pin_level ~out_target ~pending
       ev_free_top = 0;
       cache = cp.Compiled.cache;
       injections = [||];
-      max_tr =
-        (match cfg.budget.Budget.max_transitions with Some n -> n | None -> max_int);
       stats = Stats.create ();
       wd = Option.map (fun w -> Watchdog.create w ~nsignals:cp.Compiled.nsignals) cfg.watchdog;
-      frozen;
-      frozen_on = false;
-      rev_frozen = [];
-      stop = Stop.Completed;
+      fz;
+      ctl = Run_control.create cfg.budget ~t_stop:cfg.t_stop ~max_events:cfg.max_events;
       last_pop;
       replay_hazard = false;
     }
@@ -464,61 +396,12 @@ let make_state ?pool cfg c (cp : Compiled.t) ~wf ~pin_level ~out_target ~pending
       st.ev_free_top <- p.ev_free_top);
   st
 
-(* The simulated-time horizon folds [t_stop] and the budget's
-   [max_sim_time] into one comparison (recording which bound applied);
-   the legacy [max_events] safety net folds into the budget monitor,
-   which is exact, so both paths process the same events the old
-   per-event counter check did. *)
-let make_session st =
-  let cfg = st.cfg in
-  let horizon, horizon_stop =
-    match (cfg.t_stop, cfg.budget.Budget.max_sim_time) with
-    | None, None -> (infinity, Stop.Completed)
-    | Some ts, None -> (ts, Stop.Completed)
-    | None, Some mt -> (mt, Stop.Sim_time mt)
-    | Some ts, Some mt -> if mt < ts then (mt, Stop.Sim_time mt) else (ts, Stop.Completed)
-  in
-  let monitor =
-    let b = cfg.budget in
-    let max_events =
-      match b.Budget.max_events with
-      | Some n -> Some (min n cfg.max_events)
-      | None -> Some cfg.max_events
-    in
-    Budget.Monitor.create { b with Budget.max_events }
-  in
-  { st; monitor; s_horizon = horizon; s_horizon_stop = horizon_stop;
-    s_end_time = 0.; s_done = false }
-
-(* A shared [Compiled.t] must be exactly this run's netlist, tech and
-   overlay; the first two are checked by physical equality. *)
-let check_compiled who (cp : Compiled.t) cfg c =
-  let fail what = invalid_arg (who ^ ": compiled structure is for a different " ^ what) in
-  if cp.Compiled.circuit != c then fail "netlist";
-  if cp.Compiled.tech != cfg.tech then fail "technology";
-  if not (Halotis_tech.Param_overlay.equal cp.Compiled.overlay cfg.overlay) then fail "overlay"
-
 let start ?(injections = []) ?compiled cfg c ~drives =
-  let drives_tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (sid, d) ->
-      Drive.check d;
-      if not (Netlist.signal c sid).Netlist.is_primary_input then
-        invalid_arg
-          (Printf.sprintf "Iddm.run: drive on non-input signal %s" (Netlist.signal_name c sid));
-      Hashtbl.replace drives_tbl sid d)
-    drives;
-  let levels = dc_levels c drives_tbl in
+  let drives_tbl, levels = Drive.bind ~who:"Iddm.start" c drives in
   let vdd = Tech.vdd cfg.tech in
   (* Everything that depends only on (netlist, tech) comes precompiled
      or is compiled here; per-run state is built fresh below. *)
-  let cp =
-    match compiled with
-    | Some cp ->
-        check_compiled "Iddm.start" cp cfg c;
-        cp
-    | None -> Compiled.compile ~overlay:cfg.overlay cfg.tech c
-  in
+  let cp = Compiled.resolve ~who:"Iddm.start" ?compiled ~overlay:cfg.overlay cfg.tech c in
   let nsignals = cp.Compiled.nsignals and npins = cp.Compiled.npins in
   let ngates = cp.Compiled.ngates in
   let wf =
@@ -536,10 +419,10 @@ let start ?(injections = []) ?compiled cfg c ~drives =
     make_state cfg c cp ~wf ~pin_level ~out_target
       ~pending:
         (if cfg.cancellation then
-           Array.init npins (fun _ -> { pq_buf = [||]; pq_head = 0; pq_tail = 0 })
+           Array.init npins (fun _ -> Slot_deque.create ())
          else [||])
       ~last_pop:(Array.make (max 1 npins) neg_infinity)
-      ~frozen:(Bytes.make nsignals '\000')
+      ~fz:(Watchdog.frozen ~nsignals)
   in
   (* Seed: apply the primary-input drives, then schedule the crossings
      the finished input waveforms actually contain. *)
@@ -565,7 +448,7 @@ let start ?(injections = []) ?compiled cfg c ~drives =
       done)
     drives_tbl;
   List.iter (fun inj -> add_injection st inj) injections;
-  make_session st
+  st
 
 (* Cone-restricted re-simulation: fresh waveforms for the cone's member
    signals, the finished [baseline] waveforms aliased (read-only)
@@ -600,15 +483,15 @@ type cone_workspace = {
   cw_levels : bool array;
   cw_wf : Waveform.t array; (* baseline aliases, fresh for the current cone *)
   cw_pin_level : Bytes.t;
-  cw_pending : pin_queue array;
+  cw_pending : Slot_deque.t array;
   cw_out_target : bool array;
   cw_last_pop : float array;
-  cw_frozen : Bytes.t;
+  cw_fz : Watchdog.frozen;
   mutable cw_prev : (Compiled.cone * state) option; (* the latest run *)
 }
 
 let cone_workspace ~compiled:cp ~(baseline : result) ~levels cfg c =
-  check_compiled "Iddm.cone_workspace" cp cfg c;
+  Compiled.check ~who:"Iddm.cone_workspace" cp ~overlay:cfg.overlay cfg.tech c;
   if not cfg.cancellation then
     (* without Fig. 4 cancellation, processed events and final-waveform
        crossings no longer coincide, so boundary seeding is unsound *)
@@ -625,10 +508,10 @@ let cone_workspace ~compiled:cp ~(baseline : result) ~levels cfg c =
     cw_levels = levels;
     cw_wf = Array.copy baseline.waveforms;
     cw_pin_level = Bytes.make (max 1 npins) '\000';
-    cw_pending = Array.init npins (fun _ -> { pq_buf = [||]; pq_head = 0; pq_tail = 0 });
+    cw_pending = Array.init npins (fun _ -> Slot_deque.create ());
     cw_out_target = Array.make cp.Compiled.ngates false;
     cw_last_pop = Array.make (max 1 npins) neg_infinity;
-    cw_frozen = Bytes.make nsignals '\000';
+    cw_fz = Watchdog.frozen ~nsignals;
     cw_prev = None;
   }
 
@@ -639,13 +522,16 @@ let reclaim ws =
   match ws.cw_prev with
   | None -> None
   | Some (cone, prev) ->
-      while not (Heap.Unboxed.is_empty prev.queue) do
-        free_event prev (Heap.Unboxed.pop prev.queue)
+      while not (Heap.is_empty prev.queue) do
+        free_event prev (Heap.pop prev.queue)
       done;
       Array.iter
         (fun sid -> ws.cw_wf.(sid) <- ws.cw_baseline.waveforms.(sid))
         cone.Compiled.cone_signals;
-      List.iter (fun (sid, _) -> Bytes.set ws.cw_frozen sid '\000') prev.rev_frozen;
+      let fz = ws.cw_fz in
+      List.iter (fun (sid, _) -> Bytes.set fz.Watchdog.fz_marks sid '\000') fz.Watchdog.fz_rev;
+      fz.Watchdog.fz_rev <- [];
+      fz.Watchdog.fz_any <- false;
       ws.cw_prev <- None;
       Some prev
 
@@ -674,16 +560,16 @@ let start_cone ?(injections = []) ws ~(cone : Compiled.cone) =
       ws.cw_out_target.(g) <- levels.(cp.Compiled.g_out.(g));
       for p = cp.Compiled.g_base.(g) to cp.Compiled.g_base.(g + 1) - 1 do
         Bytes.set ws.cw_pin_level p (if levels.(cp.Compiled.pin_fanin.(p)) then '\001' else '\000');
-        let pq = ws.cw_pending.(p) in
-        pq.pq_head <- 0;
-        pq.pq_tail <- 0;
+        let pq : Slot_deque.t = ws.cw_pending.(p) in
+        pq.head <- 0;
+        pq.tail <- 0;
         ws.cw_last_pop.(p) <- neg_infinity
       done)
     cone.Compiled.cone_gates;
   let st =
     make_state ?pool cfg cp.Compiled.circuit cp ~wf:ws.cw_wf ~pin_level:ws.cw_pin_level
       ~out_target:ws.cw_out_target ~pending:ws.cw_pending ~last_pop:ws.cw_last_pop
-      ~frozen:ws.cw_frozen
+      ~fz:ws.cw_fz
   in
   ws.cw_prev <- Some (cone, st);
   (* Seed: replay each boundary feed's final baseline waveform into the
@@ -704,137 +590,90 @@ let start_cone ?(injections = []) ws ~(cone : Compiled.cone) =
         (Waveform.crossings_with_transitions st.wf.(sid) ~vt:st.pin_vt.(slot)))
     cone.Compiled.cone_bnd_gate;
   List.iter (add_injection st) injections;
-  make_session st
+  st
 
-let snapshot sess =
-  let st = sess.st in
-  st.stats.Stats.stopped_by <- st.stop;
+let snapshot st =
+  let ctl = st.ctl in
+  st.stats.Stats.stopped_by <- ctl.Run_control.stop;
   {
     circuit = st.c;
     run_config = st.cfg;
     waveforms = st.wf;
     stats = st.stats;
-    end_time = sess.s_end_time;
-    truncated = not (Stop.completed st.stop);
-    stopped_by = st.stop;
-    frozen = List.rev st.rev_frozen;
+    end_time = ctl.Run_control.end_time;
+    truncated = not (Stop.completed ctl.Run_control.stop);
+    stopped_by = ctl.Run_control.stop;
+    frozen = List.rev st.fz.Watchdog.fz_rev;
     replay_hazard = st.replay_hazard;
     trace = List.rev st.rev_trace;
   }
 
-(* The main loop, paused at [upto].  Pausing is free: the loop always
+(* The main loop, paused at [upto].  Pausing is free: {!Run_control.next}
    inspects the heap minimum {e before} popping, so stopping short of
    the horizon leaves the queue exactly as a one-shot run would have it
    at that point — resuming pops the same events in the same order, and
    the stepped run stays bit-identical to the one-shot run (the
    equivalence suite pins this down). *)
-let advance sess ~upto =
-  let st = sess.st in
-  let continue = ref (not sess.s_done) in
+let advance st ~upto =
+  let ctl = st.ctl in
+  let continue = ref true in
   while !continue do
-    if Heap.Unboxed.is_empty st.queue then begin
-      sess.s_done <- true;
-      continue := false
-    end
+    let t = Run_control.next ctl st.queue ~upto in
+    if Float.is_nan t then continue := false
     else begin
-      let t = Heap.Unboxed.min_key st.queue in
-      if t > sess.s_horizon then begin
-        st.stop <- sess.s_horizon_stop;
-        sess.s_done <- true;
-        continue := false
+      let ev = Heap.pop st.queue in
+      let gate = st.ev_gate.(ev) and pin = st.ev_pin.(ev) in
+      if Bytes.get st.ev_dead ev = '\001' then begin
+        (* a cancelled (tombstoned) event surfacing: recycle it *)
+        st.stats.Stats.stale_skipped <- st.stats.Stats.stale_skipped + 1;
+        free_event st ev
       end
-      else if t > upto then continue := false
-      else begin
-        let ev = Heap.Unboxed.pop st.queue in
-        if Bytes.get st.ev_dead ev = '\001' then begin
-          (* a cancelled (tombstoned) event surfacing: recycle it *)
-          st.stats.Stats.stale_skipped <- st.stats.Stats.stale_skipped + 1;
-          free_event st ev
-        end
-        else begin
-          let gate = st.ev_gate.(ev) in
-          let pin = st.ev_pin.(ev) in
-          (* Injection splices are stimulus, not simulation work; only
-             pin events count as processed (and against the budget). *)
-          if gate < 0 then begin
-            sess.s_end_time <- Float.max sess.s_end_time t;
-            free_event st ev;
-            process_injection st st.injections.(pin)
-          end
-          else if st.stats.Stats.transitions_emitted >= st.max_tr then begin
-            (* the waveform stores are full: the memory cap refuses
-               further gate activity *)
-            free_event st ev;
-            st.stop <- Stop.Transition_cap st.max_tr;
-            sess.s_done <- true;
-            continue := false
-          end
-          else begin
-            match Budget.Monitor.hit sess.monitor ~queue:(Heap.Unboxed.length st.queue) with
-            | Some reason ->
-                free_event st ev;
-                st.stop <- reason;
-                sess.s_done <- true;
-                continue := false
-            | None ->
-                sess.s_end_time <- Float.max sess.s_end_time t;
-                st.stats.Stats.events_processed <- st.stats.Stats.events_processed + 1;
-                st.last_pop.(st.g_base.(gate) + pin) <- t;
-                let rising = Bytes.get st.ev_rising ev = '\001' in
-                let tau_in = st.ev_tau.(ev) in
-                if st.cfg.cancellation then begin
-                  (* the oldest live entry of its pin deque is this event *)
-                  let pq = st.pending.(st.g_base.(gate) + pin) in
-                  if pq.pq_head < pq.pq_tail && pq.pq_buf.(pq.pq_head) = ev then
-                    pq.pq_head <- pq.pq_head + 1
-                end;
-                free_event st ev;
-                process_pin_event st ~now:t ~gate ~pin ~rising ~tau_in;
-                (* a Halt-mode watchdog trip inside process_pin_event *)
-                if not (Stop.completed st.stop) then begin
-                  sess.s_done <- true;
-                  continue := false
-                end
-          end
-        end
+      else if gate < 0 then begin
+        (* Injection splices are stimulus, not simulation work; only pin
+           events count as processed (and against the budget). *)
+        Run_control.reached ctl t;
+        free_event st ev;
+        process_injection st st.injections.(pin)
       end
+      else if
+        Run_control.admit ctl ~at:t ~emitted:st.stats.Stats.transitions_emitted
+          ~queue:(Heap.length st.queue)
+      then begin
+        st.stats.Stats.events_processed <- st.stats.Stats.events_processed + 1;
+        st.last_pop.(st.g_base.(gate) + pin) <- t;
+        let rising = Bytes.get st.ev_rising ev = '\001' in
+        let tau_in = st.ev_tau.(ev) in
+        if st.cfg.cancellation then begin
+          (* the oldest live entry of its pin deque is this event *)
+          let pq : Slot_deque.t = st.pending.(st.g_base.(gate) + pin) in
+          if pq.head < pq.tail && pq.buf.(pq.head) = ev then pq.head <- pq.head + 1
+        end;
+        free_event st ev;
+        (* a Halt-mode watchdog trip in here halts [ctl] *)
+        process_pin_event st ~now:t ~gate ~pin ~rising ~tau_in
+      end
+      else free_event st ev
     end
   done;
-  snapshot sess
+  snapshot st
 
 let run ?injections ?compiled cfg c ~drives =
   advance (start ?injections ?compiled cfg c ~drives) ~upto:infinity
 
-(* Fresh stimulus can wake a quiesced session; a guardrail stop is
-   final. *)
-let revive sess =
-  if
-    sess.s_done
-    && Stop.completed sess.st.stop
-    && not (Heap.Unboxed.is_empty sess.st.queue)
-  then sess.s_done <- false
-
-let session_set_input sess sid transitions =
-  let st = sess.st in
-  if sid < 0 || sid >= Array.length st.wf then
-    invalid_arg "Iddm.session_set_input: unknown signal";
-  if not (Netlist.signal st.c sid).Netlist.is_primary_input then
-    invalid_arg
-      (Printf.sprintf "Iddm.session_set_input: drive on non-input signal %s"
-         (Netlist.signal_name st.c sid));
+let session_set_input st sid transitions =
+  Drive.check_input ~who:"Iddm.session_set_input" st.c sid;
   List.iter
     (fun (tr : Transition.t) ->
       let outcome = Waveform.append st.wf.(sid) tr in
       fan_out st sid outcome tr)
     transitions;
-  revive sess
+  Run_control.revive st.ctl st.queue
 
-let session_inject sess inj =
-  add_injection sess.st inj;
-  revive sess
+let session_inject st inj =
+  add_injection st inj;
+  Run_control.revive st.ctl st.queue
 
-let session_time sess = sess.s_end_time
-let session_finished sess = sess.s_done
+let session_finished st = st.ctl.Run_control.finished
 let session_result sess = snapshot sess
 
 (* The most recent traced ramp on [signal] at or before [at].  The

@@ -227,9 +227,6 @@ val session_inject : session -> injection -> unit
     injection whose instant has not yet been reached.  Same caveat on
     past instants as {!session_set_input}. *)
 
-val session_time : session -> Halotis_util.Units.time
-(** Time of the last processed event (the result's [end_time] so far). *)
-
 val session_finished : session -> bool
 (** No queued event can ever be processed again: the queue drained, the
     horizon was passed, or a guardrail stopped the run.  Fresh stimulus

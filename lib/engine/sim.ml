@@ -73,66 +73,32 @@ type result = {
   rs_initial_levels : bool array Lazy.t;
 }
 
-(* The classic engine sees each ramp as an instantaneous value switch
-   at its 50 % point — the same abstraction it applies to input drives
-   ([start + slope_time / 2], see {!Classic.run}). *)
-let classic_toggles ramps =
-  List.map
-    (fun (tr : Transition.t) ->
-      (tr.Transition.start +. (tr.Transition.slope_time /. 2.),
-       tr.Transition.polarity = Transition.Rising))
-    ramps
-
-(* The IDDM-side run configuration and injection shape shared by
-   one-shot runs and sessions. *)
+(* The IDDM-side run configuration shared by sessions and the cone
+   context. *)
 let iddm_config engine spec =
   let kind = match engine with Cdm -> DM.Cdm | _ -> DM.Ddm in
   Iddm.config ~overlay:spec.sp_overlay ~delay_kind:kind ?t_stop:spec.sp_t_stop
     ~trace:spec.sp_trace ~budget:spec.sp_budget ?watchdog:spec.sp_watchdog
     spec.sp_tech
 
-let iddm_injections spec =
-  List.map
-    (fun i -> { Iddm.inj_signal = i.inj_signal; inj_transitions = i.inj_ramps })
-    spec.sp_injections
-
-let wrap_iddm engine spec ~vt (r : Iddm.result) =
-  {
-    rs_engine = engine;
-    rs_spec = spec;
-    rs_stats = r.Iddm.stats;
-    rs_end_time = r.Iddm.end_time;
-    rs_truncated = r.Iddm.truncated;
-    rs_stopped_by = r.Iddm.stopped_by;
-    rs_frozen = r.Iddm.frozen;
-    rs_vt = vt;
-    rs_raw = Iddm_result r;
-    rs_edges = lazy (Array.map (fun wf -> Digital.edges wf ~vt) r.Iddm.waveforms);
-    rs_initial_levels =
-      lazy (Array.map (fun wf -> Waveform.initial wf > vt) r.Iddm.waveforms);
-  }
-
-let run ?compiled engine spec =
-  let c = spec.sp_circuit in
-  let vt = Tech.vdd spec.sp_tech /. 2. in
-  match engine with
-  | Ddm | Cdm ->
-      let r =
-        Iddm.run ~injections:(iddm_injections spec) ?compiled (iddm_config engine spec) c
-          ~drives:spec.sp_drives
-      in
-      wrap_iddm engine spec ~vt r
-  | Classic_inertial ->
-      let cfg =
-        Classic.config ~overlay:spec.sp_overlay ?t_stop:spec.sp_t_stop
-          ~budget:spec.sp_budget ?watchdog:spec.sp_watchdog spec.sp_tech
-      in
-      let injections =
-        List.map
-          (fun i -> (i.inj_signal, classic_toggles i.inj_ramps))
-          spec.sp_injections
-      in
-      let r = Classic.run ~injections cfg c ~drives:spec.sp_drives in
+let wrap engine spec ~vt raw =
+  match raw with
+  | Iddm_result r ->
+      {
+        rs_engine = engine;
+        rs_spec = spec;
+        rs_stats = r.Iddm.stats;
+        rs_end_time = r.Iddm.end_time;
+        rs_truncated = r.Iddm.truncated;
+        rs_stopped_by = r.Iddm.stopped_by;
+        rs_frozen = r.Iddm.frozen;
+        rs_vt = vt;
+        rs_raw = raw;
+        rs_edges = lazy (Array.map (fun wf -> Digital.edges wf ~vt) r.Iddm.waveforms);
+        rs_initial_levels =
+          lazy (Array.map (fun wf -> Waveform.initial wf > vt) r.Iddm.waveforms);
+      }
+  | Classic_result r ->
       {
         rs_engine = engine;
         rs_spec = spec;
@@ -142,8 +108,8 @@ let run ?compiled engine spec =
         rs_stopped_by = r.Classic.stopped_by;
         rs_frozen = r.Classic.frozen;
         rs_vt = vt;
-        rs_raw = Classic_result r;
-        rs_edges = lazy r.Classic.edges;
+        rs_raw = raw;
+        rs_edges = r.Classic.edges;
         rs_initial_levels = lazy r.Classic.initial_levels;
       }
 
@@ -157,28 +123,21 @@ let output_edges r =
     (fun sid -> (Netlist.signal_name c sid, edges.(sid)))
     (Netlist.primary_outputs c)
 
+(* The common view is what [Vcd.of_waveform] digitizes, so one
+   rendering serves every engine. *)
 let vcd_dumps r =
-  let c = r.rs_spec.sp_circuit in
-  match r.rs_raw with
-  | Iddm_result ir ->
-      Array.to_list
-        (Array.map
-           (fun (s : Netlist.signal) ->
-             Vcd.of_waveform ~name:s.Netlist.signal_name ~vt:r.rs_vt
-               ?x_from:(List.assoc_opt s.Netlist.signal_id r.rs_frozen)
-               ir.Iddm.waveforms.(s.Netlist.signal_id))
-           (Netlist.signals c))
-  | Classic_result cr ->
-      Array.to_list
-        (Array.map
-           (fun (s : Netlist.signal) ->
-             {
-               Vcd.dump_name = s.Netlist.signal_name;
-               dump_initial = cr.Classic.initial_levels.(s.Netlist.signal_id);
-               dump_edges = cr.Classic.edges.(s.Netlist.signal_id);
-               dump_x_from = List.assoc_opt s.Netlist.signal_id r.rs_frozen;
-             })
-           (Netlist.signals c))
+  let edges = edges r and initial = initial_levels r in
+  Array.to_list
+    (Array.map
+       (fun (s : Netlist.signal) ->
+         let sid = s.Netlist.signal_id in
+         {
+           Vcd.dump_name = s.Netlist.signal_name;
+           dump_initial = initial.(sid);
+           dump_edges = edges.(sid);
+           dump_x_from = List.assoc_opt sid r.rs_frozen;
+         })
+       (Netlist.signals r.rs_spec.sp_circuit))
 
 let top_offenders ?(n = 5) r =
   let c = r.rs_spec.sp_circuit in
@@ -203,11 +162,6 @@ let iddm r = match r.rs_raw with Iddm_result ir -> Some ir | Classic_result _ ->
 let classic r =
   match r.rs_raw with Classic_result cr -> Some cr | Iddm_result _ -> None
 
-let replay_hazard r =
-  match r.rs_raw with
-  | Iddm_result ir -> ir.Iddm.replay_hazard
-  | Classic_result _ -> false
-
 (* Incremental cone re-simulation: the fault-campaign fast path.  For
    an injection on [victim], only the victim's static fanout cone can
    ever diverge from the baseline — so instead of re-running the whole
@@ -227,7 +181,6 @@ let replay_hazard r =
    driverless victim returns [Fallback] and the caller runs the site
    the old way; verdicts are byte-identical either way. *)
 module Cone = struct
-  module Compiled_ = Compiled
   module Stop = Halotis_guard.Stop
 
   type totals = {
@@ -241,13 +194,13 @@ module Cone = struct
      times, and the cone plus its baseline replay depend only on the
      victim.  Only the replay's counters are kept: its waveforms live in
      the workspace, which the next cone run overwrites. *)
-  type victim_entry = { ve_cone : Compiled_.cone; ve_base_stats : Stats.t }
+  type victim_entry = { ve_cone : Compiled.cone; ve_base_stats : Stats.t }
   type victim_state = Good of victim_entry | Bad of string
 
   type ctx = {
     cx_engine : engine;
     cx_spec : spec;
-    cx_compiled : Compiled_.t;
+    cx_compiled : Compiled.t;
     cx_ws : Iddm.cone_workspace;
     cx_base_edges : Digital.edge list array; (* full-baseline digitized view *)
     cx_edges : Digital.edge list array;
@@ -272,55 +225,40 @@ module Cone = struct
       }
     | Fallback of string
 
+  (* A classic baseline carries no waveforms to replay cones from. *)
   let create ?compiled engine spec ~baseline =
-    match engine with
-    | Classic_inertial -> None
-    | Ddm | Cdm -> (
-        if baseline.rs_engine <> engine then None
-        else
-          match baseline.rs_raw with
-          | Classic_result _ -> None
-          | Iddm_result br ->
-              if
-                (not (Stop.completed br.Iddm.stopped_by))
-                || br.Iddm.replay_hazard
-                || br.Iddm.frozen <> []
-              then None
-              else begin
-                let c = spec.sp_circuit in
-                let drives_tbl = Hashtbl.create 16 in
-                List.iter (fun (sid, d) -> Hashtbl.replace drives_tbl sid d) spec.sp_drives;
-                let input_level sid =
-                  match Hashtbl.find_opt drives_tbl sid with
-                  | Some (d : Drive.t) -> d.Drive.initial
-                  | None -> false
-                in
-                let compiled =
-                  match compiled with
-                  | Some cp -> cp
-                  | None -> Compiled_.compile ~overlay:spec.sp_overlay spec.sp_tech c
-                in
-                let base_edges = Lazy.force baseline.rs_edges in
-                Some
-                  {
-                    cx_engine = engine;
-                    cx_spec = spec;
-                    cx_compiled = compiled;
-                    cx_ws =
-                      Iddm.cone_workspace ~compiled ~baseline:br
-                        ~levels:(Dc.levels c ~input_level) (iddm_config engine spec) c;
-                    cx_base_edges = base_edges;
-                    cx_edges = Array.copy base_edges;
-                    cx_grafted = [||];
-                    cx_base_stats = baseline.rs_stats;
-                    cx_vt = baseline.rs_vt;
-                    cx_victims = Hashtbl.create 64;
-                    cx_exact = 0;
-                    cx_fallback = 0;
-                    cx_cone_gates = 0;
-                    cx_cone_events = 0;
-                  }
-              end)
+    match baseline.rs_raw with
+    | Iddm_result br
+      when baseline.rs_engine = engine
+           && Stop.completed br.Iddm.stopped_by
+           && (not br.Iddm.replay_hazard)
+           && br.Iddm.frozen = [] ->
+        let c = spec.sp_circuit in
+        let _, levels = Drive.bind ~who:"Sim.Cone.create" c spec.sp_drives in
+        let compiled =
+          Compiled.resolve ~who:"Sim.Cone.create" ?compiled ~overlay:spec.sp_overlay
+            spec.sp_tech c
+        in
+        let base_edges = Lazy.force baseline.rs_edges in
+        Some
+          {
+            cx_engine = engine;
+            cx_spec = spec;
+            cx_compiled = compiled;
+            cx_ws =
+              Iddm.cone_workspace ~compiled ~baseline:br ~levels (iddm_config engine spec) c;
+            cx_base_edges = base_edges;
+            cx_edges = Array.copy base_edges;
+            cx_grafted = [||];
+            cx_base_stats = baseline.rs_stats;
+            cx_vt = baseline.rs_vt;
+            cx_victims = Hashtbl.create 64;
+            cx_exact = 0;
+            cx_fallback = 0;
+            cx_cone_gates = 0;
+            cx_cone_events = 0;
+          }
+    | Iddm_result _ | Classic_result _ -> None
 
   let run_cone ctx ~cone ~injections =
     Iddm.advance (Iddm.start_cone ~injections ctx.cx_ws ~cone) ~upto:infinity
@@ -338,7 +276,7 @@ module Cone = struct
           if (Netlist.signal ctx.cx_spec.sp_circuit victim).Netlist.driver = None then
             Bad "victim has no driver gate (primary input or constant)"
           else begin
-            let cone = Compiled_.fanout_cone ctx.cx_compiled ~victim in
+            let cone = Compiled.fanout_cone ctx.cx_compiled ~victim in
             let base = run_cone ctx ~cone ~injections:[] in
             if not (Stop.completed base.Iddm.stopped_by) then
               Bad "baseline cone replay tripped a guardrail"
@@ -349,7 +287,7 @@ module Cone = struct
                 (fun sid ->
                   Digital.edges base.Iddm.waveforms.(sid) ~vt:ctx.cx_vt
                   <> ctx.cx_base_edges.(sid))
-                cone.Compiled_.cone_signals
+                cone.Compiled.cone_signals
             then Bad "baseline cone replay diverged from the baseline"
             else Good { ve_cone = cone; ve_base_stats = base.Iddm.stats }
           end
@@ -389,14 +327,14 @@ module Cone = struct
                are order-deterministic. *)
             let edges = ctx.cx_edges in
             Array.iter (fun sid -> edges.(sid) <- ctx.cx_base_edges.(sid)) ctx.cx_grafted;
-            let members = ve_cone.Compiled_.cone_signals in
+            let members = ve_cone.Compiled.cone_signals in
             Array.iter
               (fun sid -> edges.(sid) <- Digital.edges inj.Iddm.waveforms.(sid) ~vt:ctx.cx_vt)
               members;
             ctx.cx_grafted <- members;
             let stats = Stats.copy ctx.cx_base_stats in
             Stats.merge stats (Stats.diff inj.Iddm.stats ve_base_stats);
-            let cone_gates = Array.length ve_cone.Compiled_.cone_gates in
+            let cone_gates = Array.length ve_cone.Compiled.cone_gates in
             let cone_events = inj.Iddm.stats.Stats.events_processed in
             ctx.cx_exact <- ctx.cx_exact + 1;
             ctx.cx_cone_gates <- ctx.cx_cone_gates + cone_gates;
@@ -413,42 +351,65 @@ module Cone = struct
     }
 end
 
+(* Every engine runs through the same start/advance shape, so one
+   session type covers them all and a one-shot run is a session
+   advanced to the end. *)
 module Session = struct
-  type t = {
-    ss_engine : engine;
-    ss_spec : spec;
-    ss_vt : Halotis_util.Units.voltage;
-    ss_sess : Iddm.session;
-  }
+  type engine_session = Iddm_session of Iddm.session | Classic_session of Classic.session
+
+  type t = { ss_engine : engine; ss_spec : spec; ss_sess : engine_session }
+
+  let classic_injection i = (i.inj_signal, List.map Classic.toggle i.inj_ramps)
+  let iddm_injection i = { Iddm.inj_signal = i.inj_signal; inj_transitions = i.inj_ramps }
 
   let start ?compiled engine spec =
-    match engine with
-    | Classic_inertial ->
-        invalid_arg
-          "Sim.Session.start: resumable sessions need a waveform engine (ddm or cdm)"
-    | Ddm | Cdm ->
-        let sess =
-          Iddm.start ~injections:(iddm_injections spec) ?compiled
-            (iddm_config engine spec) spec.sp_circuit ~drives:spec.sp_drives
-        in
-        {
-          ss_engine = engine;
-          ss_spec = spec;
-          ss_vt = Tech.vdd spec.sp_tech /. 2.;
-          ss_sess = sess;
-        }
+    let c = spec.sp_circuit and drives = spec.sp_drives in
+    let sess =
+      match engine with
+      | Ddm | Cdm ->
+          Iddm_session
+            (Iddm.start
+               ~injections:(List.map iddm_injection spec.sp_injections)
+               ?compiled (iddm_config engine spec) c ~drives)
+      | Classic_inertial ->
+          Classic_session
+            (Classic.start
+               ~injections:(List.map classic_injection spec.sp_injections)
+               ?compiled
+               (Classic.config ~overlay:spec.sp_overlay ?t_stop:spec.sp_t_stop
+                  ~budget:spec.sp_budget ?watchdog:spec.sp_watchdog spec.sp_tech)
+               c ~drives)
+    in
+    { ss_engine = engine; ss_spec = spec; ss_sess = sess }
 
-  let wrap t r = wrap_iddm t.ss_engine t.ss_spec ~vt:t.ss_vt r
-  let advance t ~upto = wrap t (Iddm.advance t.ss_sess ~upto)
-  let snapshot t = wrap t (Iddm.session_result t.ss_sess)
-  let set_input t ~signal ramps = Iddm.session_set_input t.ss_sess signal ramps
+  let wrap t raw = wrap t.ss_engine t.ss_spec ~vt:(Tech.vdd t.ss_spec.sp_tech /. 2.) raw
 
-  let inject t (i : injection) =
-    Iddm.session_inject t.ss_sess
-      { Iddm.inj_signal = i.inj_signal; inj_transitions = i.inj_ramps }
+  let advance t ~upto =
+    wrap t
+      (match t.ss_sess with
+      | Iddm_session s -> Iddm_result (Iddm.advance s ~upto)
+      | Classic_session s -> Classic_result (Classic.advance s ~upto))
 
-  let time t = Iddm.session_time t.ss_sess
-  let finished t = Iddm.session_finished t.ss_sess
-  let engine t = t.ss_engine
-  let spec t = t.ss_spec
+  let snapshot t =
+    wrap t
+      (match t.ss_sess with
+      | Iddm_session s -> Iddm_result (Iddm.session_result s)
+      | Classic_session s -> Classic_result (Classic.session_result s))
+
+  let set_input t ~signal ramps =
+    match t.ss_sess with
+    | Iddm_session s -> Iddm.session_set_input s signal ramps
+    | Classic_session s -> Classic.session_set_input s signal ramps
+
+  let inject t i =
+    match t.ss_sess with
+    | Iddm_session s -> Iddm.session_inject s (iddm_injection i)
+    | Classic_session s -> Classic.session_inject s (classic_injection i)
+
+  let finished t =
+    match t.ss_sess with
+    | Iddm_session s -> Iddm.session_finished s
+    | Classic_session s -> Classic.session_finished s
 end
+
+let run ?compiled engine spec = Session.advance (Session.start ?compiled engine spec) ~upto:infinity

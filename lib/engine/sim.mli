@@ -11,6 +11,12 @@
     that genuinely need waveforms ([ddm]/[cdm]) or boolean levels
     ([classic]).
 
+    Both kernels ({!Iddm} and {!Classic}) run on one substrate, a
+    {!Compiled.t}, and have one run shape: [start], [advance ~upto],
+    live [set_input]/[inject], with a one-shot run being [advance (start
+    ...) ~upto:infinity].  {!Session} wraps that shape for every engine
+    and {!run} is a session advanced to the end.
+
     Injections are engine-agnostic too: a list of linear ramps spliced
     into a victim signal.  The IDDM engines consume the ramps verbatim;
     the classic engine abstracts each ramp to an instantaneous value
@@ -90,18 +96,16 @@ type result = {
 }
 
 val run : ?compiled:Compiled.t -> engine -> spec -> result
-(** Runs the spec on the chosen engine.  This is the {e only}
-    engine-dispatch point in the code base: [Ddm]/[Cdm] configure and
-    call {!Iddm.run}; [Classic_inertial] abstracts the ramps to
-    toggles and calls {!Classic.run}.
+(** Runs the spec on the chosen engine to the end:
+    [Session.advance (Session.start ?compiled engine spec) ~upto:infinity].
 
-    [compiled] shares a pre-flattened circuit with the [Ddm]/[Cdm]
-    engines, which then skip their own compilation (a campaign compiles
-    once for its baselines, cone context and full re-runs).  It must be
-    {!Compiled.compile} of exactly the spec's netlist, tech and overlay,
-    checked as {!Iddm.start} does.  [Classic_inertial] ignores it.
+    [compiled] shares a pre-flattened circuit with any engine, which
+    then skips its own compilation (a campaign compiles once for its
+    baselines, cone context and full re-runs; the serve cache shares one
+    across sessions).  It must be {!Compiled.compile} of exactly the
+    spec's netlist, tech and overlay ({!Compiled.check}).
     @raise Invalid_argument as the underlying engines do (unsettled DC
-    point, unknown injection signal, bad drive). *)
+    point, unknown injection signal, bad drive, foreign [compiled]). *)
 
 (** {1 Common result view} *)
 
@@ -133,11 +137,6 @@ val iddm : result -> Iddm.result option
 (** The full IDDM result (waveforms, trace) — [None] for classic runs. *)
 
 val classic : result -> Classic.result option
-
-val replay_hazard : result -> bool
-(** Whether the run retroactively invalidated an already-processed
-    event (see {!Iddm.result.replay_hazard}); always [false] for
-    classic runs, which cone re-simulation does not cover anyway. *)
 
 (** {1 Incremental cone re-simulation}
 
@@ -211,20 +210,22 @@ end
 
 (** {1 Resumable sessions}
 
-    The facade over {!Iddm.start}/{!Iddm.advance}: a run that pauses
-    between events, accepts fresh stimulus while paused, and — advanced
-    in steps — stays bit-identical to a one-shot {!run} of the same
-    spec.  Only the waveform engines support sessions; the classic
-    engine remains one-shot. *)
+    The facade over {!Iddm.start}/{!Iddm.advance} and
+    {!Classic.start}/{!Classic.advance}, and the only place that
+    dispatches on the engine: a run that pauses between events, accepts
+    fresh stimulus while paused, and — advanced in steps — stays
+    bit-identical to a one-shot {!run} of the same spec, on every
+    engine. *)
 module Session : sig
   type t
 
   val start : ?compiled:Compiled.t -> engine -> spec -> t
   (** Seeds the spec's drives and injections without processing any
       event.  [compiled] shares a pre-flattened circuit (see
-      {!Compiled}); it must be for exactly the spec's netlist and tech.
-      @raise Invalid_argument for [Classic_inertial], or as {!run}
-      does (unsettled DC point, bad drive, unknown injection signal). *)
+      {!Compiled}); it must be for exactly the spec's netlist, tech and
+      overlay.
+      @raise Invalid_argument as {!run} does (unsettled DC point, bad
+      drive, unknown injection signal, foreign [compiled]). *)
 
   val advance : t -> upto:Halotis_util.Units.time -> result
   (** Processes every queued event at or before [upto] (clamped to the
@@ -239,20 +240,18 @@ module Session : sig
     t -> signal:Halotis_netlist.Netlist.signal_id -> Halotis_wave.Transition.t list -> unit
   (** Appends fresh ramps to a primary input and propagates them
       through the engine's own cancellation/fan-out machinery, waking a
-      quiesced session.  Ramps must lie at or after the last [advance]
-      horizon. @raise Invalid_argument for non-input signals. *)
+      quiesced session; the classic engine queues each ramp's 50 %
+      point, as it does for drives.  Each ramp replaces the input's
+      queued future on every engine (stored ramps, or classic switches,
+      at or after it are dropped).  Ramps must lie at or after the last
+      [advance] horizon. @raise Invalid_argument for non-input
+      signals. *)
 
   val inject : t -> injection -> unit
   (** Splices a live SET pulse, queued at its first ramp's instant —
       exactly like a [start]-time injection not yet reached. *)
 
-  val time : t -> Halotis_util.Units.time
-  (** Time of the last processed event. *)
-
   val finished : t -> bool
   (** No queued event can ever run again (drained, past the horizon, or
       guardrail-stopped); fresh stimulus clears the drained case. *)
-
-  val engine : t -> engine
-  val spec : t -> spec
 end

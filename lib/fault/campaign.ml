@@ -207,7 +207,7 @@ let run ?on_verdict cfg tech c ~drives =
     Sim.spec ~drives ?injections ~t_stop:cfg.t_stop ?budget
       ~overlay:cfg.overlay ~tech c
   in
-  (* One compilation serves every waveform-engine run of the campaign:
+  (* One compilation serves every run of the campaign, on any engine:
      the baselines, the cone context and each full re-run. *)
   let compiled = Compiled.compile ~overlay:cfg.overlay tech c in
   let ddm_baseline_run = Sim.run ~compiled Sim.Ddm (spec ()) in
@@ -261,18 +261,16 @@ let run ?on_verdict cfg tech c ~drives =
   in
   (* Incremental cone re-simulation.  Armed only when every injected
      run would be whole anyway (unlimited per-site budget — a cone run
-     cannot reproduce the exact trip point of a budgeted full run) and
-     the engine has waveform semantics; [Sim.Cone.create] additionally
-     refuses a truncated or tie-hazardous baseline.  When armed, a site
-     whose cone graft is exact skips the full re-run entirely; any
-     fallback re-runs it the old way, so verdicts, reports and journals
-     are byte-identical with the optimization on or off. *)
+     cannot reproduce the exact trip point of a budgeted full run);
+     [Sim.Cone.create] additionally refuses the classic engine and a
+     truncated or tie-hazardous baseline.  When armed, a site whose cone
+     graft is exact skips the full re-run entirely; any fallback re-runs
+     it the old way, so verdicts, reports and journals are
+     byte-identical with the optimization on or off. *)
   let cone_ctx =
-    if not (cfg.incremental && Budget.is_unlimited cfg.site_budget) then None
-    else
-      match cfg.engine with
-      | Classic_inertial -> None
-      | Ddm | Cdm -> Sim.Cone.create ~compiled cfg.engine (spec ()) ~baseline:base_run
+    if cfg.incremental && Budget.is_unlimited cfg.site_budget then
+      Sim.Cone.create ~compiled cfg.engine (spec ()) ~baseline:base_run
+    else None
   in
   let run_site_full site =
     observe

@@ -1,5 +1,4 @@
 module Transition = Halotis_wave.Transition
-module Iddm = Halotis_engine.Iddm
 module Sim = Halotis_engine.Sim
 
 type pulse = { width : float; slope : float }
@@ -21,18 +20,3 @@ let injection (site : Site.t) p =
     Sim.inj_signal = site.Site.st_signal;
     inj_ramps = transitions ~at:site.Site.st_at ~polarity:site.Site.st_polarity p;
   }
-
-let iddm_injection (site : Site.t) p =
-  {
-    Iddm.inj_signal = site.Site.st_signal;
-    inj_transitions = transitions ~at:site.Site.st_at ~polarity:site.Site.st_polarity p;
-  }
-
-let classic_injection (site : Site.t) p =
-  let mid = p.slope /. 2. in
-  let leading = site.Site.st_polarity = Transition.Rising in
-  ( site.Site.st_signal,
-    [
-      (site.Site.st_at +. mid, leading);
-      (site.Site.st_at +. p.width +. mid, not leading);
-    ] )

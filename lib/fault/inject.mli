@@ -27,13 +27,3 @@ val injection : Site.t -> pulse -> Halotis_engine.Sim.injection
 (** The site's pulse as an engine-agnostic {!Halotis_engine.Sim}
     injection: any engine run through the facade splices (or, for the
     classic engine, boolean-abstracts) the same two ramps. *)
-
-val iddm_injection : Site.t -> pulse -> Halotis_engine.Iddm.injection
-(** The site's pulse in the IDDM engine's native representation. *)
-
-val classic_injection :
-  Site.t ->
-  pulse ->
-  Halotis_netlist.Netlist.signal_id * (Halotis_util.Units.time * bool) list
-(** The boolean abstraction for {!Halotis_engine.Classic}: two value
-    toggles at the ramps' 50 % instants. *)

@@ -87,3 +87,29 @@ module Monitor = struct
     m.countdown <- m.countdown - 1;
     if m.countdown >= 0 then None else check m ~queue
 end
+
+type limits = {
+  horizon : float;
+  horizon_stop : Stop.t;
+  transition_cap : int;
+  monitor : Monitor.t;
+}
+
+(* The engine's own event cap folds into the monitor, which is exact, so
+   a run processes the same events a separate per-event counter check
+   would allow. *)
+let limits b ~t_stop ~max_events =
+  let horizon, horizon_stop =
+    match (t_stop, b.max_sim_time) with
+    | None, None -> (infinity, Stop.Completed)
+    | Some ts, None -> (ts, Stop.Completed)
+    | None, Some mt -> (mt, Stop.Sim_time mt)
+    | Some ts, Some mt -> if mt < ts then (mt, Stop.Sim_time mt) else (ts, Stop.Completed)
+  in
+  let max_events = Option.fold b.max_events ~none:max_events ~some:(min max_events) in
+  {
+    horizon;
+    horizon_stop;
+    transition_cap = Option.value b.max_transitions ~default:max_int;
+    monitor = Monitor.create { b with max_events = Some max_events };
+  }

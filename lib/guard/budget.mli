@@ -64,3 +64,19 @@ module Monitor : sig
   (** Events accounted so far (exact, including the countdown in
       flight). *)
 end
+
+(** What one engine run enforces, folded once at its start. *)
+type limits = {
+  horizon : float;
+      (** [t_stop] or [max_sim_time], whichever is earlier; [infinity]
+          when neither is set *)
+  horizon_stop : Stop.t;
+      (** why passing [horizon] stops the run: [Completed] when [t_stop]
+          binds, [Sim_time] when [max_sim_time] does *)
+  transition_cap : int;  (** [max_transitions]; [max_int] when unset *)
+  monitor : Monitor.t;  (** [max_events] folded with the engine's own cap *)
+}
+
+val limits : t -> t_stop:float option -> max_events:int -> limits
+(** Arms one run of horizon [t_stop] and engine event cap
+    [max_events]. *)

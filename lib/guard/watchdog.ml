@@ -20,8 +20,6 @@ type t = {
 let create cfg ~nsignals =
   { cfg; counts = Array.make nsignals 0; win_start = Array.make nsignals neg_infinity }
 
-let mode t = t.cfg.wd_mode
-
 let record t ~signal ~now =
   if now -. t.win_start.(signal) > t.cfg.window then begin
     t.win_start.(signal) <- now;
@@ -49,6 +47,32 @@ let freeze_set netlist ~signal =
 
 let offender_names netlist signals =
   List.sort compare (List.map (Netlist.signal_name netlist) signals)
+
+type frozen = {
+  fz_marks : Bytes.t;
+  mutable fz_any : bool;
+  mutable fz_rev : (int * float) list;
+}
+
+let frozen ~nsignals = { fz_marks = Bytes.make nsignals '\000'; fz_any = false; fz_rev = [] }
+
+(* In [Halt] mode the whole run stops; in [Degrade] mode the offending
+   feedback loop is frozen so the engine schedules nothing more on it
+   while the rest of the circuit keeps simulating. *)
+let trip t netlist fz ~signal ~at =
+  let fs = freeze_set netlist ~signal in
+  match t.cfg.wd_mode with
+  | Halt -> Some (Stop.Oscillation (offender_names netlist fs))
+  | Degrade ->
+      List.iter
+        (fun s ->
+          if Bytes.get fz.fz_marks s = '\000' then begin
+            Bytes.set fz.fz_marks s '\001';
+            fz.fz_rev <- (s, at) :: fz.fz_rev
+          end)
+        fs;
+      fz.fz_any <- true;
+      None
 
 let suggest_threshold ?(window = default_window) ~scc_gates () =
   (* A feedback loop of [scc_gates] gates oscillates with a period of

@@ -36,23 +36,30 @@ type t
 
 val create : config -> nsignals:int -> t
 
-val mode : t -> mode
-
 val record : t -> signal:int -> now:float -> bool
 (** Account one committed output event on [signal] at simulated time
     [now] (event times on one signal are non-decreasing).  Returns
     [true] when this signal just crossed the oscillation threshold. *)
 
-val freeze_set : Halotis_netlist.Netlist.t -> signal:int -> int list
-(** The signals to freeze when [signal] trips: the outputs of every
-    gate in the SCC containing [signal]'s driver (the whole feedback
-    loop — freezing just one signal would leave the rest of the ring
-    churning).  Falls back to [[signal]] when the driver is not in any
-    multi-gate SCC. *)
+(** The signals a run has frozen; engines test [fz_any] before
+    [fz_marks]. *)
+type frozen = {
+  fz_marks : Bytes.t;  (** signal -> ['\001'] once frozen *)
+  mutable fz_any : bool;  (** some signal is frozen *)
+  mutable fz_rev : (int * float) list;
+      (** [(signal, freeze instant)], newest first *)
+}
 
-val offender_names : Halotis_netlist.Netlist.t -> int list -> string list
-(** Sorted signal names for a freeze set, for messages and
-    [Stop.Oscillation]. *)
+val frozen : nsignals:int -> frozen
+(** Nothing frozen yet. *)
+
+val trip :
+  t -> Halotis_netlist.Netlist.t -> frozen -> signal:int -> at:float -> Stop.t option
+(** Acts on a trip of [signal] ({!record} returned [true]) at time
+    [at].  The freeze set is every output of the SCC holding [signal]'s
+    driver (the whole feedback loop), else [signal] alone.  [Halt] mode
+    returns the [Stop.Oscillation] naming it, which the run must stop
+    with; [Degrade] mode marks it in [frozen] and returns [None]. *)
 
 val suggest_threshold : ?window:float -> scc_gates:int -> unit -> int
 (** A trip threshold tuned to a feedback loop of [scc_gates] gates

@@ -37,7 +37,7 @@ let of_classic (r : Classic.result) =
   let per_signal =
     Array.map
       (fun (s : Netlist.signal) ->
-        let edges = r.Classic.edges.(s.Netlist.signal_id) in
+        let edges = (Lazy.force r.Classic.edges).(s.Netlist.signal_id) in
         let rec count_pulses = function
           | _ :: _ :: rest -> 1 + count_pulses rest
           | [ _ ] | [] -> 0

@@ -99,10 +99,7 @@ let signal_names c ids = Json.Arr (List.map (fun sid -> Json.Str (Netlist.signal
 let handle_load conn (l : P.load) =
   let engine =
     match Sim.engine_of_string l.P.ld_engine with
-    | Some ((Sim.Ddm | Sim.Cdm) as e) -> e
-    | Some Sim.Classic_inertial ->
-        Diag.fail ~code:"bad-request"
-          "sessions need a waveform engine: \"ddm\" or \"cdm\""
+    | Some e -> e
     | None -> Diag.fail ~code:"bad-request" (Printf.sprintf "unknown engine %S" l.P.ld_engine)
   in
   let text = circuit_bytes l.P.ld_circuit in

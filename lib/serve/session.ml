@@ -11,7 +11,6 @@ module Diag = Halotis_guard.Diag
 
 type t = {
   se_id : int;
-  se_engine : Sim.engine;
   se_compiled : Compiled.t;
   se_sim : Sim.Session.t;
   se_slope : float;
@@ -35,7 +34,6 @@ let create ~id ~engine ~compiled ~drives ~slope ~budget ~watchdog ~t_stop =
   List.iter (fun (sid, d) -> levels.(sid) <- drive_final_level d) drives;
   {
     se_id = id;
-    se_engine = engine;
     se_compiled = compiled;
     se_sim = sim;
     se_slope = slope;

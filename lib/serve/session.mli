@@ -51,7 +51,8 @@ val query_edges : t -> string option -> Halotis_util.Json.t
 (** Digitized edges of one signal, or of every primary output. *)
 
 val query_waveform : t -> string -> Halotis_util.Json.t
-(** Raw ramp segments of one signal (waveform engines always). *)
+(** Raw ramp segments of one signal; a [classic] session has none and
+    fails with ["bad-request"]. *)
 
 val query_offenders : t -> int -> Halotis_util.Json.t
 (** The [n] busiest signals by committed edge count. *)

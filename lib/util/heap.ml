@@ -1,120 +1,4 @@
-(* Array-based binary heap.  Each entry records its current array index
-   so handles can remove it in O(log n).  [seq] is the tie-break rank:
-   the caller's [~rank] when given, else a monotonically increasing
-   insertion stamp (FIFO among equal keys). *)
-
-type 'a entry = {
-  key : float;
-  seq : int;
-  value : 'a;
-  mutable index : int; (* -1 once popped or removed *)
-}
-
-type 'a handle = 'a entry
-
-type 'a t = {
-  mutable data : 'a entry array;
-  mutable size : int;
-  mutable next_seq : int;
-}
-
-let create () = { data = [||]; size = 0; next_seq = 0 }
-let length h = h.size
-let is_empty h = h.size = 0
-
-let entry_lt a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
-
-let swap h i j =
-  let a = h.data.(i) and b = h.data.(j) in
-  h.data.(i) <- b;
-  h.data.(j) <- a;
-  a.index <- j;
-  b.index <- i
-
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if entry_lt h.data.(i) h.data.(parent) then begin
-      swap h i parent;
-      sift_up h parent
-    end
-  end
-
-let rec sift_down h i =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = if left < h.size && entry_lt h.data.(left) h.data.(i) then left else i in
-  let smallest =
-    if right < h.size && entry_lt h.data.(right) h.data.(smallest) then right else smallest
-  in
-  if smallest <> i then begin
-    swap h i smallest;
-    sift_down h smallest
-  end
-
-let grow h =
-  let capacity = Array.length h.data in
-  if h.size = capacity then begin
-    let dummy = h.data.(0) in
-    let data = Array.make (max 8 (2 * capacity)) dummy in
-    Array.blit h.data 0 data 0 h.size;
-    h.data <- data
-  end
-
-let insert h ~key ?rank value =
-  let seq = match rank with Some r -> r | None -> h.next_seq in
-  let entry = { key; seq; value; index = h.size } in
-  h.next_seq <- h.next_seq + 1;
-  if Array.length h.data = 0 then h.data <- Array.make 8 entry else grow h;
-  h.data.(h.size) <- entry;
-  h.size <- h.size + 1;
-  sift_up h (h.size - 1);
-  entry
-
-(* Remove the entry currently stored at index [i]. *)
-let remove_at h i =
-  let entry = h.data.(i) in
-  entry.index <- -1;
-  h.size <- h.size - 1;
-  if i < h.size then begin
-    let last = h.data.(h.size) in
-    h.data.(i) <- last;
-    last.index <- i;
-    (* The moved entry may need to travel either way. *)
-    sift_up h i;
-    sift_down h last.index
-  end
-
-let pop_min h =
-  if h.size = 0 then None
-  else begin
-    let entry = h.data.(0) in
-    remove_at h 0;
-    Some (entry.key, entry.value)
-  end
-
-let peek_min h = if h.size = 0 then None else Some (h.data.(0).key, h.data.(0).value)
-
-let mem _h handle = handle.index >= 0
-
-let remove h handle =
-  if handle.index < 0 then false
-  else begin
-    assert (h.data.(handle.index) == handle);
-    remove_at h handle.index;
-    true
-  end
-
-let key_of _h handle = if handle.index >= 0 then Some handle.key else None
-
-let to_sorted_list h =
-  let live = Array.sub h.data 0 h.size in
-  let copy = Array.to_list live in
-  let compare_entry a b =
-    match Float.compare a.key b.key with 0 -> Int.compare a.seq b.seq | c -> c
-  in
-  List.map (fun e -> (e.key, e.value)) (List.sort compare_entry copy)
-
-(* Structure-of-arrays variant: keys live in a flat float array, so the
+(* Structure-of-arrays min-heap: keys live in a flat float array, so the
    sift loops read unboxed floats from contiguous memory.  [ids.(i)]
    breaks key ties: the caller's [~rank] when given, else an insertion
    stamp (FIFO).  Payloads are plain ints (engines store pool-slot
@@ -126,126 +10,124 @@ let to_sorted_list h =
    sift-down level costs a single line fetch.  Heap shape does not
    affect observable behaviour — (key, id) is a strict total order, so
    every correct heap pops the same sequence. *)
-module Unboxed = struct
-  type t = {
-    mutable keys : float array;
-    mutable ids : int array;
-    mutable vals : int array; (* only the first [size] slots are live *)
-    mutable size : int;
-    mutable next_id : int;
+type t = {
+  mutable keys : float array;
+  mutable ids : int array;
+  mutable vals : int array; (* only the first [size] slots are live *)
+  mutable size : int;
+  mutable next_id : int;
+}
+
+type handle = int
+
+let create ?(capacity = 0) () =
+  {
+    keys = Array.make capacity 0.;
+    ids = Array.make capacity 0;
+    vals = Array.make capacity 0;
+    size = 0;
+    next_id = 0;
   }
 
-  type handle = int
+let length h = h.size
+let is_empty h = h.size = 0
 
-  let create ?(capacity = 0) () =
-    {
-      keys = Array.make capacity 0.;
-      ids = Array.make capacity 0;
-      vals = Array.make capacity 0;
-      size = 0;
-      next_id = 0;
-    }
+(* (key, id) of slot [i] precedes (k, id). *)
+let slot_lt h i k id =
+  let ki = h.keys.(i) in
+  ki < k || (ki = k && h.ids.(i) < id)
 
-  let length h = h.size
-  let is_empty h = h.size = 0
-
-  (* (key, id) of slot [i] precedes (k, id). *)
-  let slot_lt h i k id =
-    let ki = h.keys.(i) in
-    ki < k || (ki = k && h.ids.(i) < id)
-
-  (* Hole-based sifts: the displaced entry is held in registers and
-     written exactly once, halving the stores of swap-based sifting. *)
-  let sift_up h start k id v =
-    let i = ref start in
-    let continue = ref true in
-    while !continue && !i > 0 do
-      let parent = (!i - 1) / 4 in
-      if slot_lt h parent k id then continue := false
-      else begin
-        h.keys.(!i) <- h.keys.(parent);
-        h.ids.(!i) <- h.ids.(parent);
-        h.vals.(!i) <- h.vals.(parent);
-        i := parent
-      end
-    done;
-    h.keys.(!i) <- k;
-    h.ids.(!i) <- id;
-    h.vals.(!i) <- v
-
-  let sift_down h start k id v =
-    let i = ref start in
-    let continue = ref true in
-    while !continue do
-      let first = (4 * !i) + 1 in
-      if first >= h.size then continue := false
-      else begin
-        let last = min (first + 3) (h.size - 1) in
-        let child = ref first in
-        for c = first + 1 to last do
-          if
-            h.keys.(c) < h.keys.(!child)
-            || (h.keys.(c) = h.keys.(!child) && h.ids.(c) < h.ids.(!child))
-          then child := c
-        done;
-        let child = !child in
-        if slot_lt h child k id then begin
-          h.keys.(!i) <- h.keys.(child);
-          h.ids.(!i) <- h.ids.(child);
-          h.vals.(!i) <- h.vals.(child);
-          i := child
-        end
-        else continue := false
-      end
-    done;
-    h.keys.(!i) <- k;
-    h.ids.(!i) <- id;
-    h.vals.(!i) <- v
-
-  let grow h =
-    let capacity = Array.length h.keys in
-    if h.size = capacity then begin
-      let cap = max 8 (2 * capacity) in
-      let keys = Array.make cap 0. and ids = Array.make cap 0 and vals = Array.make cap 0 in
-      Array.blit h.keys 0 keys 0 h.size;
-      Array.blit h.ids 0 ids 0 h.size;
-      Array.blit h.vals 0 vals 0 h.size;
-      h.keys <- keys;
-      h.ids <- ids;
-      h.vals <- vals
-    end
-
-  let insert h ~key ?rank v =
-    grow h;
-    let id = match rank with Some r -> r | None -> h.next_id in
-    h.next_id <- h.next_id + 1;
-    h.size <- h.size + 1;
-    sift_up h (h.size - 1) key id v;
-    id
-
-  let min_key h = if h.size = 0 then invalid_arg "Heap.Unboxed.min_key: empty" else h.keys.(0)
-
-  let pop h =
-    if h.size = 0 then invalid_arg "Heap.Unboxed.pop: empty";
-    let v = h.vals.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then
-      sift_down h 0 h.keys.(h.size) h.ids.(h.size) h.vals.(h.size);
-    v
-
-  let pop_min h =
-    if h.size = 0 then None
+(* Hole-based sifts: the displaced entry is held in registers and
+   written exactly once, halving the stores of swap-based sifting. *)
+let sift_up h start k id v =
+  let i = ref start in
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let parent = (!i - 1) / 4 in
+    if slot_lt h parent k id then continue := false
     else begin
-      (* read the key before [pop] restructures the root *)
-      let k = h.keys.(0) in
-      Some (k, pop h)
+      h.keys.(!i) <- h.keys.(parent);
+      h.ids.(!i) <- h.ids.(parent);
+      h.vals.(!i) <- h.vals.(parent);
+      i := parent
     end
+  done;
+  h.keys.(!i) <- k;
+  h.ids.(!i) <- id;
+  h.vals.(!i) <- v
 
-  let to_sorted_list h =
-    let entries = Array.init h.size (fun i -> (h.keys.(i), h.ids.(i), h.vals.(i))) in
-    Array.sort
-      (fun (ka, ia, _) (kb, ib, _) ->
-        match Float.compare ka kb with 0 -> Int.compare ia ib | c -> c)
-      entries;
-    Array.fold_right (fun (k, _, v) acc -> (k, v) :: acc) entries []
-end
+let sift_down h start k id v =
+  let i = ref start in
+  let continue = ref true in
+  while !continue do
+    let first = (4 * !i) + 1 in
+    if first >= h.size then continue := false
+    else begin
+      let last = min (first + 3) (h.size - 1) in
+      let child = ref first in
+      for c = first + 1 to last do
+        if
+          h.keys.(c) < h.keys.(!child)
+          || (h.keys.(c) = h.keys.(!child) && h.ids.(c) < h.ids.(!child))
+        then child := c
+      done;
+      let child = !child in
+      if slot_lt h child k id then begin
+        h.keys.(!i) <- h.keys.(child);
+        h.ids.(!i) <- h.ids.(child);
+        h.vals.(!i) <- h.vals.(child);
+        i := child
+      end
+      else continue := false
+    end
+  done;
+  h.keys.(!i) <- k;
+  h.ids.(!i) <- id;
+  h.vals.(!i) <- v
+
+let grow h =
+  let capacity = Array.length h.keys in
+  if h.size = capacity then begin
+    let cap = max 8 (2 * capacity) in
+    let keys = Array.make cap 0. and ids = Array.make cap 0 and vals = Array.make cap 0 in
+    Array.blit h.keys 0 keys 0 h.size;
+    Array.blit h.ids 0 ids 0 h.size;
+    Array.blit h.vals 0 vals 0 h.size;
+    h.keys <- keys;
+    h.ids <- ids;
+    h.vals <- vals
+  end
+
+let insert h ~key ?rank v =
+  grow h;
+  let id = match rank with Some r -> r | None -> h.next_id in
+  h.next_id <- h.next_id + 1;
+  h.size <- h.size + 1;
+  sift_up h (h.size - 1) key id v;
+  id
+
+let min_key h = if h.size = 0 then invalid_arg "Heap.min_key: empty" else h.keys.(0)
+
+let pop h =
+  if h.size = 0 then invalid_arg "Heap.pop: empty";
+  let v = h.vals.(0) in
+  h.size <- h.size - 1;
+  if h.size > 0 then
+    sift_down h 0 h.keys.(h.size) h.ids.(h.size) h.vals.(h.size);
+  v
+
+let pop_min h =
+  if h.size = 0 then None
+  else begin
+    (* read the key before [pop] restructures the root *)
+    let k = h.keys.(0) in
+    Some (k, pop h)
+  end
+
+let to_sorted_list h =
+  let entries = Array.init h.size (fun i -> (h.keys.(i), h.ids.(i), h.vals.(i))) in
+  Array.sort
+    (fun (ka, ia, _) (kb, ib, _) ->
+      match Float.compare ka kb with 0 -> Int.compare ia ib | c -> c)
+    entries;
+  Array.fold_right (fun (k, _, v) acc -> (k, v) :: acc) entries []

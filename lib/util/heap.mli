@@ -1,111 +1,51 @@
-(** Binary min-heap with removable entries and deterministic ordering.
+(** The event queue of the simulation engines: a min-heap over [float]
+    keys with [int] payloads (engines store pool-slot indices).
 
-    Every insertion returns a handle that supports O(log n) removal —
-    what Fig. 4's "delete Ej-1" cancellation needs when implemented
-    eagerly.  The simulation engines themselves use the {!Unboxed}
-    specialisation below with lazy (tombstone) cancellation; this boxed
-    polymorphic heap remains the general-purpose / reference
-    implementation (the equivalence suite's reference kernels are built
-    on it).
+    Keys sit in a flat [float array] (unboxed by the OCaml runtime),
+    with parallel arrays for the tie-break stamps and the payloads,
+    arranged as a 4-ary tree: sift operations touch only contiguous
+    unboxed scalars, at half the depth of a binary heap.  Insertion and
+    popping never allocate and sifting carries no write barrier.
 
-    Entries are ordered by their [float] key; ties are broken by the
-    explicit [~rank] when one is supplied at insertion, else by
-    insertion order (FIFO).  Either way the order is a strict total
-    order, which makes simulations deterministic; an {e intrinsic} rank
-    (one derived from the entry's identity rather than from history)
-    additionally makes the pop order reproducible across runs that
-    insert the same entries in different orders — what cone
-    re-simulation needs to replay a full run's tie resolution. *)
+    Entries pop in ascending key order; ties are broken by the explicit
+    [~rank] when one is supplied at insertion, else by insertion order
+    (FIFO).  Either way the order is a strict total order, which makes
+    simulations deterministic; an {e intrinsic} rank (one derived from
+    the entry's identity rather than from history) additionally makes
+    the pop order reproducible across runs that insert the same entries
+    in different orders — what cone re-simulation needs to replay a full
+    run's tie resolution.  There is no entry removal: the engines cancel
+    lazily, with tombstone flags on the payload. *)
+type t
 
-type 'a t
-(** A heap holding payloads of type ['a]. *)
+type handle = int
+(** The entry's insertion stamp.  Valid only for the heap that
+    returned it. *)
 
-type 'a handle
-(** A handle onto an inserted entry, usable to remove it later. *)
+val create : ?capacity:int -> unit -> t
+(** [create ()] is a fresh empty heap; [capacity] pre-sizes the
+    arrays. *)
 
-val create : unit -> 'a t
-(** [create ()] is a fresh empty heap. *)
+val length : t -> int
+val is_empty : t -> bool
 
-val length : 'a t -> int
-(** Number of live entries. *)
+val insert : t -> key:float -> ?rank:int -> int -> handle
+(** [rank] overrides the FIFO tie-break stamp; mixing ranked and
+    unranked insertions in one heap interleaves the two rank spaces and
+    is almost never what you want. *)
 
-val is_empty : 'a t -> bool
-(** [is_empty h] is [length h = 0]. *)
+val min_key : t -> float
+(** Key of the next entry to pop, without allocation.
+    @raise Invalid_argument on an empty heap. *)
 
-val insert : 'a t -> key:float -> ?rank:int -> 'a -> 'a handle
-(** [insert h ~key v] adds [v] with priority [key] and returns its
-    handle.  [rank] overrides the FIFO tie-break stamp; mixing ranked
-    and unranked insertions in one heap interleaves the two rank
-    spaces and is almost never what you want. *)
+val pop : t -> int
+(** Removes and returns the payload with the smallest key (FIFO among
+    equal keys), without allocating.  Pair with {!min_key} when the
+    key is also needed.
+    @raise Invalid_argument on an empty heap. *)
 
-val pop_min : 'a t -> (float * 'a) option
-(** [pop_min h] removes and returns the entry with the smallest key
-    (FIFO among equal keys), or [None] if the heap is empty. *)
+val pop_min : t -> (float * int) option
+(** Allocating convenience wrapper over {!min_key} + {!pop}. *)
 
-val peek_min : 'a t -> (float * 'a) option
-(** [peek_min h] is like {!pop_min} without removing the entry. *)
-
-val remove : 'a t -> 'a handle -> bool
-(** [remove h hd] deletes the entry behind [hd].  Returns [false] when
-    the entry was already popped or removed (removal is idempotent). *)
-
-val mem : 'a t -> 'a handle -> bool
-(** [mem h hd] is true while the entry behind [hd] is still queued. *)
-
-val key_of : 'a t -> 'a handle -> float option
-(** [key_of h hd] is the key of a still-queued entry. *)
-
-val to_sorted_list : 'a t -> (float * 'a) list
-(** [to_sorted_list h] drains nothing: returns the live entries in pop
-    order.  O(n log n); intended for tests and debugging. *)
-
-(** Structure-of-arrays specialisation for the simulation hot path.
-
-    The polymorphic heap above stores one boxed record per entry, so
-    every sift comparison chases a pointer before it can read the key.
-    [Unboxed] keeps the keys in a flat [float array] (unboxed by the
-    OCaml runtime), with parallel arrays for the insertion stamps and
-    the payloads, arranged as a 4-ary tree: sift operations touch only
-    contiguous unboxed scalars, at half the depth of a binary heap.
-    Payloads are plain [int]s — engines store pool-slot indices — so
-    insertion and popping never allocate and sifting carries no write
-    barrier.
-
-    Ordering is identical to the boxed heap: ascending key, with ties
-    broken by the explicit [~rank] when supplied, else FIFO.  There is
-    no entry removal — engines that cancel lazily (tombstone flags on
-    the payload) never need it. *)
-module Unboxed : sig
-  type t
-
-  type handle = int
-  (** The entry's insertion stamp.  Valid only for the heap that
-      returned it. *)
-
-  val create : ?capacity:int -> unit -> t
-  (** [create ()] is a fresh empty heap; [capacity] pre-sizes the
-      arrays. *)
-
-  val length : t -> int
-  val is_empty : t -> bool
-
-  val insert : t -> key:float -> ?rank:int -> int -> handle
-  (** [rank] overrides the FIFO tie-break stamp (see the boxed
-      {!insert}). *)
-
-  val min_key : t -> float
-  (** Key of the next entry to pop, without allocation.
-      @raise Invalid_argument on an empty heap. *)
-
-  val pop : t -> int
-  (** Removes and returns the payload with the smallest key (FIFO among
-      equal keys), without allocating.  Pair with {!min_key} when the
-      key is also needed.
-      @raise Invalid_argument on an empty heap. *)
-
-  val pop_min : t -> (float * int) option
-  (** Allocating convenience wrapper over {!min_key} + {!pop}. *)
-
-  val to_sorted_list : t -> (float * int) list
-  (** Live entries in pop order; O(n log n), for tests and debugging. *)
-end
+val to_sorted_list : t -> (float * int) list
+(** Live entries in pop order; O(n log n), for tests and debugging. *)

