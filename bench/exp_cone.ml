@@ -7,7 +7,8 @@
    the shared baseline.  The contract under test: reports byte-
    identical to full re-simulation (soundness — also pinned by QCheck
    in test/test_fault.ml), with sites/s improving by at least the
-   circuit-to-cone size ratio allows.  Two campaigns:
+   circuit-to-cone size ratio allows.  Two circuits, each campaigned
+   on the DDM and on the classic engine:
 
    - the paper's 4x4 multiplier (dense reconvergent fanout, so cones
      are a large fraction of the circuit — the conservative case);
@@ -16,7 +17,8 @@
 
    Fallback sites (replay hazards, driverless victims) are re-run in
    full inside the same campaign, so their cost — and the recorded
-   fallback rate — is part of the measurement. *)
+   fallback rate, broken down by reason — is part of the
+   measurement. *)
 
 open Common
 module Campaign = Halotis_fault.Campaign
@@ -56,11 +58,11 @@ let scale_workload ~gates ~seed =
   in
   (c, drives)
 
-let campaign ~incremental ~n ~t_stop c drives =
+let campaign ~engine ~incremental ~n ~t_stop c drives =
   (* earlier experiments leave a large major heap behind; compact so
      the measurement reflects the engine, not inherited GC debt *)
   Gc.compact ();
-  let cfg = Campaign.config ~engine:Campaign.Ddm ~seed:42 ~n ~incremental ~t_stop () in
+  let cfg = Campaign.config ~engine ~seed:42 ~n ~incremental ~t_stop () in
   let t0 = Unix.gettimeofday () in
   let t = Campaign.run cfg DL.tech c ~drives in
   (t, Unix.gettimeofday () -. t0)
@@ -73,27 +75,36 @@ type row = {
   identical : bool;
   exact : int;
   fallback : int;
+  reasons : (string * int) list;
   ev_site_cone : float;  (** injected-cone events per exact site *)
   ev_site_full : float;  (** baseline events ~ a full re-simulation's work *)
 }
 
-let measure ~label ~n ~t_stop c drives =
-  let t_on, on_wall = campaign ~incremental:true ~n ~t_stop c drives in
-  let t_off, off_wall = campaign ~incremental:false ~n ~t_stop c drives in
+let measure ~engine ~label ~n ~t_stop c drives =
+  let t_on, on_wall = campaign ~engine ~incremental:true ~n ~t_stop c drives in
+  let t_off, off_wall = campaign ~engine ~incremental:false ~n ~t_stop c drives in
   let identical = Fault_report.to_string t_on = Fault_report.to_string t_off in
-  let exact, fallback, cone_events =
+  let exact, fallback, reasons, cone_events =
     match t_on.Campaign.cam_cone with
-    | Some tot -> (tot.SimF.Cone.ct_exact, tot.SimF.Cone.ct_fallback, tot.SimF.Cone.ct_cone_events)
-    | None -> (0, n, 0)
+    | Some tot ->
+        ( tot.SimF.Cone.ct_exact,
+          tot.SimF.Cone.ct_fallback,
+          tot.SimF.Cone.ct_fallback_reasons,
+          tot.SimF.Cone.ct_cone_events )
+    | None -> (0, n, [ ("no cone context", n) ], 0)
   in
   {
-    label;
+    label =
+      (match engine with
+      | Campaign.Classic_inertial -> label ^ "_classic"
+      | Campaign.Ddm | Campaign.Cdm -> label);
     n;
     on_wall;
     off_wall;
     identical;
     exact;
     fallback;
+    reasons;
     ev_site_cone = (if exact = 0 then Float.nan else float_of_int cone_events /. float_of_int exact);
     ev_site_full =
       float_of_int t_on.Campaign.cam_baseline_stats.Stats.events_processed;
@@ -102,18 +113,20 @@ let measure ~label ~n ~t_stop c drives =
 let run () =
   section "CONE -- incremental cone re-simulation for fault campaigns (extension)";
   let m = Lazy.force multiplier in
-  let mult =
-    measure ~label:"mult4x4"
+  let mult engine =
+    measure ~engine ~label:"mult4x4"
       ~n:(sites ~default:1000)
       ~t_stop:horizon m.G.mult_circuit
       (mult_drives [ { V.op_a = 3; op_b = 5 }; { V.op_a = 12; op_b = 13 } ])
   in
   let gates = 5000 in
   let c5k, d5k = scale_workload ~gates ~seed:(gates + 1) in
-  let scale =
-    measure ~label:"rand5000" ~n:(sites ~default:150) ~t_stop:25_000. c5k d5k
+  let scale engine =
+    measure ~engine ~label:"rand5000" ~n:(sites ~default:150) ~t_stop:25_000. c5k d5k
   in
-  let rows = [ mult; scale ] in
+  let mult_ddm = mult Campaign.Ddm and mult_classic = mult Campaign.Classic_inertial in
+  let scale_ddm = scale Campaign.Ddm and scale_classic = scale Campaign.Classic_inertial in
+  let rows = [ mult_ddm; mult_classic; scale_ddm; scale_classic ] in
   Table.print
     (Table.make
        ~header:
@@ -133,9 +146,10 @@ let run () =
             rows));
   List.iter
     (fun r ->
-      Printf.printf "  %-10s events/site: cone %.0f vs full ~%.0f; report %s\n" r.label
+      Printf.printf "  %-18s events/site: cone %.0f vs full ~%.0f; report %s\n" r.label
         r.ev_site_cone r.ev_site_full
-        (if r.identical then "identical" else "MISMATCH"))
+        (if r.identical then "identical" else "MISMATCH");
+      List.iter (fun (reason, k) -> Printf.printf "    fallback %4d  %s\n" k reason) r.reasons)
     rows;
   let speedup r = r.off_wall /. r.on_wall in
   let fallback_rate r = float_of_int r.fallback /. float_of_int r.n in
@@ -152,46 +166,63 @@ let run () =
         ])
       rows
   in
+  let reasons r =
+    match r.reasons with
+    | [] -> "none"
+    | l -> String.concat ", " (List.map (fun (reason, k) -> Printf.sprintf "%d %s" k reason) l)
+  in
   [
     Experiment.make ~data ~exp_id:"CONE"
       ~title:"Incremental cone re-simulation for fault campaigns (extension)"
-      [
-        Experiment.observation
-          ~agrees:(List.for_all (fun r -> r.identical) rows)
-          ~metric:"campaign reports: incremental vs full re-simulation"
-          ~paper:"(soundness: the graft must be exact, else fall back)"
-          ~measured:
-            (if List.for_all (fun r -> r.identical) rows then
-               "byte-identical on both campaigns"
-             else "MISMATCH")
-          ();
-        Experiment.observation
-          ~agrees:(speedup scale >= 2.)
-          ~metric:
-            (Printf.sprintf "sites/s on the %d-gate campaign (acceptance floor 2x)" gates)
-          ~paper:"(cone work ~ cone size, not circuit size)"
-          ~measured:
-            (Printf.sprintf "%.1fx (%.1f -> %.1f sites/s, %.0f%% fallback)"
-               (speedup scale)
-               (float_of_int scale.n /. scale.off_wall)
-               (float_of_int scale.n /. scale.on_wall)
-               (100. *. fallback_rate scale))
-          ();
-        Experiment.observation
-          ~metric:"events per site, injected cone vs full re-simulation"
-          ~paper:"(the saved work, independent of host load)"
-          ~measured:
-            (Printf.sprintf "mult4x4 %.0f vs %.0f; rand5000 %.0f vs %.0f"
-               mult.ev_site_cone mult.ev_site_full scale.ev_site_cone
-               scale.ev_site_full)
-          ~note:
-            (Printf.sprintf
-               "mult4x4 speedup %.1fx: reconvergent multiplier cones span much of \
-                the circuit, so the bound is modest by construction; fallback \
-                rates %.1f%% / %.1f%%"
-               (speedup mult)
-               (100. *. fallback_rate mult)
-               (100. *. fallback_rate scale))
-          ();
-      ];
+      ([
+         Experiment.observation
+           ~agrees:(List.for_all (fun r -> r.identical) rows)
+           ~metric:"campaign reports: incremental vs full re-simulation"
+           ~paper:"(soundness: the graft must be exact, else fall back)"
+           ~measured:
+             (if List.for_all (fun r -> r.identical) rows then
+                "byte-identical on all four campaigns"
+              else "MISMATCH")
+           ();
+       ]
+      @ List.map
+          (fun r ->
+            Experiment.observation
+              ~agrees:(speedup r >= 2.)
+              ~metric:
+                (Printf.sprintf "sites/s on the %d-gate %s campaign (acceptance floor 2x)"
+                   gates r.label)
+              ~paper:"(cone work ~ cone size, not circuit size)"
+              ~measured:
+                (Printf.sprintf "%.1fx (%.1f -> %.1f sites/s, %.0f%% fallback)" (speedup r)
+                   (float_of_int r.n /. r.off_wall)
+                   (float_of_int r.n /. r.on_wall)
+                   (100. *. fallback_rate r))
+              ())
+          [ scale_ddm; scale_classic ]
+      @ [
+          Experiment.observation
+            ~metric:"events per site, injected cone vs full re-simulation"
+            ~paper:"(the saved work, independent of host load)"
+            ~measured:
+              (String.concat "; "
+                 (List.map
+                    (fun r -> Printf.sprintf "%s %.0f vs %.0f" r.label r.ev_site_cone r.ev_site_full)
+                    rows))
+            ~note:
+              (Printf.sprintf
+                 "mult4x4 speedup %.1fx DDM / %.1fx classic: reconvergent multiplier cones \
+                  span much of the circuit, so the bound is modest by construction"
+                 (speedup mult_ddm) (speedup mult_classic))
+            ();
+        ]
+      @ List.map
+          (fun r ->
+            Experiment.observation
+              ~metric:(Printf.sprintf "%s fallback sites by reason" r.label)
+              ~paper:"(hazards fall back to a full re-run; verdicts unchanged)"
+              ~measured:
+                (Printf.sprintf "%.1f%% of %d: %s" (100. *. fallback_rate r) r.n (reasons r))
+              ())
+          rows);
   ]

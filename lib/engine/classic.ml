@@ -36,6 +36,7 @@ type result = {
   truncated : bool;
   stopped_by : Stop.t;
   frozen : (Netlist.signal_id * float) list;
+  replay_hazard : bool;
 }
 
 type injection = Netlist.signal_id * (float * bool) list
@@ -64,7 +65,9 @@ type state = {
          queued switches *)
   queue : Heap.t;
   rev_edges : Digital.edge list array; (* newest first *)
-  seen : int array; (* gate -> the fanout walk that last evaluated it *)
+  seen : int array;
+      (* gate -> the fanout walk that last evaluated it; [max_int] bars
+         a gate from evaluation (the gates outside a cone run's cone) *)
   mutable walk : int;
   (* transaction pool: parallel arrays indexed by slot *)
   mutable tx_sid : int array;
@@ -78,6 +81,13 @@ type state = {
   wd : Watchdog.t option;
   fz : Watchdog.frozen;
   ctl : Run_control.t; (* limits, stop reason, progress *)
+  (* Cone runs only (see {!start_cone}); a full run leaves [cone] false
+     and never looks at the rest. *)
+  cone : bool;
+  replayed : Bytes.t; (* signal -> '\001' iff a gate-driven boundary feed *)
+  mutable tie_at : float; (* instant of the latest value-changing pop *)
+  mutable tie_replayed : bool; (* a replayed edge committed at [tie_at] *)
+  mutable replay_hazard : bool;
 }
 
 let grow_pool st =
@@ -213,7 +223,7 @@ let evaluate_fanout st ~now sid =
   st.walk <- st.walk + 1;
   for e = cp.Compiled.fan_off.(sid) to cp.Compiled.fan_off.(sid + 1) - 1 do
     let gid = cp.Compiled.fan_gate.(e) in
-    if st.seen.(gid) <> st.walk then begin
+    if st.seen.(gid) < st.walk then begin
       st.seen.(gid) <- st.walk;
       let new_out = eval_gate st gid in
       let out_sid = cp.Compiled.g_out.(gid) in
@@ -225,6 +235,9 @@ let evaluate_fanout st ~now sid =
         Delay_model.Cache.eval cache gid Delay_model.Cdm ~rising_out:new_out
           ~pin:(first_pin cp gid sid) ~tau_in:0. ~t_event:now ~last_output_start:Float.nan;
         let tp = Delay_model.Cache.tp cache in
+        (* a transaction due no later than its cause can jump ahead of
+           pops at [now] whose cone-run order may not be the full run's *)
+        if st.cone && tp <= 0. then st.replay_hazard <- true;
         schedule_inertial st out_sid ~at:(now +. tp) ~value:new_out ~window:tp
       end
       else st.stats.Stats.noop_evaluations <- st.stats.Stats.noop_evaluations + 1
@@ -263,20 +276,23 @@ let add_injection st (sid, toggles) =
 (* A paused run is its state, as in {!Iddm}. *)
 type session = state
 
-let start ?(injections = []) ?compiled cfg c ~drives =
-  let drives_tbl, levels = Drive.bind ~who:"Classic.start" c drives in
-  let cp = Compiled.resolve ~who:"Classic.start" ?compiled ~overlay:cfg.overlay cfg.tech c in
-  let nsignals = cp.Compiled.nsignals in
+(* The per-run state shared by a whole-circuit [start] and a
+   cone-restricted [start_cone]: everything except the circuit-sized
+   arrays, which [start] allocates fresh and a cone run borrows from its
+   workspace.  [pool]: a drained earlier state whose transaction pool
+   and queue carry over. *)
+let make_state ?pool ?replayed cfg (cp : Compiled.t) ~levels ~value ~pending
+    ~rev_edges ~seen ~fz =
   let st =
     {
       cfg;
       cp;
       levels;
-      value = Array.copy levels;
-      pending = Array.init nsignals (fun _ -> Slot_deque.create ());
-      queue = Heap.create ~capacity:64 ();
-      rev_edges = Array.make nsignals [];
-      seen = Array.make cp.Compiled.ngates 0;
+      value;
+      pending;
+      queue = (match pool with Some p -> p.queue | None -> Heap.create ~capacity:64 ());
+      rev_edges;
+      seen;
       walk = 0;
       tx_sid = [||];
       tx_at = [||];
@@ -285,22 +301,193 @@ let start ?(injections = []) ?compiled cfg c ~drives =
       tx_free = [||];
       tx_free_top = 0;
       stats = Stats.create ();
-      wd = Option.map (fun w -> Watchdog.create w ~nsignals) cfg.watchdog;
-      fz = Watchdog.frozen ~nsignals;
+      wd = Option.map (fun w -> Watchdog.create w ~nsignals:cp.Compiled.nsignals) cfg.watchdog;
+      fz;
       ctl = Run_control.create cfg.budget ~t_stop:cfg.t_stop ~max_events:cfg.max_events;
+      cone = Option.is_some replayed;
+      replayed = Option.value replayed ~default:Bytes.empty;
+      tie_at = Float.nan;
+      tie_replayed = false;
+      replay_hazard = false;
     }
+  in
+  (match pool with
+  | None -> ()
+  | Some p ->
+      st.tx_sid <- p.tx_sid;
+      st.tx_at <- p.tx_at;
+      st.tx_value <- p.tx_value;
+      st.tx_dead <- p.tx_dead;
+      st.tx_free <- p.tx_free;
+      st.tx_free_top <- p.tx_free_top);
+  st
+
+let start ?(injections = []) ?compiled cfg c ~drives =
+  let drives_tbl, levels = Drive.bind ~who:"Classic.start" c drives in
+  let cp = Compiled.resolve ~who:"Classic.start" ?compiled ~overlay:cfg.overlay cfg.tech c in
+  let nsignals = cp.Compiled.nsignals in
+  let st =
+    make_state cfg cp ~levels ~value:(Array.copy levels)
+      ~pending:(Array.init nsignals (fun _ -> Slot_deque.create ()))
+      ~rev_edges:(Array.make nsignals []) ~seen:(Array.make cp.Compiled.ngates 0)
+      ~fz:(Watchdog.frozen ~nsignals)
   in
   Hashtbl.iter (fun sid (d : Drive.t) -> List.iter (seed_input st sid) d.Drive.transitions) drives_tbl;
   List.iter (add_injection st) injections;
   st
 
+(* Cone-restricted re-simulation, the classic counterpart of
+   {!Iddm.start_cone}: only the cone's gates evaluate, and the events of
+   its boundary feeds — the signals outside the cone that drive its
+   gates — are replayed from outside.  A driven primary input replays
+   its drive's own switches, exactly as [start] seeds them and in
+   [start]'s drive-table order; any other boundary signal replays the
+   baseline's committed edges, the only events of that signal a cone
+   gate ever reacts to.
+
+   Classic ties pop first-in first-out, and the queue keeps no intrinsic
+   rank, so a cone run reproduces the full run's tie order only where
+   its insertion order matches.  Drive switches and injections are
+   queued first, in the full run's order, and every transaction born
+   inside the cone is queued in the order of the pops that cause it, as
+   in the full run.  Replayed gate-driven edges are the exception: the
+   full run queued each one mid-run, a cone run queues them all at the
+   start.  So the run flags [replay_hazard] when a replayed edge commits
+   at the instant of another value-changing pop (and when a delay of
+   tp <= 0 could queue a transaction ahead of pops already due).  A
+   hazard-free cone run processes the cone's events in the full run's
+   order; pops that change nothing do nothing order-sensitive.
+
+   The circuit-sized arrays (values, pending deques, committed edges,
+   evaluation stamps, freeze and boundary marks) live in the workspace;
+   a run resets the entries of its cone and boundary signals and bars
+   every other gate from evaluation by a [max_int] stamp.  The pool and
+   queue carry over once drained. *)
+type cone_workspace = {
+  cw_cfg : config;
+  cw_cp : Compiled.t;
+  cw_levels : bool array;
+  cw_inputs : (int * Transition.t list) array; (* driven inputs, in drive-table order *)
+  cw_input_rank : int array; (* signal -> index into [cw_inputs], or -1 *)
+  cw_base_edges : Digital.edge list array; (* the baseline's committed edges *)
+  cw_value : bool array;
+  cw_pending : Slot_deque.t array;
+  cw_rev_edges : Digital.edge list array;
+  cw_seen : int array; (* [max_int] outside the current cone *)
+  cw_bnd : Bytes.t; (* signal -> '\001' gate-driven / '\002' driven-input boundary feed *)
+  cw_fz : Watchdog.frozen;
+  mutable cw_prev : (Compiled.cone * int list * state) option;
+      (* the latest run, with its boundary signals *)
+}
+
+let cone_workspace ~compiled:cp ~(baseline : result) cfg c ~drives =
+  Compiled.check ~who:"Classic.cone_workspace" cp ~overlay:cfg.overlay cfg.tech c;
+  let drives_tbl, levels = Drive.bind ~who:"Classic.cone_workspace" c drives in
+  let nsignals = cp.Compiled.nsignals in
+  if Array.length baseline.final_levels <> nsignals then
+    invalid_arg "Classic.cone_workspace: baseline is for a different netlist";
+  (* [Hashtbl.iter] visits a table in [start]'s order: [Drive.bind]
+     builds both the same way *)
+  let inputs = ref [] in
+  Hashtbl.iter (fun sid (d : Drive.t) -> inputs := (sid, d.Drive.transitions) :: !inputs) drives_tbl;
+  let inputs = Array.of_list (List.rev !inputs) in
+  let rank = Array.make nsignals (-1) in
+  Array.iteri (fun k (sid, _) -> rank.(sid) <- k) inputs;
+  {
+    cw_cfg = cfg;
+    cw_cp = cp;
+    cw_levels = levels;
+    cw_inputs = inputs;
+    cw_input_rank = rank;
+    cw_base_edges = Lazy.force baseline.edges;
+    cw_value = Array.copy levels;
+    cw_pending = Array.init nsignals (fun _ -> Slot_deque.create ());
+    cw_rev_edges = Array.make nsignals [];
+    cw_seen = Array.make cp.Compiled.ngates max_int;
+    cw_bnd = Bytes.make nsignals '\000';
+    cw_fz = Watchdog.frozen ~nsignals;
+    cw_prev = None;
+  }
+
+(* Undo what the latest run left outside its cone and hand back its
+   drained state, whose pool and queue the next run reuses. *)
+let reclaim ws =
+  match ws.cw_prev with
+  | None -> None
+  | Some (cone, bnd, prev) ->
+      while not (Heap.is_empty prev.queue) do
+        free_tx prev (Heap.pop prev.queue)
+      done;
+      Array.iter (fun g -> ws.cw_seen.(g) <- max_int) cone.Compiled.cone_gates;
+      List.iter (fun sid -> Bytes.set ws.cw_bnd sid '\000') bnd;
+      Watchdog.thaw ws.cw_fz;
+      ws.cw_prev <- None;
+      Some prev
+
+let start_cone ?(injections = []) ws ~(cone : Compiled.cone) =
+  let cp = ws.cw_cp in
+  let member = cone.Compiled.cone_signal_member in
+  if Bytes.length member <> cp.Compiled.nsignals then
+    invalid_arg "Classic.start_cone: cone is for a different netlist";
+  List.iter
+    (fun (sid, _) ->
+      if sid < 0 || sid >= cp.Compiled.nsignals then
+        invalid_arg "Classic.start_cone: injection on unknown signal";
+      if Bytes.get member sid <> '\001' then
+        invalid_arg "Classic.start_cone: injection outside the cone")
+    injections;
+  let pool = reclaim ws in
+  let reset sid =
+    ws.cw_value.(sid) <- ws.cw_levels.(sid);
+    ws.cw_rev_edges.(sid) <- [];
+    let q : Slot_deque.t = ws.cw_pending.(sid) in
+    q.head <- 0;
+    q.tail <- 0
+  in
+  Array.iter (fun g -> ws.cw_seen.(g) <- 0) cone.Compiled.cone_gates;
+  Array.iter reset cone.Compiled.cone_signals;
+  let bnd = ref [] in
+  Array.iteri
+    (fun k g ->
+      let sid = cp.Compiled.pin_fanin.(cp.Compiled.g_base.(g) + cone.Compiled.cone_bnd_pin.(k)) in
+      if Bytes.get ws.cw_bnd sid = '\000' then begin
+        Bytes.set ws.cw_bnd sid (if ws.cw_input_rank.(sid) >= 0 then '\002' else '\001');
+        reset sid;
+        bnd := sid :: !bnd
+      end)
+    cone.Compiled.cone_bnd_gate;
+  let bnd = !bnd in
+  let st =
+    make_state ?pool ~replayed:ws.cw_bnd ws.cw_cfg cp ~levels:ws.cw_levels ~value:ws.cw_value
+      ~pending:ws.cw_pending ~rev_edges:ws.cw_rev_edges ~seen:ws.cw_seen ~fz:ws.cw_fz
+  in
+  ws.cw_prev <- Some (cone, bnd, st);
+  let inputs, replays = List.partition (fun sid -> Bytes.get ws.cw_bnd sid = '\002') bnd in
+  List.iter
+    (fun k ->
+      let sid, transitions = ws.cw_inputs.(k) in
+      List.iter (seed_input st sid) transitions)
+    (List.sort Int.compare (List.map (fun sid -> ws.cw_input_rank.(sid)) inputs));
+  List.iter (add_injection st) injections;
+  List.iter
+    (fun sid ->
+      List.iter
+        (fun (e : Digital.edge) ->
+          ignore (enqueue_tx st ~sid ~at:e.Digital.at ~value:(e.Digital.polarity = Transition.Rising)))
+        ws.cw_base_edges.(sid))
+    replays;
+  st
+
+let cone_edges ws sid = List.rev ws.cw_rev_edges.(sid)
+
 (* The edge lists are fixed at the call (the per-signal lists are
    immutable) but reversed only when read, so a snapshot costs
-   O(signals) however long the run. *)
+   O(signals) however long the run.  A cone run's result aliases its
+   workspace instead (read it through {!cone_edges}). *)
 let snapshot st =
   let ctl = st.ctl in
   st.stats.Stats.stopped_by <- ctl.Run_control.stop;
-  let rev_edges = Array.copy st.rev_edges in
+  let rev_edges = if st.cone then st.rev_edges else Array.copy st.rev_edges in
   {
     circuit = st.cp.Compiled.circuit;
     edges = lazy (Array.map List.rev rev_edges);
@@ -311,7 +498,21 @@ let snapshot st =
     truncated = not (Stop.completed ctl.Run_control.stop);
     stopped_by = ctl.Run_control.stop;
     frozen = List.rev st.fz.Watchdog.fz_rev;
+    replay_hazard = st.replay_hazard;
   }
+
+(* The cone-run tie watch (see {!start_cone}), called on every
+   value-changing pop of a cone run. *)
+let note_commit st ~at sid =
+  let replayed = Bytes.get st.replayed sid = '\001' in
+  if at = st.tie_at then begin
+    if replayed || st.tie_replayed then st.replay_hazard <- true;
+    st.tie_replayed <- st.tie_replayed || replayed
+  end
+  else begin
+    st.tie_at <- at;
+    st.tie_replayed <- replayed
+  end
 
 (* The main loop, paused at [upto]; pausing is free and exact for the
    same reason as in {!Iddm.advance}. *)
@@ -346,6 +547,7 @@ let advance st ~upto =
           && not (st.fz.Watchdog.fz_any && Bytes.get st.fz.Watchdog.fz_marks sid = '\001')
         then begin
           st.value.(sid) <- value;
+          if st.cone then note_commit st ~at:t sid;
           let polarity = if value then Transition.Rising else Transition.Falling in
           st.rev_edges.(sid) <- { Digital.at = t; polarity } :: st.rev_edges.(sid);
           st.stats.Stats.transitions_emitted <- st.stats.Stats.transitions_emitted + 1;

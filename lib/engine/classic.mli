@@ -14,7 +14,9 @@
     The engine runs on the same {!Compiled.t} as {!Iddm} (structure and
     CDM delay coefficients) and has the same run shape: {!start},
     {!advance}, live {!session_set_input} / {!session_inject}, and
-    {!run} as a session advanced to the end. *)
+    {!run} as a session advanced to the end.  {!start_cone} restricts a
+    run to one fanout cone, the substrate of {!Sim.Cone} for this
+    engine. *)
 
 type mode =
   | Inertial  (** pulses narrower than the gate delay annihilate (default) *)
@@ -62,6 +64,15 @@ type result = {
   frozen : (Halotis_netlist.Netlist.signal_id * Halotis_util.Units.time) list;
       (** signals a [Degrade]-mode watchdog froze, with the freeze
           instant — their values are meaningless (X) from that time on *)
+  replay_hazard : bool;
+      (** a cone run ({!start_cone}) could not vouch for its tie order:
+          a replayed gate-driven boundary edge committed at the same
+          instant as another value-changing pop, or a gate delay of
+          tp <= 0 queued a transaction no later than its cause.  Equal
+          instants pop first-in first-out, and a cone run queues its
+          replayed edges earlier than the full run did, so only such
+          ties can pop in a different order.  Always [false] for full
+          runs, which replay nothing. *)
 }
 
 type injection =
@@ -123,6 +134,54 @@ val session_set_input :
 val session_inject : session -> injection -> unit
 val session_finished : session -> bool
 val session_result : session -> result
+
+(** {1 Cone-restricted runs}
+
+    The classic half of incremental fault campaigns ({!Sim.Cone}):
+    re-run only a victim's {!Compiled.fanout_cone} against a finished
+    baseline. *)
+
+type cone_workspace
+(** The circuit-sized state of cone runs, allocated once and reused by
+    every {!start_cone} against one baseline: values, pending deques,
+    committed edges, evaluation stamps, freeze and boundary marks, and
+    the transaction pool.  Each run resets only its cone and boundary
+    signals, so a run costs O(cone), not O(circuit).  Single-threaded,
+    like {!Compiled.t}. *)
+
+val cone_workspace :
+  compiled:Compiled.t ->
+  baseline:result ->
+  config ->
+  Halotis_netlist.Netlist.t ->
+  drives:(Halotis_netlist.Netlist.signal_id * Drive.t) list ->
+  cone_workspace
+(** A workspace for cone runs of [config] against [baseline], the
+    finished {!run} of the same netlist, config and drives.  Soundness
+    requires the baseline to be [Completed] and unfrozen.
+    @raise Invalid_argument as {!start} does, or when [baseline] is for
+    another netlist. *)
+
+val start_cone : ?injections:injection list -> cone_workspace -> cone:Compiled.cone -> session
+(** A run in which only the cone's gates evaluate.  Each boundary feed
+    replays its events: a driven primary input its drive's switches,
+    seeded as {!start} seeds them and in {!start}'s order; any other
+    signal the baseline's committed edges.  The injections are queued
+    after the drive switches, as in {!start}.  Unless the result
+    carries [replay_hazard], the run processes the cone's events in
+    the full run's order, so its counters differ from a full run's by
+    the same amount with or without the injections.
+
+    The session and its results live in the workspace: the next
+    {!start_cone} invalidates them.  Read the member signals' edges
+    with {!cone_edges}; the result's [edges] alias the workspace and are
+    meaningful for the member signals only.
+    @raise Invalid_argument on a cone of a different netlist or an
+    injection outside the cone. *)
+
+val cone_edges : cone_workspace -> Halotis_netlist.Netlist.signal_id -> Halotis_wave.Digital.edge list
+(** The committed edges of a member signal in the workspace's latest
+    cone run, time-ordered. *)
 
 val edges_of_name : result -> string -> Halotis_wave.Digital.edge list
 (** @raise Not_found for unknown names. *)

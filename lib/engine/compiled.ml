@@ -41,10 +41,16 @@ let fanout_cone cp ~victim =
     invalid_arg "Compiled.fanout_cone: unknown signal";
   let smem = Bytes.make cp.nsignals '\000' in
   let gmem = Bytes.make (max 1 cp.ngates) '\000' in
+  (* members are listed as the walk marks them, then sorted: a cone
+     costs O(cone log cone) beyond the two marks, not a scan of the
+     circuit *)
+  let gates = ref [] and signals = ref [ victim ] in
+  let add_gate g =
+    Bytes.set gmem g '\001';
+    gates := g :: !gates
+  in
   Bytes.set smem victim '\001';
-  (match (Netlist.signal cp.circuit victim).Netlist.driver with
-  | Some g -> Bytes.set gmem g '\001'
-  | None -> ());
+  Option.iter add_gate (Netlist.signal cp.circuit victim).Netlist.driver;
   let work = ref [ victim ] in
   while !work <> [] do
     match !work with
@@ -54,28 +60,28 @@ let fanout_cone cp ~victim =
         for e = cp.fan_off.(sid) to cp.fan_off.(sid + 1) - 1 do
           let g = cp.fan_gate.(e) in
           if Bytes.get gmem g = '\000' then begin
-            Bytes.set gmem g '\001';
+            add_gate g;
             let out = cp.g_out.(g) in
             if Bytes.get smem out = '\000' then begin
               Bytes.set smem out '\001';
+              signals := out :: !signals;
               work := out :: !work
             end
           end
         done
   done;
-  let gates = ref [] and signals = ref [] in
-  for g = cp.ngates - 1 downto 0 do
-    if Bytes.get gmem g = '\001' then gates := g :: !gates
-  done;
-  for s = cp.nsignals - 1 downto 0 do
-    if Bytes.get smem s = '\001' then signals := s :: !signals
-  done;
+  let sorted l =
+    let a = Array.of_list l in
+    Array.sort Int.compare a;
+    a
+  in
+  let gates = sorted !gates and signals = sorted !signals in
   (* Boundary feeds: cone-gate pins driven from outside the cone.  A
-     cone-restricted run replays the baseline crossings of these pins
+     cone-restricted run replays the baseline's activity on these pins
      verbatim — the rest of the circuit cannot be perturbed by the
-     victim, so its waveforms are already final. *)
+     victim, so that activity is already final. *)
   let bnd_gate = ref [] and bnd_pin = ref [] in
-  List.iter
+  Array.iter
     (fun g ->
       let base = cp.g_base.(g) in
       for pin = 0 to cp.g_base.(g + 1) - base - 1 do
@@ -84,11 +90,11 @@ let fanout_cone cp ~victim =
           bnd_pin := pin :: !bnd_pin
         end
       done)
-    (List.rev !gates);
+    gates;
   {
     cone_victim = victim;
-    cone_gates = Array.of_list !gates;
-    cone_signals = Array.of_list !signals;
+    cone_gates = gates;
+    cone_signals = signals;
     cone_signal_member = smem;
     cone_bnd_gate = Array.of_list (List.rev !bnd_gate);
     cone_bnd_pin = Array.of_list (List.rev !bnd_pin);

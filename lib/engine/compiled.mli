@@ -75,7 +75,7 @@ val resolve :
 
     The static region a perturbation of one signal can reach: the
     substrate of incremental fault-campaign re-simulation
-    ({!Iddm.start_cone}, {!Sim.Cone}). *)
+    ({!Iddm.start_cone}, {!Classic.start_cone}, {!Sim.Cone}). *)
 
 type cone = {
   cone_victim : int;  (** the perturbed signal *)
@@ -95,10 +95,12 @@ type cone = {
 }
 
 val fanout_cone : t -> victim:int -> cone
-(** BFS over the CSR fanout arrays.  The closure property — a member
-    gate's output is always a member signal — means events born inside
-    the cone can never reach a non-member gate, so a cone-restricted
-    run needs no runtime escape check; only the boundary feeds (whose
-    waveforms the rest of the circuit fixes independently of the
-    victim) cross into it.
+(** A walk over the CSR fanout arrays that lists members as it marks
+    them, so its cost beyond two zeroed circuit-sized marks is the
+    cone's, not the circuit's.  The closure property — a member gate's
+    output is always a member signal — means events born inside the
+    cone can never reach a non-member gate, so a cone-restricted run
+    needs no runtime escape check; only the boundary feeds (whose
+    activity the rest of the circuit fixes independently of the victim)
+    cross into it.
     @raise Invalid_argument on an out-of-range signal id. *)

@@ -528,10 +528,7 @@ let reclaim ws =
       Array.iter
         (fun sid -> ws.cw_wf.(sid) <- ws.cw_baseline.waveforms.(sid))
         cone.Compiled.cone_signals;
-      let fz = ws.cw_fz in
-      List.iter (fun (sid, _) -> Bytes.set fz.Watchdog.fz_marks sid '\000') fz.Watchdog.fz_rev;
-      fz.Watchdog.fz_rev <- [];
-      fz.Watchdog.fz_any <- false;
+      Watchdog.thaw ws.cw_fz;
       ws.cw_prev <- None;
       Some prev
 

@@ -162,24 +162,33 @@ let iddm r = match r.rs_raw with Iddm_result ir -> Some ir | Classic_result _ ->
 let classic r =
   match r.rs_raw with Classic_result cr -> Some cr | Iddm_result _ -> None
 
+(* The run configurations shared by sessions and the cone context. *)
+let classic_config spec =
+  Classic.config ~overlay:spec.sp_overlay ?t_stop:spec.sp_t_stop ~budget:spec.sp_budget
+    ?watchdog:spec.sp_watchdog spec.sp_tech
+
+let classic_injection i = (i.inj_signal, List.map Classic.toggle i.inj_ramps)
+let iddm_injection i = { Iddm.inj_signal = i.inj_signal; inj_transitions = i.inj_ramps }
+
 (* Incremental cone re-simulation: the fault-campaign fast path.  For
    an injection on [victim], only the victim's static fanout cone can
    ever diverge from the baseline — so instead of re-running the whole
    circuit, re-run the cone twice (without and with the pulse), diff
    those two small runs, and graft the diff onto the full baseline.
 
-   Soundness rests on the runs being replayable: the event queue
-   resolves equal-key ties by intrinsic pin-slot rank, so a cone replay
-   pops coinciding events exactly as the full run did — the one history
-   it cannot reconstruct is a retroactive invalidation (tp <= 0
-   rewriting a waveform below an already-processed crossing), flagged
-   as {!Iddm.result.replay_hazard} and checked in the full baseline
-   (once at [create]; a hazardous baseline disables the context), in
-   the cone replay of the baseline (per victim, plus a belt-and-braces
-   edge comparison against the baseline itself), and in the injected
-   cone run (per site).  Any hazard, any guardrail trip, or a
-   driverless victim returns [Fallback] and the caller runs the site
-   the old way; verdicts are byte-identical either way. *)
+   Soundness rests on the cone runs replaying the full run's history.
+   Each engine flags the histories it cannot vouch for as
+   [replay_hazard]: for IDDM a retroactive invalidation (tp <= 0
+   rewriting a waveform below an already-processed crossing — its
+   queue breaks ties by intrinsic rank, so tie order replays exactly),
+   for classic a replayed boundary edge tied with another commit (its
+   queue breaks ties first-in first-out).  The flag is checked in the
+   full baseline (once at [create]; a hazardous baseline disables the
+   context), in the cone replay of the baseline (per victim, plus a
+   belt-and-braces edge comparison against the baseline itself), and
+   in the injected cone run (per site).  Any hazard, any guardrail
+   trip, or a driverless victim returns [Fallback] and the caller runs
+   the site the old way; verdicts are byte-identical either way. *)
 module Cone = struct
   module Stop = Halotis_guard.Stop
 
@@ -188,20 +197,32 @@ module Cone = struct
     ct_fallback : int;
     ct_cone_gates : int;
     ct_cone_events : int;
+    ct_fallback_reasons : (string * int) list;
   }
 
   (* Per-victim memo: campaigns strike the same driver outputs many
      times, and the cone plus its baseline replay depend only on the
-     victim.  Only the replay's counters are kept: its waveforms live in
+     victim.  Only the replay's counters are kept: its edges live in
      the workspace, which the next cone run overwrites. *)
   type victim_entry = { ve_cone : Compiled.cone; ve_base_stats : Stats.t }
   type victim_state = Good of victim_entry | Bad of string
 
+  type workspace = Iddm_ws of Iddm.cone_workspace | Classic_ws of Classic.cone_workspace
+
+  (* A finished cone run, as the checks and the graft read it.
+     [cr_edges] reads the workspace, so only until the next run. *)
+  type cone_run = {
+    cr_stopped_by : Stop.t;
+    cr_hazard : bool;
+    cr_frozen : bool;
+    cr_stats : Stats.t;
+    cr_edges : int -> Digital.edge list;
+  }
+
   type ctx = {
-    cx_engine : engine;
     cx_spec : spec;
     cx_compiled : Compiled.t;
-    cx_ws : Iddm.cone_workspace;
+    cx_ws : workspace;
     cx_base_edges : Digital.edge list array; (* full-baseline digitized view *)
     cx_edges : Digital.edge list array;
         (* the latest graft: [cx_base_edges] with [cx_grafted] replaced *)
@@ -209,6 +230,7 @@ module Cone = struct
     cx_base_stats : Stats.t;
     cx_vt : Halotis_util.Units.voltage;
     cx_victims : (int, victim_state) Hashtbl.t;
+    cx_reasons : (string, int) Hashtbl.t; (* fallback reason -> sites *)
     mutable cx_exact : int;
     mutable cx_fallback : int;
     mutable cx_cone_gates : int;
@@ -225,46 +247,91 @@ module Cone = struct
       }
     | Fallback of string
 
-  (* A classic baseline carries no waveforms to replay cones from. *)
   let create ?compiled engine spec ~baseline =
-    match baseline.rs_raw with
-    | Iddm_result br
-      when baseline.rs_engine = engine
-           && Stop.completed br.Iddm.stopped_by
-           && (not br.Iddm.replay_hazard)
-           && br.Iddm.frozen = [] ->
-        let c = spec.sp_circuit in
-        let _, levels = Drive.bind ~who:"Sim.Cone.create" c spec.sp_drives in
-        let compiled =
-          Compiled.resolve ~who:"Sim.Cone.create" ?compiled ~overlay:spec.sp_overlay
-            spec.sp_tech c
-        in
-        let base_edges = Lazy.force baseline.rs_edges in
-        Some
-          {
-            cx_engine = engine;
-            cx_spec = spec;
-            cx_compiled = compiled;
-            cx_ws =
-              Iddm.cone_workspace ~compiled ~baseline:br ~levels (iddm_config engine spec) c;
-            cx_base_edges = base_edges;
-            cx_edges = Array.copy base_edges;
-            cx_grafted = [||];
-            cx_base_stats = baseline.rs_stats;
-            cx_vt = baseline.rs_vt;
-            cx_victims = Hashtbl.create 64;
-            cx_exact = 0;
-            cx_fallback = 0;
-            cx_cone_gates = 0;
-            cx_cone_events = 0;
-          }
-    | Iddm_result _ | Classic_result _ -> None
+    let c = spec.sp_circuit in
+    let hazard =
+      match baseline.rs_raw with
+      | Iddm_result r -> r.Iddm.replay_hazard
+      | Classic_result r -> r.Classic.replay_hazard
+    in
+    if
+      not
+        (baseline.rs_engine = engine
+        && Stop.completed baseline.rs_stopped_by
+        && baseline.rs_frozen = [] && not hazard)
+    then None
+    else begin
+      let compiled =
+        Compiled.resolve ~who:"Sim.Cone.create" ?compiled ~overlay:spec.sp_overlay spec.sp_tech c
+      in
+      let ws =
+        match baseline.rs_raw with
+        | Iddm_result br ->
+            let _, levels = Drive.bind ~who:"Sim.Cone.create" c spec.sp_drives in
+            Iddm_ws (Iddm.cone_workspace ~compiled ~baseline:br ~levels (iddm_config engine spec) c)
+        | Classic_result br ->
+            Classic_ws
+              (Classic.cone_workspace ~compiled ~baseline:br (classic_config spec) c
+                 ~drives:spec.sp_drives)
+      in
+      let base_edges = Lazy.force baseline.rs_edges in
+      Some
+        {
+          cx_spec = spec;
+          cx_compiled = compiled;
+          cx_ws = ws;
+          cx_base_edges = base_edges;
+          cx_edges = Array.copy base_edges;
+          cx_grafted = [||];
+          cx_base_stats = baseline.rs_stats;
+          cx_vt = baseline.rs_vt;
+          cx_victims = Hashtbl.create 64;
+          cx_reasons = Hashtbl.create 8;
+          cx_exact = 0;
+          cx_fallback = 0;
+          cx_cone_gates = 0;
+          cx_cone_events = 0;
+        }
+    end
 
   let run_cone ctx ~cone ~injections =
-    Iddm.advance (Iddm.start_cone ~injections ctx.cx_ws ~cone) ~upto:infinity
+    match ctx.cx_ws with
+    | Iddm_ws ws ->
+        let r =
+          Iddm.advance
+            (Iddm.start_cone ~injections:(List.map iddm_injection injections) ws ~cone)
+            ~upto:infinity
+        in
+        {
+          cr_stopped_by = r.Iddm.stopped_by;
+          cr_hazard = r.Iddm.replay_hazard;
+          cr_frozen = r.Iddm.frozen <> [];
+          cr_stats = r.Iddm.stats;
+          cr_edges = (fun sid -> Digital.edges r.Iddm.waveforms.(sid) ~vt:ctx.cx_vt);
+        }
+    | Classic_ws ws ->
+        let r =
+          Classic.advance
+            (Classic.start_cone ~injections:(List.map classic_injection injections) ws ~cone)
+            ~upto:infinity
+        in
+        {
+          cr_stopped_by = r.Classic.stopped_by;
+          cr_hazard = r.Classic.replay_hazard;
+          cr_frozen = r.Classic.frozen <> [];
+          cr_stats = r.Classic.stats;
+          cr_edges = Classic.cone_edges ws;
+        }
+
+  (* Why a cone run cannot be trusted, if it cannot. *)
+  let distrust what r =
+    if not (Stop.completed r.cr_stopped_by) then Some (what ^ " tripped a guardrail")
+    else if r.cr_hazard then Some (what ^ " hit a replay hazard")
+    else if r.cr_frozen then Some (what ^ " froze signals")
+    else None
 
   (* The baseline cone replay must land exactly on the full baseline:
-     completed, hazard-free, and digitizing to the same edges on every
+     completed, hazard-free, and producing the same edges on every
      member signal.  The edge comparison is the dirty-frontier check
      made static — any divergence (which hazard-freedom should already
      exclude) is caught here once per victim rather than trusted. *)
@@ -278,18 +345,15 @@ module Cone = struct
           else begin
             let cone = Compiled.fanout_cone ctx.cx_compiled ~victim in
             let base = run_cone ctx ~cone ~injections:[] in
-            if not (Stop.completed base.Iddm.stopped_by) then
-              Bad "baseline cone replay tripped a guardrail"
-            else if base.Iddm.replay_hazard then Bad "baseline cone replay hazard"
-            else if base.Iddm.frozen <> [] then Bad "baseline cone replay froze signals"
-            else if
-              Array.exists
-                (fun sid ->
-                  Digital.edges base.Iddm.waveforms.(sid) ~vt:ctx.cx_vt
-                  <> ctx.cx_base_edges.(sid))
-                cone.Compiled.cone_signals
-            then Bad "baseline cone replay diverged from the baseline"
-            else Good { ve_cone = cone; ve_base_stats = base.Iddm.stats }
+            match distrust "baseline cone replay" base with
+            | Some reason -> Bad reason
+            | None ->
+                if
+                  Array.exists
+                    (fun sid -> base.cr_edges sid <> ctx.cx_base_edges.(sid))
+                    cone.Compiled.cone_signals
+                then Bad "baseline cone replay diverged from the baseline"
+                else Good { ve_cone = cone; ve_base_stats = base.cr_stats }
           end
         in
         Hashtbl.replace ctx.cx_victims victim st;
@@ -298,6 +362,8 @@ module Cone = struct
   let run_site ctx (i : injection) =
     let fallback reason =
       ctx.cx_fallback <- ctx.cx_fallback + 1;
+      Hashtbl.replace ctx.cx_reasons reason
+        (1 + Option.value ~default:0 (Hashtbl.find_opt ctx.cx_reasons reason));
       Fallback reason
     in
     if i.inj_signal < 0 || i.inj_signal >= Array.length ctx.cx_base_edges then
@@ -306,41 +372,33 @@ module Cone = struct
       match victim_entry ctx i.inj_signal with
       | Bad reason -> fallback reason
       | Good { ve_cone; ve_base_stats } -> (
-          let inj =
-            run_cone ctx ~cone:ve_cone
-              ~injections:[ { Iddm.inj_signal = i.inj_signal; inj_transitions = i.inj_ramps } ]
-          in
-          if not (Stop.completed inj.Iddm.stopped_by) then
-            fallback "injected cone run tripped a guardrail"
-          else if inj.Iddm.replay_hazard then fallback "injected cone run replay hazard"
-          else if inj.Iddm.frozen <> [] then fallback "injected cone run froze signals"
-          else begin
-            (* Graft: member signals re-digitized from the injected cone
-               run into the context's edge array, every other signal
-               aliasing the baseline edge list.  Only the previous
-               graft's members need restoring, so the graft costs
-               O(cone), and non-members are physically equal to the
-               baseline: classification compares [members] only (a
-               structural [<>] on the aliased lists would still walk
-               them).  The stats are the baseline's plus the cone delta,
-               which equals the full-run counters exactly when the runs
-               are order-deterministic. *)
-            let edges = ctx.cx_edges in
-            Array.iter (fun sid -> edges.(sid) <- ctx.cx_base_edges.(sid)) ctx.cx_grafted;
-            let members = ve_cone.Compiled.cone_signals in
-            Array.iter
-              (fun sid -> edges.(sid) <- Digital.edges inj.Iddm.waveforms.(sid) ~vt:ctx.cx_vt)
-              members;
-            ctx.cx_grafted <- members;
-            let stats = Stats.copy ctx.cx_base_stats in
-            Stats.merge stats (Stats.diff inj.Iddm.stats ve_base_stats);
-            let cone_gates = Array.length ve_cone.Compiled.cone_gates in
-            let cone_events = inj.Iddm.stats.Stats.events_processed in
-            ctx.cx_exact <- ctx.cx_exact + 1;
-            ctx.cx_cone_gates <- ctx.cx_cone_gates + cone_gates;
-            ctx.cx_cone_events <- ctx.cx_cone_events + cone_events;
-            Exact { edges; members; stats; cone_gates; cone_events }
-          end)
+          let inj = run_cone ctx ~cone:ve_cone ~injections:[ i ] in
+          match distrust "injected cone run" inj with
+          | Some reason -> fallback reason
+          | None ->
+              (* Graft: member signals' edges from the injected cone run
+                 into the context's edge array, every other signal
+                 aliasing the baseline edge list.  Only the previous
+                 graft's members need restoring, so the graft costs
+                 O(cone), and non-members are physically equal to the
+                 baseline: classification compares [members] only (a
+                 structural [<>] on the aliased lists would still walk
+                 them).  The stats are the baseline's plus the cone
+                 delta, which equals the full-run counters exactly when
+                 the runs are order-deterministic. *)
+              let edges = ctx.cx_edges in
+              Array.iter (fun sid -> edges.(sid) <- ctx.cx_base_edges.(sid)) ctx.cx_grafted;
+              let members = ve_cone.Compiled.cone_signals in
+              Array.iter (fun sid -> edges.(sid) <- inj.cr_edges sid) members;
+              ctx.cx_grafted <- members;
+              let stats = Stats.copy ctx.cx_base_stats in
+              Stats.merge stats (Stats.diff inj.cr_stats ve_base_stats);
+              let cone_gates = Array.length ve_cone.Compiled.cone_gates in
+              let cone_events = inj.cr_stats.Stats.events_processed in
+              ctx.cx_exact <- ctx.cx_exact + 1;
+              ctx.cx_cone_gates <- ctx.cx_cone_gates + cone_gates;
+              ctx.cx_cone_events <- ctx.cx_cone_events + cone_events;
+              Exact { edges; members; stats; cone_gates; cone_events })
 
   let totals ctx =
     {
@@ -348,6 +406,8 @@ module Cone = struct
       ct_fallback = ctx.cx_fallback;
       ct_cone_gates = ctx.cx_cone_gates;
       ct_cone_events = ctx.cx_cone_events;
+      ct_fallback_reasons =
+        List.sort compare (Hashtbl.fold (fun r n acc -> (r, n) :: acc) ctx.cx_reasons []);
     }
 end
 
@@ -358,9 +418,6 @@ module Session = struct
   type engine_session = Iddm_session of Iddm.session | Classic_session of Classic.session
 
   type t = { ss_engine : engine; ss_spec : spec; ss_sess : engine_session }
-
-  let classic_injection i = (i.inj_signal, List.map Classic.toggle i.inj_ramps)
-  let iddm_injection i = { Iddm.inj_signal = i.inj_signal; inj_transitions = i.inj_ramps }
 
   let start ?compiled engine spec =
     let c = spec.sp_circuit and drives = spec.sp_drives in
@@ -375,10 +432,7 @@ module Session = struct
           Classic_session
             (Classic.start
                ~injections:(List.map classic_injection spec.sp_injections)
-               ?compiled
-               (Classic.config ~overlay:spec.sp_overlay ?t_stop:spec.sp_t_stop
-                  ~budget:spec.sp_budget ?watchdog:spec.sp_watchdog spec.sp_tech)
-               c ~drives)
+               ?compiled (classic_config spec) c ~drives)
     in
     { ss_engine = engine; ss_spec = spec; ss_sess = sess }
 

@@ -144,13 +144,16 @@ val classic : result -> Classic.result option
     perturb the victim's static fanout cone ({!Compiled.fanout_cone}),
     so instead of re-running the whole circuit per site, a {!Cone.ctx}
     re-runs just the cone twice — once clean, once with the pulse —
-    and grafts the difference onto the full baseline.  The grafted
-    edges and statistics are {e exactly} what a full injected run would
-    produce whenever every involved run is replayable
-    (hazard-free, see {!Iddm.result.replay_hazard}) and no guardrail
-    trips; every other case returns {!Cone.Fallback} and the caller
-    re-simulates the site in full, so campaign verdicts are
-    byte-identical with the optimization on or off. *)
+    and grafts the difference onto the full baseline.  One context
+    serves every engine: the cone runs are {!Iddm.start_cone} runs for
+    DDM and CDM and {!Classic.start_cone} runs for the classic engine.
+    The grafted edges and statistics are {e exactly} what a full
+    injected run would produce whenever every involved run is
+    replayable (hazard-free, see {!Iddm.result.replay_hazard} and
+    {!Classic.result.replay_hazard}) and no guardrail trips; every
+    other case returns {!Cone.Fallback} and the caller re-simulates the
+    site in full, so campaign verdicts are byte-identical with the
+    optimization on or off. *)
 module Cone : sig
   type ctx
 
@@ -163,6 +166,8 @@ module Cone : sig
     ct_cone_gates : int;  (** total cone gates over exact sites *)
     ct_cone_events : int;
         (** total injected-cone events processed over exact sites *)
+    ct_fallback_reasons : (string * int) list;
+        (** fallback sites per {!Fallback} reason, sorted by reason *)
   }
 
   type outcome =
@@ -186,14 +191,15 @@ module Cone : sig
 
   val create : ?compiled:Compiled.t -> engine -> spec -> baseline:result -> ctx option
   (** Compiles the circuit (or takes [compiled], checked as in {!run}),
-      captures the baseline's DC operating point and digitized view,
-      allocates the {!Iddm.cone_workspace} every cone run of the
-      context reuses, and arms the per-victim memo.  [spec] must be
-      the baseline's spec (same circuit, drives, tech, horizon) and
-      [baseline] its finished result on [engine].  Returns [None] —
-      incremental disabled for the whole campaign — for the classic
-      engine, an engine/baseline mismatch, or a baseline that is
-      truncated, watchdog-frozen or replay-hazardous.
+      captures the baseline's digitized view, allocates the engine's
+      cone workspace ({!Iddm.cone_workspace} or
+      {!Classic.cone_workspace}) every cone run of the context reuses,
+      and arms the per-victim memo.  [spec] must be the baseline's spec
+      (same circuit, drives, tech, horizon) and [baseline] its finished
+      result on [engine].  Returns [None] — incremental disabled for
+      the whole campaign — for an engine/baseline mismatch, or a
+      baseline that is truncated, watchdog-frozen or
+      replay-hazardous.
       @raise Invalid_argument when [compiled] is for another netlist,
       tech or overlay. *)
 

@@ -259,14 +259,14 @@ let run ?on_verdict cfg tech c ~drives =
                 (Survival.pruner ~kind tech c ~baseline ~t_stop:cfg.t_stop
                    ~width:cfg.pulse.Inject.width ~slope:cfg.pulse.Inject.slope))
   in
-  (* Incremental cone re-simulation.  Armed only when every injected
-     run would be whole anyway (unlimited per-site budget — a cone run
-     cannot reproduce the exact trip point of a budgeted full run);
-     [Sim.Cone.create] additionally refuses the classic engine and a
-     truncated or tie-hazardous baseline.  When armed, a site whose cone
-     graft is exact skips the full re-run entirely; any fallback re-runs
-     it the old way, so verdicts, reports and journals are
-     byte-identical with the optimization on or off. *)
+  (* Incremental cone re-simulation, on every engine.  Armed only when
+     every injected run would be whole anyway (unlimited per-site
+     budget — a cone run cannot reproduce the exact trip point of a
+     budgeted full run); [Sim.Cone.create] additionally refuses a
+     truncated, frozen or replay-hazardous baseline.  When armed, a site
+     whose cone graft is exact skips the full re-run entirely; any
+     fallback re-runs it the old way, so verdicts, reports and journals
+     are byte-identical with the optimization on or off. *)
   let cone_ctx =
     if cfg.incremental && Budget.is_unlimited cfg.site_budget then
       Sim.Cone.create ~compiled cfg.engine (spec ()) ~baseline:base_run

@@ -83,10 +83,10 @@ type config = {
           ({!Halotis_engine.Sim.Cone}) when the graft is provably exact,
           falling back to a full per-site re-run otherwise — verdicts,
           reports and journals are byte-identical either way, only
-          [cam_cone] and the wall clock change.  Default on.  Silently
-          inert for the classic engine, under a finite [site_budget],
+          [cam_cone] and the wall clock change.  Default on, for
+          every engine.  Silently inert under a finite [site_budget]
           and for baselines the cone machinery refuses (truncated,
-          watchdog-frozen or tie-hazardous).  Overlay-aware: the cone
+          watchdog-frozen or replay-hazardous).  Overlay-aware: the cone
           prices its compiled circuit at [overlay]'s corner. *)
   overlay : Halotis_tech.Param_overlay.t;
       (** parameter corner {e every} run of the campaign — baselines
@@ -159,8 +159,9 @@ type t = {
       (** the global index range [\[lo, hi)] this value covers; [None]
           for a whole-campaign run *)
   cam_cone : Halotis_engine.Sim.Cone.totals option;
-      (** incremental accounting (exact/fallback site counts, cone
-          sizes) when cone re-simulation was armed; [None] when it was
+      (** incremental accounting (exact/fallback site counts,
+          fallbacks by reason, cone sizes) when cone re-simulation was
+          armed; [None] when it was
           off or refused.  Never rendered into reports — report bytes
           must not depend on the engine path. *)
   cam_quarantined : (int * Site.t) list;

@@ -56,6 +56,11 @@ type frozen = {
 
 let frozen ~nsignals = { fz_marks = Bytes.make nsignals '\000'; fz_any = false; fz_rev = [] }
 
+let thaw fz =
+  List.iter (fun (sid, _) -> Bytes.set fz.fz_marks sid '\000') fz.fz_rev;
+  fz.fz_rev <- [];
+  fz.fz_any <- false
+
 (* In [Halt] mode the whole run stops; in [Degrade] mode the offending
    feedback loop is frozen so the engine schedules nothing more on it
    while the rest of the circuit keeps simulating. *)

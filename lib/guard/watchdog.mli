@@ -53,6 +53,10 @@ type frozen = {
 val frozen : nsignals:int -> frozen
 (** Nothing frozen yet. *)
 
+val thaw : frozen -> unit
+(** Back to nothing frozen, in O(frozen signals): how a reused cone
+    workspace starts its next run. *)
+
 val trip :
   t -> Halotis_netlist.Netlist.t -> frozen -> signal:int -> at:float -> Stop.t option
 (** Acts on a trip of [signal] ({!record} returned [true]) at time

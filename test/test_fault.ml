@@ -394,13 +394,16 @@ let test_cone_pi_victim_falls_back () =
 
 (* Headline equivalence property: incremental and full campaigns agree
    byte-for-byte — reports and journal files — across random circuits,
-   seeds and both waveform engines. *)
+   seeds and all three engines.  (Campaigns sample their sites from a
+   DDM baseline whatever the engine.) *)
 let prop_incremental_equals_full =
-  QCheck.Test.make ~name:"incremental cone campaign == full re-simulation" ~count:8
+  QCheck.Test.make ~name:"incremental cone campaign == full re-simulation" ~count:12
     QCheck.(pair (int_range 10 35) (int_range 0 1000))
     (fun (gates, seed) ->
       let c, drives = Test_perf_equiv.workload ~gates ~seed in
-      let engine = if seed land 1 = 0 then Campaign.Ddm else Campaign.Cdm in
+      let engine =
+        match seed mod 3 with 0 -> Campaign.Ddm | 1 -> Campaign.Cdm | _ -> Campaign.Classic_inertial
+      in
       let cfg incremental =
         Campaign.config ~engine ~seed:(seed + 11) ~n:12 ~incremental ~t_stop:12_000. ()
       in
@@ -476,22 +479,123 @@ let test_cone_same_instant_strike_exact () =
   Alcotest.(check string) "report byte-identical" (Fault_report.to_string t_off)
     (Fault_report.to_string t_on)
 
+(* The classic tie rule.  Classic ties pop first-in first-out, and a
+   classic cone run queues the replayed edges of its gate-driven
+   boundary feeds at the start, not when the full run queued them.  So
+   a strike whose forced toggle commits at the very instant a replayed
+   boundary edge commits must be refused (a replay hazard of the
+   injected cone run), and the campaign must still report exactly what
+   full re-simulation reports. *)
+let test_classic_cone_tie_falls_back () =
+  let c = Lazy.force chain in
+  let drives = [ (sid c "in", Drive.of_levels ~slope:100. ~initial:false [ (1000., true) ]) ] in
+  let spec = Sim.spec ~drives ~t_stop:8000. ~tech:DL.tech c in
+  let base = Sim.run Sim.Classic_inertial spec in
+  let baseline = Iddm.run (Iddm.config ~t_stop:8000. DL.tech) c ~drives in
+  (* out2's driver is fed by out1, a gate-driven boundary feed of
+     out2's cone: strike out2 so its toggle lands on out1's edge *)
+  let victim = sid c "out2" in
+  let edge_at =
+    match (Sim.edges base).(sid c "out1") with
+    | e :: _ -> e.D.at
+    | [] -> Alcotest.fail "fixture: out1 never switches"
+  in
+  let pulse = Inject.pulse ~width:150. () in
+  let toggle_at at =
+    fst (Halotis_engine.Classic.toggle (List.hd (Inject.transitions ~at ~polarity:T.Rising pulse)))
+  in
+  (* the ramp start whose 50 % point is [edge_at] *)
+  let site = Site.of_signal ~baseline victim ~at:(edge_at -. (pulse.Inject.slope /. 2.)) in
+  let inj = Inject.injection site pulse in
+  checkb "strike toggle ties with the boundary edge (non-vacuous)" true
+    (toggle_at site.Site.st_at = edge_at);
+  checkb "the toggle flips the victim" true
+    (site.Site.st_polarity = T.Rising
+    && (not (Sim.initial_levels base).(victim))
+    && List.for_all (fun (e : D.edge) -> e.D.at > edge_at) (Sim.edges base).(victim));
+  let ctx =
+    match Sim.Cone.create Sim.Classic_inertial spec ~baseline:base with
+    | Some ctx -> ctx
+    | None -> Alcotest.fail "cone context refused a completed classic baseline"
+  in
+  (match Sim.Cone.run_site ctx inj with
+  | Sim.Cone.Fallback reason ->
+      Alcotest.(check string) "refused for the tie" "injected cone run hit a replay hazard" reason
+  | Sim.Cone.Exact _ -> Alcotest.fail "a replayed boundary edge tied with a commit: must fall back");
+  let campaign incremental =
+    Campaign.run
+      {
+        (Campaign.config ~engine:Campaign.Classic_inertial ~incremental ~t_stop:8000. ()) with
+        Campaign.sites = Some [ site ];
+      }
+      DL.tech c ~drives
+  in
+  let t_on = campaign true and t_off = campaign false in
+  (match t_on.Campaign.cam_cone with
+  | None -> Alcotest.fail "incremental was refused outright"
+  | Some tot -> checki "the site fell back" 1 tot.Sim.Cone.ct_fallback);
+  Alcotest.(check string) "report byte-identical" (Fault_report.to_string t_off)
+    (Fault_report.to_string t_on)
+
+(* Drive-order seeding: four primary inputs switching at one instant
+   into one cone gate, as the multiplier's operand bits do.  Which
+   switch pops first and last decides the gate's delay pin, so the
+   cone run must seed the inputs in the full run's order (the drive
+   table's) for its clean replay to reproduce the baseline and its
+   graft to be exact. *)
+let test_classic_cone_simultaneous_inputs_exact () =
+  let c =
+    match
+      Halotis_netlist.Hnl.parse_string
+        "circuit sync\ninput a b c d\noutput y\ngate g1 nand4 n1 a b c d\n\
+         gate g2 inv n2 n1\ngate g3 inv y n2\nend\n"
+    with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "fixture: %a" Halotis_netlist.Hnl.pp_error e
+  in
+  let drive = Drive.of_levels ~slope:60. ~initial:false [ (4000., true); (8000., false) ] in
+  let drives = List.map (fun n -> (sid c n, drive)) [ "a"; "b"; "c"; "d" ] in
+  let spec = Sim.spec ~drives ~t_stop:12_000. ~tech:DL.tech c in
+  let base = Sim.run Sim.Classic_inertial spec in
+  let baseline = Iddm.run (Iddm.config ~t_stop:12_000. DL.tech) c ~drives in
+  let ctx =
+    match Sim.Cone.create Sim.Classic_inertial spec ~baseline:base with
+    | Some ctx -> ctx
+    | None -> Alcotest.fail "cone context refused a completed classic baseline"
+  in
+  List.iter
+    (fun (name, at) ->
+      let site = Site.of_signal ~baseline (sid c name) ~at in
+      let inj = Inject.injection site (Inject.pulse ~width:150. ()) in
+      match Sim.Cone.run_site ctx inj with
+      | Sim.Cone.Fallback r -> Alcotest.failf "%s at %.0f fell back: %s" name at r
+      | Sim.Cone.Exact { edges; stats; cone_gates; _ } ->
+          let full = Sim.run Sim.Classic_inertial { spec with Sim.sp_injections = [ inj ] } in
+          checkb "the inputs' gate is in the cone" true (cone_gates >= 2);
+          checkb "edges identical" true (edges = Sim.edges full);
+          checkb "stats identical" true (stats = Halotis_engine.Stats.copy full.Sim.rs_stats))
+    [ ("n1", 2000.); ("n1", 4100.); ("n2", 6000.); ("n1", 8030.) ]
+
 (* Workspace reuse: one context driven through a random site sequence —
    repeated victims, primary-input victims that fall back, and strikes
    so late that the horizon cuts the cone run with events still queued
    — must answer every site exactly as a fresh context would, its exact
-   grafts must equal full re-simulation, and a campaign over the same
-   sites must report what full re-simulation reports. *)
+   grafts must equal full re-simulation on every signal's edges and
+   every counter, and a campaign over the same sites must report what
+   full re-simulation reports.  All three engines; sites take their
+   polarity from a DDM baseline, as campaigns do. *)
 let prop_cone_reuse_equals_fresh =
-  QCheck.Test.make ~name:"reused cone context == fresh context per site" ~count:20
+  QCheck.Test.make ~name:"reused cone context == fresh context per site" ~count:30
     QCheck.(pair (int_range 10 35) (int_range 0 1000))
     (fun (gates, seed) ->
       let t_stop = 12_000. in
       let c, drives = Test_perf_equiv.workload ~gates ~seed in
-      let engine = if seed land 1 = 0 then Sim.Ddm else Sim.Cdm in
+      let engine = match seed mod 3 with 0 -> Sim.Ddm | 1 -> Sim.Cdm | _ -> Sim.Classic_inertial in
       let spec = Sim.spec ~drives ~t_stop ~tech:DL.tech c in
       let base = Sim.run engine spec in
-      let baseline = Option.get (Sim.iddm base) in
+      let baseline =
+        Option.get (Sim.iddm (if engine = Sim.Ddm then base else Sim.run Sim.Ddm spec))
+      in
       let fresh () =
         match Sim.Cone.create engine spec ~baseline:base with
         | Some ctx -> ctx
@@ -518,7 +622,7 @@ let prop_cone_reuse_equals_fresh =
             | _ -> `Early (site_at (Prng.float rng ~bound:3000.)))
       in
       let shared = fresh () in
-      let cut = ref 0 and late_exact = ref 0 and exact = ref 0 in
+      let cut = ref 0 and late_exact = ref 0 and exact = ref 0 and tie_refused = ref 0 in
       let same_site step =
         let inj =
           match step with
@@ -527,7 +631,9 @@ let prop_cone_reuse_equals_fresh =
           | `Late site | `Early site -> Inject.injection site pulse
         in
         match (Sim.Cone.run_site shared inj, Sim.Cone.run_site (fresh ()) inj, step) with
-        | Sim.Cone.Fallback r1, Sim.Cone.Fallback r2, _ -> r1 = r2
+        | Sim.Cone.Fallback r1, Sim.Cone.Fallback r2, _ ->
+            if r1 = "baseline cone replay hit a replay hazard" then incr tie_refused;
+            r1 = r2
         | Sim.Cone.Exact _, _, `Pi _ -> false
         | ( Sim.Cone.Exact
               { edges = e1; members = m1; stats = s1; cone_gates = g1; cone_events = v1 },
@@ -538,9 +644,20 @@ let prop_cone_reuse_equals_fresh =
             (match step with
             | `Late _ ->
                 incr late_exact;
-                let d = Halotis_engine.Stats.diff s1 base.Sim.rs_stats in
-                let open Halotis_engine.Stats in
-                if d.events_scheduled > d.events_processed + d.events_filtered then incr cut
+                let queued =
+                  match engine with
+                  | Sim.Classic_inertial ->
+                      (* injected toggles are queued, never scheduled:
+                         one past the horizon stays in the queue *)
+                      List.exists
+                        (fun r -> fst (Halotis_engine.Classic.toggle r) > t_stop)
+                        inj.Sim.inj_ramps
+                  | Sim.Ddm | Sim.Cdm ->
+                      let d = Halotis_engine.Stats.diff s1 base.Sim.rs_stats in
+                      let open Halotis_engine.Stats in
+                      d.events_scheduled > d.events_processed + d.events_filtered
+                in
+                if queued then incr cut
             | `Early _ | `Pi _ -> ());
             let full = Sim.run engine { spec with Sim.sp_injections = [ inj ] } in
             e1 = e2 && m1 = m2 && s1 = s2 && g1 = g2 && v1 = v2
@@ -558,9 +675,12 @@ let prop_cone_reuse_equals_fresh =
              { (Campaign.config ~engine ~incremental ~t_stop ()) with Campaign.sites = Some sites }
              DL.tech c ~drives)
       in
+      (* the classic tie rule may refuse every victim of a small
+         circuit; any other case must graft some site exactly *)
+      let all_refused = engine = Sim.Classic_inertial && !tie_refused = List.length sites in
       sites_same
       && (!late_exact = 0 || !cut > 0)
-      && !exact > 0
+      && (!exact > 0 || all_refused)
       && campaign true = campaign false)
 
 (* The O(cone) claim, host-independently: the words one cone site
@@ -612,6 +732,10 @@ let test_cone_site_alloc_independent_of_circuit () =
       minor +. major -. promoted
     in
     List.init repeat (fun _ ->
+        (* a minor collection inside the window makes OCaml 5's
+           Gc.counters over-report by most of a minor heap, so each
+           measured site starts on an empty one *)
+        Gc.minor ();
         let w0 = allocated () in
         run ();
         allocated () -. w0)
@@ -679,6 +803,10 @@ let tests =
         QCheck_alcotest.to_alcotest prop_incremental_equals_full;
         Alcotest.test_case "same-instant strike stays exact" `Quick
           test_cone_same_instant_strike_exact;
+        Alcotest.test_case "classic boundary-edge tie falls back" `Quick
+          test_classic_cone_tie_falls_back;
+        Alcotest.test_case "classic simultaneous inputs graft exactly" `Quick
+          test_classic_cone_simultaneous_inputs_exact;
         QCheck_alcotest.to_alcotest prop_cone_reuse_equals_fresh;
         Alcotest.test_case "site allocation independent of circuit size" `Quick
           test_cone_site_alloc_independent_of_circuit;
