@@ -426,14 +426,12 @@ let reclaim ws =
 
 let start_cone ?(injections = []) ws ~(cone : Compiled.cone) =
   let cp = ws.cw_cp in
-  let member = cone.Compiled.cone_signal_member in
-  if Bytes.length member <> cp.Compiled.nsignals then
-    invalid_arg "Classic.start_cone: cone is for a different netlist";
+  Compiled.check_cone ~who:"Classic.start_cone" cp cone;
   List.iter
     (fun (sid, _) ->
       if sid < 0 || sid >= cp.Compiled.nsignals then
         invalid_arg "Classic.start_cone: injection on unknown signal";
-      if Bytes.get member sid <> '\001' then
+      if not (Compiled.mem_sorted cone.Compiled.cone_signals sid) then
         invalid_arg "Classic.start_cone: injection outside the cone")
     injections;
   let pool = reclaim ws in

@@ -25,10 +25,25 @@ type cone = {
   cone_victim : int;
   cone_gates : int array;
   cone_signals : int array;
-  cone_signal_member : Bytes.t;
   cone_bnd_gate : int array;
   cone_bnd_pin : int array;
 }
+
+(* The walk's membership marks, clear between walks. *)
+type cone_marks = { cm_signal : Bytes.t; cm_gate : Bytes.t }
+
+let cone_marks cp =
+  { cm_signal = Bytes.make cp.nsignals '\000'; cm_gate = Bytes.make (max 1 cp.ngates) '\000' }
+
+let mem_sorted (a : int array) x =
+  let rec search lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) / 2 in
+    let v = a.(mid) in
+    v = x || if v < x then search (mid + 1) hi else search lo mid
+  in
+  search 0 (Array.length a)
 
 (* The static fanout cone of a victim signal: its driver gate plus the
    transitive fanout closure.  Closure over fanout means a perturbation
@@ -36,14 +51,20 @@ type cone = {
    run restricted to these gates is self-contained; the driver gate is
    included because its native output activity interleaves with (and is
    degraded by) the spliced pulse on the victim waveform itself. *)
-let fanout_cone cp ~victim =
+let fanout_cone ?marks cp ~victim =
   if victim < 0 || victim >= cp.nsignals then
     invalid_arg "Compiled.fanout_cone: unknown signal";
-  let smem = Bytes.make cp.nsignals '\000' in
-  let gmem = Bytes.make (max 1 cp.ngates) '\000' in
-  (* members are listed as the walk marks them, then sorted: a cone
-     costs O(cone log cone) beyond the two marks, not a scan of the
-     circuit *)
+  let { cm_signal = smem; cm_gate = gmem } =
+    match marks with
+    | Some m ->
+        if Bytes.length m.cm_signal <> cp.nsignals then
+          invalid_arg "Compiled.fanout_cone: marks are for a different netlist";
+        m
+    | None -> cone_marks cp
+  in
+  (* members are listed as the walk marks them, then sorted, and the
+     marks are cleared over the members again: a cone costs
+     O(cone log cone), not a scan of the circuit *)
   let gates = ref [] and signals = ref [ victim ] in
   let add_gate g =
     Bytes.set gmem g '\001';
@@ -91,14 +112,22 @@ let fanout_cone cp ~victim =
         end
       done)
     gates;
+  Array.iter (fun sid -> Bytes.set smem sid '\000') signals;
+  Array.iter (fun g -> Bytes.set gmem g '\000') gates;
   {
     cone_victim = victim;
     cone_gates = gates;
     cone_signals = signals;
-    cone_signal_member = smem;
     cone_bnd_gate = Array.of_list (List.rev !bnd_gate);
     cone_bnd_pin = Array.of_list (List.rev !bnd_pin);
   }
+
+(* Without a circuit-sized membership array a cone carries no netlist
+   identity; its largest ids must at least fit. *)
+let check_cone ~who cp cone =
+  let fits a n = Array.length a = 0 || a.(Array.length a - 1) < n in
+  if not (fits cone.cone_signals cp.nsignals && fits cone.cone_gates cp.ngates) then
+    invalid_arg (who ^ ": cone is for a different netlist")
 
 let compile ?(overlay = Param_overlay.empty) tech c =
   let nsignals = Netlist.signal_count c and ngates = Netlist.gate_count c in

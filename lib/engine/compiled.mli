@@ -85,22 +85,36 @@ type cone = {
   cone_signals : int array;
       (** member signals, ascending: the victim and every member
           gate's output *)
-  cone_signal_member : Bytes.t;
-      (** signal -> ['\001'] iff member; length [nsignals] *)
   cone_bnd_gate : int array;
       (** boundary feeds: member-gate pins whose driving signal is
           outside the cone, as parallel (gate, pin) arrays in
-          ascending gate order *)
+          ascending (gate, pin) order *)
   cone_bnd_pin : int array;
 }
 
-val fanout_cone : t -> victim:int -> cone
+val mem_sorted : int array -> int -> bool
+(** Membership in an ascending array, by binary search: how a cone's
+    [cone_signals] answer "is this signal a member". *)
+
+val check_cone : who:string -> t -> cone -> unit
+(** @raise Invalid_argument prefixed with [who] when the cone's largest
+    signal or gate id does not fit this circuit. *)
+
+type cone_marks
+(** The circuit-sized membership marks a cone walk needs, clear between
+    walks: hold one per context to keep each walk O(cone). *)
+
+val cone_marks : t -> cone_marks
+
+val fanout_cone : ?marks:cone_marks -> t -> victim:int -> cone
 (** A walk over the CSR fanout arrays that lists members as it marks
-    them, so its cost beyond two zeroed circuit-sized marks is the
-    cone's, not the circuit's.  The closure property — a member gate's
-    output is always a member signal — means events born inside the
-    cone can never reach a non-member gate, so a cone-restricted run
-    needs no runtime escape check; only the boundary feeds (whose
-    activity the rest of the circuit fixes independently of the victim)
-    cross into it.
-    @raise Invalid_argument on an out-of-range signal id. *)
+    them and clears the marks over the members afterwards, so its cost
+    is the cone's, not the circuit's — given [marks]; without them the
+    walk zeroes two fresh circuit-sized marks.  The closure property — a
+    member gate's output is always a member signal — means events born
+    inside the cone can never reach a non-member gate, so a
+    cone-restricted run needs no runtime escape check; only the boundary
+    feeds (whose activity the rest of the circuit fixes independently of
+    the victim) cross into it.
+    @raise Invalid_argument on an out-of-range signal id or marks of
+    another netlist. *)

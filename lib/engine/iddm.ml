@@ -450,145 +450,6 @@ let start ?(injections = []) ?compiled cfg c ~drives =
   List.iter (fun inj -> add_injection st inj) injections;
   st
 
-(* Cone-restricted re-simulation: fresh waveforms for the cone's member
-   signals, the finished [baseline] waveforms aliased (read-only)
-   everywhere else.  Boundary feeds replay the baseline crossings of
-   their driving signals verbatim — exactly the events the full run
-   processed on those pins, because a processed pin event and a final
-   waveform crossing are the same thing whenever the baseline was free
-   of replay hazards (the caller's obligation, see {!Sim.Cone}), and
-   intrinsic heap ranks make the replay resolve equal-key ties exactly
-   as the full run did.  From there the cone evolves under the same
-   kernel as a full run; with the injection spliced in, the delta
-   against the baseline cone run equals the full-run delta, which is
-   all campaign classification consumes.
-
-   A cone run reads and writes only its cone: the member gates' pins
-   and output targets, the member signals' waveforms, the signals it
-   freezes, and the event pool.  (The cone is closed under fanout, so
-   no event ever lands on a non-member gate.)  The workspace therefore
-   allocates the circuit-sized per-run arrays once, and each run resets
-   just the cone's entries; entries a previous run left behind outside
-   the current cone are never read.  Two things do need undoing: the
-   previous cone's member waveforms, which the next cone may read as
-   boundary feeds, go back to their baseline aliases, and the previous
-   run's freeze marks are cleared.  The event pool and queue carry over
-   once fully drained — a run cut short by its horizon or a guardrail
-   leaves events queued.  Pool slot numbers never reach the pop order
-   (the queue ranks by pin slot), so reuse is unobservable. *)
-type cone_workspace = {
-  cw_cfg : config;
-  cw_cp : Compiled.t;
-  cw_baseline : result;
-  cw_levels : bool array;
-  cw_wf : Waveform.t array; (* baseline aliases, fresh for the current cone *)
-  cw_pin_level : Bytes.t;
-  cw_pending : Slot_deque.t array;
-  cw_out_target : bool array;
-  cw_last_pop : float array;
-  cw_fz : Watchdog.frozen;
-  mutable cw_prev : (Compiled.cone * state) option; (* the latest run *)
-}
-
-let cone_workspace ~compiled:cp ~(baseline : result) ~levels cfg c =
-  Compiled.check ~who:"Iddm.cone_workspace" cp ~overlay:cfg.overlay cfg.tech c;
-  if not cfg.cancellation then
-    (* without Fig. 4 cancellation, processed events and final-waveform
-       crossings no longer coincide, so boundary seeding is unsound *)
-    invalid_arg "Iddm.cone_workspace: requires event cancellation";
-  let nsignals = cp.Compiled.nsignals and npins = cp.Compiled.npins in
-  if Array.length baseline.waveforms <> nsignals then
-    invalid_arg "Iddm.cone_workspace: baseline is for a different netlist";
-  if Array.length levels <> nsignals then
-    invalid_arg "Iddm.cone_workspace: DC level array is for a different netlist";
-  {
-    cw_cfg = cfg;
-    cw_cp = cp;
-    cw_baseline = baseline;
-    cw_levels = levels;
-    cw_wf = Array.copy baseline.waveforms;
-    cw_pin_level = Bytes.make (max 1 npins) '\000';
-    cw_pending = Array.init npins (fun _ -> Slot_deque.create ());
-    cw_out_target = Array.make cp.Compiled.ngates false;
-    cw_last_pop = Array.make (max 1 npins) neg_infinity;
-    cw_fz = Watchdog.frozen ~nsignals;
-    cw_prev = None;
-  }
-
-(* Undo what the latest run left outside its own cone's pins and gates
-   (see above) and hand back its drained state, whose pool and queue
-   the next run reuses. *)
-let reclaim ws =
-  match ws.cw_prev with
-  | None -> None
-  | Some (cone, prev) ->
-      while not (Heap.is_empty prev.queue) do
-        free_event prev (Heap.pop prev.queue)
-      done;
-      Array.iter
-        (fun sid -> ws.cw_wf.(sid) <- ws.cw_baseline.waveforms.(sid))
-        cone.Compiled.cone_signals;
-      Watchdog.thaw ws.cw_fz;
-      ws.cw_prev <- None;
-      Some prev
-
-let start_cone ?(injections = []) ws ~(cone : Compiled.cone) =
-  let cp = ws.cw_cp and cfg = ws.cw_cfg and levels = ws.cw_levels in
-  let member = cone.Compiled.cone_signal_member in
-  if Bytes.length member <> cp.Compiled.nsignals then
-    invalid_arg "Iddm.start_cone: cone is for a different netlist";
-  List.iter
-    (fun inj ->
-      if inj.inj_signal < 0 || inj.inj_signal >= cp.Compiled.nsignals then
-        invalid_arg "Iddm.start_cone: injection on unknown signal";
-      (* an injection outside the cone would append to an aliased
-         baseline waveform — a correctness bug, not a fallback case *)
-      if Bytes.get member inj.inj_signal <> '\001' then
-        invalid_arg "Iddm.start_cone: injection outside the cone")
-    injections;
-  let pool = reclaim ws in
-  let vdd = Tech.vdd cfg.tech in
-  Array.iter
-    (fun sid ->
-      ws.cw_wf.(sid) <- Waveform.create ~initial:(if levels.(sid) then vdd else 0.) ~vdd ())
-    cone.Compiled.cone_signals;
-  Array.iter
-    (fun g ->
-      ws.cw_out_target.(g) <- levels.(cp.Compiled.g_out.(g));
-      for p = cp.Compiled.g_base.(g) to cp.Compiled.g_base.(g + 1) - 1 do
-        Bytes.set ws.cw_pin_level p (if levels.(cp.Compiled.pin_fanin.(p)) then '\001' else '\000');
-        let pq : Slot_deque.t = ws.cw_pending.(p) in
-        pq.head <- 0;
-        pq.tail <- 0;
-        ws.cw_last_pop.(p) <- neg_infinity
-      done)
-    cone.Compiled.cone_gates;
-  let st =
-    make_state ?pool cfg cp.Compiled.circuit cp ~wf:ws.cw_wf ~pin_level:ws.cw_pin_level
-      ~out_target:ws.cw_out_target ~pending:ws.cw_pending ~last_pop:ws.cw_last_pop
-      ~fz:ws.cw_fz
-  in
-  ws.cw_prev <- Some (cone, st);
-  (* Seed: replay each boundary feed's final baseline waveform into the
-     cone, the same way [start] replays primary-input drives. *)
-  Array.iteri
-    (fun k lg ->
-      let lpin = cone.Compiled.cone_bnd_pin.(k) in
-      let slot = st.g_base.(lg) + lpin in
-      let sid = st.pin_fanin.(slot) in
-      List.iter
-        (fun (crossing, (tr : Transition.t)) ->
-          schedule st ~key:crossing ~gate:lg ~pin:lpin ~slot
-            ~rising:
-              (match tr.Transition.polarity with
-              | Transition.Rising -> true
-              | Transition.Falling -> false)
-            ~tau_in:tr.Transition.slope_time)
-        (Waveform.crossings_with_transitions st.wf.(sid) ~vt:st.pin_vt.(slot)))
-    cone.Compiled.cone_bnd_gate;
-  List.iter (add_injection st) injections;
-  st
-
 let snapshot st =
   let ctl = st.ctl in
   st.stats.Stats.stopped_by <- ctl.Run_control.stop;
@@ -653,6 +514,329 @@ let advance st ~upto =
     end
   done;
   snapshot st
+
+(* Cone-restricted re-simulation: the cone's member signals get their
+   own waveforms, the finished [baseline] waveforms are aliased
+   (read-only) everywhere else.  Boundary feeds replay the baseline
+   crossings of their driving signals verbatim — exactly the events the
+   full run processed on those pins, because a processed pin event and
+   a final waveform crossing are the same thing whenever the baseline
+   was free of replay hazards (the caller's obligation, see {!Sim.Cone}),
+   and intrinsic heap ranks make the replay resolve equal-key ties
+   exactly as the full run did.  From there the cone evolves under the
+   same kernel as a full run; with the injection spliced in, the delta
+   against the baseline cone run equals the full-run delta, which is all
+   campaign classification consumes.
+
+   Time slicing: before the strike, a cone run only replays the
+   baseline.  So the workspace steps one replay of the baseline through
+   a grid of checkpoints, and a cone run starts from the latest one at
+   or before its strike instead of from the DC state.  A checkpoint at
+   [t] is the full run's state after every event keyed before [t]: pin
+   levels, output targets, last-pop keys, the live pending events of
+   every pin, and each waveform as a prefix of its final baseline
+   waveform plus the few segments appended by then but annulled later.
+   From it a cone run restores only its cone: member waveforms, member
+   gates' pins and targets, the live events of pins fed from inside the
+   cone, and — for the boundary feeds — the final baseline crossings at
+   or after [t], which are the boundary events a run from the DC state
+   would still hold queued at [t].  Everything a run from the DC state
+   does before [t] is the same in a clean and a struck run sharing the
+   checkpoint, so their counter delta is unchanged; only events the
+   full run had already tombstoned are left out, and those would be
+   skipped as stale in both.  The DC state is checkpoint 0, so every
+   cone run takes this one path.
+
+   A cone run reads and writes only its cone: the member gates' pins
+   and output targets, the member signals' waveforms, the signals it
+   freezes, and the event pool.  (The cone is closed under fanout, so
+   no event ever lands on a non-member gate.)  The workspace therefore
+   allocates the circuit-sized per-run arrays once, and each run resets
+   just the cone's entries; entries a previous run left behind outside
+   the current cone are never read.  Two things do need undoing: the
+   previous cone's member waveforms, which the next cone may read as
+   boundary feeds, go back to their baseline aliases, and the previous
+   run's freeze marks are cleared.  The event pool and queue carry over
+   once fully drained — a run cut short by its horizon or a guardrail
+   leaves events queued.  Pool slot numbers never reach the pop order
+   (the queue ranks by pin slot), so reuse is unobservable. *)
+type checkpoint = {
+  ck_time : float; (* [neg_infinity] for the DC state *)
+  ck_pin_level : Bytes.t;
+  ck_out_target : bool array;
+  ck_last_pop : float array;
+  ck_wf_len : int array; (* signal -> segments shared with its final waveform *)
+  ck_wf_extra : Transition.t list array; (* signal -> live segments annulled later *)
+  ck_ev_off : int array; (* pin slot -> first live event; length npins + 1 *)
+  ck_ev_key : float array;
+  ck_ev_tau : float array;
+  ck_ev_rising : Bytes.t;
+}
+
+(* Checkpoints after the DC state.  A strike lands anywhere on the
+   horizon, so they are spread evenly in time over the baseline's
+   active span; the last sits just past its last event. *)
+let grid_points = 16
+
+let capture st ~(final : Waveform.t array) ~time =
+  let npins = Array.length st.pending in
+  let off = Array.make (npins + 1) 0 in
+  for p = 0 to npins - 1 do
+    let pq : Slot_deque.t = st.pending.(p) in
+    off.(p + 1) <- off.(p) + (pq.tail - pq.head)
+  done;
+  let n = off.(npins) in
+  let key = Array.make n 0. and tau = Array.make n 0. and rising = Bytes.make n '\000' in
+  for p = 0 to npins - 1 do
+    let pq : Slot_deque.t = st.pending.(p) in
+    for i = pq.head to pq.tail - 1 do
+      let ev = pq.buf.(i) and k = off.(p) + i - pq.head in
+      key.(k) <- st.ev_key.(ev);
+      tau.(k) <- st.ev_tau.(ev);
+      Bytes.set rising k (Bytes.get st.ev_rising ev)
+    done
+  done;
+  let nsignals = Array.length st.wf in
+  let wf_len = Array.make nsignals 0 and wf_extra = Array.make nsignals [] in
+  for sid = 0 to nsignals - 1 do
+    let w = st.wf.(sid) in
+    let len = Waveform.common_prefix w final.(sid) in
+    wf_len.(sid) <- len;
+    if len < Waveform.segment_count w then wf_extra.(sid) <- Waveform.transitions_from w len
+  done;
+  {
+    ck_time = time;
+    ck_pin_level = Bytes.copy st.pin_level;
+    ck_out_target = Array.copy st.out_target;
+    ck_last_pop = Array.copy st.last_pop;
+    ck_wf_len = wf_len;
+    ck_wf_extra = wf_extra;
+    ck_ev_off = off;
+    ck_ev_key = key;
+    ck_ev_tau = tau;
+    ck_ev_rising = rising;
+  }
+
+(* The DC checkpoint plus, when the replay of the baseline reproduces
+   its counters exactly, the grid.  A watchdog's sliding window would
+   need the history before the checkpoint, so its runs keep the DC
+   state only. *)
+let checkpoints ?grid cfg cp c ~drives (baseline : result) =
+  let rp = start ~compiled:cp { cfg with trace = false } c ~drives in
+  let final = baseline.waveforms in
+  let dc = capture rp ~final ~time:neg_infinity in
+  if cfg.watchdog <> None || Heap.is_empty rp.queue then [| dc |]
+  else begin
+    let first = Heap.min_key rp.queue and last = baseline.end_time in
+    let grid =
+      match grid with
+      | Some g -> g
+      | None ->
+          List.init grid_points (fun k ->
+              if k = grid_points - 1 then Float.succ last
+              else first +. ((last -. first) *. float_of_int (k + 1) /. float_of_int grid_points))
+    in
+    (* an instant at or before the first event would repeat the DC state *)
+    let grid = List.sort_uniq Float.compare (List.filter (fun t -> t > first) grid) in
+    let later =
+      List.map
+        (fun t ->
+          ignore (advance rp ~upto:(Float.pred t));
+          capture rp ~final ~time:t)
+        grid
+    in
+    let replayed = advance rp ~upto:infinity in
+    if replayed.stats = baseline.stats then Array.of_list (dc :: later) else [| dc |]
+  end
+
+(* A boundary pin's replay: the final baseline crossings of its driving
+   signal at its threshold, in time order. *)
+type feed = { fd_key : float array; fd_tau : float array; fd_rising : Bytes.t }
+
+let unset_feed = { fd_key = [||]; fd_tau = [||]; fd_rising = Bytes.empty }
+
+type cone_workspace = {
+  cw_cfg : config;
+  cw_cp : Compiled.t;
+  cw_baseline : result;
+  cw_ckpts : checkpoint array; (* ascending instants; 0 is the DC state *)
+  cw_feeds : feed array; (* pin slot -> its replay, [unset_feed] until first used *)
+  cw_wf : Waveform.t array; (* baseline aliases, own waveforms for the current cone *)
+  cw_own : Waveform.t array; (* signal -> its own waveform, reused from run to run *)
+  cw_pin_level : Bytes.t;
+  cw_pending : Slot_deque.t array;
+  cw_out_target : bool array;
+  cw_last_pop : float array;
+  cw_fz : Watchdog.frozen;
+  mutable cw_prev : (Compiled.cone * state) option; (* the latest run *)
+}
+
+let cone_workspace ?grid ~compiled:cp ~(baseline : result) cfg c ~drives =
+  Compiled.check ~who:"Iddm.cone_workspace" cp ~overlay:cfg.overlay cfg.tech c;
+  if not cfg.cancellation then
+    (* without Fig. 4 cancellation, processed events and final-waveform
+       crossings no longer coincide, so boundary seeding is unsound *)
+    invalid_arg "Iddm.cone_workspace: requires event cancellation";
+  let nsignals = cp.Compiled.nsignals and npins = cp.Compiled.npins in
+  if Array.length baseline.waveforms <> nsignals then
+    invalid_arg "Iddm.cone_workspace: baseline is for a different netlist";
+  {
+    cw_cfg = cfg;
+    cw_cp = cp;
+    cw_baseline = baseline;
+    cw_ckpts = checkpoints ?grid cfg cp c ~drives baseline;
+    cw_feeds = Array.make npins unset_feed;
+    cw_wf = Array.copy baseline.waveforms;
+    cw_own =
+      Array.map
+        (fun w -> Waveform.create ~initial:(Waveform.initial w) ~vdd:(Waveform.vdd w) ())
+        baseline.waveforms;
+    cw_pin_level = Bytes.make (max 1 npins) '\000';
+    cw_pending = Array.init npins (fun _ -> Slot_deque.create ());
+    cw_out_target = Array.make cp.Compiled.ngates false;
+    cw_last_pop = Array.make (max 1 npins) neg_infinity;
+    cw_fz = Watchdog.frozen ~nsignals;
+    cw_prev = None;
+  }
+
+let checkpoint_count ws = Array.length ws.cw_ckpts
+
+let checkpoint_at ws at =
+  let ck = ws.cw_ckpts in
+  (* the last index whose instant is <= at; index 0 always qualifies *)
+  let lo = ref 0 and hi = ref (Array.length ck) in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if ck.(mid).ck_time <= at then lo := mid else hi := mid
+  done;
+  !lo
+
+let checkpoint_time ws i = ws.cw_ckpts.(i).ck_time
+
+let feed ws slot =
+  let f = ws.cw_feeds.(slot) in
+  if f != unset_feed then f
+  else begin
+    let cp = ws.cw_cp in
+    let xs =
+      Array.of_list
+        (Waveform.crossings_with_transitions
+           ws.cw_baseline.waveforms.(cp.Compiled.pin_fanin.(slot))
+           ~vt:cp.Compiled.pin_vt.(slot))
+    in
+    let f =
+      {
+        fd_key = Array.map fst xs;
+        fd_tau = Array.map (fun (_, (tr : Transition.t)) -> tr.Transition.slope_time) xs;
+        fd_rising =
+          Bytes.init (Array.length xs) (fun i ->
+              match (snd xs.(i)).Transition.polarity with
+              | Transition.Rising -> '\001'
+              | Transition.Falling -> '\000');
+      }
+    in
+    ws.cw_feeds.(slot) <- f;
+    f
+  end
+
+(* Undo what the latest run left outside its own cone's pins and gates
+   (see above) and hand back its drained state, whose pool and queue
+   the next run reuses. *)
+let reclaim ws =
+  match ws.cw_prev with
+  | None -> None
+  | Some (cone, prev) ->
+      while not (Heap.is_empty prev.queue) do
+        free_event prev (Heap.pop prev.queue)
+      done;
+      Array.iter
+        (fun sid -> ws.cw_wf.(sid) <- ws.cw_baseline.waveforms.(sid))
+        cone.Compiled.cone_signals;
+      Watchdog.thaw ws.cw_fz;
+      ws.cw_prev <- None;
+      Some prev
+
+let start_cone ?(injections = []) ws ~(cone : Compiled.cone) ~from =
+  let cp = ws.cw_cp in
+  Compiled.check_cone ~who:"Iddm.start_cone" cp cone;
+  if from < 0 || from >= Array.length ws.cw_ckpts then
+    invalid_arg "Iddm.start_cone: no such checkpoint";
+  let ck = ws.cw_ckpts.(from) in
+  List.iter
+    (fun inj ->
+      if inj.inj_signal < 0 || inj.inj_signal >= cp.Compiled.nsignals then
+        invalid_arg "Iddm.start_cone: injection on unknown signal";
+      (* an injection outside the cone would append to an aliased
+         baseline waveform — a correctness bug, not a fallback case *)
+      if not (Compiled.mem_sorted cone.Compiled.cone_signals inj.inj_signal) then
+        invalid_arg "Iddm.start_cone: injection outside the cone";
+      match inj.inj_transitions with
+      | first :: _ when first.Transition.start < ck.ck_time ->
+          invalid_arg "Iddm.start_cone: injection before the checkpoint"
+      | _ -> ())
+    injections;
+  let pool = reclaim ws in
+  let final = ws.cw_baseline.waveforms in
+  Array.iter
+    (fun sid ->
+      let w = ws.cw_own.(sid) in
+      Waveform.assign_prefix w ~src:final.(sid) ~len:ck.ck_wf_len.(sid);
+      List.iter (fun tr -> ignore (Waveform.append w tr)) ck.ck_wf_extra.(sid);
+      ws.cw_wf.(sid) <- w)
+    cone.Compiled.cone_signals;
+  let st =
+    make_state ?pool ws.cw_cfg cp.Compiled.circuit cp ~wf:ws.cw_wf ~pin_level:ws.cw_pin_level
+      ~out_target:ws.cw_out_target ~pending:ws.cw_pending ~last_pop:ws.cw_last_pop
+      ~fz:ws.cw_fz
+  in
+  ws.cw_prev <- Some (cone, st);
+  (* Restore each member gate and seed its pins.  A pin fed from inside
+     the cone gets the checkpoint's live events, in key order.  A
+     boundary pin (listed in gate, then pin order) replays its driver's
+     final baseline crossings from the checkpoint on, the way [start]
+     replays primary-input drives. *)
+  let bnd = ref 0 and nbnd = Array.length cone.Compiled.cone_bnd_gate in
+  Array.iter
+    (fun g ->
+      ws.cw_out_target.(g) <- ck.ck_out_target.(g);
+      let base = cp.Compiled.g_base.(g) in
+      for p = base to cp.Compiled.g_base.(g + 1) - 1 do
+        Bytes.set ws.cw_pin_level p (Bytes.get ck.ck_pin_level p);
+        let pq : Slot_deque.t = ws.cw_pending.(p) in
+        pq.head <- 0;
+        pq.tail <- 0;
+        ws.cw_last_pop.(p) <- ck.ck_last_pop.(p);
+        let pin = p - base in
+        if
+          !bnd < nbnd
+          && cone.Compiled.cone_bnd_gate.(!bnd) = g
+          && cone.Compiled.cone_bnd_pin.(!bnd) = pin
+        then begin
+          incr bnd;
+          let f = feed ws p in
+          let n = Array.length f.fd_key in
+          (* the first crossing at or after the checkpoint *)
+          let lo = ref 0 and hi = ref n in
+          while !lo < !hi do
+            let mid = (!lo + !hi) / 2 in
+            if f.fd_key.(mid) < ck.ck_time then lo := mid + 1 else hi := mid
+          done;
+          for e = !lo to n - 1 do
+            schedule st ~key:f.fd_key.(e) ~gate:g ~pin ~slot:p
+              ~rising:(Bytes.get f.fd_rising e = '\001')
+              ~tau_in:f.fd_tau.(e)
+          done
+        end
+        else
+          for e = ck.ck_ev_off.(p) to ck.ck_ev_off.(p + 1) - 1 do
+            schedule st ~key:ck.ck_ev_key.(e) ~gate:g ~pin ~slot:p
+              ~rising:(Bytes.get ck.ck_ev_rising e = '\001')
+              ~tau_in:ck.ck_ev_tau.(e)
+          done
+      done)
+    cone.Compiled.cone_gates;
+  List.iter (add_injection st) injections;
+  st
 
 let run ?injections ?compiled cfg c ~drives =
   advance (start ?injections ?compiled cfg c ~drives) ~upto:infinity

@@ -156,42 +156,77 @@ val start :
     processing any event.  Same contract (and exceptions) as {!run}. *)
 
 type cone_workspace
-(** The circuit-sized state of cone-restricted runs, allocated once and
-    reused by every {!start_cone} against one baseline: waveform
-    aliases, per-pin levels and pending queues, per-gate output
-    targets, freeze marks, and the event pool.  Each run resets only
-    what its cone touches, so a run costs O(cone), not O(circuit).
-    Single-threaded, like {!Compiled.t}. *)
+(** The state of cone-restricted runs against one baseline, built once
+    and reused by every {!start_cone}: the baseline's checkpoints, and
+    the circuit-sized per-run arrays (waveform aliases, per-pin levels
+    and pending queues, per-gate output targets, freeze marks, the event
+    pool).  Each run resets only what its cone touches, so a run costs
+    O(cone), not O(circuit).  Single-threaded, like {!Compiled.t}. *)
 
 val cone_workspace :
+  ?grid:Halotis_util.Units.time list ->
   compiled:Compiled.t ->
   baseline:result ->
-  levels:bool array ->
   config ->
   Halotis_netlist.Netlist.t ->
+  drives:(Halotis_netlist.Netlist.signal_id * Drive.t) list ->
   cone_workspace
 (** A workspace for cone runs of [config] against [baseline], a finished
-    run of the same netlist and config.  [levels] must be the baseline's
-    DC operating point ({!Dc.levels} of the same drives).  Soundness
-    requires the baseline to be [Completed] with [replay_hazard =
-    false] (see {!start_cone}).
-    @raise Invalid_argument on compiled/baseline/levels mismatches
-    (compiled is checked by physical equality, as in {!start}), or
+    run of the same netlist, config and [drives].  Soundness requires
+    the baseline to be [Completed] with [replay_hazard = false] (see
+    {!start_cone}).
+
+    Checkpoints: building the workspace replays the baseline once and
+    records its state at checkpoint 0, the DC state before any event,
+    and at a fixed grid of instants spread evenly over the baseline's
+    active span, the last just past its last event ([grid] replaces
+    these instants; ones at or before the first event are dropped, as
+    they would repeat the DC state).  A checkpoint at
+    [t] is the state after every event keyed before [t]: pin levels,
+    output targets, last-pop keys, live pending pin events, and each
+    signal's waveform as a prefix length into its final baseline
+    waveform plus the segments annulled after [t] — O(pins + signals +
+    live events) each, never a copy of whole waveforms.  When the replay
+    does not end on the baseline's exact counters, or [config] has a
+    watchdog (whose sliding window needs the history before [t]), only
+    checkpoint 0 is kept.
+    @raise Invalid_argument on compiled/baseline mismatches (compiled
+    is checked by physical equality), drives {!start} rejects, or
     [config.cancellation = false] (without cancellation, processed
     events and final-waveform crossings no longer coincide, so the
     boundary seeding is unsound). *)
+
+val checkpoint_count : cone_workspace -> int
+(** At least 1: checkpoint 0 is the DC state. *)
+
+val checkpoint_at : cone_workspace -> Halotis_util.Units.time -> int
+(** The latest checkpoint whose instant is at or before the given one
+    (0 for instants before the first grid point). *)
+
+val checkpoint_time : cone_workspace -> int -> Halotis_util.Units.time
+(** A checkpoint's instant; [neg_infinity] for checkpoint 0. *)
 
 val start_cone :
   ?injections:injection list ->
   cone_workspace ->
   cone:Compiled.cone ->
+  from:int ->
   session
-(** A run restricted to a {!Compiled.cone}: fresh waveforms for the
-    cone's member signals, the baseline's finished waveforms aliased
-    read-only everywhere else, and the event queue seeded by replaying
-    each boundary feed's baseline crossings (the cone's closure under
-    fanout guarantees nothing ever escapes, so no runtime frontier
-    check is needed).
+(** A run restricted to a {!Compiled.cone}, started from checkpoint
+    [from]: the cone's member waveforms, member-gate pins and output
+    targets restored from the checkpoint, the baseline's finished
+    waveforms aliased read-only everywhere else, the live events of pins
+    fed from inside the cone re-queued (intrinsic heap ranks make their
+    pop order exact), and each boundary feed's final baseline crossings
+    at or after the checkpoint queued.  The cone's closure under fanout
+    guarantees nothing ever escapes, so no runtime frontier check is
+    needed.  Whenever the clean cone run from checkpoint 0 replays the
+    baseline exactly ({!Sim.Cone} checks every clean replay against the
+    baseline), a run from a later
+    checkpoint, advanced to the end, equals the run from checkpoint 0
+    on every member signal, and a struck run's counters minus its clean
+    run's from the same checkpoint equal theirs from checkpoint 0.  Its
+    own counters cover only the events from the checkpoint on.
 
     The session and its results live in the workspace: starting the
     next cone run on the same workspace invalidates them (their
@@ -202,9 +237,11 @@ val start_cone :
     caller before trusting its delta (see {!Sim.Cone}, which drives
     every check and falls back to a full run otherwise).  Every
     injection must name a cone member signal — an outside splice would
-    write an aliased baseline waveform.
-    @raise Invalid_argument on a cone of a different netlist or an
-    out-of-cone injection. *)
+    write an aliased baseline waveform — and start at or after the
+    checkpoint ({!checkpoint_at} of its first ramp's start picks the
+    latest such).
+    @raise Invalid_argument on a cone of a different netlist, an
+    unknown checkpoint, or an out-of-cone or too-early injection. *)
 
 val advance : session -> upto:Halotis_util.Units.time -> result
 (** Processes every queued event with instant [<= upto] (clamped to the

@@ -201,22 +201,32 @@ module Cone = struct
   }
 
   (* Per-victim memo: campaigns strike the same driver outputs many
-     times, and the cone plus its baseline replay depend only on the
-     victim.  Only the replay's counters are kept: its edges live in
-     the workspace, which the next cone run overwrites. *)
-  type victim_entry = { ve_cone : Compiled.cone; ve_base_stats : Stats.t }
+     times.  The cone depends only on the victim; its clean (baseline)
+     replay also depends on the checkpoint a site's runs start from, so
+     it is kept per checkpoint and run on first use.  Only a replay's
+     counters are kept: its edges live in the workspace, which the next
+     cone run overwrites. *)
+  type victim_entry = {
+    ve_cone : Compiled.cone;
+    ve_clean : (Stats.t, string) Stdlib.result option array; (* checkpoint -> replay *)
+  }
+
   type victim_state = Good of victim_entry | Bad of string
 
-  type workspace = Iddm_ws of Iddm.cone_workspace | Classic_ws of Classic.cone_workspace
+  type workspace =
+    | Iddm_ws of Iddm.cone_workspace * Waveform.t array (* and the baseline's waveforms *)
+    | Classic_ws of Classic.cone_workspace
 
   (* A finished cone run, as the checks and the graft read it.
-     [cr_edges] reads the workspace, so only until the next run. *)
+     [cr_edges] and [cr_as_baseline] (a member signal ended exactly as
+     in the baseline) read the workspace, so only until the next run. *)
   type cone_run = {
     cr_stopped_by : Stop.t;
     cr_hazard : bool;
     cr_frozen : bool;
     cr_stats : Stats.t;
     cr_edges : int -> Digital.edge list;
+    cr_as_baseline : int -> bool;
   }
 
   type ctx = {
@@ -229,6 +239,7 @@ module Cone = struct
     mutable cx_grafted : int array;
     cx_base_stats : Stats.t;
     cx_vt : Halotis_util.Units.voltage;
+    cx_marks : Compiled.cone_marks; (* for every [Compiled.fanout_cone] walk *)
     cx_victims : (int, victim_state) Hashtbl.t;
     cx_reasons : (string, int) Hashtbl.t; (* fallback reason -> sites *)
     mutable cx_exact : int;
@@ -267,8 +278,10 @@ module Cone = struct
       let ws =
         match baseline.rs_raw with
         | Iddm_result br ->
-            let _, levels = Drive.bind ~who:"Sim.Cone.create" c spec.sp_drives in
-            Iddm_ws (Iddm.cone_workspace ~compiled ~baseline:br ~levels (iddm_config engine spec) c)
+            Iddm_ws
+              ( Iddm.cone_workspace ~compiled ~baseline:br (iddm_config engine spec) c
+                  ~drives:spec.sp_drives,
+                br.Iddm.waveforms )
         | Classic_result br ->
             Classic_ws
               (Classic.cone_workspace ~compiled ~baseline:br (classic_config spec) c
@@ -285,6 +298,7 @@ module Cone = struct
           cx_grafted = [||];
           cx_base_stats = baseline.rs_stats;
           cx_vt = baseline.rs_vt;
+          cx_marks = Compiled.cone_marks compiled;
           cx_victims = Hashtbl.create 64;
           cx_reasons = Hashtbl.create 8;
           cx_exact = 0;
@@ -294,12 +308,25 @@ module Cone = struct
         }
     end
 
-  let run_cone ctx ~cone ~injections =
+  (* Classic queues break ties first-in first-out, so a restored queue
+     would depend on its insertion order: classic runs always start
+     from the DC state. *)
+  let checkpoint_count ctx =
+    match ctx.cx_ws with Iddm_ws (ws, _) -> Iddm.checkpoint_count ws | Classic_ws _ -> 1
+
+  (* The latest checkpoint at or before the strike: the splice is
+     queued at its first ramp's start. *)
+  let checkpoint_of ctx (i : injection) =
+    match (ctx.cx_ws, i.inj_ramps) with
+    | Iddm_ws (ws, _), first :: _ -> Iddm.checkpoint_at ws first.Transition.start
+    | Iddm_ws _, [] | Classic_ws _, _ -> 0
+
+  let run_cone ctx ~cone ~from ~injections =
     match ctx.cx_ws with
-    | Iddm_ws ws ->
+    | Iddm_ws (ws, base_wf) ->
         let r =
           Iddm.advance
-            (Iddm.start_cone ~injections:(List.map iddm_injection injections) ws ~cone)
+            (Iddm.start_cone ~injections:(List.map iddm_injection injections) ws ~cone ~from)
             ~upto:infinity
         in
         {
@@ -308,6 +335,10 @@ module Cone = struct
           cr_frozen = r.Iddm.frozen <> [];
           cr_stats = r.Iddm.stats;
           cr_edges = (fun sid -> Digital.edges r.Iddm.waveforms.(sid) ~vt:ctx.cx_vt);
+          (* bit-identical waveforms digitize identically, and comparing
+             them allocates nothing *)
+          cr_as_baseline =
+            (fun sid -> Waveform.equal r.Iddm.waveforms.(sid) base_wf.(sid));
         }
     | Classic_ws ws ->
         let r =
@@ -321,6 +352,7 @@ module Cone = struct
           cr_frozen = r.Classic.frozen <> [];
           cr_stats = r.Classic.stats;
           cr_edges = Classic.cone_edges ws;
+          cr_as_baseline = (fun sid -> Classic.cone_edges ws sid = ctx.cx_base_edges.(sid));
         }
 
   (* Why a cone run cannot be trusted, if it cannot. *)
@@ -330,11 +362,6 @@ module Cone = struct
     else if r.cr_frozen then Some (what ^ " froze signals")
     else None
 
-  (* The baseline cone replay must land exactly on the full baseline:
-     completed, hazard-free, and producing the same edges on every
-     member signal.  The edge comparison is the dirty-frontier check
-     made static — any divergence (which hazard-freedom should already
-     exclude) is caught here once per victim rather than trusted. *)
   let victim_entry ctx victim =
     match Hashtbl.find_opt ctx.cx_victims victim with
     | Some st -> st
@@ -342,22 +369,39 @@ module Cone = struct
         let st =
           if (Netlist.signal ctx.cx_spec.sp_circuit victim).Netlist.driver = None then
             Bad "victim has no driver gate (primary input or constant)"
-          else begin
-            let cone = Compiled.fanout_cone ctx.cx_compiled ~victim in
-            let base = run_cone ctx ~cone ~injections:[] in
-            match distrust "baseline cone replay" base with
-            | Some reason -> Bad reason
-            | None ->
-                if
-                  Array.exists
-                    (fun sid -> base.cr_edges sid <> ctx.cx_base_edges.(sid))
-                    cone.Compiled.cone_signals
-                then Bad "baseline cone replay diverged from the baseline"
-                else Good { ve_cone = cone; ve_base_stats = base.cr_stats }
-          end
+          else
+            Good
+              {
+                ve_cone = Compiled.fanout_cone ~marks:ctx.cx_marks ctx.cx_compiled ~victim;
+                ve_clean = Array.make (checkpoint_count ctx) None;
+              }
         in
         Hashtbl.replace ctx.cx_victims victim st;
         st
+
+  (* The baseline cone replay from a checkpoint must land exactly on
+     the full baseline: completed, hazard-free, and ending every member
+     signal as the baseline did (waveforms bit for bit on IDDM engines,
+     edges on the classic one).  The comparison is the
+     dirty-frontier check made static — any divergence (which
+     hazard-freedom should already exclude) is caught here once per
+     victim and checkpoint rather than trusted. *)
+  let clean_replay ctx ve ~from =
+    match ve.ve_clean.(from) with
+    | Some r -> r
+    | None ->
+        let cone = ve.ve_cone in
+        let base = run_cone ctx ~cone ~from ~injections:[] in
+        let r =
+          match distrust "baseline cone replay" base with
+          | Some reason -> Error reason
+          | None ->
+              if not (Array.for_all base.cr_as_baseline cone.Compiled.cone_signals) then
+                Error "baseline cone replay diverged from the baseline"
+              else Ok base.cr_stats
+        in
+        ve.ve_clean.(from) <- Some r;
+        r
 
   let run_site ctx (i : injection) =
     let fallback reason =
@@ -371,34 +415,40 @@ module Cone = struct
     else
       match victim_entry ctx i.inj_signal with
       | Bad reason -> fallback reason
-      | Good { ve_cone; ve_base_stats } -> (
-          let inj = run_cone ctx ~cone:ve_cone ~injections:[ i ] in
-          match distrust "injected cone run" inj with
-          | Some reason -> fallback reason
-          | None ->
-              (* Graft: member signals' edges from the injected cone run
-                 into the context's edge array, every other signal
-                 aliasing the baseline edge list.  Only the previous
-                 graft's members need restoring, so the graft costs
-                 O(cone), and non-members are physically equal to the
-                 baseline: classification compares [members] only (a
-                 structural [<>] on the aliased lists would still walk
-                 them).  The stats are the baseline's plus the cone
-                 delta, which equals the full-run counters exactly when
-                 the runs are order-deterministic. *)
-              let edges = ctx.cx_edges in
-              Array.iter (fun sid -> edges.(sid) <- ctx.cx_base_edges.(sid)) ctx.cx_grafted;
-              let members = ve_cone.Compiled.cone_signals in
-              Array.iter (fun sid -> edges.(sid) <- inj.cr_edges sid) members;
-              ctx.cx_grafted <- members;
-              let stats = Stats.copy ctx.cx_base_stats in
-              Stats.merge stats (Stats.diff inj.cr_stats ve_base_stats);
-              let cone_gates = Array.length ve_cone.Compiled.cone_gates in
-              let cone_events = inj.cr_stats.Stats.events_processed in
-              ctx.cx_exact <- ctx.cx_exact + 1;
-              ctx.cx_cone_gates <- ctx.cx_cone_gates + cone_gates;
-              ctx.cx_cone_events <- ctx.cx_cone_events + cone_events;
-              Exact { edges; members; stats; cone_gates; cone_events })
+      | Good ve -> (
+          let from = checkpoint_of ctx i in
+          match clean_replay ctx ve ~from with
+          | Error reason -> fallback reason
+          | Ok clean_stats -> (
+              let cone = ve.ve_cone in
+              let inj = run_cone ctx ~cone ~from ~injections:[ i ] in
+              match distrust "injected cone run" inj with
+              | Some reason -> fallback reason
+              | None ->
+                  (* Graft: member signals' edges from the injected cone
+                     run into the context's edge array, every other
+                     signal aliasing the baseline edge list.  Only the
+                     previous graft's members need restoring, so the
+                     graft costs O(cone), and non-members are
+                     physically equal to the baseline: classification
+                     compares [members] only (a structural [<>] on the
+                     aliased lists would still walk them).  The stats
+                     are the baseline's plus the cone delta, which
+                     equals the full-run counters exactly when the runs
+                     are order-deterministic. *)
+                  let edges = ctx.cx_edges in
+                  Array.iter (fun sid -> edges.(sid) <- ctx.cx_base_edges.(sid)) ctx.cx_grafted;
+                  let members = cone.Compiled.cone_signals in
+                  Array.iter (fun sid -> edges.(sid) <- inj.cr_edges sid) members;
+                  ctx.cx_grafted <- members;
+                  let stats = Stats.copy ctx.cx_base_stats in
+                  Stats.merge stats (Stats.diff inj.cr_stats clean_stats);
+                  let cone_gates = Array.length cone.Compiled.cone_gates in
+                  let cone_events = inj.cr_stats.Stats.events_processed in
+                  ctx.cx_exact <- ctx.cx_exact + 1;
+                  ctx.cx_cone_gates <- ctx.cx_cone_gates + cone_gates;
+                  ctx.cx_cone_events <- ctx.cx_cone_events + cone_events;
+                  Exact { edges; members; stats; cone_gates; cone_events }))
 
   let totals ctx =
     {

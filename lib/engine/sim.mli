@@ -147,6 +147,12 @@ val classic : result -> Classic.result option
     and grafts the difference onto the full baseline.  One context
     serves every engine: the cone runs are {!Iddm.start_cone} runs for
     DDM and CDM and {!Classic.start_cone} runs for the classic engine.
+    On DDM and CDM both runs of a site start from the latest baseline
+    checkpoint at or before the strike ({!Iddm.cone_workspace}), so the
+    stretch before the strike, where they would only replay the
+    baseline, is skipped.  Classic runs start from the DC state: their
+    queue breaks ties first-in first-out, so a restored queue would
+    depend on its insertion order.
     The grafted edges and statistics are {e exactly} what a full
     injected run would produce whenever every involved run is
     replayable (hazard-free, see {!Iddm.result.replay_hazard} and
@@ -165,7 +171,8 @@ module Cone : sig
     ct_fallback : int;  (** sites that fell back to a full re-run *)
     ct_cone_gates : int;  (** total cone gates over exact sites *)
     ct_cone_events : int;
-        (** total injected-cone events processed over exact sites *)
+        (** total injected-cone events processed over exact sites,
+            each run counted from its checkpoint on *)
     ct_fallback_reasons : (string * int) list;
         (** fallback sites per {!Fallback} reason, sorted by reason *)
   }
@@ -192,7 +199,8 @@ module Cone : sig
   val create : ?compiled:Compiled.t -> engine -> spec -> baseline:result -> ctx option
   (** Compiles the circuit (or takes [compiled], checked as in {!run}),
       captures the baseline's digitized view, allocates the engine's
-      cone workspace ({!Iddm.cone_workspace} or
+      cone workspace ({!Iddm.cone_workspace}, which replays the
+      baseline once to record its checkpoints, or
       {!Classic.cone_workspace}) every cone run of the context reuses,
       and arms the per-victim memo.  [spec] must be the baseline's spec
       (same circuit, drives, tech, horizon) and [baseline] its finished
@@ -204,12 +212,14 @@ module Cone : sig
       tech or overlay. *)
 
   val run_site : ctx -> injection -> outcome
-  (** One injection site.  Cone construction and the clean cone replay
-      are memoized per victim signal; the injected cone run is fresh.
-      A site's cost scales with its cone, not with the circuit.
-      Falls back (never raises) on driverless victims, guardrail trips,
-      replay hazards, or a cone replay that fails to reproduce the
-      baseline edges. *)
+  (** One injection site.  Cone construction is memoized per victim
+      signal, and the clean cone replay per victim and checkpoint; the
+      injected cone run is fresh.  A site's cost scales with its cone
+      and with the cone's activity after the checkpoint, not with the
+      circuit.  [cone_events] counts the injected run's events from its
+      checkpoint on.  Falls back (never raises) on driverless victims,
+      guardrail trips, replay hazards, or a cone replay that fails to
+      end as the baseline did. *)
 
   val totals : ctx -> totals
 end

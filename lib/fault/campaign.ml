@@ -125,13 +125,6 @@ type observed = {
   ob_members : int array option;
 }
 
-let rec mem_sorted (a : int array) (x : int) lo hi =
-  lo < hi
-  &&
-  let mid = (lo + hi) / 2 in
-  let v = a.(mid) in
-  v = x || if v < x then mem_sorted a x (mid + 1) hi else mem_sorted a x lo mid
-
 let classify ~c ~is_classic ~(base : observed) ~(site : Site.t) (inj : observed) =
   let delta = Stats.diff inj.ob_stats base.ob_stats in
   let victim = site.Site.st_signal in
@@ -140,7 +133,7 @@ let classify ~c ~is_classic ~(base : observed) ~(site : Site.t) (inj : observed)
   let may_differ =
     match inj.ob_members with
     | None -> fun _ -> true
-    | Some m -> fun sid -> mem_sorted m sid 0 (Array.length m)
+    | Some m -> Compiled.mem_sorted m
   in
   let differs sid = inj.ob_edges.(sid) <> base.ob_edges.(sid) in
   let pos = Netlist.primary_outputs c in
@@ -210,25 +203,27 @@ let run ?on_verdict cfg tech c ~drives =
   (* One compilation serves every run of the campaign, on any engine:
      the baselines, the cone context and each full re-run. *)
   let compiled = Compiled.compile ~overlay:cfg.overlay tech c in
-  let ddm_baseline_run = Sim.run ~compiled Sim.Ddm (spec ()) in
-  let ddm_baseline =
-    match Sim.iddm ddm_baseline_run with Some r -> r | None -> assert false
-  in
+  let base_run = Sim.run ~compiled cfg.engine (spec ()) in
+  (* Sites are sampled from a DDM baseline whatever the engine; with an
+     explicit site list no DDM run is needed unless it is the
+     baseline. *)
   let sites =
     match sites with
     | Some s -> s
     | None ->
+        let ddm_baseline =
+          Option.get
+            (Sim.iddm
+               (match cfg.engine with
+               | Ddm -> base_run
+               | Cdm | Classic_inertial -> Sim.run ~compiled Sim.Ddm (spec ())))
+        in
         let t0, t1 = match cfg.window with Some w -> w | None -> (0., cfg.t_stop) in
         let prng = Prng.create ~seed:cfg.seed in
         Site.sample ~baseline:ddm_baseline ~prng ~n:cfg.n ~t0 ~t1
   in
   let observe (r : Sim.result) =
     { ob_edges = Sim.edges r; ob_stats = r.Sim.rs_stats; ob_members = None }
-  in
-  let base_run =
-    match cfg.engine with
-    | Ddm -> ddm_baseline_run
-    | Cdm | Classic_inertial -> Sim.run ~compiled cfg.engine (spec ())
   in
   let base = observe base_run in
   (* Static pruning oracle.  Only armed when every injected run would

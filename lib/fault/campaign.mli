@@ -181,9 +181,10 @@ val run :
 (** Runs the campaign; every engine run goes through
     {!Halotis_engine.Sim.run}, priced at [config.overlay]'s corner.
     Sites come from [config.sites] when given, otherwise from the
-    seeded PRNG sample; they are always enumerated against a DDM
-    baseline (the reference levels), whatever [config.engine] simulates
-    the strikes.
+    seeded PRNG sample, which is always drawn against a DDM baseline
+    (the reference levels) whatever [config.engine] simulates the
+    strikes.  A CDM or classic campaign given explicit sites runs no
+    DDM simulation at all.
 
     Sharding: [config.range = Some (lo, hi)] claims global site
     indices [\[lo, hi)] of the deterministic enumeration — the slice a

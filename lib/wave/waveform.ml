@@ -124,6 +124,42 @@ let append w tr =
     { dropped = !dropped; accepted = true }
   end
 
+let assign_prefix w ~src ~len =
+  if len < 0 || len > src.len then invalid_arg "Waveform.assign_prefix: length out of bounds";
+  if w.initial <> src.initial || w.vdd <> src.vdd then
+    invalid_arg "Waveform.assign_prefix: different initial value or rail";
+  if len > Array.length w.starts then begin
+    (* room to grow as [push] leaves it *)
+    let cap = max 16 len in
+    w.starts <- Array.make cap 0.;
+    w.slopes <- Array.make cap 0.;
+    w.vstarts <- Array.make cap 0.;
+    w.pols <- Bytes.make cap '\000'
+  end;
+  Array.blit src.starts 0 w.starts 0 len;
+  Array.blit src.slopes 0 w.slopes 0 len;
+  Array.blit src.vstarts 0 w.vstarts 0 len;
+  Bytes.blit src.pols 0 w.pols 0 len;
+  w.len <- len
+
+let common_prefix a b =
+  let n = min a.len b.len in
+  let i = ref 0 in
+  while
+    !i < n
+    && a.starts.(!i) = b.starts.(!i)
+    && a.slopes.(!i) = b.slopes.(!i)
+    && a.vstarts.(!i) = b.vstarts.(!i)
+    && Bytes.get a.pols !i = Bytes.get b.pols !i
+  do
+    incr i
+  done;
+  !i
+
+let equal a b = a.initial = b.initial && a.len = b.len && common_prefix a b = a.len
+
+let transitions_from w i = List.init (max 0 (w.len - i)) (fun k -> transition_at w (i + k))
+
 let last_crossing w ~vt =
   if w.len = 0 then Float.nan
   else begin

@@ -60,6 +60,24 @@ val fold_segments : t -> init:'a -> f:('a -> segment -> 'a) -> 'a
 val transitions : t -> Transition.t list
 (** Oldest first. *)
 
+val assign_prefix : t -> src:t -> len:int -> unit
+(** [assign_prefix w ~src ~len] makes [w] hold the first [len] live
+    segments of [src], reusing [w]'s storage.  Appending the
+    transitions [src] holds beyond [len] ({!transitions_from}) in order
+    then rebuilds [src] exactly: each recomputes the same start voltage.
+    @raise Invalid_argument when [len] is out of bounds or the two
+    differ in initial value or rail. *)
+
+val common_prefix : t -> t -> int
+(** The number of leading segments two waveforms have in common (equal
+    start, slope, start voltage and polarity). *)
+
+val equal : t -> t -> bool
+(** Same initial value and the same live segments. *)
+
+val transitions_from : t -> int -> Transition.t list
+(** The live transitions from index [i] on, oldest first. *)
+
 val last_segment : t -> segment option
 
 val last_start : t -> Halotis_util.Units.time option

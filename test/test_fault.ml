@@ -305,10 +305,14 @@ module Compiled = Halotis_engine.Compiled
 let test_fanout_cone_structure () =
   let c, _ = Test_perf_equiv.workload ~gates:30 ~seed:17 in
   let cp = Compiled.compile DL.tech c in
+  let marks = Compiled.cone_marks cp in
   List.iter
     (fun victim ->
       let cone = Compiled.fanout_cone cp ~victim in
-      let member sid = Bytes.get cone.Compiled.cone_signal_member sid = '\001' in
+      (* shared marks are cleared after every walk *)
+      checkb "walk with shared marks == fresh walk" true
+        (Compiled.fanout_cone ~marks cp ~victim = cone);
+      let member = Compiled.mem_sorted cone.Compiled.cone_signals in
       checkb "victim is a member" true (member victim);
       checkb "victim listed" true (Array.mem victim cone.Compiled.cone_signals);
       Array.iter
@@ -685,7 +689,9 @@ let prop_cone_reuse_equals_fresh =
 
 (* The O(cone) claim, host-independently: the words one cone site
    allocates must not grow with the circuit around the cone.  The same
-   three-gate cone sits next to ~50 and then ~2000 unrelated gates.  A
+   three-gate cone sits next to ~50 and then ~2000 unrelated gates, for
+   a repeated strike and for the first strike on a victim (its cone walk
+   and clean replay included).  A
    strike so late that the horizon leaves its events queued must not
    grow the cost from site to site either: the workspace reclaims the
    queued events instead of leaking pool slots. *)
@@ -703,7 +709,10 @@ let test_cone_site_alloc_independent_of_circuit () =
     | Ok c -> c
     | Error e -> Alcotest.failf "fixture: %a" Halotis_netlist.Hnl.pp_error e
   in
-  let site_words ?(repeat = 1) ~at unrelated =
+  (* [first_strike]: measure the first strike on the victim, which
+     walks its cone and replays it clean, after one on another victim
+     warmed the workspace's pools *)
+  let site_words ?(repeat = 1) ?(first_strike = false) ~at unrelated =
     let c = circuit unrelated in
     let drive = Drive.of_levels ~slope:60. ~initial:false [ (1000., true); (5000., false) ] in
     let drives = [ (sid c "a", drive); (sid c "u", drive) ] in
@@ -715,17 +724,19 @@ let test_cone_site_alloc_independent_of_circuit () =
       | Some ctx -> ctx
       | None -> Alcotest.fail "cone context refused a completed baseline"
     in
-    let inj =
-      Inject.injection (Site.of_signal ~baseline (sid c "n1") ~at) (Inject.pulse ~width:150. ())
+    let inj name =
+      Inject.injection (Site.of_signal ~baseline (sid c name) ~at) (Inject.pulse ~width:150. ())
     in
-    let run () =
+    let strike inj gates =
       match Sim.Cone.run_site ctx inj with
-      | Sim.Cone.Exact { cone_gates; _ } -> checki "cone size" 3 cone_gates
+      | Sim.Cone.Exact { cone_gates; _ } -> checki "cone size" gates cone_gates
       | Sim.Cone.Fallback r -> Alcotest.failf "unexpected fallback: %s" r
     in
-    (* the first site builds the victim's cone, replays it clean and
+    let n1 = inj "n1" and n2 = inj "n2" in
+    let run () = strike n1 3 in
+    (* the first site builds its victim's cone, replays it clean and
        warms the workspace's pools *)
-    run ();
+    if first_strike then strike n2 2 else run ();
     (* every allocated word, minor or direct-to-major *)
     let allocated () =
       let minor, promoted, major = Gc.counters () in
@@ -746,6 +757,12 @@ let test_cone_site_alloc_independent_of_circuit () =
   checkb
     (Printf.sprintf "site words independent of circuit size (%.0f vs %.0f)" small large)
     true (close small large);
+  let small = List.hd (site_words ~first_strike:true ~at:3000. 50) in
+  let large = List.hd (site_words ~first_strike:true ~at:3000. 2000) in
+  checkb
+    (Printf.sprintf "first-strike site words independent of circuit size (%.0f vs %.0f)" small
+       large)
+    true (close small large);
   match site_words ~repeat:64 ~at:7960. 2000 with
   | [] -> assert false
   | first :: rest ->
@@ -754,6 +771,227 @@ let test_cone_site_alloc_independent_of_circuit () =
           checkb (Printf.sprintf "cut site words stay flat (%.0f vs %.0f)" first w) true
             (close first w))
         rest
+
+(* --- time-sliced cone runs: checkpoints of the baseline --- *)
+
+module Stats = Halotis_engine.Stats
+module Delay_model = Halotis_delay.Delay_model
+
+(* Every instant the baseline processed an event at: the final
+   crossings of each pin's driving signal at the pin's threshold. *)
+let event_keys (cp : Compiled.t) (b : Iddm.result) =
+  List.concat
+    (List.init cp.Compiled.npins (fun p ->
+         List.map fst
+           (W.crossings_with_transitions
+              b.Iddm.waveforms.(cp.Compiled.pin_fanin.(p))
+              ~vt:cp.Compiled.pin_vt.(p))))
+
+(* A finished cone run reduced to what a graft reads, copied out of
+   the workspace before the next run overwrites it. *)
+type cone_view = { cv_edges : D.edge list array; cv_stats : Stats.t; cv_hazard : bool }
+
+let cone_view ws ~cone ~from injections =
+  let r = Iddm.advance (Iddm.start_cone ~injections ws ~cone ~from) ~upto:infinity in
+  {
+    cv_edges =
+      Array.map (fun sid -> D.edges r.Iddm.waveforms.(sid) ~vt:vdd2) cone.Compiled.cone_signals;
+    cv_stats = Stats.copy r.Iddm.stats;
+    cv_hazard = r.Iddm.replay_hazard;
+  }
+
+let iddm_strike ~baseline victim ~at =
+  let i = Inject.injection (Site.of_signal ~baseline victim ~at) (Inject.pulse ~width:150. ()) in
+  { Iddm.inj_signal = i.Sim.inj_signal; inj_transitions = i.Sim.inj_ramps }
+
+(* The struck and clean runs of a strike from checkpoint [from] against
+   the same pair from the DC state: identical member edges, hazard
+   flags, and struck-minus-clean counters. *)
+let same_from_checkpoint ws ~cone ~from inj =
+  let clean0 = cone_view ws ~cone ~from:0 [] in
+  let struck0 = cone_view ws ~cone ~from:0 [ inj ] in
+  let clean = cone_view ws ~cone ~from [] in
+  let struck = cone_view ws ~cone ~from [ inj ] in
+  clean.cv_edges = clean0.cv_edges
+  && struck.cv_edges = struck0.cv_edges
+  && clean.cv_hazard = clean0.cv_hazard
+  && struck.cv_hazard = struck0.cv_hazard
+  && Stats.diff struck.cv_stats clean.cv_stats = Stats.diff struck0.cv_stats clean0.cv_stats
+
+(* Random circuits, seeds and cut points, some of them exactly at a
+   baseline event key (an event there is not yet processed at the
+   checkpoint), DDM and CDM: a cone run from any checkpoint at or
+   before its strike, advanced to the end, equals the cone run from the
+   DC state on every member edge and on the struck-minus-clean counter
+   delta.  Checked only where the DC-state clean run reproduces the
+   baseline, the condition {!Sim.Cone} grafts under. *)
+let prop_checkpoint_equals_dc_start =
+  QCheck.Test.make ~name:"cone run from a checkpoint == cone run from the DC state" ~count:25
+    QCheck.(triple (int_range 10 35) (int_range 0 1000) (int_range 0 1000))
+    (fun (gates, seed, cut_seed) ->
+      let t_stop = 12_000. in
+      let c, drives = Test_perf_equiv.workload ~gates ~seed in
+      let delay_kind = if seed mod 2 = 0 then Delay_model.Ddm else Delay_model.Cdm in
+      let cfg = Iddm.config ~delay_kind ~t_stop DL.tech in
+      let cp = Compiled.compile DL.tech c in
+      let baseline = Iddm.run ~compiled:cp cfg c ~drives in
+      let keys = Array.of_list (event_keys cp baseline) in
+      QCheck.assume (Array.length keys > 0 && not baseline.Iddm.replay_hazard);
+      let rng = Prng.create ~seed:cut_seed in
+      let key () = keys.(Prng.int rng ~bound:(Array.length keys)) in
+      let cuts =
+        List.init 6 (fun k -> if k mod 2 = 0 then key () else Prng.float rng ~bound:t_stop)
+      in
+      let ws = Iddm.cone_workspace ~grid:cuts ~compiled:cp ~baseline cfg c ~drives in
+      let first = Array.fold_left Float.min infinity keys in
+      let kept = List.sort_uniq Float.compare (List.filter (fun t -> t > first) cuts) in
+      let victims = Array.of_list (Site.candidates c) in
+      let checks =
+        List.init 4 (fun k ->
+            let victim = victims.(Prng.int rng ~bound:(Array.length victims)) in
+            let cone = Compiled.fanout_cone cp ~victim in
+            let at =
+              match k mod 3 with
+              | 0 -> List.nth cuts (Prng.int rng ~bound:(List.length cuts))
+              | 1 -> key ()
+              | _ -> Prng.float rng ~bound:t_stop
+            in
+            let inj = iddm_strike ~baseline victim ~at in
+            let clean0 = cone_view ws ~cone ~from:0 [] in
+            let trusted =
+              (not clean0.cv_hazard)
+              && Array.for_all2
+                   (fun sid es -> es = D.edges baseline.Iddm.waveforms.(sid) ~vt:vdd2)
+                   cone.Compiled.cone_signals clean0.cv_edges
+            in
+            let latest = Iddm.checkpoint_at ws at in
+            (not trusted)
+            || Iddm.checkpoint_time ws latest <= at
+               && List.for_all
+                    (fun from -> same_from_checkpoint ws ~cone ~from inj)
+                    [ latest; Prng.int rng ~bound:(latest + 1) ])
+      in
+      (* every kept cut became a checkpoint: the replay matched *)
+      Iddm.checkpoint_count ws = 1 + List.length kept && List.for_all Fun.id checks)
+
+(* The chain fixture of the same-instant test, with a checkpoint at
+   exactly the strike instant, where a boundary event of the victim's
+   cone also fires.  The checkpoint holds that event unprocessed, so
+   the restored run pops the splice and the event at one instant — the
+   splice first, by rank, as the full run does. *)
+let test_checkpoint_at_strike_instant () =
+  let c = Lazy.force chain in
+  let drives = [ (sid c "in", Drive.of_levels ~slope:100. ~initial:false [ (1000., true) ]) ] in
+  let cfg = Iddm.config ~t_stop:8000. DL.tech in
+  let cp = Compiled.compile DL.tech c in
+  let baseline = Iddm.run ~compiled:cp cfg c ~drives in
+  let victim = sid c "out2" in
+  let driver = Option.get (N.signal c victim).N.driver in
+  let slot = cp.Compiled.g_base.(driver) in
+  let at =
+    W.last_crossing baseline.Iddm.waveforms.(cp.Compiled.pin_fanin.(slot))
+      ~vt:cp.Compiled.pin_vt.(slot)
+  in
+  checkb "fixture has a boundary crossing" true (not (Float.is_nan at));
+  let ws = Iddm.cone_workspace ~grid:[ at ] ~compiled:cp ~baseline cfg c ~drives in
+  checki "checkpoint kept" 2 (Iddm.checkpoint_count ws);
+  checki "strike starts from it" 1 (Iddm.checkpoint_at ws at);
+  checkb "at the strike instant" true (Iddm.checkpoint_time ws 1 = at);
+  let cone = Compiled.fanout_cone cp ~victim in
+  let inj = iddm_strike ~baseline victim ~at in
+  checkb "checkpoint run == DC-state run" true (same_from_checkpoint ws ~cone ~from:1 inj);
+  let full = Iddm.run ~injections:[ inj ] ~compiled:cp cfg c ~drives in
+  checkb "struck edges == full injected run" true
+    ((cone_view ws ~cone ~from:1 [ inj ]).cv_edges
+    = Array.map (fun sid -> D.edges full.Iddm.waveforms.(sid) ~vt:vdd2) cone.Compiled.cone_signals)
+
+(* Strikes before the first grid checkpoint start from the DC state,
+   and still graft exactly. *)
+let test_checkpoint_strike_before_grid () =
+  let c, drives = Test_perf_equiv.workload ~gates:30 ~seed:42 in
+  let cfg = Iddm.config ~t_stop:12_000. DL.tech in
+  let cp = Compiled.compile DL.tech c in
+  let baseline = Iddm.run ~compiled:cp cfg c ~drives in
+  let ws = Iddm.cone_workspace ~compiled:cp ~baseline cfg c ~drives in
+  checkb "the default grid was kept" true (Iddm.checkpoint_count ws > 1);
+  let at = Iddm.checkpoint_time ws 1 -. 1. in
+  checki "DC state" 0 (Iddm.checkpoint_at ws at);
+  let spec = Sim.spec ~drives ~t_stop:12_000. ~tech:DL.tech c in
+  let ctx = Option.get (Sim.Cone.create ~compiled:cp Sim.Ddm spec ~baseline:(Sim.run Sim.Ddm spec)) in
+  let exact = ref 0 in
+  List.iter
+    (fun victim ->
+      let inj = Inject.injection (Site.of_signal ~baseline victim ~at) (Inject.pulse ~width:150. ()) in
+      match Sim.Cone.run_site ctx inj with
+      | Sim.Cone.Fallback _ -> ()
+      | Sim.Cone.Exact { edges; stats; _ } ->
+          incr exact;
+          let full = Sim.run Sim.Ddm { spec with Sim.sp_injections = [ inj ] } in
+          checkb "edges identical" true (edges = Sim.edges full);
+          checkb "stats identical" true (stats = Stats.copy full.Sim.rs_stats))
+    (Site.candidates c);
+  checkb "some site grafted (non-vacuous)" true (!exact > 0)
+
+(* A pulse of 40 ps dies in the first inverter of a chain: its output
+   ramp, appended on the rising input event, is annulled by the falling
+   one.  A checkpoint between the two holds that segment beyond the
+   final (empty) waveform, and restoring it must rebuild it, so strikes
+   on that output from the checkpoint interact with it exactly as in
+   the full run. *)
+let test_checkpoint_annulled_segment () =
+  let c = G.inverter_chain ~n:4 () in
+  let input = sid c "in" in
+  let drives = [ (input, Drive.of_levels ~slope:60. ~initial:false [ (1000., true); (1040., false) ]) ] in
+  let cfg = Iddm.config ~t_stop:8000. DL.tech in
+  let cp = Compiled.compile DL.tech c in
+  let baseline = Iddm.run ~compiled:cp cfg c ~drives in
+  checki "fixture annuls one transition" 1 baseline.Iddm.stats.Stats.transitions_annulled;
+  let victim = sid c "out1" in
+  checki "the annulled ramp leaves no segment" 0 (W.segment_count baseline.Iddm.waveforms.(victim));
+  let between =
+    match List.map fst (W.crossings_with_transitions baseline.Iddm.waveforms.(input) ~vt:vdd2) with
+    | [ rise; fall ] -> (rise +. fall) /. 2.
+    | _ -> Alcotest.fail "fixture: the input pulse crosses twice"
+  in
+  let ws = Iddm.cone_workspace ~grid:[ between ] ~compiled:cp ~baseline cfg c ~drives in
+  checki "checkpoint kept" 2 (Iddm.checkpoint_count ws);
+  let cone = Compiled.fanout_cone cp ~victim in
+  let restored = Iddm.session_result (Iddm.start_cone ws ~cone ~from:1) in
+  checki "the checkpoint holds the doomed segment" 1
+    (W.segment_count restored.Iddm.waveforms.(victim));
+  List.iter
+    (fun at ->
+      let inj = iddm_strike ~baseline victim ~at in
+      checki "strike starts from the checkpoint" 1 (Iddm.checkpoint_at ws at);
+      checkb
+        (Printf.sprintf "checkpoint run == DC-state run (strike at %.0f)" at)
+        true
+        (same_from_checkpoint ws ~cone ~from:1 inj);
+      let full = Iddm.run ~injections:[ inj ] ~compiled:cp cfg c ~drives in
+      checkb "struck edges == full injected run" true
+        ((cone_view ws ~cone ~from:1 [ inj ]).cv_edges
+        = Array.map (fun sid -> D.edges full.Iddm.waveforms.(sid) ~vt:vdd2) cone.Compiled.cone_signals))
+    [ between; between +. 5.; 1500. ]
+
+(* Only the DC checkpoint survives when the grid could mislead: a
+   watchdog's window would miss the history before a checkpoint, and a
+   replay that does not end on the baseline's counters is not the
+   baseline's. *)
+let test_checkpoint_grid_dropped () =
+  let c, drives = Test_perf_equiv.workload ~gates:20 ~seed:5 in
+  let cfg = Iddm.config ~t_stop:12_000. DL.tech in
+  let cp = Compiled.compile DL.tech c in
+  let baseline = Iddm.run ~compiled:cp cfg c ~drives in
+  let count ?(cfg = cfg) baseline =
+    Iddm.checkpoint_count (Iddm.cone_workspace ~compiled:cp ~baseline cfg c ~drives)
+  in
+  checkb "the grid is kept for a matching baseline" true (count baseline > 1);
+  checki "watchdog: DC state only" 1
+    (count ~cfg:{ cfg with Iddm.watchdog = Some (Halotis_guard.Watchdog.config ()) } baseline);
+  let other = Iddm.run ~compiled:cp (Iddm.config ~t_stop:1_000. DL.tech) c ~drives in
+  checkb "fixture: a shorter run counts less" true
+    (other.Iddm.stats <> baseline.Iddm.stats);
+  checki "counter mismatch: DC state only" 1 (count { other with Iddm.waveforms = baseline.Iddm.waveforms })
 
 let test_engine_of_string () =
   checkb "ddm" true (Campaign.engine_of_string "ddm" = Some Campaign.Ddm);
@@ -810,5 +1048,13 @@ let tests =
         QCheck_alcotest.to_alcotest prop_cone_reuse_equals_fresh;
         Alcotest.test_case "site allocation independent of circuit size" `Quick
           test_cone_site_alloc_independent_of_circuit;
+        QCheck_alcotest.to_alcotest prop_checkpoint_equals_dc_start;
+        Alcotest.test_case "checkpoint at the strike instant" `Quick
+          test_checkpoint_at_strike_instant;
+        Alcotest.test_case "strike before the first grid checkpoint" `Quick
+          test_checkpoint_strike_before_grid;
+        Alcotest.test_case "segment annulled after a checkpoint" `Quick
+          test_checkpoint_annulled_segment;
+        Alcotest.test_case "checkpoint grid dropped" `Quick test_checkpoint_grid_dropped;
       ] );
   ]

@@ -218,12 +218,55 @@ let test_json_accessors () =
   checkb "to_str" true (Json.to_str (Json.Str "hi") = Some "hi");
   checkb "parse error" true (match Json.parse "{" with Error _ -> true | Ok _ -> false)
 
+(* The integer fast path and the allocation-free indent must print
+   exactly what the old formatter ({!Ref_json}) printed: signed zeros,
+   the 1e15 cut-over, non-integers, nan and the infinities, alone and
+   nested at random depths. *)
+let prop_json_matches_reference =
+  let special =
+    [ 0.; -0.; 1e15; -1e15; 1e15 -. 1.; -.(1e15 -. 1.); 1e15 +. 2.; 0.5; -2.5; 1e-300;
+      Float.nan; Float.infinity; Float.neg_infinity; 4503599627370496.; max_float;
+      float_of_int max_int ]
+  in
+  let num =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, oneofl special);
+          (3, map float_of_int (int_range (-1_000_000_000) 1_000_000_000));
+          (2, map (fun f -> Float.round f) (float_range (-2e15) 2e15));
+          (2, float);
+        ])
+  in
+  let doc =
+    QCheck.Gen.(
+      sized_size (int_range 0 4)
+      @@ fix (fun self depth ->
+             if depth = 0 then map (fun f -> Json.Num f) num
+             else
+               frequency
+                 [
+                   (2, map (fun f -> Json.Num f) num);
+                   (1, map (fun l -> Json.Arr l) (list_size (int_range 0 4) (self (depth - 1))));
+                   ( 1,
+                     map
+                       (fun l -> Json.Obj (List.mapi (fun i v -> (string_of_int i, v)) l))
+                       (list_size (int_range 0 4) (self (depth - 1))) );
+                 ]))
+  in
+  QCheck.Test.make ~name:"Json.to_string == reference formatter" ~count:500
+    (QCheck.make ~print:(Ref_json.to_string ~indent:false) doc)
+    (fun d ->
+      Json.to_string d = Ref_json.to_string d
+      && Json.to_string ~indent:false d = Ref_json.to_string ~indent:false d)
+
 let tests =
   [
     ( "util.json",
       [
         Alcotest.test_case "round trip" `Quick test_json_roundtrip;
         Alcotest.test_case "accessors" `Quick test_json_accessors;
+        QCheck_alcotest.to_alcotest prop_json_matches_reference;
       ] );
     ( "util.heap",
       [
