@@ -16,7 +16,6 @@ module Campaign = Halotis_fault.Campaign
 module Fault_report = Halotis_fault.Fault_report
 module Overlay = Halotis_tech.Param_overlay
 module Sampler = Halotis_vary.Sampler
-module Aging = Halotis_vary.Aging
 module Sweep = Halotis_vary.Sweep
 module Vary_report = Halotis_vary.Vary_report
 
@@ -119,18 +118,7 @@ let run () =
      at the ladder's top age and sweeping the first that fails there. *)
   let max_steps = 20 in
   let h_top = 100. *. (2. ** float_of_int (max_steps - 1)) in
-  let probe_site site ~stress_hours =
-    let aged =
-      Campaign.run
-        {
-          campaign_config with
-          Campaign.overlay = Aging.overlay ~stress_hours ~gates:(N.gate_count c);
-          sites = Some [ site ];
-        }
-        DL.tech c ~drives
-    in
-    (List.hd aged.Campaign.cam_verdicts).Campaign.vd_outcome = Campaign.Propagated
-  in
+  let probe_site = Sweep.aging_probe campaign_config DL.tech c ~drives in
   let reference =
     List.find_opt
       (fun (v : Campaign.verdict) ->

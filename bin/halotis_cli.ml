@@ -38,11 +38,8 @@ module Site = Halotis_fault.Site
 module Inject = Halotis_fault.Inject
 module Campaign = Halotis_fault.Campaign
 module Fault_report = Halotis_fault.Fault_report
-module Journal = Halotis_fault.Journal
-module Shard = Halotis_fault.Shard
-module Supervisor = Halotis_fault.Supervisor
+module Driver = Halotis_fault.Driver
 module Sampler = Halotis_vary.Sampler
-module Aging = Halotis_vary.Aging
 module Sweep = Halotis_vary.Sweep
 module Vary_report = Halotis_vary.Vary_report
 module Param_overlay = Halotis_tech.Param_overlay
@@ -472,7 +469,7 @@ let run_compare path stim_path t_stop =
   Format.printf "cdm: %a@." Halotis_engine.Stats.pp rc.Sim.rs_stats;
   0
 
-(* --- faults --- *)
+(* --- faults and vary: shells over Halotis_fault.Driver --- *)
 
 let usage_diag ?hint m = die_diag (Diag.make ~code:"usage" ?hint m)
 
@@ -481,202 +478,109 @@ let usage_diag ?hint m = die_diag (Diag.make ~code:"usage" ?hint m)
    fingerprint (journal header) byte-identical to the parent's. *)
 let farg = Printf.sprintf "%h"
 
-(* Chaos-injection hooks, honoured only in [--range] worker mode: the
-   supervisor tests, the CI chaos smoke job and bench/exp_supervise
-   inject worker crashes and hangs through the environment.
-     HALOTIS_CHAOS_KILL=N    torn journal write + SIGKILL self after N
-                             fresh verdicts (at most once per chunk)
-     HALOTIS_CHAOS_HANG=N    stop heartbeating after N fresh verdicts
-                             (at most once per chunk)
-     HALOTIS_CHAOS_POISON=I  SIGKILL self just before journaling global
-                             site I — every attempt, so the supervisor
-                             must quarantine I to finish
-     HALOTIS_CHAOS_TOKENS=D  bound kills/hangs globally: each claims a
-                             token file from directory D instead of the
-                             per-chunk sentinel *)
-type chaos = {
-  cz_kill : int option;
-  cz_hang : int option;
-  cz_poison : int option;
-  cz_tokens : string option;
-  mutable cz_count : int;
-}
-
+(* Chaos injection for [--range] workers (see [Driver.chaos]), read
+   from the environment so the supervisor tests, the CI chaos smoke job
+   and bench/exp_supervise can crash and hang workers. *)
 let chaos_of_env () =
   let geti v = Option.bind (Sys.getenv_opt v) int_of_string_opt in
   {
-    cz_kill = geti "HALOTIS_CHAOS_KILL";
-    cz_hang = geti "HALOTIS_CHAOS_HANG";
-    cz_poison = geti "HALOTIS_CHAOS_POISON";
-    cz_tokens = Sys.getenv_opt "HALOTIS_CHAOS_TOKENS";
-    cz_count = 0;
+    Driver.kill = geti "HALOTIS_CHAOS_KILL";
+    hang = geti "HALOTIS_CHAOS_HANG";
+    poison = geti "HALOTIS_CHAOS_POISON";
+    tokens = Sys.getenv_opt "HALOTIS_CHAOS_TOKENS";
   }
 
-(* One chaos event per claim: a token file from the bounding directory,
-   or (without one) a per-chunk sentinel created O_EXCL so retries of
-   the same chunk don't crash forever. *)
-let chaos_claim cz ~journal =
-  match cz.cz_tokens with
-  | Some dir -> (
-      match Sys.readdir dir with
-      | files ->
-          Array.exists
-            (fun f ->
-              match Sys.remove (Filename.concat dir f) with
-              | () -> true
-              | exception Sys_error _ -> false)
-            files
-      | exception Sys_error _ -> false)
-  | None -> (
-      match
-        Unix.openfile (journal ^ ".chaos")
-          [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ]
-          0o644
-      with
-      | fd ->
-          Unix.close fd;
-          true
-      | exception Unix.Unix_error _ -> false)
+(* The flags [faults] and [vary] share. *)
+type campaign_args = {
+  ca_circuit : string;
+  ca_stim : string;
+  ca_engine : Campaign.engine;
+  ca_n : int;
+  ca_seed : int;
+  ca_width : float;
+  ca_slope : float;
+  ca_t_stop : float option;
+  ca_liberty : string option;
+  ca_format : [ `Text | `Json ];
+  ca_journal : string option;
+  ca_resume : string option;
+  ca_jobs : int;
+  ca_range : (int * int) option;
+}
 
-let chaos_die () = Unix.kill (Unix.getpid ()) Sys.sigkill
+let campaign_log cmd m = Printf.eprintf "%s: %s\n%!" cmd m
 
-(* fires just before journaling the fresh verdict of global site [idx] *)
-let chaos_pre cz idx =
-  match cz.cz_poison with Some p when p = idx -> chaos_die () | _ -> ()
-
-(* fires just after journaling (and fsyncing) a fresh verdict *)
-let chaos_post cz ~journal =
-  cz.cz_count <- cz.cz_count + 1;
-  (match cz.cz_hang with
-  | Some n when cz.cz_count >= n && chaos_claim cz ~journal ->
-      while true do
-        Unix.sleep 3600
-      done
-  | _ -> ());
-  match cz.cz_kill with
-  | Some n when cz.cz_count >= n && chaos_claim cz ~journal ->
-      (* leave a torn final line behind: readers must cope with it *)
-      let oc = open_out_gen [ Open_append ] 0o644 journal in
-      output_string oc "v 99999 torn";
-      flush oc;
-      chaos_die ()
-  | _ -> ()
-
-(* [--jobs 0] resolves to the detected core count; a negative count is a
-   usage error. *)
-let resolve_jobs cmd jobs =
-  if jobs < 0 then usage_diag "--jobs must be non-negative (0 auto-detects cores)";
-  if jobs > 0 then jobs
-  else begin
-    let n = Shard.available_cores () in
-    Printf.eprintf "%s: --jobs 0: using %d detected core%s\n%!" cmd n
-      (if n = 1 then "" else "s");
-    n
-  end
-
-(* The journal of a [--range] worker: the supervisor always passes
-   --journal, and a retried worker resumes it by itself. *)
-let range_journal journal_path resume_path =
-  let jpath =
-    match journal_path with
-    | Some p -> p
-    | None -> usage_diag "a --range worker needs --journal"
+(* What both commands derive from the shared flags: technology, circuit,
+   bound drives, horizon, SET pulse, resolved --jobs and journal mode. *)
+let campaign_setup ~cmd a =
+  let tech = load_tech a.ca_liberty in
+  let c = or_die (load_circuit a.ca_circuit) in
+  let stim = or_die (load_stimfile a.ca_stim) in
+  let jobs = Driver.resolve_jobs ~log:(campaign_log cmd) a.ca_jobs in
+  let is_worker = a.ca_range <> None in
+  if is_worker && jobs > 1 then usage_diag "--range and --jobs are mutually exclusive";
+  (* A worker's stderr should carry verdict progress, not N copies of
+     the same preflight report the parent already printed. *)
+  if not is_worker then preflight ~stim tech c;
+  let drives = bind_stim stim c in
+  let horizon = horizon_of_drives drives a.ca_t_stop in
+  let pulse =
+    try Inject.pulse ~slope:a.ca_slope ~width:a.ca_width ()
+    with Invalid_argument m -> die_diag (Diag.make ~code:"invalid-input" m)
   in
-  if resume_path <> None then
-    usage_diag "--range workers resume their own --journal automatically";
-  jpath
-
-(* The supervised worker body shared by [faults --range] and
-   [vary --range]: simulate the campaign's sites [lo - offset,
-   hi - offset) and journal each verdict under its global index
-   [idx + offset] in the chunk journal, fsynced per verdict with a
-   heartbeat cursor.  A retried worker resumes the chunk journal,
-   quarantined sites included.  [faults] passes offset 0; [vary] passes
-   [k * nsites] for sample k. *)
-let run_range_worker ~cmd cfg ~offset ~range:(lo, hi) ~journal tech c ~drives =
-  let circuit = N.name c in
-  let open_fresh () =
-    ( [],
-      [],
-      Journal.open_new ~sync_every:1 ~cursor:true journal
-        (Journal.header_of ~circuit ~range:(lo, hi) cfg) )
+  let journal =
+    match (a.ca_journal, a.ca_resume) with
+    | Some _, Some _ ->
+        usage_diag ~hint:"--resume already appends new verdicts to the journals it loads"
+          "--journal and --resume are mutually exclusive"
+    | Some p, None -> Some (Driver.Fresh p)
+    | None, Some p -> Some (Driver.Resume p)
+    | None, None -> None
   in
-  let completed, quarantined, writer =
-    if not (Sys.file_exists journal) then open_fresh ()
-    else
-      match Journal.load journal with
-      | h, indexed ->
-          Journal.check h ~circuit ~range:(lo, hi) cfg;
-          let entries = Journal.contiguous ~first:lo indexed in
-          let completed, quarantined = Journal.partition ~first:lo entries in
-          Printf.eprintf "%s: range [%d,%d): resuming %s: %d of %d entries kept\n%!" cmd
-            lo hi journal (List.length entries) (hi - lo);
-          ( completed,
-            List.map (fun g -> g - offset) quarantined,
-            Journal.open_append ~sync_every:1 ~cursor:true journal )
-      | exception Diag.Fail _ ->
-          (* died inside the header write: nothing durable to keep *)
-          open_fresh ()
-  in
-  let cz = chaos_of_env () in
-  let campaign =
-    Campaign.run
-      ~on_verdict:(fun idx v ->
-        let g = idx + offset in
-        chaos_pre cz g;
-        Journal.write writer g v;
-        chaos_post cz ~journal)
-      {
-        cfg with
-        Campaign.range = Some (lo - offset, hi - offset);
-        completed;
-        quarantined;
-      }
-      tech c ~drives
-  in
-  Journal.close writer;
-  Printf.eprintf "%s: range [%d,%d): %d sites done\n%!" cmd lo hi
-    (List.length campaign.Campaign.cam_verdicts);
-  0
+  (tech, c, drives, horizon, pulse, jobs, journal)
 
-(* The base path of a supervised campaign's chunk journals (BASE.ID):
-   the user's --journal/--resume file, or a temporary one. *)
-let supervised_base prefix journal_path resume_path =
-  match (journal_path, resume_path) with
-  | Some p, None | None, Some p -> (p, true)
-  | None, None -> (Filename.temp_file prefix ".journal", false)
-  | Some _, Some _ -> assert false
+(* The argv of a [--range] worker: the campaign-defining flags, the
+   command's own [extra] ones, and the chunk it owns. *)
+let worker_argv ~cmd a ~horizon extra ~range:(lo, hi) ~journal =
+  [ Sys.executable_name; cmd; a.ca_circuit; "--stim"; a.ca_stim ]
+  @ [ "--engine"; Campaign.engine_to_string a.ca_engine ]
+  @ [ "-n"; string_of_int a.ca_n; "--seed"; string_of_int a.ca_seed ]
+  @ [ "--width"; farg a.ca_width; "--slope"; farg a.ca_slope ]
+  @ [ "--t-stop"; farg horizon ]
+  @ (match a.ca_liberty with Some p -> [ "--liberty"; p ] | None -> [])
+  @ extra
+  @ [ "--range"; Printf.sprintf "%d:%d" lo hi; "--journal"; journal ]
 
-(* Removes what supervision leaves beside the base path: every chunk's
-   stderr capture, cursor and chaos sentinel, and the chunk journal
-   itself unless [keep]. *)
-let remove_chunk_files ?(keep = false) base slots =
-  for k = 0 to slots - 1 do
-    let jpath = Shard.journal_path base k in
-    if (not keep) && Sys.file_exists jpath then Sys.remove jpath;
-    List.iter
-      (fun p -> if Sys.file_exists p then Sys.remove p)
-      [ Shard.stderr_path base k; Journal.cursor_path jpath; jpath ^ ".chaos" ]
-  done
+(* Runs [plan] as a [--range] worker (no report: [None]) or through the
+   driver, serially or supervised. *)
+let drive_campaign ~cmd a ~jobs ~journal ~horizon ~extra ?quarantine ?chunk_sites
+    ?worker_timeout ?max_retries ?poison_after plan tech c ~drives =
+  let log = campaign_log cmd in
+  match a.ca_range with
+  | Some range ->
+      (* the supervisor always passes --journal, and a retried worker
+         resumes it by itself *)
+      let journal =
+        match journal with
+        | None -> usage_diag "a --range worker needs --journal"
+        | Some (Driver.Resume _) ->
+            usage_diag "--range workers resume their own --journal automatically"
+        | Some (Driver.Fresh p) -> p
+      in
+      Driver.run_worker ~log ~chaos:(chaos_of_env ()) plan ~range ~journal tech c ~drives;
+      None
+  | None ->
+      Some
+        (Driver.run ~log ?journal ?quarantine ?chunk_sites ?worker_timeout ?max_retries
+           ?poison_after ~jobs
+           ~worker_argv:(worker_argv ~cmd a ~horizon extra)
+           plan tech c ~drives)
 
-let report_recoveries cmd (outcome : Supervisor.outcome) =
-  let plural n = if n = 1 then "" else "s" in
-  if outcome.Supervisor.sv_retries > 0 then
-    Printf.eprintf "%s: supervisor recovered %d worker failure%s (%d stall kill%s)\n%!"
-      cmd outcome.Supervisor.sv_retries
-      (plural outcome.Supervisor.sv_retries)
-      outcome.Supervisor.sv_kills
-      (plural outcome.Supervisor.sv_kills)
-
-let run_faults path stim_path engine n seed width slope t_stop exhaustive grid format
-    vcd_dir liberty journal_path resume_path limit_sites site_max_events jobs
-    range_spec worker_timeout max_retries chunk_sites poison_after prune_mode
-    incremental keep_shards =
-  let tech = load_tech liberty in
-  let c = or_die (load_circuit path) in
-  let stim = or_die (load_stimfile stim_path) in
-  let jobs = resolve_jobs "faults" jobs in
-  let is_worker = range_spec <> None in
+let run_faults a exhaustive grid vcd_dir limit_sites site_max_events worker_timeout
+    max_retries chunk_sites poison_after prune_mode incremental =
+  let tech, c, drives, horizon, pulse, jobs, journal = campaign_setup ~cmd:"faults" a in
+  let is_worker = a.ca_range <> None in
+  let engine = a.ca_engine in
   let prune = prune_mode = `Static in
   (* the campaign silently ignores the flag in these cases; say why *)
   if prune && not is_worker then begin
@@ -689,22 +593,10 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
         "halotis: --prune static is disabled by --site-max-events (a budget-tripped \
          site must be able to report timed-out); all sites will be simulated"
   end;
-  if is_worker && jobs > 1 then usage_diag "--range and --jobs are mutually exclusive";
-  if is_worker && limit_sites <> None then
-    usage_diag "--limit-sites cannot be used inside a worker";
-  (* A worker's stderr should carry verdict progress, not N copies of
-     the same preflight report the parent already printed. *)
-  if not is_worker then preflight ~stim tech c;
-  let drives = bind_stim stim c in
-  let horizon = horizon_of_drives drives t_stop in
-  let pulse =
-    try Inject.pulse ~slope ~width ()
-    with Invalid_argument m -> die_diag (Diag.make ~code:"invalid-input" m)
-  in
   let site_budget = Budget.make ?max_events:site_max_events () in
   let cfg =
-    Campaign.config ~engine ~seed ~n ~pulse ~t_stop:horizon ~site_budget ~prune
-      ~incremental ()
+    Campaign.config ~engine ~seed:a.ca_seed ~n:a.ca_n ~pulse ~t_stop:horizon ~site_budget
+      ~prune ~incremental ?limit:limit_sites ()
   in
   let sites =
     if not exhaustive then None
@@ -716,118 +608,37 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
       in
       Some (Site.exhaustive ~baseline ~times:(Site.grid ~t0:0. ~t1:horizon ~points:grid))
   in
-  (* The campaign's deterministic size, known without running anything:
-     the explicit site list's length, or the sample count. *)
-  let sites_total =
-    match sites with Some s -> List.length s | None -> cfg.Campaign.n
+  let extra =
+    (if exhaustive then [ "--exhaustive"; "--grid"; string_of_int grid ] else [])
+    @ (match site_max_events with
+      | Some e -> [ "--site-max-events"; string_of_int e ]
+      | None -> [])
+    @ (if prune then [ "--prune"; "static" ] else [])
+    @ [ "--incremental"; (if incremental then "on" else "off") ]
   in
-  (* Checkpoint/resume: --journal starts a fresh journal, --resume
-     loads one and keeps appending to it. *)
-  (match (journal_path, resume_path) with
-  | Some _, Some _ ->
-      usage_diag ~hint:"--resume already appends new verdicts to the journal it loads"
-        "--journal and --resume are mutually exclusive"
-  | _ -> ());
-  (* Report rendering shared by the serial and the supervised paths —
-     byte-identical output is the whole point. *)
-  let emit_report campaign =
-    (match format with
-    | `Json -> print_endline (Fault_report.to_string campaign)
-    | `Text -> print_string (Fault_report.to_text campaign));
-    (match vcd_dir with
-    | Some _ when engine = Campaign.Classic_inertial ->
-        prerr_endline "halotis: --vcd-dir needs a waveform engine (ddm or cdm); ignored"
-    | Some dir ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        let veng = if engine = Campaign.Cdm then Sim.Cdm else Sim.Ddm in
-        List.iteri
-          (fun i (v : Campaign.verdict) ->
-            if v.Campaign.vd_outcome = Campaign.Propagated then begin
-              let r =
-                Sim.run veng
-                  (Sim.spec ~drives
-                     ~injections:[ Inject.injection v.Campaign.vd_site pulse ]
-                     ~t_stop:horizon ~tech c)
-              in
-              let file =
-                Filename.concat dir
-                  (Printf.sprintf "site%03d_%s.vcd" i
-                     (N.gate_name c v.Campaign.vd_site.Site.st_gate))
-              in
-              Vcd.write_file file (Sim.vcd_dumps r);
-              Printf.eprintf "vcd written to %s\n" file
-            end)
-          campaign.Campaign.cam_verdicts
-    | None -> ());
-    0
-  in
-  match range_spec with
-  | Some (lo, hi) ->
-      (* ----- supervised worker: one chunk of the site enumeration ----- *)
-      let journal = range_journal journal_path resume_path in
-      if hi > sites_total then
-        usage_diag
-          (Printf.sprintf "--range %d:%d out of bounds for %d sites" lo hi sites_total);
-      run_range_worker ~cmd:"faults" { cfg with Campaign.sites } ~offset:0
-        ~range:(lo, hi) ~journal tech c ~drives
-  | None when jobs > 1 ->
-      (* ----- supervised parent: a work-queue of chunk sub-ranges
-         dispatched to a bounded pool, with heartbeats, retry/backoff
-         and poison-site quarantine; the merged report stays
-         byte-identical to --jobs 1 ----- *)
-      if limit_sites <> None then
-        usage_diag ~hint:"chunking is per worker range under --jobs"
-          "--limit-sites cannot be combined with --jobs";
-      let base, user_journal = supervised_base "halotis-faults" journal_path resume_path in
-      (* the campaign-defining flags, handed to every --range worker *)
-      let worker_argv ~range:(lo, hi) ~journal =
-        [ Sys.executable_name; "faults"; path; "--stim"; stim_path ]
-        @ [ "--engine"; Campaign.engine_to_string engine ]
-        @ [ "-n"; string_of_int n; "--seed"; string_of_int seed ]
-        @ [ "--width"; farg width; "--slope"; farg slope ]
-        @ [ "--t-stop"; farg horizon ]
-        @ (if exhaustive then [ "--exhaustive"; "--grid"; string_of_int grid ] else [])
-        @ (match liberty with Some p -> [ "--liberty"; p ] | None -> [])
-        @ (match site_max_events with
-          | Some e -> [ "--site-max-events"; string_of_int e ]
-          | None -> [])
-        @ (if prune then [ "--prune"; "static" ] else [])
-        @ [ "--incremental"; (if incremental then "on" else "off") ]
-        @ [ "--range"; Printf.sprintf "%d:%d" lo hi ]
-        @ [ "--journal"; journal ]
-      in
-      let scfg =
-        try
-          Supervisor.config
-            ~chunk_sites:
-              (if chunk_sites > 0 then chunk_sites
-               else Supervisor.auto_chunk_sites ~total:sites_total ~jobs)
-            ~worker_timeout ~max_retries ~poison_after ~jobs ()
-        with Invalid_argument m -> usage_diag m
-      in
-      Printf.eprintf
-        "faults: supervising %d sites across %d workers (chunks of %d)\n%!"
-        sites_total jobs scfg.Supervisor.sv_chunk_sites;
-      let check h = Journal.check h ~circuit:(N.name c) ?range:h.Journal.jh_range cfg in
-      let mk_header ~range = Journal.header_of ~circuit:(N.name c) ~range cfg in
-      let outcome =
-        Supervisor.run scfg ~total:sites_total ~base ~worker_argv ~check ~mk_header
-          ~log:(fun m -> Printf.eprintf "faults: %s\n%!" m)
-          ()
-      in
-      let slots = outcome.Supervisor.sv_slots in
-      let h, indexed = Shard.load_merged ~base ~jobs:slots in
-      Journal.check h ~circuit:(N.name c) cfg;
-      let entries = Journal.contiguous ~first:0 indexed in
-      let completed, quarantined = Journal.partition ~first:0 entries in
-      (* re-running zero fresh sites revalidates every journaled verdict
-         against the deterministic site list and rebuilds the aggregate
-         stats exactly as a serial run would *)
-      let campaign =
-        Campaign.run { cfg with Campaign.sites; completed; quarantined } tech c ~drives
-      in
+  match
+    drive_campaign ~cmd:"faults" a ~jobs ~journal ~horizon ~extra ~chunk_sites
+      ~worker_timeout ~max_retries ~poison_after
+      (Driver.plan [ { cfg with Campaign.sites } ])
+      tech c ~drives
+  with
+  | None -> 0
+  | Some result ->
+      let campaign = result.Driver.campaigns.(0) in
+      (* Summary to stderr so stdout carries only the report document. *)
       Format.eprintf "faults: %s: %s@." (N.name c) (Fault_report.summary campaign);
-      report_recoveries "faults" outcome;
+      if not campaign.Campaign.cam_complete then begin
+        (* Parked early: no report — the verdicts are durable in the
+           journal and the campaign resumes from there. *)
+        Format.eprintf "faults: campaign parked after %d of %d sites%s@."
+          (List.length campaign.Campaign.cam_verdicts)
+          campaign.Campaign.cam_sites_total
+          (match journal with
+          | Some (Driver.Fresh p | Driver.Resume p) ->
+              Printf.sprintf " — continue with --resume %s" p
+          | None -> " (no --journal: progress was not saved)");
+        exit 3
+      end;
       (match campaign.Campaign.cam_quarantined with
       | [] -> ()
       | qs ->
@@ -837,111 +648,31 @@ let run_faults path stim_path engine n seed width slope t_stop exhaustive grid f
             (String.concat ", "
                (List.map
                   (fun (i, site) ->
-                    Printf.sprintf "%d (%s)" i
-                      (Format.asprintf "%a" (Site.pp c) site))
+                    Printf.sprintf "%d (%s)" i (Format.asprintf "%a" (Site.pp c) site))
                   qs)));
-      if user_journal then begin
-        (* leave the user one merged serial journal, as if --jobs 1 had
-           written it; quarantine records keep their global indices *)
-        let w =
-          Journal.open_new ~sync_every:1024 base
-            (Journal.header_of ~circuit:(N.name c) cfg)
-        in
-        List.iter
-          (fun (i, e) ->
-            match e with
-            | Journal.Verdict v -> Journal.write w i v
-            | Journal.Quarantined -> Journal.write_quarantine w i)
-          indexed;
-        Journal.close w
-      end;
-      remove_chunk_files ~keep:keep_shards base slots;
-      if keep_shards then
-        Printf.eprintf "faults: keeping per-chunk shard journals %s.0 .. %s.%d\n" base
-          base (slots - 1);
-      if (not user_journal) && Sys.file_exists base then Sys.remove base;
-      let rc = emit_report campaign in
-      if outcome.Supervisor.sv_exit_code <> 0 then outcome.Supervisor.sv_exit_code
-      else rc
-  | None ->
-      (* ----- serial: the original single-process path ----- *)
-      let completed, quarantined =
-        match resume_path with
-        | None -> ([], [])
-        | Some jpath ->
-            let h, indexed = Journal.load jpath in
-            Journal.check h ~circuit:(N.name c) cfg;
-            let entries = Journal.contiguous ~first:0 indexed in
-            let completed, quarantined = Journal.partition ~first:0 entries in
-            Printf.eprintf "faults: resuming from %s: %d verdicts already decided\n"
-              jpath (List.length entries);
-            (completed, quarantined)
-      in
-      let writer =
-        match (journal_path, resume_path) with
-        | Some p, None ->
-            Some (p, Journal.open_new p (Journal.header_of ~circuit:(N.name c) cfg))
-        | None, Some p -> Some (p, Journal.open_append p)
-        | None, None | Some _, Some _ -> None
-      in
-      let on_verdict = Option.map (fun (_, w) idx v -> Journal.write w idx v) writer in
-      let campaign =
-        Campaign.run ?on_verdict
-          { cfg with Campaign.sites; completed; quarantined; limit = limit_sites }
-          tech c ~drives
-      in
-      (match writer with Some (_, w) -> Journal.close w | None -> ());
-      (* Summary to stderr so stdout carries only the report document. *)
-      Format.eprintf "faults: %s: %s@." (N.name c) (Fault_report.summary campaign);
-      if not campaign.Campaign.cam_complete then begin
-        (* Parked early: no report — the verdicts are durable in the
-           journal and the campaign resumes from there. *)
-        Format.eprintf "faults: campaign parked after %d of %d sites%s@."
-          (List.length campaign.Campaign.cam_verdicts)
-          campaign.Campaign.cam_sites_total
-          (match writer with
-          | Some (p, _) -> Printf.sprintf " — continue with --resume %s" p
-          | None -> " (no --journal: progress was not saved)");
-        exit 3
-      end;
-      let rc = emit_report campaign in
-      if campaign.Campaign.cam_quarantined <> [] then Stop.degraded_exit_code else rc
+      (match a.ca_format with
+      | `Json -> print_endline (Fault_report.to_string campaign)
+      | `Text -> print_string (Fault_report.to_text campaign));
+      (match vcd_dir with
+      | Some _ when engine = Campaign.Classic_inertial ->
+          prerr_endline "halotis: --vcd-dir needs a waveform engine (ddm or cdm); ignored"
+      | Some dir ->
+          List.iter
+            (Printf.eprintf "vcd written to %s\n")
+            (Fault_report.write_vcds ~dir tech ~drives campaign)
+      | None -> ());
+      result.Driver.exit_code
 
-(* --- vary --- *)
-
-(* Sample k's journal lives beside the base path, mirroring the chunk
-   naming scheme ("base.ID") with an "s" so the two never collide. *)
-let sample_journal base k = Printf.sprintf "%s.s%d" base k
-
-let run_vary path stim_path engine seed n width slope t_stop samples sigma_device
-    sigma_chip sigma_lot stress_hours ttf jobs journal_path resume_path liberty
-    range_spec format =
-  let tech = load_tech liberty in
-  let c = or_die (load_circuit path) in
-  let stim = or_die (load_stimfile stim_path) in
-  let jobs = resolve_jobs "vary" jobs in
-  let is_worker = range_spec <> None in
-  if is_worker && jobs > 1 then usage_diag "--range and --jobs are mutually exclusive";
-  if not is_worker then preflight ~stim tech c;
-  let drives = bind_stim stim c in
-  let horizon = horizon_of_drives drives t_stop in
-  let pulse =
-    try Inject.pulse ~slope ~width ()
-    with Invalid_argument m -> die_diag (Diag.make ~code:"invalid-input" m)
-  in
+let run_vary a samples sigma_device sigma_chip sigma_lot stress_hours ttf =
+  let tech, c, drives, horizon, pulse, jobs, journal = campaign_setup ~cmd:"vary" a in
   let sigmas =
     try Sampler.sigmas ~device:sigma_device ~chip:sigma_chip ~lot:sigma_lot ()
     with Invalid_argument m -> usage_diag m
   in
   if samples < 0 then usage_diag "--samples must be non-negative";
   if stress_hours < 0. then usage_diag "--stress-hours must be non-negative";
-  (match (journal_path, resume_path) with
-  | Some _, Some _ ->
-      usage_diag ~hint:"--resume already appends new verdicts to the journals it loads"
-        "--journal and --resume are mutually exclusive"
-  | _ -> ());
-  let circuit = N.name c in
-  let cfg = Campaign.config ~engine ~seed ~n ~pulse ~t_stop:horizon () in
+  let engine = a.ca_engine and seed = a.ca_seed in
+  let cfg = Campaign.config ~engine ~seed ~n:a.ca_n ~pulse ~t_stop:horizon () in
   (* The nominal (empty overlay) campaign fixes the shared strike list
      every sampled corner replays, and is the flip reference of the
      report.  It is deterministic, so workers re-derive the identical
@@ -953,197 +684,55 @@ let run_vary path stim_path engine seed n width slope t_stop samples sigma_devic
     List.map (fun (v : Campaign.verdict) -> v.Campaign.vd_site) nominal.Campaign.cam_verdicts
   in
   let overlay_of k = Sampler.sample ~stress_hours sigmas ~seed ~index:k c in
-  let sample_cfg k = { cfg with Campaign.overlay = overlay_of k; sites = Some sites } in
-  (* Under --jobs the campaign is one index space: global index
-     [k * nsites + i] is strike i of sample k. *)
-  let nsites = List.length sites in
-  let total = samples * nsites in
-  match range_spec with
-  | Some (lo, hi) ->
-      (* ----- supervised worker: a chunk of one sample's strikes ----- *)
-      let journal = range_journal journal_path resume_path in
-      if hi > total || (hi - 1) / nsites <> lo / nsites then
-        usage_diag
-          (Printf.sprintf
-             "--range %d:%d must lie inside one sample (%d samples of %d strikes)" lo hi
-             samples nsites);
-      let k = lo / nsites in
-      run_range_worker ~cmd:"vary" (sample_cfg k) ~offset:(k * nsites) ~range:(lo, hi)
-        ~journal tech c ~drives
-  | None ->
-      let supervised = jobs > 1 && total > 0 in
-      (* Resume stays within a mode: refuse a base that holds only the
-         other mode's journals rather than silently starting over. *)
-      (match resume_path with
-      | Some base ->
-          let any journal =
-            List.exists (fun k -> Sys.file_exists (journal base k)) (List.init samples Fun.id)
-          in
-          let serial_files = any sample_journal and chunk_files = any Shard.journal_path in
-          if supervised && serial_files && not chunk_files then
-            usage_diag ~hint:"resume it with --jobs 1"
-              (Printf.sprintf "--resume %s holds serial sample journals (%s.sK)" base base)
-          else if (not supervised) && chunk_files && not serial_files then
-            usage_diag ~hint:"resume it with --jobs N, N > 1"
-              (Printf.sprintf "--resume %s holds --jobs chunk journals (%s.N)" base base)
-      | None -> ());
-      let sample_results =
-        if supervised then begin
-          (* ----- supervised parent: one chunk per sample, each chunk
-             journal revalidated against its own corner (overlay
-             fingerprint included) before aggregating ----- *)
-          let base, user_journal = supervised_base "halotis-vary" journal_path resume_path in
-          let sample_of (h : Journal.header) =
-            match h.Journal.jh_range with Some (lo, _) -> lo / nsites | None -> 0
-          in
-          let check h =
-            Journal.check h ~circuit ?range:h.Journal.jh_range (sample_cfg (sample_of h))
-          in
-          let mk_header ~range:((lo, _) as range) =
-            Journal.header_of ~circuit ~range (sample_cfg (lo / nsites))
-          in
-          let worker_argv ~range:(lo, hi) ~journal =
-            [ Sys.executable_name; "vary"; path; "--stim"; stim_path ]
-            @ [ "--engine"; Campaign.engine_to_string engine ]
-            @ [ "-n"; string_of_int n; "--seed"; string_of_int seed ]
-            @ [ "--width"; farg width; "--slope"; farg slope ]
-            @ [ "--t-stop"; farg horizon ]
-            @ [ "--samples"; string_of_int samples ]
-            @ [ "--sigma-device"; farg sigma_device ]
-            @ [ "--sigma-chip"; farg sigma_chip ]
-            @ [ "--sigma-lot"; farg sigma_lot ]
-            @ [ "--stress-hours"; farg stress_hours ]
-            @ (match liberty with Some p -> [ "--liberty"; p ] | None -> [])
-            @ [ "--range"; Printf.sprintf "%d:%d" lo hi ]
-            @ [ "--journal"; journal ]
-          in
-          (* A worker replays the nominal campaign and its sample's
-             baseline before its first verdict moves the heartbeat
-             cursor, so the stall timeout must outlast that silent start
-             even when all [jobs] workers share a single core. *)
-          let worker_timeout = Float.max 30. (2. *. float jobs *. nominal_s) in
-          Printf.eprintf "vary: supervising %d samples across %d workers\n%!" samples jobs;
-          let outcome =
-            Supervisor.run
-              (Supervisor.config ~chunk_sites:nsites ~worker_timeout ~jobs ())
-              ~total ~base ~worker_argv ~check ~mk_header
-              ~log:(fun m -> Printf.eprintf "vary: %s\n%!" m)
-              ()
-          in
-          report_recoveries "vary" outcome;
-          let slots = outcome.Supervisor.sv_slots in
-          (* a chunk is exactly one sample; chunk journals carry
-             different overlays, so each is loaded on its own *)
-          let loaded = Array.make samples None in
-          for id = 0 to slots - 1 do
-            let jpath = Shard.journal_path base id in
-            if Sys.file_exists jpath then begin
-              let h, indexed = Journal.load jpath in
-              check h;
-              let k = sample_of h in
-              let first = k * nsites in
-              loaded.(k) <- Some (Journal.partition ~first (Journal.contiguous ~first indexed))
-            end
-          done;
-          let loaded =
-            List.init samples (fun k ->
-                match loaded.(k) with
-                | Some l -> l
-                | None ->
-                    die_diag
-                      (Diag.make ~code:"journal-merge"
-                         (Printf.sprintf "no chunk journal covers sample %d" k)))
-          in
-          (* BASE.sK exactly as a serial --journal run writes it *)
-          let write_sample_journal k completed =
-            let w =
-              Journal.open_new (sample_journal base k)
-                (Journal.header_of ~circuit (sample_cfg k))
-            in
-            List.iteri (fun i v -> Journal.write w i v) completed;
-            Journal.close w
-          in
-          let remove_temporaries ~keep =
-            remove_chunk_files ~keep base slots;
-            if not user_journal then Sys.remove base
-          in
-          List.iteri
-            (fun k (_, quarantined) ->
-              match quarantined with
-              | [] -> ()
-              | g :: _ ->
-                  (* a failed run keeps its chunk journals and journals
-                     every clean sample, so a serial --resume
-                     re-simulates only the failing ones *)
-                  if user_journal then
-                    List.iteri
-                      (fun j (completed, q) -> if q = [] then write_sample_journal j completed)
-                      loaded;
-                  remove_temporaries ~keep:user_journal;
-                  let i = g - (k * nsites) in
-                  die_diag
-                    (Diag.make ~code:"site-quarantined"
-                       ~hint:
-                         (if user_journal then
-                            Printf.sprintf
-                              "vary has no degraded report: --jobs 1 --resume %s \
-                               reproduces the crash in-process and re-simulates only \
-                               the failing samples"
-                              base
-                          else
-                            "vary has no degraded report: rerun with --jobs 1 to \
-                             reproduce the crash in-process")
-                       (Printf.sprintf
-                          "sample %d site %d (%s) crashed or hung its worker \
-                           repeatedly and was quarantined"
-                          k i
-                          (Format.asprintf "%a" (Site.pp c) (List.nth sites i)))))
-            loaded;
-          if user_journal then
-            List.iteri (fun k (completed, _) -> write_sample_journal k completed) loaded;
-          remove_temporaries ~keep:false;
-          List.mapi
-            (fun k (completed, _) -> (k, Param_overlay.fingerprint (overlay_of k), completed))
-            loaded
-        end
-        else begin
-          (* ----- serial: run every sample in-process; one sample's
-             campaign, optionally journaled/resumed, follows the exact
-             serial-faults journaling discipline, so a zero-sigma
-             sample's journal is byte-identical to the plain faults
-             one ----- *)
-          let base =
-            match (journal_path, resume_path) with
-            | Some p, None | None, Some p -> Some p
-            | None, None -> None
-            | Some _, Some _ -> assert false
-          in
-          List.init samples (fun k ->
-              let scfg = sample_cfg k in
-              let completed, quarantined, writer =
-                match Option.map (fun b -> sample_journal b k) base with
-                | None -> ([], [], None)
-                | Some p when resume_path <> None && Sys.file_exists p ->
-                    let h, indexed = Journal.load p in
-                    Journal.check h ~circuit scfg;
-                    let entries = Journal.contiguous ~first:0 indexed in
-                    let completed, quarantined = Journal.partition ~first:0 entries in
-                    (completed, quarantined, Some (Journal.open_append p))
-                | Some p ->
-                    ([], [], Some (Journal.open_new p (Journal.header_of ~circuit scfg)))
-              in
-              let on_verdict = Option.map (fun w idx v -> Journal.write w idx v) writer in
-              let campaign =
-                Campaign.run ?on_verdict
-                  { scfg with Campaign.completed; quarantined }
-                  tech c ~drives
-              in
-              (match writer with Some w -> Journal.close w | None -> ());
-              Printf.eprintf "vary: sample %d/%d: %s\n%!" (k + 1) samples
-                (Fault_report.summary campaign);
-              (k, Param_overlay.fingerprint (overlay_of k), campaign.Campaign.cam_verdicts))
-        end
-      in
+  (* one part per sample, so global index [k * nsites + i] is strike i
+     of sample k, and one supervisor chunk per sample *)
+  let plan =
+    Driver.plan ~sampled:true
+      (List.init samples (fun k ->
+           { cfg with Campaign.overlay = overlay_of k; sites = Some sites }))
+  in
+  let extra =
+    [ "--samples"; string_of_int samples ]
+    @ [ "--sigma-device"; farg sigma_device; "--sigma-chip"; farg sigma_chip ]
+    @ [ "--sigma-lot"; farg sigma_lot; "--stress-hours"; farg stress_hours ]
+  in
+  (* A worker replays the nominal campaign and its sample's baseline
+     before its first verdict moves the heartbeat cursor, so the stall
+     timeout must outlast that silent start even when all [jobs] workers
+     share a single core. *)
+  let worker_timeout = Float.max 30. (2. *. float jobs *. nominal_s) in
+  match
+    drive_campaign ~cmd:"vary" a ~jobs ~journal ~horizon ~extra ~quarantine:Driver.Fail
+      ~chunk_sites:(max 1 (List.length sites)) ~worker_timeout plan tech c ~drives
+  with
+  | None -> 0
+  | Some result ->
+      let campaigns = result.Driver.campaigns in
+      Array.iteri
+        (fun k cam ->
+          Printf.eprintf "vary: sample %d/%d: %s\n%!" (k + 1) samples
+            (Fault_report.summary cam);
+          match cam.Campaign.cam_quarantined with
+          | [] -> ()
+          | (i, site) :: _ ->
+              die_diag
+                (Diag.make ~code:"site-quarantined"
+                   ~hint:
+                     (match journal with
+                     | Some (Driver.Fresh base | Driver.Resume base) ->
+                         Printf.sprintf
+                           "vary has no degraded report: --jobs 1 --resume %s reproduces \
+                            the crash in-process and re-simulates only the failing samples"
+                           base
+                     | None ->
+                         "vary has no degraded report: rerun with --jobs 1 to reproduce \
+                          the crash in-process")
+                   (Printf.sprintf
+                      "sample %d site %d (%s) crashed or hung its worker repeatedly and \
+                       was quarantined"
+                      k i
+                      (Format.asprintf "%a" (Site.pp c) site))))
+        campaigns;
       (* TTF sweep: age the whole circuit along the stress-hours ladder
          until the reference pulse — the first strike the fresh circuit
          electrically masked — becomes an observable soft error. *)
@@ -1163,30 +752,20 @@ let run_vary path stim_path engine seed n width slope t_stop samples sigma_devic
                  use as a reference pulse; skipping the sweep";
               None
           | Some v ->
-              let site = v.Campaign.vd_site in
-              let probe ~stress_hours =
-                let scfg =
-                  {
-                    cfg with
-                    Campaign.overlay =
-                      Aging.overlay ~stress_hours ~gates:(N.gate_count c);
-                    sites = Some [ site ];
-                  }
-                in
-                let r = Campaign.run scfg tech c ~drives in
-                match r.Campaign.cam_verdicts with
-                | [ v ] -> v.Campaign.vd_outcome = Campaign.Propagated
-                | _ -> false
-              in
-              Some (Sweep.run ~probe ())
+              Some (Sweep.run ~probe:(Sweep.aging_probe cfg tech c ~drives v.Campaign.vd_site) ())
       in
       let report =
-        Vary_report.make ~circuit
+        Vary_report.make ~circuit:(N.name c)
           ~engine:(Campaign.engine_to_string engine)
           ~seed ~sigmas ~stress_hours ~nominal:nominal.Campaign.cam_verdicts
-          ~samples:sample_results ?ttf:ttf_result ()
+          ~samples:
+            (List.init samples (fun k ->
+                 ( k,
+                   Param_overlay.fingerprint (overlay_of k),
+                   campaigns.(k).Campaign.cam_verdicts )))
+          ?ttf:ttf_result ()
       in
-      (match format with
+      (match a.ca_format with
       | `Json -> print_endline (Vary_report.to_string report)
       | `Text -> print_string (Vary_report.to_text report));
       0
@@ -1626,21 +1205,9 @@ let simulate_cmd =
 (* Worker mode of [faults] and [vary]: the supervisor spawns every
    worker with [--range LO:HI --journal FILE]. *)
 let range_arg =
-  let parse s =
-    match String.index_opt s ':' with
-    | Some i -> (
-        let lo = String.sub s 0 i in
-        let hi = String.sub s (i + 1) (String.length s - i - 1) in
-        match (int_of_string_opt lo, int_of_string_opt hi) with
-        | Some lo, Some hi when 0 <= lo && lo < hi -> Ok (lo, hi)
-        | _ -> Error (`Msg (Printf.sprintf "invalid range %S: expected LO:HI with 0 <= LO < HI" s))
-        )
-    | None -> Error (`Msg (Printf.sprintf "invalid range %S: expected LO:HI" s))
-  in
-  let print fmt (lo, hi) = Format.fprintf fmt "%d:%d" lo hi in
   Arg.(
     value
-    & opt (some (conv (parse, print))) None
+    & opt (some (pair ~sep:':' int int)) None
     & info [ "range" ] ~docv:"LO:HI"
         ~doc:
           "Internal (spawned by the campaign supervisor): run as a worker owning \
@@ -1648,8 +1215,8 @@ let range_arg =
            heartbeat cursor into $(b,--journal); an existing chunk journal is \
            resumed automatically.  No report is rendered.")
 
-let faults_cmd =
-  let doc = "SET fault-injection campaign: soft-error robustness analysis" in
+(* The flags [faults] and [vary] share; only their help texts differ. *)
+let campaign_term ~n_doc ~seed_doc ~jobs_doc =
   let engine =
     Arg.(
       value
@@ -1663,14 +1230,8 @@ let faults_cmd =
           Campaign.Ddm
       & info [ "engine" ] ~docv:"ENGINE" ~doc:"ddm (default), cdm or classic.")
   in
-  let n =
-    Arg.(
-      value & opt int 100
-      & info [ "n"; "injections" ] ~docv:"N" ~doc:"Number of PRNG-sampled injections.")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Campaign PRNG seed.")
-  in
+  let n = Arg.(value & opt int 100 & info [ "n"; "injections" ] ~docv:"N" ~doc:n_doc) in
+  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:seed_doc) in
   let width =
     Arg.(
       value & opt float 150.
@@ -1680,6 +1241,63 @@ let faults_cmd =
     Arg.(
       value & opt float 100.
       & info [ "slope" ] ~docv:"PS" ~doc:"SET ramp slope in picoseconds.")
+  in
+  let format =
+    Arg.(
+      value
+      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
+      & info [ "format" ] ~docv:"FMT" ~doc:"text or json report on stdout.")
+  in
+  let journal =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "journal" ] ~docv:"FILE"
+          ~doc:
+            "Journal every verdict (fsynced) so an interrupted campaign can be \
+             resumed with $(b,--resume): $(b,faults) journals to FILE, $(b,vary) \
+             to FILE.sK for sample K (the faults format, overlay-fingerprinted).")
+  in
+  (* not Arg.file: under --jobs only the chunk journals FILE.ID may
+     exist, and the serial path wants the journal loader's own diagnostics
+     for a missing file *)
+  let resume =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "resume" ] ~docv:"FILE"
+          ~doc:
+            "Resume the journals of an interrupted campaign: completed verdicts \
+             are kept, new ones keep appending, and the final report is \
+             byte-identical to an uninterrupted run.  Resume in the mode the run \
+             was started in: serially the $(b,--journal) files, with $(b,--jobs) \
+             N > 1 the per-chunk journals FILE.0, FILE.1, ...; a FILE holding \
+             only the other mode's journals is rejected.")
+  in
+  let jobs = Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc:jobs_doc) in
+  let make ca_circuit ca_stim ca_engine ca_n ca_seed ca_width ca_slope ca_t_stop ca_liberty
+      ca_format ca_journal ca_resume ca_jobs ca_range =
+    { ca_circuit; ca_stim; ca_engine; ca_n; ca_seed; ca_width; ca_slope; ca_t_stop;
+      ca_liberty; ca_format; ca_journal; ca_resume; ca_jobs; ca_range }
+  in
+  Term.(
+    const make $ circuit_arg $ stim_arg $ engine $ n $ seed $ width $ slope $ t_stop_arg
+    $ liberty_arg $ format $ journal $ resume $ jobs $ range_arg)
+
+let faults_cmd =
+  let doc = "SET fault-injection campaign: soft-error robustness analysis" in
+  let campaign =
+    campaign_term ~n_doc:"Number of PRNG-sampled injections." ~seed_doc:"Campaign PRNG seed."
+      ~jobs_doc:
+        "Run the campaign across N supervised worker processes: the site \
+         enumeration is split into chunks dispatched to a bounded pool, each \
+         worker's journal progress is heartbeated, stalled or crashed workers are \
+         killed and their chunks re-queued with exponential backoff, and sites \
+         that repeatedly crash or hang workers are quarantined (the campaign then \
+         completes $(i,degraded), exit code 5, with the quarantined sites listed \
+         in the report).  The merged report is byte-identical to $(b,--jobs) 1 \
+         with the same seed.  N=0 auto-detects the available cores (getconf, \
+         falling back to /proc/cpuinfo).  Default: 1 (serial, in-process)."
   in
   let exhaustive =
     Arg.(
@@ -1692,42 +1310,12 @@ let faults_cmd =
       value & opt int 8
       & info [ "grid" ] ~docv:"N" ~doc:"Grid points per node under $(b,--exhaustive).")
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc:"text or json report on stdout.")
-  in
   let vcd_dir =
     Arg.(
       value
       & opt (some string) None
       & info [ "vcd-dir" ] ~docv:"DIR"
           ~doc:"Re-run each propagated strike and dump its waveforms as VCD here.")
-  in
-  let journal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:
-            "Append every verdict to this checkpoint journal (fsynced) so an \
-             interrupted campaign can be resumed with $(b,--resume).")
-  in
-  let resume =
-    (* not Arg.file: under --jobs the merged journal may not exist yet —
-       only the chunk journals base.ID do — and the serial resume path
-       wants Journal.load's own diagnostics for a missing file. *)
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"FILE"
-          ~doc:
-            "Resume a campaign from a checkpoint journal: completed sites are \
-             skipped, new verdicts keep appending to the same file, and the final \
-             report is byte-identical to an uninterrupted run. With $(b,--jobs), \
-             FILE is the base path whose per-chunk journals (FILE.0, FILE.1, \
-             ...) are resumed.")
   in
   let limit_sites =
     Arg.(
@@ -1747,22 +1335,6 @@ let faults_cmd =
           ~doc:
             "Per-injection event budget: a run that trips it gets a timed-out \
              verdict instead of stalling the campaign.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Run the campaign across N supervised worker processes: the site \
-             enumeration is split into chunks dispatched to a bounded pool, \
-             each worker's journal progress is heartbeated, stalled or crashed \
-             workers are killed and their chunks re-queued with exponential \
-             backoff, and sites that repeatedly crash or hang workers are \
-             quarantined (the campaign then completes $(i,degraded), exit code \
-             5, with the quarantined sites listed in the report).  The merged \
-             report is byte-identical to $(b,--jobs) 1 with the same seed.  N=0 \
-             auto-detects the available cores (getconf, falling back to \
-             /proc/cpuinfo).  Default: 1 (serial, in-process).")
   in
   let worker_timeout =
     Arg.(
@@ -1819,58 +1391,25 @@ let faults_cmd =
              proven exact.  Reports and journals are byte-identical either way; \
              only the wall clock changes.  Default: on.")
   in
-  let keep_shards =
-    Arg.(
-      value & flag
-      & info [ "keep-shards" ]
-          ~doc:
-            "With $(b,--jobs), keep the per-chunk journals (FILE.0, FILE.1, ...) \
-             after a successful merge instead of deleting them — e.g. to audit \
-             each worker's verdict stream.  Failed runs always keep them.")
-  in
   Cmd.v (Cmd.info "faults" ~doc)
     Term.(
-      const run_faults $ circuit_arg $ stim_arg $ engine $ n $ seed $ width $ slope
-      $ t_stop_arg $ exhaustive $ grid $ format $ vcd_dir $ liberty_arg $ journal
-      $ resume $ limit_sites $ site_max_events $ jobs $ range_arg $ worker_timeout
-      $ max_retries $ chunk_sites $ poison_after $ prune $ incremental $ keep_shards)
+      const run_faults $ campaign $ exhaustive $ grid $ vcd_dir $ limit_sites
+      $ site_max_events $ worker_timeout $ max_retries $ chunk_sites $ poison_after $ prune
+      $ incremental)
 
 let vary_cmd =
   let doc = "Monte-Carlo variation & aging campaigns over sampled parameter corners" in
-  let engine =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("ddm", Campaign.Ddm);
-               ("cdm", Campaign.Cdm);
-               ("classic", Campaign.Classic_inertial);
-             ])
-          Campaign.Ddm
-      & info [ "engine" ] ~docv:"ENGINE" ~doc:"ddm (default), cdm or classic.")
-  in
-  let n =
-    Arg.(
-      value & opt int 100
-      & info [ "n"; "injections" ] ~docv:"N"
-          ~doc:"PRNG-sampled strikes per sample (the shared strike list).")
-  in
-  let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"PRNG seed shared by the strike list and the corner sampler.")
-  in
-  let width =
-    Arg.(
-      value & opt float 150.
-      & info [ "width" ] ~docv:"PS" ~doc:"SET pulse width in picoseconds.")
-  in
-  let slope =
-    Arg.(
-      value & opt float 100.
-      & info [ "slope" ] ~docv:"PS" ~doc:"SET ramp slope in picoseconds.")
+  let campaign =
+    campaign_term ~n_doc:"PRNG-sampled strikes per sample (the shared strike list)."
+      ~seed_doc:"PRNG seed shared by the strike list and the corner sampler."
+      ~jobs_doc:
+        "Run samples across N supervised worker processes, one sample per \
+         work-queue chunk, with the $(b,faults) supervisor's heartbeat, \
+         stall-kill (after the larger of 30 s and 2N nominal passes without \
+         progress) and retry; a strike that repeatedly crashes or hangs its \
+         worker is quarantined and fails the run.  The report is byte-identical \
+         to $(b,--jobs) 1 with the same seed.  N=0 auto-detects the available \
+         cores.  Default: 1 (serial)."
   in
   let samples =
     Arg.(
@@ -1911,53 +1450,10 @@ let vary_cmd =
              stress-hours ladder until the first electrically masked reference \
              pulse starts propagating.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Run samples across N supervised worker processes, one sample per \
-             work-queue chunk, with the $(b,faults) supervisor's heartbeat, \
-             stall-kill (after the larger of 30 s and 2N nominal passes \
-             without progress) and retry; a strike that repeatedly crashes or \
-             hangs its worker is quarantined and fails the run.  The report is \
-             byte-identical to $(b,--jobs) 1 with the same seed.  N=0 \
-             auto-detects the available cores.  Default: 1 (serial).")
-  in
-  let journal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"BASE"
-          ~doc:
-            "Journal each sample's verdicts to BASE.sK (the serial faults journal \
-             format, overlay-fingerprinted) so an interrupted run can be resumed \
-             with $(b,--resume).")
-  in
-  let resume =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"BASE"
-          ~doc:
-            "Resume from per-sample journals BASE.sK: completed verdicts are \
-             kept, the rest simulated, and the final report is byte-identical to \
-             an uninterrupted run.  With $(b,--jobs) N > 1, BASE is the base \
-             path of the interrupted run's per-chunk journals (BASE.0, BASE.1, \
-             ...): resume in the mode the run was started in; a BASE holding \
-             only the other mode's journals is rejected.")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc:"text or json report on stdout.")
-  in
   Cmd.v (Cmd.info "vary" ~doc)
     Term.(
-      const run_vary $ circuit_arg $ stim_arg $ engine $ seed $ n $ width $ slope
-      $ t_stop_arg $ samples $ sigma_device $ sigma_chip $ sigma_lot $ stress_hours
-      $ ttf $ jobs $ journal $ resume $ liberty_arg $ range_arg $ format)
+      const run_vary $ campaign $ samples $ sigma_device $ sigma_chip $ sigma_lot
+      $ stress_hours $ ttf)
 
 let export_cmd =
   let doc = "export a netlist as structural Verilog" in

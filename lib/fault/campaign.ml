@@ -110,7 +110,6 @@ type t = {
   cam_total_stats : Stats.t;
   cam_sites_total : int;
   cam_complete : bool;
-  cam_range : (int * int) option;
   cam_cone : Sim.Cone.totals option;
   cam_quarantined : (int * Site.t) list;
 }
@@ -402,7 +401,6 @@ let run ?on_verdict cfg tech c ~drives =
     cam_total_stats = total;
     cam_sites_total = nsites;
     cam_complete = List.length verdicts = nactive;
-    cam_range = range;
     cam_cone = Option.map Sim.Cone.totals cone_ctx;
     cam_quarantined = List.map (fun i -> (i, site_arr.(i))) quarantined;
   }

@@ -155,9 +155,6 @@ type t = {
   cam_complete : bool;
       (** false when [limit] stopped the campaign early — the verdict
           list covers only a prefix of the (range's) sites *)
-  cam_range : (int * int) option;
-      (** the global index range [\[lo, hi)] this value covers; [None]
-          for a whole-campaign run *)
   cam_cone : Halotis_engine.Sim.Cone.totals option;
       (** incremental accounting (exact/fallback site counts,
           fallbacks by reason, cone sizes) when cone re-simulation was

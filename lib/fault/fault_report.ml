@@ -164,3 +164,27 @@ let to_text (t : Campaign.t) =
         | None -> ""))
     t.Campaign.cam_verdicts;
   Buffer.contents buf
+
+let write_vcds ~dir tech ~drives (t : Campaign.t) =
+  let module Sim = Halotis_engine.Sim in
+  let cfg = t.Campaign.cam_config and c = t.Campaign.cam_circuit in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  List.concat
+    (List.mapi
+       (fun i (v : Campaign.verdict) ->
+         if v.Campaign.vd_outcome <> Campaign.Propagated then []
+         else begin
+           let site = v.Campaign.vd_site in
+           let r =
+             Sim.run cfg.Campaign.engine
+               (Sim.spec ~drives ~injections:[ Inject.injection site cfg.Campaign.pulse ]
+                  ~t_stop:cfg.Campaign.t_stop ~tech c)
+           in
+           let file =
+             Filename.concat dir
+               (Printf.sprintf "site%03d_%s.vcd" i (Netlist.gate_name c site.Site.st_gate))
+           in
+           Halotis_wave.Vcd.write_file file (Sim.vcd_dumps r);
+           [ file ]
+         end)
+       t.Campaign.cam_verdicts)

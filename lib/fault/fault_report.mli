@@ -24,3 +24,13 @@ val to_text : Campaign.t -> string
 val summary : Campaign.t -> string
 (** One line: ["n=50 propagated=12 electrical=30 logical=8
     masking-rate=0.76"]. *)
+
+val write_vcds :
+  dir:string ->
+  Halotis_tech.Tech.t ->
+  drives:(Halotis_netlist.Netlist.signal_id * Halotis_engine.Drive.t) list ->
+  Campaign.t ->
+  string list
+(** Re-runs every propagated strike with the campaign's engine and
+    writes its waveforms to [dir/siteNNN_GATE.vcd] (creating [dir]);
+    returns the files written, in site order. *)

@@ -54,14 +54,7 @@ let available_cores () = detect_cores ()
 let journal_path base k = Printf.sprintf "%s.%d" base k
 let stderr_path base k = Printf.sprintf "%s.%d.err" base k
 
-type worker = {
-  wk_index : int;
-  wk_range : int * int;
-  wk_journal : string;
-  wk_pid : int;
-}
-
-let spawn ?stderr_file ~argv ~index ~range ~journal () =
+let spawn ?stderr_file argv =
   let err_fd, close_err =
     match stderr_file with
     | None -> (Unix.stderr, fun () -> ())
@@ -71,12 +64,29 @@ let spawn ?stderr_file ~argv ~index ~range ~journal () =
         in
         (fd, fun () -> Unix.close fd)
   in
-  let pid =
-    Fun.protect ~finally:close_err (fun () ->
-        Unix.create_process Sys.executable_name (Array.of_list argv) Unix.stdin
-          Unix.stdout err_fd)
-  in
-  { wk_index = index; wk_range = range; wk_journal = journal; wk_pid = pid }
+  Fun.protect ~finally:close_err (fun () ->
+      Unix.create_process Sys.executable_name (Array.of_list argv) Unix.stdin Unix.stdout
+        err_fd)
+
+let chunk_files base =
+  let dir = Filename.dirname base and prefix = Filename.basename base ^ "." in
+  let plen = String.length prefix in
+  let files = try Sys.readdir dir with Sys_error _ -> [||] in
+  List.filter_map
+    (fun f ->
+      if not (String.starts_with ~prefix f) then None
+      else
+        let rest = String.sub f plen (String.length f - plen) in
+        let id, suffix =
+          match String.index_opt rest '.' with
+          | Some i -> (String.sub rest 0 i, String.sub rest i (String.length rest - i))
+          | None -> (rest, "")
+        in
+        match int_of_string_opt id with
+        | Some id when id >= 0 && List.mem suffix [ ""; ".err"; ".cursor"; ".chaos" ] ->
+            Some (id, Filename.concat dir f, suffix)
+        | _ -> None)
+    (Array.to_list files)
 
 (* The last few stderr lines of a dead worker, for replay into the
    supervisor's diagnostic.  Best effort: a missing or empty capture

@@ -5,14 +5,14 @@
     coordination: each owns a contiguous global index range and
     journals its verdicts — with their global indices — into its own
     chunk journal ({!journal_path}).  {!Supervisor.run} is the only
-    caller of {!spawn}; it decides the ranges, watches the workers and
-    merges their journals with {!load_merged}.
+    caller of {!spawn}; it decides the ranges and watches the workers,
+    and {!Driver} merges their journals.
 
     This module holds what the supervisor needs from the operating
     system: core-count detection, worker spawn via
     [Unix.create_process], stderr capture and the journal/capture file
     naming.  The argv a worker receives is the caller's business — the
-    CLI reconstructs its own campaign flags. *)
+    CLI builds it for a {!Driver.run_worker} process. *)
 
 val available_cores : unit -> int
 (** The number of processor cores available to this process — what
@@ -50,25 +50,18 @@ val stderr_path : string -> int -> string
 (** [stderr_path base k] is ["base.k.err"] — where chunk [k]'s worker
     stderr lands when the caller passes it to {!spawn}. *)
 
-type worker = {
-  wk_index : int;
-  wk_range : int * int;
-  wk_journal : string;
-  wk_pid : int;
-}
+val spawn : ?stderr_file:string -> string list -> int
+(** [spawn argv] forks a worker by re-executing [Sys.executable_name]
+    with [argv] (complete, including the program name at its head) and
+    returns its pid; the child inherits stdin/stdout, and stderr too
+    unless [stderr_file] redirects it into a fresh capture file
+    (created/truncated). *)
 
-val spawn :
-  ?stderr_file:string ->
-  argv:string list ->
-  index:int ->
-  range:int * int ->
-  journal:string ->
-  unit ->
-  worker
-(** Forks worker [index] by re-executing [Sys.executable_name] with
-    [argv] (complete, including the program name at its head); the
-    child inherits stdin/stdout, and stderr too unless [stderr_file]
-    redirects it into a fresh capture file (created/truncated). *)
+val chunk_files : string -> (int * string * string) list
+(** Every supervision file beside [base], as [(id, path, suffix)]: the
+    chunk journals [base.ID] (suffix [""]) and their stderr captures,
+    progress cursors and chaos sentinels ([".err"], [".cursor"],
+    [".chaos"]), in no particular order. *)
 
 val stderr_tail : ?lines:int -> string -> string list
 (** The last [lines] (default 5) non-blank lines of a worker's stderr
@@ -84,7 +77,7 @@ val load_merged :
     the supervisor's [sv_slots] as [jobs]) and {!Journal.merge}s them.
     Files that do not exist (a worker died before writing its header)
     are skipped — the gap surfaces in {!Journal.contiguous}.  The
-    chunks must share one campaign fingerprint: [vary], whose samples
-    carry different overlays, loads its chunk journals one by one.
+    chunks must share one campaign fingerprint: {!Driver} groups a
+    multi-part plan's chunk journals by part instead.
     @raise Halotis_guard.Diag.Fail ([journal-merge]) when no chunk
     journal exists at all, or on merge conflicts. *)

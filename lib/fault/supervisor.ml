@@ -7,12 +7,16 @@ type config = {
   sv_worker_timeout : float;
   sv_max_retries : int;
   sv_poison_after : int;
-  sv_backoff : float;
-  sv_poll_interval : float;
 }
 
+(* base retry delay, seconds: doubles per attempt *)
+let backoff = 0.05
+
+(* pool polling period, seconds *)
+let poll_interval = 0.02
+
 let config ?(chunk_sites = 0) ?(worker_timeout = 30.) ?(max_retries = 10)
-    ?(poison_after = 3) ?(backoff = 0.05) ?(poll_interval = 0.02) ~jobs () =
+    ?(poison_after = 3) ~jobs () =
   if jobs < 1 then invalid_arg "Supervisor.config: jobs must be positive";
   if chunk_sites < 0 then invalid_arg "Supervisor.config: chunk_sites must be >= 0";
   if worker_timeout <= 0. then
@@ -25,13 +29,10 @@ let config ?(chunk_sites = 0) ?(worker_timeout = 30.) ?(max_retries = 10)
     sv_worker_timeout = worker_timeout;
     sv_max_retries = max_retries;
     sv_poison_after = poison_after;
-    sv_backoff = backoff;
-    sv_poll_interval = poll_interval;
   }
 
 type outcome = {
   sv_exit_code : int;
-  sv_quarantined : int list;
   sv_retries : int;
   sv_kills : int;
   sv_slots : int;
@@ -94,7 +95,7 @@ type chunk = {
 
 type running = {
   rn_chunk : chunk;
-  rn_worker : Shard.worker;
+  rn_pid : int;
   mutable rn_last_cursor : int;
   mutable rn_last_progress : float;
 }
@@ -117,29 +118,19 @@ let mk_chunk ~base ~id ~range =
    Unparseable files (a worker died inside the header write) carry no
    data and are removed so the final merge never trips over them. *)
 let scan_existing ~base ~total ~check =
-  let dir = Filename.dirname base in
-  let name = Filename.basename base in
-  let prefix = name ^ "." in
-  let plen = String.length prefix in
-  let files = try Sys.readdir dir with Sys_error _ -> [||] in
-  Array.to_list files
-  |> List.filter_map (fun f ->
-         if String.length f <= plen || String.sub f 0 plen <> prefix then None
+  Shard.chunk_files base
+  |> List.filter_map (fun (id, path, suffix) ->
+         if suffix <> "" then None
          else
-           match int_of_string_opt (String.sub f plen (String.length f - plen)) with
-           | None -> None
-           | Some id -> (
-               let path = Filename.concat dir f in
-               match Journal.load path with
-               | hdr, _ ->
-                   check hdr;
-                   (match hdr.Journal.jh_range with
-                   | Some (lo, hi) when 0 <= lo && lo < hi && hi <= total ->
-                       Some (id, (lo, hi))
-                   | _ -> None)
-               | exception Diag.Fail _ ->
-                   (try Sys.remove path with Sys_error _ -> ());
-                   None))
+           match Journal.load path with
+           | hdr, _ -> (
+               check hdr;
+               match hdr.Journal.jh_range with
+               | Some (lo, hi) when 0 <= lo && lo < hi && hi <= total -> Some (id, (lo, hi))
+               | _ -> None)
+           | exception Diag.Fail _ ->
+               (try Sys.remove path with Sys_error _ -> ());
+               None)
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let plan ~base ~total ~chunk_sites ~check =
@@ -195,21 +186,16 @@ let run cfg ~total ~base ~worker_argv ~check ~mk_header ?(log = fun _ -> ()) () 
   let spawn chunk =
     let lo, hi = chunk.ch_range in
     let argv = worker_argv ~range:chunk.ch_range ~journal:chunk.ch_journal in
-    let w =
-      Shard.spawn
-        ~stderr_file:(Shard.stderr_path base chunk.ch_id)
-        ~argv ~index:chunk.ch_id ~range:chunk.ch_range ~journal:chunk.ch_journal
-        ()
-    in
+    let pid = Shard.spawn ~stderr_file:(Shard.stderr_path base chunk.ch_id) argv in
     log
       (Printf.sprintf "supervisor: chunk %d [%d,%d) -> pid %d%s" chunk.ch_id lo hi
-         w.Shard.wk_pid
+         pid
          (if chunk.ch_retries > 0 then Printf.sprintf " (retry %d)" chunk.ch_retries
           else ""));
     running :=
       {
         rn_chunk = chunk;
-        rn_worker = w;
+        rn_pid = pid;
         rn_last_cursor = -1;
         rn_last_progress = Unix.gettimeofday ();
       }
@@ -270,9 +256,9 @@ let run cfg ~total ~base ~worker_argv ~check ~mk_header ?(log = fun _ -> ()) () 
       (* don't orphan the rest of the pool on the way out *)
       List.iter
         (fun r ->
-          (try Unix.kill r.rn_worker.Shard.wk_pid Sys.sigkill
+          (try Unix.kill r.rn_pid Sys.sigkill
            with Unix.Unix_error _ -> ());
-          try ignore (Unix.waitpid [] r.rn_worker.Shard.wk_pid)
+          try ignore (Unix.waitpid [] r.rn_pid)
           with Unix.Unix_error _ -> ())
         !running;
       Diag.fail ~code:"worker-retries"
@@ -282,7 +268,7 @@ let run cfg ~total ~base ~worker_argv ~check ~mk_header ?(log = fun _ -> ()) () 
     end;
     let delay =
       if chunk.ch_retries = 0 then 0.
-      else cfg.sv_backoff *. (2. ** float_of_int (min (chunk.ch_retries - 1) 6))
+      else backoff *. (2. ** float_of_int (min (chunk.ch_retries - 1) 6))
     in
     chunk.ch_ready_at <- Unix.gettimeofday () +. delay;
     queue := !queue @ [ chunk ]
@@ -304,10 +290,10 @@ let run cfg ~total ~base ~worker_argv ~check ~mk_header ?(log = fun _ -> ()) () 
   in
   let kill_stalled r =
     incr kills;
-    (try Unix.kill r.rn_worker.Shard.wk_pid Sys.sigkill
+    (try Unix.kill r.rn_pid Sys.sigkill
      with Unix.Unix_error _ -> ());
     let rec wait () =
-      match Unix.waitpid [] r.rn_worker.Shard.wk_pid with
+      match Unix.waitpid [] r.rn_pid with
       | _, status -> status
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
     in
@@ -336,7 +322,7 @@ let run cfg ~total ~base ~worker_argv ~check ~mk_header ?(log = fun _ -> ()) () 
     let pool = !running in
     List.iter
       (fun r ->
-        match Unix.waitpid [ Unix.WNOHANG ] r.rn_worker.Shard.wk_pid with
+        match Unix.waitpid [ Unix.WNOHANG ] r.rn_pid with
         | 0, _ ->
             let cursor =
               match Journal.read_cursor (Journal.cursor_path r.rn_chunk.ch_journal) with
@@ -355,7 +341,7 @@ let run cfg ~total ~base ~worker_argv ~check ~mk_header ?(log = fun _ -> ()) () 
             (* already reaped somehow: judge by the journal alone *)
             reap r (Unix.WEXITED 0))
       pool;
-    if !running <> [] || !queue <> [] then Unix.sleepf cfg.sv_poll_interval
+    if !running <> [] || !queue <> [] then Unix.sleepf poll_interval
   done;
   let quarantined = List.sort_uniq Int.compare !quarantined in
   let codes =
@@ -363,7 +349,6 @@ let run cfg ~total ~base ~worker_argv ~check ~mk_header ?(log = fun _ -> ()) () 
   in
   {
     sv_exit_code = Stop.worst_exit_code codes;
-    sv_quarantined = quarantined;
     sv_retries = !retries;
     sv_kills = !kills;
     sv_slots = slots;

@@ -48,8 +48,6 @@ type config = {
   sv_max_retries : int;  (** per-chunk failure cap before aborting *)
   sv_poison_after : int;
       (** consecutive same-site blames before quarantine *)
-  sv_backoff : float;  (** base retry delay, seconds (doubles per attempt) *)
-  sv_poll_interval : float;  (** pool polling period, seconds *)
 }
 
 val config :
@@ -57,13 +55,12 @@ val config :
   ?worker_timeout:float ->
   ?max_retries:int ->
   ?poison_after:int ->
-  ?backoff:float ->
-  ?poll_interval:float ->
   jobs:int ->
   unit ->
   config
 (** Defaults: auto chunk size, 30 s timeout, 10 retries, quarantine
-    after 3 consecutive blames, 50 ms base backoff, 20 ms poll.
+    after 3 consecutive blames.  The retry backoff (50 ms, doubling)
+    and the 20 ms pool polling period are fixed.
     @raise Invalid_argument on non-positive [jobs]/[worker_timeout],
     negative [chunk_sites]/[max_retries], or [poison_after < 1]. *)
 
@@ -74,7 +71,6 @@ type outcome = {
           folded in when anything was quarantined.  Recovering a chunk
           after retries is {e not} an error — only final outcomes
           count. *)
-  sv_quarantined : int list;  (** quarantined global site indices, sorted *)
   sv_retries : int;  (** total worker failures handled (respawns) *)
   sv_kills : int;  (** stall kills among them *)
   sv_slots : int;
@@ -105,8 +101,8 @@ val run :
   outcome
 (** Supervises a campaign of [total] global sites.  [worker_argv]
     builds the complete argv (program name at its head) of a worker
-    owning [range] and journaling to [journal] — the CLI's [--range]
-    worker mode, which must fsync per verdict and maintain the cursor.
+    owning [range] and journaling to [journal] — a {!Driver.run_worker}
+    process, which fsyncs per verdict and maintains the cursor.
     [check] validates a pre-existing chunk journal's header against
     the campaign (raise {!Halotis_guard.Diag.Fail} [journal-mismatch]
     on a stale file); [mk_header] builds the header the supervisor
@@ -117,7 +113,7 @@ val run :
     ({!Shard.stderr_tail}) are replayed into those warnings.
 
     On return every chunk journal covers its range (verdicts plus [q]
-    records); the caller merges with {!Shard.load_merged}
-    [~jobs:outcome.sv_slots].
+    records); the caller merges them ({!Driver} per part, or
+    {!Shard.load_merged} [~jobs:outcome.sv_slots] for one part).
     @raise Halotis_guard.Diag.Fail ([worker-retries]) when a chunk
     exhausts [sv_max_retries]. *)

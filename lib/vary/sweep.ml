@@ -34,3 +34,13 @@ let run ?(h0 = 100.) ?(factor = 2.) ?(max_steps = 16) ?(refine = 4) ~probe () =
         Some (bisect refine lo hi)
   in
   { sw_steps = List.rev !steps; sw_ttf = ttf }
+
+let aging_probe cfg tech c ~drives site ~stress_hours =
+  let overlay = Aging.overlay ~stress_hours ~gates:(Halotis_netlist.Netlist.gate_count c) in
+  let module Campaign = Halotis_fault.Campaign in
+  match
+    (Campaign.run { cfg with Campaign.overlay; sites = Some [ site ] } tech c ~drives)
+      .Campaign.cam_verdicts
+  with
+  | [ v ] -> v.Campaign.vd_outcome = Campaign.Propagated
+  | _ -> false

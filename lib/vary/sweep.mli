@@ -41,3 +41,15 @@ val run :
     (the {!Aging} law is).
     @raise Invalid_argument on a non-positive [h0]/[factor <= 1]/
     non-positive [max_steps] or negative [refine]. *)
+
+val aging_probe :
+  Halotis_fault.Campaign.config ->
+  Halotis_tech.Tech.t ->
+  Halotis_netlist.Netlist.t ->
+  drives:(Halotis_netlist.Netlist.signal_id * Halotis_engine.Drive.t) list ->
+  Halotis_fault.Site.t ->
+  stress_hours:float ->
+  bool
+(** The canonical probe: does a strike at [site] (with [cfg]'s engine,
+    pulse and horizon) propagate once every gate is aged
+    [stress_hours] ({!Aging.overlay})? *)

@@ -220,7 +220,31 @@ let test_faults_removed_options () =
   let status_sup, _ =
     run_capture (mult_faults_args @ [ "--jobs"; "2"; "--supervise"; "off" ])
   in
-  checki "--supervise is an unknown option" 124 status_sup
+  checki "--supervise is an unknown option" 124 status_sup;
+  let status_keep, _ =
+    run_capture (mult_faults_args @ [ "--jobs"; "2"; "--keep-shards" ])
+  in
+  checki "--keep-shards is an unknown option" 124 status_keep
+
+(* A serial journal (here one parked by --limit-sites) holds no chunk
+   journals: a --jobs resume must refuse it instead of silently
+   re-simulating every site and overwriting it. *)
+let test_faults_jobs_resume_of_serial_journal () =
+  let journal = Filename.temp_file "halotis_cli_serial" ".journal" in
+  Sys.remove journal;
+  let status_p, _ =
+    run_capture (mult_faults_args @ [ "--limit-sites"; "3"; "--journal"; journal ])
+  in
+  checki "parked serial campaign exits 3" 3 status_p;
+  let parked = In_channel.with_open_bin journal In_channel.input_all in
+  let status, report =
+    run_capture (mult_faults_args @ [ "--jobs"; "2"; "--resume"; journal ])
+  in
+  checki "--jobs resume of a serial journal is refused" 1 status;
+  Alcotest.(check string) "no report" "" report;
+  Alcotest.(check string) "journal untouched" parked
+    (In_channel.with_open_bin journal In_channel.input_all);
+  Sys.remove journal
 
 (* --- survival subcommand + static pruning --- *)
 
@@ -295,6 +319,8 @@ let tests =
           test_faults_removed_options;
         Alcotest.test_case "missing --resume journal is a diagnostic" `Quick
           test_faults_missing_resume_journal;
+        Alcotest.test_case "--jobs resume of a serial journal refused" `Quick
+          test_faults_jobs_resume_of_serial_journal;
       ] );
     ( "cli.lint",
       [

@@ -350,43 +350,60 @@ let write_fixture ~gates ~seed =
   (hnl, hsv)
 
 let prop_supervised_equals_serial =
+  (* a faults campaign (one part, chunked) or a vary campaign of 2-3
+     samples (one part and one chunk per sample) *)
   let gen =
     QCheck.Gen.(
       int_range 1 1000 >>= fun seed ->
       int_range 8 18 >>= fun gates ->
       int_range 4 9 >>= fun nsites ->
-      int_range 1 4 >>= fun chunk ->
-      oneofl [ `None; `Kill 1; `Kill 2; `Hang 1 ] >>= fun chaos ->
-      return (seed, gates, nsites, chunk, chaos))
+      oneof [ map (fun c -> `Faults c) (int_range 1 4); map (fun k -> `Vary k) (int_range 2 3) ]
+      >>= fun kind ->
+      (match kind with
+      | `Faults _ -> oneofl [ `None; `Kill 1; `Kill 2; `Hang 1 ]
+      | `Vary _ -> oneofl [ `None; `Kill 1; `Kill 2 ])
+      >>= fun chaos -> return (seed, gates, nsites, kind, chaos))
   in
-  let print (seed, gates, nsites, chunk, chaos) =
-    Printf.sprintf "seed=%d gates=%d n=%d chunk=%d chaos=%s" seed gates nsites chunk
+  let print (seed, gates, nsites, kind, chaos) =
+    Printf.sprintf "seed=%d gates=%d n=%d %s chaos=%s" seed gates nsites
+      (match kind with
+      | `Faults chunk -> Printf.sprintf "faults chunk=%d" chunk
+      | `Vary k -> Printf.sprintf "vary samples=%d" k)
       (match chaos with
       | `None -> "none"
       | `Kill n -> Printf.sprintf "kill:%d" n
       | `Hang n -> Printf.sprintf "hang:%d" n)
   in
-  QCheck.Test.make ~count:6
+  QCheck.Test.make ~count:10
     ~name:"supervised report and journal byte-identical to --jobs 1"
     (QCheck.make ~print gen)
-    (fun (seed, gates, nsites, chunk, chaos) ->
+    (fun (seed, gates, nsites, kind, chaos) ->
       let hnl, hsv = write_fixture ~gates ~seed in
       let sj = Filename.temp_file "halotis_sv" ".sjournal" in
       let pj = Filename.temp_file "halotis_sv" ".pjournal" in
       Sys.remove sj;
       Sys.remove pj;
+      (* the journals a run leaves: the merged journal, or BASE.sK *)
+      let journals base =
+        match kind with
+        | `Faults _ -> [ base ]
+        | `Vary k -> List.init k (Printf.sprintf "%s.s%d" base)
+      in
       let args journal =
-        [
-          "faults"; hnl; "--stim"; hsv; "-n"; string_of_int nsites; "--seed";
-          string_of_int seed; "--t-stop"; "6000"; "--format"; "json"; "--journal";
-          journal;
-        ]
+        (match kind with
+        | `Faults _ -> [ "faults"; hnl ]
+        | `Vary k ->
+            [ "vary"; hnl; "--samples"; string_of_int k; "--sigma-device"; "0.1" ])
+        @ [
+            "--stim"; hsv; "-n"; string_of_int nsites; "--seed"; string_of_int seed;
+            "--t-stop"; "6000"; "--format"; "json"; "--journal"; journal;
+          ]
       in
       Fun.protect
         ~finally:(fun () ->
           List.iter
             (fun p -> try Sys.remove p with Sys_error _ -> ())
-            [ hnl; hsv; sj; pj ])
+            ([ hnl; hsv ] @ journals sj @ journals pj))
         (fun () ->
           let s0, serial, _ = run_env [] (args sj) in
           let env, extra =
@@ -397,21 +414,43 @@ let prop_supervised_equals_serial =
                 ( [ ("HALOTIS_CHAOS_HANG", string_of_int n) ],
                   [ "--worker-timeout"; "2" ] )
           in
+          let chunking =
+            match kind with
+            | `Faults chunk -> [ "--chunk-sites"; string_of_int chunk ]
+            | `Vary _ -> []
+          in
           let s1, supervised, _ =
-            run_env env
-              (args pj
-              @ [ "--jobs"; "2"; "--chunk-sites"; string_of_int chunk ]
-              @ extra)
+            run_env env (args pj @ [ "--jobs"; "2" ] @ chunking @ extra)
           in
           s0 = 0 && s1 = 0 && serial = supervised
-          && read_file sj = read_file pj
+          && List.map read_file (journals sj) = List.map read_file (journals pj)
           &&
           (* no poison injected: nothing may be quarantined *)
-          match Json.parse supervised with
-          | Ok j ->
+          match (kind, Json.parse supervised) with
+          | `Vary _, Ok _ -> true
+          | `Faults _, Ok j ->
               Json.member "degraded" j = Some (Json.Bool false)
               && Json.member "quarantined_sites" j = Some (Json.Arr [])
-          | Error _ -> false))
+          | _, Error _ -> false))
+
+(* Without --journal a supervised run works in a private temporary
+   directory, removed even when the run fails: here every chunk's worker
+   dies once and --max-retries 0 turns the first death into a
+   worker-retries failure. *)
+let test_failed_run_leaves_no_temporaries () =
+  let tmp = Filename.temp_dir "halotis_sv_tmpdir" "" in
+  let s, report, stderr =
+    run_env
+      [ ("TMPDIR", tmp); ("HALOTIS_CHAOS_KILL", "1") ]
+      (mult_args @ [ "--jobs"; "2"; "--max-retries"; "0" ])
+  in
+  let left = Sys.readdir tmp in
+  Array.iter (fun f -> Sys.remove (Filename.concat tmp f)) left;
+  Sys.rmdir tmp;
+  checki "the failed run exits 1" 1 s;
+  checks "no report is rendered" "" report;
+  checkb "it failed on worker retries" true (contains stderr "worker-retries");
+  checks "TMPDIR left empty" "" (String.concat " " (Array.to_list left))
 
 let tests =
   [
@@ -432,6 +471,8 @@ let tests =
           test_chaos_hang_recovers_byte_identical;
         Alcotest.test_case "poison site quarantined, exit 5" `Quick
           test_poison_quarantine_degraded;
+        Alcotest.test_case "failed run leaves no temporaries" `Quick
+          test_failed_run_leaves_no_temporaries;
         QCheck_alcotest.to_alcotest prop_supervised_equals_serial;
       ] );
     ( "supervisor.vary",
