@@ -30,7 +30,6 @@ let experiments : (string * string * (unit -> Halotis_report.Experiment.t list))
     ("mult8", "the paper's protocol on an 8x8 multiplier (extension)", Exp_mult8.run);
     ("faults", "SET campaigns: DDM vs classic masking (extension)", Exp_faults.run);
     ("jobs", "supervised fault campaigns: identity and scaling (extension)", Exp_jobs.run);
-    ("prune", "statically pruned fault campaigns (extension)", Exp_prune.run);
     ("cone", "incremental cone re-simulation for fault campaigns (extension)", Exp_cone.run);
     ("serve", "persistent service: cache speedup and request throughput (extension)", Exp_serve.run);
     ("supervise", "fault-tolerant campaign supervision: recovery overhead (extension)", Exp_supervise.run);

@@ -577,26 +577,13 @@ let drive_campaign ~cmd a ~jobs ~journal ~horizon ~extra ?quarantine ?chunk_site
            plan tech c ~drives)
 
 let run_faults a exhaustive grid vcd_dir limit_sites site_max_events worker_timeout
-    max_retries chunk_sites poison_after prune_mode incremental =
+    max_retries chunk_sites poison_after incremental =
   let tech, c, drives, horizon, pulse, jobs, journal = campaign_setup ~cmd:"faults" a in
-  let is_worker = a.ca_range <> None in
   let engine = a.ca_engine in
-  let prune = prune_mode = `Static in
-  (* the campaign silently ignores the flag in these cases; say why *)
-  if prune && not is_worker then begin
-    if engine = Campaign.Classic_inertial then
-      prerr_endline
-        "halotis: --prune static has no effect with the classic engine (no pulse-width \
-         semantics to bound); all sites will be simulated";
-    if site_max_events <> None then
-      prerr_endline
-        "halotis: --prune static is disabled by --site-max-events (a budget-tripped \
-         site must be able to report timed-out); all sites will be simulated"
-  end;
   let site_budget = Budget.make ?max_events:site_max_events () in
   let cfg =
     Campaign.config ~engine ~seed:a.ca_seed ~n:a.ca_n ~pulse ~t_stop:horizon ~site_budget
-      ~prune ~incremental ?limit:limit_sites ()
+      ~incremental ?limit:limit_sites ()
   in
   let sites =
     if not exhaustive then None
@@ -613,7 +600,6 @@ let run_faults a exhaustive grid vcd_dir limit_sites site_max_events worker_time
     @ (match site_max_events with
       | Some e -> [ "--site-max-events"; string_of_int e ]
       | None -> [])
-    @ (if prune then [ "--prune"; "static" ] else [])
     @ [ "--incremental"; (if incremental then "on" else "off") ]
   in
   match
@@ -1369,16 +1355,6 @@ let faults_cmd =
             "Supervision: quarantine a site after it is the blame site of N \
              consecutive failures of its chunk.  Default: 3.")
   in
-  let prune =
-    Arg.(
-      value
-      & opt (enum [ ("none", `None); ("static", `Static) ]) `None
-      & info [ "prune" ] ~docv:"MODE"
-          ~doc:
-            "static: skip sites whose masking verdict the pulse-survival analysis \
-             proves from the baseline alone (journaled as pruned; taxonomy totals \
-             are identical to an unpruned run). Default: none.")
-  in
   let incremental =
     Arg.(
       value
@@ -1394,7 +1370,7 @@ let faults_cmd =
   Cmd.v (Cmd.info "faults" ~doc)
     Term.(
       const run_faults $ campaign $ exhaustive $ grid $ vcd_dir $ limit_sites
-      $ site_max_events $ worker_timeout $ max_retries $ chunk_sites $ poison_after $ prune
+      $ site_max_events $ worker_timeout $ max_retries $ chunk_sites $ poison_after
       $ incremental)
 
 let vary_cmd =

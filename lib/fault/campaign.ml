@@ -3,10 +3,7 @@ module Sim = Halotis_engine.Sim
 module Stats = Halotis_engine.Stats
 module Compiled = Halotis_engine.Compiled
 module Digital = Halotis_wave.Digital
-module Transition = Halotis_wave.Transition
 module Hazard = Halotis_sta.Hazard
-module Survival = Halotis_sta.Survival
-module Delay_model = Halotis_delay.Delay_model
 module Prng = Halotis_util.Prng
 module Stop = Halotis_guard.Stop
 module Budget = Halotis_guard.Budget
@@ -38,7 +35,6 @@ type verdict = {
   vd_po_edges_delta : int;
   vd_first_diff_output : string option;
   vd_stats : Stats.t;
-  vd_pruned : bool;
 }
 
 type config = {
@@ -49,7 +45,6 @@ type config = {
   t_stop : float;
   window : (float * float) option;
   site_budget : Budget.t;
-  prune : bool;
   incremental : bool;
   overlay : Halotis_tech.Param_overlay.t;
   sites : Site.t list option;
@@ -68,7 +63,6 @@ let default =
     t_stop = 10_000.;
     window = None;
     site_budget = Budget.unlimited;
-    prune = false;
     incremental = true;
     overlay = Halotis_tech.Param_overlay.empty;
     sites = None;
@@ -84,6 +78,7 @@ let config ?(engine = Ddm) ?(seed = 1) ?(n = 100) ?(pulse = Inject.pulse ~width:
     ?(quarantined = []) ?limit ~t_stop () =
   if n < 0 then invalid_arg "Campaign.config: n must be non-negative";
   if t_stop <= 0. then invalid_arg "Campaign.config: t_stop must be positive";
+  if prune then invalid_arg "Campaign.config: static pruning was removed";
   {
     engine;
     seed;
@@ -92,7 +87,6 @@ let config ?(engine = Ddm) ?(seed = 1) ?(n = 100) ?(pulse = Inject.pulse ~width:
     t_stop;
     window;
     site_budget;
-    prune;
     incremental;
     overlay;
     sites;
@@ -185,7 +179,6 @@ let classify ~c ~is_classic ~(base : observed) ~(site : Site.t) (inj : observed)
     vd_po_edges_delta = po_edges_delta;
     vd_first_diff_output = (match po_diff with [] -> None | sid :: _ -> Some (Netlist.signal_name c sid));
     vd_stats = delta;
-    vd_pruned = false;
   }
 
 let run ?on_verdict cfg tech c ~drives =
@@ -225,34 +218,6 @@ let run ?on_verdict cfg tech c ~drives =
     { ob_edges = Sim.edges r; ob_stats = r.Sim.rs_stats; ob_members = None }
   in
   let base = observe base_run in
-  (* Static pruning oracle.  Only armed when every injected run would
-     be whole anyway: a finite per-site budget can turn a provably
-     masked site into [Timed_out], and pruning must never change a
-     verdict.  The classic engine has no pulse-width semantics to bound
-     statically, and the survival analysis prices its bounds straight
-     from [tech], so a non-empty overlay (a sampled corner) disarms it
-     too. *)
-  let pruner =
-    if
-      not
-        (cfg.prune
-        && Budget.is_unlimited cfg.site_budget
-        && Halotis_tech.Param_overlay.is_empty cfg.overlay)
-    then None
-    else
-      match cfg.engine with
-      | Classic_inertial -> None
-      | Ddm | Cdm -> (
-          let kind =
-            match cfg.engine with Ddm -> Delay_model.Ddm | _ -> Delay_model.Cdm
-          in
-          match Sim.iddm base_run with
-          | None -> None
-          | Some baseline ->
-              Some
-                (Survival.pruner ~kind tech c ~baseline ~t_stop:cfg.t_stop
-                   ~width:cfg.pulse.Inject.width ~slope:cfg.pulse.Inject.slope))
-  in
   (* Incremental cone re-simulation, on every engine.  Armed only when
      every injected run would be whole anyway (unlimited per-site
      budget — a cone run cannot reproduce the exact trip point of a
@@ -331,50 +296,23 @@ let run ?on_verdict cfg tech c ~drives =
   let fresh_count =
     match limit with Some k -> min (max 0 k) fresh_total | None -> fresh_total
   in
-  let static_verdict site =
-    match pruner with
-    | None -> None
-    | Some pr -> (
-        match
-          Survival.site_verdict pr ~signal:site.Site.st_signal
-            ~rising:(site.Site.st_polarity = Transition.Rising)
-            ~at:site.Site.st_at
-        with
-        | Survival.Unknown -> None
-        | Survival.Proven_electrically_masked -> Some Electrically_masked
-        | Survival.Proven_logically_masked -> Some Logically_masked)
-  in
   let fresh = ref [] in
   for i = 0 to fresh_count - 1 do
     let idx = active.(ncompleted + i) in
     let site = site_arr.(idx) in
+    let inj = run_site site in
     let v =
-      match static_verdict site with
-      | Some outcome ->
-          (* proven statically: no injected run happens, so the verdict
-             carries zero delta counters *)
-          {
-            vd_site = site;
-            vd_outcome = outcome;
-            vd_po_edges_delta = 0;
-            vd_first_diff_output = None;
-            vd_stats = Stats.create ();
-            vd_pruned = true;
-          }
-      | None ->
-          let inj = run_site site in
-          if not (Stop.completed inj.ob_stats.Stats.stopped_by) then
-            (* the per-site budget tripped: the run is a prefix, so no
-               verdict about masking can be trusted — record the trip *)
-            {
-              vd_site = site;
-              vd_outcome = Timed_out;
-              vd_po_edges_delta = 0;
-              vd_first_diff_output = None;
-              vd_stats = Stats.diff inj.ob_stats base.ob_stats;
-              vd_pruned = false;
-            }
-          else classify ~c ~is_classic ~base ~site inj
+      if not (Stop.completed inj.ob_stats.Stats.stopped_by) then
+        (* the per-site budget tripped: the run is a prefix, so no
+           verdict about masking can be trusted — record the trip *)
+        {
+          vd_site = site;
+          vd_outcome = Timed_out;
+          vd_po_edges_delta = 0;
+          vd_first_diff_output = None;
+          vd_stats = Stats.diff inj.ob_stats base.ob_stats;
+        }
+      else classify ~c ~is_classic ~base ~site inj
     in
     (match on_verdict with Some f -> f idx v | None -> ());
     fresh := v :: !fresh
@@ -383,15 +321,12 @@ let run ?on_verdict cfg tech c ~drives =
   (* Rebuild the all-runs total from the per-verdict deltas: the raw
      counters of run [i] are [delta_i + base], integer-exact, so a
      resumed campaign reconstructs the same total an uninterrupted one
-     accumulates.  Pruned sites never ran, so they contribute
-     nothing. *)
+     accumulates. *)
   let total = Stats.create () in
   List.iter
     (fun (v : verdict) ->
-      if not v.vd_pruned then begin
-        Stats.merge total v.vd_stats;
-        Stats.merge total base.ob_stats
-      end)
+      Stats.merge total v.vd_stats;
+      Stats.merge total base.ob_stats)
     verdicts;
   {
     cam_circuit = c;
@@ -414,9 +349,6 @@ let counts t =
       | Logically_masked -> (p, e, l + 1)
       | Timed_out -> (p, e, l))
     (0, 0, 0) t.cam_verdicts
-
-let pruned_count t =
-  List.fold_left (fun n v -> if v.vd_pruned then n + 1 else n) 0 t.cam_verdicts
 
 let timed_out t =
   List.fold_left

@@ -51,9 +51,6 @@ type verdict = {
       (** name of the first differing primary output *)
   vd_stats : Halotis_engine.Stats.t;
       (** injected-run counters minus baseline ({!Halotis_engine.Stats.diff}) *)
-  vd_pruned : bool;
-      (** the outcome was proven statically and the site never
-          simulated; [vd_stats] is all zeros *)
 }
 
 type config = {
@@ -68,16 +65,6 @@ type config = {
       (** resource budget applied to each {e injected} run (never to
           the baselines); a trip yields a {!Timed_out} verdict instead
           of aborting the campaign *)
-  prune : bool;
-      (** skip sites whose masking verdict the static survival analysis
-          ({!Halotis_sta.Survival}) proves from the baseline alone.
-          Pruned sites get the proven outcome with zero delta counters
-          and [vd_pruned = true]; taxonomy counts are identical to an
-          unpruned campaign.  Silently inert for the classic engine,
-          under a finite [site_budget] (where a pruned site could
-          otherwise differ from its simulated {!Timed_out} verdict),
-          and under a non-empty [overlay] (the survival bounds are
-          priced at the nominal corner). *)
   incremental : bool;
       (** answer each site by incremental cone re-simulation
           ({!Halotis_engine.Sim.Cone}) when the graft is provably exact,
@@ -116,7 +103,7 @@ type config = {
 val default : config
 (** The nominal campaign: DDM, seed 1, 100 injections, a
     150 ps / 100 ps pulse, a 10 000 ps horizon, unlimited per-site
-    budget, no static pruning, incremental cone re-simulation on,
+    budget, incremental cone re-simulation on,
     empty overlay, whole range, nothing completed, nothing
     quarantined, no limit.  Override fields with [{ default with ... }]
     or build through {!config}. *)
@@ -140,7 +127,13 @@ val config :
   unit ->
   config
 (** {!default} with the horizon set and any field overridden.
-    @raise Invalid_argument when [n < 0] or [t_stop <= 0]. *)
+
+    [?prune] is a source-compatibility label with no field behind it:
+    static campaign pruning was removed, so [~prune:false] is a no-op
+    and [~prune:true] raises [Invalid_argument].  It will be deleted in
+    the next change to the benchmark harness ([perfbench/]), its last
+    user.
+    @raise Invalid_argument when [n < 0], [t_stop <= 0] or [prune]. *)
 
 type t = {
   cam_circuit : Halotis_netlist.Netlist.t;
@@ -210,9 +203,6 @@ val run :
 val counts : t -> int * int * int
 (** [(propagated, electrically_masked, logically_masked)] —
     {!Timed_out} verdicts are counted by {!timed_out} alone. *)
-
-val pruned_count : t -> int
-(** Number of verdicts decided statically ([vd_pruned]). *)
 
 val timed_out : t -> int
 (** Number of {!Timed_out} verdicts. *)

@@ -22,7 +22,6 @@ let verdict_json c (v : Campaign.verdict) =
     @ (match v.Campaign.vd_first_diff_output with
       | Some name -> [ ("first_diff_output", Json.Str name) ]
       | None -> [])
-    @ (if v.Campaign.vd_pruned then [ ("pruned", Json.Bool true) ] else [])
     @ [ ("stats_delta", stats_json v.Campaign.vd_stats) ])
 
 let to_json (t : Campaign.t) =
@@ -41,14 +40,11 @@ let to_json (t : Campaign.t) =
       ("seed", Json.Num (float_of_int cfg.Campaign.seed));
       ("injections", Json.Num (float_of_int (List.length t.Campaign.cam_verdicts)));
       ("sites_total", Json.Num (float_of_int t.Campaign.cam_sites_total));
-      (* pruned/simulated counts live outside "summary" on purpose: the
-         taxonomy summary of a pruned campaign must stay byte-identical
-         to its unpruned twin's *)
-      ("sites_pruned", Json.Num (float_of_int (Campaign.pruned_count t)));
+      (* static site pruning was removed; the constant keeps report
+         version 1's shape *)
+      ("sites_pruned", Json.Num 0.);
       ( "sites_simulated",
-        Json.Num
-          (float_of_int
-             (List.length t.Campaign.cam_verdicts - Campaign.pruned_count t)) );
+        Json.Num (float_of_int (List.length t.Campaign.cam_verdicts)) );
       ( "sites_quarantined",
         Json.Num (float_of_int (List.length t.Campaign.cam_quarantined)) );
       ("partial", Json.Bool (not t.Campaign.cam_complete));
@@ -130,9 +126,6 @@ let to_text (t : Campaign.t) =
   addf "  timed out            %4d  (%5.1f%%)\n" (Campaign.timed_out t)
     (pct (Campaign.timed_out t));
   addf "  masking rate         %.2f\n" (Campaign.masking_rate t);
-  let pruned = Campaign.pruned_count t in
-  if pruned > 0 then
-    addf "  statically pruned    %4d  (%d simulated)\n" pruned (n - pruned);
   if not t.Campaign.cam_complete then
     addf "  PARTIAL: %d of %d sites simulated\n" n t.Campaign.cam_sites_total;
   (match t.Campaign.cam_quarantined with
@@ -155,10 +148,9 @@ let to_text (t : Campaign.t) =
   addf "\nverdicts:\n";
   List.iter
     (fun (v : Campaign.verdict) ->
-      addf "  %-20s %s%s%s\n"
+      addf "  %-20s %s%s\n"
         (Format.asprintf "%a" (Site.pp c) v.Campaign.vd_site)
         (Campaign.outcome_to_string v.Campaign.vd_outcome)
-        (if v.Campaign.vd_pruned then " [pruned]" else "")
         (match v.Campaign.vd_first_diff_output with
         | Some po -> Printf.sprintf " (first at %s)" po
         | None -> ""))

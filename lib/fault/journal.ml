@@ -13,13 +13,13 @@ type header = {
   jh_t_stop : float;
   jh_window : (float * float) option;
   jh_range : (int * int) option;
-  jh_prune : bool;
   jh_overlay : string option;
 }
 
-(* v2 added the prune flag to the params line and a trailing marker on
-   pruned verdict records; v3 adds quarantine records ([q IDX]) written
-   by the campaign supervisor.  A non-nominal parameter overlay adds an
+(* v2 added the PRUNE token to the params line ([-]; [p] marked a
+   statically pruned campaign, a removed feature whose journals are
+   refused); v3 adds quarantine records ([q IDX]) written by the
+   campaign supervisor.  A non-nominal parameter overlay adds an
    optional trailing [ov:<hex>] token to the params line — absent for
    the empty overlay, so nominal v3 journals are byte-identical to the
    pre-overlay format.  v1 and v2 files still load. *)
@@ -42,7 +42,6 @@ let header_of ~circuit ?range (cfg : Campaign.config) =
     jh_t_stop = cfg.Campaign.t_stop;
     jh_window = cfg.Campaign.window;
     jh_range = range;
-    jh_prune = cfg.Campaign.prune;
     jh_overlay = overlay_fingerprint cfg;
   }
 
@@ -59,13 +58,11 @@ let check h ~circuit ?range (cfg : Campaign.config) =
   if h.jh_t_stop <> cfg.Campaign.t_stop then fail "t_stop";
   if h.jh_window <> cfg.Campaign.window then fail "window";
   if h.jh_range <> range then fail "shard range";
-  if h.jh_prune <> cfg.Campaign.prune then fail "prune mode";
   if h.jh_overlay <> overlay_fingerprint cfg then fail "parameter overlay"
 (* [cfg.incremental] is deliberately NOT part of the fingerprint: cone
    re-simulation is result-invariant (byte-identical verdicts), so a
    journal written with it on resumes cleanly with it off and vice
-   versa.  Prune is fingerprinted because it changes verdict records
-   (zero-delta pruned entries); incremental never does. *)
+   versa. *)
 
 (* %h prints a lossless hex float; float_of_string reads it back
    bit-exactly, which is what makes resumed reports byte-identical. *)
@@ -99,7 +96,7 @@ type entry = Verdict of Campaign.verdict | Quarantined
 let verdict_line idx (v : Campaign.verdict) =
   let site = v.Campaign.vd_site in
   let s = v.Campaign.vd_stats in
-  Printf.sprintf "v %d %d %d %c %s %s %d %s %d %d %d %d %d %d %d %s%s" idx
+  Printf.sprintf "v %d %d %d %c %s %s %d %s %d %d %d %d %d %d %d %s" idx
     site.Site.st_signal site.Site.st_gate
     (match site.Site.st_polarity with Transition.Rising -> 'R' | Transition.Falling -> 'F')
     (fstr site.Site.st_at)
@@ -110,9 +107,6 @@ let verdict_line idx (v : Campaign.verdict) =
     s.Stats.stale_skipped s.Stats.transitions_emitted s.Stats.transitions_annulled
     s.Stats.noop_evaluations
     (stop_token s.Stats.stopped_by)
-    (* the trailing marker exists only on pruned records, so unpruned
-       v2 lines are byte-identical to v1 ones *)
-    (if v.Campaign.vd_pruned then " p" else "")
 
 let quarantine_line idx = Printf.sprintf "q %d" idx
 
@@ -121,17 +115,7 @@ let entry_line idx = function
   | Quarantined -> quarantine_line idx
 
 let parse_verdict_line line =
-  (* 17 tokens = an unpruned record (also every v1 record); an 18th
-     token "p" marks a pruned one. *)
-  let tokens, vd_pruned =
-    match String.split_on_char ' ' line with
-    | [
-        "v"; _; _; _; _; _; _; _; _; _; _; _; _; _; _; _; _; "p";
-      ] as l ->
-        (List.filteri (fun i _ -> i < 17) l, true)
-    | l -> (l, false)
-  in
-  match tokens with
+  match String.split_on_char ' ' line with
   | [
    "v"; idx; sig_; gate; pol; at; outcome; po_delta; first_diff; es; ep; ef; ss; te; ta;
    ne; stop;
@@ -175,7 +159,6 @@ let parse_verdict_line line =
             vd_po_edges_delta;
             vd_first_diff_output;
             vd_stats;
-            vd_pruned;
           } ))
   | _ -> None
 
@@ -250,10 +233,9 @@ let open_new ?(sync_every = 8) ?(cursor = false) path h =
     match h.jh_window with Some (a, b) -> (fstr a, fstr b) | None -> ("-", "-")
   in
   output_string oc
-    (Printf.sprintf "! params %s %d %d %s %s %s %s %s %s%s\n"
+    (Printf.sprintf "! params %s %d %d %s %s %s %s %s -%s\n"
        (Campaign.engine_to_string h.jh_engine)
        h.jh_seed h.jh_n (fstr h.jh_width) (fstr h.jh_slope) (fstr h.jh_t_stop) w0 w1
-       (if h.jh_prune then "p" else "-")
        (* the nominal corner writes nothing, keeping pre-overlay
           journal bytes unchanged *)
        (match h.jh_overlay with Some fp -> " ov:" ^ fp | None -> ""));
@@ -342,8 +324,13 @@ let load path =
             in
             match fields with
             | [ "!"; "params"; engine; seed; n; width; slope; t_stop; w0; w1; prune ] -> (
+                if prune = "p" then
+                  Diag.fail ~file:path ~code:"journal-parse"
+                    ~hint:"--prune static was removed; re-run without --resume"
+                    "journal was written by a statically pruned campaign";
                 let parsed =
                   let ( let* ) = Option.bind in
+                  let* () = if prune = "-" then Some () else None in
                   let* jh_engine = Campaign.engine_of_string engine in
                   let* jh_seed = int_of_string_opt seed in
                   let* jh_n = int_of_string_opt n in
@@ -358,9 +345,6 @@ let load path =
                         | Some a, Some b -> Some (Some (a, b))
                         | _ -> None)
                   in
-                  let* jh_prune =
-                    match prune with "p" -> Some true | "-" -> Some false | _ -> None
-                  in
                   Some
                     {
                       jh_circuit = circuit;
@@ -372,7 +356,6 @@ let load path =
                       jh_t_stop;
                       jh_window;
                       jh_range = None;
-                      jh_prune;
                       jh_overlay = overlay;
                     }
                 in

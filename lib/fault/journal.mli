@@ -12,20 +12,20 @@
 
     Format (line-oriented text, one record per line):
     - [# halotis-faults journal v3] — magic first line (v1 files, which
-      predate static pruning, and v2 files, which predate quarantine
+      lack the [PRUNE] token, and v2 files, which predate quarantine
       records, still load);
     - [! circuit NAME] and
       [! params ENGINE SEED N WIDTH SLOPE T_STOP W0 W1 PRUNE] — the
-      campaign fingerprint (floats printed with [%h], lossless; [PRUNE]
-      is [p] or [-], absent in v1);
+      campaign fingerprint (floats printed with [%h], lossless).
+      [PRUNE] is always [-]: static campaign pruning was removed, and a
+      journal whose [PRUNE] is [p] is refused;
     - [! range LO HI] — optional: the global site-index range a shard
       worker owns (absent from serial journals, whose bytes are
       unchanged from the pre-sharding format);
-    - [v IDX SIGNAL GATE POL AT OUTCOME PO_DELTA FIRST_DIFF 7xCOUNTER STOP \[p\]]
+    - [v IDX SIGNAL GATE POL AT OUTCOME PO_DELTA FIRST_DIFF 7xCOUNTER STOP]
       — one verdict: the {e global} site index, site ids, hex-float
-      strike instant, outcome token, the stats delta, a stop token
-      ([-] = completed), and a trailing [p] only on statically pruned
-      verdicts (so unpruned records are byte-identical to v1's);
+      strike instant, outcome token, the stats delta and a stop token
+      ([-] = completed);
     - [q IDX] — site [IDX] was quarantined by the campaign supervisor
       (it repeatedly crashed or hung workers) and owns no verdict: the
       explicit record of a degraded campaign (v3).
@@ -52,14 +52,10 @@ type header = {
   jh_window : (float * float) option;
   jh_range : (int * int) option;
       (** the shard's global site-index range [\[lo, hi)]; [None] for a
-          serial (whole-campaign) journal *)
-  jh_prune : bool;
-      (** the campaign ran with static pruning; [false] for v1 journals.
+          serial (whole-campaign) journal.
           [Campaign.config.incremental] is deliberately absent from the
           fingerprint: cone re-simulation is result-invariant, so a
-          journal resumes across incremental modes — prune is recorded
-          only because pruned campaigns write different verdict
-          records *)
+          journal resumes across incremental modes *)
   jh_overlay : string option;
       (** {!Halotis_tech.Param_overlay.fingerprint} of the campaign's
           parameter overlay, or [None] for the nominal (empty) corner.
@@ -122,7 +118,7 @@ val load : string -> header * (int * entry) list
     journal starts at its range's [lo], not 0).  A torn final line is
     silently dropped.
     @raise Halotis_guard.Diag.Fail ([journal-parse]) on a missing or
-    malformed file. *)
+    malformed file, or one written by a statically pruned campaign. *)
 
 val contiguous : first:int -> (int * entry) list -> entry list
 (** Checks the indices run [first, first+1, ...] without gaps and drops

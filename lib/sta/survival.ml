@@ -8,18 +8,7 @@ module Delay_model = Halotis_delay.Delay_model
 module Cache = Halotis_delay.Delay_model.Cache
 module Thresholds = Halotis_delay.Thresholds
 module Loads = Halotis_delay.Loads
-module Waveform = Halotis_wave.Waveform
-module Iddm = Halotis_engine.Iddm
-module Stats = Halotis_engine.Stats
-module Stop = Halotis_guard.Stop
 module Json = Halotis_util.Json
-
-type verdict = Proven_electrically_masked | Proven_logically_masked | Unknown
-
-let verdict_to_string = function
-  | Proven_electrically_masked -> "proven-electrically-masked"
-  | Proven_logically_masked -> "proven-logically-masked"
-  | Unknown -> "unknown"
 
 (* Safety margin (ps) around every threshold comparison: the engine and
    this analysis compute the same crossings with differently associated
@@ -167,226 +156,6 @@ let through_gate cx ~gid ~pin ~rising_out ~wc_lo ~wc_hi ~(pb : pb) =
 
 (* Can the pulse put a digital edge (VDD/2 crossing) on its wire? *)
 let may_cross_digital pb = pb.pb_w_hi > (0.5 *. pb.pb_sl_lo) -. margin
-
-(* {1 Campaign pruner} *)
-
-type pruner = {
-  pr_ok : bool;
-  pr_cx : ctx;
-  pr_levels : bool array;  (* settled digital level per signal *)
-  pr_quiet : float;  (* end of the last baseline ramp anywhere, ps *)
-  pr_t_stop : float;
-  pr_width : float;
-  pr_slope : float;
-  pr_po : bool array;
-}
-
-let pruner ~kind tech c ~baseline ~t_stop ~width ~slope =
-  let nsignals = Netlist.signal_count c in
-  let vdd = Tech.vdd tech in
-  let levels = Array.make nsignals false in
-  let po = Array.make nsignals false in
-  List.iter (fun sid -> po.(sid) <- true) (Netlist.primary_outputs c);
-  let quiet = ref 0. in
-  let ok = ref true in
-  let order =
-    match Check.topological_gates c with
-    | Some o -> o
-    | None ->
-        ok := false;
-        []
-  in
-  if baseline.Iddm.stats.Stats.stopped_by <> Stop.Completed then ok := false;
-  if baseline.Iddm.frozen <> [] then ok := false;
-  if !ok then
-    (* Settled levels and the global quiescence point.  Amplitude
-       arguments are only sound against rails, so a baseline that does
-       not settle exactly (X levels, mid-rail floats) disables the
-       pruner wholesale. *)
-    for sid = 0 to nsignals - 1 do
-      let wf = baseline.Iddm.waveforms.(sid) in
-      Waveform.iter_segments wf (fun (seg : Waveform.segment) ->
-          let tr = seg.Waveform.transition in
-          let fin = tr.Halotis_wave.Transition.start +. tr.Halotis_wave.Transition.slope_time in
-          if fin > !quiet then quiet := fin);
-      let v = Waveform.value_at wf Float.max_float in
-      if v = 0. then levels.(sid) <- false
-      else if v = vdd then levels.(sid) <- true
-      else ok := false
-    done;
-  {
-    pr_ok = !ok;
-    pr_cx = ctx_make ~kind tech c ~order;
-    pr_levels = levels;
-    pr_quiet = !quiet;
-    pr_t_stop = t_stop;
-    pr_width = width;
-    pr_slope = slope;
-    pr_po = po;
-  }
-
-exception Not_provable
-
-(* Every flip pattern of [pins] (against the settled input vector)
-   evaluates the gate; used to decide whether a gate is insensitive
-   (all patterns keep the settled output — every event is a no-op) or
-   sensitive (every pattern flips it — the first crossing emits). *)
-let flip_evals c levels gid pins =
-  let g = Netlist.gate c gid in
-  let k = List.length pins in
-  if k > 12 then raise Not_provable;
-  let pins = Array.of_list pins in
-  let base = Array.map (fun fid -> levels.(fid)) g.Netlist.fanin in
-  let out0 = levels.(g.Netlist.output) in
-  if Gate_kind.eval_bool g.Netlist.kind base <> out0 then raise Not_provable;
-  let results = ref [] in
-  for mask = 1 to (1 lsl k) - 1 do
-    let inputs = Array.copy base in
-    for i = 0 to k - 1 do
-      if mask land (1 lsl i) <> 0 then inputs.(pins.(i)) <- not inputs.(pins.(i))
-    done;
-    results := Gate_kind.eval_bool g.Netlist.kind inputs :: !results
-  done;
-  (out0, !results)
-
-let site_verdict pr ~signal ~rising ~at =
-  if not pr.pr_ok then Unknown
-  else
-    try
-      let cx = pr.pr_cx in
-      let c = cx.cx_c in
-      let nsignals = Netlist.signal_count c in
-      (* Only the settled tail of the baseline is decidable: the pulse
-         must neither annul pending activity nor start from a moving
-         waveform, and its injected polarity must leave the rail. *)
-      if at <= pr.pr_quiet +. margin then raise Not_provable;
-      if rising = pr.pr_levels.(signal) then raise Not_provable;
-      let pb0 = pb_point ~rising ~slope:pr.pr_slope ~width:pr.pr_width in
-      let po_safe pb = pb.pb_w_hi <= (0.5 *. pb.pb_sl_lo) -. margin in
-      if pr.pr_po.(signal) && not (po_safe pb0) then raise Not_provable;
-      let u0 = at +. pr.pr_width +. pr.pr_slope in
-      let u_ok = u0 <= pr.pr_t_stop in
-      (* First hop: fates of every fanout pin of the victim, grouped by
-         gate, plus each gate's sensitivity at the settled vector. *)
-      let loads = (Netlist.signal c signal).Netlist.loads in
-      let by_gate = Hashtbl.create 8 in
-      Array.iter
-        (fun (g, pin) ->
-          Hashtbl.replace by_gate g (pin :: Option.value ~default:[] (Hashtbl.find_opt by_gate g)))
-        loads;
-      let any_dead = ref false in
-      let all_fire = ref (Array.length loads > 0) in
-      let all_insensitive = ref true in
-      let emission_certain = ref false in
-      (* gates that may emit, each with its single live pin's crossing bound *)
-      let emitters = ref [] in
-      Hashtbl.iter
-        (fun gid pins ->
-          let fates =
-            List.map
-              (fun pin ->
-                match pin_fate cx pb0 ~vt:cx.cx_vt.(gid).(pin) with
-                | None -> raise Not_provable
-                | Some f -> (pin, f))
-              pins
-          in
-          let non_dead = List.filter (fun (_, f) -> f <> Dead) fates in
-          if List.exists (fun (_, f) -> f = Dead) fates then any_dead := true;
-          if not (List.for_all (fun (_, f) -> match f with Fires _ -> true | _ -> false) fates)
-          then all_fire := false;
-          if non_dead <> [] then begin
-            let out0, evals = flip_evals c pr.pr_levels gid (List.map fst non_dead) in
-            let insensitive = List.for_all (fun v -> v = out0) evals in
-            let sensitive = List.for_all (fun v -> v <> out0) evals in
-            if not insensitive then begin
-              all_insensitive := false;
-              if
-                sensitive
-                && List.exists (fun (_, f) -> match f with Fires _ -> true | _ -> false) non_dead
-                && u_ok
-              then emission_certain := true;
-              (* a possibly-emitting gate with >= 2 live pins sees flip
-                 patterns whose output pulse shape we do not model *)
-              match non_dead with
-              | [ (pin, f) ] ->
-                  let wc_lo, wc_hi =
-                    match f with Fires (lo, hi) -> (lo, hi) | Straddle hi -> (0., hi) | Dead -> assert false
-                  in
-                  emitters := (gid, pin, wc_lo, wc_hi) :: !emitters
-              | _ -> raise Not_provable
-            end
-          end)
-        by_gate;
-      if Array.length loads > 0 && !all_fire && !all_insensitive then begin
-        (* Every fanout input certainly fires and every evaluation is a
-           no-op: the dynamic run records only [noop_evaluations] —
-           provided every crossing is processed before the horizon. *)
-        if u_ok then Proven_logically_masked else raise Not_provable
-      end
-      else begin
-        (* Electrical masking needs the logically-masked dynamic bucket
-           ruled out: either some pin's scheduled leading crossing is
-           certainly tombstoned by the trailing splice
-           ([events_filtered > 0]), or an emission is certain, or the
-           strike has no fanout at all. *)
-        if not (!any_dead || Array.length loads = 0 || !emission_certain) then
-          raise Not_provable;
-        (* Upper-bound cone walk from every possible emitter: the proof
-           obligation is that no primary output can see a digital
-           edge.  Aborts on reconvergence (two live pulses meeting). *)
-        let pulse = Array.make nsignals None in
-        List.iter
-          (fun (gid, pin, wc_lo, wc_hi) ->
-            let g = Netlist.gate c gid in
-            let rising_out = not pr.pr_levels.(g.Netlist.output) in
-            match through_gate cx ~gid ~pin ~rising_out ~wc_lo ~wc_hi ~pb:pb0 with
-            | None -> ()
-            | Some pb' ->
-                if pr.pr_po.(g.Netlist.output) && not (po_safe pb') then raise Not_provable;
-                (match pulse.(g.Netlist.output) with
-                | Some _ -> raise Not_provable
-                | None -> ());
-                pulse.(g.Netlist.output) <- Some pb')
-          !emitters;
-        List.iter
-          (fun gid ->
-            let g = Netlist.gate c gid in
-            let live = ref [] in
-            Array.iteri
-              (fun pin fid ->
-                (* the victim's own pulse was consumed by the first-hop
-                   analysis above; only emitted cone pulses walk here *)
-                match pulse.(fid) with
-                | None -> ()
-                | Some pb -> (
-                    match pin_fate cx pb ~vt:cx.cx_vt.(gid).(pin) with
-                    | None -> raise Not_provable
-                    | Some Dead -> ()
-                    | Some (Fires (lo, hi)) -> live := (pin, pb, lo, hi) :: !live
-                    | Some (Straddle hi) -> live := (pin, pb, 0., hi) :: !live))
-              g.Netlist.fanin;
-            match !live with
-            | [] -> ()
-            | _ :: _ :: _ -> raise Not_provable
-            | [ (pin, pb, wc_lo, wc_hi) ] ->
-                let out0, evals = flip_evals c pr.pr_levels gid [ pin ] in
-                if List.for_all (fun v -> v = out0) evals then ()
-                else begin
-                  let rising_out = not pr.pr_levels.(g.Netlist.output) in
-                  match through_gate cx ~gid ~pin ~rising_out ~wc_lo ~wc_hi ~pb with
-                  | None -> ()
-                  | Some pb' ->
-                      if pr.pr_po.(g.Netlist.output) && not (po_safe pb') then
-                        raise Not_provable;
-                      (match pulse.(g.Netlist.output) with
-                      | Some _ -> raise Not_provable
-                      | None -> ());
-                      pulse.(g.Netlist.output) <- Some pb'
-                end)
-          cx.cx_order;
-        Proven_electrically_masked
-      end
-    with Not_provable -> Unknown
 
 (* {1 Baseline-free vulnerability map} *)
 

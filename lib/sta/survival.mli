@@ -15,68 +15,16 @@
     polarity, propagated topologically through the fanout cone using
     exactly the cached per-(gate, edge) coefficients the event kernel
     evaluates ({!Halotis_delay.Delay_model.Cache.edge_coefficients}).
-    Two consumers:
 
-    {ul
-    {- {!analyze} — the baseline-free vulnerability map behind
-       [halotis survival] and the preflight lints: per-gate attenuation
-       bounds and the weakest injected width whose upper bound can
-       still reach each primary output.  It assumes a quiescent circuit
-       and non-interfering single-pulse propagation (reconvergent pulse
-       collisions are not modelled), so it is advisory.}
-    {- {!pruner} / {!site_verdict} — the campaign-facing side.  Built
-       from a {e completed} engine baseline, it only ever returns a
-       proven verdict when the dynamic outcome is certain: the site
-       must lie in the settled tail of the baseline, the cone analysis
-       aborts to {!Unknown} on reconvergence, straddled thresholds,
-       mid-rail levels or a possible primary-output crossing.  The
-       soundness contract — checked by a QCheck property against the
-       IDDM engine — is that a pruned site's dynamic verdict equals the
-       proven one; in particular no dynamically [Propagated] site is
-       ever pruned.}} *)
+    One consumer: {!analyze}, the baseline-free vulnerability map
+    behind [halotis survival] and the preflight lints (NL020, TK007) —
+    per-gate attenuation bounds and the weakest injected width whose
+    upper bound can still reach each primary output.  It assumes a
+    quiescent circuit and non-interfering single-pulse propagation
+    (reconvergent pulse collisions are not modelled), so it is
+    advisory. *)
 
 module Netlist = Halotis_netlist.Netlist
-
-(** {1 Site verdicts} *)
-
-type verdict =
-  | Proven_electrically_masked
-      (** the pulse certainly dies electrically: every fanout threshold
-          filters it, or it provably degrades away inside the cone
-          without ever crossing a primary output's digital threshold *)
-  | Proven_logically_masked
-      (** the pulse certainly fires every fanout input but every
-          receiving gate is logically insensitive to it at the settled
-          input vector *)
-  | Unknown  (** not provable statically — simulate the site *)
-
-val verdict_to_string : verdict -> string
-
-(** {1 Campaign pruner} *)
-
-type pruner
-
-val pruner :
-  kind:Halotis_delay.Delay_model.kind ->
-  Halotis_tech.Tech.t ->
-  Netlist.t ->
-  baseline:Halotis_engine.Iddm.result ->
-  t_stop:float ->
-  width:float ->
-  slope:float ->
-  pruner
-(** [pruner ~kind tech c ~baseline ~t_stop ~width ~slope] prepares the
-    static verdict oracle for a campaign injecting [width]/[slope]
-    pulses under delay model [kind], against the given {e completed}
-    baseline run of the same engine.  If the baseline is partial,
-    frozen, cyclic or does not settle to the rails, every subsequent
-    {!site_verdict} is {!Unknown}. *)
-
-val site_verdict :
-  pruner -> signal:Netlist.signal_id -> rising:bool -> at:float -> verdict
-(** Static verdict for injecting the pruner's pulse at [signal] at time
-    [at], leading edge rising iff [rising].  Only sites strictly after
-    the baseline's last activity can be proven. *)
 
 (** {1 Baseline-free vulnerability map} *)
 

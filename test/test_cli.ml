@@ -212,8 +212,8 @@ let test_faults_missing_resume_journal () =
   checki "missing journal is a diagnostic" 1 status;
   Alcotest.(check string) "no report" "" report
 
-(* The one-shot sharding options are gone: every --jobs N > 1 campaign
-   is supervised. *)
+(* The one-shot sharding options are gone (every --jobs N > 1 campaign
+   is supervised), and so is static site pruning. *)
 let test_faults_removed_options () =
   let status_shard, _ = run_capture (mult_faults_args @ [ "--shard"; "0/2" ]) in
   checki "--shard is an unknown option" 124 status_shard;
@@ -224,7 +224,9 @@ let test_faults_removed_options () =
   let status_keep, _ =
     run_capture (mult_faults_args @ [ "--jobs"; "2"; "--keep-shards" ])
   in
-  checki "--keep-shards is an unknown option" 124 status_keep
+  checki "--keep-shards is an unknown option" 124 status_keep;
+  let status_prune, _ = run_capture (mult_faults_args @ [ "--prune"; "static" ]) in
+  checki "--prune is an unknown option" 124 status_prune
 
 (* A serial journal (here one parked by --limit-sites) holds no chunk
    journals: a --jobs resume must refuse it instead of silently
@@ -246,7 +248,7 @@ let test_faults_jobs_resume_of_serial_journal () =
     (In_channel.with_open_bin journal In_channel.input_all);
   Sys.remove journal
 
-(* --- survival subcommand + static pruning --- *)
+(* --- survival subcommand --- *)
 
 let test_survival_text () =
   let status, stdout = run_capture [ "survival"; data "c17.hnl" ] in
@@ -271,40 +273,12 @@ let test_survival_json () =
       | Some (Json.Arr sites) -> checkb "many sites" true (List.length sites > 50)
       | _ -> Alcotest.fail "sites array missing")
 
-(* --prune static must leave the taxonomy untouched: same summary and
-   per-site outcomes, only the pruned/simulated split moves. *)
-let test_faults_prune_taxonomy_identical () =
-  let args =
-    [
-      "faults"; data "mult4x4.hnl"; "--stim"; data "mult4x4.hsv"; "-n"; "12";
-      "--seed"; "7"; "--t-stop"; "20000"; "--format"; "json";
-    ]
-  in
-  let s0, plain = run_capture args in
-  let s1, pruned = run_capture (args @ [ "--prune"; "static" ]) in
-  checki "plain exits 0" 0 s0;
-  checki "pruned exits 0" 0 s1;
-  match (Json.parse plain, Json.parse pruned) with
-  | Ok jp, Ok js ->
-      checkb "summary identical" true (Json.member "summary" jp = Json.member "summary" js);
-      let outcomes j =
-        match Json.member "verdicts" j with
-        | Some (Json.Arr vs) -> List.map (fun v -> Json.member "outcome" v) vs
-        | _ -> []
-      in
-      checkb "per-site outcomes identical" true (outcomes jp = outcomes js);
-      checkb "plain report never prunes" true
-        (Json.member "sites_pruned" jp = Some (Json.Num 0.))
-  | Error e, _ | _, Error e -> Alcotest.failf "report is not valid JSON: %s" e
-
 let tests =
   [
     ( "cli.survival",
       [
         Alcotest.test_case "text map" `Quick test_survival_text;
         Alcotest.test_case "json map" `Quick test_survival_json;
-        Alcotest.test_case "--prune static taxonomy identical" `Quick
-          test_faults_prune_taxonomy_identical;
       ] );
     ( "cli.faults",
       [

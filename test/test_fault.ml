@@ -191,107 +191,212 @@ let test_classic_strike_not_preempted () =
   checkb "late strike on output propagates" true
     ((List.hd t.Campaign.cam_verdicts).Campaign.vd_outcome = Campaign.Propagated)
 
-(* --- static pruning (Survival) --- *)
-
-(* Headline soundness property: a campaign with [prune = true] returns
-   the same verdict for every site as its unpruned twin — across random
-   circuits, seeds and both pulse-width engines.  In particular no
-   dynamically Propagated site is ever statically pruned. *)
-let prop_prune_sound =
-  QCheck.Test.make ~name:"static pruning never changes a verdict" ~count:8
-    QCheck.(pair (int_range 10 35) (int_range 0 1000))
-    (fun (gates, seed) ->
-      let c, drives = Test_perf_equiv.workload ~gates ~seed in
-      let engine = if seed land 1 = 0 then Campaign.Ddm else Campaign.Cdm in
-      let cfg prune =
-        Campaign.config ~engine ~seed:(seed + 3) ~n:10 ~prune ~t_stop:12_000. ()
-      in
-      let plain = Campaign.run (cfg false) DL.tech c ~drives in
-      let pruned = Campaign.run (cfg true) DL.tech c ~drives in
-      List.length plain.Campaign.cam_verdicts
-      = List.length pruned.Campaign.cam_verdicts
-      && Campaign.counts plain = Campaign.counts pruned
-      && Campaign.timed_out plain = Campaign.timed_out pruned
-      && List.for_all2
-           (fun (a : Campaign.verdict) (b : Campaign.verdict) ->
-             a.Campaign.vd_site = b.Campaign.vd_site
-             && (not a.Campaign.vd_pruned)
-             && b.Campaign.vd_outcome = a.Campaign.vd_outcome
-             && ((not b.Campaign.vd_pruned)
-                || b.Campaign.vd_outcome <> Campaign.Propagated))
-           plain.Campaign.cam_verdicts pruned.Campaign.cam_verdicts)
-
-(* A runt strike in the long-settled tail of the chain is provably
-   electrically masked: the pruner must actually skip it, and skipping
-   must not change the verdict. *)
-let prune_chain_scenario () =
-  let c = Lazy.force chain in
-  let drives =
-    [ (sid c "in", Drive.of_levels ~slope:100. ~initial:false [ (1000., true) ]) ]
-  in
-  let baseline = Iddm.run (Iddm.config ~t_stop:30_000. DL.tech) c ~drives in
-  let site = Site.of_signal ~baseline (sid c "out1") ~at:25_000. in
-  let cfg prune =
-    Campaign.config
-      ~pulse:(Inject.pulse ~width:40. ~slope:100. ())
-      ~prune ~t_stop:30_000. ()
-  in
-  (c, drives, site, cfg)
-
-let test_prune_skips_proven_site () =
-  let c, drives, site, cfg = prune_chain_scenario () in
-  let with_site cfg = { cfg with Campaign.sites = Some [ site ] } in
-  let plain = Campaign.run (with_site (cfg false)) DL.tech c ~drives in
-  let pruned = Campaign.run (with_site (cfg true)) DL.tech c ~drives in
-  checki "simulated run prunes nothing" 0 (Campaign.pruned_count plain);
-  checki "static run prunes the site" 1 (Campaign.pruned_count pruned);
-  let vp = List.hd plain.Campaign.cam_verdicts in
-  let vs = List.hd pruned.Campaign.cam_verdicts in
-  checkb "verdict agrees with simulation" true
-    (vs.Campaign.vd_outcome = vp.Campaign.vd_outcome);
-  checkb "pruned verdict is a masking one" true
-    (vs.Campaign.vd_outcome = Campaign.Electrically_masked
-    || vs.Campaign.vd_outcome = Campaign.Logically_masked);
-  (* taxonomy summaries stay byte-identical *)
-  checkb "counts identical" true (Campaign.counts plain = Campaign.counts pruned)
+(* --- journal loader on hostile input --- *)
 
 module Journal = Halotis_fault.Journal
+module Diag = Halotis_guard.Diag
 
-(* Journal format v2: pruned verdicts round-trip with their flag, the
-   header records the prune mode, and a v2 journal from a pruned
-   campaign is rejected against an unpruned config. *)
-let test_journal_v2_pruned_roundtrip () =
-  let c, drives, site, cfg = prune_chain_scenario () in
-  let path = Filename.temp_file "halotis_fault_test" ".journal" in
+let with_temp_file contents f =
+  let path = Filename.temp_file "halotis_journal_fuzz" ".journal" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      let w =
-        Journal.open_new path (Journal.header_of ~circuit:(N.name c) (cfg true))
-      in
-      let t =
-        Campaign.run
-          ~on_verdict:(fun i v -> Journal.write w i v)
-          { (cfg true) with Campaign.sites = Some [ site ] }
-          DL.tech c ~drives
-      in
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents);
+      f path)
+
+(* A real v3 journal written by the production writer: verdict records
+   covering every outcome and several stop tokens, one quarantine
+   record, and optionally a shard range and an overlay token. *)
+let real_journal ~range ~overlay =
+  let verdict i =
+    let st = Halotis_engine.Stats.create () in
+    st.Halotis_engine.Stats.events_scheduled <- 10 + i;
+    st.Halotis_engine.Stats.events_processed <- 7 * i;
+    st.Halotis_engine.Stats.stopped_by <-
+      (match i mod 4 with
+      | 0 -> Halotis_guard.Stop.Completed
+      | 1 -> Halotis_guard.Stop.Event_budget 5
+      | 2 -> Halotis_guard.Stop.Wall_clock 1.5
+      | _ -> Halotis_guard.Stop.Oscillation [ "a"; "b" ]);
+    {
+      Campaign.vd_site =
+        {
+          Site.st_signal = i + 3;
+          st_gate = i;
+          st_polarity = (if i land 1 = 0 then T.Rising else T.Falling);
+          st_at = 1000. +. (333.25 *. float_of_int i);
+        };
+      vd_outcome =
+        List.nth
+          Campaign.[ Propagated; Electrically_masked; Logically_masked; Timed_out ]
+          (i mod 4);
+      vd_po_edges_delta = i mod 3;
+      vd_first_diff_output = (if i mod 4 = 0 then Some "y" else None);
+      vd_stats = st;
+    }
+  in
+  let lo = match range with Some (lo, _) -> lo | None -> 0 in
+  let cfg = Campaign.config ~n:8 ~window:(100., 9000.) ~t_stop:10_000. () in
+  let h = { (Journal.header_of ~circuit:"fuzz" ?range cfg) with Journal.jh_overlay = overlay } in
+  with_temp_file "" (fun path ->
+      let w = Journal.open_new path h in
+      for i = lo to lo + 5 do
+        if i = lo + 2 then Journal.write_quarantine w i else Journal.write w i (verdict i)
+      done;
       Journal.close w;
-      checki "campaign pruned the site" 1 (Campaign.pruned_count t);
-      let h, indexed = Journal.load path in
-      checkb "header records prune mode" true h.Journal.jh_prune;
-      Journal.check h ~circuit:(N.name c) (cfg true);
-      (match Journal.contiguous ~first:0 indexed with
-      | [ Journal.Verdict v ] ->
-          checkb "pruned flag round-trips" true v.Campaign.vd_pruned;
-          checkb "outcome round-trips" true
-            (v.Campaign.vd_outcome
-            = (List.hd t.Campaign.cam_verdicts).Campaign.vd_outcome)
-      | l -> Alcotest.failf "expected one verdict entry, got %d" (List.length l));
-      match Journal.check h ~circuit:(N.name c) (cfg false) with
-      | () -> Alcotest.fail "prune-mode mismatch must be rejected"
-      | exception Halotis_guard.Diag.Fail d ->
-          Alcotest.(check string)
-            "diag code" "journal-mismatch" d.Halotis_guard.Diag.code)
+      In_channel.with_open_bin path In_channel.input_all)
+
+let fuzz_bases =
+  lazy
+    [|
+      real_journal ~range:None ~overlay:None;
+      real_journal ~range:(Some (4, 12)) ~overlay:None;
+      real_journal ~range:None ~overlay:(Some "00ff");
+      real_journal ~range:(Some (0, 8)) ~overlay:(Some "abc");
+    |]
+
+type mutation =
+  | Truncate of int
+  | Flip of int * char
+  | Swap_tokens of int * int * int  (* line, token, token *)
+  | Drop_token of int * int  (* line, token *)
+  | Magic of string
+  | Params of int * string  (* 0 replace the last token, 1 append, 2 drop the last *)
+  | Insert of int * string  (* before line *)
+
+let map_lines text f =
+  let a = Array.of_list (String.split_on_char '\n' text) in
+  f a;
+  String.concat "\n" (Array.to_list a)
+
+let map_tokens line f =
+  let t = Array.of_list (String.split_on_char ' ' line) in
+  String.concat " " (f t)
+
+let params_line a =
+  let rec go i =
+    if i >= Array.length a then None
+    else if String.starts_with ~prefix:"! params" a.(i) then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let mutate text = function
+  | Truncate k -> String.sub text 0 (k mod (String.length text + 1))
+  | Flip (k, ch) ->
+      if text = "" then text
+      else
+        let k = k mod String.length text in
+        String.mapi (fun i c -> if i = k then ch else c) text
+  | Swap_tokens (l, i, j) ->
+      map_lines text (fun a ->
+          let l = l mod Array.length a in
+          a.(l) <-
+            map_tokens a.(l) (fun t ->
+                let n = Array.length t in
+                let i = i mod n and j = j mod n in
+                let x = t.(i) in
+                t.(i) <- t.(j);
+                t.(j) <- x;
+                Array.to_list t))
+  | Drop_token (l, i) ->
+      map_lines text (fun a ->
+          let l = l mod Array.length a in
+          a.(l) <-
+            map_tokens a.(l) (fun t ->
+                let i = i mod Array.length t in
+                List.filteri (fun k _ -> k <> i) (Array.to_list t)))
+  | Magic m -> map_lines text (fun a -> a.(0) <- m)
+  | Params (op, tok) ->
+      map_lines text (fun a ->
+          match params_line a with
+          | None -> ()
+          | Some l ->
+              a.(l) <-
+                map_tokens a.(l) (fun t ->
+                    let n = Array.length t in
+                    let keep = Array.to_list (Array.sub t 0 (n - 1)) in
+                    match op with
+                    | 0 -> keep @ [ tok ]
+                    | 1 -> Array.to_list t @ [ tok ]
+                    | _ -> keep))
+  | Insert (l, line) ->
+      let a = String.split_on_char '\n' text in
+      let l = l mod (List.length a + 1) in
+      String.concat "\n" (List.filteri (fun i _ -> i < l) a @ (line :: List.filteri (fun i _ -> i >= l) a))
+
+let gen_mutation =
+  let open QCheck.Gen in
+  let pos = int_bound 100_000 in
+  frequency
+    [
+      (2, map (fun k -> Truncate k) pos);
+      (3, map2 (fun k c -> Flip (k, c)) pos (oneof [ oneofl [ ' '; '\n'; 'p'; '-'; ':' ]; char ]));
+      (2, map3 (fun l i j -> Swap_tokens (l, i, j)) pos pos pos);
+      (2, map2 (fun l i -> Drop_token (l, i)) pos pos);
+      ( 1,
+        map
+          (fun m -> Magic m)
+          (oneofl
+             [
+               "# halotis-faults journal v1"; "# halotis-faults journal v2";
+               "# halotis-faults journal v9"; "";
+             ]) );
+      ( 3,
+        map2
+          (fun op tok -> Params (op, tok))
+          (int_bound 2)
+          (oneofl [ "p"; "-"; "ov:"; "ov:00ff"; "ov:p"; "x"; "" ]) );
+      ( 3,
+        map2
+          (fun l line -> Insert (l, line))
+          pos
+          (oneofl
+             [
+               "! range"; "! range 1"; "! range a b"; "! range -3 2"; "! range 5 1";
+               "! range 0 99999999999999999999"; "! range 0x1p3 9"; "q"; "q x"; "q -1";
+               "v"; "! params"; "! circuit"; "#"; "";
+               "v 0 0 0 R nan propagated 0 - 0 0 0 0 0 0 0 -";
+               "v 1 2 3 F 0x1p+10 logically-masked 0 - 1 1 1 1 1 1 1 - p";
+             ]) );
+    ]
+
+(* ROADMAP item 7: [Journal.load] on a damaged file returns a value or
+   raises [Diag.Fail] — never any other exception. *)
+let prop_journal_load_never_raises =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (b, ms) -> List.fold_left mutate (Lazy.force fuzz_bases).(b) ms)
+        (pair (int_bound 3) (list_size (int_range 1 4) gen_mutation)))
+  in
+  QCheck.Test.make ~name:"journal load: a value or a Diag on mutated journals" ~count:400
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun text ->
+      with_temp_file text (fun path ->
+          match Journal.load path with _ -> true | exception Diag.Fail _ -> true))
+
+(* A v2 journal from a statically pruned campaign ([p] PRUNE token, a
+   trailing [p] on its verdict records): the feature is gone, so the
+   loader refuses it with a hint instead of resuming it. *)
+let test_journal_pruned_v2_refused () =
+  let text =
+    String.concat "\n"
+      [
+        "# halotis-faults journal v2";
+        "! circuit chain";
+        "! params ddm 1 100 0x1.4p+5 0x1.9p+6 0x1.d4cp+14 - - p";
+        "v 0 3 2 R 0x1.86ap+14 electrically-masked 0 - 0 0 0 0 0 0 0 - p";
+        "";
+      ]
+  in
+  with_temp_file text (fun path ->
+      match Journal.load path with
+      | _ -> Alcotest.fail "a statically pruned campaign's journal must be refused"
+      | exception Diag.Fail d ->
+          Alcotest.(check string) "diag code" "journal-parse" d.Diag.code;
+          Alcotest.(check (option string))
+            "hint" (Some "--prune static was removed; re-run without --resume") d.Diag.hint)
 
 (* --- incremental cone re-simulation --- *)
 
@@ -1024,12 +1129,11 @@ let tests =
           test_classic_strike_not_preempted;
         Alcotest.test_case "engine names" `Quick test_engine_of_string;
       ] );
-    ( "fault.prune",
+    ( "journal.fuzz",
       [
-        QCheck_alcotest.to_alcotest prop_prune_sound;
-        Alcotest.test_case "proven site skipped" `Quick test_prune_skips_proven_site;
-        Alcotest.test_case "journal v2 round-trip" `Quick
-          test_journal_v2_pruned_roundtrip;
+        QCheck_alcotest.to_alcotest prop_journal_load_never_raises;
+        Alcotest.test_case "pruned journal refused" `Quick
+          test_journal_pruned_v2_refused;
       ] );
     ( "fault.cone",
       [
