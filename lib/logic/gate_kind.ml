@@ -78,13 +78,17 @@ let name = function
   | Oai21 -> "oai21"
   | Mux2 -> "mux2"
 
+let families =
+  [
+    ("and", fun n -> And n);
+    ("nand", fun n -> Nand n);
+    ("nor", fun n -> Nor n);
+    ("or", fun n -> Or n);
+    ("xnor", fun n -> Xnor n);
+    ("xor", fun n -> Xor n);
+  ]
+
 let of_name s =
-  let arity_suffix prefix =
-    let plen = String.length prefix in
-    if String.length s > plen && String.sub s 0 plen = prefix then
-      int_of_string_opt (String.sub s plen (String.length s - plen))
-    else None
-  in
   match s with
   | "buf" -> Some Buf
   | "inv" | "not" -> Some Inv
@@ -92,25 +96,15 @@ let of_name s =
   | "oai21" -> Some Oai21
   | "mux2" -> Some Mux2
   | _ -> (
-      let candidates =
-        [
-          ("and", fun n -> And n);
-          ("nand", fun n -> Nand n);
-          ("nor", fun n -> Nor n);
-          ("or", fun n -> Or n);
-          ("xnor", fun n -> Xnor n);
-          ("xor", fun n -> Xor n);
-        ]
-      in
-      let try_one acc (prefix, make) =
-        match acc with
-        | Some _ -> acc
-        | None -> (
-            match arity_suffix prefix with
-            | Some n when n >= 1 -> Some (make n)
-            | Some _ | None -> None)
-      in
-      List.fold_left try_one None candidates)
+      (* FAMILY<arity>: at most one family name is a prefix of [s] *)
+      let prefixes (p, _) = String.length s > String.length p && String.starts_with ~prefix:p s in
+      match List.find_opt prefixes families with
+      | None -> None
+      | Some (p, make) -> (
+          let plen = String.length p in
+          match int_of_string_opt (String.sub s plen (String.length s - plen)) with
+          | Some n when n >= 1 -> Some (make n)
+          | Some _ | None -> None))
 
 let all_basic =
   [ Buf; Inv; And 2; Nand 2; Nand 3; Or 2; Nor 2; Xor 2; Xnor 2; Aoi21; Oai21; Mux2 ]

@@ -1,22 +1,13 @@
 module Gate_kind = Halotis_logic.Gate_kind
 module Value = Halotis_logic.Value
+module Names = Netlist.Names
 
 type sig_info = {
   mutable s_driver : Netlist.gate_id option;
-  mutable s_loads : (Netlist.gate_id * int) list; (* reversed *)
   mutable s_is_input : bool;
   mutable s_is_output : bool;
   s_constant : Value.t option;
   s_name : string;
-}
-
-type gate_info = {
-  g_name : string;
-  g_kind : Gate_kind.t;
-  g_fanin : Netlist.signal_id array;
-  g_output : Netlist.signal_id;
-  g_input_vt : float option array;
-  g_extra_load : float;
 }
 
 (* A minimal growable vector (Dynarray only landed in OCaml 5.2). *)
@@ -44,9 +35,9 @@ end
 type t = {
   name : string;
   sigs : sig_info Vec.t;
-  gts : gate_info Vec.t;
-  by_name : (string, Netlist.signal_id) Hashtbl.t;
-  gate_names : (string, unit) Hashtbl.t;
+  gts : Netlist.gate Vec.t;
+  by_name : Netlist.signal_id Names.t;
+  gate_names : Netlist.gate_id Names.t;
   mutable inputs : Netlist.signal_id list; (* reversed *)
   mutable outputs : Netlist.signal_id list; (* reversed *)
   consts : (Value.t, Netlist.signal_id) Hashtbl.t;
@@ -59,8 +50,8 @@ let create name =
     name;
     sigs = Vec.create ();
     gts = Vec.create ();
-    by_name = Hashtbl.create 64;
-    gate_names = Hashtbl.create 64;
+    by_name = Names.create 64;
+    gate_names = Names.create 64;
     inputs = [];
     outputs = [];
     consts = Hashtbl.create 4;
@@ -70,15 +61,14 @@ let create name =
 
 let check_live b = if b.finalized then invalid_arg "Builder: already finalized"
 
-let new_signal b ~name ~constant =
+(* [name] must be unused: [new_signal] checks, [signal] and
+   [fresh_signal] already know. *)
+let add_signal b ~name ~constant =
   check_live b;
-  if Hashtbl.mem b.by_name name then
-    invalid_arg (Printf.sprintf "Builder: signal name %S already used" name);
   let id = b.sigs.Vec.len in
   let info =
     {
       s_driver = None;
-      s_loads = [];
       s_is_input = false;
       s_is_output = false;
       s_constant = constant;
@@ -86,8 +76,14 @@ let new_signal b ~name ~constant =
     }
   in
   Vec.push b.sigs info;
-  Hashtbl.replace b.by_name name id;
+  Names.add b.by_name name id;
   id
+
+let new_signal b ~name ~constant =
+  check_live b;
+  if Names.mem b.by_name name then
+    invalid_arg (Printf.sprintf "Builder: signal name %S already used" name);
+  add_signal b ~name ~constant
 
 let input b name =
   let id = new_signal b ~name ~constant:None in
@@ -96,17 +92,17 @@ let input b name =
   id
 
 let signal b name =
-  match Hashtbl.find_opt b.by_name name with
+  match Names.find_opt b.by_name name with
   | Some id -> id
-  | None -> new_signal b ~name ~constant:None
+  | None -> add_signal b ~name ~constant:None
 
 let fresh_signal ?(hint = "n") b =
   let rec next () =
-    let name = Printf.sprintf "%s%d" hint b.fresh_counter in
+    let name = hint ^ string_of_int b.fresh_counter in
     b.fresh_counter <- b.fresh_counter + 1;
-    if Hashtbl.mem b.by_name name then next () else name
+    if Names.mem b.by_name name then next () else name
   in
-  new_signal b ~name:(next ()) ~constant:None
+  add_signal b ~name:(next ()) ~constant:None
 
 let const b value =
   match Hashtbl.find_opt b.consts value with
@@ -127,9 +123,9 @@ let add_gate ?name ?input_vt ?(extra_load = 0.) b kind ~inputs ~output =
   let gname =
     match name with
     | Some n -> n
-    | None -> Printf.sprintf "%s_%d" (Gate_kind.name kind) b.gts.Vec.len
+    | None -> Gate_kind.name kind ^ "_" ^ string_of_int b.gts.Vec.len
   in
-  if Hashtbl.mem b.gate_names gname then
+  if Names.mem b.gate_names gname then
     invalid_arg (Printf.sprintf "Builder: gate name %S already used" gname);
   let vt =
     match input_vt with
@@ -148,60 +144,45 @@ let add_gate ?name ?input_vt ?(extra_load = 0.) b kind ~inputs ~output =
     invalid_arg (Printf.sprintf "Builder: cannot drive constant %S" out_info.s_name);
   let gid = b.gts.Vec.len in
   out_info.s_driver <- Some gid;
-  List.iteri
-    (fun pin sid ->
-      let info = Vec.get b.sigs sid in
-      info.s_loads <- (gid, pin) :: info.s_loads)
-    inputs;
-  let gate =
-    {
-      g_name = gname;
-      g_kind = kind;
-      g_fanin = Array.of_list inputs;
-      g_output = output;
-      g_input_vt = vt;
-      g_extra_load = extra_load;
-    }
-  in
-  Vec.push b.gts gate;
-  Hashtbl.replace b.gate_names gname ();
+  (* range-check the inputs here: finalize indexes by them *)
+  List.iter (fun sid -> ignore (Vec.get b.sigs sid)) inputs;
+  let fanin = Array.of_list inputs in
+  Vec.push b.gts
+    { Netlist.gate_id = gid; gate_name = gname; kind; fanin; output; input_vt = vt; extra_load };
+  Names.add b.gate_names gname gid;
   gid
 
 let mark_output b id =
   check_live b;
-  (Vec.get b.sigs id).s_is_output <- true;
-  if not (List.mem id b.outputs) then b.outputs <- id :: b.outputs
+  let info = Vec.get b.sigs id in
+  if not info.s_is_output then b.outputs <- id :: b.outputs;
+  info.s_is_output <- true
 
 let finalize b =
   check_live b;
   b.finalized <- true;
+  let gates = Vec.to_array b.gts and nsigs = b.sigs.Vec.len in
+  (* each signal's loads in (gate, pin) order: count, then fill *)
+  let fill = Array.make nsigs 0 in
+  let each_pin f = Array.iter (fun (g : Netlist.gate) -> Array.iteri (f g.gate_id) g.fanin) gates in
+  each_pin (fun _ _ sid -> fill.(sid) <- fill.(sid) + 1);
+  let loads = Array.map (fun k -> Array.make k (0, 0)) fill in
+  Array.fill fill 0 nsigs 0;
+  each_pin (fun g pin sid ->
+      loads.(sid).(fill.(sid)) <- (g, pin);
+      fill.(sid) <- fill.(sid) + 1);
   let signals =
-    Array.mapi
-      (fun i (info : sig_info) ->
+    Array.init nsigs (fun i ->
+        let info = b.sigs.Vec.data.(i) in
         {
           Netlist.signal_id = i;
           signal_name = info.s_name;
           driver = info.s_driver;
-          loads = Array.of_list (List.rev info.s_loads);
+          loads = loads.(i);
           is_primary_input = info.s_is_input;
           is_primary_output = info.s_is_output;
           constant = info.s_constant;
         })
-      (Vec.to_array b.sigs)
-  in
-  let gates =
-    Array.mapi
-      (fun i (g : gate_info) ->
-        {
-          Netlist.gate_id = i;
-          gate_name = g.g_name;
-          kind = g.g_kind;
-          fanin = g.g_fanin;
-          output = g.g_output;
-          input_vt = g.g_input_vt;
-          extra_load = g.g_extra_load;
-        })
-      (Vec.to_array b.gts)
   in
   Netlist.make ~name:b.name ~signals ~gates ~primary_inputs:(List.rev b.inputs)
-    ~primary_outputs:(List.rev b.outputs)
+    ~primary_outputs:(List.rev b.outputs) ~signal_by_name:b.by_name ~gate_by_name:b.gate_names

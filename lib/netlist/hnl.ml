@@ -1,4 +1,5 @@
 module Gate_kind = Halotis_logic.Gate_kind
+module Line_scan = Halotis_util.Line_scan
 module Value = Halotis_logic.Value
 
 type error = { line : int; message : string }
@@ -9,148 +10,110 @@ exception Parse_error of error
 
 let fail line fmt = Format.kasprintf (fun message -> raise (Parse_error { line; message })) fmt
 
-let tokenize line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
+let operand sc b i =
+  if Line_scan.is sc i "const0" then Builder.const b Value.L0
+  else if Line_scan.is sc i "const1" then Builder.const b Value.L1
+  else Builder.signal b (Line_scan.token sc i)
 
-let strip_comment line =
-  match String.index_opt line '#' with
-  | None -> line
-  | Some i -> String.sub line 0 i
-
-(* A gate-line attribute: vt<pin>=<float> or load=<float>. *)
-type attr = Vt of int * float | Load of float
-
-let parse_attr lineno tok =
-  match String.index_opt tok '=' with
-  | None -> None
-  | Some i ->
-      let key = String.sub tok 0 i in
-      let value = String.sub tok (i + 1) (String.length tok - i - 1) in
-      let fvalue () =
-        match float_of_string_opt value with
-        | Some f -> f
-        | None -> fail lineno "bad numeric attribute value %S" value
-      in
-      if key = "load" then Some (Load (fvalue ()))
-      else if String.length key > 2 && String.sub key 0 2 = "vt" then begin
-        match int_of_string_opt (String.sub key 2 (String.length key - 2)) with
-        | Some pin -> Some (Vt (pin, fvalue ()))
-        | None -> fail lineno "bad attribute %S" tok
-      end
-      else fail lineno "unknown attribute %S" tok
+(* One gate line: gate NAME KIND OUT IN... ATTR..., where an attribute
+   is vt<pin>=<float> or load=<float>.  The checks keep their order:
+   every attribute parses before a token without '=' is reported, and
+   pin ranges are checked after the operands resolve.  Operands resolve
+   before the output, so signal ids follow first mention. *)
+let gate_line sc b lineno =
+  let n = Line_scan.count sc and name = Line_scan.token sc 1 and kind_name = Line_scan.token sc 2 in
+  let kind =
+    match Gate_kind.of_name kind_name with
+    | Some k -> k
+    | None -> fail lineno "unknown gate kind %S" kind_name
+  in
+  let arity = Gate_kind.arity kind in
+  if n - 4 < arity then fail lineno "gate %s: kind %s needs %d inputs" name kind_name arity;
+  let vt = Array.make arity None and extra_load = ref None in
+  let stray = ref None and bad_pin = ref None in
+  for i = 4 + arity to n - 1 do
+    let t = Line_scan.token sc i in
+    match String.index_opt t '=' with
+    | None -> if !stray = None then stray := Some t
+    | Some e -> (
+        let key = String.sub t 0 e and value = String.sub t (e + 1) (String.length t - e - 1) in
+        let fvalue () =
+          match float_of_string_opt value with
+          | Some f -> f
+          | None -> fail lineno "bad numeric attribute value %S" value
+        in
+        if key = "load" then extra_load := Some (fvalue ())
+        else if String.length key > 2 && String.sub key 0 2 = "vt" then
+          match int_of_string_opt (String.sub key 2 (String.length key - 2)) with
+          | Some pin ->
+              let v = fvalue () in
+              if pin >= 0 && pin < arity then vt.(pin) <- Some v
+              else if !bad_pin = None then bad_pin := Some pin
+          | None -> fail lineno "bad attribute %S" t
+        else fail lineno "unknown attribute %S" t)
+  done;
+  (match !stray with Some t -> fail lineno "unexpected token %S" t | None -> ());
+  let inputs = List.init arity (fun k -> operand sc b (4 + k)) in
+  let output = Builder.signal b (Line_scan.token sc 3) in
+  (match !bad_pin with Some p -> fail lineno "gate %s: vt pin %d out of range" name p | None -> ());
+  (* without attributes, the Builder defaults are the same values *)
+  let input_vt = if Array.for_all Option.is_none vt then None else Some (Array.to_list vt) in
+  try ignore (Builder.add_gate b kind ~name ?input_vt ?extra_load:!extra_load ~inputs ~output)
+  with Invalid_argument m -> fail lineno "%s" m
 
 let parse_string text =
-  let lines = String.split_on_char '\n' text in
+  let sc = Line_scan.create text in
+  let builder = ref None and ended = ref false in
+  let get_builder lineno =
+    match !builder with Some b -> b | None -> fail lineno "missing 'circuit NAME' header"
+  in
+  (* input/output NAME...: [f] on each name *)
+  let names lineno n f =
+    let b = get_builder lineno in
+    if n = 1 then fail lineno "usage: %s NAME..." (Line_scan.token sc 0);
+    for i = 1 to n - 1 do f b (Line_scan.token sc i) done
+  in
   try
-    let builder = ref None in
-    let ended = ref false in
-    let get_builder lineno =
-      match !builder with
-      | Some b -> b
-      | None -> fail lineno "missing 'circuit NAME' header"
-    in
-    List.iteri
-      (fun idx raw ->
-        let lineno = idx + 1 in
-        let tokens = tokenize (strip_comment raw) in
-        match tokens with
-        | [] -> ()
-        | _ when !ended -> fail lineno "content after 'end'"
-        | [ "circuit"; name ] ->
-            if !builder <> None then fail lineno "duplicate 'circuit' header";
-            builder := Some (Builder.create name)
-        | "circuit" :: _ -> fail lineno "usage: circuit NAME"
-        | "input" :: names ->
-            let b = get_builder lineno in
-            if names = [] then fail lineno "usage: input NAME...";
-            List.iter
-              (fun n ->
-                try ignore (Builder.input b n)
-                with Invalid_argument m -> fail lineno "%s" m)
-              names
-        | "output" :: names ->
-            let b = get_builder lineno in
-            if names = [] then fail lineno "usage: output NAME...";
-            List.iter (fun n -> Builder.mark_output b (Builder.signal b n)) names
-        | "gate" :: name :: kind_name :: out :: rest ->
-            let b = get_builder lineno in
-            let kind =
-              match Gate_kind.of_name kind_name with
-              | Some k -> k
-              | None -> fail lineno "unknown gate kind %S" kind_name
-            in
-            let arity = Gate_kind.arity kind in
-            let rec split_ins acc n = function
-              | tok :: rest when n > 0 -> split_ins (tok :: acc) (n - 1) rest
-              | rest -> (List.rev acc, rest)
-            in
-            let ins, attr_toks = split_ins [] arity rest in
-            if List.length ins <> arity then
-              fail lineno "gate %s: kind %s needs %d inputs" name kind_name arity;
-            let attrs = List.filter_map (parse_attr lineno) attr_toks in
-            let leftovers =
-              List.filter (fun tok -> parse_attr lineno tok = None) attr_toks
-            in
-            (match leftovers with
-            | [] -> ()
-            | tok :: _ -> fail lineno "unexpected token %S" tok);
-            let operand tok =
-              match tok with
-              | "const0" -> Builder.const b Value.L0
-              | "const1" -> Builder.const b Value.L1
-              | _ -> Builder.signal b tok
-            in
-            let inputs = List.map operand ins in
-            let output = Builder.signal b out in
-            let vt = Array.make arity None in
-            let extra_load = ref 0. in
-            List.iter
-              (function
-                | Vt (pin, v) ->
-                    if pin < 0 || pin >= arity then
-                      fail lineno "gate %s: vt pin %d out of range" name pin;
-                    vt.(pin) <- Some v
-                | Load l -> extra_load := l)
-              attrs;
-            (try
-               ignore
-                 (Builder.add_gate b kind ~name ~input_vt:(Array.to_list vt)
-                    ~extra_load:!extra_load ~inputs ~output)
-             with Invalid_argument m -> fail lineno "%s" m)
-        | [ "end" ] ->
-            ignore (get_builder lineno);
-            ended := true
-        | tok :: _ -> fail lineno "unknown directive %S" tok)
-      lines;
+    while Line_scan.next sc do
+      let lineno = Line_scan.line sc and n = Line_scan.count sc in
+      if n = 0 then ()
+      else if !ended then fail lineno "content after 'end'"
+      else if Line_scan.is sc 0 "circuit" then begin
+        if n <> 2 then fail lineno "usage: circuit NAME";
+        if !builder <> None then fail lineno "duplicate 'circuit' header";
+        builder := Some (Builder.create (Line_scan.token sc 1))
+      end
+      else if Line_scan.is sc 0 "input" then
+        names lineno n (fun b s ->
+            try ignore (Builder.input b s) with Invalid_argument m -> fail lineno "%s" m)
+      else if Line_scan.is sc 0 "output" then
+        names lineno n (fun b s -> Builder.mark_output b (Builder.signal b s))
+      else if Line_scan.is sc 0 "gate" && n >= 4 then
+        gate_line sc (get_builder lineno) lineno
+      else if Line_scan.is sc 0 "end" && n = 1 then begin
+        ignore (get_builder lineno);
+        ended := true
+      end
+      else fail lineno "unknown directive %S" (Line_scan.token sc 0)
+    done;
     match !builder with
     | None -> Error { line = 0; message = "empty document" }
-    | Some b ->
-        if not !ended then Error { line = List.length lines; message = "missing 'end'" }
-        else begin
-          try Ok (Builder.finalize b)
-          with Invalid_argument m -> Error { line = 0; message = m }
-        end
+    | Some _ when not !ended -> Error { line = Line_scan.line sc; message = "missing 'end'" }
+    | Some b -> ( try Ok (Builder.finalize b) with Invalid_argument m -> Error { line = 0; message = m })
   with Parse_error e -> Error e
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string text
+let parse_file path = parse_string (In_channel.with_open_text path In_channel.input_all)
 
 let to_string c =
   let buf = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pr "circuit %s\n" (Netlist.name c);
-  (match Netlist.primary_inputs c with
-  | [] -> ()
-  | ins -> pr "input %s\n" (String.concat " " (List.map (Netlist.signal_name c) ins)));
-  (match Netlist.primary_outputs c with
-  | [] -> ()
-  | outs -> pr "output %s\n" (String.concat " " (List.map (Netlist.signal_name c) outs)));
+  let names kw = function
+    | [] -> ()
+    | ids -> pr "%s %s\n" kw (String.concat " " (List.map (Netlist.signal_name c) ids))
+  in
+  names "input" (Netlist.primary_inputs c);
+  names "output" (Netlist.primary_outputs c);
   Array.iter
     (fun (g : Netlist.gate) ->
       let operand sid =
@@ -178,7 +141,4 @@ let to_string c =
   pr "end\n";
   Buffer.contents buf
 
-let write_file path c =
-  let oc = open_out path in
-  output_string oc (to_string c);
-  close_out oc
+let write_file path c = Out_channel.with_open_text path (fun oc -> output_string oc (to_string c))

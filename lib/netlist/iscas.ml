@@ -1,4 +1,5 @@
 module Gate_kind = Halotis_logic.Gate_kind
+module Line_scan = Halotis_util.Line_scan
 
 type error = { line : int; message : string }
 
@@ -9,9 +10,6 @@ exception Parse_error of error
 let fail line fmt = Format.kasprintf (fun message -> raise (Parse_error { line; message })) fmt
 
 let strip s = String.trim s
-
-let strip_comment line =
-  match String.index_opt line '#' with None -> line | Some i -> String.sub line 0 i
 
 (* "INPUT(G1)" -> Some ("INPUT", "G1") *)
 let directive line =
@@ -53,46 +51,41 @@ let kind_of lineno fn arity =
   | _, _ -> fail lineno "unknown function %S" fn
 
 let parse_string ?(name = "bench") text =
-  let lines = String.split_on_char '\n' text in
+  let sc = Line_scan.create text in
   try
     let b = Builder.create name in
-    let outputs = ref [] in
-    let gate_counter = ref 0 in
-    List.iteri
-      (fun idx raw ->
-        let lineno = idx + 1 in
-        let line = strip (strip_comment raw) in
-        if line <> "" then begin
-          match directive line with
-          | Some ("INPUT", sig_name) -> (
-              try ignore (Builder.input b sig_name)
-              with Invalid_argument m -> fail lineno "%s" m)
-          | Some ("OUTPUT", sig_name) -> outputs := sig_name :: !outputs
-          | Some _ | None ->
-              let out, fn, operands = assignment lineno line in
-              let kind = kind_of lineno fn (List.length operands) in
-              let inputs = List.map (Builder.signal b) operands in
-              let output = Builder.signal b out in
-              incr gate_counter;
-              (try
-                 ignore
-                   (Builder.add_gate b kind
-                      ~name:(Printf.sprintf "g%d_%s" !gate_counter out)
-                      ~inputs ~output)
-               with Invalid_argument m -> fail lineno "%s" m)
-        end)
-      lines;
+    let outputs = ref [] and gate_counter = ref 0 in
+    while Line_scan.next sc do
+      let lineno = Line_scan.line sc and n = Line_scan.count sc in
+      let lo = if n = 0 then 0 else Line_scan.start sc 0 in
+      let hi = if n = 0 then 0 else Line_scan.stop sc (n - 1) in
+      (* the tokens' span; strip also drops form feeds, as .bench always has *)
+      let line = strip (String.sub text lo (hi - lo)) in
+      if line <> "" then begin
+        match directive line with
+        | Some ("INPUT", sig_name) -> (
+            try ignore (Builder.input b sig_name) with Invalid_argument m -> fail lineno "%s" m)
+        | Some ("OUTPUT", sig_name) -> outputs := sig_name :: !outputs
+        | Some _ | None -> (
+            let out, fn, operands = assignment lineno line in
+            let kind = kind_of lineno fn (List.length operands) in
+            let inputs = List.map (Builder.signal b) operands in
+            let output = Builder.signal b out in
+            incr gate_counter;
+            let name = String.concat "" [ "g"; string_of_int !gate_counter; "_"; out ] in
+            try ignore (Builder.add_gate b kind ~name ~inputs ~output)
+            with Invalid_argument m -> fail lineno "%s" m)
+      end
+    done;
     List.iter (fun n -> Builder.mark_output b (Builder.signal b n)) (List.rev !outputs);
     try Ok (Builder.finalize b)
     with Invalid_argument m -> Error { line = 0; message = m }
   with Parse_error e -> Error e
 
 let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string ~name:(Filename.remove_extension (Filename.basename path)) text
+  parse_string
+    ~name:(Filename.remove_extension (Filename.basename path))
+    (In_channel.with_open_text path In_channel.input_all)
 
 let c17_text =
   {|# ISCAS-85 c17
@@ -159,10 +152,4 @@ let to_string c =
   with Unsupported m -> Error m
 
 let write_file path c =
-  match to_string c with
-  | Error _ as e -> e
-  | Ok text ->
-      let oc = open_out path in
-      output_string oc text;
-      close_out oc;
-      Ok ()
+  Result.map (fun text -> Out_channel.with_open_text path (fun oc -> output_string oc text)) (to_string c)

@@ -1,3 +1,5 @@
+module Names = Hashtbl.Make (String)
+
 type signal_id = int
 type gate_id = int
 
@@ -27,8 +29,8 @@ type t = {
   gates : gate array;
   primary_inputs : signal_id list;
   primary_outputs : signal_id list;
-  signal_by_name : (string, signal_id) Hashtbl.t;
-  gate_by_name : (string, gate_id) Hashtbl.t;
+  signal_by_name : signal_id Names.t;
+  gate_by_name : gate_id Names.t;
 }
 
 let name t = t.name
@@ -40,8 +42,8 @@ let signals t = t.signals
 let gates t = t.gates
 let primary_inputs t = t.primary_inputs
 let primary_outputs t = t.primary_outputs
-let find_signal t n = Hashtbl.find_opt t.signal_by_name n
-let find_gate t n = Hashtbl.find_opt t.gate_by_name n
+let find_signal t n = Names.find_opt t.signal_by_name n
+let find_gate t n = Names.find_opt t.gate_by_name n
 let signal_name t id = t.signals.(id).signal_name
 let gate_name t id = t.gates.(id).gate_name
 
@@ -93,7 +95,7 @@ let validate ~signals ~gates ~primary_inputs ~primary_outputs =
         fail "gate %s: input_vt length mismatch" g.gate_name;
       Array.iter check_sig g.fanin;
       check_sig g.output;
-      if signals.(g.output).driver <> Some i then
+      if Option.value signals.(g.output).driver ~default:(-1) <> i then
         fail "gate %s: output signal does not record it as driver" g.gate_name)
     gates;
   List.iter
@@ -104,12 +106,8 @@ let validate ~signals ~gates ~primary_inputs ~primary_outputs =
     primary_inputs;
   List.iter check_sig primary_outputs
 
-let make ~name ~signals ~gates ~primary_inputs ~primary_outputs =
+let make ~name ~signals ~gates ~primary_inputs ~primary_outputs ~signal_by_name ~gate_by_name =
   validate ~signals ~gates ~primary_inputs ~primary_outputs;
-  let signal_by_name = Hashtbl.create (Array.length signals) in
-  Array.iter (fun s -> Hashtbl.replace signal_by_name s.signal_name s.signal_id) signals;
-  let gate_by_name = Hashtbl.create (Array.length gates) in
-  Array.iter (fun g -> Hashtbl.replace gate_by_name g.gate_name g.gate_id) gates;
   { name; signals; gates; primary_inputs; primary_outputs; signal_by_name; gate_by_name }
 
 let pp_summary fmt t =

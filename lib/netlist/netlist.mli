@@ -59,15 +59,21 @@ val gate_name : t -> gate_id -> string
 val fanout_gates : t -> signal_id -> gate_id list
 (** Distinct gates loading a signal. *)
 
+module Names : Hashtbl.S with type key = string  (** name tables, see {!make} *)
+
 val make :
   name:string ->
   signals:signal array ->
   gates:gate array ->
   primary_inputs:signal_id list ->
   primary_outputs:signal_id list ->
+  signal_by_name:signal_id Names.t ->
+  gate_by_name:gate_id Names.t ->
   t
-(** Used by {!Halotis_netlist.Builder}; validates internal consistency
-    (ids match indices, pins in range, loads consistent with fanin).
+(** Used by {!Halotis_netlist.Builder}, which hands over its name
+    tables (each name to its id; the circuit keeps them); validates
+    internal consistency (ids match indices, pins in range, loads
+    consistent with fanin).
     @raise Invalid_argument on inconsistency. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -1,6 +1,7 @@
 module Drive = Halotis_engine.Drive
 module Transition = Halotis_wave.Transition
 module Netlist = Halotis_netlist.Netlist
+module Line_scan = Halotis_util.Line_scan
 
 type error = { line : int; message : string }
 
@@ -15,14 +16,6 @@ type t = {
   entries : (string * Drive.t) list;
   raw_changes : (string * (float * bool) list) list;
 }
-
-let tokenize line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
-
-let strip_comment line =
-  match String.index_opt line '#' with None -> line | Some i -> String.sub line 0 i
 
 let parse_level lineno tok =
   match tok with
@@ -41,42 +34,35 @@ let parse_change lineno tok =
       | Some _ | None -> fail lineno "bad time %S" time_str)
 
 let parse_string text =
-  let lines = String.split_on_char '\n' text in
+  let sc = Line_scan.create text in
   try
-    let slope = ref 100. in
-    let entries = ref [] in
-    let raws = ref [] in
-    let seen = Hashtbl.create 8 in
-    List.iteri
-      (fun idx raw ->
-        let lineno = idx + 1 in
-        match tokenize (strip_comment raw) with
-        | [] -> ()
-        | [ "slope"; v ] -> (
-            match float_of_string_opt v with
-            | Some s when s > 0. -> slope := s
-            | Some _ | None -> fail lineno "bad slope %S" v)
-        | "slope" :: _ -> fail lineno "usage: slope PICOSECONDS"
-        | "input" :: name :: initial :: changes ->
-            if Hashtbl.mem seen name then fail lineno "duplicate input %S" name;
-            Hashtbl.add seen name ();
-            let initial = parse_level lineno initial in
-            let changes = List.map (parse_change lineno) changes in
-            let drive = Drive.of_levels ~slope:!slope ~initial changes in
-            entries := (name, drive) :: !entries;
-            raws := (name, changes) :: !raws
-        | [ "input" ] | [ "input"; _ ] -> fail lineno "usage: input NAME INITIAL [LEVEL@TIME...]"
-        | tok :: _ -> fail lineno "unknown directive %S" tok)
-      lines;
+    let slope = ref 100. and entries = ref [] and raws = ref [] and seen = Hashtbl.create 8 in
+    while Line_scan.next sc do
+      let lineno = Line_scan.line sc and n = Line_scan.count sc in
+      let tok = Line_scan.token sc in
+      if n = 0 then ()
+      else if Line_scan.is sc 0 "slope" then begin
+        if n <> 2 then fail lineno "usage: slope PICOSECONDS";
+        match float_of_string_opt (tok 1) with
+        | Some s when s > 0. -> slope := s
+        | Some _ | None -> fail lineno "bad slope %S" (tok 1)
+      end
+      else if Line_scan.is sc 0 "input" then begin
+        if n < 3 then fail lineno "usage: input NAME INITIAL [LEVEL@TIME...]";
+        let name = tok 1 in
+        if Hashtbl.mem seen name then fail lineno "duplicate input %S" name;
+        Hashtbl.add seen name ();
+        let initial = parse_level lineno (tok 2) in
+        let changes = List.init (n - 3) (fun k -> parse_change lineno (tok (k + 3))) in
+        entries := (name, Drive.of_levels ~slope:!slope ~initial changes) :: !entries;
+        raws := (name, changes) :: !raws
+      end
+      else fail lineno "unknown directive %S" (tok 0)
+    done;
     Ok { slope = !slope; entries = List.rev !entries; raw_changes = List.rev !raws }
   with Parse_error e -> Error e
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string text
+let parse_file path = parse_string (In_channel.with_open_text path In_channel.input_all)
 
 let to_string t =
   let buf = Buffer.create 256 in
@@ -98,14 +84,13 @@ let to_string t =
   Buffer.contents buf
 
 let bind t circuit =
-  let inputs = Netlist.primary_inputs circuit in
   let rec resolve acc = function
     | [] -> Ok (List.rev acc)
     | (name, drive) :: rest -> (
         match Netlist.find_signal circuit name with
         | None -> Error (Printf.sprintf "stimulus names unknown signal %S" name)
         | Some sid ->
-            if not (List.mem sid inputs) then
+            if not (Netlist.signal circuit sid).Netlist.is_primary_input then
               Error (Printf.sprintf "stimulus entry %S is not a primary input" name)
             else resolve ((sid, drive) :: acc) rest)
   in

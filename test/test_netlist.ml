@@ -683,27 +683,226 @@ let prop_iscas_never_raises =
       match Iscas.parse_string text with Ok _ | Error _ -> true)
 
 (* Structured garbage: random directive-shaped lines. *)
+let hnl_line_gen =
+  QCheck.Gen.oneofl
+    [
+      "circuit x";
+      "input a b";
+      "output y";
+      "gate g inv y a";
+      "gate g nand2 y a b vt0=1.5";
+      "gate g and2 y a const0";
+      "end";
+      "gate g xor9";
+      "input";
+      "vt0=oops";
+      "gate h inv z a stray load=1";
+      "# comment";
+    ]
+
 let prop_hnl_never_raises_structured =
-  let line_gen =
-    QCheck.Gen.oneofl
-      [
-        "circuit x";
-        "input a b";
-        "output y";
-        "gate g inv y a";
-        "gate g nand2 y a b vt0=1.5";
-        "gate g and2 y a const0";
-        "end";
-        "gate g xor9";
-        "input";
-        "vt0=oops";
-        "# comment";
-      ]
-  in
   QCheck.Test.make ~name:"hnl parser total on shuffled directives" ~count:300
-    (QCheck.make QCheck.Gen.(list_size (int_range 0 12) line_gen))
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 12) hnl_line_gen))
     (fun lines ->
       match Hnl.parse_string (String.concat "\n" lines) with Ok _ | Error _ -> true)
+
+(* --- differential readers ---
+
+   The library readers against the reference readers of
+   [Ref_readers] (the pre-scanner implementations): on every input
+   without a carriage return both return [Ok] with the same signals,
+   gates, PI/PO lists and name lookups, or both return the same
+   [Error {line; message}]. *)
+
+module Ref = Ref_readers
+module Stimfile = Halotis_stim.Stimfile
+
+let same_netlist a b =
+  let names f c = Array.to_list (Array.map f c) in
+  let sig_names = names (fun s -> s.N.signal_name) (N.signals a) @ [ "missing" ]
+  and gate_names = names (fun g -> g.N.gate_name) (N.gates a) @ [ "missing" ] in
+  let lookups c = (List.map (N.find_signal c) sig_names, List.map (N.find_gate c) gate_names) in
+  N.name a = N.name b
+  && compare (N.signals a) (N.signals b) = 0
+  && compare (N.gates a) (N.gates b) = 0
+  && N.primary_inputs a = N.primary_inputs b
+  && N.primary_outputs a = N.primary_outputs b
+  && lookups a = lookups b
+
+let agree same r1 r2 =
+  match (r1, r2) with
+  | Ok a, Ok b -> same a b
+  | Error e1, Error e2 -> e1 = e2
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let hnl_agree text = agree same_netlist (Hnl.parse_string text) (Ref.Hnl.parse_string text)
+let iscas_agree text = agree same_netlist (Iscas.parse_string text) (Ref.Iscas.parse_string text)
+
+let stim_agree text =
+  agree (fun a b -> compare a b = 0) (Stimfile.parse_string text) (Ref.Stimfile.parse_string text)
+
+(* A real circuit printed as HNL, its gate lines decorated with vt/load
+   attributes; one document in four carries one bad attribute (a pin
+   out of range, a bad value or a bad key). *)
+let hnl_text_gen =
+  QCheck.Gen.(
+    let* shape = int_range 0 3 and* seed = int_range 0 10_000 in
+    let c =
+      match shape with
+      | 0 -> G.random_combinational ~gates:(1 + (seed mod 60)) ~inputs:(1 + (seed mod 6)) ~seed ()
+      | 1 -> (G.array_multiplier ~m:(1 + (seed mod 3)) ~n:(1 + (seed mod 4)) ()).G.mult_circuit
+      | 2 -> (G.fig1_circuit ()).G.circuit
+      | _ -> (G.ripple_carry_adder ~bits:(1 + (seed mod 4)) ()).G.adder_circuit
+    in
+    let good = [| ""; ""; " vt0=1.25"; " load=3.5"; " vt0=0.9 load=1 vt0=1" |]
+    and bad = [| " vt9=1"; " vt0=x"; " vt=1"; " volts=2"; " load="; " stray"; " stray vt7=1" |] in
+    let ngates = N.gate_count c in
+    let* picks = list_repeat ngates (int_bound (Array.length good - 1))
+    and* bad_at = int_bound ((4 * ngates) - 1)
+    and* bad_pick = int_bound (Array.length bad - 1) in
+    let picks = Array.of_list picks and gate = ref (-1) in
+    String.split_on_char '\n' (Hnl.to_string c)
+    |> List.map (fun l ->
+           if String.starts_with ~prefix:"gate " l then begin
+             incr gate;
+             l ^ good.(picks.(!gate)) ^ if !gate = bad_at then bad.(bad_pick) else ""
+           end
+           else l)
+    |> String.concat "\n" |> return)
+
+(* Valid documents reordered or damaged: the [body] lines shuffled
+   among themselves (so signals are first mentioned elsewhere and ids
+   change), a dropped, repeated or swapped line, or a truncation at a
+   random byte. *)
+let mutate_gen ~body text_gen =
+  QCheck.Gen.(
+    let* text = text_gen and* how = int_range 0 7 and* r1 = nat and* r2 = nat in
+    let lines = Array.of_list (String.split_on_char '\n' text) in
+    let n = Array.length lines in
+    let i = r1 mod n and j = r2 mod n in
+    let slots = List.filter (fun k -> body lines.(k)) (List.init n Fun.id) in
+    let+ order = shuffle_l (List.map (fun k -> lines.(k)) slots) in
+    let join () = String.concat "\n" (Array.to_list lines) in
+    match how with
+    | 0 | 6 -> text
+    | 1 -> String.concat "\n" (List.filteri (fun k _ -> k <> i) (Array.to_list lines))
+    | 2 -> join () ^ "\n" ^ lines.(i)
+    | 3 ->
+        let t = lines.(i) in
+        lines.(i) <- lines.(j);
+        lines.(j) <- t;
+        join ()
+    | 4 -> String.sub text 0 (r1 mod (String.length text + 1))
+    | _ ->
+        List.iter2 (fun k l -> lines.(k) <- l) slots order;
+        join ())
+
+(* Printable garbage plus the blanks and bytes the readers treat
+   specially (tab, form feed, '#'), but never a carriage return. *)
+let garbage_gen =
+  QCheck.Gen.(
+    string_size
+      ~gen:(frequency [ (8, printable); (1, oneofl [ '\t'; '\012'; '#'; ' '; '\n'; '=' ]) ])
+      (int_range 0 200))
+
+let lines_gen line_gen = QCheck.Gen.(map (String.concat "\n") (list_size (int_range 0 12) line_gen))
+
+let bench_text_gen =
+  QCheck.Gen.(
+    let* gates = int_range 1 50 and* seed = int_range 0 10_000 in
+    let c = G.random_combinational ~gates ~inputs:(1 + (seed mod 5)) ~seed () in
+    return (match Iscas.to_string c with Ok t -> t | Error m -> failwith m))
+
+let bench_line_gen =
+  QCheck.Gen.oneofl
+    [
+      "INPUT(G1)";
+      "input( G2 )";
+      "OUTPUT(G3)";
+      "G3 = NAND(G1, G2)";
+      "G4 = not(G3)";
+      "G5 = AND(G1)";
+      "G6 = FOO(G1, G2)";
+      "G7 NAND(G1, G2)";
+      "G8 = NAND G1";
+      "G1 = BUFF(G2)";
+      "  G9 = XOR(G1,,G2) # trailing";
+      "INPUT(G1)";
+      "\012";
+    ]
+
+let hsv_line_gen =
+  QCheck.Gen.oneofl
+    [
+      "slope 100";
+      "slope 0";
+      "slope x";
+      "slope";
+      "slope 100 200";
+      "input a 0";
+      "input b 1 0@100 1@250.5";
+      "input a 1";
+      "input c 2";
+      "input d 0 1@x";
+      "input e 0 1@-5";
+      "input f 0 10";
+      "input";
+      "input g";
+      "\tinput h  1  0@3   # tail";
+      "bogus line";
+      "# comment";
+    ]
+
+let hsv_text_gen =
+  QCheck.Gen.(
+    let* n = int_range 0 8 and* seed = nat in
+    let rng = Halotis_util.Prng.create ~seed in
+    let line k =
+      let changes =
+        List.init (Halotis_util.Prng.int rng ~bound:5) (fun i ->
+            Printf.sprintf " %d@%d" (i mod 2) (100 * (i + 1)))
+      in
+      Printf.sprintf "input in%d %d%s" k (Halotis_util.Prng.int rng ~bound:2) (String.concat "" changes)
+    in
+    return (String.concat "\n" ("slope 80" :: List.init n line)))
+
+let differential name agree ~docs ~lines =
+  QCheck.Test.make ~name ~count:400
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       (QCheck.Gen.frequency [ (3, docs); (1, lines_gen lines); (1, garbage_gen) ]))
+    agree
+
+let prop_hnl_differential =
+  differential "hnl reader = reference reader" hnl_agree ~lines:hnl_line_gen
+    ~docs:(mutate_gen ~body:(String.starts_with ~prefix:"gate ") hnl_text_gen)
+
+let prop_iscas_differential =
+  differential "iscas reader = reference reader" iscas_agree ~lines:bench_line_gen
+    ~docs:(mutate_gen ~body:(fun l -> String.contains l '=') bench_text_gen)
+
+let prop_stim_differential =
+  differential "hsv reader = reference reader" stim_agree ~lines:hsv_line_gen
+    ~docs:(mutate_gen ~body:(String.starts_with ~prefix:"input ") hsv_text_gen)
+
+(* CRLF text reads like its LF copy: carriage returns are blanks. *)
+let test_crlf_fixtures () =
+  let read f = In_channel.with_open_bin (Filename.concat "../examples/data" f) In_channel.input_all in
+  let crlf text = String.concat "\r\n" (String.split_on_char '\n' text) in
+  let check label same parse f =
+    let text = read f in
+    checkb (label ^ " " ^ f) true (agree same (parse text) (parse (crlf text)))
+  in
+  List.iter (check "hnl" same_netlist Hnl.parse_string)
+    [ "c17.hnl"; "fig1.hnl"; "flawed.hnl"; "mult4x4.hnl"; "ring.hnl" ];
+  List.iter (check "hsv" (fun a b -> compare a b = 0) Stimfile.parse_string)
+    [ "c17_flawed.hsv"; "c17_walk.hsv"; "fig1_pulse.hsv"; "mult4x4.hsv"; "ring.hsv" ];
+  check "bench" same_netlist (Iscas.parse_string ~name:"c17") "c17.bench";
+  (match Hnl.parse_string "circuit c\r\ninput a\r\noutput y\r\ngate g inv y a\r\nend\r\n" with
+  | Ok c -> checkb "no CR in names" true (N.find_signal c "a" <> None)
+  | Error e -> Alcotest.failf "CRLF hnl: %a" Hnl.pp_error e);
+  match Stimfile.parse_string "slope 100\r\ninput a 0 1@5\r\n" with
+  | Ok st -> checkb "slope" true (st.Stimfile.slope = 100.)
+  | Error e -> Alcotest.failf "CRLF hsv: %a" Stimfile.pp_error e
 
 let tests =
   tests
@@ -713,6 +912,10 @@ let tests =
           QCheck_alcotest.to_alcotest prop_hnl_never_raises;
           QCheck_alcotest.to_alcotest prop_iscas_never_raises;
           QCheck_alcotest.to_alcotest prop_hnl_never_raises_structured;
+          QCheck_alcotest.to_alcotest prop_hnl_differential;
+          QCheck_alcotest.to_alcotest prop_iscas_differential;
+          QCheck_alcotest.to_alcotest prop_stim_differential;
+          Alcotest.test_case "CRLF reads like LF" `Quick test_crlf_fixtures;
         ] );
     ]
 

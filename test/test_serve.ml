@@ -701,6 +701,110 @@ let test_lines_reader () =
   Alcotest.(check (list string)) "clean tail" [ "x"; "y" ] (Json.Lines.to_list r2);
   checks "no leftover" "" (Json.Lines.leftover r2)
 
+(* --- hostile NDJSON: handle_line never raises ---
+
+   Valid request lines of a session walk, damaged by truncation, byte
+   flips or a garbage inline HNL source, go through [handle_line] on
+   one connection.  Each must get exactly one JSON reply line (ok or
+   error), and the next valid request on that connection must still
+   succeed. *)
+
+let inline_hnl = "circuit t\ninput a b\noutput y\ngate g1 nand2 y a b vt0=1.5\nend\n"
+
+let load_inline source =
+  Protocol.Load
+    {
+      Protocol.ld_circuit = Protocol.Inline source;
+      ld_engine = "ddm";
+      ld_stim = None;
+      ld_t_stop = None;
+      ld_max_events = Some 100_000;
+      ld_max_transitions = None;
+      ld_watchdog = None;
+    }
+
+let walk_requests =
+  [|
+    load_inline inline_hnl;
+    Protocol.Set_input { si_session = 1; si_signal = "a"; si_at = 100.; si_level = true; si_slope = None };
+    Protocol.Advance { ad_session = 1; ad_upto = Protocol.Dt 500. };
+    Protocol.Query { qu_session = 1; qu_query = Protocol.Q_edges None };
+    Protocol.Query { qu_session = 1; qu_query = Protocol.Q_waveform "y" };
+    Protocol.Inject
+      { in_session = 1; in_signal = "y"; in_at = 700.; in_width = 50.; in_slope = None; in_up = true };
+    Protocol.Query { qu_session = 1; qu_query = Protocol.Q_stats };
+    Protocol.Cache_stats;
+    Protocol.Close 1;
+  |]
+
+let framed ~id r =
+  match Protocol.request_to_json r with
+  | Json.Obj fields -> Json.to_string ~indent:false (Json.Obj (("id", Json.Num (float_of_int id)) :: fields))
+  | _ -> assert false
+
+(* One hostile line, given the id the connection expects next. *)
+let hostile_gen =
+  let open QCheck.Gen in
+  let* base = int_bound (Array.length walk_requests - 1) and* how = int_range 0 2 in
+  let* cut = nat and* flips = list_size (int_range 1 3) (pair nat (map Char.chr (int_bound 255))) in
+  let* garbage =
+    oneof
+      [
+        string_size ~gen:printable (int_range 0 120);
+        map
+          (fun (i, c) ->
+            let b = Bytes.of_string inline_hnl in
+            Bytes.set b (i mod Bytes.length b) c;
+            Bytes.to_string b)
+          (pair nat printable);
+      ]
+  in
+  return (fun ~id ->
+      let line = framed ~id walk_requests.(base) in
+      match how with
+      | 0 -> String.sub line 0 (cut mod (String.length line + 1))
+      | 1 ->
+          let b = Bytes.of_string line in
+          List.iter (fun (i, c) -> Bytes.set b (i mod Bytes.length b) c) flips;
+          Bytes.to_string b
+      | _ -> framed ~id (load_inline garbage))
+
+let prop_handle_line_never_raises =
+  QCheck.Test.make ~name:"handle_line total on hostile lines" ~count:150
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 8) hostile_gen))
+    (fun lines ->
+      let _, conn = mk_conn () in
+      let next = ref 1 in
+      (* one reply line that parses, answering [id] when it carries one;
+         the request consumed the expected id iff the reply echoes it *)
+      let reply line =
+        let out = Server.handle_line conn line in
+        if String.contains out '\n' then QCheck.Test.fail_reportf "multi-line reply %S" out;
+        match Json.parse_strict out with
+        | Error _ -> QCheck.Test.fail_reportf "reply is not JSON: %S" out
+        | Ok j ->
+            (match Json.member "id" j with
+            | Some (Json.Num f) when int_of_float f = !next -> incr next
+            | _ -> ());
+            Json.member "ok" j
+      in
+      let valid r =
+        let id = !next in
+        if reply (framed ~id r) <> Some (Json.Bool true) then
+          QCheck.Test.fail_reportf "valid request %d failed after hostile input" id
+      in
+      valid (Protocol.Hello Protocol.version);
+      List.iter
+        (fun hostile ->
+          let line = hostile ~id:!next in
+          (match reply line with
+          | Some (Json.Bool _) -> ()
+          | _ -> QCheck.Test.fail_reportf "reply to %S has no ok flag" line);
+          valid (load_inline inline_hnl);
+          valid Protocol.Cache_stats)
+        lines;
+      true)
+
 (* ------------------------------------------------------------------ *)
 
 let tests =
@@ -711,6 +815,7 @@ let tests =
         QCheck_alcotest.to_alcotest prop_request_wire_roundtrip;
         QCheck_alcotest.to_alcotest prop_response_wire_roundtrip;
         QCheck_alcotest.to_alcotest prop_stepped_equals_oneshot;
+        QCheck_alcotest.to_alcotest prop_handle_line_never_raises;
         Alcotest.test_case "transition cap stops every engine at k" `Quick test_transition_cap;
         Alcotest.test_case "transition cap stop metadata" `Quick test_transition_cap_stop_meta;
         Alcotest.test_case "circuit cache LRU and counters" `Quick test_cache_lru;
