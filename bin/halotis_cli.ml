@@ -305,8 +305,9 @@ let print_power_report tech c (r : Iddm.result) =
     (Glitch.pulse_width_histogram ~vt:(DL.vdd /. 2.) r.Iddm.waveforms)
 
 (* The JSON result document of `simulate --json`, engine-independent
-   via the Sim facade: stats, the stop reason and the partial flag are
-   what scripts poll to detect a guardrail trip; event_rate_top is the
+   via the Sim facade: stats, the stop reason, the partial flag and
+   end_time (the last processed event's instant) are what scripts poll
+   to detect a guardrail trip; event_rate_top is the
    watchdog's event-rate view, present whether or not one tripped. *)
 let simulate_json c ~model_name ~horizon (r : Sim.result) =
   Json.Obj
@@ -315,6 +316,7 @@ let simulate_json c ~model_name ~horizon (r : Sim.result) =
       ("circuit", Json.Str (N.name c));
       ("model", Json.Str model_name);
       ("t_stop", Json.Num horizon);
+      ("end_time", Json.Num r.Sim.rs_end_time);
       ("partial", Json.Bool (not (Stop.completed r.Sim.rs_stopped_by)));
       ("stopped_by", Stop.to_json r.Sim.rs_stopped_by);
       ("stats", Stats.to_json r.Sim.rs_stats);
@@ -356,8 +358,7 @@ let warn_stop stopped =
     Format.eprintf "halotis: simulation stopped early: %a@." Stop.pp stopped
 
 let run_simulate path stim_path model t_stop vcd_path diagram liberty report max_events
-    max_wall max_queue max_sim_time watchdog degrade wd_window wd_threshold json
-    checkpoint_path =
+    max_wall max_queue max_sim_time watchdog degrade wd_window wd_threshold json =
   let tech = load_tech liberty in
   let c = or_die (load_circuit path) in
   let stim = or_die (load_stimfile stim_path) in
@@ -410,17 +411,6 @@ let run_simulate path stim_path model t_stop vcd_path diagram liberty report max
           Vcd.write_file ?comment:(partial_comment r.Sim.rs_stopped_by) p (Sim.vcd_dumps r);
           Printf.eprintf "vcd written to %s\n" p
       | None -> ());
-      (match checkpoint_path with
-      | Some p when not (Stop.completed r.Sim.rs_stopped_by) -> (
-          match Sim.iddm r with
-          | Some _ ->
-              Halotis_engine.Checkpoint.write p (Halotis_engine.Checkpoint.of_result r);
-              Printf.eprintf "checkpoint written to %s (stopped by %s)\n" p
-                (Stop.to_string r.Sim.rs_stopped_by)
-          | None ->
-              prerr_endline
-                "halotis: --checkpoint needs a waveform engine (ddm or cdm); ignored")
-      | Some _ | None -> ());
       Stop.exit_code r.Sim.rs_stopped_by
   | `Analog ->
       let r = Asim.run (Asim.config ~t_stop:horizon tech) c ~drives in
@@ -1168,25 +1158,14 @@ let simulate_cmd =
       value & flag
       & info [ "json" ]
           ~doc:
-            "Emit a JSON result document on stdout (stats, stop reason, partial flag) \
-             instead of the text summary (ddm/cdm/classic).")
-  in
-  let checkpoint =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
-          ~doc:
-            "When a guardrail stops the run early, serialize the committed waveform \
-             prefix (every signal, lossless hex floats) plus the stop reason to \
-             $(docv) — the durable record of a budget-stopped run (ddm/cdm only).")
+            "Emit a JSON result document on stdout (stats, stop reason, end time, \
+             partial flag) instead of the text summary (ddm/cdm/classic).")
   in
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
       const run_simulate $ circuit_arg $ stim_arg $ model_arg $ t_stop_arg $ vcd $ diagram
       $ liberty_arg $ report $ max_events_arg $ max_wall_arg $ max_queue_arg
-      $ max_sim_time_arg $ watchdog $ degrade $ wd_window $ wd_threshold $ json
-      $ checkpoint)
+      $ max_sim_time_arg $ watchdog $ degrade $ wd_window $ wd_threshold $ json)
 
 (* Worker mode of [faults] and [vary]: the supervisor spawns every
    worker with [--range LO:HI --journal FILE]. *)

@@ -157,25 +157,5 @@ module Cache = struct
       ec_t0_coef = cache.coef.(base + 4);
     }
 
-  let coefficient_bounds cache gid =
-    let r = edge_coefficients cache gid ~rising:true in
-    let f = edge_coefficients cache gid ~rising:false in
-    let lo = {
-      ec_d_base = Float.min r.ec_d_base f.ec_d_base;
-      ec_d_slope = Float.min r.ec_d_slope f.ec_d_slope;
-      ec_tau_out = Float.min r.ec_tau_out f.ec_tau_out;
-      ec_ddm_tau = Float.min r.ec_ddm_tau f.ec_ddm_tau;
-      ec_t0_coef = Float.min r.ec_t0_coef f.ec_t0_coef;
-    }
-    and hi = {
-      ec_d_base = Float.max r.ec_d_base f.ec_d_base;
-      ec_d_slope = Float.max r.ec_d_slope f.ec_d_slope;
-      ec_tau_out = Float.max r.ec_tau_out f.ec_tau_out;
-      ec_ddm_tau = Float.max r.ec_ddm_tau f.ec_ddm_tau;
-      ec_t0_coef = Float.max r.ec_t0_coef f.ec_t0_coef;
-    }
-    in
-    (lo, hi)
-
   let pin_factor cache gid ~pin = cache.pf.(cache.pf_off.(gid) + pin)
 end

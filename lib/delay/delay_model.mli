@@ -112,12 +112,6 @@ module Cache : sig
   val edge_coefficients : t -> Halotis_netlist.Netlist.gate_id -> rising:bool -> edge_coefficients
   (** Coefficients of one output-edge direction of a gate. *)
 
-  val coefficient_bounds : t -> Halotis_netlist.Netlist.gate_id -> edge_coefficients * edge_coefficients
-  (** [(lo, hi)] — component-wise min/max over the two edge directions
-      of a gate; the conservative coefficient range static analyses
-      ({!Halotis_sta.Survival}) use when the edge direction of a
-      propagating pulse is not determined. *)
-
   val pin_factor : t -> Halotis_netlist.Netlist.gate_id -> pin:int -> float
   (** The cached per-pin delay factor. *)
 end

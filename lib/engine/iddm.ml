@@ -914,8 +914,6 @@ let waveform result name =
   | Some sid -> result.waveforms.(sid)
   | None -> raise Not_found
 
-let waveform_of_id result sid = result.waveforms.(sid)
-
 let output_edges ?vt result =
   let vt = match vt with Some v -> v | None -> Tech.vdd result.run_config.tech /. 2. in
   List.map

@@ -276,9 +276,6 @@ val waveform : result -> string -> Halotis_wave.Waveform.t
 (** Looks a signal's waveform up by name.
     @raise Not_found for unknown names. *)
 
-val waveform_of_id :
-  result -> Halotis_netlist.Netlist.signal_id -> Halotis_wave.Waveform.t
-
 val explain :
   result ->
   signal:Halotis_netlist.Netlist.signal_id ->

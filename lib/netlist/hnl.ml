@@ -10,9 +10,12 @@ exception Parse_error of error
 
 let fail line fmt = Format.kasprintf (fun message -> raise (Parse_error { line; message })) fmt
 
-let operand sc b i =
-  if Line_scan.is sc i "const0" then Builder.const b Value.L0
-  else if Line_scan.is sc i "const1" then Builder.const b Value.L1
+(* A tie operand's shared signal is named const_0/const_1, which a
+   document may already have declared itself. *)
+let operand sc b lineno i =
+  let const v = try Builder.const b v with Invalid_argument m -> fail lineno "%s" m in
+  if Line_scan.is sc i "const0" then const Value.L0
+  else if Line_scan.is sc i "const1" then const Value.L1
   else Builder.signal b (Line_scan.token sc i)
 
 (* One gate line: gate NAME KIND OUT IN... ATTR..., where an attribute
@@ -53,7 +56,7 @@ let gate_line sc b lineno =
         else fail lineno "unknown attribute %S" t)
   done;
   (match !stray with Some t -> fail lineno "unexpected token %S" t | None -> ());
-  let inputs = List.init arity (fun k -> operand sc b (4 + k)) in
+  let inputs = List.init arity (fun k -> operand sc b lineno (4 + k)) in
   let output = Builder.signal b (Line_scan.token sc 3) in
   (match !bad_pin with Some p -> fail lineno "gate %s: vt pin %d out of range" name p | None -> ());
   (* without attributes, the Builder defaults are the same values *)

@@ -21,18 +21,6 @@ let scale_identity =
     sc_ddm_c = 1.0;
   }
 
-let uniform_scale f =
-  {
-    sc_d0 = f;
-    sc_d_load = f;
-    sc_d_slope = f;
-    sc_s0 = f;
-    sc_s_load = f;
-    sc_ddm_a = f;
-    sc_ddm_b = f;
-    sc_ddm_c = f;
-  }
-
 (* Bitwise float equality: a corner at exactly 1.0 is the identity; a
    corner at 1.0 + 1e-17 is not, and must survive into the
    fingerprint.  [Float.equal] would also treat nan = nan, which is

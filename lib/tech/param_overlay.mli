@@ -35,9 +35,6 @@ val scale_identity : scale
 val scale_is_identity : scale -> bool
 (** Exact (bitwise) comparison against {!scale_identity}. *)
 
-val uniform_scale : float -> scale
-(** Every factor set to the given value. *)
-
 type entry = {
   en_rise : scale;
   en_fall : scale;

@@ -6,12 +6,9 @@ let ps x = x
 let ns x = x *. 1000.
 let time_to_ns t = t /. 1000.
 let volts x = x
-let ff x = x
 
 let pp_time fmt t =
   if Float.abs t >= 1000. then Format.fprintf fmt "%.3fns" (t /. 1000.)
   else Format.fprintf fmt "%.1fps" t
 
-let pp_voltage fmt v = Format.fprintf fmt "%.3fV" v
-let pp_capacitance fmt c = Format.fprintf fmt "%.2ffF" c
 let time_to_string t = Format.asprintf "%a" pp_time t

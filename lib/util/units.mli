@@ -26,17 +26,8 @@ val time_to_ns : time -> float
 val volts : float -> voltage
 (** [volts x] is [x] volts. *)
 
-val ff : float -> capacitance
-(** [ff x] is [x] femtofarads. *)
-
 val pp_time : Format.formatter -> time -> unit
 (** Prints a time with an adaptive unit ([ps] or [ns]). *)
-
-val pp_voltage : Format.formatter -> voltage -> unit
-(** Prints a voltage in volts with three decimals. *)
-
-val pp_capacitance : Format.formatter -> capacitance -> unit
-(** Prints a capacitance in femtofarads. *)
 
 val time_to_string : time -> string
 (** [time_to_string t] is [Format.asprintf "%a" pp_time t]. *)

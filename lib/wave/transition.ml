@@ -58,4 +58,3 @@ let pp fmt tr =
   Format.fprintf fmt "%s@%a(tau=%a)" (polarity_to_string tr.polarity)
     Halotis_util.Units.pp_time tr.start Halotis_util.Units.pp_time tr.slope_time
 
-let compare_start a b = Float.compare a.start b.start

@@ -87,6 +87,3 @@ val crossing_ramp :
     instant) when the ramp does not cross [vt]. *)
 
 val pp : Format.formatter -> t -> unit
-
-val compare_start : t -> t -> int
-(** Orders by [start]. *)

@@ -42,18 +42,6 @@ let segments w = List.init w.len (segment_at w)
 let transitions w = List.init w.len (transition_at w)
 let last_segment w = if w.len = 0 then None else Some (segment_at w (w.len - 1))
 
-let iter_segments w f =
-  for i = 0 to w.len - 1 do
-    f (segment_at w i)
-  done
-
-let fold_segments w ~init ~f =
-  let acc = ref init in
-  for i = 0 to w.len - 1 do
-    acc := f !acc (segment_at w i)
-  done;
-  !acc
-
 let last_start w = if w.len = 0 then None else Some w.starts.(w.len - 1)
 let last_start_or_nan w = if w.len = 0 then Float.nan else w.starts.(w.len - 1)
 

@@ -43,19 +43,10 @@ val segment_count : t -> int
 val segments : t -> segment list
 (** Oldest first. *)
 
-val iter_segments : t -> (segment -> unit) -> unit
-(** [iter_segments w f] applies [f] to every live segment, oldest
-    first, without materialising a list — the hot-path alternative to
-    {!segments}. *)
-
 val get_segment : t -> int -> segment
 (** [get_segment w i] is the [i]-th live segment (chronological,
     0-based).  O(1).
     @raise Invalid_argument when [i] is out of bounds. *)
-
-val fold_segments : t -> init:'a -> f:('a -> segment -> 'a) -> 'a
-(** Left fold over live segments, oldest first, without materialising a
-    list. *)
 
 val transitions : t -> Transition.t list
 (** Oldest first. *)

@@ -99,10 +99,13 @@ module Hnl = struct
               (match leftovers with
               | [] -> ()
               | tok :: _ -> fail lineno "unexpected token %S" tok);
+              let const v =
+                try Builder.const b v with Invalid_argument m -> fail lineno "%s" m
+              in
               let operand tok =
                 match tok with
-                | "const0" -> Builder.const b Value.L0
-                | "const1" -> Builder.const b Value.L1
+                | "const0" -> const Value.L0
+                | "const1" -> const Value.L1
                 | _ -> Builder.signal b tok
               in
               let inputs = List.map operand ins in

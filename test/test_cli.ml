@@ -273,8 +273,36 @@ let test_survival_json () =
       | Some (Json.Arr sites) -> checkb "many sites" true (List.length sites > 50)
       | _ -> Alcotest.fail "sites array missing")
 
+(* A budget-stopped run's record is its JSON document: partial, the
+   stop reason and the instant of the last processed event. *)
+let ring_args = [ "simulate"; data "ring.hnl"; "--stim"; data "ring.hsv"; "--t-stop"; "100000" ]
+
+let test_simulate_stopped_json () =
+  let status, stdout =
+    run_capture (ring_args @ [ "--model"; "ddm"; "--max-events"; "200"; "--json" ])
+  in
+  checki "budget stop exits 3" 3 status;
+  match Json.parse stdout with
+  | Error e -> Alcotest.failf "simulate --json is not valid JSON: %s" e
+  | Ok j -> (
+      checkb "partial" true (Json.member "partial" j = Some (Json.Bool true));
+      match (Json.member "end_time" j, Json.member "t_stop" j) with
+      | Some (Json.Num e), Some (Json.Num t) ->
+          checkb "end_time within t_stop" true (e > 0. && e <= t)
+      | _ -> Alcotest.fail "end_time or t_stop missing")
+
+(* The waveform-prefix checkpoint file is gone. *)
+let test_simulate_removed_options () =
+  let status, _ = run_capture (ring_args @ [ "--model"; "ddm"; "--checkpoint"; "x" ]) in
+  checki "--checkpoint is an unknown option" 124 status
+
 let tests =
   [
+    ( "cli.simulate",
+      [
+        Alcotest.test_case "stopped run json" `Quick test_simulate_stopped_json;
+        Alcotest.test_case "--checkpoint removed" `Quick test_simulate_removed_options;
+      ] );
     ( "cli.survival",
       [
         Alcotest.test_case "text map" `Quick test_survival_text;

@@ -692,6 +692,8 @@ let hnl_line_gen =
       "gate g inv y a";
       "gate g nand2 y a b vt0=1.5";
       "gate g and2 y a const0";
+      "input const_0";
+      "gate k inv const_1 a";
       "end";
       "gate g xor9";
       "input";
@@ -904,6 +906,27 @@ let test_crlf_fixtures () =
   | Ok st -> checkb "slope" true (st.Stimfile.slope = 100.)
   | Error e -> Alcotest.failf "CRLF hsv: %a" Stimfile.pp_error e
 
+(* A tie operand's shared signal is named const_0/const_1; a document
+   that already uses that name gets an error on the gate's line, the
+   same from both readers, whichever line names it first. *)
+let test_tie_name_collision () =
+  let docs v =
+    [
+      Printf.sprintf "circuit x\ninput const_%d\noutput y\ngate g inv y const%d\nend\n" v v;
+      Printf.sprintf
+        "circuit x\ninput a\ngate h inv const_%d a\noutput y\ngate g inv y const%d\nend\n" v v;
+    ]
+  in
+  List.iter
+    (fun text ->
+      (match Hnl.parse_string text with
+      | Error { Hnl.line; message } ->
+          checki (text ^ " line") (List.length (String.split_on_char '\n' text) - 2) line;
+          checkb message true (String.ends_with ~suffix:"already used" message)
+      | Ok _ -> Alcotest.failf "expected a tie-name error for %S" text);
+      checkb ("reference reader agrees on " ^ text) true (hnl_agree text))
+    (docs 0 @ docs 1)
+
 let tests =
   tests
   @ [
@@ -916,6 +939,7 @@ let tests =
           QCheck_alcotest.to_alcotest prop_iscas_differential;
           QCheck_alcotest.to_alcotest prop_stim_differential;
           Alcotest.test_case "CRLF reads like LF" `Quick test_crlf_fixtures;
+          Alcotest.test_case "tie name collision is a line error" `Quick test_tie_name_collision;
         ] );
     ]
 

@@ -260,6 +260,89 @@ let prop_json_matches_reference =
       Json.to_string d = Ref_json.to_string d
       && Json.to_string ~indent:false d = Ref_json.to_string ~indent:false d)
 
+(* Both parsers are total: a real document damaged by truncation, byte
+   flips, deep [ / { nesting or stray escapes parses to [Ok] or to an
+   [Error] inside the text, never to an exception. *)
+type json_mutation =
+  | Truncate of int
+  | Flip of int * char
+  | Nest of int * int * char  (* at, depth, opener *)
+  | Escape of int * string  (* at, the bytes after a backslash *)
+
+let mutate_json text m =
+  let at k = k mod (String.length text + 1) in
+  let insert k s =
+    String.sub text 0 (at k) ^ s ^ String.sub text (at k) (String.length text - at k)
+  in
+  match m with
+  | Truncate k -> String.sub text 0 (at k)
+  | Flip (k, ch) ->
+      if text = "" then text
+      else
+        let k = k mod String.length text in
+        String.mapi (fun i c -> if i = k then ch else c) text
+  | Nest (k, depth, opener) -> insert k (String.make depth opener)
+  | Escape (k, tail) -> insert k ("\\" ^ tail)
+
+let prop_json_parse_total =
+  let open QCheck.Gen in
+  let str =
+    string_size ~gen:(oneofl [ 'a'; '"'; '\\'; '\n'; '\t'; '\001'; '\xe9'; ' ' ]) (int_range 0 6)
+  in
+  let doc =
+    sized_size (int_range 0 4)
+    @@ fix (fun self depth ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun f -> Json.Num f) (oneof [ float; map float_of_int small_signed_int ]);
+                 map (fun s -> Json.Str s) str;
+               ]
+           in
+           if depth = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Json.Arr l) (list_size (int_range 0 4) (self (depth - 1))));
+                 ( 1,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (int_range 0 4) (pair str (self (depth - 1)))) );
+               ])
+  in
+  let pos = int_bound 10_000 in
+  let mutation =
+    frequency
+      [
+        (3, map (fun k -> Truncate k) pos);
+        ( 3,
+          map2
+            (fun k c -> Flip (k, c))
+            pos
+            (oneofl [ '['; ']'; '{'; '}'; '"'; '\\'; ','; ':'; 'u'; '\000'; '\xff' ]) );
+        (1, map3 (fun k d c -> Nest (k, d, c)) pos (int_range 1 20_000) (oneofl [ '['; '{' ]));
+        ( 2,
+          map2
+            (fun k t -> Escape (k, t))
+            pos
+            (oneofl [ ""; "u"; "u12"; "uZZZZ"; "u-123"; "u_1_2"; "uFFFF"; "x"; "\""; "\\" ]) );
+      ]
+  in
+  let input =
+    let* d = doc and* indent = bool and* ms = list_size (int_range 1 3) mutation in
+    return (List.fold_left mutate_json (Json.to_string ~indent d) ms)
+  in
+  QCheck.Test.make ~name:"Json.parse and parse_strict never raise" ~count:500
+    (QCheck.make ~print:(Printf.sprintf "%S") input)
+    (fun text ->
+      (match Json.parse text with Ok _ | Error _ -> ());
+      match Json.parse_strict text with
+      | Ok _ -> true
+      | Error e -> e.Json.pe_offset >= 0 && e.Json.pe_offset <= String.length text)
+
 let tests =
   [
     ( "util.json",
@@ -267,6 +350,7 @@ let tests =
         Alcotest.test_case "round trip" `Quick test_json_roundtrip;
         Alcotest.test_case "accessors" `Quick test_json_accessors;
         QCheck_alcotest.to_alcotest prop_json_matches_reference;
+        QCheck_alcotest.to_alcotest prop_json_parse_total;
       ] );
     ( "util.heap",
       [

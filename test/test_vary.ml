@@ -11,7 +11,6 @@ module N = Halotis_netlist.Netlist
 module G = Halotis_netlist.Generators
 module Drive = Halotis_engine.Drive
 module Sim = Halotis_engine.Sim
-module Checkpoint = Halotis_engine.Checkpoint
 module Compiled = Halotis_engine.Compiled
 module DL = Halotis_tech.Default_lib
 module Overlay = Halotis_tech.Param_overlay
@@ -249,39 +248,6 @@ let test_cache_overlay_isolation () =
   checkb "same corner hits" true hit_again
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint: lossless waveform-prefix roundtrip                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_checkpoint_roundtrip () =
-  let c = Lazy.force chain in
-  let spec =
-    Sim.spec ~drives:[ (sid c "in", Drive.constant false) ] ~t_stop:8000. ~tech:DL.tech c
-  in
-  let r = Sim.run Sim.Ddm spec in
-  let ck = Checkpoint.of_result r in
-  let path = Filename.temp_file "halotis-test" ".checkpoint" in
-  Checkpoint.write path ck;
-  let ck' = Checkpoint.load path in
-  Sys.remove path;
-  checks "write/load roundtrips byte-for-byte" (Checkpoint.to_string ck)
-    (Checkpoint.to_string ck');
-  checkb "structurally equal" true (ck = ck');
-  checki "every signal captured" (N.signal_count c)
-    (List.length ck.Checkpoint.ck_signals)
-
-let test_checkpoint_classic_raises () =
-  let c = Lazy.force chain in
-  let spec =
-    Sim.spec ~drives:[ (sid c "in", Drive.constant false) ] ~t_stop:8000. ~tech:DL.tech c
-  in
-  let r = Sim.run Sim.Classic_inertial spec in
-  checkb "classic runs cannot checkpoint" true
-    (try
-       ignore (Checkpoint.of_result r);
-       false
-     with Invalid_argument _ -> true)
-
-(* ------------------------------------------------------------------ *)
 (* CLI: serial / supervised / faults crosschecks on c17               *)
 (* ------------------------------------------------------------------ *)
 
@@ -379,12 +345,10 @@ let tests =
         Alcotest.test_case "report: fixed-seed determinism" `Slow test_vary_report_deterministic;
         Alcotest.test_case "report: percentiles" `Quick test_percentiles;
         Alcotest.test_case "serve: overlay cache isolation" `Quick test_cache_overlay_isolation;
-        Alcotest.test_case "checkpoint: roundtrip" `Quick test_checkpoint_roundtrip;
-        Alcotest.test_case "checkpoint: classic raises" `Quick test_checkpoint_classic_raises;
-        Alcotest.test_case "cli: --jobs 2 byte-identical" `Slow test_cli_jobs_identical;
         Alcotest.test_case "cli: negative --jobs rejected" `Quick
           test_cli_negative_jobs_rejected;
         Alcotest.test_case "cli: fixed-seed golden" `Slow test_cli_fixed_seed_golden;
+        Alcotest.test_case "cli: --jobs 2 byte-identical" `Slow test_cli_jobs_identical;
         Alcotest.test_case "cli: zero-sigma journal == faults" `Slow
           test_cli_zero_sigma_journal_matches_faults;
       ] );
