@@ -109,10 +109,13 @@ module Cache = struct
 
   (* The event hot paths' delay evaluation: scalar arguments in,
      results deposited in [scratch] (read them with {!tp} / {!tau_out}
-     before the next [eval]), so nothing is allocated.
-     [last_output_start] is [Float.nan] when the output has no previous
-     transition — legitimate start instants are always finite, so the
-     encoding is exact. *)
+     before the next [eval]), so no request or response record is
+     built.  [last_output_start] is [Float.nan] when the output has no
+     previous transition — legitimate start instants are always finite,
+     so the encoding is exact.  Eq. 2 is written out here rather than
+     called in [Calibrate.predicted_delay]: its four float arguments
+     and its result would each be boxed, as every float that crosses a
+     module boundary is under the dev profile. *)
   let eval cache gid kind ~rising_out ~pin ~tau_in ~t_event ~last_output_start =
     let base = 5 * ((2 * gid) + if rising_out then 0 else 1) in
     let tp0 =
@@ -127,9 +130,14 @@ module Cache = struct
         else begin
           let time_since_last = t_event +. tp0 -. last_output_start in
           let t0 = Float.max 0.0 (cache.coef.(base + 4) *. tau_in) in
+          (* [Calibrate.predicted_delay ~tp0 ~tau ~t0 ~time_since_last] *)
           cache.scratch.(0) <-
-            Halotis_tech.Calibrate.predicted_delay ~tp0 ~tau:cache.coef.(base + 3) ~t0
-              ~time_since_last
+            (if tp0 <= 0. then 0.
+             else begin
+               let tau = cache.coef.(base + 3) in
+               let raw = tp0 *. (1. -. Float.exp (-.(time_since_last -. t0) /. tau)) in
+               if raw < 0. then 0. else if raw > tp0 then tp0 else raw
+             end)
         end
 
   let tp cache = cache.scratch.(0)

@@ -87,11 +87,14 @@ module Cache : sig
     t_event:float ->
     last_output_start:float ->
     unit
-  (** {!compute} for the event hot paths, without allocation: scalar
+  (** {!compute} for the event hot paths, with no record built: scalar
       arguments instead of a {!request} ([last_output_start] is
       [Float.nan] when the output has no previous live transition), and
       the [tp] / [tau_out] results are deposited in the cache — read
-      them with {!tp} and {!tau_out} before the next [eval]. *)
+      them with {!tp} and {!tau_out} before the next [eval].  Eq. 2 is
+      evaluated inline, so the call allocates nothing beyond the boxes
+      of its float arguments (under the dev profile a float that
+      crosses a module boundary is boxed). *)
 
   val tp : t -> float
   (** Propagation delay computed by the last {!eval}, ps. *)

@@ -50,7 +50,9 @@ type injection = Netlist.signal_id * (float * bool) list
 
    Transactions live in a recycled structure-of-arrays pool and are
    passed around as small-int slots (heap payloads are bare ints), so
-   the steady-state hot path allocates nothing.  [tx_dead] is the
+   the hot path builds no transaction record; what it still allocates
+   is the boxes of floats passed across module boundaries (see the
+   [Iddm] header).  [tx_dead] is the
    lazy-cancellation tombstone: preempted transactions are marked dead
    in place and discarded (and recycled) when the queue surfaces them.
    A slot sits in the queue exactly once, so recycling at pop time is

@@ -66,8 +66,14 @@ type injection = {
    Events live in a recycled structure-of-arrays pool and are passed
    around as small-int slots: scheduling writes a few flat-array cells
    and pushes the slot into the queue (whose payloads are bare ints),
-   so the steady-state hot path allocates nothing — in particular no
-   short-lived records survive a minor collection and get promoted.
+   so the hot path builds no event, transition or outcome record.  It
+   is not allocation-free: under the dev profile every module is
+   compiled [-opaque], so a float passed to or returned from a function
+   in another module (or one here that is not inlined) is boxed.  The
+   kernel keeps those crossings few — ramps go to the waveform as
+   scalars ({!Waveform.append_ramp}), and the segment, heap and delay
+   arithmetic runs inside the modules that own the arrays — and what
+   remains is short-lived boxes that die in the minor heap.
    [ev_dead] is the lazy-cancellation tombstone: Fig. 4's "delete
    Ej-1" marks the slot dead in place instead of restructuring the
    heap, and the main loop discards (and recycles) it when it
@@ -230,23 +236,19 @@ let cancel_invalidated st ~slot ~from_time =
   done;
   pq.tail <- !i + 1
 
-(* Propagate a freshly appended transition on [sid] to its fanout:
-   cancel invalidated pending events, then schedule the new crossing. *)
-let fan_out st sid (outcome : Waveform.append_outcome) (tr : Transition.t) =
-  let rising =
-    match tr.Transition.polarity with Transition.Rising -> true | Transition.Falling -> false
-  in
+(* Propagate a freshly appended ramp on [sid] to its fanout: cancel
+   invalidated pending events, then schedule the new crossing.  The ramp
+   arrives as scalars, the way {!Waveform.append_ramp} stored it. *)
+let fan_out st sid ~accepted ~start ~slope_time ~rising =
   for e = st.fan_off.(sid) to st.fan_off.(sid + 1) - 1 do
     let lg = st.fan_gate.(e) in
     let lpin = st.fan_pin.(e) in
     let slot = st.g_base.(lg) + lpin in
-    if st.cfg.cancellation then
-      cancel_invalidated st ~slot ~from_time:tr.Transition.start;
-    if outcome.Waveform.accepted then begin
+    if st.cfg.cancellation then cancel_invalidated st ~slot ~from_time:start;
+    if accepted then begin
       let crossing = Waveform.last_crossing st.wf.(sid) ~vt:st.pin_vt.(slot) in
       if not (Float.is_nan crossing) then
-        schedule st ~key:crossing ~gate:lg ~pin:lpin ~slot ~rising
-          ~tau_in:tr.Transition.slope_time
+        schedule st ~key:crossing ~gate:lg ~pin:lpin ~slot ~rising ~tau_in:slope_time
     end
   done
 
@@ -265,29 +267,26 @@ let process_pin_event st ~now ~gate ~pin ~rising ~tau_in =
     Delay_model.Cache.eval st.cache gate st.cfg.delay_kind ~rising_out:new_out ~pin
       ~tau_in ~t_event:now
       ~last_output_start:(Waveform.last_start_or_nan st.wf.(out_sid));
-    let tr =
-      Transition.make
-        ~start:(now +. Delay_model.Cache.tp st.cache)
-        ~slope_time:(Delay_model.Cache.tau_out st.cache)
-        ~polarity:(if new_out then Transition.Rising else Transition.Falling)
-    in
+    let start = now +. Delay_model.Cache.tp st.cache in
+    let slope_time = Delay_model.Cache.tau_out st.cache in
     st.out_target.(gate) <- new_out;
-    let outcome = Waveform.append st.wf.(out_sid) tr in
+    let r = Waveform.append_ramp st.wf.(out_sid) ~start ~slope_time ~rising:new_out in
     st.stats.Stats.transitions_annulled <-
-      st.stats.Stats.transitions_annulled + List.length outcome.Waveform.dropped;
-    if outcome.Waveform.accepted then begin
+      st.stats.Stats.transitions_annulled + Waveform.annulled r;
+    let accepted = Waveform.accepted r in
+    if accepted then begin
       st.stats.Stats.transitions_emitted <- st.stats.Stats.transitions_emitted + 1;
       (match st.wd with
       | Some wd ->
-          if Watchdog.record wd ~signal:out_sid ~now:tr.Transition.start then
+          if Watchdog.record wd ~signal:out_sid ~now:start then
             Option.iter (Run_control.halt st.ctl)
-              (Watchdog.trip wd st.c st.fz ~signal:out_sid ~at:tr.Transition.start)
+              (Watchdog.trip wd st.c st.fz ~signal:out_sid ~at:start)
       | None -> ());
       if st.cfg.trace then
         st.rev_trace <-
           {
             te_signal = out_sid;
-            te_start = tr.Transition.start;
+            te_start = start;
             te_gate = gate;
             te_pin = pin;
             te_cause_signal = st.pin_fanin.(base + pin);
@@ -295,20 +294,25 @@ let process_pin_event st ~now ~gate ~pin ~rising ~tau_in =
           }
           :: st.rev_trace
     end;
-    fan_out st out_sid outcome tr
+    fan_out st out_sid ~accepted ~start ~slope_time ~rising:new_out
   end
+
+(* Append an external transition (an injection splice or a live
+   session's input) to [sid] and propagate it. *)
+let append_external st sid (tr : Transition.t) =
+  let rising =
+    match tr.Transition.polarity with Transition.Rising -> true | Transition.Falling -> false
+  in
+  let start = tr.Transition.start and slope_time = tr.Transition.slope_time in
+  let r = Waveform.append_ramp st.wf.(sid) ~start ~slope_time ~rising in
+  fan_out st sid ~accepted:(Waveform.accepted r) ~start ~slope_time ~rising
 
 (* Splice an injection's transitions into the victim waveform exactly
    as a driving gate would append its own ramps: degradation,
    truncation and event cancellation all apply.  The splice itself is
    external stimulus, so — like primary-input drives — it does not
    count towards [transitions_emitted]. *)
-let process_injection st inj =
-  List.iter
-    (fun (tr : Transition.t) ->
-      let outcome = Waveform.append st.wf.(inj.inj_signal) tr in
-      fan_out st inj.inj_signal outcome tr)
-    inj.inj_transitions
+let process_injection st inj = List.iter (append_external st inj.inj_signal) inj.inj_transitions
 
 (* Register an injection and queue its splice as a first-class event so
    it happens at its instant, after any earlier native activity on the
@@ -843,11 +847,7 @@ let run ?injections ?compiled cfg c ~drives =
 
 let session_set_input st sid transitions =
   Drive.check_input ~who:"Iddm.session_set_input" st.c sid;
-  List.iter
-    (fun (tr : Transition.t) ->
-      let outcome = Waveform.append st.wf.(sid) tr in
-      fan_out st sid outcome tr)
-    transitions;
+  List.iter (append_external st sid) transitions;
   Run_control.revive st.ctl st.queue
 
 let session_inject st inj =

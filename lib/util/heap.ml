@@ -3,7 +3,7 @@
    breaks key ties: the caller's [~rank] when given, else an insertion
    stamp (FIFO).  Payloads are plain ints (engines store pool-slot
    indices), so sifting moves immediates with no write barrier and
-   insertion never allocates.
+   allocates nothing.
 
    The tree is 4-ary: half the depth of a binary heap, and the four
    children of a node occupy one cache line of the keys array, so a
@@ -56,34 +56,45 @@ let sift_up h start k id v =
   h.ids.(!i) <- id;
   h.vals.(!i) <- v
 
-let sift_down h start k id v =
-  let i = ref start in
+(* Sift the entry parked in slot [h.size] (just past the live prefix)
+   down from the root.  Reading it from its own slot, rather than
+   taking it as arguments, keeps its key an unboxed local: a float
+   passed to a function that is not inlined is boxed.  The best child's
+   key and rank stay in locals too, and the child range is bounded with
+   integer tests, not the polymorphic [min]. *)
+let sift_down h =
+  let keys = h.keys and ids = h.ids and vals = h.vals in
+  let n = h.size in
+  let k = keys.(n) and id = ids.(n) and v = vals.(n) in
+  let i = ref 0 in
   let continue = ref true in
   while !continue do
     let first = (4 * !i) + 1 in
-    if first >= h.size then continue := false
+    if first >= n then continue := false
     else begin
-      let last = min (first + 3) (h.size - 1) in
-      let child = ref first in
+      let last = if first + 3 < n then first + 3 else n - 1 in
+      let best = ref first in
+      let bk = ref keys.(first) and bid = ref ids.(first) in
       for c = first + 1 to last do
-        if
-          h.keys.(c) < h.keys.(!child)
-          || (h.keys.(c) = h.keys.(!child) && h.ids.(c) < h.ids.(!child))
-        then child := c
+        let kc = keys.(c) in
+        if kc < !bk || (kc = !bk && ids.(c) < !bid) then begin
+          best := c;
+          bk := kc;
+          bid := ids.(c)
+        end
       done;
-      let child = !child in
-      if slot_lt h child k id then begin
-        h.keys.(!i) <- h.keys.(child);
-        h.ids.(!i) <- h.ids.(child);
-        h.vals.(!i) <- h.vals.(child);
-        i := child
+      if !bk < k || (!bk = k && !bid < id) then begin
+        keys.(!i) <- !bk;
+        ids.(!i) <- !bid;
+        vals.(!i) <- vals.(!best);
+        i := !best
       end
       else continue := false
     end
   done;
-  h.keys.(!i) <- k;
-  h.ids.(!i) <- id;
-  h.vals.(!i) <- v
+  keys.(!i) <- k;
+  ids.(!i) <- id;
+  vals.(!i) <- v
 
 let grow h =
   let capacity = Array.length h.keys in
@@ -112,8 +123,7 @@ let pop h =
   if h.size = 0 then invalid_arg "Heap.pop: empty";
   let v = h.vals.(0) in
   h.size <- h.size - 1;
-  if h.size > 0 then
-    sift_down h 0 h.keys.(h.size) h.ids.(h.size) h.vals.(h.size);
+  if h.size > 0 then sift_down h;
   v
 
 let pop_min h =

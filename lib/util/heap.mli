@@ -4,8 +4,12 @@
     Keys sit in a flat [float array] (unboxed by the OCaml runtime),
     with parallel arrays for the tie-break stamps and the payloads,
     arranged as a 4-ary tree: sift operations touch only contiguous
-    unboxed scalars, at half the depth of a binary heap.  Insertion and
-    popping never allocate and sifting carries no write barrier.
+    unboxed scalars, at half the depth of a binary heap, allocate
+    nothing and carry no write barrier.  The calls themselves are not
+    allocation-free: under the dev profile every module is compiled
+    [-opaque], so a float that crosses a module boundary is boxed — the
+    [~key] a caller computes, the [Some] of a [~rank], and the result of
+    {!min_key}.  {!pop} allocates nothing.
 
     Entries pop in ascending key order; ties are broken by the explicit
     [~rank] when one is supplied at insertion, else by insertion order
@@ -35,7 +39,7 @@ val insert : t -> key:float -> ?rank:int -> int -> handle
     is almost never what you want. *)
 
 val min_key : t -> float
-(** Key of the next entry to pop, without allocation.
+(** Key of the next entry to pop (a boxed float, see above).
     @raise Invalid_argument on an empty heap. *)
 
 val pop : t -> int

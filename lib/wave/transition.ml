@@ -22,37 +22,22 @@ let equal_polarity a b =
 
 let target ~vdd tr = match tr.polarity with Rising -> vdd | Falling -> 0.
 
-(* Scalar (record-free) ramp math: the waveform store keeps its
-   segments in flat arrays and evaluates ramps through these; the
-   record-taking functions below delegate here so both paths compute
-   the exact same float expressions. *)
-
-let slope_ramp ~vdd ~slope_time ~rising =
-  if rising then vdd /. slope_time else -.(vdd /. slope_time)
-
-let value_at_ramp ~vdd ~v_start ~start ~slope_time ~rising t =
-  let raw = v_start +. (slope_ramp ~vdd ~slope_time ~rising *. (t -. start)) in
-  if rising then Float.min raw vdd else Float.max raw 0.
-
-let crossing_ramp ~vdd ~v_start ~start ~slope_time ~rising ~vt =
-  let reachable = if rising then v_start < vt && vt <= vdd else v_start > vt && vt >= 0. in
-  if not reachable then Float.nan
-  else start +. ((vt -. v_start) /. slope_ramp ~vdd ~slope_time ~rising)
-
-let is_rising = function Rising -> true | Falling -> false
-
-let slope ~vdd tr = slope_ramp ~vdd ~slope_time:tr.slope_time ~rising:(is_rising tr.polarity)
+(* [Waveform] evaluates its stored segments with these same float
+   expressions, written out inline over its flat arrays. *)
+let slope ~vdd tr =
+  match tr.polarity with Rising -> vdd /. tr.slope_time | Falling -> -.(vdd /. tr.slope_time)
 
 let value_at ~vdd ~v_start tr t =
-  value_at_ramp ~vdd ~v_start ~start:tr.start ~slope_time:tr.slope_time
-    ~rising:(is_rising tr.polarity) t
+  let raw = v_start +. (slope ~vdd tr *. (t -. tr.start)) in
+  match tr.polarity with Rising -> Float.min raw vdd | Falling -> Float.max raw 0.
 
 let crossing ~vdd ~v_start tr ~vt =
-  let c =
-    crossing_ramp ~vdd ~v_start ~start:tr.start ~slope_time:tr.slope_time
-      ~rising:(is_rising tr.polarity) ~vt
+  let reachable =
+    match tr.polarity with
+    | Rising -> v_start < vt && vt <= vdd
+    | Falling -> v_start > vt && vt >= 0.
   in
-  if Float.is_nan c then None else Some c
+  if reachable then Some (tr.start +. ((vt -. v_start) /. slope ~vdd tr)) else None
 
 let pp fmt tr =
   Format.fprintf fmt "%s@%a(tau=%a)" (polarity_to_string tr.polarity)

@@ -58,32 +58,4 @@ val crossing :
     and the target rail (reaching the rail itself counts).  [None] when
     the ramp starts at or beyond [vt]. *)
 
-(** {1 Scalar ramp math}
-
-    Record-free variants used by hot paths that keep ramp parameters in
-    flat arrays ({!Waveform}'s segment store).  They compute exactly the
-    same float expressions as the record-taking functions above, which
-    delegate to them. *)
-
-val value_at_ramp :
-  vdd:Halotis_util.Units.voltage ->
-  v_start:Halotis_util.Units.voltage ->
-  start:Halotis_util.Units.time ->
-  slope_time:Halotis_util.Units.time ->
-  rising:bool ->
-  Halotis_util.Units.time ->
-  Halotis_util.Units.voltage
-(** Scalar {!value_at}. *)
-
-val crossing_ramp :
-  vdd:Halotis_util.Units.voltage ->
-  v_start:Halotis_util.Units.voltage ->
-  start:Halotis_util.Units.time ->
-  slope_time:Halotis_util.Units.time ->
-  rising:bool ->
-  vt:Halotis_util.Units.voltage ->
-  Halotis_util.Units.time
-(** Scalar {!crossing}; [Float.nan] (never a legitimate crossing
-    instant) when the ramp does not cross [vt]. *)
-
 val pp : Format.formatter -> t -> unit

@@ -25,6 +25,27 @@ let segment_count w = w.len
 
 let rising_at w i = Bytes.get w.pols i = '\001'
 
+(* Segment [i]'s ramp value at [t] and the instant it crosses [vt]:
+   the float expressions of [Transition.value_at] and
+   [Transition.crossing], read straight from the flat arrays.  They are
+   written here, inlined, rather than called in [Transition]: a float
+   passed to or returned from a function that is not inlined is boxed,
+   and the dev profile compiles every module [-opaque], so nothing is
+   inlined across a module boundary. *)
+let[@inline] seg_slope w i =
+  if rising_at w i then w.vdd /. w.slopes.(i) else -.(w.vdd /. w.slopes.(i))
+
+let[@inline] seg_value w i t =
+  let raw = w.vstarts.(i) +. (seg_slope w i *. (t -. w.starts.(i))) in
+  if rising_at w i then Float.min raw w.vdd else Float.max raw 0.
+
+let[@inline] seg_crossing w i ~vt =
+  let v_start = w.vstarts.(i) in
+  let reachable =
+    if rising_at w i then v_start < vt && vt <= w.vdd else v_start > vt && vt >= 0.
+  in
+  if not reachable then Float.nan else w.starts.(i) +. ((vt -. v_start) /. seg_slope w i)
+
 let transition_at w i =
   {
     Transition.start = w.starts.(i);
@@ -59,58 +80,66 @@ let locate w t =
 
 let value_at w t =
   let i = locate w t in
-  if i < 0 then w.initial
-  else
-    Transition.value_at_ramp ~vdd:w.vdd ~v_start:w.vstarts.(i) ~start:w.starts.(i)
-      ~slope_time:w.slopes.(i) ~rising:(rising_at w i) t
+  if i < 0 then w.initial else seg_value w i t
 
 type append_outcome = { dropped : Transition.t list; accepted : bool }
+type appended = int (* annulled count lsl 1, lor 1 when accepted *)
 
-let push w ~start ~slope_time ~rising ~v_start =
-  if w.len = Array.length w.starts then begin
-    let cap = max 16 (2 * w.len) in
-    let grow a = let g = Array.make cap 0. in Array.blit a 0 g 0 w.len; g in
-    w.starts <- grow w.starts;
-    w.slopes <- grow w.slopes;
-    w.vstarts <- grow w.vstarts;
-    let pols = Bytes.make cap '\000' in
-    Bytes.blit w.pols 0 pols 0 w.len;
-    w.pols <- pols
-  end;
-  w.starts.(w.len) <- start;
-  w.slopes.(w.len) <- slope_time;
-  w.vstarts.(w.len) <- v_start;
-  Bytes.set w.pols w.len (if rising then '\001' else '\000');
-  w.len <- w.len + 1
+let accepted r = r land 1 = 1
+let annulled r = r lsr 1
+
+let grow_store w =
+  let cap = max 16 (2 * w.len) in
+  let grow a = let g = Array.make cap 0. in Array.blit a 0 g 0 w.len; g in
+  w.starts <- grow w.starts;
+  w.slopes <- grow w.slopes;
+  w.vstarts <- grow w.vstarts;
+  let pols = Bytes.make cap '\000' in
+  Bytes.blit w.pols 0 pols 0 w.len;
+  w.pols <- pols
+
+(* The one append: every ramp, record or scalar, is stored here. *)
+let append_ramp w ~start ~slope_time ~rising =
+  (* [Transition.make]'s checks: the core stores ramps no record went
+     through *)
+  if not (Float.is_finite start) then invalid_arg "Waveform.append_ramp: start not finite";
+  if not (slope_time > 0. && Float.is_finite slope_time) then
+    invalid_arg "Waveform.append_ramp: slope_time must be positive";
+  (* Annul stored transitions starting at or after the new one. *)
+  let len0 = w.len in
+  while w.len > 0 && w.starts.(w.len - 1) >= start do
+    w.len <- w.len - 1
+  done;
+  let annulled = len0 - w.len in
+  (* Tail fast path: after the annulment loop the last live segment (if
+     any) starts strictly before [start], so it governs the value there —
+     no need for [value_at]'s binary search over the history. *)
+  let v_start = if w.len = 0 then w.initial else seg_value w (w.len - 1) start in
+  let at_rail = if rising then v_start >= w.vdd else v_start <= 0. in
+  if at_rail then annulled lsl 1
+  else begin
+    if w.len = Array.length w.starts then grow_store w;
+    w.starts.(w.len) <- start;
+    w.slopes.(w.len) <- slope_time;
+    w.vstarts.(w.len) <- v_start;
+    Bytes.set w.pols w.len (if rising then '\001' else '\000');
+    w.len <- w.len + 1;
+    (annulled lsl 1) lor 1
+  end
 
 let append w tr =
-  let t0 = tr.Transition.start in
-  (* Annul stored transitions starting at or after the new one. *)
-  let dropped = ref [] in
-  while w.len > 0 && w.starts.(w.len - 1) >= t0 do
-    w.len <- w.len - 1;
-    dropped := transition_at w w.len :: !dropped
-  done;
-  (* Tail fast path: after the annulment loop the last live segment (if
-     any) starts strictly before [t0], so it governs the value there —
-     no need for [value_at]'s binary search over the history. *)
-  let v_start =
-    if w.len = 0 then w.initial
-    else begin
-      let i = w.len - 1 in
-      Transition.value_at_ramp ~vdd:w.vdd ~v_start:w.vstarts.(i) ~start:w.starts.(i)
-        ~slope_time:w.slopes.(i) ~rising:(rising_at w i) t0
-    end
+  let start = tr.Transition.start in
+  (* the segments [append_ramp] is about to annul, oldest first *)
+  let rec annulled_from i acc =
+    if i >= 0 && w.starts.(i) >= start then annulled_from (i - 1) (transition_at w i :: acc)
+    else acc
   in
+  let dropped = annulled_from (w.len - 1) [] in
   let rising =
     match tr.Transition.polarity with Transition.Rising -> true | Transition.Falling -> false
   in
-  let at_rail = if rising then v_start >= w.vdd else v_start <= 0. in
-  if at_rail then { dropped = !dropped; accepted = false }
-  else begin
-    push w ~start:t0 ~slope_time:tr.Transition.slope_time ~rising ~v_start;
-    { dropped = !dropped; accepted = true }
-  end
+  let r = append_ramp w ~start ~slope_time:tr.Transition.slope_time ~rising in
+  { dropped; accepted = accepted r }
 
 let assign_prefix w ~src ~len =
   if len < 0 || len > src.len then invalid_arg "Waveform.assign_prefix: length out of bounds";
@@ -148,13 +177,7 @@ let equal a b = a.initial = b.initial && a.len = b.len && common_prefix a b = a.
 
 let transitions_from w i = List.init (max 0 (w.len - i)) (fun k -> transition_at w (i + k))
 
-let last_crossing w ~vt =
-  if w.len = 0 then Float.nan
-  else begin
-    let i = w.len - 1 in
-    Transition.crossing_ramp ~vdd:w.vdd ~v_start:w.vstarts.(i) ~start:w.starts.(i)
-      ~slope_time:w.slopes.(i) ~rising:(rising_at w i) ~vt
-  end
+let last_crossing w ~vt = if w.len = 0 then Float.nan else seg_crossing w (w.len - 1) ~vt
 
 let crossing_of_last w ~vt =
   let c = last_crossing w ~vt in
@@ -163,10 +186,7 @@ let crossing_of_last w ~vt =
 let crossings_with_transitions w ~vt =
   let raw = ref [] in
   for i = 0 to w.len - 1 do
-    let c =
-      Transition.crossing_ramp ~vdd:w.vdd ~v_start:w.vstarts.(i) ~start:w.starts.(i)
-        ~slope_time:w.slopes.(i) ~rising:(rising_at w i) ~vt
-    in
+    let c = seg_crossing w i ~vt in
     if not (Float.is_nan c) then begin
       let valid =
         (* Strict: a ramp truncated exactly at the crossing instant

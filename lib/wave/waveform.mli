@@ -36,7 +36,31 @@ type append_outcome = {
 }
 
 val append : t -> Transition.t -> append_outcome
-(** Adds a transition, truncating/annulling as described above. *)
+(** Adds a transition, truncating/annulling as described above: a
+    wrapper over {!append_ramp} that also lists what it annulled. *)
+
+type appended = private int
+(** What {!append_ramp} did, packed into an immediate: read it with
+    {!accepted} and {!annulled}. *)
+
+val append_ramp :
+  t ->
+  start:Halotis_util.Units.time ->
+  slope_time:Halotis_util.Units.time ->
+  rising:bool ->
+  appended
+(** {!append} on the ramp's scalars, for the event kernel: it builds no
+    {!Transition.t}, no outcome record and no list of annulled
+    segments.
+    @raise Invalid_argument where {!Transition.make} would: [start] not
+    finite, or [slope_time] not a positive finite number. *)
+
+val accepted : appended -> bool
+(** {!append_outcome}'s [accepted]. *)
+
+val annulled : appended -> int
+(** How many stored transitions the append annulled: the length of
+    {!append_outcome}'s [dropped]. *)
 
 val segment_count : t -> int
 
@@ -76,8 +100,10 @@ val last_start : t -> Halotis_util.Units.time option
     clock the degradation model measures its [T] against. *)
 
 val last_start_or_nan : t -> Halotis_util.Units.time
-(** Allocation-free {!last_start}: [Float.nan] (never a legitimate
-    start instant) when the waveform has no live transition. *)
+(** Option-free {!last_start}: [Float.nan] (never a legitimate start
+    instant) when the waveform has no live transition.  The result is
+    still a boxed float: under the dev profile, a float that crosses a
+    module boundary is boxed. *)
 
 val value_at : t -> Halotis_util.Units.time -> Halotis_util.Units.voltage
 (** Waveform voltage at any time (flat before the first transition,
@@ -91,9 +117,10 @@ val crossing_of_last :
     truncates it. *)
 
 val last_crossing : t -> vt:Halotis_util.Units.voltage -> Halotis_util.Units.time
-(** Allocation-free {!crossing_of_last}: [Float.nan] (never a
-    legitimate crossing instant) when the last ramp does not cross
-    [vt] or the waveform is empty. *)
+(** Option-free {!crossing_of_last}: [Float.nan] (never a legitimate
+    crossing instant) when the last ramp does not cross [vt] or the
+    waveform is empty.  It reads the ramp from the segment store
+    without boxing it; only [vt] and the result are boxed floats. *)
 
 val crossings :
   t -> vt:Halotis_util.Units.voltage -> (Halotis_util.Units.time * Transition.polarity) list

@@ -6,11 +6,30 @@
 
 module Netlist = Halotis_netlist.Netlist
 module Tech = Halotis_tech.Tech
+module Param_overlay = Halotis_tech.Param_overlay
 module DM = Halotis_delay.Delay_model
 
-let for_gate tech c ~loads gid kind req =
+(* [overlay] scales the cell record's edge parameters and pin factors
+   before [DM.compute] sees them, the way [DM.Cache.create] scales them
+   before deriving its coefficients; the empty overlay is not applied. *)
+let for_gate ?(overlay = Param_overlay.empty) tech c ~loads gid kind req =
   let g = Netlist.gate c gid in
   let gate_tech = Tech.gate_tech tech g.Netlist.kind in
+  let gate_tech =
+    if Param_overlay.is_empty overlay then gate_tech
+    else
+      let edge rising p =
+        Param_overlay.apply_edge (Param_overlay.edge_scale overlay ~gate:gid ~rising) p
+      in
+      {
+        gate_tech with
+        Tech.rise = edge true gate_tech.Tech.rise;
+        fall = edge false gate_tech.Tech.fall;
+        pin_factor =
+          (fun pin ->
+            gate_tech.Tech.pin_factor pin *. Param_overlay.pin_scale overlay ~gate:gid ~pin);
+      }
+  in
   DM.compute tech ~gate_tech ~cl:loads.(g.Netlist.output) kind req
 
 (* The cached coefficients through the request/response shape of

@@ -27,6 +27,7 @@ module Drive = Halotis_engine.Drive
 module Dc = Halotis_engine.Dc
 module Compiled = Halotis_engine.Compiled
 module Prng = Halotis_util.Prng
+module Param_overlay = Halotis_tech.Param_overlay
 
 let tech = Halotis_tech.Default_lib.tech
 
@@ -566,76 +567,137 @@ let test_classic_foreign_compiled () =
   | _ -> Alcotest.fail "another netlist's compiled circuit was accepted"
   | exception Invalid_argument _ -> ()
 
-(* The engines' heap against a stable sorted-list oracle: same pop order
-   (FIFO among equal keys), same min_key at every step. *)
+(* The engines' heap against a sorted-list oracle: same pop order, same
+   min_key at every step.  A run inserts either FIFO (ties broken by
+   insertion order) or, as the IDDM kernel does, with explicit ranks:
+   pin-slot ranks mixed with the negative injection-splice ranks
+   [idx - max_int].  Keys repeat often, and ranked entries may repeat a
+   (key, rank) pair — the kernel can queue a tombstoned and a live event
+   for one pin at one instant — so a pop must return {e some} entry
+   whose (key, rank) is the oracle's minimum. *)
 let prop_unboxed_heap_oracle =
+  let rank_gen =
+    QCheck.Gen.(oneof [ int_range 0 7; map (fun idx -> idx - max_int) (int_range 0 3) ])
+  in
   let op_gen =
-    QCheck.Gen.(list_size (int_range 1 400) (option (int_range 0 20)))
-    (* Some k = insert with key k/4. (duplicates likely); None = pop *)
+    QCheck.Gen.(
+      pair bool (list_size (int_range 1 400) (option (pair (int_range 0 20) rank_gen))))
+    (* (ranked, ops): Some (k, r) = insert with key k/4., and with
+       ~rank:r when ranked; None = pop *)
+  in
+  let print (ranked, ops) =
+    Printf.sprintf "ranked=%b %s" ranked
+      (String.concat " "
+         (List.map
+            (function Some (k, r) -> Printf.sprintf "+%d/%d" k r | None -> "pop")
+            ops))
   in
   QCheck.Test.make ~name:"Heap.Unboxed == sorted-list oracle" ~count:200
-    (QCheck.make op_gen) (fun ops ->
+    (QCheck.make ~print op_gen) (fun (ranked, ops) ->
       let h = Heap.create ~capacity:2 () in
-      let oracle = ref [] (* (key, seq, payload), pop order = (key, seq) *) in
+      let oracle = ref [] (* (key, rank, payload) *) in
       let seq = ref 0 in
+      let order (ka, ra, _) (kb, rb, _) =
+        match Float.compare ka kb with 0 -> Int.compare ra rb | c -> c
+      in
+      (* [k, v] is what the heap popped *)
+      let check_pop k v =
+        match List.sort order !oracle with
+        | [] -> Alcotest.failf "heap popped %d from an empty oracle" v
+        | (ek, er, _) :: _ ->
+            if k <> ek then Alcotest.failf "popped key %g, oracle %g" k ek;
+            (match List.find_opt (fun (_, _, p) -> p = v) !oracle with
+            | Some (pk, pr, _) when pk = ek && pr = er -> ()
+            | Some (pk, pr, _) ->
+                Alcotest.failf "popped (%g, %d), oracle minimum (%g, %d)" pk pr ek er
+            | None -> Alcotest.failf "popped payload %d twice or never inserted" v);
+            oracle := List.filter (fun (_, _, p) -> p <> v) !oracle
+      in
       List.iter
         (fun op ->
           match op with
-          | Some k ->
+          | Some (k, r) ->
               let key = float_of_int k /. 4. in
-              ignore (Heap.insert h ~key !seq);
-              oracle := !oracle @ [ (key, !seq) ];
+              let rank = if ranked then r else !seq in
+              ignore
+                (if ranked then Heap.insert h ~key ~rank !seq else Heap.insert h ~key !seq);
+              oracle := (key, rank, !seq) :: !oracle;
               incr seq
-          | None -> (
-              let expect =
-                List.sort
-                  (fun (ka, sa) (kb, sb) ->
-                    match Float.compare ka kb with 0 -> compare sa sb | c -> c)
-                  !oracle
-              in
-              match expect with
-              | [] ->
-                  if not (Heap.is_empty h) then
-                    Alcotest.failf "heap not empty when oracle is";
-                  if Heap.pop_min h <> None then
-                    Alcotest.failf "pop_min on empty heap returned an entry"
-              | (ek, es) :: _ ->
-                  if Heap.min_key h <> ek then
-                    Alcotest.failf "min_key %g, oracle %g" (Heap.min_key h) ek;
-                  let v = Heap.pop h in
-                  if v <> es then Alcotest.failf "pop payload %d, oracle %d" v es;
-                  oracle := List.filter (fun (_, s) -> s <> es) !oracle))
+          | None ->
+              if !oracle = [] then begin
+                if not (Heap.is_empty h) then Alcotest.failf "heap not empty when oracle is";
+                if Heap.pop_min h <> None then
+                  Alcotest.failf "pop_min on empty heap returned an entry"
+              end
+              else begin
+                let k = Heap.min_key h in
+                check_pop k (Heap.pop h)
+              end)
         ops;
-      (* drain what's left and compare the full tail order *)
-      let expect =
-        List.sort
-          (fun (ka, sa) (kb, sb) -> match Float.compare ka kb with 0 -> compare sa sb | c -> c)
-          !oracle
-      in
-      let drained = ref [] in
+      (* drain what's left through the allocating wrapper *)
       let rec drain () =
         match Heap.pop_min h with
         | None -> ()
         | Some (k, v) ->
-            drained := (k, v) :: !drained;
+            check_pop k v;
             drain ()
       in
       drain ();
-      List.rev !drained = expect)
+      !oracle = [] && Heap.is_empty h)
+
+(* A random corner for [c]: every other gate on average gets random
+   edge scales (one factor per parameter and edge) and pin scales, as a
+   [vary] sample would put it. *)
+let random_overlay c rng =
+  let factor () = 0.7 +. Prng.float rng ~bound:0.6 in
+  let scale () =
+    {
+      Param_overlay.sc_d0 = factor ();
+      sc_d_load = factor ();
+      sc_d_slope = factor ();
+      sc_s0 = factor ();
+      sc_s_load = factor ();
+      sc_ddm_a = factor ();
+      sc_ddm_b = factor ();
+      sc_ddm_c = factor ();
+    }
+  in
+  Param_overlay.of_list
+    (List.filter_map
+       (fun gid ->
+         if Prng.bool rng then None
+         else
+           let npins = Array.length (N.gate c gid).N.fanin in
+           Some
+             ( gid,
+               {
+                 Param_overlay.en_rise = scale ();
+                 en_fall = scale ();
+                 en_vt = 1.;
+                 en_pin = List.init npins (fun pin -> (pin, factor ()));
+               } ))
+       (List.init (N.gate_count c) Fun.id))
 
 (* The coefficient cache against the uncached reference, including the
-   allocation-free scalar entry point. *)
+   scalar entry point the kernels call, at nominal and under random
+   [Param_overlay] corners (the caches a [vary] campaign prices). *)
 let prop_cache_matches_reference =
   let gen =
     QCheck.make
-      ~print:(fun (gates, seed) -> Printf.sprintf "gates=%d seed=%d" gates seed)
-      QCheck.Gen.((fun gates seed -> (gates, seed)) <$> int_range 3 40 <*> int_range 0 10_000)
+      ~print:(fun (gates, seed, scaled) ->
+        Printf.sprintf "gates=%d seed=%d overlay=%b" gates seed scaled)
+      QCheck.Gen.(
+        (fun gates seed scaled -> (gates, seed, scaled))
+        <$> int_range 3 40 <*> int_range 0 10_000 <*> bool)
   in
   QCheck.Test.make ~name:"Delay_model.Cache == uncached for_gate (exact)" ~count:60 gen
-    (fun (gates, seed) ->
+    (fun (gates, seed, scaled) ->
       let c = G.random_combinational ~gates ~inputs:4 ~seed () in
       let loads = Halotis_delay.Loads.of_netlist tech c in
-      let cache = Delay_model.Cache.create tech c ~loads in
+      let overlay =
+        if scaled then random_overlay c (Prng.create ~seed:(seed + 7)) else Param_overlay.empty
+      in
+      let cache = Delay_model.Cache.create ~overlay tech c ~loads in
       let rng = Prng.create ~seed:(seed + 99) in
       for gid = 0 to N.gate_count c - 1 do
         let g = N.gate c gid in
@@ -652,7 +714,7 @@ let prop_cache_matches_reference =
           in
           List.iter
             (fun kind ->
-              let r = Ref_delay.for_gate tech c ~loads gid kind req in
+              let r = Ref_delay.for_gate ~overlay tech c ~loads gid kind req in
               let cached = Ref_delay.cached cache gid kind req in
               if
                 r.Delay_model.tp <> cached.Delay_model.tp
@@ -676,6 +738,43 @@ let prop_cache_matches_reference =
       done;
       true)
 
+(* The DDM kernel's allocation per processed event, on a circuit shaped
+   like the sim-rand benchmark's: 2000 random gates, 32 inputs each
+   toggling 8 times.  This run processes 18,184 events.  Before the
+   event path stopped boxing floats (a heap sift over its own slots, a
+   scalar ramp append, crossing and eq. 2 evaluated inside the modules
+   that own the arrays) it allocated 60.88 minor words per processed
+   event, 38.90 after; the bound is two thirds of the former.  The
+   count is [Gc.minor_words], not [Gc.counters]: under OCaml 5.1 the
+   minor count of [Gc.counters] leaves out the words allocated since
+   the last minor collection. *)
+let test_iddm_words_per_event () =
+  let c = G.random_combinational ~gates:2000 ~inputs:32 ~seed:4 () in
+  let rng = Prng.create ~seed:5 in
+  let drives =
+    List.map
+      (fun s ->
+        let initial = Prng.bool rng in
+        let changes =
+          List.init 8 (fun k ->
+              ((2500. *. float_of_int (k + 1)) +. Prng.float rng ~bound:400., Prng.bool rng))
+        in
+        (s, Drive.of_levels ~slope:100. ~initial changes))
+      (N.primary_inputs c)
+  in
+  let compiled = Compiled.compile tech c in
+  let cfg = Iddm.config tech in
+  (* warm-up: the first run pays one-time costs of the process *)
+  ignore (Iddm.run ~compiled cfg c ~drives);
+  let w0 = Gc.minor_words () in
+  let r = Iddm.run ~compiled cfg c ~drives in
+  let words = Gc.minor_words () -. w0 in
+  let per_event = words /. float_of_int r.Iddm.stats.Stats.events_processed in
+  let bound = 60.88 *. 2. /. 3. in
+  if per_event > bound then
+    Alcotest.failf "DDM allocates %.2f minor words per processed event (bound %.2f)" per_event
+      bound
+
 let tests =
   [
     ( "perf.equiv",
@@ -688,5 +787,7 @@ let tests =
           test_classic_foreign_compiled;
         QCheck_alcotest.to_alcotest prop_unboxed_heap_oracle;
         QCheck_alcotest.to_alcotest prop_cache_matches_reference;
+        Alcotest.test_case "Iddm.run minor words per processed event" `Quick
+          test_iddm_words_per_event;
       ] );
   ]

@@ -305,6 +305,106 @@ let prop_dropped_count_conservation =
         specs;
       List.length specs = W.segment_count w + !dropped + !rejected)
 
+(* The record [append] against the scalar core [append_ramp], and both
+   against a list model that evaluates ramps with [Transition]'s record
+   math.  Starts land after a stored segment, on one or before it
+   (annulling the tail); short ramps reach the rail, so same-polarity
+   follow-ups are rejected; a few ramps are invalid, and the core must
+   refuse exactly those [Transition.make] refuses. *)
+type ramp_start = After of float | On of int | Bad_start of float
+
+let gen_ramps =
+  QCheck.Gen.(
+    let start =
+      frequency
+        [
+          (6, map (fun g -> After g) (float_range (-250.) 400.));
+          (3, map (fun i -> On i) (int_range 0 15));
+          (1, map (fun x -> Bad_start x) (oneofl [ Float.nan; Float.infinity; Float.neg_infinity ]));
+        ]
+    in
+    let tau =
+      frequency [ (9, float_range 1. 300.); (1, oneofl [ 0.; -5.; Float.nan; Float.infinity ]) ]
+    in
+    pair bool (list_size (int_range 1 25) (triple start tau bool)))
+
+let print_ramps (high, ops) =
+  Printf.sprintf "initial %s: %s"
+    (if high then "high" else "low")
+    (String.concat "; "
+       (List.map
+          (fun (where, tau, up) ->
+            Printf.sprintf "%s tau=%g %s"
+              (match where with
+              | After g -> Printf.sprintf "after %+g" g
+              | On i -> Printf.sprintf "on #%d" i
+              | Bad_start x -> Printf.sprintf "at %g" x)
+              tau
+              (if up then "rise" else "fall"))
+          ops))
+
+let prop_append_core_matches_record =
+  QCheck.Test.make ~name:"append_ramp == append == Transition math" ~count:500
+    (QCheck.make ~print:print_ramps gen_ramps) (fun (high, ops) ->
+      let initial = if high then vdd else 0. in
+      let wr = W.create ~initial ~vdd () and ws = W.create ~initial ~vdd () in
+      (* the model: (transition, start voltage), newest first *)
+      let model = ref [] in
+      List.iter
+        (fun (where, tau, up) ->
+          let start =
+            match (where, !model) with
+            | After g, (tr, _) :: _ -> tr.T.start +. g
+            | After g, [] -> g
+            | On i, (_ :: _ as segs) -> (fst (List.nth segs (i mod List.length segs))).T.start
+            | On _, [] -> 0.
+            | Bad_start x, _ -> x
+          in
+          let polarity = if up then T.Rising else T.Falling in
+          (match T.make ~start ~slope_time:tau ~polarity with
+          | exception Invalid_argument _ -> (
+              match W.append_ramp ws ~start ~slope_time:tau ~rising:up with
+              | _ -> Alcotest.failf "append_ramp stored start %g, slope %g" start tau
+              | exception Invalid_argument _ -> ())
+          | tr ->
+              let o = W.append wr tr in
+              let r = W.append_ramp ws ~start ~slope_time:tau ~rising:up in
+              let kept, dropped = List.partition (fun (t, _) -> t.T.start < start) !model in
+              let v_start =
+                match kept with [] -> initial | (t, v) :: _ -> T.value_at ~vdd ~v_start:v t start
+              in
+              let accepted = not (if up then v_start >= vdd else v_start <= 0.) in
+              model := if accepted then (tr, v_start) :: kept else kept;
+              if o.W.accepted <> accepted || W.accepted r <> accepted then
+                Alcotest.failf "accepted: record %b, core %b, model %b" o.W.accepted
+                  (W.accepted r) accepted;
+              if o.W.dropped <> List.rev_map fst dropped then
+                Alcotest.failf "record append dropped the wrong transitions";
+              if W.annulled r <> List.length dropped then
+                Alcotest.failf "core annulled %d, model %d" (W.annulled r) (List.length dropped));
+          if not (W.equal wr ws) then Alcotest.failf "record and core waveforms differ";
+          let expect =
+            List.rev_map (fun (transition, v_start) -> { W.transition; v_start }) !model
+          in
+          if W.segments wr <> expect then Alcotest.failf "segments differ from the model";
+          (* the inline segment math against [Transition]'s *)
+          (match !model with
+          | [] -> ()
+          | (tr, v) :: _ ->
+              List.iter
+                (fun vt ->
+                  let c = W.last_crossing wr ~vt in
+                  match T.crossing ~vdd ~v_start:v tr ~vt with
+                  | Some e when c = e -> ()
+                  | None when Float.is_nan c -> ()
+                  | _ -> Alcotest.failf "last_crossing at vt %g: %g" vt c)
+                [ 0.; 1.2; 2.5; 4.9; vdd ];
+              let t = tr.T.start +. 37. in
+              if W.value_at wr t <> T.value_at ~vdd ~v_start:v tr t then
+                Alcotest.failf "value_at %g differs from Transition.value_at" t))
+        ops;
+      true)
+
 (* --- Compare --- *)
 
 module C = Halotis_wave.Compare
@@ -527,6 +627,7 @@ let tests =
         QCheck_alcotest.to_alcotest prop_final_level_matches_value;
         QCheck_alcotest.to_alcotest prop_segments_strictly_increasing;
         QCheck_alcotest.to_alcotest prop_dropped_count_conservation;
+        QCheck_alcotest.to_alcotest prop_append_core_matches_record;
       ] );
     ( "wave.compare",
       [
