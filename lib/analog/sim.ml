@@ -30,27 +30,12 @@ type result = {
   steps : int;
 }
 
-let dc_levels c drives_tbl =
-  let input_level sid =
-    match Hashtbl.find_opt drives_tbl sid with
-    | Some (d : Drive.t) -> d.Drive.initial
-    | None -> false
-  in
-  Halotis_engine.Dc.levels c ~input_level
-
 let run cfg c ~drives =
-  let drives_tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (sid, d) ->
-      Drive.check d;
-      if not (Netlist.signal c sid).Netlist.is_primary_input then
-        invalid_arg
-          (Printf.sprintf "Sim.run: drive on non-input signal %s" (Netlist.signal_name c sid));
-      Hashtbl.replace drives_tbl sid d)
-    drives;
+  let drives_tbl, levels =
+    Drive.bind ~who:"Sim.run" (Halotis_engine.Compiled.compile cfg.tech c) drives
+  in
   let vdd = Tech.vdd cfg.tech in
   let nsignals = Netlist.signal_count c and ngates = Netlist.gate_count c in
-  let levels = dc_levels c drives_tbl in
   let v = Array.init nsignals (fun sid -> if levels.(sid) then vdd else 0.) in
   (* Primary-input waveforms evaluated analytically each step. *)
   let input_wf = Array.make nsignals None in

@@ -35,11 +35,10 @@ let compute tech ~gate_tech ~cl kind req =
           in
           { tp; tau_out; tp_nominal = tp0; degraded = tp < tp0 -. 1e-9 })
 
-(* Per-run coefficient cache.  [Tech.gate_tech] resolves the cell
-   record through the library's lookup function on every call — the
-   default library even rebuilds the record — and the load term, output
-   slope, degradation tau and the T0 coefficient of eqs. 2-3 are all
-   invariant across a run.  The cache folds every per-(gate, edge)
+(* Per-run coefficient cache.  [Tech.gate_tech] is a lookup per call
+   (each kind's cell is resolved once and kept), and the load term,
+   output slope, degradation tau and the T0 coefficient of eqs. 2-3 are
+   all invariant across a run.  The cache folds every per-(gate, edge)
    constant into flat unboxed float arrays once at setup, leaving only
    the [tau_in]- and [T]-dependent arithmetic per event.
 

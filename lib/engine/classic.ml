@@ -179,36 +179,6 @@ let schedule_inertial st sid ~at ~value ~window =
     end
   end
 
-(* [Gate_kind.eval_bool] over committed values via the flat fanin
-   table, without building a per-call input array. *)
-let rec all_v (value : bool array) fanin base n i =
-  i >= n || (value.(fanin.(base + i)) && all_v value fanin base n (i + 1))
-
-let rec any_v (value : bool array) fanin base n i =
-  i < n && (value.(fanin.(base + i)) || any_v value fanin base n (i + 1))
-
-let rec parity_v (value : bool array) fanin base n i acc =
-  if i >= n then acc else parity_v value fanin base n (i + 1) (acc <> value.(fanin.(base + i)))
-
-let eval_gate st gid =
-  let cp = st.cp in
-  let fanin = cp.Compiled.pin_fanin in
-  let base = cp.Compiled.g_base.(gid) in
-  let n = cp.Compiled.g_base.(gid + 1) - base in
-  let v i = st.value.(fanin.(base + i)) in
-  match cp.Compiled.g_kind.(gid) with
-  | Gate_kind.Buf -> v 0
-  | Gate_kind.Inv -> not (v 0)
-  | Gate_kind.And _ -> all_v st.value fanin base n 0
-  | Gate_kind.Nand _ -> not (all_v st.value fanin base n 0)
-  | Gate_kind.Or _ -> any_v st.value fanin base n 0
-  | Gate_kind.Nor _ -> not (any_v st.value fanin base n 0)
-  | Gate_kind.Xor _ -> parity_v st.value fanin base n 0 false
-  | Gate_kind.Xnor _ -> not (parity_v st.value fanin base n 0 false)
-  | Gate_kind.Aoi21 -> not ((v 0 && v 1) || v 2)
-  | Gate_kind.Oai21 -> not ((v 0 || v 1) && v 2)
-  | Gate_kind.Mux2 -> if v 2 then v 1 else v 0
-
 (* The lowest pin of [gid] that reads [sid]: the pin whose delay a
    distinct-gate evaluation is priced at. *)
 let first_pin (cp : Compiled.t) gid sid =
@@ -227,7 +197,7 @@ let evaluate_fanout st ~now sid =
     let gid = cp.Compiled.fan_gate.(e) in
     if st.seen.(gid) < st.walk then begin
       st.seen.(gid) <- st.walk;
-      let new_out = eval_gate st gid in
+      let new_out = Dc.eval_gate st.cp st.value gid in
       let out_sid = cp.Compiled.g_out.(gid) in
       if st.fz.Watchdog.fz_any && Bytes.get st.fz.Watchdog.fz_marks out_sid = '\001' then
         (* frozen output: the gate evaluated but schedules nothing *)
@@ -325,8 +295,8 @@ let make_state ?pool ?replayed cfg (cp : Compiled.t) ~levels ~value ~pending
   st
 
 let start ?(injections = []) ?compiled cfg c ~drives =
-  let drives_tbl, levels = Drive.bind ~who:"Classic.start" c drives in
   let cp = Compiled.resolve ~who:"Classic.start" ?compiled ~overlay:cfg.overlay cfg.tech c in
+  let drives_tbl, levels = Drive.bind ~who:"Classic.start" cp drives in
   let nsignals = cp.Compiled.nsignals in
   let st =
     make_state cfg cp ~levels ~value:(Array.copy levels)
@@ -384,7 +354,7 @@ type cone_workspace = {
 
 let cone_workspace ~compiled:cp ~(baseline : result) cfg c ~drives =
   Compiled.check ~who:"Classic.cone_workspace" cp ~overlay:cfg.overlay cfg.tech c;
-  let drives_tbl, levels = Drive.bind ~who:"Classic.cone_workspace" c drives in
+  let drives_tbl, levels = Drive.bind ~who:"Classic.cone_workspace" cp drives in
   let nsignals = cp.Compiled.nsignals in
   if Array.length baseline.final_levels <> nsignals then
     invalid_arg "Classic.cone_workspace: baseline is for a different netlist";

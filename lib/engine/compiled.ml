@@ -18,6 +18,7 @@ type t = {
   fan_off : int array;
   fan_gate : int array;
   fan_pin : int array;
+  topo_order : int array option;
   cache : Delay_model.Cache.t;
 }
 
@@ -129,6 +130,38 @@ let check_cone ~who cp cone =
   if not (fits cone.cone_signals cp.nsignals && fits cone.cone_gates cp.ngates) then
     invalid_arg (who ^ ": cone is for a different netlist")
 
+(* Kahn's algorithm over the CSR arrays: a gate's in-degree counts its
+   pins fed by a gate-driven signal, and popping a gate releases the
+   loads of its output.  [order] doubles as the FIFO queue.  [None]
+   when some gates are never released: the circuit has feedback. *)
+let topo_order ~nsignals ~ngates ~g_out ~g_base ~pin_fanin ~fan_off ~fan_gate =
+  let driven = Bytes.make nsignals '\000' in
+  Array.iter (fun sid -> Bytes.set driven sid '\001') g_out;
+  let indegree = Array.make ngates 0 and order = Array.make ngates 0 and tail = ref 0 in
+  for g = 0 to ngates - 1 do
+    for p = g_base.(g) to g_base.(g + 1) - 1 do
+      if Bytes.get driven pin_fanin.(p) = '\001' then indegree.(g) <- indegree.(g) + 1
+    done;
+    if indegree.(g) = 0 then begin
+      order.(!tail) <- g;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let out = g_out.(order.(!head)) in
+    incr head;
+    for e = fan_off.(out) to fan_off.(out + 1) - 1 do
+      let g = fan_gate.(e) in
+      indegree.(g) <- indegree.(g) - 1;
+      if indegree.(g) = 0 then begin
+        order.(!tail) <- g;
+        incr tail
+      end
+    done
+  done;
+  if !tail = ngates then Some order else None
+
 let compile ?(overlay = Param_overlay.empty) tech c =
   let nsignals = Netlist.signal_count c and ngates = Netlist.gate_count c in
   let g_kind = Array.init ngates (fun gid -> (Netlist.gate c gid).Netlist.kind) in
@@ -182,6 +215,7 @@ let compile ?(overlay = Param_overlay.empty) tech c =
     fan_off;
     fan_gate;
     fan_pin;
+    topo_order = topo_order ~nsignals ~ngates ~g_out ~g_base ~pin_fanin ~fan_off ~fan_gate;
     cache = Delay_model.Cache.create ~overlay tech c ~loads;
   }
 

@@ -4,9 +4,10 @@
     {!Iddm.run} used to rebuild these structures at every invocation:
     the CSR-flattened netlist (per-(gate, pin) slot arrays and the
     fanout edge list), the per-pin switching thresholds, and the
-    {!Halotis_delay.Delay_model.Cache} delay coefficients.  All of them
-    depend only on the netlist and the technology — never on drives,
-    injections or budgets — so a long-lived service compiles once and
+    {!Halotis_delay.Delay_model.Cache} delay coefficients; the gate
+    topological order that DC settling follows is recorded with them.
+    All of them depend only on the netlist and the technology — never
+    on drives, injections or budgets — so a long-lived service compiles once and
     starts many sessions against the same {!t} (the compiled-circuit
     cache of [lib/serve] stores exactly these).
 
@@ -35,6 +36,10 @@ type t = {
   fan_off : int array;  (** signal -> first fanout edge; length [nsignals + 1] *)
   fan_gate : int array;  (** fanout edge -> loading gate *)
   fan_pin : int array;  (** fanout edge -> pin of that gate *)
+  topo_order : int array option;
+      (** every gate once, each after the gates that drive its pins
+          (Kahn's algorithm over the arrays above); [None] when the
+          circuit has feedback.  {!Dc.levels} settles in this order. *)
   cache : Halotis_delay.Delay_model.Cache.t;
       (** per-(gate, edge) delay coefficients for this tech *)
 }

@@ -1,5 +1,4 @@
 module Netlist = Halotis_netlist.Netlist
-module Check = Halotis_netlist.Check
 module Gate_kind = Halotis_logic.Gate_kind
 module Value = Halotis_logic.Value
 
@@ -16,33 +15,61 @@ let seed_levels c ~input_level =
     (Netlist.signals c);
   levels
 
-let eval_gate c levels gid =
-  let g = Netlist.gate c gid in
-  Gate_kind.eval_bool g.Netlist.kind (Array.map (fun sid -> levels.(sid)) g.Netlist.fanin)
+(* [Gate_kind.eval_bool] of gate [g], its pins read through the
+   compiled fanin slots: no per-gate input array. *)
+let rec all_set lv fanin base n i =
+  i >= n || (lv.(fanin.(base + i)) && all_set lv fanin base n (i + 1))
 
-let levels c ~input_level =
-  let levels = seed_levels c ~input_level in
-  match Check.topological_gates c with
+let rec any_set lv fanin base n i =
+  i < n && (lv.(fanin.(base + i)) || any_set lv fanin base n (i + 1))
+
+let rec parity_set lv fanin base n i acc =
+  if i >= n then acc else parity_set lv fanin base n (i + 1) (acc <> lv.(fanin.(base + i)))
+
+let pin lv fanin base i = lv.(fanin.(base + i))
+
+let eval_gate (cp : Compiled.t) lv g =
+  let fanin = cp.Compiled.pin_fanin and base = cp.Compiled.g_base.(g) in
+  let n = cp.Compiled.g_base.(g + 1) - base in
+  match cp.Compiled.g_kind.(g) with
+  | Gate_kind.Buf -> pin lv fanin base 0
+  | Gate_kind.Inv -> not (pin lv fanin base 0)
+  | Gate_kind.And _ -> all_set lv fanin base n 0
+  | Gate_kind.Nand _ -> not (all_set lv fanin base n 0)
+  | Gate_kind.Or _ -> any_set lv fanin base n 0
+  | Gate_kind.Nor _ -> not (any_set lv fanin base n 0)
+  | Gate_kind.Xor _ -> parity_set lv fanin base n 0 false
+  | Gate_kind.Xnor _ -> not (parity_set lv fanin base n 0 false)
+  | Gate_kind.Aoi21 ->
+      not ((pin lv fanin base 0 && pin lv fanin base 1) || pin lv fanin base 2)
+  | Gate_kind.Oai21 ->
+      not ((pin lv fanin base 0 || pin lv fanin base 1) && pin lv fanin base 2)
+  | Gate_kind.Mux2 -> if pin lv fanin base 2 then pin lv fanin base 1 else pin lv fanin base 0
+
+let levels (cp : Compiled.t) ~input_level =
+  let levels = seed_levels cp.Compiled.circuit ~input_level in
+  let g_out = cp.Compiled.g_out in
+  match cp.Compiled.topo_order with
   | Some order ->
-      List.iter
-        (fun gid -> levels.((Netlist.gate c gid).Netlist.output) <- eval_gate c levels gid)
-        order;
+      for k = 0 to Array.length order - 1 do
+        let g = order.(k) in
+        levels.(g_out.(g)) <- eval_gate cp levels g
+      done;
       levels
   | None ->
       (* Feedback: Gauss-Seidel sweeps in gate-id order until a sweep
          changes nothing.  Any fixed point is reached within #gates
          sweeps; beyond that the loop oscillates. *)
-      let ngates = Netlist.gate_count c in
+      let ngates = cp.Compiled.ngates in
       let rec sweep remaining =
         if remaining = 0 then
           invalid_arg "Dc.levels: feedback loop does not settle (oscillator?)"
         else begin
           let changed = ref false in
-          for gid = 0 to ngates - 1 do
-            let out = (Netlist.gate c gid).Netlist.output in
-            let v = eval_gate c levels gid in
-            if levels.(out) <> v then begin
-              levels.(out) <- v;
+          for g = 0 to ngates - 1 do
+            let v = eval_gate cp levels g in
+            if levels.(g_out.(g)) <> v then begin
+              levels.(g_out.(g)) <- v;
               changed := true
             end
           done;

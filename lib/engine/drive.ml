@@ -38,13 +38,13 @@ let check_input ~who c sid =
     invalid_arg
       (Printf.sprintf "%s: drive on non-input signal %s" who (Netlist.signal_name c sid))
 
-let bind ~who c drives =
+let bind ~who (cp : Compiled.t) drives =
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun (sid, d) ->
       check d;
-      check_input ~who c sid;
+      check_input ~who cp.Compiled.circuit sid;
       Hashtbl.replace tbl sid d)
     drives;
   let input_level sid = match Hashtbl.find_opt tbl sid with Some d -> d.initial | None -> false in
-  (tbl, Dc.levels c ~input_level)
+  (tbl, Dc.levels cp ~input_level)

@@ -37,11 +37,11 @@ val check_input : who:string -> Halotis_netlist.Netlist.t -> Halotis_netlist.Net
 
 val bind :
   who:string ->
-  Halotis_netlist.Netlist.t ->
+  Compiled.t ->
   (Halotis_netlist.Netlist.signal_id * t) list ->
   (Halotis_netlist.Netlist.signal_id, t) Hashtbl.t * bool array
-(** The drives of one run keyed by signal, each {!check}ed and
-    {!check_input}ed (a later drive of a signal replaces an earlier
-    one), and the DC operating point ({!Dc.levels}) they start from,
-    undriven inputs low.
+(** The drives of one run on the compiled circuit's netlist, keyed by
+    signal, each {!check}ed and {!check_input}ed (a later drive of a
+    signal replaces an earlier one), and the DC operating point
+    ({!Dc.levels}) they start from, undriven inputs low.
     @raise Invalid_argument prefixed with [who], or as {!Dc.levels}. *)

@@ -401,11 +401,11 @@ let make_state ?pool cfg c (cp : Compiled.t) ~wf ~pin_level ~out_target ~pending
   st
 
 let start ?(injections = []) ?compiled cfg c ~drives =
-  let drives_tbl, levels = Drive.bind ~who:"Iddm.start" c drives in
-  let vdd = Tech.vdd cfg.tech in
   (* Everything that depends only on (netlist, tech) comes precompiled
      or is compiled here; per-run state is built fresh below. *)
   let cp = Compiled.resolve ~who:"Iddm.start" ?compiled ~overlay:cfg.overlay cfg.tech c in
+  let drives_tbl, levels = Drive.bind ~who:"Iddm.start" cp drives in
+  let vdd = Tech.vdd cfg.tech in
   let nsignals = cp.Compiled.nsignals and npins = cp.Compiled.npins in
   let ngates = cp.Compiled.ngates in
   let wf =

@@ -17,11 +17,10 @@ val create : capacity:int -> t
 (** Capacity is clamped to at least 1. *)
 
 val key_of_source : string -> string
-(** Content hash (hex digest) of the circuit's source bytes plus
-    whatever the caller folds in.  The server runs one technology, but
-    it concatenates the parse recipe and the parameter-overlay
-    fingerprint into the hashed text, so two corners of the same source
-    never alias a compilation. *)
+(** Content hash (hex digest) of the circuit's source bytes.  The
+    server runs one technology, but its cache key joins the parse
+    recipe, this digest and the parameter-overlay fingerprint, so two
+    corners of the same source never alias a compilation. *)
 
 val find_or_compile :
   t -> key:string -> compile:(unit -> Halotis_engine.Compiled.t) -> Halotis_engine.Compiled.t * bool

@@ -32,10 +32,18 @@ let default_config () =
 type t = {
   cfg : config;
   cache : Circuit_cache.t;
+  fingerprint : string;  (* of [cfg.cf_overlay], part of every cache key *)
   mutable stopping : bool;
 }
 
-let create cfg = { cfg; cache = Circuit_cache.create ~capacity:cfg.cf_cache_size; stopping = false }
+let create cfg =
+  {
+    cfg;
+    cache = Circuit_cache.create ~capacity:cfg.cf_cache_size;
+    fingerprint = Halotis_tech.Param_overlay.fingerprint cfg.cf_overlay;
+    stopping = false;
+  }
+
 let cache t = t.cache
 let stopping t = t.stopping
 
@@ -105,11 +113,11 @@ let handle_load conn (l : P.load) =
   let text = circuit_bytes l.P.ld_circuit in
   let overlay = conn.server.cfg.cf_overlay in
   (* The key also covers the parameter overlay's fingerprint: two
-     corners of the same source must never alias a compiled circuit. *)
+     corners of the same source must never alias a compiled circuit.
+     Only the source text is hashed, so it is never copied. *)
   let key =
-    Circuit_cache.key_of_source
-      (parse_recipe l.P.ld_circuit ^ "\x00" ^ text ^ "\x00"
-      ^ Halotis_tech.Param_overlay.fingerprint overlay)
+    String.concat "\x00"
+      [ parse_recipe l.P.ld_circuit; Circuit_cache.key_of_source text; conn.server.fingerprint ]
   in
   let compiled, hit =
     Circuit_cache.find_or_compile conn.server.cache ~key ~compile:(fun () ->

@@ -55,6 +55,9 @@ val wire_cap_per_fanout : t -> float
 (** Estimated interconnect capacitance added per fanout pin, fF. *)
 
 val gate_tech : t -> Halotis_logic.Gate_kind.t -> gate_tech
+(** The cell of a gate kind.  The library's [lookup] runs once per kind
+    (for the fixed-pin kinds and n-ary kinds of up to 16 inputs) and its
+    record is kept, so [lookup] must be a pure function of the kind. *)
 
 val edge : gate_tech -> rising:bool -> edge_params
 (** Selects {!gate_tech.rise} or {!gate_tech.fall}. *)

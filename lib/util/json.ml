@@ -8,21 +8,38 @@ type t =
 
 (* --- emitter --- *)
 
+(* Plain bytes are copied in runs between the characters that need an
+   escape; the escapes are those of RFC 8259, control bytes as a
+   lowercase [\u00XX]. *)
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun ch ->
-      match ch with
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      if i > !run then Buffer.add_substring buf s !run (i - !run);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf "0123456789abcdef".[Char.code c lsr 4];
+          Buffer.add_char buf "0123456789abcdef".[Char.code c land 15]);
+      run := i + 1
+    end
+  done;
+  if n > !run then Buffer.add_substring buf s !run (n - !run);
   Buffer.add_char buf '"'
+
+(* [Printf.sprintf "%.12g"] ends in this primitive
+   ([CamlinternalFormat.convert_float], the [Float_g] case, no padding),
+   so calling it directly prints the same bytes without building and
+   interpreting a format per number. *)
+external format_float : string -> float -> string = "caml_format_float"
 
 (* Integral values take the [string_of_int] path, which prints the same
    digits as [%.0f] below 1e15 at a fraction of the cost (reports are
@@ -31,7 +48,7 @@ let escape_string buf s =
 let number_string f =
   if Float.is_integer f && Float.abs f < 1e15 then
     if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f)
-  else Printf.sprintf "%.12g" f
+  else format_float "%.12g" f
 
 let to_string ?(indent = true) v =
   let buf = Buffer.create 256 in
@@ -93,24 +110,22 @@ let parse_error_to_string e = Printf.sprintf "%s at offset %d" e.pe_msg e.pe_off
 
 exception Bad of int * string
 
+let max_depth = 512
+
 let parse_strict text =
   let n = String.length text in
   let pos = ref 0 in
   let fail msg = raise (Bad (!pos, msg)) in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let advance () = incr pos in
+  let at ch = !pos < n && String.unsafe_get text !pos = ch in
   let skip_ws () =
     while
-      !pos < n && match text.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+      !pos < n
+      && match String.unsafe_get text !pos with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
     do
-      advance ()
+      incr pos
     done
   in
-  let expect ch =
-    match peek () with
-    | Some c when c = ch -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" ch)
-  in
+  let expect ch = if at ch then incr pos else fail (Printf.sprintf "expected %c" ch) in
   let literal word value =
     if !pos + String.length word <= n && String.sub text !pos (String.length word) = word
     then begin
@@ -131,43 +146,66 @@ let parse_strict text =
       Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
     end
   in
+  (* The end of the plain run from [i]: the next quote or backslash,
+     or [n]. *)
+  let rec run_end i =
+    if i >= n then n
+    else match String.unsafe_get text i with '"' | '\\' -> i | _ -> run_end (i + 1)
+  in
+  (* One escape, [!pos] just past its backslash. *)
+  let escape buf =
+    if !pos >= n then fail "unterminated escape";
+    let e = text.[!pos] in
+    incr pos;
+    match e with
+    | '"' -> Buffer.add_char buf '"'
+    | '\\' -> Buffer.add_char buf '\\'
+    | '/' -> Buffer.add_char buf '/'
+    | 'n' -> Buffer.add_char buf '\n'
+    | 'r' -> Buffer.add_char buf '\r'
+    | 't' -> Buffer.add_char buf '\t'
+    | 'b' -> Buffer.add_char buf '\b'
+    | 'f' -> Buffer.add_char buf '\012'
+    | 'u' -> (
+        if !pos + 4 > n then fail "truncated \\u escape";
+        let hex = String.sub text !pos 4 in
+        pos := !pos + 4;
+        match int_of_string_opt ("0x" ^ hex) with
+        | Some code -> utf8_of_code buf code
+        | None -> fail "bad \\u escape")
+    | _ -> fail "bad escape"
+  in
+  (* A literal is copied by runs: without an escape it is one
+     [String.sub]; with one, each plain run goes into the buffer
+     whole. *)
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string";
-      let c = text.[!pos] in
-      advance ();
-      if c = '"' then Buffer.contents buf
-      else if c = '\\' then begin
-        (if !pos >= n then fail "unterminated escape";
-         let e = text.[!pos] in
-         advance ();
-         match e with
-         | '"' -> Buffer.add_char buf '"'
-         | '\\' -> Buffer.add_char buf '\\'
-         | '/' -> Buffer.add_char buf '/'
-         | 'n' -> Buffer.add_char buf '\n'
-         | 'r' -> Buffer.add_char buf '\r'
-         | 't' -> Buffer.add_char buf '\t'
-         | 'b' -> Buffer.add_char buf '\b'
-         | 'f' -> Buffer.add_char buf '\012'
-         | 'u' ->
-             if !pos + 4 > n then fail "truncated \\u escape";
-             let hex = String.sub text !pos 4 in
-             pos := !pos + 4;
-             (match int_of_string_opt ("0x" ^ hex) with
-             | Some code -> utf8_of_code buf code
-             | None -> fail "bad \\u escape")
-         | _ -> fail "bad escape");
-        loop ()
-      end
-      else begin
-        Buffer.add_char buf c;
-        loop ()
-      end
-    in
-    loop ()
+    let start = !pos in
+    let stop = run_end start in
+    if stop >= n then begin
+      pos := n;
+      fail "unterminated string"
+    end
+    else if text.[stop] = '"' then begin
+      pos := stop + 1;
+      String.sub text start (stop - start)
+    end
+    else begin
+      let buf = Buffer.create (stop - start + 16) in
+      Buffer.add_substring buf text start (stop - start);
+      pos := stop;
+      (* [!pos] is at a quote or a backslash, or at [n] *)
+      while not (at '"') do
+        if !pos >= n then fail "unterminated string";
+        incr pos;
+        escape buf;
+        let stop = run_end !pos in
+        Buffer.add_substring buf text !pos (stop - !pos);
+        pos := stop
+      done;
+      incr pos;
+      Buffer.contents buf
+    end
   in
   let parse_number () =
     let start = !pos in
@@ -175,43 +213,46 @@ let parse_strict text =
       match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
     in
     while !pos < n && is_num_char text.[!pos] do
-      advance ()
+      incr pos
     done;
     match float_of_string_opt (String.sub text start (!pos - start)) with
     | Some f -> f
     | None -> fail "bad number"
   in
-  let rec parse_value () =
+  (* [depth]: the brackets open around the value; one more than
+     [max_depth] is an error at the bracket that opens it. *)
+  let rec parse_value depth =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some '[' ->
-        advance ();
+    if !pos >= n then fail "unexpected end of input";
+    match text.[!pos] with
+    | '"' -> Str (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | ('[' | '{') when depth >= max_depth -> fail "nesting too deep"
+    | '[' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
+        if at ']' then begin
+          incr pos;
           Arr []
         end
         else begin
-          let items = ref [ parse_value () ] in
+          let items = ref [ parse_value (depth + 1) ] in
           skip_ws ();
-          while peek () = Some ',' do
-            advance ();
-            items := parse_value () :: !items;
+          while at ',' do
+            incr pos;
+            items := parse_value (depth + 1) :: !items;
             skip_ws ()
           done;
           expect ']';
           Arr (List.rev !items)
         end
-    | Some '{' ->
-        advance ();
+    | '{' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
+        if at '}' then begin
+          incr pos;
           Obj []
         end
         else begin
@@ -220,23 +261,23 @@ let parse_strict text =
             let key = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             (key, v)
           in
           let fields = ref [ field () ] in
           skip_ws ();
-          while peek () = Some ',' do
-            advance ();
+          while at ',' do
+            incr pos;
             fields := field () :: !fields;
             skip_ws ()
           done;
           expect '}';
           Obj (List.rev !fields)
         end
-    | Some _ -> Num (parse_number ())
+    | _ -> Num (parse_number ())
   in
   try
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then Error { pe_offset = !pos; pe_msg = "trailing garbage" } else Ok v
   with Bad (at, msg) -> Error { pe_offset = at; pe_msg = msg }

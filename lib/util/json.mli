@@ -33,7 +33,14 @@ val parse_strict : string -> (t, parse_error) result
     plus standard escapes (including [\uXXXX], encoded to UTF-8).
     Rejects anything that is not exactly one JSON value: an
     unterminated string or a value followed by trailing bytes is an
-    [Error], never a truncated [Ok]. *)
+    [Error], never a truncated [Ok].  Arrays and objects nested more
+    than {!max_depth} deep are an [Error] (["nesting too deep"]) at the
+    offset of the first bracket beyond that depth, so the recursion
+    is bounded whatever the input. *)
+
+val max_depth : int
+(** The deepest nesting of arrays and objects {!parse_strict}
+    accepts: 512. *)
 
 val parse : string -> (t, string) result
 (** {!parse_strict} with the error rendered by

@@ -1,7 +1,8 @@
 (* The JSON emitter as it was before the integer fast path: every
-   integral number through [Printf.sprintf "%.0f"] and every indent a
-   fresh [String.make].  The reference [Halotis_util.Json.to_string]
-   must match byte for byte. *)
+   integral number through [Printf.sprintf "%.0f"] (others through
+   [Printf.sprintf "%.12g"]), every indent a fresh [String.make], every
+   string escaped one character at a time.
+   [Halotis_util.Json.to_string] must match it byte for byte. *)
 
 module Json = Halotis_util.Json
 
@@ -71,3 +72,159 @@ let to_string ?(indent = true) v =
   in
   emit 0 v;
   Buffer.contents buf
+
+(* The strict parser as it was before string literals were scanned by
+   runs: every character of a literal goes through one position step
+   and one [Buffer.add_char], escapes decoded as they come.  It has no
+   nesting limit; [Halotis_util.Json.parse_strict] must return the same
+   value, or the same error message at the same offset, on every
+   document nested at most [Json.max_depth] deep. *)
+exception Bad of int * string
+
+let parse_strict text =
+  let n = String.length text in
+  let pos = ref 0 in
+  let fail msg = raise (Bad (!pos, msg)) in
+  let peek () = if !pos < n then Some text.[!pos] else None in
+  let advance () = incr pos in
+  let skip_ws () =
+    while
+      !pos < n && match text.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+    do
+      advance ()
+    done
+  in
+  let expect ch =
+    match peek () with
+    | Some c when c = ch -> advance ()
+    | _ -> fail (Printf.sprintf "expected %c" ch)
+  in
+  let literal word value =
+    if !pos + String.length word <= n && String.sub text !pos (String.length word) = word
+    then begin
+      pos := !pos + String.length word;
+      value
+    end
+    else fail ("expected " ^ word)
+  in
+  let utf8_of_code buf code =
+    if code < 0x80 then Buffer.add_char buf (Char.chr code)
+    else if code < 0x800 then begin
+      Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+    end
+    else begin
+      Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+    end
+  in
+  let parse_string () =
+    expect '"';
+    let buf = Buffer.create 16 in
+    let rec loop () =
+      if !pos >= n then fail "unterminated string";
+      let c = text.[!pos] in
+      advance ();
+      if c = '"' then Buffer.contents buf
+      else if c = '\\' then begin
+        (if !pos >= n then fail "unterminated escape";
+         let e = text.[!pos] in
+         advance ();
+         match e with
+         | '"' -> Buffer.add_char buf '"'
+         | '\\' -> Buffer.add_char buf '\\'
+         | '/' -> Buffer.add_char buf '/'
+         | 'n' -> Buffer.add_char buf '\n'
+         | 'r' -> Buffer.add_char buf '\r'
+         | 't' -> Buffer.add_char buf '\t'
+         | 'b' -> Buffer.add_char buf '\b'
+         | 'f' -> Buffer.add_char buf '\012'
+         | 'u' ->
+             if !pos + 4 > n then fail "truncated \\u escape";
+             let hex = String.sub text !pos 4 in
+             pos := !pos + 4;
+             (match int_of_string_opt ("0x" ^ hex) with
+             | Some code -> utf8_of_code buf code
+             | None -> fail "bad \\u escape")
+         | _ -> fail "bad escape");
+        loop ()
+      end
+      else begin
+        Buffer.add_char buf c;
+        loop ()
+      end
+    in
+    loop ()
+  in
+  let parse_number () =
+    let start = !pos in
+    let is_num_char c =
+      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+    in
+    while !pos < n && is_num_char text.[!pos] do
+      advance ()
+    done;
+    match float_of_string_opt (String.sub text start (!pos - start)) with
+    | Some f -> f
+    | None -> fail "bad number"
+  in
+  let rec parse_value () =
+    skip_ws ();
+    match peek () with
+    | None -> fail "unexpected end of input"
+    | Some '"' -> Json.Str (parse_string ())
+    | Some 't' -> literal "true" (Json.Bool true)
+    | Some 'f' -> literal "false" (Json.Bool false)
+    | Some 'n' -> literal "null" Json.Null
+    | Some '[' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some ']' then begin
+          advance ();
+          Json.Arr []
+        end
+        else begin
+          let items = ref [ parse_value () ] in
+          skip_ws ();
+          while peek () = Some ',' do
+            advance ();
+            items := parse_value () :: !items;
+            skip_ws ()
+          done;
+          expect ']';
+          Json.Arr (List.rev !items)
+        end
+    | Some '{' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some '}' then begin
+          advance ();
+          Json.Obj []
+        end
+        else begin
+          let field () =
+            skip_ws ();
+            let key = parse_string () in
+            skip_ws ();
+            expect ':';
+            let v = parse_value () in
+            (key, v)
+          in
+          let fields = ref [ field () ] in
+          skip_ws ();
+          while peek () = Some ',' do
+            advance ();
+            fields := field () :: !fields;
+            skip_ws ()
+          done;
+          expect '}';
+          Json.Obj (List.rev !fields)
+        end
+    | Some _ -> Json.Num (parse_number ())
+  in
+  try
+    let v = parse_value () in
+    skip_ws ();
+    if !pos <> n then Error { Json.pe_offset = !pos; pe_msg = "trailing garbage" } else Ok v
+  with Bad (at, msg) -> Error { Json.pe_offset = at; pe_msg = msg }

@@ -58,7 +58,7 @@ module Ref_iddm = struct
       | Some (d : Drive.t) -> d.Drive.initial
       | None -> false
     in
-    let levels = Dc.levels c ~input_level in
+    let levels = Ref_dc.levels c ~input_level in
     let vdd = Tech.vdd cfg.Iddm.tech in
     let nsignals = N.signal_count c and ngates = N.gate_count c in
     let wf =
@@ -238,7 +238,7 @@ module Ref_classic = struct
       | Some (d : Drive.t) -> d.Drive.initial
       | None -> false
     in
-    let levels = Dc.levels c ~input_level in
+    let levels = Ref_dc.levels c ~input_level in
     let nsignals = N.signal_count c in
     let value = Array.copy levels in
     let pending : tx list array = Array.make nsignals [] in
@@ -775,6 +775,100 @@ let test_iddm_words_per_event () =
     Alcotest.failf "DDM allocates %.2f minor words per processed event (bound %.2f)" per_event
       bound
 
+(* ------------------------------------------------------------------ *)
+(* DC operating point on the compiled circuit                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A three-stage ring, enabled by [en]: it settles while [en] is low
+   and oscillates (no DC point) while it is high. *)
+let gated_ring () =
+  match
+    Halotis_netlist.Hnl.parse_string
+      "circuit ring\ninput en\noutput z\n\
+       gate g1 nand2 x en z\ngate g2 inv y x\ngate g3 inv z y\nend\n"
+  with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "ring did not parse: %s" e.Halotis_netlist.Hnl.message
+
+let dc_circuit_gen =
+  QCheck.Gen.(
+    let* pick = int_bound 7 and* seed = int_range 1 10_000 in
+    return
+      (match pick with
+      | 0 | 1 ->
+          G.random_combinational ~gates:(20 + (seed mod 150)) ~inputs:(2 + (seed mod 9)) ~seed ()
+      | 2 -> (G.sr_latch ()).G.latch_circuit
+      | 3 -> (G.d_latch ()).G.dl_circuit
+      | 4 -> (G.dff ()).G.dff_circuit
+      | 5 -> (G.ripple_counter ~bits:(1 + (seed mod 4)) ()).G.ctr_circuit
+      | 6 -> (G.lfsr ~bits:(3 + (seed mod 3)) ~taps:[ 0; 2 ] ()).G.lfsr_circuit
+      | _ -> gated_ring ()))
+
+(* [Dc.levels] settles in the compiled topological order, reading pins
+   through the CSR slots; the oracle ({!Ref_dc}) walks
+   [Check.topological_gates] over the netlist records.  Both must give
+   every signal the same level for random input levels, on acyclic
+   circuits and on the feedback generators (Gauss-Seidel), and both
+   must reject the same oscillating cases. *)
+let prop_dc_matches_oracle =
+  QCheck.Test.make ~name:"Dc.levels on the compiled circuit == Check-order oracle" ~count:200
+    (QCheck.make
+       QCheck.Gen.(pair dc_circuit_gen (int_range 0 1_000_000)))
+    (fun (c, lseed) ->
+      let rng = Prng.create ~seed:lseed in
+      let inputs = Array.make (N.signal_count c) false in
+      List.iter (fun sid -> inputs.(sid) <- Prng.bool rng) (N.primary_inputs c);
+      let input_level sid = inputs.(sid) in
+      let attempt f = try Ok (f ()) with Invalid_argument m -> Error m in
+      let cp = Compiled.compile tech c in
+      attempt (fun () -> Dc.levels cp ~input_level)
+      = attempt (fun () -> Ref_dc.levels c ~input_level))
+
+(* The compiled order lists every gate once, each after the gates that
+   drive its pins, exactly when the netlist is acyclic. *)
+let prop_topo_order =
+  QCheck.Test.make ~name:"Compiled.topo_order: drivers first, None iff feedback" ~count:100
+    (QCheck.make dc_circuit_gen)
+    (fun c ->
+      let cp = Compiled.compile tech c in
+      match (cp.Compiled.topo_order, Halotis_netlist.Check.topological_gates c) with
+      | None, None -> true
+      | Some order, Some _ ->
+          let rank = Array.make cp.Compiled.ngates (-1) in
+          Array.iteri (fun k g -> rank.(g) <- k) order;
+          Array.length order = cp.Compiled.ngates
+          && Array.for_all (fun r -> r >= 0) rank
+          && Array.for_all
+               (fun g ->
+                 Array.for_all
+                   (fun sid ->
+                     match (N.signal c sid).N.driver with
+                     | Some d -> rank.(d) < rank.(g)
+                     | None -> true)
+                   (N.gate c g).N.fanin)
+               order
+      | _ -> false)
+
+(* Starting a DDM session on a compiled circuit, as a serve load does:
+   a seeded 170-gate random circuit with constant drives at random
+   levels on its 8 inputs.  When DC settled through a netlist Kahn walk
+   (lists and a [Queue]) and a fresh input array per gate, a start
+   allocated 13,680 minor words; on the compiled order and pin slots it
+   allocates 4,512.  The bound is 0.6 of the former. *)
+let test_session_start_words () =
+  let c = G.random_combinational ~gates:170 ~inputs:8 ~seed:7 () in
+  let rng = Prng.create ~seed:8 in
+  let drives = List.map (fun s -> (s, Drive.constant (Prng.bool rng))) (N.primary_inputs c) in
+  let compiled = Compiled.compile tech c in
+  let cfg = Iddm.config tech in
+  ignore (Iddm.start ~compiled cfg c ~drives);
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Iddm.start ~compiled cfg c ~drives));
+  let words = Gc.minor_words () -. w0 in
+  let bound = 13_680. *. 0.6 in
+  if words > bound then
+    Alcotest.failf "starting a DDM session allocates %.0f minor words (bound %.0f)" words bound
+
 let tests =
   [
     ( "perf.equiv",
@@ -789,5 +883,9 @@ let tests =
         QCheck_alcotest.to_alcotest prop_cache_matches_reference;
         Alcotest.test_case "Iddm.run minor words per processed event" `Quick
           test_iddm_words_per_event;
+        QCheck_alcotest.to_alcotest prop_dc_matches_oracle;
+        QCheck_alcotest.to_alcotest prop_topo_order;
+        Alcotest.test_case "Iddm.start minor words on a 170-gate circuit" `Quick
+          test_session_start_words;
       ] );
   ]

@@ -805,6 +805,22 @@ let prop_handle_line_never_raises =
         lines;
       true)
 
+(* A line nested far past [Json.max_depth] gets one [parse] error reply
+   (at the first bracket too deep) and leaves the connection usable. *)
+let test_deep_nesting_line () =
+  let _, conn = mk_conn () in
+  ignore (expect_ok "hello" (send conn ~id:1 (hello ~id:1)));
+  (match Json.parse_strict (Server.handle_line conn (String.make 100_000 '[')) with
+  | Error e -> Alcotest.failf "reply is not JSON: %s" (Json.parse_error_to_string e)
+  | Ok j -> (
+      checkb "null id" true (Json.member "id" j = Some Json.Null);
+      let field f = Option.bind (Json.member "error" j) (Json.member f) in
+      checkb "parse code" true (field "code" = Some (Json.Str "parse"));
+      checkb "message at the first bracket too deep" true
+        (field "message"
+        = Some (Json.Str (Printf.sprintf "nesting too deep at offset %d" Json.max_depth)))));
+  ignore (expect_ok "next request" (send conn ~id:2 (framed ~id:2 (load_inline inline_hnl))))
+
 (* ------------------------------------------------------------------ *)
 
 let tests =
@@ -827,5 +843,7 @@ let tests =
           test_set_input_replaces_future;
         Alcotest.test_case "Json.parse_strict structured errors" `Quick test_parse_strict;
         Alcotest.test_case "Json.Lines newline reader" `Quick test_lines_reader;
+        Alcotest.test_case "100k-deep line: parse error, connection lives" `Quick
+          test_deep_nesting_line;
       ] );
   ]

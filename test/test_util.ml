@@ -218,10 +218,32 @@ let test_json_accessors () =
   checkb "to_str" true (Json.to_str (Json.Str "hi") = Some "hi");
   checkb "parse error" true (match Json.parse "{" with Error _ -> true | Ok _ -> false)
 
-(* The integer fast path and the allocation-free indent must print
-   exactly what the old formatter ({!Ref_json}) printed: signed zeros,
-   the 1e15 cut-over, non-integers, nan and the infinities, alone and
-   nested at random depths. *)
+(* Strings for the codec properties: quotes, backslashes, every
+   control byte, high bytes, plain runs and the empty string. *)
+let json_string_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return "");
+        ( 6,
+          string_size
+            ~gen:
+              (frequency
+                 [
+                   (4, oneofl [ 'a'; 'Z'; ' '; '/'; '0' ]);
+                   (2, oneofl [ '"'; '\\' ]);
+                   (2, map Char.chr (int_bound 0x1f));
+                   (1, map Char.chr (int_range 0x7f 0xff));
+                 ])
+            (int_range 0 24) );
+        (1, string_size ~gen:(return 'x') (int_range 100 600));
+      ])
+
+(* The integer fast path, the allocation-free indent and the escaper
+   that copies plain runs must print exactly what the old formatter
+   ({!Ref_json}) printed: signed zeros, the 1e15 cut-over,
+   non-integers, nan and the infinities, and strings of every byte
+   class as values and as keys, alone and nested at random depths. *)
 let prop_json_matches_reference =
   let special =
     [ 0.; -0.; 1e15; -1e15; 1e15 -. 1.; -.(1e15 -. 1.); 1e15 +. 2.; 0.5; -2.5; 1e-300;
@@ -242,16 +264,23 @@ let prop_json_matches_reference =
     QCheck.Gen.(
       sized_size (int_range 0 4)
       @@ fix (fun self depth ->
-             if depth = 0 then map (fun f -> Json.Num f) num
-             else
+             let leaf =
                frequency
                  [
                    (2, map (fun f -> Json.Num f) num);
+                   (1, map (fun s -> Json.Str s) json_string_gen);
+                 ]
+             in
+             if depth = 0 then leaf
+             else
+               frequency
+                 [
+                   (2, leaf);
                    (1, map (fun l -> Json.Arr l) (list_size (int_range 0 4) (self (depth - 1))));
                    ( 1,
                      map
-                       (fun l -> Json.Obj (List.mapi (fun i v -> (string_of_int i, v)) l))
-                       (list_size (int_range 0 4) (self (depth - 1))) );
+                       (fun l -> Json.Obj l)
+                       (list_size (int_range 0 4) (pair json_string_gen (self (depth - 1)))) );
                  ]))
   in
   QCheck.Test.make ~name:"Json.to_string == reference formatter" ~count:500
@@ -283,6 +312,12 @@ let mutate_json text m =
         String.mapi (fun i c -> if i = k then ch else c) text
   | Nest (k, depth, opener) -> insert k (String.make depth opener)
   | Escape (k, tail) -> insert k ("\\" ^ tail)
+
+(* The bracket nesting of a value: 0 for a scalar. *)
+let rec json_depth = function
+  | Json.Arr l -> 1 + List.fold_left (fun acc v -> max acc (json_depth v)) 0 l
+  | Json.Obj l -> 1 + List.fold_left (fun acc (_, v) -> max acc (json_depth v)) 0 l
+  | Json.Null | Json.Bool _ | Json.Num _ | Json.Str _ -> 0
 
 let prop_json_parse_total =
   let open QCheck.Gen in
@@ -324,6 +359,13 @@ let prop_json_parse_total =
             pos
             (oneofl [ '['; ']'; '{'; '}'; '"'; '\\'; ','; ':'; 'u'; '\000'; '\xff' ]) );
         (1, map3 (fun k d c -> Nest (k, d, c)) pos (int_range 1 20_000) (oneofl [ '['; '{' ]));
+        ( 1,
+          map3
+            (fun k d c -> Nest (k, d, c))
+            pos
+            (oneof
+               [ int_range (Json.max_depth - 2) (Json.max_depth + 2); int_range 20_000 200_000 ])
+            (oneofl [ '['; '{' ]) );
         ( 2,
           map2
             (fun k t -> Escape (k, t))
@@ -340,8 +382,87 @@ let prop_json_parse_total =
     (fun text ->
       (match Json.parse text with Ok _ | Error _ -> ());
       match Json.parse_strict text with
-      | Ok _ -> true
+      | Ok v -> json_depth v <= Json.max_depth
       | Error e -> e.Json.pe_offset >= 0 && e.Json.pe_offset <= String.length text)
+
+(* The run-scanning parser against the character-by-character one
+   ({!Ref_json.parse_strict}): documents full of escaped strings, then
+   damaged so that literals end early, escapes are cut short or bad,
+   and [\u] escapes carry non-hex digits.  Values, error messages and
+   error offsets must all agree. *)
+let prop_json_parse_matches_reference =
+  let open QCheck.Gen in
+  let doc =
+    sized_size (int_range 0 3)
+    @@ fix (fun self depth ->
+           let leaf = map (fun s -> Json.Str s) json_string_gen in
+           if depth = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Json.Arr l) (list_size (int_range 0 4) (self (depth - 1))));
+                 ( 1,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (int_range 0 4) (pair json_string_gen (self (depth - 1)))) );
+               ])
+  in
+  let pos = int_bound 10_000 in
+  let mutation =
+    frequency
+      [
+        (3, map (fun k -> Truncate k) pos);
+        ( 3,
+          map2
+            (fun k t -> Escape (k, t))
+            pos
+            (oneofl
+               [ ""; "u"; "u1"; "u12"; "u123"; "uZZZZ"; "u-123"; "u_1_2"; "u1_2_"; "u00e9";
+                 "uFFFF"; "u0000"; "x"; "\""; "\\"; "/"; "b"; "f"; "n" ]) );
+        (1, map2 (fun k c -> Flip (k, c)) pos (oneofl [ '"'; '\\'; 'u'; '\000'; '\xff' ]));
+      ]
+  in
+  let input =
+    let* d = doc and* indent = bool and* ms = list_size (int_range 0 3) mutation in
+    return (List.fold_left mutate_json (Json.to_string ~indent d) ms)
+  in
+  QCheck.Test.make ~name:"Json.parse_strict == character-by-character reference" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") input)
+    (fun text -> compare (Json.parse_strict text) (Ref_json.parse_strict text) = 0)
+
+(* Nesting beyond [Json.max_depth] is an error at the first bracket too
+   deep, whatever mix of arrays and objects leads there; at the limit
+   the document still parses. *)
+let test_json_depth_limit () =
+  let nest d = String.make d '[' ^ String.make d ']' in
+  (match Json.parse_strict (nest Json.max_depth) with
+  | Ok v -> checkb "at the limit" true (json_depth v = Json.max_depth)
+  | Error e ->
+      Alcotest.failf "depth %d rejected: %s" Json.max_depth (Json.parse_error_to_string e));
+  let too_deep label text offset =
+    match Json.parse_strict text with
+    | Ok _ -> Alcotest.failf "%s: accepted" label
+    | Error e ->
+        Alcotest.(check string) (label ^ ": message") "nesting too deep" e.Json.pe_msg;
+        Alcotest.(check int) (label ^ ": offset") offset e.Json.pe_offset
+  in
+  too_deep "one past" (nest (Json.max_depth + 1)) Json.max_depth;
+  too_deep "100k unclosed" (String.make 100_000 '[') Json.max_depth;
+  let field = "{\"k\": " in
+  let b = Buffer.create 4096 in
+  for i = 1 to Json.max_depth + 5 do
+    Buffer.add_string b (if i mod 2 = 0 then field else " [ ")
+  done;
+  (* odd levels open with " [ " (bracket at offset 1), even ones with
+     field (bracket at offset 0) *)
+  let lengths i = if i mod 2 = 0 then String.length field else 3 in
+  let offset = ref 0 in
+  for i = 1 to Json.max_depth do
+    offset := !offset + lengths i
+  done;
+  let first = if (Json.max_depth + 1) mod 2 = 0 then 0 else 1 in
+  too_deep "mixed" (Buffer.contents b) (!offset + first)
 
 let tests =
   [
@@ -351,6 +472,8 @@ let tests =
         Alcotest.test_case "accessors" `Quick test_json_accessors;
         QCheck_alcotest.to_alcotest prop_json_matches_reference;
         QCheck_alcotest.to_alcotest prop_json_parse_total;
+        QCheck_alcotest.to_alcotest prop_json_parse_matches_reference;
+        Alcotest.test_case "nesting depth limit" `Quick test_json_depth_limit;
       ] );
     ( "util.heap",
       [

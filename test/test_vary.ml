@@ -223,7 +223,7 @@ let test_cache_overlay_isolation () =
     Overlay.set Overlay.empty ~gate:0
       { Overlay.entry_identity with Overlay.en_vt = 0.9 }
   in
-  let key ov = Circuit_cache.key_of_source (source ^ "\x00" ^ Overlay.fingerprint ov) in
+  let key ov = Circuit_cache.key_of_source source ^ "\x00" ^ Overlay.fingerprint ov in
   checkb "corner fingerprint differs from nominal" true
     (Overlay.fingerprint corner <> Overlay.empty_fingerprint);
   checkb "corner keys a different cache slot" true (key Overlay.empty <> key corner);
