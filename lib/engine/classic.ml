@@ -56,7 +56,22 @@ type injection = Netlist.signal_id * (float * bool) list
    lazy-cancellation tombstone: preempted transactions are marked dead
    in place and discarded (and recycled) when the queue surfaces them.
    A slot sits in the queue exactly once, so recycling at pop time is
-   single-free by construction. *)
+   single-free by construction.
+
+   Queue ties break by an intrinsic rank, as in {!Iddm}.  Input
+   switches rank lowest, in the order {!start} seeds them: the drive
+   table's order, then each drive's own ({!input_seeds}).  Injection
+   toggles come next, in the order they were queued
+   ({!Run_control.injection_rank}).  A driver transaction or a replayed
+   boundary edge on signal [sid] ranks [sid].  The order among
+   simultaneous input switches sets edge times (where several inputs
+   of one gate switch at one instant, the last to pop prices the gate's
+   delay), so it is the seeding order, the one a first-in first-out
+   queue pops them in.  A new transaction annuls its signal's pending
+   ones at or after it, so a signal holds at most one live transaction
+   per instant, and equal-instant pops resolve the same way in every
+   run that queues the same entries, in whatever order it queues
+   them. *)
 type state = {
   cfg : config;
   cp : Compiled.t;
@@ -83,12 +98,9 @@ type state = {
   wd : Watchdog.t option;
   fz : Watchdog.frozen;
   ctl : Run_control.t; (* limits, stop reason, progress *)
-  (* Cone runs only (see {!start_cone}); a full run leaves [cone] false
-     and never looks at the rest. *)
-  cone : bool;
-  replayed : Bytes.t; (* signal -> '\001' iff a gate-driven boundary feed *)
-  mutable tie_at : float; (* instant of the latest value-changing pop *)
-  mutable tie_replayed : bool; (* a replayed edge committed at [tie_at] *)
+  mutable seeded : int; (* the rank of the next input switch *)
+  mutable toggles : int; (* injection toggles queued so far *)
+  cone : bool; (* a {!start_cone} run *)
   mutable replay_hazard : bool;
 }
 
@@ -125,13 +137,13 @@ let free_tx st slot =
 
 (* Allocate, fill and enqueue a transaction slot (heap only; the caller
    decides whether it also enters a pending deque). *)
-let enqueue_tx st ~sid ~at ~value =
+let enqueue_tx st ~rank ~sid ~at ~value =
   let slot = alloc_tx st in
   st.tx_sid.(slot) <- sid;
   st.tx_at.(slot) <- at;
   Bytes.set st.tx_value slot (if value then '\001' else '\000');
   Bytes.set st.tx_dead slot '\000';
-  ignore (Heap.insert st.queue ~key:at slot);
+  Heap.insert st.queue ~key:at ~rank slot;
   slot
 
 (* The value the driver will settle to once pending transactions fire. *)
@@ -173,8 +185,7 @@ let schedule_inertial st sid ~at ~value ~window =
       st.stats.Stats.events_filtered <- st.stats.Stats.events_filtered + 2
     end
     else begin
-      let slot = enqueue_tx st ~sid ~at ~value in
-      Slot_deque.push txq slot;
+      Slot_deque.push txq (enqueue_tx st ~rank:sid ~sid ~at ~value);
       st.stats.Stats.events_scheduled <- st.stats.Stats.events_scheduled + 1
     end
   end
@@ -220,18 +231,37 @@ let toggle (tr : Transition.t) =
   ( tr.Transition.start +. (tr.Transition.slope_time /. 2.),
     match tr.Transition.polarity with Transition.Rising -> true | Transition.Falling -> false )
 
-(* A primary-input switch.  Nothing but its stimulus drives an input,
-   so the input's deque holds just its queued switches, which
-   {!session_set_input} annuls.  A switch whose 50 % point falls before
-   an already queued one (overlapping drive ramps) stays out of the
-   deque, which has to remain time-sorted. *)
+(* A primary-input switch, ranked [st.seeded].  Nothing but its
+   stimulus drives an input, so the input's deque holds just its queued
+   switches, which {!session_set_input} annuls.  A switch whose 50 %
+   point falls before an already queued one (overlapping drive ramps)
+   stays out of the deque, which has to remain time-sorted. *)
 let seed_input st sid (tr : Transition.t) =
   let at, value = toggle tr in
-  let slot = enqueue_tx st ~sid ~at ~value in
+  let slot = enqueue_tx st ~rank:st.seeded ~sid ~at ~value in
+  st.seeded <- st.seeded + 1;
   let txq : Slot_deque.t = st.pending.(sid) in
   if txq.head = txq.tail || st.tx_at.(txq.buf.(txq.tail - 1)) <= at then
     Slot_deque.push txq slot;
   st.stats.Stats.events_scheduled <- st.stats.Stats.events_scheduled + 1
+
+(* The driven inputs in the drive table's order, each with its
+   switches and the rank of its first switch: input switches rank from
+   [min_int] up, in that order ([Hashtbl.fold] visits every table
+   {!Drive.bind} builds from one drive list in one order). *)
+let input_seeds drives_tbl =
+  let next = ref min_int in
+  List.rev
+    (Hashtbl.fold
+       (fun sid (d : Drive.t) acc ->
+         let rank = !next in
+         next := !next + List.length d.Drive.transitions;
+         (sid, rank, d.Drive.transitions) :: acc)
+       drives_tbl [])
+
+let seed_drive st (sid, rank, transitions) =
+  st.seeded <- rank;
+  List.iter (seed_input st sid) transitions
 
 (* Injections: forced value toggles on arbitrary signals (the boolean
    abstraction of a SET pulse).  They go into the queue but
@@ -243,7 +273,11 @@ let seed_input st sid (tr : Transition.t) =
 let add_injection st (sid, toggles) =
   if sid < 0 || sid >= st.cp.Compiled.nsignals then
     invalid_arg "Classic: injection on unknown signal";
-  List.iter (fun (at, value) -> ignore (enqueue_tx st ~sid ~at ~value)) toggles
+  List.iter
+    (fun (at, value) ->
+      ignore (enqueue_tx st ~rank:(Run_control.injection_rank st.toggles) ~sid ~at ~value);
+      st.toggles <- st.toggles + 1)
+    toggles
 
 (* A paused run is its state, as in {!Iddm}. *)
 type session = state
@@ -253,7 +287,7 @@ type session = state
    arrays, which [start] allocates fresh and a cone run borrows from its
    workspace.  [pool]: a drained earlier state whose transaction pool
    and queue carry over. *)
-let make_state ?pool ?replayed cfg (cp : Compiled.t) ~levels ~value ~pending
+let make_state ?pool ~cone cfg (cp : Compiled.t) ~levels ~value ~pending
     ~rev_edges ~seen ~fz =
   let st =
     {
@@ -276,10 +310,9 @@ let make_state ?pool ?replayed cfg (cp : Compiled.t) ~levels ~value ~pending
       wd = Option.map (fun w -> Watchdog.create w ~nsignals:cp.Compiled.nsignals) cfg.watchdog;
       fz;
       ctl = Run_control.create cfg.budget ~t_stop:cfg.t_stop ~max_events:cfg.max_events;
-      cone = Option.is_some replayed;
-      replayed = Option.value replayed ~default:Bytes.empty;
-      tie_at = Float.nan;
-      tie_replayed = false;
+      seeded = min_int;
+      toggles = 0;
+      cone;
       replay_hazard = false;
     }
   in
@@ -299,12 +332,12 @@ let start ?(injections = []) ?compiled cfg c ~drives =
   let drives_tbl, levels = Drive.bind ~who:"Classic.start" cp drives in
   let nsignals = cp.Compiled.nsignals in
   let st =
-    make_state cfg cp ~levels ~value:(Array.copy levels)
+    make_state ~cone:false cfg cp ~levels ~value:(Array.copy levels)
       ~pending:(Array.init nsignals (fun _ -> Slot_deque.create ()))
       ~rev_edges:(Array.make nsignals []) ~seen:(Array.make cp.Compiled.ngates 0)
       ~fz:(Watchdog.frozen ~nsignals)
   in
-  Hashtbl.iter (fun sid (d : Drive.t) -> List.iter (seed_input st sid) d.Drive.transitions) drives_tbl;
+  List.iter (seed_drive st) (input_seeds drives_tbl);
   List.iter (add_injection st) injections;
   st
 
@@ -312,23 +345,14 @@ let start ?(injections = []) ?compiled cfg c ~drives =
    {!Iddm.start_cone}: only the cone's gates evaluate, and the events of
    its boundary feeds — the signals outside the cone that drive its
    gates — are replayed from outside.  A driven primary input replays
-   its drive's own switches, exactly as [start] seeds them and in
-   [start]'s drive-table order; any other boundary signal replays the
-   baseline's committed edges, the only events of that signal a cone
-   gate ever reacts to.
-
-   Classic ties pop first-in first-out, and the queue keeps no intrinsic
-   rank, so a cone run reproduces the full run's tie order only where
-   its insertion order matches.  Drive switches and injections are
-   queued first, in the full run's order, and every transaction born
-   inside the cone is queued in the order of the pops that cause it, as
-   in the full run.  Replayed gate-driven edges are the exception: the
-   full run queued each one mid-run, a cone run queues them all at the
-   start.  So the run flags [replay_hazard] when a replayed edge commits
-   at the instant of another value-changing pop (and when a delay of
-   tp <= 0 could queue a transaction ahead of pops already due).  A
-   hazard-free cone run processes the cone's events in the full run's
-   order; pops that change nothing do nothing order-sensitive.
+   its drive's own switches, ranked as [start] ranks them; any other
+   boundary signal replays the baseline's committed edges, the only
+   events of that signal a cone gate ever reacts to, each ranked as the
+   transaction that committed it.  So the cone's events pop in the full
+   run's order, although the full run queued the replayed edges mid-run
+   and a cone run queues them at the start.
+   The run flags [replay_hazard] only when a delay of tp <= 0 could
+   queue a transaction ahead of pops already due.
 
    The circuit-sized arrays (values, pending deques, committed edges,
    evaluation stamps, freeze and boundary marks) live in the workspace;
@@ -339,14 +363,14 @@ type cone_workspace = {
   cw_cfg : config;
   cw_cp : Compiled.t;
   cw_levels : bool array;
-  cw_inputs : (int * Transition.t list) array; (* driven inputs, in drive-table order *)
-  cw_input_rank : int array; (* signal -> index into [cw_inputs], or -1 *)
+  cw_drives : (int, int * Transition.t list) Hashtbl.t;
+      (* driven input -> the rank of its first switch, its switches *)
   cw_base_edges : Digital.edge list array; (* the baseline's committed edges *)
   cw_value : bool array;
   cw_pending : Slot_deque.t array;
   cw_rev_edges : Digital.edge list array;
   cw_seen : int array; (* [max_int] outside the current cone *)
-  cw_bnd : Bytes.t; (* signal -> '\001' gate-driven / '\002' driven-input boundary feed *)
+  cw_bnd : Bytes.t; (* signal -> '\001' iff a boundary feed of the latest run *)
   cw_fz : Watchdog.frozen;
   mutable cw_prev : (Compiled.cone * int list * state) option;
       (* the latest run, with its boundary signals *)
@@ -358,19 +382,14 @@ let cone_workspace ~compiled:cp ~(baseline : result) cfg c ~drives =
   let nsignals = cp.Compiled.nsignals in
   if Array.length baseline.final_levels <> nsignals then
     invalid_arg "Classic.cone_workspace: baseline is for a different netlist";
-  (* [Hashtbl.iter] visits a table in [start]'s order: [Drive.bind]
-     builds both the same way *)
-  let inputs = ref [] in
-  Hashtbl.iter (fun sid (d : Drive.t) -> inputs := (sid, d.Drive.transitions) :: !inputs) drives_tbl;
-  let inputs = Array.of_list (List.rev !inputs) in
-  let rank = Array.make nsignals (-1) in
-  Array.iteri (fun k (sid, _) -> rank.(sid) <- k) inputs;
   {
     cw_cfg = cfg;
     cw_cp = cp;
     cw_levels = levels;
-    cw_inputs = inputs;
-    cw_input_rank = rank;
+    cw_drives =
+      (let t = Hashtbl.create 16 in
+       List.iter (fun (sid, rank, trs) -> Hashtbl.replace t sid (rank, trs)) (input_seeds drives_tbl);
+       t);
     cw_base_edges = Lazy.force baseline.edges;
     cw_value = Array.copy levels;
     cw_pending = Array.init nsignals (fun _ -> Slot_deque.create ());
@@ -407,6 +426,10 @@ let start_cone ?(injections = []) ws ~(cone : Compiled.cone) =
         invalid_arg "Classic.start_cone: injection outside the cone")
     injections;
   let pool = reclaim ws in
+  let st =
+    make_state ?pool ~cone:true ws.cw_cfg cp ~levels:ws.cw_levels ~value:ws.cw_value
+      ~pending:ws.cw_pending ~rev_edges:ws.cw_rev_edges ~seen:ws.cw_seen ~fz:ws.cw_fz
+  in
   let reset sid =
     ws.cw_value.(sid) <- ws.cw_levels.(sid);
     ws.cw_rev_edges.(sid) <- [];
@@ -421,31 +444,22 @@ let start_cone ?(injections = []) ws ~(cone : Compiled.cone) =
     (fun k g ->
       let sid = cp.Compiled.pin_fanin.(cp.Compiled.g_base.(g) + cone.Compiled.cone_bnd_pin.(k)) in
       if Bytes.get ws.cw_bnd sid = '\000' then begin
-        Bytes.set ws.cw_bnd sid (if ws.cw_input_rank.(sid) >= 0 then '\002' else '\001');
+        Bytes.set ws.cw_bnd sid '\001';
         reset sid;
-        bnd := sid :: !bnd
+        bnd := sid :: !bnd;
+        match Hashtbl.find_opt ws.cw_drives sid with
+        | Some (rank, transitions) -> seed_drive st (sid, rank, transitions)
+        | None ->
+            List.iter
+              (fun (e : Digital.edge) ->
+                ignore
+                  (enqueue_tx st ~rank:sid ~sid ~at:e.Digital.at
+                     ~value:(e.Digital.polarity = Transition.Rising)))
+              ws.cw_base_edges.(sid)
       end)
     cone.Compiled.cone_bnd_gate;
-  let bnd = !bnd in
-  let st =
-    make_state ?pool ~replayed:ws.cw_bnd ws.cw_cfg cp ~levels:ws.cw_levels ~value:ws.cw_value
-      ~pending:ws.cw_pending ~rev_edges:ws.cw_rev_edges ~seen:ws.cw_seen ~fz:ws.cw_fz
-  in
-  ws.cw_prev <- Some (cone, bnd, st);
-  let inputs, replays = List.partition (fun sid -> Bytes.get ws.cw_bnd sid = '\002') bnd in
-  List.iter
-    (fun k ->
-      let sid, transitions = ws.cw_inputs.(k) in
-      List.iter (seed_input st sid) transitions)
-    (List.sort Int.compare (List.map (fun sid -> ws.cw_input_rank.(sid)) inputs));
   List.iter (add_injection st) injections;
-  List.iter
-    (fun sid ->
-      List.iter
-        (fun (e : Digital.edge) ->
-          ignore (enqueue_tx st ~sid ~at:e.Digital.at ~value:(e.Digital.polarity = Transition.Rising)))
-        ws.cw_base_edges.(sid))
-    replays;
+  ws.cw_prev <- Some (cone, !bnd, st);
   st
 
 let cone_edges ws sid = List.rev ws.cw_rev_edges.(sid)
@@ -470,19 +484,6 @@ let snapshot st =
     frozen = List.rev st.fz.Watchdog.fz_rev;
     replay_hazard = st.replay_hazard;
   }
-
-(* The cone-run tie watch (see {!start_cone}), called on every
-   value-changing pop of a cone run. *)
-let note_commit st ~at sid =
-  let replayed = Bytes.get st.replayed sid = '\001' in
-  if at = st.tie_at then begin
-    if replayed || st.tie_replayed then st.replay_hazard <- true;
-    st.tie_replayed <- st.tie_replayed || replayed
-  end
-  else begin
-    st.tie_at <- at;
-    st.tie_replayed <- replayed
-  end
 
 (* The main loop, paused at [upto]; pausing is free and exact for the
    same reason as in {!Iddm.advance}. *)
@@ -517,7 +518,6 @@ let advance st ~upto =
           && not (st.fz.Watchdog.fz_any && Bytes.get st.fz.Watchdog.fz_marks sid = '\001')
         then begin
           st.value.(sid) <- value;
-          if st.cone then note_commit st ~at:t sid;
           let polarity = if value then Transition.Rising else Transition.Falling in
           st.rev_edges.(sid) <- { Digital.at = t; polarity } :: st.rev_edges.(sid);
           st.stats.Stats.transitions_emitted <- st.stats.Stats.transitions_emitted + 1;

@@ -65,14 +65,10 @@ type result = {
       (** signals a [Degrade]-mode watchdog froze, with the freeze
           instant — their values are meaningless (X) from that time on *)
   replay_hazard : bool;
-      (** a cone run ({!start_cone}) could not vouch for its tie order:
-          a replayed gate-driven boundary edge committed at the same
-          instant as another value-changing pop, or a gate delay of
-          tp <= 0 queued a transaction no later than its cause.  Equal
-          instants pop first-in first-out, and a cone run queues its
-          replayed edges earlier than the full run did, so only such
-          ties can pop in a different order.  Always [false] for full
-          runs, which replay nothing. *)
+      (** a cone run ({!start_cone}) could not vouch for its event
+          order: a gate delay of tp <= 0 queued a transaction no later
+          than its cause, possibly ahead of pops already due.  Always
+          [false] for full runs, which replay nothing. *)
 }
 
 type injection =
@@ -104,9 +100,13 @@ val run :
 (** {1 Resumable sessions}
 
     The run shape of {!Iddm}, with the same contracts: stepping is
-    bit-identical to a one-shot {!run}.  Equal-instant transactions pop
-    in insertion order, so stimulus added to a live session ranks after
-    everything already queued. *)
+    bit-identical to a one-shot {!run}.  Equal-instant entries pop by
+    an intrinsic rank, as in {!Iddm}.  Input switches pop first, in
+    the order {!start} seeds them (the drive table's order, then each
+    drive's own; switches added to a live session after those).
+    Injection toggles come next, in the order they were queued, and a
+    driver transaction ranks by its signal's id.  The pop order
+    therefore does not depend on when a transaction was queued. *)
 
 type session
 
@@ -165,12 +165,12 @@ val cone_workspace :
 val start_cone : ?injections:injection list -> cone_workspace -> cone:Compiled.cone -> session
 (** A run in which only the cone's gates evaluate.  Each boundary feed
     replays its events: a driven primary input its drive's switches,
-    seeded as {!start} seeds them and in {!start}'s order; any other
-    signal the baseline's committed edges.  The injections are queued
-    after the drive switches, as in {!start}.  Unless the result
-    carries [replay_hazard], the run processes the cone's events in
-    the full run's order, so its counters differ from a full run's by
-    the same amount with or without the injections.
+    ranked as {!start} ranks them; any other signal the baseline's
+    committed edges, each ranked as the transaction that committed it.
+    Unless the result carries [replay_hazard], the run
+    processes the cone's events in the full run's order, so its
+    counters differ from a full run's by the same amount with or
+    without the injections.
 
     The session and its results live in the workspace: the next
     {!start_cone} invalidates them.  Read the member signals' edges

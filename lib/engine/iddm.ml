@@ -133,8 +133,7 @@ type state = {
    pop order is reproducible across runs that insert the same events in
    different orders (a cone replay vs the full run).  Pin events rank by
    their globally unique pin slot; injection splices rank below every
-   pin slot, in registration order. *)
-let splice_rank idx = idx - max_int
+   pin slot, in registration order ({!Run_control.injection_rank}). *)
 
 let grow_pool st =
   let cap = Array.length st.ev_gate in
@@ -209,7 +208,7 @@ let schedule st ~key ~gate ~pin ~slot ~rising ~tau_in =
   st.ev_key.(ev) <- key;
   Bytes.set st.ev_rising ev (if rising then '\001' else '\000');
   Bytes.set st.ev_dead ev '\000';
-  ignore (Heap.insert st.queue ~key ~rank:slot ev);
+  Heap.insert st.queue ~key ~rank:slot ev;
   if st.cfg.cancellation then Slot_deque.push st.pending.(slot) ev;
   st.stats.Stats.events_scheduled <- st.stats.Stats.events_scheduled + 1
 
@@ -334,9 +333,7 @@ let add_injection st inj =
       st.ev_key.(ev) <- first.Transition.start;
       Bytes.set st.ev_rising ev '\000';
       Bytes.set st.ev_dead ev '\000';
-      ignore
-        (Heap.insert st.queue ~key:first.Transition.start
-           ~rank:(splice_rank idx) ev)
+      Heap.insert st.queue ~key:first.Transition.start ~rank:(Run_control.injection_rank idx) ev
 
 (* A paused run is its state: [ctl] carries what the main loop kept in
    locals when [run] was monolithic. *)

@@ -56,3 +56,5 @@ let admit r ~at ~emitted ~queue =
 let revive r queue =
   if r.finished && Stop.completed r.stop && not (Heap.is_empty queue) then
     r.finished <- false
+
+let injection_rank k = (min_int / 2) + k

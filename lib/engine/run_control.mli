@@ -1,9 +1,10 @@
 (** The engine-independent control of a resumable run, shared by
     {!Iddm} and {!Classic}: the guardrail limits folded once at its
-    start, why it stopped, how far it got, and whether any queued event
-    can still run.  Each engine's main loop asks {!next} before it pops
-    its queue and {!admit} before it processes a live event; what an
-    event does stays in the engine. *)
+    start, why it stopped, how far it got, whether any queued event
+    can still run, and the queue rank of injections.  Each engine's
+    main loop asks {!next} before it pops its queue and {!admit}
+    before it processes a live event; what an event does stays in the
+    engine. *)
 
 type t = {
   lim : Halotis_guard.Budget.limits;
@@ -44,3 +45,11 @@ val reached : t -> Halotis_util.Units.time -> unit
 
 val revive : t -> Halotis_util.Heap.t -> unit
 (** Fresh stimulus wakes a drained run whose queue is non-empty again. *)
+
+val injection_rank : int -> int
+(** The heap tie-break rank of a run's [k]-th injection entry (an IDDM
+    splice, a classic toggle): below every pin slot and signal id,
+    above every classic input switch (those rank from [min_int]), and
+    in registration order among injections.  Both engines rank by
+    identity, not by history, so equal-instant entries pop alike
+    however a run built its queue. *)

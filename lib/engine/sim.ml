@@ -177,12 +177,11 @@ let iddm_injection i = { Iddm.inj_signal = i.inj_signal; inj_transitions = i.inj
    those two small runs, and graft the diff onto the full baseline.
 
    Soundness rests on the cone runs replaying the full run's history.
-   Each engine flags the histories it cannot vouch for as
-   [replay_hazard]: for IDDM a retroactive invalidation (tp <= 0
-   rewriting a waveform below an already-processed crossing — its
-   queue breaks ties by intrinsic rank, so tie order replays exactly),
-   for classic a replayed boundary edge tied with another commit (its
-   queue breaks ties first-in first-out).  The flag is checked in the
+   Both engines' queues break ties by intrinsic rank, so tie order
+   replays exactly; each engine flags the histories it still cannot
+   vouch for as [replay_hazard]: for IDDM a retroactive invalidation
+   (tp <= 0 rewriting a waveform below an already-processed crossing),
+   for classic a delay of tp <= 0.  The flag is checked in the
    full baseline (once at [create]; a hazardous baseline disables the
    context), in the cone replay of the baseline (per victim, plus a
    belt-and-braces edge comparison against the baseline itself), and
@@ -308,9 +307,8 @@ module Cone = struct
         }
     end
 
-  (* Classic queues break ties first-in first-out, so a restored queue
-     would depend on its insertion order: classic runs always start
-     from the DC state. *)
+  (* Classic cone runs keep no checkpoints: they start from the DC
+     state. *)
   let checkpoint_count ctx =
     match ctx.cx_ws with Iddm_ws (ws, _) -> Iddm.checkpoint_count ws | Classic_ws _ -> 1
 

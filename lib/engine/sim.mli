@@ -150,9 +150,7 @@ val classic : result -> Classic.result option
     On DDM and CDM both runs of a site start from the latest baseline
     checkpoint at or before the strike ({!Iddm.cone_workspace}), so the
     stretch before the strike, where they would only replay the
-    baseline, is skipped.  Classic runs start from the DC state: their
-    queue breaks ties first-in first-out, so a restored queue would
-    depend on its insertion order.
+    baseline, is skipped.  Classic runs start from the DC state.
     The grafted edges and statistics are {e exactly} what a full
     injected run would produce whenever every involved run is
     replayable (hazard-free, see {!Iddm.result.replay_hazard} and

@@ -1,24 +1,20 @@
 (* Structure-of-arrays min-heap: keys live in a flat float array, so the
    sift loops read unboxed floats from contiguous memory.  [ids.(i)]
-   breaks key ties: the caller's [~rank] when given, else an insertion
-   stamp (FIFO).  Payloads are plain ints (engines store pool-slot
+   is the caller's [~rank], which breaks key ties.  Payloads are plain ints (engines store pool-slot
    indices), so sifting moves immediates with no write barrier and
    allocates nothing.
 
    The tree is 4-ary: half the depth of a binary heap, and the four
    children of a node occupy one cache line of the keys array, so a
    sift-down level costs a single line fetch.  Heap shape does not
-   affect observable behaviour — (key, id) is a strict total order, so
-   every correct heap pops the same sequence. *)
+   affect the order of entries that differ in (key, id): every correct
+   heap pops them in the same sequence. *)
 type t = {
   mutable keys : float array;
   mutable ids : int array;
   mutable vals : int array; (* only the first [size] slots are live *)
   mutable size : int;
-  mutable next_id : int;
 }
-
-type handle = int
 
 let create ?(capacity = 0) () =
   {
@@ -26,7 +22,6 @@ let create ?(capacity = 0) () =
     ids = Array.make capacity 0;
     vals = Array.make capacity 0;
     size = 0;
-    next_id = 0;
   }
 
 let length h = h.size
@@ -109,13 +104,10 @@ let grow h =
     h.vals <- vals
   end
 
-let insert h ~key ?rank v =
+let insert h ~key ~rank v =
   grow h;
-  let id = match rank with Some r -> r | None -> h.next_id in
-  h.next_id <- h.next_id + 1;
   h.size <- h.size + 1;
-  sift_up h (h.size - 1) key id v;
-  id
+  sift_up h (h.size - 1) key rank v
 
 let min_key h = if h.size = 0 then invalid_arg "Heap.min_key: empty" else h.keys.(0)
 

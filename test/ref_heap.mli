@@ -5,7 +5,10 @@
     what Fig. 4's "delete Ej-1" cancellation needs when implemented
     eagerly.  The simulation engines use {!Halotis_util.Heap} instead,
     which stores keys unboxed and cancels lazily (tombstone flags); the
-    two pop the same order.
+    two pop the same order for the same ranks.  The engines' heap has
+    no FIFO mode; this one keeps it for the classic reference kernel's
+    first-in first-out variant, the tie order the classic engine kept
+    before it ranked its entries.
 
     Entries are ordered by their [float] key; ties are broken by the
     explicit [~rank] when one is supplied at insertion, else by

@@ -55,7 +55,7 @@ let test_constant_input_gate () =
 
 let test_simultaneous_input_events () =
   (* two inputs of a NAND switch at exactly the same instant: output
-     falls exactly once (determinism of the FIFO tie-break) *)
+     falls exactly once (determinism of the rank tie-break) *)
   let b = Builder.create "simul" in
   let a = Builder.input b "a" in
   let bb = Builder.input b "b" in

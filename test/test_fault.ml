@@ -588,14 +588,14 @@ let test_cone_same_instant_strike_exact () =
   Alcotest.(check string) "report byte-identical" (Fault_report.to_string t_off)
     (Fault_report.to_string t_on)
 
-(* The classic tie rule.  Classic ties pop first-in first-out, and a
-   classic cone run queues the replayed edges of its gate-driven
-   boundary feeds at the start, not when the full run queued them.  So
+(* A classic cone run queues the replayed edges of its gate-driven
+   boundary feeds at the start, not when the full run queued them; the
+   queue's intrinsic ranks still pop them in the full run's order.  So
    a strike whose forced toggle commits at the very instant a replayed
-   boundary edge commits must be refused (a replay hazard of the
-   injected cone run), and the campaign must still report exactly what
-   full re-simulation reports. *)
-let test_classic_cone_tie_falls_back () =
+   boundary edge commits must graft exactly: the edges and counters of
+   the full injected run, and a campaign report byte-identical to full
+   re-simulation. *)
+let test_classic_cone_tie_exact () =
   let c = Lazy.force chain in
   let drives = [ (sid c "in", Drive.of_levels ~slope:100. ~initial:false [ (1000., true) ]) ] in
   let spec = Sim.spec ~drives ~t_stop:8000. ~tech:DL.tech c in
@@ -628,9 +628,11 @@ let test_classic_cone_tie_falls_back () =
     | None -> Alcotest.fail "cone context refused a completed classic baseline"
   in
   (match Sim.Cone.run_site ctx inj with
-  | Sim.Cone.Fallback reason ->
-      Alcotest.(check string) "refused for the tie" "injected cone run hit a replay hazard" reason
-  | Sim.Cone.Exact _ -> Alcotest.fail "a replayed boundary edge tied with a commit: must fall back");
+  | Sim.Cone.Fallback reason -> Alcotest.failf "the tie fell back: %s" reason
+  | Sim.Cone.Exact { edges; stats; _ } ->
+      let full = Sim.run Sim.Classic_inertial { spec with Sim.sp_injections = [ inj ] } in
+      checkb "edges identical" true (edges = Sim.edges full);
+      checkb "stats identical" true (stats = Halotis_engine.Stats.copy full.Sim.rs_stats));
   let campaign incremental =
     Campaign.run
       {
@@ -642,16 +644,15 @@ let test_classic_cone_tie_falls_back () =
   let t_on = campaign true and t_off = campaign false in
   (match t_on.Campaign.cam_cone with
   | None -> Alcotest.fail "incremental was refused outright"
-  | Some tot -> checki "the site fell back" 1 tot.Sim.Cone.ct_fallback);
+  | Some tot -> checki "site grafted exactly" 1 tot.Sim.Cone.ct_exact);
   Alcotest.(check string) "report byte-identical" (Fault_report.to_string t_off)
     (Fault_report.to_string t_on)
 
-(* Drive-order seeding: four primary inputs switching at one instant
-   into one cone gate, as the multiplier's operand bits do.  Which
-   switch pops first and last decides the gate's delay pin, so the
-   cone run must seed the inputs in the full run's order (the drive
-   table's) for its clean replay to reproduce the baseline and its
-   graft to be exact. *)
+(* Four primary inputs switching at one instant into one cone gate, as
+   the multiplier's operand bits do.  Which switch pops first and last
+   decides the gate's delay pin, so the cone run must rank the inputs'
+   switches as the full run does (in the drive table's order) for its
+   clean replay to reproduce the baseline and its graft to be exact. *)
 let test_classic_cone_simultaneous_inputs_exact () =
   let c =
     match
@@ -684,6 +685,52 @@ let test_classic_cone_simultaneous_inputs_exact () =
           checkb "edges identical" true (edges = Sim.edges full);
           checkb "stats identical" true (stats = Halotis_engine.Stats.copy full.Sim.rs_stats))
     [ ("n1", 2000.); ("n1", 4100.); ("n2", 6000.); ("n1", 8030.) ]
+
+(* Classic cone runs on tie-rich stimuli: inputs that switch together
+   on one grid ({!Test_perf_equiv.tie_workload}), and strikes on random
+   signals whose toggles land on instants at which the baseline commits
+   edges.  Every site on a driven victim must graft exactly, with no
+   replay-hazard fallback, and equal full re-simulation edge for edge
+   and counter for counter; only driverless victims fall back. *)
+let prop_classic_cone_ties_exact =
+  QCheck.Test.make ~name:"classic cone on tie-rich stimuli == full run, never a hazard"
+    ~count:20
+    QCheck.(pair (int_range 10 35) (int_range 0 1000))
+    (fun (gates, seed) ->
+      let c, drives = Test_perf_equiv.tie_workload ~gates ~seed in
+      let spec = Sim.spec ~drives ~t_stop:12_000. ~tech:DL.tech c in
+      let base = Sim.run Sim.Classic_inertial spec in
+      let ctx =
+        match Sim.Cone.create Sim.Classic_inertial spec ~baseline:base with
+        | Some ctx -> ctx
+        | None -> Alcotest.fail "cone context refused a completed classic baseline"
+      in
+      let instants = Test_perf_equiv.edge_instants (Sim.edges base) in
+      let rng = Prng.create ~seed:(seed + 5) in
+      let pick () = instants.(Prng.int rng ~bound:(Array.length instants)) in
+      let slope = 100. in
+      let exact = ref 0 in
+      let site _ =
+        let victim = Prng.int rng ~bound:(N.signal_count c) in
+        let a = pick () and b = pick () in
+        (* both toggles (50 % points) on edge instants where possible *)
+        let width = if a = b then 150. else Float.abs (a -. b) in
+        let pulse = Inject.pulse ~slope ~width () in
+        let polarity = if Prng.bool rng then T.Rising else T.Falling in
+        let inj =
+          {
+            Sim.inj_signal = victim;
+            inj_ramps = Inject.transitions ~at:(Float.min a b -. (slope /. 2.)) ~polarity pulse;
+          }
+        in
+        match Sim.Cone.run_site ctx inj with
+        | Sim.Cone.Fallback _ -> (N.signal c victim).N.driver = None
+        | Sim.Cone.Exact { edges; stats; _ } ->
+            incr exact;
+            let full = Sim.run Sim.Classic_inertial { spec with Sim.sp_injections = [ inj ] } in
+            edges = Sim.edges full && stats = Halotis_engine.Stats.copy full.Sim.rs_stats
+      in
+      instants <> [||] && List.for_all site (List.init 16 Fun.id) && !exact > 0)
 
 (* Workspace reuse: one context driven through a random site sequence —
    repeated victims, primary-input victims that fall back, and strikes
@@ -731,7 +778,7 @@ let prop_cone_reuse_equals_fresh =
             | _ -> `Early (site_at (Prng.float rng ~bound:3000.)))
       in
       let shared = fresh () in
-      let cut = ref 0 and late_exact = ref 0 and exact = ref 0 and tie_refused = ref 0 in
+      let cut = ref 0 and late_exact = ref 0 and exact = ref 0 in
       let same_site step =
         let inj =
           match step with
@@ -740,9 +787,7 @@ let prop_cone_reuse_equals_fresh =
           | `Late site | `Early site -> Inject.injection site pulse
         in
         match (Sim.Cone.run_site shared inj, Sim.Cone.run_site (fresh ()) inj, step) with
-        | Sim.Cone.Fallback r1, Sim.Cone.Fallback r2, _ ->
-            if r1 = "baseline cone replay hit a replay hazard" then incr tie_refused;
-            r1 = r2
+        | Sim.Cone.Fallback r1, Sim.Cone.Fallback r2, _ -> r1 = r2
         | Sim.Cone.Exact _, _, `Pi _ -> false
         | ( Sim.Cone.Exact
               { edges = e1; members = m1; stats = s1; cone_gates = g1; cone_events = v1 },
@@ -784,12 +829,9 @@ let prop_cone_reuse_equals_fresh =
              { (Campaign.config ~engine ~incremental ~t_stop ()) with Campaign.sites = Some sites }
              DL.tech c ~drives)
       in
-      (* the classic tie rule may refuse every victim of a small
-         circuit; any other case must graft some site exactly *)
-      let all_refused = engine = Sim.Classic_inertial && !tie_refused = List.length sites in
       sites_same
       && (!late_exact = 0 || !cut > 0)
-      && (!exact > 0 || all_refused)
+      && !exact > 0
       && campaign true = campaign false)
 
 (* The O(cone) claim, host-independently: the words one cone site
@@ -1145,11 +1187,12 @@ let tests =
         QCheck_alcotest.to_alcotest prop_incremental_equals_full;
         Alcotest.test_case "same-instant strike stays exact" `Quick
           test_cone_same_instant_strike_exact;
-        Alcotest.test_case "classic boundary-edge tie falls back" `Quick
-          test_classic_cone_tie_falls_back;
+        Alcotest.test_case "classic boundary-edge tie grafts exactly" `Quick
+          test_classic_cone_tie_exact;
         Alcotest.test_case "classic simultaneous inputs graft exactly" `Quick
           test_classic_cone_simultaneous_inputs_exact;
         QCheck_alcotest.to_alcotest prop_cone_reuse_equals_fresh;
+        QCheck_alcotest.to_alcotest prop_classic_cone_ties_exact;
         Alcotest.test_case "site allocation independent of circuit size" `Quick
           test_cone_site_alloc_independent_of_circuit;
         QCheck_alcotest.to_alcotest prop_checkpoint_equals_dc_start;

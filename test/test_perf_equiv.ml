@@ -186,7 +186,7 @@ module Ref_iddm = struct
         | [] -> ()
         | first :: _ ->
             ignore
-              (Ref_heap.insert queue ~key:first.Transition.start ~rank:(idx - max_int)
+              (Ref_heap.insert queue ~key:first.Transition.start ~rank:((min_int / 2) + idx)
                  { gate = -1; pin = idx; rising = false; tau_in = 0. }))
       injections;
     let end_time = ref 0. in
@@ -230,7 +230,9 @@ module Ref_classic = struct
     truncated : bool;
   }
 
-  let run ?(injections = []) (cfg : Classic.config) c ~drives =
+  (* [fifo]: break equal-instant ties first-in first-out, the order the
+     engine kept before its queue ranked entries intrinsically *)
+  let run ?(fifo = false) ?(injections = []) (cfg : Classic.config) c ~drives =
     let drives_tbl = Hashtbl.create 16 in
     List.iter (fun (sid, d) -> Hashtbl.replace drives_tbl sid d) drives;
     let input_level sid =
@@ -246,22 +248,30 @@ module Ref_classic = struct
     let rev_edges = Array.make nsignals [] in
     let loads = Halotis_delay.Loads.of_netlist cfg.Classic.tech c in
     let stats = Stats.create () in
-    let enqueue ~sid ~at ~value =
+    (* the engine's intrinsic ranks: input switches from [min_int] up
+       in seeding order, then the k-th injection toggle, then a
+       transaction on a signal by the signal *)
+    let enqueue ~rank ~sid ~at ~value =
       let tx = { sid; at; value; handle = None } in
-      tx.handle <- Some (Ref_heap.insert queue ~key:at tx);
+      let rank = if fifo then None else Some rank in
+      tx.handle <- Some (Ref_heap.insert queue ~key:at ?rank tx);
       tx
     in
     let scheduled_target sid =
       match List.rev pending.(sid) with [] -> value.(sid) | last :: _ -> last.value
     in
-    let schedule_inertial sid ~at ~value:v ~window =
+    let preempt sid ~at =
       let keep, kill = List.partition (fun tx -> tx.at < at) pending.(sid) in
       List.iter
         (fun tx ->
           (match tx.handle with Some h -> ignore (Ref_heap.remove queue h) | None -> ());
           stats.Stats.events_filtered <- stats.Stats.events_filtered + 1)
         kill;
-      pending.(sid) <- keep;
+      pending.(sid) <- keep
+    in
+    let schedule_inertial sid ~at ~value:v ~window =
+      preempt sid ~at;
+      let keep = pending.(sid) in
       let target = scheduled_target sid in
       if target = v then stats.Stats.noop_evaluations <- stats.Stats.noop_evaluations + 1
       else begin
@@ -272,7 +282,7 @@ module Ref_classic = struct
             pending.(sid) <- List.filter (fun t -> t != tx) pending.(sid);
             stats.Stats.events_filtered <- stats.Stats.events_filtered + 2
         | Some _ | None ->
-            let tx = enqueue ~sid ~at ~value:v in
+            let tx = enqueue ~rank:sid ~sid ~at ~value:v in
             pending.(sid) <- pending.(sid) @ [ tx ];
             stats.Stats.events_scheduled <- stats.Stats.events_scheduled + 1
       end
@@ -302,6 +312,7 @@ module Ref_classic = struct
           else stats.Stats.noop_evaluations <- stats.Stats.noop_evaluations + 1)
         (N.fanout_gates c sid)
     in
+    let seeded = ref min_int in
     Hashtbl.iter
       (fun sid (d : Drive.t) ->
         List.iter
@@ -312,15 +323,16 @@ module Ref_classic = struct
               | Transition.Rising -> true
               | Transition.Falling -> false
             in
-            let tx = enqueue ~sid ~at ~value:v in
+            let tx = enqueue ~rank:!seeded ~sid ~at ~value:v in
+            incr seeded;
             pending.(sid) <- pending.(sid) @ [ tx ];
             stats.Stats.events_scheduled <- stats.Stats.events_scheduled + 1)
           d.Drive.transitions)
       drives_tbl;
-    List.iter
-      (fun (sid, toggles) ->
-        List.iter (fun (at, v) -> ignore (enqueue ~sid ~at ~value:v)) toggles)
-      injections;
+    List.iteri
+      (fun k (sid, at, v) -> ignore (enqueue ~rank:((min_int / 2) + k) ~sid ~at ~value:v))
+      (List.concat_map (fun (sid, toggles) -> List.map (fun (at, v) -> (sid, at, v)) toggles)
+         injections);
     let end_time = ref 0. in
     let truncated = ref false in
     let continue = ref true in
@@ -360,7 +372,7 @@ end
 (* Workload generation (deterministic per seed)                       *)
 (* ------------------------------------------------------------------ *)
 
-let workload ~gates ~seed =
+let random_workload ~ties ~gates ~seed =
   let c = G.random_combinational ~gates ~inputs:6 ~seed () in
   let rng = Prng.create ~seed:(seed * 7 + 1) in
   let drives =
@@ -368,12 +380,26 @@ let workload ~gates ~seed =
       (fun s ->
         let changes =
           List.init 6 (fun k ->
-              (300. *. float_of_int (k + 1) +. Prng.float rng ~bound:120., Prng.bool rng))
+              let level = Prng.bool rng in
+              let at =
+                if ties then 300. *. float_of_int (1 + Prng.int rng ~bound:8)
+                else (300. *. float_of_int (k + 1)) +. Prng.float rng ~bound:120.
+              in
+              (at, level))
         in
-        (s, Drive.of_levels ~slope:(20. +. Prng.float rng ~bound:40.) ~initial:(Prng.bool rng) changes))
+        let initial = Prng.bool rng in
+        let slope = if ties then 40. else 20. +. Prng.float rng ~bound:40. in
+        (s, Drive.of_levels ~slope ~initial changes))
       (N.primary_inputs c)
   in
   (c, drives)
+
+let workload ~gates ~seed = random_workload ~ties:false ~gates ~seed
+
+(* Every input switches on one coarse grid with one slope, so inputs
+   switch together at shared instants, and an input may switch twice
+   at one instant (a zero-width pulse). *)
+let tie_workload ~gates ~seed = random_workload ~ties:true ~gates ~seed
 
 let iddm_injections c ~seed =
   let rng = Prng.create ~seed:(seed * 31 + 5) in
@@ -393,14 +419,26 @@ let iddm_injections c ~seed =
           ];
       })
 
-let classic_injections c ~seed =
+(* [instants], when non-empty: toggles land on these instants (a
+   run's edge instants), where they tie with the run's own pops. *)
+let classic_injections ?(instants = [||]) c ~seed =
   let rng = Prng.create ~seed:(seed * 31 + 5) in
   let nsignals = N.signal_count c in
   List.init 2 (fun _ ->
       let sid = Prng.int rng ~bound:nsignals in
       let at = 200. +. Prng.float rng ~bound:1500. in
       let width = 40. +. Prng.float rng ~bound:150. in
-      (sid, [ (at, true); (at +. width, false) ]))
+      if instants = [||] then (sid, [ (at, true); (at +. width, false) ])
+      else
+        let pick () = instants.(Prng.int rng ~bound:(Array.length instants)) in
+        let a = pick () and b = pick () in
+        (sid, [ (Float.min a b, true); (Float.max a b, false) ]))
+
+(* Every instant at which [edges] commit, ascending, without repeats. *)
+let edge_instants (edges : Digital.edge list array) =
+  Array.of_list
+    (List.sort_uniq Float.compare
+       (List.concat_map (List.map (fun (e : Digital.edge) -> e.Digital.at)) (Array.to_list edges)))
 
 (* ------------------------------------------------------------------ *)
 (* Comparators: exact equality, float-for-float                       *)
@@ -495,20 +533,28 @@ let prop_iddm_matches_reference =
           opt.Iddm.stats.Stats.stale_skipped opt.Iddm.stats.Stats.events_filtered;
       true)
 
+(* [ties]: a tie-rich case — the inputs of {!tie_workload}, and
+   injection toggles on the clean run's edge instants. *)
 let classic_case_gen =
   QCheck.make
-    ~print:(fun (gates, seed, inject) ->
-      Printf.sprintf "gates=%d seed=%d injections=%b" gates seed inject)
+    ~print:(fun (gates, seed, inject, ties) ->
+      Printf.sprintf "gates=%d seed=%d injections=%b ties=%b" gates seed inject ties)
     QCheck.Gen.(
-      (fun gates seed inject -> (gates, seed, inject))
-      <$> int_range 5 60 <*> int_range 0 10_000 <*> bool)
+      (fun gates seed inject ties -> (gates, seed, inject, ties))
+      <$> int_range 5 60 <*> int_range 0 10_000 <*> bool <*> bool)
 
 let prop_classic_matches_reference =
   QCheck.Test.make ~name:"optimized Classic == reference kernel (exact)" ~count:60
-    classic_case_gen (fun (gates, seed, inject) ->
-      let c, drives = workload ~gates ~seed in
+    classic_case_gen (fun (gates, seed, inject, ties) ->
+      let c, drives = random_workload ~ties ~gates ~seed in
       let cfg = Classic.config tech in
-      let injections = if inject then classic_injections c ~seed else [] in
+      let injections =
+        if not inject then []
+        else if ties then
+          classic_injections c ~seed
+            ~instants:(edge_instants (Ref_classic.run cfg c ~drives).Ref_classic.edges)
+        else classic_injections c ~seed
+      in
       let reference = Ref_classic.run ~injections cfg c ~drives in
       let check label (opt : Classic.result) =
         check_stats_equal label opt.Classic.stats reference.Ref_classic.stats;
@@ -526,6 +572,35 @@ let prop_classic_matches_reference =
       check (label ^ " shared 1") (Classic.run ~injections ~compiled cfg c ~drives);
       check (label ^ " shared 2") (Classic.run ~injections ~compiled cfg c ~drives);
       true)
+
+(* The old-vs-new differential check of the classic tie order.  Before
+   its queue ranked entries intrinsically, the engine popped
+   equal-instant entries first-in first-out: input switches in seeding
+   order, then injections, then transactions in the order their causes
+   popped.  The ranks keep the first two; transactions now tie by
+   signal id.  Which of two inputs of one gate pops last prices the
+   gate's delay, so the two orders may give different edge times where
+   two transactions commit at one instant into one gate.  On random
+   circuits, tie-rich stimuli and edge-instant injections included,
+   the engine's output must be the first-in first-out reference's,
+   byte for byte. *)
+let prop_classic_keeps_fifo_output =
+  QCheck.Test.make ~name:"Classic == first-in first-out reference on random circuits"
+    ~count:60 classic_case_gen (fun (gates, seed, inject, ties) ->
+      let c, drives = random_workload ~ties ~gates ~seed in
+      let cfg = Classic.config tech in
+      let injections =
+        if not inject then []
+        else
+          classic_injections c ~seed
+            ~instants:(edge_instants (Ref_classic.run ~fifo:true cfg c ~drives).Ref_classic.edges)
+      in
+      let fifo = Ref_classic.run ~fifo:true ~injections cfg c ~drives in
+      let opt = Classic.run ~injections cfg c ~drives in
+      let label = Printf.sprintf "fifo gates=%d seed=%d ties=%b" gates seed ties in
+      check_stats_equal label opt.Classic.stats fifo.Ref_classic.stats;
+      check_edges_equal label (Lazy.force opt.Classic.edges) fifo.Ref_classic.edges;
+      opt.Classic.final_levels = fifo.Ref_classic.final_levels)
 
 (* A gate reading one signal on several pins evaluates once per change
    of that signal, priced at its lowest such pin.  [x] reads [a] on
@@ -568,32 +643,34 @@ let test_classic_foreign_compiled () =
   | exception Invalid_argument _ -> ()
 
 (* The engines' heap against a sorted-list oracle: same pop order, same
-   min_key at every step.  A run inserts either FIFO (ties broken by
-   insertion order) or, as the IDDM kernel does, with explicit ranks:
-   pin-slot ranks mixed with the negative injection-splice ranks
-   [idx - max_int].  Keys repeat often, and ranked entries may repeat a
-   (key, rank) pair — the kernel can queue a tombstoned and a live event
-   for one pin at one instant — so a pop must return {e some} entry
-   whose (key, rank) is the oracle's minimum. *)
+   min_key at every step.  Ranks are drawn as the engines draw them:
+   small non-negative ranks (pin slots, signal ids) mixed with the
+   negative injection ranks [min_int / 2 + idx] and classic
+   input-switch ranks [min_int + idx].  Keys repeat often, and
+   entries may repeat a (key, rank) pair — an engine can queue a
+   tombstoned and a live entry for one pin or signal at one instant —
+   so a pop must return {e some} entry whose (key, rank) is the
+   oracle's minimum. *)
 let prop_unboxed_heap_oracle =
   let rank_gen =
-    QCheck.Gen.(oneof [ int_range 0 7; map (fun idx -> idx - max_int) (int_range 0 3) ])
+    QCheck.Gen.(
+      oneof
+        [
+          int_range 0 7;
+          map (fun idx -> (min_int / 2) + idx) (int_range 0 3);
+          map (fun idx -> min_int + idx) (int_range 0 3);
+        ])
   in
   let op_gen =
-    QCheck.Gen.(
-      pair bool (list_size (int_range 1 400) (option (pair (int_range 0 20) rank_gen))))
-    (* (ranked, ops): Some (k, r) = insert with key k/4., and with
-       ~rank:r when ranked; None = pop *)
+    QCheck.Gen.(list_size (int_range 1 400) (option (pair (int_range 0 20) rank_gen)))
+    (* Some (k, r) = insert with key k/4. and ~rank:r; None = pop *)
   in
-  let print (ranked, ops) =
-    Printf.sprintf "ranked=%b %s" ranked
-      (String.concat " "
-         (List.map
-            (function Some (k, r) -> Printf.sprintf "+%d/%d" k r | None -> "pop")
-            ops))
+  let print ops =
+    String.concat " "
+      (List.map (function Some (k, r) -> Printf.sprintf "+%d/%d" k r | None -> "pop") ops)
   in
   QCheck.Test.make ~name:"Heap.Unboxed == sorted-list oracle" ~count:200
-    (QCheck.make ~print op_gen) (fun (ranked, ops) ->
+    (QCheck.make ~print op_gen) (fun ops ->
       let h = Heap.create ~capacity:2 () in
       let oracle = ref [] (* (key, rank, payload) *) in
       let seq = ref 0 in
@@ -616,11 +693,9 @@ let prop_unboxed_heap_oracle =
       List.iter
         (fun op ->
           match op with
-          | Some (k, r) ->
+          | Some (k, rank) ->
               let key = float_of_int k /. 4. in
-              let rank = if ranked then r else !seq in
-              ignore
-                (if ranked then Heap.insert h ~key ~rank !seq else Heap.insert h ~key !seq);
+              Heap.insert h ~key ~rank !seq;
               oracle := (key, rank, !seq) :: !oracle;
               incr seq
           | None ->
@@ -879,6 +954,7 @@ let tests =
           test_classic_repeated_pin;
         Alcotest.test_case "Classic.start rejects a foreign compiled circuit" `Quick
           test_classic_foreign_compiled;
+        QCheck_alcotest.to_alcotest prop_classic_keeps_fifo_output;
         QCheck_alcotest.to_alcotest prop_unboxed_heap_oracle;
         QCheck_alcotest.to_alcotest prop_cache_matches_reference;
         Alcotest.test_case "Iddm.run minor words per processed event" `Quick
