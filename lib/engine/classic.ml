@@ -3,7 +3,6 @@ module Transition = Halotis_wave.Transition
 module Digital = Halotis_wave.Digital
 module Tech = Halotis_tech.Tech
 module Delay_model = Halotis_delay.Delay_model
-module Heap = Halotis_util.Heap
 module Gate_kind = Halotis_logic.Gate_kind
 module Stop = Halotis_guard.Stop
 module Budget = Halotis_guard.Budget
@@ -15,16 +14,14 @@ type config = {
   tech : Tech.t;
   overlay : Halotis_tech.Param_overlay.t;
   t_stop : float option;
-  max_events : int;
   mode : mode;
   budget : Budget.t;
   watchdog : Watchdog.config option;
 }
 
-let config ?(overlay = Halotis_tech.Param_overlay.empty) ?t_stop
-    ?(max_events = 10_000_000) ?(mode = Inertial)
+let config ?(overlay = Halotis_tech.Param_overlay.empty) ?t_stop ?(mode = Inertial)
     ?(budget = Budget.unlimited) ?watchdog tech =
-  { tech; overlay; t_stop; max_events; mode; budget; watchdog }
+  { tech; overlay; t_stop; mode; budget; watchdog }
 
 type result = {
   circuit : Netlist.t;
@@ -48,15 +45,12 @@ type injection = Netlist.signal_id * (float * bool) list
    once per committed change, so a fanout walk stamps the gates it has
    evaluated in [seen].
 
-   Transactions live in a recycled structure-of-arrays pool and are
-   passed around as small-int slots (heap payloads are bare ints), so
-   the hot path builds no transaction record; what it still allocates
-   is the boxes of floats passed across module boundaries (see the
-   [Iddm] header).  [tx_dead] is the
-   lazy-cancellation tombstone: preempted transactions are marked dead
-   in place and discarded (and recycled) when the queue surfaces them.
-   A slot sits in the queue exactly once, so recycling at pop time is
-   single-free by construction.
+   Transactions are slots of the shared event kernel
+   ({!Run_control}), as IDDM events are: [int0] is the signal, [flag]
+   '\001' drives it high.  So the hot path builds no transaction
+   record; what it still allocates is the boxes of floats passed across
+   module boundaries (see the [Iddm] header).  A preempted transaction
+   is tombstoned in place and discarded when the queue surfaces it.
 
    Queue ties break by an intrinsic rank, as in {!Iddm}.  Input
    switches rank lowest, in the order {!start} seeds them: the drive
@@ -80,87 +74,46 @@ type state = {
   pending : Slot_deque.t array;
       (* per signal: live scheduled driver transactions, or an input's
          queued switches *)
-  queue : Heap.t;
   rev_edges : Digital.edge list array; (* newest first *)
   seen : int array;
       (* gate -> the fanout walk that last evaluated it; [max_int] bars
          a gate from evaluation (the gates outside a cone run's cone) *)
   mutable walk : int;
-  (* transaction pool: parallel arrays indexed by slot *)
-  mutable tx_sid : int array;
-  mutable tx_at : float array;
-  mutable tx_value : Bytes.t; (* '\001' = drive high *)
-  mutable tx_dead : Bytes.t;
-  mutable tx_free : int array; (* stack of recycled slots *)
-  mutable tx_free_top : int;
   stats : Stats.t;
   (* guardrails *)
   wd : Watchdog.t option;
   fz : Watchdog.frozen;
-  ctl : Run_control.t; (* limits, stop reason, progress *)
+  ctl : Run_control.t; (* queue, transaction pool, limits, stop reason, progress *)
   mutable seeded : int; (* the rank of the next input switch *)
   mutable toggles : int; (* injection toggles queued so far *)
   cone : bool; (* a {!start_cone} run *)
   mutable replay_hazard : bool;
 }
 
-let grow_pool st =
-  let cap = Array.length st.tx_sid in
-  let ncap = max 64 (2 * cap) in
-  let si = Array.make ncap (-1) in
-  Array.blit st.tx_sid 0 si 0 cap;
-  st.tx_sid <- si;
-  let at = Array.make ncap 0. in
-  Array.blit st.tx_at 0 at 0 cap;
-  st.tx_at <- at;
-  let va = Bytes.make ncap '\000' in
-  Bytes.blit st.tx_value 0 va 0 cap;
-  st.tx_value <- va;
-  let de = Bytes.make ncap '\000' in
-  Bytes.blit st.tx_dead 0 de 0 cap;
-  st.tx_dead <- de;
-  let free = Array.make ncap 0 in
-  for i = 0 to ncap - cap - 1 do
-    free.(i) <- cap + i
-  done;
-  st.tx_free <- free;
-  st.tx_free_top <- ncap - cap
-
-let alloc_tx st =
-  if st.tx_free_top = 0 then grow_pool st;
-  st.tx_free_top <- st.tx_free_top - 1;
-  st.tx_free.(st.tx_free_top)
-
-let free_tx st slot =
-  st.tx_free.(st.tx_free_top) <- slot;
-  st.tx_free_top <- st.tx_free_top + 1
-
 (* Allocate, fill and enqueue a transaction slot (heap only; the caller
    decides whether it also enters a pending deque). *)
 let enqueue_tx st ~rank ~sid ~at ~value =
-  let slot = alloc_tx st in
-  st.tx_sid.(slot) <- sid;
-  st.tx_at.(slot) <- at;
-  Bytes.set st.tx_value slot (if value then '\001' else '\000');
-  Bytes.set st.tx_dead slot '\000';
-  Heap.insert st.queue ~key:at ~rank slot;
+  let k = st.ctl in
+  let slot = Run_control.alloc k ~key:at ~rank in
+  k.Run_control.int0.(slot) <- sid;
+  Bytes.set k.Run_control.flag slot (if value then '\001' else '\000');
   slot
 
 (* The value the driver will settle to once pending transactions fire. *)
 let scheduled_target st sid =
   let txq : Slot_deque.t = st.pending.(sid) in
   if txq.head < txq.tail then
-    Bytes.get st.tx_value (txq.buf.(txq.tail - 1)) = '\001'
+    Bytes.get st.ctl.Run_control.flag txq.buf.(txq.tail - 1) = '\001'
   else st.value.(sid)
 
 (* Transport preemption: kill the pending transactions of [sid] at or
    after [at] — a suffix of the (time-sorted) deque, tombstoned in
    place. *)
 let preempt st sid ~at =
-  let txq : Slot_deque.t = st.pending.(sid) in
+  let k = st.ctl and txq : Slot_deque.t = st.pending.(sid) in
   let i = ref (txq.tail - 1) in
-  while !i >= txq.head && st.tx_at.(txq.buf.(!i)) >= at do
-    Bytes.set st.tx_dead txq.buf.(!i) '\001';
+  while !i >= txq.head && k.Run_control.at.(txq.buf.(!i)) >= at do
+    Bytes.set k.Run_control.dead txq.buf.(!i) '\001';
     st.stats.Stats.events_filtered <- st.stats.Stats.events_filtered + 1;
     decr i
   done;
@@ -178,9 +131,9 @@ let schedule_inertial st sid ~at ~value ~window =
     if
       txq.head < txq.tail
       && st.cfg.mode = Inertial
-      && at -. st.tx_at.(txq.buf.(txq.tail - 1)) < window
+      && at -. st.ctl.Run_control.at.(txq.buf.(txq.tail - 1)) < window
     then begin
-      Bytes.set st.tx_dead txq.buf.(txq.tail - 1) '\001';
+      Bytes.set st.ctl.Run_control.dead txq.buf.(txq.tail - 1) '\001';
       txq.tail <- txq.tail - 1;
       st.stats.Stats.events_filtered <- st.stats.Stats.events_filtered + 2
     end
@@ -233,16 +186,14 @@ let toggle (tr : Transition.t) =
 
 (* A primary-input switch, ranked [st.seeded].  Nothing but its
    stimulus drives an input, so the input's deque holds just its queued
-   switches, which {!session_set_input} annuls.  A switch whose 50 %
-   point falls before an already queued one (overlapping drive ramps)
-   stays out of the deque, which has to remain time-sorted. *)
+   switches.  A drive ramp overrides the queued switches strictly later
+   than its own 50 % point (overlapping ramps: the later ramp sets the
+   final level); equal-instant switches all stay, in seeding order. *)
 let seed_input st sid (tr : Transition.t) =
   let at, value = toggle tr in
-  let slot = enqueue_tx st ~rank:st.seeded ~sid ~at ~value in
+  preempt st sid ~at:(Float.succ at);
+  Slot_deque.push st.pending.(sid) (enqueue_tx st ~rank:st.seeded ~sid ~at ~value);
   st.seeded <- st.seeded + 1;
-  let txq : Slot_deque.t = st.pending.(sid) in
-  if txq.head = txq.tail || st.tx_at.(txq.buf.(txq.tail - 1)) <= at then
-    Slot_deque.push txq slot;
   st.stats.Stats.events_scheduled <- st.stats.Stats.events_scheduled + 1
 
 (* The driven inputs in the drive table's order, each with its
@@ -285,47 +236,29 @@ type session = state
 (* The per-run state shared by a whole-circuit [start] and a
    cone-restricted [start_cone]: everything except the circuit-sized
    arrays, which [start] allocates fresh and a cone run borrows from its
-   workspace.  [pool]: a drained earlier state whose transaction pool
+   workspace.  [pool]: an earlier run's kernel, whose transaction pool
    and queue carry over. *)
 let make_state ?pool ~cone cfg (cp : Compiled.t) ~levels ~value ~pending
     ~rev_edges ~seen ~fz =
-  let st =
-    {
-      cfg;
-      cp;
-      levels;
-      value;
-      pending;
-      queue = (match pool with Some p -> p.queue | None -> Heap.create ~capacity:64 ());
-      rev_edges;
-      seen;
-      walk = 0;
-      tx_sid = [||];
-      tx_at = [||];
-      tx_value = Bytes.empty;
-      tx_dead = Bytes.empty;
-      tx_free = [||];
-      tx_free_top = 0;
-      stats = Stats.create ();
-      wd = Option.map (fun w -> Watchdog.create w ~nsignals:cp.Compiled.nsignals) cfg.watchdog;
-      fz;
-      ctl = Run_control.create cfg.budget ~t_stop:cfg.t_stop ~max_events:cfg.max_events;
-      seeded = min_int;
-      toggles = 0;
-      cone;
-      replay_hazard = false;
-    }
-  in
-  (match pool with
-  | None -> ()
-  | Some p ->
-      st.tx_sid <- p.tx_sid;
-      st.tx_at <- p.tx_at;
-      st.tx_value <- p.tx_value;
-      st.tx_dead <- p.tx_dead;
-      st.tx_free <- p.tx_free;
-      st.tx_free_top <- p.tx_free_top);
-  st
+  let stats = Stats.create () in
+  {
+    cfg;
+    cp;
+    levels;
+    value;
+    pending;
+    rev_edges;
+    seen;
+    walk = 0;
+    stats;
+    wd = Option.map (fun w -> Watchdog.create w ~nsignals:cp.Compiled.nsignals) cfg.watchdog;
+    fz;
+    ctl = Run_control.create ?pool cfg.budget ~t_stop:cfg.t_stop ~stats;
+    seeded = min_int;
+    toggles = 0;
+    cone;
+    replay_hazard = false;
+  }
 
 let start ?(injections = []) ?compiled cfg c ~drives =
   let cp = Compiled.resolve ~who:"Classic.start" ?compiled ~overlay:cfg.overlay cfg.tech c in
@@ -357,8 +290,8 @@ let start ?(injections = []) ?compiled cfg c ~drives =
    The circuit-sized arrays (values, pending deques, committed edges,
    evaluation stamps, freeze and boundary marks) live in the workspace;
    a run resets the entries of its cone and boundary signals and bars
-   every other gate from evaluation by a [max_int] stamp.  The pool and
-   queue carry over once drained. *)
+   every other gate from evaluation by a [max_int] stamp.  The
+   transaction pool and queue carry over from run to run. *)
 type cone_workspace = {
   cw_cfg : config;
   cw_cp : Compiled.t;
@@ -401,19 +334,16 @@ let cone_workspace ~compiled:cp ~(baseline : result) cfg c ~drives =
   }
 
 (* Undo what the latest run left outside its cone and hand back its
-   drained state, whose pool and queue the next run reuses. *)
+   kernel, whose pool and queue the next run reuses. *)
 let reclaim ws =
   match ws.cw_prev with
   | None -> None
   | Some (cone, bnd, prev) ->
-      while not (Heap.is_empty prev.queue) do
-        free_tx prev (Heap.pop prev.queue)
-      done;
       Array.iter (fun g -> ws.cw_seen.(g) <- max_int) cone.Compiled.cone_gates;
       List.iter (fun sid -> Bytes.set ws.cw_bnd sid '\000') bnd;
       Watchdog.thaw ws.cw_fz;
       ws.cw_prev <- None;
-      Some prev
+      Some prev.ctl
 
 let start_cone ?(injections = []) ws ~(cone : Compiled.cone) =
   let cp = ws.cw_cp in
@@ -491,47 +421,37 @@ let advance st ~upto =
   let ctl = st.ctl in
   let continue = ref true in
   while !continue do
-    let t = Run_control.next ctl st.queue ~upto in
-    if Float.is_nan t then continue := false
-    else begin
-      let slot = Heap.pop st.queue in
-      if Bytes.get st.tx_dead slot = '\001' then begin
-        st.stats.Stats.stale_skipped <- st.stats.Stats.stale_skipped + 1;
-        free_tx st slot
-      end
-      else if
-        (* committed-edge (memory) cap and budget: the same pre-event
-           checks as the IDDM engine's *)
-        Run_control.admit ctl ~at:t ~emitted:st.stats.Stats.transitions_emitted
-          ~queue:(Heap.length st.queue)
+    let slot = Run_control.pop ctl ~upto in
+    if slot < 0 then continue := false
+    else if
+      (* committed-edge (memory) cap and budget: the same pre-event
+         checks as the IDDM engine's *)
+      Run_control.admit ctl ~emitted:st.stats.Stats.transitions_emitted
+    then begin
+      st.stats.Stats.events_processed <- st.stats.Stats.events_processed + 1;
+      let t = ctl.Run_control.now and sid = ctl.Run_control.int0.(slot) in
+      let value = Bytes.get ctl.Run_control.flag slot = '\001' in
+      (* reclaim a committed transaction from its deque; injected
+         toggles were never entered *)
+      let txq : Slot_deque.t = st.pending.(sid) in
+      if txq.head < txq.tail && txq.buf.(txq.head) = slot then txq.head <- txq.head + 1;
+      if
+        st.value.(sid) <> value
+        && not (st.fz.Watchdog.fz_any && Bytes.get st.fz.Watchdog.fz_marks sid = '\001')
       then begin
-        st.stats.Stats.events_processed <- st.stats.Stats.events_processed + 1;
-        let sid = st.tx_sid.(slot) in
-        let value = Bytes.get st.tx_value slot = '\001' in
-        (* reclaim a committed transaction from its deque; injected
-           toggles were never entered *)
-        let txq : Slot_deque.t = st.pending.(sid) in
-        if txq.head < txq.tail && txq.buf.(txq.head) = slot then txq.head <- txq.head + 1;
-        free_tx st slot;
-        if
-          st.value.(sid) <> value
-          && not (st.fz.Watchdog.fz_any && Bytes.get st.fz.Watchdog.fz_marks sid = '\001')
-        then begin
-          st.value.(sid) <- value;
-          let polarity = if value then Transition.Rising else Transition.Falling in
-          st.rev_edges.(sid) <- { Digital.at = t; polarity } :: st.rev_edges.(sid);
-          st.stats.Stats.transitions_emitted <- st.stats.Stats.transitions_emitted + 1;
-          (match st.wd with
-          | Some wd ->
-              (* a Halt-mode trip halts [ctl] *)
-              if Watchdog.record wd ~signal:sid ~now:t then
-                Option.iter (Run_control.halt ctl)
-                  (Watchdog.trip wd st.cp.Compiled.circuit st.fz ~signal:sid ~at:t)
-          | None -> ());
-          evaluate_fanout st ~now:t sid
-        end
+        st.value.(sid) <- value;
+        let polarity = if value then Transition.Rising else Transition.Falling in
+        st.rev_edges.(sid) <- { Digital.at = t; polarity } :: st.rev_edges.(sid);
+        st.stats.Stats.transitions_emitted <- st.stats.Stats.transitions_emitted + 1;
+        (match st.wd with
+        | Some wd ->
+            (* a Halt-mode trip halts [ctl] *)
+            if Watchdog.record wd ~signal:sid ~now:t then
+              Option.iter (Run_control.halt ctl)
+                (Watchdog.trip wd st.cp.Compiled.circuit st.fz ~signal:sid ~at:t)
+        | None -> ());
+        evaluate_fanout st ~now:t sid
       end
-      else free_tx st slot
     end
   done;
   snapshot st
@@ -549,11 +469,11 @@ let session_set_input st sid transitions =
       preempt st sid ~at:(fst (toggle tr));
       seed_input st sid tr)
     transitions;
-  Run_control.revive st.ctl st.queue
+  Run_control.revive st.ctl
 
 let session_inject st injection =
   add_injection st injection;
-  Run_control.revive st.ctl st.queue
+  Run_control.revive st.ctl
 
 let session_finished st = st.ctl.Run_control.finished
 let session_result st = snapshot st

@@ -28,7 +28,6 @@ type config = {
       (** parameter corner the gate delays are priced at; empty (the
           default) is bit-identical to pricing straight from [tech] *)
   t_stop : Halotis_util.Units.time option;
-  max_events : int;
   mode : mode;
   budget : Halotis_guard.Budget.t;
       (** resource guardrails (see {!Iddm.config}); the classic engine
@@ -40,7 +39,6 @@ type config = {
 val config :
   ?overlay:Halotis_tech.Param_overlay.t ->
   ?t_stop:Halotis_util.Units.time ->
-  ?max_events:int ->
   ?mode:mode ->
   ?budget:Halotis_guard.Budget.t ->
   ?watchdog:Halotis_guard.Watchdog.config ->

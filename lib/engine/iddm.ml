@@ -18,16 +18,15 @@ type config = {
   delay_kind : Delay_model.kind;
   cancellation : bool;
   t_stop : float option;
-  max_events : int;
   trace : bool;
   budget : Budget.t;
   watchdog : Watchdog.config option;
 }
 
 let config ?(overlay = Halotis_tech.Param_overlay.empty)
-    ?(delay_kind = Delay_model.Ddm) ?(cancellation = true) ?t_stop
-    ?(max_events = 10_000_000) ?(trace = false) ?(budget = Budget.unlimited) ?watchdog tech =
-  { tech; overlay; delay_kind; cancellation; t_stop; max_events; trace; budget; watchdog }
+    ?(delay_kind = Delay_model.Ddm) ?(cancellation = true) ?t_stop ?(trace = false)
+    ?(budget = Budget.unlimited) ?watchdog tech =
+  { tech; overlay; delay_kind; cancellation; t_stop; trace; budget; watchdog }
 
 type trace_entry = {
   te_signal : Netlist.signal_id;
@@ -63,22 +62,23 @@ type injection = {
    globally indexed arrays ([g_base.(gate) + pin]), and fanout is an
    edge list in CSR form.  All of it is built once at setup.
 
-   Events live in a recycled structure-of-arrays pool and are passed
-   around as small-int slots: scheduling writes a few flat-array cells
-   and pushes the slot into the queue (whose payloads are bare ints),
-   so the hot path builds no event, transition or outcome record.  It
+   Events are slots of the event kernel ({!Run_control}), passed
+   around as small ints: scheduling writes a few flat-array cells of
+   its pool and pushes the slot into its queue (whose payloads are bare
+   ints), so the hot path builds no event, transition or outcome
+   record.  A slot's payload is [int0] the gate (-1 for an injection
+   splice), [int1] the pin (the injection's index for a splice),
+   [real] the causing ramp's slope time and [flag] '\001' for a rising
+   crossing.  It
    is not allocation-free: under the dev profile every module is
    compiled [-opaque], so a float passed to or returned from a function
    in another module (or one here that is not inlined) is boxed.  The
    kernel keeps those crossings few — ramps go to the waveform as
    scalars ({!Waveform.append_ramp}), and the segment, heap and delay
    arithmetic runs inside the modules that own the arrays — and what
-   remains is short-lived boxes that die in the minor heap.
-   [ev_dead] is the lazy-cancellation tombstone: Fig. 4's "delete
-   Ej-1" marks the slot dead in place instead of restructuring the
-   heap, and the main loop discards (and recycles) it when it
-   surfaces.  A slot sits in the queue exactly once, so recycling at
-   pop time is single-free by construction. *)
+   remains is short-lived boxes that die in the minor heap.  Fig. 4's
+   "delete Ej-1" tombstones the slot in place instead of restructuring
+   the heap, and the kernel discards it when it surfaces. *)
 type state = {
   cfg : config;
   c : Netlist.t;
@@ -98,23 +98,13 @@ type state = {
   fan_gate : int array; (* fanout edge -> loading gate *)
   fan_pin : int array; (* fanout edge -> pin of that gate *)
   out_target : bool array; (* gate -> target logic of last output transition *)
-  queue : Heap.t;
-  (* event pool: parallel arrays indexed by slot *)
-  mutable ev_gate : int array; (* -1 = injection splice *)
-  mutable ev_pin : int array; (* injection index when ev_gate = -1 *)
-  mutable ev_tau : float array; (* causing ramp's slope time *)
-  mutable ev_key : float array; (* event instant *)
-  mutable ev_rising : Bytes.t;
-  mutable ev_dead : Bytes.t;
-  mutable ev_free : int array; (* stack of recycled slots *)
-  mutable ev_free_top : int;
   cache : Delay_model.Cache.t; (* compiled delay coefficients (shareable) *)
   mutable injections : injection array; (* grows when a live session injects *)
   stats : Stats.t;
   (* guardrails *)
   wd : Watchdog.t option;
   fz : Watchdog.frozen;
-  ctl : Run_control.t; (* limits, stop reason, progress *)
+  ctl : Run_control.t; (* queue, event pool, limits, stop reason, progress *)
   (* Replay-hazard bookkeeping: cone re-simulation (see {!start_cone})
      reconstructs a pin's event history from the {e final} baseline
      waveform of its driving signal.  That reconstruction is exact
@@ -134,45 +124,6 @@ type state = {
    different orders (a cone replay vs the full run).  Pin events rank by
    their globally unique pin slot; injection splices rank below every
    pin slot, in registration order ({!Run_control.injection_rank}). *)
-
-let grow_pool st =
-  let cap = Array.length st.ev_gate in
-  let ncap = max 64 (2 * cap) in
-  let gi = Array.make ncap (-1) in
-  Array.blit st.ev_gate 0 gi 0 cap;
-  st.ev_gate <- gi;
-  let pi = Array.make ncap (-1) in
-  Array.blit st.ev_pin 0 pi 0 cap;
-  st.ev_pin <- pi;
-  let ta = Array.make ncap 0. in
-  Array.blit st.ev_tau 0 ta 0 cap;
-  st.ev_tau <- ta;
-  let ke = Array.make ncap 0. in
-  Array.blit st.ev_key 0 ke 0 cap;
-  st.ev_key <- ke;
-  let ri = Bytes.make ncap '\000' in
-  Bytes.blit st.ev_rising 0 ri 0 cap;
-  st.ev_rising <- ri;
-  let de = Bytes.make ncap '\000' in
-  Bytes.blit st.ev_dead 0 de 0 cap;
-  st.ev_dead <- de;
-  (* the free stack is empty when the pool grows; refill with the slots
-     just minted *)
-  let free = Array.make ncap 0 in
-  for i = 0 to ncap - cap - 1 do
-    free.(i) <- cap + i
-  done;
-  st.ev_free <- free;
-  st.ev_free_top <- ncap - cap
-
-let alloc_event st =
-  if st.ev_free_top = 0 then grow_pool st;
-  st.ev_free_top <- st.ev_free_top - 1;
-  st.ev_free.(st.ev_free_top)
-
-let free_event st slot =
-  st.ev_free.(st.ev_free_top) <- slot;
-  st.ev_free_top <- st.ev_free_top + 1
 
 (* [Gate_kind.eval_bool] over the flat level bytes, without building a
    per-call input array.  Same boolean function, same arity handling. *)
@@ -201,14 +152,12 @@ let eval_gate kind lv base n =
   | Mux2 -> if v 2 then v 1 else v 0
 
 let schedule st ~key ~gate ~pin ~slot ~rising ~tau_in =
-  let ev = alloc_event st in
-  st.ev_gate.(ev) <- gate;
-  st.ev_pin.(ev) <- pin;
-  st.ev_tau.(ev) <- tau_in;
-  st.ev_key.(ev) <- key;
-  Bytes.set st.ev_rising ev (if rising then '\001' else '\000');
-  Bytes.set st.ev_dead ev '\000';
-  Heap.insert st.queue ~key ~rank:slot ev;
+  let k = st.ctl in
+  let ev = Run_control.alloc k ~key ~rank:slot in
+  k.Run_control.int0.(ev) <- gate;
+  k.Run_control.int1.(ev) <- pin;
+  k.Run_control.real.(ev) <- tau_in;
+  Bytes.set k.Run_control.flag ev (if rising then '\001' else '\000');
   if st.cfg.cancellation then Slot_deque.push st.pending.(slot) ev;
   st.stats.Stats.events_scheduled <- st.stats.Stats.events_scheduled + 1
 
@@ -225,11 +174,11 @@ let cancel_invalidated st ~slot ~from_time =
      waveform no longer records that event — a cone replay seeded from
      final waveforms would diverge here, so flag the run. *)
   if from_time <= st.last_pop.(slot) then st.replay_hazard <- true;
-  let pq : Slot_deque.t = st.pending.(slot) in
+  let k = st.ctl and pq : Slot_deque.t = st.pending.(slot) in
   let buf = pq.buf in
   let i = ref (pq.tail - 1) in
-  while !i >= pq.head && st.ev_key.(buf.(!i)) >= from_time do
-    Bytes.set st.ev_dead buf.(!i) '\001';
+  while !i >= pq.head && k.Run_control.at.(buf.(!i)) >= from_time do
+    Bytes.set k.Run_control.dead buf.(!i) '\001';
     st.stats.Stats.events_filtered <- st.stats.Stats.events_filtered + 1;
     decr i
   done;
@@ -326,14 +275,12 @@ let add_injection st inj =
   | first :: _ ->
       let idx = Array.length st.injections in
       st.injections <- Array.append st.injections [| inj |];
-      let ev = alloc_event st in
-      st.ev_gate.(ev) <- -1;
-      st.ev_pin.(ev) <- idx;
-      st.ev_tau.(ev) <- 0.;
-      st.ev_key.(ev) <- first.Transition.start;
-      Bytes.set st.ev_rising ev '\000';
-      Bytes.set st.ev_dead ev '\000';
-      Heap.insert st.queue ~key:first.Transition.start ~rank:(Run_control.injection_rank idx) ev
+      let k = st.ctl in
+      let ev =
+        Run_control.alloc k ~key:first.Transition.start ~rank:(Run_control.injection_rank idx)
+      in
+      k.Run_control.int0.(ev) <- -1;
+      k.Run_control.int1.(ev) <- idx
 
 (* A paused run is its state: [ctl] carries what the main loop kept in
    locals when [run] was monolithic. *)
@@ -342,60 +289,36 @@ type session = state
 (* The per-run state shared by a whole-circuit [start] and a
    cone-restricted [start_cone]: everything except the circuit-sized
    arrays, which [start] allocates fresh and a cone run borrows from its
-   workspace. *)
+   workspace.  [pool]: an earlier run's kernel, whose event pool and
+   queue carry over (cone runs, see {!start_cone}). *)
 let make_state ?pool cfg c (cp : Compiled.t) ~wf ~pin_level ~out_target ~pending
     ~last_pop ~fz =
-  let st =
-    {
-      cfg;
-      c;
-      rev_trace = [];
-      wf;
-      g_kind = cp.Compiled.g_kind;
-      g_out = cp.Compiled.g_out;
-      g_base = cp.Compiled.g_base;
-      pin_fanin = cp.Compiled.pin_fanin;
-      pin_vt = cp.Compiled.pin_vt;
-      pin_level;
-      pending;
-      fan_off = cp.Compiled.fan_off;
-      fan_gate = cp.Compiled.fan_gate;
-      fan_pin = cp.Compiled.fan_pin;
-      out_target;
-      queue =
-        (match pool with Some p -> p.queue | None -> Heap.create ~capacity:64 ());
-      ev_gate = [||];
-      ev_pin = [||];
-      ev_tau = [||];
-      ev_key = [||];
-      ev_rising = Bytes.empty;
-      ev_dead = Bytes.empty;
-      ev_free = [||];
-      ev_free_top = 0;
-      cache = cp.Compiled.cache;
-      injections = [||];
-      stats = Stats.create ();
-      wd = Option.map (fun w -> Watchdog.create w ~nsignals:cp.Compiled.nsignals) cfg.watchdog;
-      fz;
-      ctl = Run_control.create cfg.budget ~t_stop:cfg.t_stop ~max_events:cfg.max_events;
-      last_pop;
-      replay_hazard = false;
-    }
-  in
-  (* [pool]: a drained earlier state whose event pool and queue carry
-     over (cone runs, see {!start_cone}) *)
-  (match pool with
-  | None -> ()
-  | Some p ->
-      st.ev_gate <- p.ev_gate;
-      st.ev_pin <- p.ev_pin;
-      st.ev_tau <- p.ev_tau;
-      st.ev_key <- p.ev_key;
-      st.ev_rising <- p.ev_rising;
-      st.ev_dead <- p.ev_dead;
-      st.ev_free <- p.ev_free;
-      st.ev_free_top <- p.ev_free_top);
-  st
+  let stats = Stats.create () in
+  {
+    cfg;
+    c;
+    rev_trace = [];
+    wf;
+    g_kind = cp.Compiled.g_kind;
+    g_out = cp.Compiled.g_out;
+    g_base = cp.Compiled.g_base;
+    pin_fanin = cp.Compiled.pin_fanin;
+    pin_vt = cp.Compiled.pin_vt;
+    pin_level;
+    pending;
+    fan_off = cp.Compiled.fan_off;
+    fan_gate = cp.Compiled.fan_gate;
+    fan_pin = cp.Compiled.fan_pin;
+    out_target;
+    cache = cp.Compiled.cache;
+    injections = [||];
+    stats;
+    wd = Option.map (fun w -> Watchdog.create w ~nsignals:cp.Compiled.nsignals) cfg.watchdog;
+    fz;
+    ctl = Run_control.create ?pool cfg.budget ~t_stop:cfg.t_stop ~stats;
+    last_pop;
+    replay_hazard = false;
+  }
 
 let start ?(injections = []) ?compiled cfg c ~drives =
   (* Everything that depends only on (netlist, tech) comes precompiled
@@ -467,51 +390,40 @@ let snapshot st =
     trace = List.rev st.rev_trace;
   }
 
-(* The main loop, paused at [upto].  Pausing is free: {!Run_control.next}
+(* The main loop, paused at [upto].  Pausing is free: {!Run_control.pop}
    inspects the heap minimum {e before} popping, so stopping short of
    the horizon leaves the queue exactly as a one-shot run would have it
    at that point — resuming pops the same events in the same order, and
    the stepped run stays bit-identical to the one-shot run (the
    equivalence suite pins this down). *)
 let advance st ~upto =
-  let ctl = st.ctl in
+  let k = st.ctl in
   let continue = ref true in
   while !continue do
-    let t = Run_control.next ctl st.queue ~upto in
-    if Float.is_nan t then continue := false
+    let ev = Run_control.pop k ~upto in
+    if ev < 0 then continue := false
     else begin
-      let ev = Heap.pop st.queue in
-      let gate = st.ev_gate.(ev) and pin = st.ev_pin.(ev) in
-      if Bytes.get st.ev_dead ev = '\001' then begin
-        (* a cancelled (tombstoned) event surfacing: recycle it *)
-        st.stats.Stats.stale_skipped <- st.stats.Stats.stale_skipped + 1;
-        free_event st ev
-      end
-      else if gate < 0 then begin
+      let gate = k.Run_control.int0.(ev) and pin = k.Run_control.int1.(ev) in
+      if gate < 0 then begin
         (* Injection splices are stimulus, not simulation work; only pin
            events count as processed (and against the budget). *)
-        Run_control.reached ctl t;
-        free_event st ev;
+        Run_control.reached k;
         process_injection st st.injections.(pin)
       end
-      else if
-        Run_control.admit ctl ~at:t ~emitted:st.stats.Stats.transitions_emitted
-          ~queue:(Heap.length st.queue)
-      then begin
+      else if Run_control.admit k ~emitted:st.stats.Stats.transitions_emitted then begin
         st.stats.Stats.events_processed <- st.stats.Stats.events_processed + 1;
-        st.last_pop.(st.g_base.(gate) + pin) <- t;
-        let rising = Bytes.get st.ev_rising ev = '\001' in
-        let tau_in = st.ev_tau.(ev) in
+        let t = k.Run_control.now and slot = st.g_base.(gate) + pin in
+        st.last_pop.(slot) <- t;
+        let rising = Bytes.get k.Run_control.flag ev = '\001' in
+        let tau_in = k.Run_control.real.(ev) in
         if st.cfg.cancellation then begin
           (* the oldest live entry of its pin deque is this event *)
-          let pq : Slot_deque.t = st.pending.(st.g_base.(gate) + pin) in
+          let pq : Slot_deque.t = st.pending.(slot) in
           if pq.head < pq.tail && pq.buf.(pq.head) = ev then pq.head <- pq.head + 1
         end;
-        free_event st ev;
         (* a Halt-mode watchdog trip in here halts [ctl] *)
         process_pin_event st ~now:t ~gate ~pin ~rising ~tau_in
       end
-      else free_event st ev
     end
   done;
   snapshot st
@@ -558,9 +470,7 @@ let advance st ~upto =
    previous cone's member waveforms, which the next cone may read as
    boundary feeds, go back to their baseline aliases, and the previous
    run's freeze marks are cleared.  The event pool and queue carry over
-   once fully drained — a run cut short by its horizon or a guardrail
-   leaves events queued.  Pool slot numbers never reach the pop order
-   (the queue ranks by pin slot), so reuse is unobservable. *)
+   from run to run ({!Run_control.create}'s [pool]). *)
 type checkpoint = {
   ck_time : float; (* [neg_infinity] for the DC state *)
   ck_pin_level : Bytes.t;
@@ -592,9 +502,9 @@ let capture st ~(final : Waveform.t array) ~time =
     let pq : Slot_deque.t = st.pending.(p) in
     for i = pq.head to pq.tail - 1 do
       let ev = pq.buf.(i) and k = off.(p) + i - pq.head in
-      key.(k) <- st.ev_key.(ev);
-      tau.(k) <- st.ev_tau.(ev);
-      Bytes.set rising k (Bytes.get st.ev_rising ev)
+      key.(k) <- st.ctl.Run_control.at.(ev);
+      tau.(k) <- st.ctl.Run_control.real.(ev);
+      Bytes.set rising k (Bytes.get st.ctl.Run_control.flag ev)
     done
   done;
   let nsignals = Array.length st.wf in
@@ -626,9 +536,10 @@ let checkpoints ?grid cfg cp c ~drives (baseline : result) =
   let rp = start ~compiled:cp { cfg with trace = false } c ~drives in
   let final = baseline.waveforms in
   let dc = capture rp ~final ~time:neg_infinity in
-  if cfg.watchdog <> None || Heap.is_empty rp.queue then [| dc |]
+  let queue = rp.ctl.Run_control.queue in
+  if cfg.watchdog <> None || Heap.is_empty queue then [| dc |]
   else begin
-    let first = Heap.min_key rp.queue and last = baseline.end_time in
+    let first = rp.ctl.Run_control.at.(Heap.top queue) and last = baseline.end_time in
     let grid =
       match grid with
       | Some g -> g
@@ -741,21 +652,18 @@ let feed ws slot =
   end
 
 (* Undo what the latest run left outside its own cone's pins and gates
-   (see above) and hand back its drained state, whose pool and queue
-   the next run reuses. *)
+   (see above) and hand back its kernel, whose pool and queue the next
+   run reuses. *)
 let reclaim ws =
   match ws.cw_prev with
   | None -> None
   | Some (cone, prev) ->
-      while not (Heap.is_empty prev.queue) do
-        free_event prev (Heap.pop prev.queue)
-      done;
       Array.iter
         (fun sid -> ws.cw_wf.(sid) <- ws.cw_baseline.waveforms.(sid))
         cone.Compiled.cone_signals;
       Watchdog.thaw ws.cw_fz;
       ws.cw_prev <- None;
-      Some prev
+      Some prev.ctl
 
 let start_cone ?(injections = []) ws ~(cone : Compiled.cone) ~from =
   let cp = ws.cw_cp in
@@ -845,11 +753,11 @@ let run ?injections ?compiled cfg c ~drives =
 let session_set_input st sid transitions =
   Drive.check_input ~who:"Iddm.session_set_input" st.c sid;
   List.iter (append_external st sid) transitions;
-  Run_control.revive st.ctl st.queue
+  Run_control.revive st.ctl
 
 let session_inject st inj =
   add_injection st inj;
-  Run_control.revive st.ctl st.queue
+  Run_control.revive st.ctl
 
 let session_finished st = st.ctl.Run_control.finished
 let session_result sess = snapshot sess

@@ -29,13 +29,12 @@ type config = {
   delay_kind : Halotis_delay.Delay_model.kind;
   cancellation : bool;
   t_stop : Halotis_util.Units.time option;
-  max_events : int;  (** safety valve against oscillating circuits *)
   trace : bool;  (** record transition causality for {!explain} *)
   budget : Halotis_guard.Budget.t;
       (** resource guardrails; trips stop the run gracefully with a
-          {!Halotis_guard.Stop.t} reason instead of raising.  Its
-          [max_events] combines with the legacy [max_events] field (the
-          tighter bound wins) *)
+          {!Halotis_guard.Stop.t} reason instead of raising.  Without
+          its own [max_events] a run still stops after ten million
+          events, the safety valve against oscillating circuits *)
   watchdog : Halotis_guard.Watchdog.config option;
       (** oscillation watchdog; [None] (default) disables it *)
 }
@@ -45,14 +44,13 @@ val config :
   ?delay_kind:Halotis_delay.Delay_model.kind ->
   ?cancellation:bool ->
   ?t_stop:Halotis_util.Units.time ->
-  ?max_events:int ->
   ?trace:bool ->
   ?budget:Halotis_guard.Budget.t ->
   ?watchdog:Halotis_guard.Watchdog.config ->
   Halotis_tech.Tech.t ->
   config
-(** Defaults: empty overlay, DDM, cancellation on, no time bound, 10
-    million events, tracing off, unlimited budget, no watchdog. *)
+(** Defaults: empty overlay, DDM, cancellation on, no time bound,
+    tracing off, unlimited budget, no watchdog. *)
 
 type trace_entry = {
   te_signal : Halotis_netlist.Netlist.signal_id;  (** where the ramp landed *)

@@ -95,10 +95,12 @@ type limits = {
   monitor : Monitor.t;
 }
 
-(* The engine's own event cap folds into the monitor, which is exact, so
-   a run processes the same events a separate per-event counter check
-   would allow. *)
-let limits b ~t_stop ~max_events =
+(* A run whose budget sets no event cap still stops after this many
+   events: the safety valve against circuits that never quiesce.  It
+   folds into the monitor, which is exact. *)
+let safety_max_events = 10_000_000
+
+let limits b ~t_stop =
   let horizon, horizon_stop =
     match (t_stop, b.max_sim_time) with
     | None, None -> (infinity, Stop.Completed)
@@ -106,7 +108,7 @@ let limits b ~t_stop ~max_events =
     | None, Some mt -> (mt, Stop.Sim_time mt)
     | Some ts, Some mt -> if mt < ts then (mt, Stop.Sim_time mt) else (ts, Stop.Completed)
   in
-  let max_events = Option.fold b.max_events ~none:max_events ~some:(min max_events) in
+  let max_events = Option.value b.max_events ~default:safety_max_events in
   {
     horizon;
     horizon_stop;

@@ -74,9 +74,10 @@ type limits = {
       (** why passing [horizon] stops the run: [Completed] when [t_stop]
           binds, [Sim_time] when [max_sim_time] does *)
   transition_cap : int;  (** [max_transitions]; [max_int] when unset *)
-  monitor : Monitor.t;  (** [max_events] folded with the engine's own cap *)
+  monitor : Monitor.t;
+      (** [max_events], or ten million events when the budget sets no
+          cap: the safety valve against circuits that never quiesce *)
 }
 
-val limits : t -> t_stop:float option -> max_events:int -> limits
-(** Arms one run of horizon [t_stop] and engine event cap
-    [max_events]. *)
+val limits : t -> t_stop:float option -> limits
+(** Arms one run of horizon [t_stop]. *)

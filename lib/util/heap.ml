@@ -109,7 +109,7 @@ let insert h ~key ~rank v =
   h.size <- h.size + 1;
   sift_up h (h.size - 1) key rank v
 
-let min_key h = if h.size = 0 then invalid_arg "Heap.min_key: empty" else h.keys.(0)
+let top h = if h.size = 0 then invalid_arg "Heap.top: empty" else h.vals.(0)
 
 let pop h =
   if h.size = 0 then invalid_arg "Heap.pop: empty";
@@ -117,19 +117,3 @@ let pop h =
   h.size <- h.size - 1;
   if h.size > 0 then sift_down h;
   v
-
-let pop_min h =
-  if h.size = 0 then None
-  else begin
-    (* read the key before [pop] restructures the root *)
-    let k = h.keys.(0) in
-    Some (k, pop h)
-  end
-
-let to_sorted_list h =
-  let entries = Array.init h.size (fun i -> (h.keys.(i), h.ids.(i), h.vals.(i))) in
-  Array.sort
-    (fun (ka, ia, _) (kb, ib, _) ->
-      match Float.compare ka kb with 0 -> Int.compare ia ib | c -> c)
-    entries;
-  Array.fold_right (fun (k, _, v) acc -> (k, v) :: acc) entries []

@@ -8,8 +8,9 @@
     nothing and carry no write barrier.  The calls themselves are not
     allocation-free: under the dev profile every module is compiled
     [-opaque], so a float that crosses a module boundary is boxed — the
-    [~key] a caller computes and the result of {!min_key}.  {!pop}
-    allocates nothing.
+    [~key] a caller computes.  {!top} and {!pop} allocate nothing; a
+    caller that needs the minimum's key keeps it with the payload (the
+    engines' slot pool does).
 
     Entries pop in ascending key order, equal keys in ascending
     [~rank].  The engines derive ranks from an entry's identity rather
@@ -32,18 +33,11 @@ val insert : t -> key:float -> rank:int -> int -> unit
 (** [insert h ~key ~rank v] queues payload [v]; [rank] orders it among
     entries of equal [key]. *)
 
-val min_key : t -> float
-(** Key of the next entry to pop (a boxed float, see above).
+val top : t -> int
+(** Payload of the next entry to pop, left queued; allocates nothing.
     @raise Invalid_argument on an empty heap. *)
 
 val pop : t -> int
 (** Removes and returns the payload with the smallest (key, rank),
-    without allocating.  Pair with {!min_key} when the key is also
-    needed.
+    without allocating.
     @raise Invalid_argument on an empty heap. *)
-
-val pop_min : t -> (float * int) option
-(** Allocating convenience wrapper over {!min_key} + {!pop}. *)
-
-val to_sorted_list : t -> (float * int) list
-(** Live entries in pop order; O(n log n), for tests and debugging. *)

@@ -105,11 +105,3 @@ let remove h handle =
   end
 
 let key_of _h handle = if handle.index >= 0 then Some handle.key else None
-
-let to_sorted_list h =
-  let live = Array.sub h.data 0 h.size in
-  let copy = Array.to_list live in
-  let compare_entry a b =
-    match Float.compare a.key b.key with 0 -> Int.compare a.seq b.seq | c -> c
-  in
-  List.map (fun e -> (e.key, e.value)) (List.sort compare_entry copy)

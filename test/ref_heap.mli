@@ -56,7 +56,3 @@ val mem : 'a t -> 'a handle -> bool
 
 val key_of : 'a t -> 'a handle -> float option
 (** [key_of h hd] is the key of a still-queued entry. *)
-
-val to_sorted_list : 'a t -> (float * 'a) list
-(** [to_sorted_list h] drains nothing: returns the live entries in pop
-    order.  O(n log n); intended for tests and debugging. *)

@@ -206,7 +206,9 @@ let test_max_events_truncation () =
     Halotis_stim.Vectors.multiplier_drives ~slope:100. ~period:5000. ~a_bits:m.G.ma_bits
       ~b_bits:m.G.mb_bits Halotis_stim.Vectors.paper_sequence_a
   in
-  let r = Iddm.run (Iddm.config ~max_events:10 DL.tech) c ~drives in
+  let r = Iddm.run
+      (Iddm.config ~budget:(Halotis_guard.Budget.make ~max_events:10 ()) DL.tech)
+      c ~drives in
   checkb "truncated" true r.Iddm.truncated;
   checki "stopped at limit" 10 r.Iddm.stats.Stats.events_processed
 
@@ -404,6 +406,31 @@ let test_classic_inertial_filtering () =
   checki "narrow filtered" 0 (List.length (Classic.edges_of_name rn "out"));
   checki "wide propagates" 2 (List.length (Classic.edges_of_name rw "out"))
 
+(* Overlapping drive ramps: a slow rise at 1000 ps (50 % point at
+   1200 ps) overtaken by a fast fall at 1100 ps (50 % point at 1110 ps).
+   The drive ends low and, as in DDM, the input never crosses VDD/2:
+   the later ramp overrides the queued rise. *)
+let test_classic_overlapping_input_ramps () =
+  let c = G.inverter_chain ~n:2 () in
+  let drive =
+    {
+      Drive.initial = false;
+      transitions =
+        [
+          T.make ~start:1000. ~slope_time:400. ~polarity:T.Rising;
+          T.make ~start:1100. ~slope_time:20. ~polarity:T.Falling;
+        ];
+    }
+  in
+  let drives = [ (sid c "in", drive) ] in
+  let ddm = Iddm.run (ddm_cfg ()) c ~drives in
+  checki "DDM input never crosses" 0
+    (List.length (D.edges (Iddm.waveform ddm "in") ~vt:(Halotis_tech.Tech.vdd DL.tech /. 2.)));
+  let r = Classic.run (Classic.config DL.tech) c ~drives in
+  checki "classic input never switches" 0 (List.length (Classic.edges_of_name r "in"));
+  checkb "classic input ends low" false r.Classic.final_levels.(sid c "in");
+  checki "classic output never switches" 0 (List.length (Classic.edges_of_name r "out"))
+
 let test_classic_final_matches_static () =
   let m = G.array_multiplier ~nand_only:false ~m:4 ~n:4 () in
   let c = m.G.mult_circuit in
@@ -534,6 +561,7 @@ let tests =
       [
         Alcotest.test_case "step" `Quick test_classic_step;
         Alcotest.test_case "inertial filtering" `Quick test_classic_inertial_filtering;
+        Alcotest.test_case "overlapping input ramps" `Quick test_classic_overlapping_input_ramps;
         Alcotest.test_case "final matches static" `Quick test_classic_final_matches_static;
         Alcotest.test_case "oscillator raises" `Quick test_classic_oscillator_raises;
       ] );

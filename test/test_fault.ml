@@ -841,7 +841,8 @@ let prop_cone_reuse_equals_fresh =
    and clean replay included).  A
    strike so late that the horizon leaves its events queued must not
    grow the cost from site to site either: the workspace reclaims the
-   queued events instead of leaking pool slots. *)
+   queued events instead of leaking pool slots.  Both engines' cone
+   workspaces are checked: they share the event kernel's pool. *)
 let test_cone_site_alloc_independent_of_circuit () =
   let circuit unrelated =
     let b = Buffer.create 4096 in
@@ -859,15 +860,14 @@ let test_cone_site_alloc_independent_of_circuit () =
   (* [first_strike]: measure the first strike on the victim, which
      walks its cone and replays it clean, after one on another victim
      warmed the workspace's pools *)
-  let site_words ?(repeat = 1) ?(first_strike = false) ~at unrelated =
+  let site_words ?(repeat = 1) ?(first_strike = false) ~engine ~at unrelated =
     let c = circuit unrelated in
     let drive = Drive.of_levels ~slope:60. ~initial:false [ (1000., true); (5000., false) ] in
     let drives = [ (sid c "a", drive); (sid c "u", drive) ] in
     let spec = Sim.spec ~drives ~t_stop:8000. ~tech:DL.tech c in
-    let base = Sim.run Sim.Ddm spec in
-    let baseline = Option.get (Sim.iddm base) in
+    let baseline = Option.get (Sim.iddm (Sim.run Sim.Ddm spec)) in
     let ctx =
-      match Sim.Cone.create Sim.Ddm spec ~baseline:base with
+      match Sim.Cone.create engine spec ~baseline:(Sim.run engine spec) with
       | Some ctx -> ctx
       | None -> Alcotest.fail "cone context refused a completed baseline"
     in
@@ -899,25 +899,31 @@ let test_cone_site_alloc_independent_of_circuit () =
         allocated () -. w0)
   in
   let close a b = Float.abs (a -. b) <= 16. in
-  let small = List.hd (site_words ~at:3000. 50) in
-  let large = List.hd (site_words ~at:3000. 2000) in
-  checkb
-    (Printf.sprintf "site words independent of circuit size (%.0f vs %.0f)" small large)
-    true (close small large);
-  let small = List.hd (site_words ~first_strike:true ~at:3000. 50) in
-  let large = List.hd (site_words ~first_strike:true ~at:3000. 2000) in
-  checkb
-    (Printf.sprintf "first-strike site words independent of circuit size (%.0f vs %.0f)" small
-       large)
-    true (close small large);
-  match site_words ~repeat:64 ~at:7960. 2000 with
-  | [] -> assert false
-  | first :: rest ->
-      List.iter
-        (fun w ->
-          checkb (Printf.sprintf "cut site words stay flat (%.0f vs %.0f)" first w) true
-            (close first w))
-        rest
+  List.iter
+    (fun engine ->
+      let name = Sim.engine_to_string engine in
+      let small = List.hd (site_words ~engine ~at:3000. 50) in
+      let large = List.hd (site_words ~engine ~at:3000. 2000) in
+      checkb
+        (Printf.sprintf "%s: site words independent of circuit size (%.0f vs %.0f)" name small
+           large)
+        true (close small large);
+      let small = List.hd (site_words ~first_strike:true ~engine ~at:3000. 50) in
+      let large = List.hd (site_words ~first_strike:true ~engine ~at:3000. 2000) in
+      checkb
+        (Printf.sprintf "%s: first-strike site words independent of circuit size (%.0f vs %.0f)"
+           name small large)
+        true (close small large);
+      match site_words ~repeat:64 ~engine ~at:7960. 2000 with
+      | [] -> assert false
+      | first :: rest ->
+          List.iter
+            (fun w ->
+              checkb
+                (Printf.sprintf "%s: cut site words stay flat (%.0f vs %.0f)" name first w)
+                true (close first w))
+            rest)
+    [ Sim.Ddm; Sim.Classic_inertial ]
 
 (* --- time-sliced cone runs: checkpoints of the baseline --- *)
 

@@ -9,6 +9,7 @@ module Classic = Halotis_engine.Classic
 module Drive = Halotis_engine.Drive
 module D = Halotis_wave.Digital
 module DL = Halotis_tech.Default_lib
+module Budget = Halotis_guard.Budget
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -89,7 +90,9 @@ let counter_run bits pulses period =
   let c = G.ripple_counter ~bits () in
   let clk = Halotis_stim.Vectors.clock ~slope:100. ~period ~start:2000. ~pulses () in
   let r =
-    Iddm.run (Iddm.config ~max_events:1_000_000 DL.tech) c.G.ctr_circuit
+    Iddm.run
+      (Iddm.config ~budget:(Budget.make ~max_events:1_000_000 ()) DL.tech)
+      c.G.ctr_circuit
       ~drives:[ (c.G.ctr_clk, clk) ]
   in
   (c, r)
@@ -172,7 +175,9 @@ let test_lfsr_matches_software_model () =
   let period = 6000. in
   let clk = Halotis_stim.Vectors.clock ~slope:100. ~period ~start:2000. ~pulses () in
   let r =
-    Iddm.run (Iddm.config ~max_events:2_000_000 DL.tech) l.G.lfsr_circuit
+    Iddm.run
+      (Iddm.config ~budget:(Budget.make ~max_events:2_000_000 ()) DL.tech)
+      l.G.lfsr_circuit
       ~drives:[ (l.G.lfsr_clk, clk) ]
   in
   checkb "terminates" false r.Iddm.truncated;
@@ -195,7 +200,9 @@ let test_lfsr_state_evolution () =
   let pulses = 6 in
   let clk = Halotis_stim.Vectors.clock ~slope:100. ~period ~start:2000. ~pulses () in
   let r =
-    Iddm.run (Iddm.config ~max_events:2_000_000 DL.tech) l.G.lfsr_circuit
+    Iddm.run
+      (Iddm.config ~budget:(Budget.make ~max_events:2_000_000 ()) DL.tech)
+      l.G.lfsr_circuit
       ~drives:[ (l.G.lfsr_clk, clk) ]
   in
   let state_at t = List.map (fun s -> level r s t) l.G.lfsr_taps in

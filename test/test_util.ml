@@ -57,13 +57,6 @@ let test_heap_key_of () =
   ignore (Heap.pop_min h);
   checkb "key gone" true (Heap.key_of h a = None)
 
-let test_heap_to_sorted_list () =
-  let h = Heap.create () in
-  List.iter (fun k -> ignore (Heap.insert h ~key:k k)) [ 3.; 1.; 2. ];
-  let keys = List.map fst (Heap.to_sorted_list h) in
-  check Alcotest.(list (float 0.)) "sorted view" [ 1.; 2.; 3. ] keys;
-  checki "non destructive" 3 (Heap.length h)
-
 (* Property: heap pop order equals stable sort by key of the surviving
    inserts, under a random interleaving of inserts and removals. *)
 let prop_heap_matches_sorted =
@@ -483,7 +476,6 @@ let tests =
         Alcotest.test_case "remove" `Quick test_heap_remove;
         Alcotest.test_case "remove popped" `Quick test_heap_remove_popped;
         Alcotest.test_case "key_of" `Quick test_heap_key_of;
-        Alcotest.test_case "to_sorted_list" `Quick test_heap_to_sorted_list;
         QCheck_alcotest.to_alcotest prop_heap_matches_sorted;
       ] );
     ( "util.approx",
