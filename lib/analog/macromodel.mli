@@ -44,15 +44,8 @@ val of_gate :
 (** Derives the macromodel of one gate instance (default sigmoid width
     0.5 V); [tau_rc = tau_out / 2.2], the usual 10–90 % conversion. *)
 
-val smooth_input : t -> pin:int -> Halotis_util.Units.voltage -> float
-(** The normalised activation [x_i] of one pin at a given voltage. *)
-
 val goal_voltage : t -> Halotis_util.Units.voltage array -> Halotis_util.Units.voltage
 (** Target output voltage for the given input voltages. *)
-
-val fuzzy_eval : Halotis_logic.Gate_kind.t -> float array -> float
-(** The fuzzy-logic extension [F]: restricted to {0,1} inputs it equals
-    {!Halotis_logic.Gate_kind.eval_bool}.  Exposed for tests. *)
 
 val derivative :
   t -> v_out:Halotis_util.Units.voltage -> v_goal:Halotis_util.Units.voltage -> float

@@ -147,14 +147,3 @@ let crossings tr ~vt =
 let edges ?vt result name =
   let vt = match vt with Some x -> x | None -> Tech.vdd result.run_config.tech /. 2. in
   crossings (trace result name) ~vt
-
-let peak_in tr ~t0 ~t1 =
-  let n = Array.length tr.volts in
-  let i0 = max 0 (int_of_float (Float.floor (t0 /. tr.sample_dt))) in
-  let i1 = min (n - 1) (int_of_float (Float.ceil (t1 /. tr.sample_dt))) in
-  let vmin = ref infinity and vmax = ref neg_infinity in
-  for i = i0 to i1 do
-    vmin := Float.min !vmin tr.volts.(i);
-    vmax := Float.max !vmax tr.volts.(i)
-  done;
-  if !vmin > !vmax then (0., 0.) else (!vmin, !vmax)

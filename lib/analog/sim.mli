@@ -56,10 +56,3 @@ val crossings :
 val edges :
   ?vt:Halotis_util.Units.voltage -> result -> string -> Halotis_wave.Digital.edge list
 (** Digitized view of one signal (default threshold VDD/2). *)
-
-val peak_in :
-  trace ->
-  t0:Halotis_util.Units.time ->
-  t1:Halotis_util.Units.time ->
-  Halotis_util.Units.voltage * Halotis_util.Units.voltage
-(** [(vmin, vmax)] reached inside a window — runt amplitude probing. *)

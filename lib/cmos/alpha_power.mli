@@ -41,13 +41,6 @@ val delay :
 val output_slope : inverter -> rising_out:bool -> cl:float -> Halotis_util.Units.time
 (** Full-swing output ramp time, ps. *)
 
-val to_edge_params :
-  inverter -> rising_out:bool -> base:Halotis_tech.Tech.edge_params ->
-  Halotis_tech.Tech.edge_params
-(** Closed-form CDM coefficients ([d0]/[d_load]/[d_slope]/[s0]/[s_load])
-    derived from the device parameters, degradation parameters kept
-    from [base]. *)
-
 val to_tech :
   ?name:string -> base:Halotis_tech.Tech.t -> inverter ->
   sized:(Halotis_logic.Gate_kind.t -> float) ->

@@ -8,7 +8,3 @@ val of_netlist : Halotis_tech.Tech.t -> Halotis_netlist.Netlist.t -> float array
 (** [of_netlist tech c] gives each signal id its load in fF.  Unloaded
     signals (primary outputs with no fanout) get a default measurement
     load of one inverter input so they still switch realistically. *)
-
-val signal_load :
-  Halotis_tech.Tech.t -> Halotis_netlist.Netlist.t -> Halotis_netlist.Netlist.signal_id -> float
-(** Load of a single signal (same formula as {!of_netlist}). *)

@@ -24,21 +24,14 @@ val candidates : Halotis_netlist.Netlist.t -> Halotis_netlist.Netlist.signal_id 
     inputs and tie cells are excluded (input strikes are stimulus
     edits, not SETs on logic). *)
 
-val polarity_at :
-  baseline:Halotis_engine.Iddm.result ->
-  Halotis_netlist.Netlist.signal_id ->
-  at:Halotis_util.Units.time ->
-  Halotis_wave.Transition.polarity
-(** The perturbing direction at [at]: [Rising] when the baseline level
-    (at VDD/2) is low, [Falling] when high. *)
-
 val of_signal :
   baseline:Halotis_engine.Iddm.result ->
   Halotis_netlist.Netlist.signal_id ->
   at:Halotis_util.Units.time ->
   t
-(** A single site on the given gate output at [at], polarity from the
-    baseline ({!polarity_at}).
+(** A single site on the given gate output at [at].  Its polarity
+    perturbs the baseline level at VDD/2: [Rising] when low, [Falling]
+    when high.
     @raise Invalid_argument when the signal has no driving gate. *)
 
 val exhaustive :

@@ -50,8 +50,6 @@ module Monitor = struct
     refill m;
     m
 
-  let events_seen m = m.events + (m.fill - max 0 m.countdown)
-
   (* Slow path: runs once per [interval] events (or at the event-budget
      boundary).  Refills the countdown so the fast path stays a single
      decrement + branch. *)

@@ -59,10 +59,6 @@ module Monitor : sig
       means the budget disallows it and the caller must stop — exactly
       [max_events] events get processed under an event budget.  After a
       trip, further calls are unspecified. *)
-
-  val events_seen : t -> int
-  (** Events accounted so far (exact, including the countdown in
-      flight). *)
 end
 
 (** What one engine run enforces, folded once at its start. *)

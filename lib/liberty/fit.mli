@@ -11,12 +11,6 @@
 type quality = { delay_rmse : float; slope_rmse : float }
 (** Root-mean-square residuals of the two fits, in ps. *)
 
-val fit_edge :
-  delay:Table2d.t -> transition:Table2d.t -> base:Halotis_tech.Tech.edge_params ->
-  (Halotis_tech.Tech.edge_params * quality) option
-(** Replaces the CDM coefficients of [base] with fitted ones (keeping
-    the base's DDM parameters); [None] when regression is singular. *)
-
 val to_tech :
   ?name:string ->
   base:Halotis_tech.Tech.t ->

@@ -22,12 +22,6 @@ type error = { message : string }
 
 val pp_error : Format.formatter -> error -> unit
 
-val of_ast : Ast.group -> (t, error) result
-(** Interprets a parsed [library (...) { ... }] group.  Cells without
-    any recognisable output pin are skipped; cells whose output pin
-    carries no timing groups are kept with [arcs = []] (static analysis
-    flags them, table consumers skip them). *)
-
 val parse_string : string -> (t, error) result
 val parse_file : string -> (t, error) result
 

@@ -20,13 +20,6 @@ let domain_to_string = function
   | Liberty -> "liberty"
   | Stim -> "stim"
 
-let domain_of_string = function
-  | "netlist" -> Some Netlist
-  | "tech" -> Some Tech
-  | "liberty" -> Some Liberty
-  | "stim" -> Some Stim
-  | _ -> None
-
 type location =
   | Circuit
   | Signal of string
@@ -46,32 +39,6 @@ let location_strings = function
   | Kind k -> ("kind", k)
   | Cell ce -> ("cell", ce)
   | Entry e -> ("entry", e)
-
-let location_of_strings kind name =
-  match kind with
-  | "circuit" -> Some Circuit
-  | "signal" -> Some (Signal name)
-  | "gate" -> Some (Gate name)
-  | "gates" ->
-      Some
-        (Gates
-           (String.split_on_char '-' name
-           |> List.concat_map (fun part ->
-                  match String.trim part with "" | ">" -> [] | s ->
-                    [ (if String.length s > 0 && s.[0] = '>' then
-                         String.trim (String.sub s 1 (String.length s - 1))
-                       else s) ])))
-  | "pin" -> (
-      match String.rindex_opt name '.' with
-      | Some i -> (
-          let gate = String.sub name 0 i in
-          let pin = String.sub name (i + 1) (String.length name - i - 1) in
-          match int_of_string_opt pin with Some p -> Some (Pin (gate, p)) | None -> None)
-      | None -> None)
-  | "kind" -> Some (Kind name)
-  | "cell" -> Some (Cell name)
-  | "entry" -> Some (Entry name)
-  | _ -> None
 
 type t = {
   rule : string;
@@ -107,27 +74,3 @@ let to_json f =
       ("location", Json.Obj [ ("kind", Json.Str kind); ("name", Json.Str name) ]);
       ("message", Json.Str f.message);
     ]
-
-let of_json j =
-  let str field = Option.bind (Json.member field j) Json.to_str in
-  let loc =
-    match Json.member "location" j with
-    | Some l -> (
-        match
-          ( Option.bind (Json.member "kind" l) Json.to_str,
-            Option.bind (Json.member "name" l) Json.to_str )
-        with
-        | Some kind, Some name -> location_of_strings kind name
-        | _ -> None)
-    | None -> None
-  in
-  match
-    ( str "rule",
-      Option.bind (str "severity") severity_of_string,
-      Option.bind (str "domain") domain_of_string,
-      loc,
-      str "message" )
-  with
-  | Some rule, Some severity, Some domain, Some location, Some message ->
-      Ok { rule; severity; domain; location; message }
-  | _ -> Error "finding object missing or malformed fields"

@@ -5,13 +5,9 @@ type severity = Error | Warning | Info
 val severity_to_string : severity -> string
 val severity_of_string : string -> severity option
 
-val severity_rank : severity -> int
-(** [Error] > [Warning] > [Info]; for sorting reports worst-first. *)
-
 type domain = Netlist | Tech | Liberty | Stim
 
 val domain_to_string : domain -> string
-val domain_of_string : string -> domain option
 
 type location =
   | Circuit  (** the whole design *)
@@ -39,4 +35,3 @@ val compare : t -> t -> int
     order independent of rule evaluation order. *)
 
 val to_json : t -> Halotis_util.Json.t
-val of_json : Halotis_util.Json.t -> (t, string) result

@@ -66,19 +66,6 @@ let report_to_json findings =
           ] );
     ]
 
-let findings_of_json j =
-  match Json.member "findings" j with
-  | None -> Error "report has no findings array"
-  | Some arr ->
-      let rec collect acc = function
-        | [] -> Ok (List.rev acc)
-        | item :: rest -> (
-            match Finding.of_json item with
-            | Ok f -> collect (f :: acc) rest
-            | Error _ as e -> e)
-      in
-      collect [] (Json.to_list arr)
-
 let rules_markdown () =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "| Id | Domain | Default severity | Rationale | Example |\n";

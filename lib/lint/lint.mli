@@ -29,7 +29,6 @@ val preflight :
 
 val errors : Finding.t list -> int
 val warnings : Finding.t list -> int
-val infos : Finding.t list -> int
 
 val exit_code : strict:bool -> Finding.t list -> int
 (** [2] when any error remains, [1] when warnings remain and [strict]
@@ -44,10 +43,6 @@ val pp_text : Format.formatter -> Finding.t list -> unit
 val report_to_json : Finding.t list -> Halotis_util.Json.t
 (** [{ "tool": "halotis-lint", "version": 1, "findings": [...],
     "summary": {...} }] — stable enough for machine consumption. *)
-
-val findings_of_json : Halotis_util.Json.t -> (Finding.t list, string) result
-(** Inverse of {!report_to_json} (reads the ["findings"] array); the
-    test suite round-trips reports through this. *)
 
 val rules_markdown : unit -> string
 (** The rules table of [doc/lint.md], generated from {!Rule.all} so the

@@ -3,15 +3,8 @@
     physical ranges — these rules see the {e unclamped} values via
     [Tech.raw_*] and reject them before a simulation runs. *)
 
-val run_kinds :
-  Rule.config ->
-  Halotis_tech.Tech.t ->
-  Halotis_logic.Gate_kind.t list ->
-  Finding.t list
-(** Checks the given gate kinds' parameter sets at the configured
-    representative loads and slopes. *)
-
 val run :
   Rule.config -> Halotis_tech.Tech.t -> Halotis_netlist.Netlist.t -> Finding.t list
-(** [run_kinds] over the kinds the netlist actually instantiates, plus
-    the per-pin VT overrides recorded on its gates (TK004). *)
+(** Checks the parameter sets of the gate kinds the netlist actually
+    instantiates, at the configured representative loads and slopes,
+    plus the per-pin VT overrides recorded on its gates (TK004). *)

@@ -7,13 +7,6 @@ let equal a b =
 
 let to_char = function L0 -> '0' | L1 -> '1' | X -> 'x' | Z -> 'z'
 
-let of_char = function
-  | '0' -> Some L0
-  | '1' -> Some L1
-  | 'x' | 'X' -> Some X
-  | 'z' | 'Z' -> Some Z
-  | _ -> None
-
 let pp fmt v = Format.pp_print_char fmt (to_char v)
 let to_bool = function L0 -> Some false | L1 -> Some true | X | Z -> None
 let of_bool b = if b then L1 else L0

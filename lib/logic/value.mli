@@ -10,13 +10,10 @@ type t = L0 | L1 | X | Z
 
 val equal : t -> t -> bool
 val to_char : t -> char
-val of_char : char -> t option
 val pp : Format.formatter -> t -> unit
 
 val to_bool : t -> bool option
 (** [to_bool v] is [Some] for the resolved rails, [None] for [X]/[Z]. *)
-
-val of_bool : bool -> t
 
 val lnot : t -> t
 (** Logical negation; [X]/[Z] stay unknown. *)

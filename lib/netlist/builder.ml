@@ -185,4 +185,4 @@ let finalize b =
         })
   in
   Netlist.make ~name:b.name ~signals ~gates ~primary_inputs:(List.rev b.inputs)
-    ~primary_outputs:(List.rev b.outputs) ~signal_by_name:b.by_name ~gate_by_name:b.gate_names
+    ~primary_outputs:(List.rev b.outputs) ~signal_by_name:b.by_name

@@ -186,21 +186,6 @@ let max_fanout c =
     (fun acc (s : Netlist.signal) -> max acc (Array.length s.loads))
     0 (Netlist.signals c)
 
-let transitive_fanin_signals c sid =
-  let seen = Hashtbl.create 64 in
-  let rec visit sid acc =
-    if Hashtbl.mem seen sid then acc
-    else begin
-      Hashtbl.add seen sid ();
-      let acc = sid :: acc in
-      match (Netlist.signal c sid).Netlist.driver with
-      | None -> acc
-      | Some gid ->
-          Array.fold_left (fun acc fid -> visit fid acc) acc (Netlist.gate c gid).Netlist.fanin
-    end
-  in
-  List.rev (visit sid [])
-
 let pi_reachable_gates c =
   let nsignals = Netlist.signal_count c in
   let ngates = Netlist.gate_count c in

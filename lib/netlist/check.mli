@@ -36,20 +36,13 @@ val sccs : Netlist.t -> Netlist.gate_id list list
     (Tarjan), including single-gate self-loops; unlike {!find_cycle}
     this enumerates {e all} feedback regions. *)
 
-val levelize : Netlist.t -> int array option
-(** [levelize c] gives each gate its logic depth (PIs at depth 0; a
-    gate's level is 1 + max of its fanin signal levels), or [None] on a
-    cycle. *)
-
 val depth : Netlist.t -> int option
-(** Maximum gate level; [Some 0] for an empty circuit. *)
+(** Maximum gate level (a gate sits one level above its deepest fanin
+    signal, primary inputs at 0); [Some 0] for an empty circuit, [None]
+    on a cycle. *)
 
 val max_fanout : Netlist.t -> int
 (** Largest number of load pins on any signal. *)
-
-val transitive_fanin_signals : Netlist.t -> Netlist.signal_id -> Netlist.signal_id list
-(** Signals (including the argument) in the cone of influence of a
-    signal. *)
 
 val pi_reachable_gates : Netlist.t -> bool array
 (** Per-gate flag: reachable from at least one primary input through

@@ -17,10 +17,4 @@ val check : ?max_inputs:int -> Netlist.t -> Netlist.t -> verdict
     Returns [Incompatible] when interfaces differ, either circuit is
     cyclic, or the input count exceeds [max_inputs]. *)
 
-val outputs_for : Netlist.t -> inputs:bool list -> bool list
-(** Static functional evaluation of the primary outputs (declaration
-    order) for one input vector (primary-input declaration order).
-    @raise Invalid_argument on a cyclic circuit or wrong vector
-    length. *)
-
 val pp_verdict : Format.formatter -> verdict -> unit

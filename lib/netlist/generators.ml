@@ -17,34 +17,6 @@ let inverter_chain ?(name = "inverter_chain") ~n () =
   Builder.mark_output b out;
   Builder.finalize b
 
-let buffer_tree ?(name = "buffer_tree") ~depth () =
-  assert (depth >= 1);
-  let b = Builder.create name in
-  let root = Builder.input b "in" in
-  let rec expand level nodes =
-    if level = depth then nodes
-    else
-      let next =
-        List.concat_map
-          (fun src ->
-            let mk side =
-              let out = Builder.fresh_signal ~hint:"t" b in
-              let _ =
-                Builder.add_gate b Gate_kind.Buf
-                  ~name:(Printf.sprintf "buf_l%d_%d_%s" level out side)
-                  ~inputs:[ src ] ~output:out
-              in
-              out
-            in
-            [ mk "a"; mk "b" ])
-          nodes
-      in
-      expand (level + 1) next
-  in
-  let leaves = expand 0 [ root ] in
-  List.iter (Builder.mark_output b) leaves;
-  Builder.finalize b
-
 type fig1 = {
   circuit : Netlist.t;
   sig_in : Netlist.signal_id;
@@ -485,14 +457,6 @@ let carry_lookahead_adder ?(name = "cla") ~bits () =
   List.iter (Builder.mark_output b) sum_bits;
   { adder_circuit = Builder.finalize b; a_bits; b_bits; sum_bits }
 
-type d_latch = {
-  dl_circuit : Netlist.t;
-  dl_d : Netlist.signal_id;
-  dl_en : Netlist.signal_id;
-  dl_q : Netlist.signal_id;
-  dl_qb : Netlist.signal_id;
-}
-
 (* Gated (transparent) D latch, four NANDs:
    n1 = nand(d, en); n2 = nand(n1, en); q = nand(n1, qb); qb = nand(n2, q). *)
 let d_latch_into b ~prefix ~d ~en =
@@ -510,15 +474,6 @@ let d_latch_into b ~prefix ~d ~en =
   g "g3" [ n1; qb ] q;
   g "g4" [ n2; q ] qb;
   (q, qb)
-
-let d_latch ?(name = "d_latch") () =
-  let b = Builder.create name in
-  let dl_d = Builder.input b "d" in
-  let dl_en = Builder.input b "en" in
-  let dl_q, dl_qb = d_latch_into b ~prefix:"l" ~d:dl_d ~en:dl_en in
-  Builder.mark_output b dl_q;
-  Builder.mark_output b dl_qb;
-  { dl_circuit = Builder.finalize b; dl_d; dl_en; dl_q; dl_qb }
 
 type dff = {
   dff_circuit : Netlist.t;
@@ -576,39 +531,3 @@ let ripple_counter ?(name = "counter") ~bits () =
   in
   let ctr_q = stage 0 ctr_clk [] in
   { ctr_circuit = Builder.finalize b; ctr_clk; ctr_q }
-
-type lfsr = {
-  lfsr_circuit : Netlist.t;
-  lfsr_clk : Netlist.signal_id;
-  lfsr_taps : Netlist.signal_id list;  (** flip-flop outputs, stage 0 first *)
-}
-
-(* Fibonacci LFSR: a shift register of master-slave flip-flops with an
-   XOR of the tap stages feeding stage 0.  The DC relaxation
-   initialises every latch to q = 1 (see [Dc]), which is not the XOR
-   lock-up state (all zeros), so the register walks its sequence from
-   the first clock edge. *)
-let lfsr ?(name = "lfsr") ~bits ~taps () =
-  assert (bits >= 2);
-  assert (taps <> [] && List.for_all (fun t -> t >= 0 && t < bits) taps);
-  let b = Builder.create name in
-  let lfsr_clk = Builder.input b "clk" in
-  let feedback = Builder.signal b "feedback" in
-  let qs = ref [] in
-  let d = ref feedback in
-  for i = 0 to bits - 1 do
-    let q, _qb = dff_into b ~prefix:(Printf.sprintf "s%d" i) ~d:!d ~clk:lfsr_clk in
-    Builder.mark_output b q;
-    qs := q :: !qs;
-    d := q
-  done;
-  let stages = List.rev !qs in
-  (match List.map (fun t -> List.nth stages t) taps with
-  | [ single ] ->
-      ignore (Builder.add_gate b Gate_kind.Buf ~name:"fb" ~inputs:[ single ] ~output:feedback)
-  | tap_signals ->
-      ignore
-        (Builder.add_gate b
-           (Gate_kind.Xor (List.length tap_signals))
-           ~name:"fb" ~inputs:tap_signals ~output:feedback));
-  { lfsr_circuit = Builder.finalize b; lfsr_clk; lfsr_taps = stages }

@@ -8,10 +8,6 @@ val inverter_chain : ?name:string -> n:int -> unit -> Netlist.t
     intermediate signals named [out1 .. out(n-1)] and the last one
     [out].  [n >= 1]. *)
 
-val buffer_tree : ?name:string -> depth:int -> unit -> Netlist.t
-(** A complete binary tree of buffers of the given depth driving
-    [2^depth] outputs; used for fanout stress tests. *)
-
 type fig1 = {
   circuit : Netlist.t;
   sig_in : Netlist.signal_id;
@@ -28,28 +24,6 @@ val fig1_circuit : ?vt_low:float -> ?vt_high:float -> unit -> fig1
     input threshold is [vt_low] (default 1.5 V) and inverter [g2] with
     threshold [vt_high] (default 4.0 V); [out1]/[out2] are buffered by
     further inverters into [out1c]/[out2c]. *)
-
-val full_adder :
-  Builder.t ->
-  prefix:string ->
-  a:Netlist.signal_id ->
-  b:Netlist.signal_id ->
-  cin:Netlist.signal_id ->
-  Netlist.signal_id * Netlist.signal_id
-(** [full_adder b ~prefix ~a ~b ~cin] instantiates a 5-gate
-    XOR/AND/OR full adder into an open builder and returns
-    [(sum, carry_out)].  Gate and net names are prefixed. *)
-
-val full_adder_nand9 :
-  Builder.t ->
-  prefix:string ->
-  a:Netlist.signal_id ->
-  b:Netlist.signal_id ->
-  cin:Netlist.signal_id ->
-  Netlist.signal_id * Netlist.signal_id
-(** Same contract as {!full_adder} with the classic 9-NAND-gate
-    mapping, closer to the standard-cell flavour of the paper's
-    multiplier. *)
 
 type adder = {
   adder_circuit : Netlist.t;
@@ -124,18 +98,6 @@ val latch_glitch_circuit : ?vt_low:float -> ?vt_high:float -> unit -> latch_glit
     a *state* difference a filter-at-the-driver simulator cannot
     reproduce, since it resets both latches or neither. *)
 
-type d_latch = {
-  dl_circuit : Netlist.t;
-  dl_d : Netlist.signal_id;
-  dl_en : Netlist.signal_id;
-  dl_q : Netlist.signal_id;
-  dl_qb : Netlist.signal_id;
-}
-
-val d_latch : ?name:string -> unit -> d_latch
-(** A four-NAND gated (transparent) D latch: [q] follows [d] while
-    [en] is high and holds while it is low. *)
-
 type dff = {
   dff_circuit : Netlist.t;
   dff_d : Netlist.signal_id;
@@ -160,17 +122,3 @@ val ripple_counter : ?name:string -> bits:int -> unit -> counter
 (** An asynchronous (ripple) counter of toggling flip-flops — the
     engines exercise genuine sequential feedback here, clocked only by
     the primary input. *)
-
-type lfsr = {
-  lfsr_circuit : Netlist.t;
-  lfsr_clk : Netlist.signal_id;
-  lfsr_taps : Netlist.signal_id list;  (** flip-flop outputs, stage 0 first *)
-}
-
-val lfsr : ?name:string -> bits:int -> taps:int list -> unit -> lfsr
-(** A Fibonacci linear-feedback shift register of master-slave
-    flip-flops with an XOR feedback of the given tap stages.  The DC
-    relaxation starts every stage at 1 — not the XOR lock-up — so the
-    register walks its sequence from the first clock edge.  Clocked
-    from the primary input; used to validate sequential feedback
-    against a software model. *)

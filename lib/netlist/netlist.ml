@@ -30,7 +30,6 @@ type t = {
   primary_inputs : signal_id list;
   primary_outputs : signal_id list;
   signal_by_name : signal_id Names.t;
-  gate_by_name : gate_id Names.t;
 }
 
 let name t = t.name
@@ -43,7 +42,6 @@ let gates t = t.gates
 let primary_inputs t = t.primary_inputs
 let primary_outputs t = t.primary_outputs
 let find_signal t n = Names.find_opt t.signal_by_name n
-let find_gate t n = Names.find_opt t.gate_by_name n
 let signal_name t id = t.signals.(id).signal_name
 let gate_name t id = t.gates.(id).gate_name
 
@@ -106,9 +104,9 @@ let validate ~signals ~gates ~primary_inputs ~primary_outputs =
     primary_inputs;
   List.iter check_sig primary_outputs
 
-let make ~name ~signals ~gates ~primary_inputs ~primary_outputs ~signal_by_name ~gate_by_name =
+let make ~name ~signals ~gates ~primary_inputs ~primary_outputs ~signal_by_name =
   validate ~signals ~gates ~primary_inputs ~primary_outputs;
-  { name; signals; gates; primary_inputs; primary_outputs; signal_by_name; gate_by_name }
+  { name; signals; gates; primary_inputs; primary_outputs; signal_by_name }
 
 let pp_summary fmt t =
   Format.fprintf fmt "%s: %d gates, %d signals, %d inputs, %d outputs" t.name

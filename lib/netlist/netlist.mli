@@ -51,7 +51,6 @@ val primary_outputs : t -> signal_id list
 (** In declaration order. *)
 
 val find_signal : t -> string -> signal_id option
-val find_gate : t -> string -> gate_id option
 
 val signal_name : t -> signal_id -> string
 val gate_name : t -> gate_id -> string
@@ -59,7 +58,7 @@ val gate_name : t -> gate_id -> string
 val fanout_gates : t -> signal_id -> gate_id list
 (** Distinct gates loading a signal. *)
 
-module Names : Hashtbl.S with type key = string  (** name tables, see {!make} *)
+module Names : Hashtbl.S with type key = string  (** the signal name table, see {!make} *)
 
 val make :
   name:string ->
@@ -68,10 +67,9 @@ val make :
   primary_inputs:signal_id list ->
   primary_outputs:signal_id list ->
   signal_by_name:signal_id Names.t ->
-  gate_by_name:gate_id Names.t ->
   t
-(** Used by {!Halotis_netlist.Builder}, which hands over its name
-    tables (each name to its id; the circuit keeps them); validates
+(** Used by {!Halotis_netlist.Builder}, which hands over its signal
+    name table (each name to its id; the circuit keeps it); validates
     internal consistency (ids match indices, pins in range, loads
     consistent with fanin).
     @raise Invalid_argument on inconsistency. *)

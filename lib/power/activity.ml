@@ -2,7 +2,6 @@ module Netlist = Halotis_netlist.Netlist
 module Digital = Halotis_wave.Digital
 module Tech = Halotis_tech.Tech
 module Iddm = Halotis_engine.Iddm
-module Classic = Halotis_engine.Classic
 
 type report = {
   total_transitions : int;
@@ -30,24 +29,6 @@ let of_iddm ?vt (r : Iddm.result) =
     "IDDM/" ^ Halotis_delay.Delay_model.kind_to_string r.Iddm.run_config.Iddm.delay_kind
   in
   { total_transitions = total; per_signal; full_pulses = !pulses; engine_label = label }
-
-let of_classic (r : Classic.result) =
-  let c = r.Classic.circuit in
-  let pulses = ref 0 in
-  let per_signal =
-    Array.map
-      (fun (s : Netlist.signal) ->
-        let edges = (Lazy.force r.Classic.edges).(s.Netlist.signal_id) in
-        let rec count_pulses = function
-          | _ :: _ :: rest -> 1 + count_pulses rest
-          | [ _ ] | [] -> 0
-        in
-        pulses := !pulses + count_pulses edges;
-        (s.Netlist.signal_name, List.length edges))
-      (Netlist.signals c)
-  in
-  let total = Array.fold_left (fun acc (_, n) -> acc + n) 0 per_signal in
-  { total_transitions = total; per_signal; full_pulses = !pulses; engine_label = "classic" }
 
 let overestimation_pct ~reference ~candidate =
   if reference.total_transitions = 0 then 0.

@@ -3,7 +3,7 @@
     Table 1's point is that a conventional delay model lets glitches
     propagate that physically die, overestimating switching activity —
     and hence dynamic power — by tens of percent.  This module counts
-    committed signal transitions for each engine's result under a
+    committed signal transitions of an IDDM result (CDM or DDM) under a
     common threshold so the comparison is apples-to-apples. *)
 
 type report = {
@@ -16,9 +16,6 @@ type report = {
 val of_iddm : ?vt:Halotis_util.Units.voltage -> Halotis_engine.Iddm.result -> report
 (** Digitizes every waveform at [vt] (default VDD/2) and counts
     edges. *)
-
-val of_classic : Halotis_engine.Classic.result -> report
-(** Classic commits boolean edges directly. *)
 
 val overestimation_pct : reference:report -> candidate:report -> float
 (** [100 * (candidate - reference) / reference]; the paper reports CDM

@@ -63,13 +63,9 @@ type request =
   | Cache_stats
   | Shutdown
 
-val request_to_json : request -> Halotis_util.Json.t
-(** Without the ["id"] field — framing adds it (see
-    {!request_to_line}). *)
-
 val request_of_json : Halotis_util.Json.t -> (request, string) result
 (** Ignores an ["id"] field if present.  Total inverse of
-    {!request_to_json}. *)
+    {!request_to_line}'s encoding. *)
 
 type error = { err_code : string; err_message : string }
 (** Protocol error reply: a stable machine code (["parse"],
@@ -83,7 +79,6 @@ type response = { rp_id : int option; rp_payload : (Halotis_util.Json.t, error) 
 
 val ok : id:int -> Halotis_util.Json.t -> response
 val err : ?id:int -> code:string -> string -> response
-val response_to_json : response -> Halotis_util.Json.t
 val response_of_json : Halotis_util.Json.t -> (response, string) result
 
 val request_to_line : id:int -> request -> string

@@ -45,10 +45,6 @@ val handle_line : conn -> string -> string
     Never raises: parse failures, protocol violations and
     {!Halotis_guard.Diag.Fail} all become error responses. *)
 
-val serve_channels : t -> in_channel -> out_channel -> unit
-(** Reads newline-delimited requests until EOF or [shutdown], writing
-    one flushed response line each.  Blank lines are ignored. *)
-
 val serve_stdio : t -> unit
 
 val serve_socket : t -> path:string -> unit

@@ -366,7 +366,6 @@ let analyze ?(width = 150.) ?(slope = 100.) ?(kind = Delay_model.Ddm) tech c =
 let width t = t.an_width
 let slope t = t.an_slope
 let candidates t = t.an_candidates
-let gate_attenuation t gid = t.an_atten.(gid)
 let surviving_width t sid ~rising = (Lazy.force t.an_surviving).(sid).(if rising then 0 else 1)
 let weakest_surviving t = Lazy.force t.an_weakest
 

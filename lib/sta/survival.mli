@@ -49,29 +49,18 @@ val candidates : t -> Netlist.signal_id list
 (** The injectable sites the analysis covered: driven signals not
     proven constant, in ascending id order. *)
 
-val gate_attenuation : t -> Netlist.gate_id -> float option
-(** Conservative bound on the width change of the canonical pulse
-    across one gate: [Some d] means a surviving pulse leaves the gate
-    at most [d] ps wider than it arrived (negative = guaranteed
-    attenuation); [None] means every input threshold of the gate
-    filters the canonical pulse outright. *)
-
-val surviving_width : t -> Netlist.signal_id -> rising:bool -> float
-(** Weakest injected width at this signal whose upper bound can still
-    produce a digital edge at some primary output ([infinity] when no
-    width can — the cone filters everything, or no output is
-    reachable).  Widths strictly below the returned value are proven
-    masked under the analysis' quiescence assumption. *)
-
-val weakest_surviving : t -> (Netlist.signal_id * float) list
-(** Per primary output, in declaration order: the weakest injected
-    width (over all candidate sites) whose bound reaches that output;
-    [infinity] when the output is unreachable by any feasible pulse. *)
-
 val all_sites_filtered : t -> bool
 (** True when {e no} candidate site's canonical pulse can reach any
     primary output — the campaign's site list is degenerate (lint
     NL020). *)
 
 val to_json : t -> Halotis_util.Json.t
+(** The map: per gate, its ["attenuation_bound"] (a surviving pulse
+    leaves the gate at most that many ps wider than it arrived; [null]
+    when every input threshold filters the canonical pulse); per
+    primary output, the ["weakest_surviving_width"] over all candidate
+    sites; per candidate site, the ["rise"]/["fall"] weakest injected
+    width whose upper bound can still reach some output (narrower
+    widths are proven masked).  Unreachable widths are [null]. *)
+
 val pp_text : Format.formatter -> t -> unit

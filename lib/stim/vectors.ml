@@ -24,15 +24,6 @@ let paper_sequence_b =
 
 let expected_product { op_a; op_b } = op_a * op_b
 
-let random_ops ~bits ~count ~seed =
-  let rng = Halotis_util.Prng.create ~seed in
-  let bound = 1 lsl bits in
-  List.init count (fun _ ->
-      {
-        op_a = Halotis_util.Prng.int rng ~bound;
-        op_b = Halotis_util.Prng.int rng ~bound;
-      })
-
 let bit v i = (v lsr i) land 1 = 1
 
 let bus_drives ~slope ~period ~bits ~values =
@@ -62,11 +53,3 @@ let clock ?(duty = 0.5) ~slope ~period ~start ~pulses () =
            [ (base, true); (base +. (duty *. period), false) ]))
   in
   Drive.of_levels ~slope ~initial:false changes
-
-let walking_ones ~bits =
-  assert (bits >= 1);
-  List.concat (List.init bits (fun i -> [ 0; 1 lsl i ])) @ [ 0 ]
-
-let gray_code ~bits =
-  assert (bits >= 1);
-  List.init (1 lsl bits) (fun i -> i lxor (i lsr 1))

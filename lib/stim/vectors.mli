@@ -15,30 +15,8 @@ val paper_sequence_b : mult_op list
 
 val expected_product : mult_op -> int
 
-val random_ops : bits:int -> count:int -> seed:int -> mult_op list
-(** Uniformly random operand pairs. *)
-
-val walking_ones : bits:int -> int list
-(** The classic delay-test pattern [0; 1; 0; 2; 0; 4; ...]: each bit
-    pulses alone against a quiet background. *)
-
-val gray_code : bits:int -> int list
-(** All [2^bits] values in Gray order: exactly one input bit changes
-    per vector, isolating single-input transitions. *)
-
 val bit : int -> int -> bool
 (** [bit v i] is bit [i] of [v]. *)
-
-val bus_drives :
-  slope:Halotis_util.Units.time ->
-  period:Halotis_util.Units.time ->
-  bits:Halotis_netlist.Netlist.signal_id list ->
-  values:int list ->
-  (Halotis_netlist.Netlist.signal_id * Halotis_engine.Drive.t) list
-(** [bus_drives ~slope ~period ~bits ~values] drives a bus (LSB-first
-    signal list) through a sequence of integer values, one every
-    [period]; the first value is the initial (t=0) state and each
-    subsequent value is applied at [k * period]. *)
 
 val clock :
   ?duty:float ->
@@ -58,4 +36,7 @@ val multiplier_drives :
   b_bits:Halotis_netlist.Netlist.signal_id list ->
   mult_op list ->
   (Halotis_netlist.Netlist.signal_id * Halotis_engine.Drive.t) list
-(** Drives both operand buses through an operation sequence. *)
+(** Drives both operand buses (LSB-first signal lists) through an
+    operation sequence, one operation every [period]: the first is the
+    initial (t=0) state and operation [k] is applied at [k * period].
+    The [a_bits] drives come first. *)

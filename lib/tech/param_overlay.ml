@@ -33,8 +33,6 @@ let scale_equal a b =
   && feq a.sc_s_load b.sc_s_load && feq a.sc_ddm_a b.sc_ddm_a
   && feq a.sc_ddm_b b.sc_ddm_b && feq a.sc_ddm_c b.sc_ddm_c
 
-let scale_is_identity s = scale_equal s scale_identity
-
 type entry = {
   en_rise : scale;
   en_fall : scale;
@@ -67,7 +65,6 @@ type t = entry IMap.t
 
 let empty = IMap.empty
 let is_empty = IMap.is_empty
-let cardinal = IMap.cardinal
 
 let set t ~gate e =
   let e = norm_entry e in
@@ -123,7 +120,6 @@ let fingerprint t =
     t;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let empty_fingerprint = fingerprint empty
 let fold f t acc = IMap.fold f t acc
 let to_list t = IMap.bindings t
 let of_list l = List.fold_left (fun t (gate, e) -> set t ~gate e) empty l

@@ -32,9 +32,6 @@ type scale = {
 val scale_identity : scale
 (** All factors 1.0. *)
 
-val scale_is_identity : scale -> bool
-(** Exact (bitwise) comparison against {!scale_identity}. *)
-
 type entry = {
   en_rise : scale;
   en_fall : scale;
@@ -55,9 +52,6 @@ val empty : t
 (** The identity overlay — engines skip application entirely. *)
 
 val is_empty : t -> bool
-
-val cardinal : t -> int
-(** Number of gates with a non-identity entry. *)
 
 val set : t -> gate:int -> entry -> t
 (** [set t ~gate e] binds gate [gate] to corner [e]; an identity
@@ -91,9 +85,6 @@ val fingerprint : t -> string
 (** Hex content digest of the canonical serialization ([%h] floats,
     gates in id order).  [fingerprint empty] is the well-known empty
     fingerprint; structurally equal overlays fingerprint equally. *)
-
-val empty_fingerprint : string
-(** [fingerprint empty], precomputed. *)
 
 val fold : (int -> entry -> 'a -> 'a) -> t -> 'a -> 'a
 (** Folds over bound gates in increasing id order. *)

@@ -3,20 +3,12 @@
     Event times are produced by chains of arithmetic on ramp slopes;
     comparing them for strict equality is meaningless.  All simulator
     code that needs "same instant" or "at least as late" semantics goes
-    through this module so the tolerance is defined exactly once. *)
-
-val default_eps : float
-(** Absolute tolerance used by the [~eps]-less variants, in the unit of
-    the compared quantity (picoseconds for times). *)
+    through this module so the tolerance is defined exactly once: the
+    [~eps]-less variants use [1e-6], in the unit of the compared quantity
+    (picoseconds for times). *)
 
 val equal : ?eps:float -> float -> float -> bool
 (** [equal a b] is true when [|a - b| <= eps]. *)
-
-val leq : ?eps:float -> float -> float -> bool
-(** [leq a b] is true when [a <= b + eps]. *)
-
-val geq : ?eps:float -> float -> float -> bool
-(** [geq a b] is true when [a >= b - eps]. *)
 
 val lt : ?eps:float -> float -> float -> bool
 (** [lt a b] is true when [a < b - eps] (strictly before, beyond the

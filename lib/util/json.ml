@@ -341,4 +341,3 @@ let member key = function
 
 let to_list = function Arr items -> items | _ -> []
 let to_float = function Num f -> Some f | _ -> None
-let to_str = function Str s -> Some s | _ -> None

@@ -79,4 +79,3 @@ val to_list : t -> t list
 (** Elements of an [Arr]; [[]] otherwise. *)
 
 val to_float : t -> float option
-val to_str : t -> string option

@@ -21,6 +21,3 @@ val float : t -> bound:float -> float
 
 val bool : t -> bool
 (** A fair coin flip. *)
-
-val bits64 : t -> int64
-(** The raw next 64-bit word. *)

@@ -4,11 +4,8 @@ type capacitance = float
 
 let ps x = x
 let ns x = x *. 1000.
-let time_to_ns t = t /. 1000.
 let volts x = x
 
 let pp_time fmt t =
   if Float.abs t >= 1000. then Format.fprintf fmt "%.3fns" (t /. 1000.)
   else Format.fprintf fmt "%.1fps" t
-
-let time_to_string t = Format.asprintf "%a" pp_time t

@@ -20,14 +20,8 @@ val ps : float -> time
 val ns : float -> time
 (** [ns x] is [x] nanoseconds expressed in picoseconds. *)
 
-val time_to_ns : time -> float
-(** [time_to_ns t] converts a picosecond time to nanoseconds. *)
-
 val volts : float -> voltage
 (** [volts x] is [x] volts. *)
 
 val pp_time : Format.formatter -> time -> unit
 (** Prints a time with an adaptive unit ([ps] or [ns]). *)
-
-val time_to_string : time -> string
-(** [time_to_string t] is [Format.asprintf "%a" pp_time t]. *)

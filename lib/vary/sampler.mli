@@ -4,13 +4,14 @@
     spreads every coefficient across three nested levels: {e device}
     (gate-to-gate, independent), {e chip} (shared by every gate of one
     sampled circuit instance) and {e lot} (shared by a group of
-    {!chips_per_lot} consecutive sample indices — consecutive chips
+    8 consecutive sample indices — consecutive chips
     come from the same wafer lot).  Each level contributes a gaussian
     relative spread, so a coefficient's multiplicative corner is
 
     [1 + sg_device * z_dev + sg_chip * z_chip + sg_lot * z_lot]
 
-    (clamped to at least {!min_scale}), with independent draws per
+    (clamped to at least 0.05, so a coefficient never collapses to zero
+    or flips sign), with independent draws per
     parameter class — conventional delay, output slope, DDM tau, VT,
     pin factor — and per output edge.
 
@@ -32,19 +33,9 @@ type sigmas = {
 }
 
 val zero : sigmas
-val is_zero : sigmas -> bool
-(** Exact: all three sigmas are [0.0]. *)
-
 val sigmas : ?device:float -> ?chip:float -> ?lot:float -> unit -> sigmas
 (** Defaults to {!zero}; sigmas must be finite and non-negative.
     @raise Invalid_argument otherwise. *)
-
-val chips_per_lot : int
-(** [8] — consecutive sample indices sharing one lot draw. *)
-
-val min_scale : float
-(** [0.05] — the clamp keeping a sampled corner physically meaningful
-    (coefficients never collapse to zero or flip sign). *)
 
 val sample :
   ?stress_hours:float ->

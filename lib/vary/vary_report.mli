@@ -30,12 +30,6 @@ type sample = {
   vs_masking_rate : float;
 }
 
-val sample_of_verdicts :
-  index:int -> fingerprint:string -> Halotis_fault.Campaign.verdict list -> sample
-(** Tallies one sample's verdict list ({!Halotis_fault.Campaign}'s
-    outcome taxonomy; masking rate counts everything that did not
-    propagate, matching {!Halotis_fault.Campaign.masking_rate}). *)
-
 type percentiles = {
   pc_p5 : float;
   pc_p25 : float;
@@ -44,10 +38,6 @@ type percentiles = {
   pc_p95 : float;
   pc_mean : float;
 }
-
-val percentiles : float list -> percentiles option
-(** Nearest-rank percentiles of a non-empty list (sorted internally);
-    [None] on an empty list. *)
 
 type t = {
   vr_circuit : string;
@@ -83,8 +73,8 @@ val make :
     the nominal one. *)
 
 val masking_percentiles : t -> percentiles option
-(** Percentiles of the per-sample masking rates ([None] with zero
-    samples). *)
+(** Nearest-rank percentiles of the per-sample masking rates ([None]
+    with zero samples). *)
 
 val to_json : t -> Halotis_util.Json.t
 val to_string : t -> string

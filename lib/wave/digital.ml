@@ -5,32 +5,6 @@ let edges w ~vt =
 
 let edge_count w ~vt = List.length (edges w ~vt)
 
-let edges_hysteresis w ~vt_low ~vt_high =
-  if vt_low >= vt_high then invalid_arg "Digital.edges_hysteresis: need vt_low < vt_high";
-  (* tag each crossing with the threshold it belongs to, merge by time,
-     and keep only the state-changing ones: set on a rise through
-     vt_high, reset on a fall through vt_low *)
-  let tagged level =
-    List.map (fun (at, pol) -> (at, pol, level)) (Waveform.crossings w ~vt:level)
-  in
-  let all =
-    List.sort
-      (fun (t1, _, _) (t2, _, _) -> Float.compare t1 t2)
-      (tagged vt_high @ tagged vt_low)
-  in
-  let initial = Waveform.initial w > vt_high in
-  let rec scan state acc = function
-    | [] -> List.rev acc
-    | (at, pol, level) :: rest -> (
-        match (state, pol) with
-        | false, Transition.Rising when level = vt_high ->
-            scan true ({ at; polarity = pol } :: acc) rest
-        | true, Transition.Falling when level = vt_low ->
-            scan false ({ at; polarity = pol } :: acc) rest
-        | (true | false), (Transition.Rising | Transition.Falling) -> scan state acc rest)
-  in
-  scan initial [] all
-
 type pulse = {
   t_rise : Halotis_util.Units.time;
   t_fall : Halotis_util.Units.time;

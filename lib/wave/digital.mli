@@ -11,17 +11,6 @@ val edges :
 
 val edge_count : Waveform.t -> vt:Halotis_util.Units.voltage -> int
 
-val edges_hysteresis :
-  Waveform.t ->
-  vt_low:Halotis_util.Units.voltage ->
-  vt_high:Halotis_util.Units.voltage ->
-  edge list
-(** Schmitt-trigger digitization: a rising edge requires crossing
-    [vt_high], a falling edge [vt_low] ([vt_low < vt_high]).  Runts
-    inside the hysteresis band produce no edges, removing the chatter a
-    single threshold sees on slow or noisy ramps.
-    @raise Invalid_argument when [vt_low >= vt_high]. *)
-
 val final_level : Waveform.t -> vt:Halotis_util.Units.voltage -> bool
 (** Logic level implied by the last edge (or the initial voltage). *)
 

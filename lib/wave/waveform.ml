@@ -61,9 +61,6 @@ let get_segment w i =
 
 let segments w = List.init w.len (segment_at w)
 let transitions w = List.init w.len (transition_at w)
-let last_segment w = if w.len = 0 then None else Some (segment_at w (w.len - 1))
-
-let last_start w = if w.len = 0 then None else Some w.starts.(w.len - 1)
 let last_start_or_nan w = if w.len = 0 then Float.nan else w.starts.(w.len - 1)
 
 (* Index of the last segment with start <= t, or -1. *)
@@ -178,10 +175,6 @@ let equal a b = a.initial = b.initial && a.len = b.len && common_prefix a b = a.
 let transitions_from w i = List.init (max 0 (w.len - i)) (fun k -> transition_at w (i + k))
 
 let last_crossing w ~vt = if w.len = 0 then Float.nan else seg_crossing w (w.len - 1) ~vt
-
-let crossing_of_last w ~vt =
-  let c = last_crossing w ~vt in
-  if Float.is_nan c then None else Some c
 
 let crossings_with_transitions w ~vt =
   let raw = ref [] in

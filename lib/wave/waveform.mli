@@ -93,15 +93,11 @@ val equal : t -> t -> bool
 val transitions_from : t -> int -> Transition.t list
 (** The live transitions from index [i] on, oldest first. *)
 
-val last_segment : t -> segment option
-
-val last_start : t -> Halotis_util.Units.time option
-(** Start time of the most recent live transition — the gate-state
-    clock the degradation model measures its [T] against. *)
-
 val last_start_or_nan : t -> Halotis_util.Units.time
-(** Option-free {!last_start}: [Float.nan] (never a legitimate start
-    instant) when the waveform has no live transition.  The result is
+(** Start time of the most recent live transition — the gate-state
+    clock the degradation model measures its [T] against — or
+    [Float.nan] (never a legitimate start instant) when the waveform
+    has no live transition.  The result is
     still a boxed float: under the dev profile, a float that crosses a
     module boundary is boxed. *)
 
@@ -109,17 +105,12 @@ val value_at : t -> Halotis_util.Units.time -> Halotis_util.Units.voltage
 (** Waveform voltage at any time (flat before the first transition,
     saturated after the last). *)
 
-val crossing_of_last :
-  t -> vt:Halotis_util.Units.voltage -> Halotis_util.Units.time option
-(** The instant the most recent ramp crosses [vt], if it does.  This is
-    the event-generation primitive: the last segment extends to its
-    rail, so the crossing is definitive until a newer transition
-    truncates it. *)
-
 val last_crossing : t -> vt:Halotis_util.Units.voltage -> Halotis_util.Units.time
-(** Option-free {!crossing_of_last}: [Float.nan] (never a legitimate
-    crossing instant) when the last ramp does not cross [vt] or the
-    waveform is empty.  It reads the ramp from the segment store
+(** The instant the most recent ramp crosses [vt].  This is the
+    event-generation primitive: the last segment extends to its rail,
+    so the crossing is definitive until a newer transition truncates
+    it.  [Float.nan] (never a legitimate crossing instant) when the last
+    ramp does not cross [vt] or the waveform is empty.  It reads the ramp from the segment store
     without boxing it; only [vt] and the result are boxed floats. *)
 
 val crossings :

@@ -1,28 +1,23 @@
 (* Array-based binary heap.  Each entry records its current array index
-   so handles can remove it in O(log n).  [seq] is the tie-break rank:
-   the caller's [~rank] when given, else a monotonically increasing
-   insertion stamp (FIFO among equal keys). *)
+   so handles can remove it in O(log n).  [rank] breaks ties among equal
+   keys. *)
 
 type 'a entry = {
   key : float;
-  seq : int;
+  rank : int;
   value : 'a;
   mutable index : int; (* -1 once popped or removed *)
 }
 
 type 'a handle = 'a entry
 
-type 'a t = {
-  mutable data : 'a entry array;
-  mutable size : int;
-  mutable next_seq : int;
-}
+type 'a t = { mutable data : 'a entry array; mutable size : int }
 
-let create () = { data = [||]; size = 0; next_seq = 0 }
+let create () = { data = [||]; size = 0 }
 let length h = h.size
 let is_empty h = h.size = 0
 
-let entry_lt a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
+let entry_lt a b = a.key < b.key || (a.key = b.key && a.rank < b.rank)
 
 let swap h i j =
   let a = h.data.(i) and b = h.data.(j) in
@@ -60,10 +55,8 @@ let grow h =
     h.data <- data
   end
 
-let insert h ~key ?rank value =
-  let seq = match rank with Some r -> r | None -> h.next_seq in
-  let entry = { key; seq; value; index = h.size } in
-  h.next_seq <- h.next_seq + 1;
+let insert h ~key ~rank value =
+  let entry = { key; rank; value; index = h.size } in
   if Array.length h.data = 0 then h.data <- Array.make 8 entry else grow h;
   h.data.(h.size) <- entry;
   h.size <- h.size + 1;

@@ -5,15 +5,12 @@
     what Fig. 4's "delete Ej-1" cancellation needs when implemented
     eagerly.  The simulation engines use {!Halotis_util.Heap} instead,
     which stores keys unboxed and cancels lazily (tombstone flags); the
-    two pop the same order for the same ranks.  The engines' heap has
-    no FIFO mode; this one keeps it for the classic reference kernel's
-    first-in first-out variant, the tie order the classic engine kept
-    before it ranked its entries.
+    two pop the same order for the same ranks.
 
     Entries are ordered by their [float] key; ties are broken by the
-    explicit [~rank] when one is supplied at insertion, else by
-    insertion order (FIFO).  Either way the order is a strict total
-    order, which makes simulations deterministic; an {e intrinsic} rank
+    [~rank] supplied at insertion.  Distinct ranks make the order a
+    strict total order, which makes simulations deterministic; an
+    {e intrinsic} rank
     (one derived from the entry's identity rather than from history)
     additionally makes the pop order reproducible across runs that
     insert the same entries in different orders — what cone
@@ -34,15 +31,14 @@ val length : 'a t -> int
 val is_empty : 'a t -> bool
 (** [is_empty h] is [length h = 0]. *)
 
-val insert : 'a t -> key:float -> ?rank:int -> 'a -> 'a handle
-(** [insert h ~key v] adds [v] with priority [key] and returns its
-    handle.  [rank] overrides the FIFO tie-break stamp; mixing ranked
-    and unranked insertions in one heap interleaves the two rank
-    spaces and is almost never what you want. *)
+val insert : 'a t -> key:float -> rank:int -> 'a -> 'a handle
+(** [insert h ~key ~rank v] adds [v] with priority [key], ties broken
+    by [rank], and returns its handle. *)
 
 val pop_min : 'a t -> (float * 'a) option
 (** [pop_min h] removes and returns the entry with the smallest key
-    (FIFO among equal keys), or [None] if the heap is empty. *)
+    (the smallest rank among equal keys), or [None] if the heap is
+    empty. *)
 
 val peek_min : 'a t -> (float * 'a) option
 (** [peek_min h] is like {!pop_min} without removing the entry. *)

@@ -17,8 +17,36 @@ let checkf msg = Alcotest.(check (float 1e-6)) msg
 let sid c n =
   match N.find_signal c n with Some s -> s | None -> Alcotest.failf "no signal %s" n
 
+(* [(vmin, vmax)] of a trace's samples inside a window: runt amplitude
+   probing. *)
+let peak_in (tr : Sim.trace) ~t0 ~t1 =
+  let n = Array.length tr.Sim.volts in
+  let i0 = max 0 (int_of_float (Float.floor (t0 /. tr.Sim.sample_dt))) in
+  let i1 = min (n - 1) (int_of_float (Float.ceil (t1 /. tr.Sim.sample_dt))) in
+  let vmin = ref infinity and vmax = ref neg_infinity in
+  for i = i0 to i1 do
+    vmin := Float.min !vmin tr.Sim.volts.(i);
+    vmax := Float.max !vmax tr.Sim.volts.(i)
+  done;
+  if !vmin > !vmax then (0., 0.) else (!vmin, !vmax)
+
+(* A macromodel of [kind] with every pin centred on [vt]: the fuzzy
+   extension [F] is reached through {!Macromodel.goal_voltage}. *)
+let model ?(switch_width = 0.5) ?(vt = 2.5) kind =
+  {
+    Macromodel.kind;
+    vt = Array.make (Gate_kind.arity kind) vt;
+    switch_width;
+    tau_rise = 1.;
+    tau_fall = 1.;
+    transport = 0.;
+    vdd = 5.;
+  }
+
 (* --- fuzzy logic --- *)
 
+(* A sigmoid width far below the rail-to-VT distance saturates every
+   activation to exactly 0 or 1. *)
 let prop_fuzzy_matches_bool =
   let kind_gen = QCheck.Gen.oneofl Gate_kind.all_basic in
   QCheck.Test.make ~name:"fuzzy_eval = eval_bool on {0,1}" ~count:500
@@ -26,8 +54,8 @@ let prop_fuzzy_matches_bool =
     (fun (kind, bits) ->
       let n = Gate_kind.arity kind in
       let bools = Array.sub (Array.of_list (bits @ [ false; false; false; false ])) 0 n in
-      let xs = Array.map (fun b -> if b then 1.0 else 0.0) bools in
-      let fuzzy = Macromodel.fuzzy_eval kind xs in
+      let vins = Array.map (fun b -> if b then 5.0 else 0.0) bools in
+      let fuzzy = Macromodel.goal_voltage (model ~switch_width:1e-3 kind) vins /. 5. in
       let expected = if Gate_kind.eval_bool kind bools then 1.0 else 0.0 in
       Float.abs (fuzzy -. expected) < 1e-9)
 
@@ -35,25 +63,25 @@ let prop_fuzzy_within_unit_interval =
   let kind_gen = QCheck.Gen.oneofl Gate_kind.all_basic in
   QCheck.Test.make ~name:"fuzzy_eval stays in [0,1]" ~count:500
     (QCheck.make
-       QCheck.Gen.(pair kind_gen (list_size (return 4) (float_range 0. 1.))))
-    (fun (kind, xs) ->
+       QCheck.Gen.(pair kind_gen (list_size (return 4) (float_range 0. 5.))))
+    (fun (kind, vs) ->
       let n = Gate_kind.arity kind in
-      let xs = Array.sub (Array.of_list (xs @ [ 0.; 0.; 0.; 0. ])) 0 n in
-      let v = Macromodel.fuzzy_eval kind xs in
+      let vins = Array.sub (Array.of_list (vs @ [ 0.; 0.; 0.; 0. ])) 0 n in
+      let v = Macromodel.goal_voltage (model kind) vins /. 5. in
       v >= -1e-9 && v <= 1. +. 1e-9)
 
 let test_macromodel_of_gate () =
   let f = G.fig1_circuit ~vt_low:1.5 ~vt_high:3.5 () in
   let c = f.G.circuit in
   let loads = Loads.of_netlist DL.tech c in
-  let g1 = match N.find_gate c "g1" with Some g -> g | None -> assert false in
+  let g1 = Fixtures.gate_named c "g1" in
   let m = Macromodel.of_gate DL.tech c ~loads g1 in
   checkf "vt from override" 1.5 m.Macromodel.vt.(0);
   checkb "tau positive" true (m.Macromodel.tau_rise > 0. && m.Macromodel.tau_fall > 0.);
-  (* smooth input is 1/2 exactly at the threshold *)
-  checkf "midpoint" 0.5 (Macromodel.smooth_input m ~pin:0 1.5);
+  (* the inverter's smooth input is 1/2 exactly at the threshold *)
+  checkf "midpoint" (m.Macromodel.vdd /. 2.) (Macromodel.goal_voltage m [| 1.5 |]);
   checkb "monotone" true
-    (Macromodel.smooth_input m ~pin:0 3.0 > Macromodel.smooth_input m ~pin:0 1.0)
+    (Macromodel.goal_voltage m [| 3.0 |] < Macromodel.goal_voltage m [| 1.0 |])
 
 let test_goal_voltage_inverter () =
   let c = G.inverter_chain ~n:1 () in
@@ -99,7 +127,7 @@ let test_glitch_degradation_continuous () =
   let peak width =
     let drives = [ (sid c "in", Drive.pulse ~slope:50. ~at:500. ~width ()) ] in
     let r = Sim.run (Sim.config ~t_stop:3000. DL.tech) c ~drives in
-    let vmin, _ = Sim.peak_in (Sim.trace r "out") ~t0:500. ~t1:2500. in
+    let vmin, _ = peak_in (Sim.trace r "out") ~t0:500. ~t1:2500. in
     5.0 -. vmin (* depth of the downward excursion *)
   in
   let depths = List.map peak [ 30.; 60.; 120.; 240.; 480. ] in
@@ -150,10 +178,10 @@ let test_value_interpolation () =
 
 let test_peak_in () =
   let tr = { Sim.sample_dt = 10.; volts = [| 0.; 3.; 1.; 4.; 0. |] } in
-  let vmin, vmax = Sim.peak_in tr ~t0:0. ~t1:40. in
+  let vmin, vmax = peak_in tr ~t0:0. ~t1:40. in
   checkf "min" 0. vmin;
   checkf "max" 4. vmax;
-  let vmin2, vmax2 = Sim.peak_in tr ~t0:10. ~t1:20. in
+  let vmin2, vmax2 = peak_in tr ~t0:10. ~t1:20. in
   checkf "window min" 1. vmin2;
   checkf "window max" 3. vmax2
 

@@ -77,7 +77,7 @@ let test_json_stdout_parses () =
   | Error e -> Alcotest.failf "stdout is not valid JSON: %s" e
   | Ok j -> (
       checkb "tool tag" true (Json.member "tool" j = Some (Json.Str "halotis-lint"));
-      match Lint.findings_of_json j with
+      match Ref_findings.findings_of_json j with
       | Error e -> Alcotest.fail e
       | Ok findings ->
           checkb "has errors" true (Lint.errors findings > 0);

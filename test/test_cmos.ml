@@ -39,8 +39,9 @@ let test_supply_scaling () =
     < AP.delay inv ~rising_out:false ~cl:30. ~tau_in:0.)
 
 let test_edge_params_match_closed_form () =
-  let base = Tech.edge (Tech.gate_tech DL.tech Gate_kind.Inv) ~rising:false in
-  let p = AP.to_edge_params inv ~rising_out:false ~base in
+  (* unit sizing: every cell of the derived technology is [inv] itself *)
+  let tech = AP.to_tech ~base:DL.tech inv ~sized:(fun _ -> 1.0) in
+  let p = Tech.edge (Tech.gate_tech tech Gate_kind.Inv) ~rising:false in
   List.iter
     (fun (cl, tau_in) ->
       let direct = AP.delay inv ~rising_out:false ~cl ~tau_in in

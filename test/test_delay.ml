@@ -32,7 +32,7 @@ let test_loads_scale_with_fanout () =
   let c1 = fanout_circuit 1 and c4 = fanout_circuit 4 in
   let y1 = match N.find_signal c1 "y" with Some s -> s | None -> assert false in
   let y4 = match N.find_signal c4 "y" with Some s -> s | None -> assert false in
-  let l1 = Loads.signal_load DL.tech c1 y1 and l4 = Loads.signal_load DL.tech c4 y4 in
+  let l1 = (Loads.of_netlist DL.tech c1).(y1) and l4 = (Loads.of_netlist DL.tech c4).(y4) in
   checkb "4 loads heavier" true (l4 > l1);
   let inv_cap = (Tech.gate_tech DL.tech Gate_kind.Inv).Tech.input_cap in
   let wire = Tech.wire_cap_per_fanout DL.tech in
@@ -42,7 +42,7 @@ let test_loads_unloaded_measurement () =
   let c = G.inverter_chain ~n:1 () in
   let out = match N.find_signal c "out" with Some s -> s | None -> assert false in
   let inv_cap = (Tech.gate_tech DL.tech Gate_kind.Inv).Tech.input_cap in
-  checkf "one inverter equivalent" inv_cap (Loads.signal_load DL.tech c out)
+  checkf "one inverter equivalent" inv_cap (Loads.of_netlist DL.tech c).(out)
 
 let test_loads_extra_load () =
   let b = Builder.create "x" in
@@ -55,21 +55,34 @@ let test_loads_extra_load () =
   let c = Builder.finalize b in
   let yid = match N.find_signal c "y" with Some s -> s | None -> assert false in
   let inv_cap = (Tech.gate_tech DL.tech Gate_kind.Inv).Tech.input_cap in
-  checkf "extra included" (25. +. inv_cap) (Loads.signal_load DL.tech c yid)
+  checkf "extra included" (25. +. inv_cap) (Loads.of_netlist DL.tech c).(yid)
 
+(* Every entry of the table is its signal's fanout pin caps plus one
+   wire estimate per fanout pin, or one inverter input when unloaded. *)
 let test_loads_table_matches_pointwise () =
-  let f = G.fig1_circuit () in
-  let table = Loads.of_netlist DL.tech f.G.circuit in
+  let c = (G.fig1_circuit ()).G.circuit in
+  let table = Loads.of_netlist DL.tech c in
+  let cap gid = (Tech.gate_tech DL.tech (N.gate c gid).N.kind).Tech.input_cap in
+  let inv_cap = (Tech.gate_tech DL.tech Gate_kind.Inv).Tech.input_cap in
+  checkb "one entry per signal" true (Array.length table = N.signal_count c);
   Array.iteri
-    (fun sid l -> checkf "table" (Loads.signal_load DL.tech f.G.circuit sid) l)
+    (fun sid l ->
+      let loads = (N.signal c sid).N.loads in
+      let expected =
+        if loads = [||] then inv_cap
+        else
+          Array.fold_left (fun acc (g, _) -> acc +. cap g) 0. loads
+          +. (Tech.wire_cap_per_fanout DL.tech *. float_of_int (Array.length loads))
+      in
+      checkf "table" expected l)
     table
 
 let test_thresholds_override () =
   let f = G.fig1_circuit ~vt_low:1.1 ~vt_high:3.9 () in
   let c = f.G.circuit in
-  let g1 = match N.find_gate c "g1" with Some g -> g | None -> assert false in
-  let g2 = match N.find_gate c "g2" with Some g -> g | None -> assert false in
-  let chain = match N.find_gate c "chain_a" with Some g -> g | None -> assert false in
+  let g1 = Fixtures.gate_named c "g1" in
+  let g2 = Fixtures.gate_named c "g2" in
+  let chain = Fixtures.gate_named c "chain_a" in
   checkf "low override" 1.1 (Thresholds.input_vt DL.tech c g1 ~pin:0);
   checkf "high override" 3.9 (Thresholds.input_vt DL.tech c g2 ~pin:0);
   checkf "default elsewhere" 2.5 (Thresholds.input_vt DL.tech c chain ~pin:0);

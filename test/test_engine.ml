@@ -452,7 +452,7 @@ let test_classic_final_matches_static () =
         (Format.asprintf "%a" Halotis_stim.Vectors.pp_mult_op op)
         (Halotis_stim.Vectors.expected_product op)
         product)
-    (Halotis_stim.Vectors.random_ops ~bits:4 ~count:12 ~seed:99)
+    (Fixtures.random_ops ~bits:4 ~count:12 ~seed:99)
 
 let test_classic_oscillator_raises () =
   let c = ring_oscillator () in

@@ -127,7 +127,7 @@ let test_wide_gate_in_engine () =
 
 let test_fanout_stress () =
   (* a buffer tree: the step reaches all leaves exactly once *)
-  let c = G.buffer_tree ~depth:4 () in
+  let c = Fixtures.buffer_tree ~depth:4 () in
   let r = Iddm.run (Iddm.config DL.tech) c ~drives:[ (sid c "in", step 1000.) ] in
   List.iter
     (fun out -> checki "leaf switches once" 1 (D.edge_count r.Iddm.waveforms.(out) ~vt))

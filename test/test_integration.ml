@@ -82,7 +82,7 @@ let test_random_products_all_engines () =
       let expected = V.expected_product op in
       checki (Format.asprintf "ddm %a" V.pp_mult_op op) expected p_ddm;
       checki (Format.asprintf "classic %a" V.pp_mult_op op) expected p_classic)
-    (V.random_ops ~bits:4 ~count:10 ~seed:21)
+    (Fixtures.random_ops ~bits:4 ~count:10 ~seed:21)
 
 (* Edge-time agreement between DDM and the analog reference on a clean
    step through the chain: same edge count, arrival within 150 ps. *)

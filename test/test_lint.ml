@@ -84,7 +84,7 @@ let test_finding_json_roundtrip () =
           message = "msg with \"quotes\"";
         }
       in
-      match Finding.of_json (Finding.to_json f) with
+      match Ref_findings.finding_of_json (Finding.to_json f) with
       | Ok f2 -> checkb "finding round-trip" true (f = f2)
       | Error e -> Alcotest.fail e)
     all_locs
@@ -103,7 +103,7 @@ let test_report_json_roundtrip () =
   match Json.parse doc with
   | Error e -> Alcotest.fail e
   | Ok j -> (
-      match Lint.findings_of_json j with
+      match Ref_findings.findings_of_json j with
       | Error e -> Alcotest.fail e
       | Ok back -> checkb "findings survive the document" true (back = findings))
 
@@ -245,15 +245,29 @@ let poisoned_tech () =
   let lookup = function Gate_kind.Inv -> poisoned | _ -> asym in
   Tech.create ~name:"poisoned" ~vdd:5. ~lookup ()
 
+(* One gate of each given kind, every input a primary input. *)
+let kinds_circuit kinds =
+  let b = Builder.create "kinds" in
+  List.iteri
+    (fun i kind ->
+      let inputs =
+        List.init (Gate_kind.arity kind) (fun p -> Builder.input b (Printf.sprintf "i%d_%d" i p))
+      in
+      let y = Builder.signal b (Printf.sprintf "y%d" i) in
+      ignore (Builder.add_gate b kind ~inputs ~output:y);
+      Builder.mark_output b y)
+    kinds;
+  Builder.finalize b
+
 let test_tech_rules_fire () =
   let tech = poisoned_tech () in
-  let findings = Tech_rules.run_kinds cfg tech [ Gate_kind.Inv; Gate_kind.Buf ] in
+  let findings = Tech_rules.run cfg tech (kinds_circuit [ Gate_kind.Inv; Gate_kind.Buf ]) in
   List.iter
     (fun id -> checkb (id ^ " fires") true (fired id findings))
     [ "TK001"; "TK002"; "TK003"; "TK004"; "TK005"; "TK006" ]
 
 let test_tech_rules_clean () =
-  let findings = Tech_rules.run_kinds cfg DL.tech Gate_kind.all_basic in
+  let findings = Tech_rules.run cfg DL.tech (kinds_circuit Gate_kind.all_basic) in
   checki "built-in library is clean" 0 (List.length findings)
 
 let test_tech_rules_pin_override () =
@@ -383,7 +397,8 @@ let test_exit_codes () =
 let test_run_sorts_worst_first () =
   let c = flawed_netlist () in
   let findings = Lint.run c in
-  let ranks = List.map (fun (f : Finding.t) -> Finding.severity_rank f.Finding.severity) findings in
+  let rank = function Finding.Error -> 2 | Finding.Warning -> 1 | Finding.Info -> 0 in
+  let ranks = List.map (fun (f : Finding.t) -> rank f.Finding.severity) findings in
   checkb "sorted worst first" true (List.sort (fun a b -> compare b a) ranks = ranks)
 
 let test_preflight_filters_infos () =

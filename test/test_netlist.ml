@@ -33,8 +33,7 @@ let test_builder_find () =
   let c = simple_inverter () in
   checkb "find a" true (N.find_signal c "a" <> None);
   checkb "find y" true (N.find_signal c "y" <> None);
-  checkb "find missing" true (N.find_signal c "zz" = None);
-  checkb "find gate" true (N.find_gate c "g" <> None)
+  checkb "find missing" true (N.find_signal c "zz" = None)
 
 let test_builder_double_drive () =
   let b = Builder.create "bad" in
@@ -142,7 +141,7 @@ let test_cycle_detection () =
     (List.exists
        (function Check.Combinational_cycle _ -> true | _ -> false)
        (Check.structural_issues c));
-  checkb "no levelize" true (Check.levelize c = None)
+  checkb "no depth" true (Check.depth c = None)
 
 let test_issues_clean_circuit () =
   let c = G.inverter_chain ~n:3 () in
@@ -164,19 +163,11 @@ let test_undriven_dangling () =
 
 let test_levelize_depth () =
   let c = G.inverter_chain ~n:4 () in
-  (match Check.levelize c with
-  | Some levels -> checki "max level" 4 (Array.fold_left max 0 levels)
-  | None -> Alcotest.fail "acyclic");
   checkb "depth" true (Check.depth c = Some 4)
 
 let test_max_fanout () =
   let f = G.fig1_circuit () in
   checki "out0 drives two" 2 (Check.max_fanout f.G.circuit)
-
-let test_transitive_fanin () =
-  let c = G.inverter_chain ~n:3 () in
-  let out = match N.find_signal c "out" with Some s -> s | None -> assert false in
-  checki "cone size" 4 (List.length (Check.transitive_fanin_signals c out))
 
 (* --- Static evaluation helper (used for generator correctness) --- *)
 
@@ -217,36 +208,33 @@ let test_inverter_chain_shape () =
   checkb "odd chain inverts" true (not levels.(out))
 
 let test_buffer_tree () =
-  let c = G.buffer_tree ~depth:3 () in
+  let c = Fixtures.buffer_tree ~depth:3 () in
   checki "outputs" 8 (List.length (N.primary_outputs c));
   checki "gates" 14 (N.gate_count c);
   let levels = static_eval c ~input_levels:[ true ] in
   List.iter (fun sid -> checkb "leaf" true levels.(sid)) (N.primary_outputs c)
 
-let full_adder_circuit nand_only =
-  let b = Builder.create "fa" in
-  let a = Builder.input b "a" in
-  let bb = Builder.input b "b" in
-  let cin = Builder.input b "cin" in
-  let fa = if nand_only then G.full_adder_nand9 else G.full_adder in
-  let sum, cout = fa b ~prefix:"fa0" ~a ~b:bb ~cin in
-  Builder.mark_output b sum;
-  Builder.mark_output b cout;
-  (Builder.finalize b, sum, cout)
-
+(* The adders' full-adder cells: a 2-bit ripple adder's second cell
+   sees every (a, b, cin) combination, the carry-in coming from the
+   first cell. *)
 let check_full_adder nand_only () =
-  let c, sum, cout = full_adder_circuit nand_only in
-  for i = 0 to 7 do
-    let a = i land 4 <> 0 and b = i land 2 <> 0 and ci = i land 1 <> 0 in
-    let levels = static_eval c ~input_levels:[ a; b; ci ] in
-    let total = Bool.to_int a + Bool.to_int b + Bool.to_int ci in
-    checkb (Printf.sprintf "sum %d" i) (total land 1 = 1) levels.(sum);
-    checkb (Printf.sprintf "cout %d" i) (total >= 2) levels.(cout)
+  let ad = G.ripple_carry_adder ~nand_only ~bits:2 () in
+  for x = 0 to 3 do
+    for y = 0 to 3 do
+      let bits v = [ v land 1 <> 0; v land 2 <> 0 ] in
+      let levels = static_eval ad.G.adder_circuit ~input_levels:(bits x @ bits y) in
+      let got =
+        List.fold_left (fun (acc, w) sid -> ((if levels.(sid) then acc + w else acc), 2 * w)) (0, 1)
+          ad.G.sum_bits
+        |> fst
+      in
+      checki (Printf.sprintf "%d + %d" x y) (x + y) got
+    done
   done
 
 let test_full_adder_gate_counts () =
-  let c5, _, _ = full_adder_circuit false in
-  let c9, _, _ = full_adder_circuit true in
+  let c5 = (G.ripple_carry_adder ~bits:1 ()).G.adder_circuit in
+  let c9 = (G.ripple_carry_adder ~nand_only:true ~bits:1 ()).G.adder_circuit in
   checki "xor/and/or FA" 5 (N.gate_count c5);
   checki "nand9 FA" 9 (N.gate_count c9);
   checkb "nand-only really" true
@@ -383,8 +371,8 @@ let test_fig1_shape () =
   let f = G.fig1_circuit ~vt_low:1.2 ~vt_high:3.8 () in
   let c = f.G.circuit in
   checki "six inverters" 6 (N.gate_count c);
-  let g1 = match N.find_gate c "g1" with Some g -> g | None -> assert false in
-  let g2 = match N.find_gate c "g2" with Some g -> g | None -> assert false in
+  let g1 = Fixtures.gate_named c "g1" in
+  let g2 = Fixtures.gate_named c "g2" in
   checkb "g1 vt" true ((N.gate c g1).N.input_vt.(0) = Some 1.2);
   checkb "g2 vt" true ((N.gate c g2).N.input_vt.(0) = Some 3.8);
   (* out0 drives both g1 and g2 *)
@@ -414,7 +402,7 @@ let test_hnl_roundtrip_attributes () =
   match Hnl.parse_string (Hnl.to_string f.G.circuit) with
   | Ok c' ->
       Alcotest.(check string) "identical print" (Hnl.to_string f.G.circuit) (Hnl.to_string c');
-      let g1 = match N.find_gate c' "g1" with Some g -> g | None -> assert false in
+      let g1 = Fixtures.gate_named c' "g1" in
       checkb "vt survives" true ((N.gate c' g1).N.input_vt.(0) = Some 1.5)
   | Error e -> Alcotest.failf "parse error: %a" Hnl.pp_error e
 
@@ -623,7 +611,6 @@ let tests =
         Alcotest.test_case "undriven/dangling" `Quick test_undriven_dangling;
         Alcotest.test_case "levelize/depth" `Quick test_levelize_depth;
         Alcotest.test_case "max fanout" `Quick test_max_fanout;
-        Alcotest.test_case "transitive fanin" `Quick test_transitive_fanin;
       ] );
     ( "netlist.generators",
       [
@@ -721,9 +708,8 @@ module Stimfile = Halotis_stim.Stimfile
 
 let same_netlist a b =
   let names f c = Array.to_list (Array.map f c) in
-  let sig_names = names (fun s -> s.N.signal_name) (N.signals a) @ [ "missing" ]
-  and gate_names = names (fun g -> g.N.gate_name) (N.gates a) @ [ "missing" ] in
-  let lookups c = (List.map (N.find_signal c) sig_names, List.map (N.find_gate c) gate_names) in
+  let sig_names = names (fun s -> s.N.signal_name) (N.signals a) @ [ "missing" ] in
+  let lookups c = List.map (N.find_signal c) sig_names in
   N.name a = N.name b
   && compare (N.signals a) (N.signals b) = 0
   && compare (N.gates a) (N.gates b) = 0
@@ -1007,7 +993,7 @@ let tests =
         ] );
     ]
 
-(* --- check analyses: levelize, depth, fanin cones, cycles, SCCs --- *)
+(* --- check analyses: depth, cycles, SCCs --- *)
 
 (* a -> g1 -> g2 -> g3 (chain), plus b joining at g2: depth 3 *)
 let chain_circuit () =
@@ -1037,40 +1023,13 @@ let two_scc_circuit () =
   Builder.mark_output b s;
   Builder.finalize b
 
+(* b joins at g2, so the depth is the a -> g1 -> g2 -> g3 chain's *)
 let test_levelize_depth () =
   let c = chain_circuit () in
-  (match Check.levelize c with
-  | None -> Alcotest.fail "chain is acyclic"
-  | Some levels ->
-      let level name =
-        match N.find_gate c name with
-        | Some g -> levels.((g :> int))
-        | None -> Alcotest.failf "no gate %s" name
-      in
-      checki "g1 level" 1 (level "g1");
-      checki "g2 level" 2 (level "g2");
-      checki "g3 level" 3 (level "g3"));
   checkb "depth" true (Check.depth c = Some 3);
   let empty = Builder.finalize (Builder.create "empty") in
   checkb "empty depth" true (Check.depth empty = Some 0);
   checkb "cyclic depth" true (Check.depth (two_scc_circuit ()) = None)
-
-let test_transitive_fanin () =
-  let c = chain_circuit () in
-  let names sid =
-    Check.transitive_fanin_signals c sid
-    |> List.map (N.signal_name c)
-    |> List.sort String.compare
-  in
-  let sig_of name =
-    match N.find_signal c name with
-    | Some s -> s
-    | None -> Alcotest.failf "no signal %s" name
-  in
-  checkb "cone of y is everything" true
-    (names (sig_of "y") = [ "a"; "b"; "w1"; "w2"; "y" ]);
-  checkb "cone of w1 excludes b" true (names (sig_of "w1") = [ "a"; "w1" ]);
-  checkb "cone of a PI is itself" true (names (sig_of "b") = [ "b" ])
 
 let test_find_cycle_witness () =
   let c = two_scc_circuit () in
@@ -1130,7 +1089,6 @@ let tests =
       ( "netlist.analyses",
         [
           Alcotest.test_case "levelize and depth" `Quick test_levelize_depth;
-          Alcotest.test_case "transitive fanin cone" `Quick test_transitive_fanin;
           Alcotest.test_case "cycle witness is a cycle" `Quick test_find_cycle_witness;
           Alcotest.test_case "sccs enumerates all regions" `Quick test_sccs_enumerates_all;
           Alcotest.test_case "unused PI vs dangling" `Quick test_unused_pi_vs_dangling;

@@ -5,7 +5,9 @@
    circuit claim bit-identical results to the straightforward
    algorithm.  This file re-implements both engines the obvious way —
    the boxed polymorphic [Ref_heap] with eager handle-based
-   cancellation, per-gate input arrays, the uncached
+   cancellation (classic: one first-in first-out list whose
+   simultaneous entries are sorted by the tie rule), per-gate input
+   arrays, the uncached
    [Ref_delay.for_gate], structure read from the netlist records — and
    checks that optimized and reference runs agree exactly
    (float-for-float) on random circuits across {DDM, CDM} x
@@ -28,6 +30,8 @@ module Dc = Halotis_engine.Dc
 module Compiled = Halotis_engine.Compiled
 module Prng = Halotis_util.Prng
 module Param_overlay = Halotis_tech.Param_overlay
+
+let some_unless_nan x = if Float.is_nan x then None else Some x
 
 let tech = Halotis_tech.Default_lib.tech
 
@@ -119,7 +123,7 @@ module Ref_iddm = struct
           if cfg.Iddm.cancellation then
             cancel_invalidated ~gate:lg ~pin:lpin ~from_time:tr.Transition.start;
           if outcome.Waveform.accepted then
-            match Waveform.crossing_of_last wf.(sid) ~vt:vt_table.(lg).(lpin) with
+            match some_unless_nan (Waveform.last_crossing wf.(sid) ~vt:vt_table.(lg).(lpin)) with
             | Some crossing ->
                 schedule ~key:crossing ~gate:lg ~pin:lpin ~rising
                   ~tau_in:tr.Transition.slope_time
@@ -141,7 +145,7 @@ module Ref_iddm = struct
               pin;
               tau_in;
               t_event = now;
-              last_output_start = Waveform.last_start wf.(out_sid);
+              last_output_start = some_unless_nan (Waveform.last_start_or_nan wf.(out_sid));
             }
         in
         let tr =
@@ -224,8 +228,22 @@ end
 (* Reference Classic kernel                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The specification of classic's order for entries due at one instant:
+   input switches first, in seeding order; then injection toggles, in
+   list order; then signal transactions, by signal id.  The reference
+   keeps its pending entries in one first-in first-out list and sorts
+   the entries due at the earliest instant explicitly by that rule; it
+   shares neither the engine's heap nor its integer ranks. *)
+type tie = Input of int | Injection of int | Transaction of int
+
+let tie_order a b =
+  match (a, b) with
+  | Input i, Input j | Injection i, Injection j | Transaction i, Transaction j -> Int.compare i j
+  | Input _, (Injection _ | Transaction _) | Injection _, Transaction _ -> -1
+  | (Injection _ | Transaction _), Input _ | Transaction _, Injection _ -> 1
+
 module Ref_classic = struct
-  type tx = { sid : int; at : float; value : bool; mutable handle : tx Ref_heap.handle option }
+  type tx = { sid : int; at : float; value : bool; tie : tie }
 
   type result = {
     edges : Digital.edge list array;
@@ -235,9 +253,7 @@ module Ref_classic = struct
     truncated : bool;
   }
 
-  (* [fifo]: break equal-instant ties first-in first-out, the order the
-     engine kept before its queue ranked entries intrinsically *)
-  let run ?(fifo = false) ?(injections = []) (cfg : Classic.config) c ~drives =
+  let run ?(injections = []) (cfg : Classic.config) c ~drives =
     let drives_tbl = Hashtbl.create 16 in
     List.iter (fun (sid, d) -> Hashtbl.replace drives_tbl sid d) drives;
     let input_level sid =
@@ -249,18 +265,21 @@ module Ref_classic = struct
     let nsignals = N.signal_count c in
     let value = Array.copy levels in
     let pending : tx list array = Array.make nsignals [] in
-    let queue : tx Ref_heap.t = Ref_heap.create () in
+    (* every queued entry, oldest first *)
+    let queue = ref [] in
     let rev_edges = Array.make nsignals [] in
     let loads = Halotis_delay.Loads.of_netlist cfg.Classic.tech c in
     let stats = Stats.create () in
-    (* the engine's intrinsic ranks: input switches from [min_int] up
-       in seeding order, then the k-th injection toggle, then a
-       transaction on a signal by the signal *)
-    let enqueue ~rank ~sid ~at ~value =
-      let tx = { sid; at; value; handle = None } in
-      let rank = if fifo then None else Some rank in
-      tx.handle <- Some (Ref_heap.insert queue ~key:at ?rank tx);
+    let enqueue ~tie ~sid ~at ~value =
+      let tx = { sid; at; value; tie } in
+      queue := !queue @ [ tx ];
       tx
+    in
+    let dequeue tx = queue := List.filter (fun x -> x != tx) !queue in
+    (* the first entry due: the earliest instant, ties sorted by the rule *)
+    let next () =
+      let first a b = match Float.compare a.at b.at with 0 -> tie_order a.tie b.tie | c -> c in
+      match List.stable_sort first !queue with [] -> None | tx :: _ -> Some tx
     in
     let scheduled_target sid =
       match List.rev pending.(sid) with [] -> value.(sid) | last :: _ -> last.value
@@ -270,7 +289,7 @@ module Ref_classic = struct
       let keep, kill = List.partition keep pending.(sid) in
       List.iter
         (fun tx ->
-          (match tx.handle with Some h -> ignore (Ref_heap.remove queue h) | None -> ());
+          dequeue tx;
           stats.Stats.events_filtered <- stats.Stats.events_filtered + 1)
         kill;
       pending.(sid) <- keep
@@ -285,11 +304,11 @@ module Ref_classic = struct
         let last = match List.rev keep with [] -> None | last :: _ -> Some last in
         match last with
         | Some tx when cfg.Classic.mode = Classic.Inertial && at -. tx.at < window ->
-            (match tx.handle with Some h -> ignore (Ref_heap.remove queue h) | None -> ());
+            dequeue tx;
             pending.(sid) <- List.filter (fun t -> t != tx) pending.(sid);
             stats.Stats.events_filtered <- stats.Stats.events_filtered + 2
         | Some _ | None ->
-            let tx = enqueue ~rank:sid ~sid ~at ~value:v in
+            let tx = enqueue ~tie:(Transaction sid) ~sid ~at ~value:v in
             pending.(sid) <- pending.(sid) @ [ tx ];
             stats.Stats.events_scheduled <- stats.Stats.events_scheduled + 1
       end
@@ -319,7 +338,7 @@ module Ref_classic = struct
           else stats.Stats.noop_evaluations <- stats.Stats.noop_evaluations + 1)
         (N.fanout_gates c sid)
     in
-    let seeded = ref min_int in
+    let seeded = ref 0 in
     Hashtbl.iter
       (fun sid (d : Drive.t) ->
         List.iter
@@ -333,27 +352,28 @@ module Ref_classic = struct
             (* a drive ramp overrides the input's switches strictly
                later than its own *)
             cancel sid (fun tx -> tx.at <= at);
-            let tx = enqueue ~rank:!seeded ~sid ~at ~value:v in
+            let tx = enqueue ~tie:(Input !seeded) ~sid ~at ~value:v in
             incr seeded;
             pending.(sid) <- pending.(sid) @ [ tx ];
             stats.Stats.events_scheduled <- stats.Stats.events_scheduled + 1)
           d.Drive.transitions)
       drives_tbl;
     List.iteri
-      (fun k (sid, at, v) -> ignore (enqueue ~rank:((min_int / 2) + k) ~sid ~at ~value:v))
+      (fun k (sid, at, v) -> ignore (enqueue ~tie:(Injection k) ~sid ~at ~value:v))
       (List.concat_map (fun (sid, toggles) -> List.map (fun (at, v) -> (sid, at, v)) toggles)
          injections);
     let end_time = ref 0. in
     let truncated = ref false in
     let continue = ref true in
     while !continue do
-      match Ref_heap.peek_min queue with
+      match next () with
       | None -> continue := false
-      | Some (t, _) -> (
+      | Some tx -> (
           match cfg.Classic.t_stop with
-          | Some stop when t > stop -> continue := false
+          | Some stop when tx.at > stop -> continue := false
           | Some _ | None ->
-              let t, tx = Option.get (Ref_heap.pop_min queue) in
+              let t = tx.at in
+              dequeue tx;
               stats.Stats.events_processed <- stats.Stats.events_processed + 1;
               end_time := Float.max !end_time t;
               pending.(tx.sid) <- List.filter (fun x -> x != tx) pending.(tx.sid);
@@ -553,6 +573,14 @@ let classic_case_gen =
       (fun gates seed inject ties -> (gates, seed, inject, ties))
       <$> int_range 5 60 <*> int_range 0 10_000 <*> bool <*> bool)
 
+let check_classic label (reference : Ref_classic.result) (opt : Classic.result) =
+  check_stats_equal label opt.Classic.stats reference.Ref_classic.stats;
+  check_edges_equal label (Lazy.force opt.Classic.edges) reference.Ref_classic.edges;
+  if opt.Classic.final_levels <> reference.Ref_classic.final_levels then
+    Alcotest.failf "%s: final levels differ" label;
+  if opt.Classic.end_time <> reference.Ref_classic.end_time then
+    Alcotest.failf "%s: end_time differs" label
+
 let prop_classic_matches_reference =
   QCheck.Test.make ~name:"optimized Classic == reference kernel (exact)" ~count:60
     classic_case_gen (fun (gates, seed, inject, ties) ->
@@ -566,14 +594,7 @@ let prop_classic_matches_reference =
         else classic_injections c ~seed
       in
       let reference = Ref_classic.run ~injections cfg c ~drives in
-      let check label (opt : Classic.result) =
-        check_stats_equal label opt.Classic.stats reference.Ref_classic.stats;
-        check_edges_equal label (Lazy.force opt.Classic.edges) reference.Ref_classic.edges;
-        if opt.Classic.final_levels <> reference.Ref_classic.final_levels then
-          Alcotest.failf "%s: final levels differ" label;
-        if opt.Classic.end_time <> reference.Ref_classic.end_time then
-          Alcotest.failf "%s: end_time differs" label
-      in
+      let check label opt = check_classic label reference opt in
       let label = Printf.sprintf "classic gates=%d seed=%d" gates seed in
       check label (Classic.run ~injections cfg c ~drives);
       (* two runs on one shared compiled circuit: neither may leave
@@ -583,34 +604,42 @@ let prop_classic_matches_reference =
       check (label ^ " shared 2") (Classic.run ~injections ~compiled cfg c ~drives);
       true)
 
-(* The old-vs-new differential check of the classic tie order.  Before
-   its queue ranked entries intrinsically, the engine popped
-   equal-instant entries first-in first-out: input switches in seeding
-   order, then injections, then transactions in the order their causes
-   popped.  The ranks keep the first two; transactions now tie by
-   signal id.  Which of two inputs of one gate pops last prices the
-   gate's delay, so the two orders may give different edge times where
-   two transactions commit at one instant into one gate.  On random
-   circuits, tie-rich stimuli and edge-instant injections included,
-   the engine's output must be the first-in first-out reference's,
-   byte for byte. *)
-let prop_classic_keeps_fifo_output =
+(* The tie-order check.  Which of two inputs of one gate commits last
+   prices the gate's delay, so where two transactions commit at one
+   instant into one gate, the tie order decides the gate's edge time.
+   The engine's must be the specification's ({!tie_order}): on random
+   circuits, tie-rich stimuli and edge-instant injections included, its
+   output is the first-in first-out, tie-sorted reference's, byte for
+   byte. *)
+let classic_matches_tie_order (gates, seed, inject, ties) =
+  let c, drives = random_workload ~ties ~gates ~seed in
+  let cfg = Classic.config tech in
+  let injections =
+    if not inject then []
+    else
+      classic_injections c ~seed
+        ~instants:(edge_instants (Ref_classic.run cfg c ~drives).Ref_classic.edges)
+  in
+  check_classic
+    (Printf.sprintf "ties gates=%d seed=%d ties=%b" gates seed ties)
+    (Ref_classic.run ~injections cfg c ~drives)
+    (Classic.run ~injections cfg c ~drives);
+  true
+
+let prop_classic_tie_order =
   QCheck.Test.make ~name:"Classic == first-in first-out reference on random circuits"
-    ~count:60 classic_case_gen (fun (gates, seed, inject, ties) ->
-      let c, drives = random_workload ~ties ~gates ~seed in
-      let cfg = Classic.config tech in
-      let injections =
-        if not inject then []
-        else
-          classic_injections c ~seed
-            ~instants:(edge_instants (Ref_classic.run ~fifo:true cfg c ~drives).Ref_classic.edges)
-      in
-      let fifo = Ref_classic.run ~fifo:true ~injections cfg c ~drives in
-      let opt = Classic.run ~injections cfg c ~drives in
-      let label = Printf.sprintf "fifo gates=%d seed=%d ties=%b" gates seed ties in
-      check_stats_equal label opt.Classic.stats fifo.Ref_classic.stats;
-      check_edges_equal label (Lazy.force opt.Classic.edges) fifo.Ref_classic.edges;
-      opt.Classic.final_levels = fifo.Ref_classic.final_levels)
+    ~count:60 classic_case_gen classic_matches_tie_order
+
+(* The random property's known tie-rich counterexamples from when the
+   engine was checked against a plain first-in first-out order; each
+   has two transactions commit at one instant into one gate. *)
+let test_classic_tie_counterexamples () =
+  List.iter
+    (fun (gates, seed) ->
+      List.iter
+        (fun inject -> ignore (classic_matches_tie_order (gates, seed, inject, true)))
+        [ false; true ])
+    [ (7, 2005); (32, 8674); (34, 2097); (34, 8674); (20, 7330); (29, 4609); (16, 7554) ]
 
 (* A gate reading one signal on several pins evaluates once per change
    of that signal, priced at its lowest such pin.  [x] reads [a] on
@@ -876,10 +905,10 @@ let dc_circuit_gen =
       | 0 | 1 ->
           G.random_combinational ~gates:(20 + (seed mod 150)) ~inputs:(2 + (seed mod 9)) ~seed ()
       | 2 -> (G.sr_latch ()).G.latch_circuit
-      | 3 -> (G.d_latch ()).G.dl_circuit
+      | 3 -> (Fixtures.d_latch ()).Fixtures.dl_circuit
       | 4 -> (G.dff ()).G.dff_circuit
       | 5 -> (G.ripple_counter ~bits:(1 + (seed mod 4)) ()).G.ctr_circuit
-      | 6 -> (G.lfsr ~bits:(3 + (seed mod 3)) ~taps:[ 0; 2 ] ()).G.lfsr_circuit
+      | 6 -> (Fixtures.lfsr ~bits:(3 + (seed mod 3)) ~taps:[ 0; 2 ] ()).Fixtures.lfsr_circuit
       | _ -> gated_ring ()))
 
 (* [Dc.levels] settles in the compiled topological order, reading pins
@@ -957,7 +986,8 @@ let tests =
           test_classic_repeated_pin;
         Alcotest.test_case "Classic.start rejects a foreign compiled circuit" `Quick
           test_classic_foreign_compiled;
-        QCheck_alcotest.to_alcotest prop_classic_keeps_fifo_output;
+        QCheck_alcotest.to_alcotest prop_classic_tie_order;
+        Alcotest.test_case "classic tie counterexamples" `Quick test_classic_tie_counterexamples;
         QCheck_alcotest.to_alcotest prop_unboxed_heap_oracle;
         QCheck_alcotest.to_alcotest prop_cache_matches_reference;
         Alcotest.test_case "Iddm.run minor words per processed event" `Quick

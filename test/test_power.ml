@@ -32,14 +32,6 @@ let test_activity_step () =
   checki "no complete pulses" 0 report.Act.full_pulses;
   Alcotest.(check string) "label" "IDDM/DDM" report.Act.engine_label
 
-let test_activity_classic () =
-  let c = G.inverter_chain ~n:3 () in
-  let drives = [ (sid c "in", Drive.of_levels ~slope:100. ~initial:false [ (1000., true) ]) ] in
-  let r = Classic.run (Classic.config DL.tech) c ~drives in
-  let report = Act.of_classic r in
-  checki "total" 4 report.Act.total_transitions;
-  Alcotest.(check string) "label" "classic" report.Act.engine_label
-
 let test_overestimation () =
   let mk total = { Act.total_transitions = total; per_signal = [||]; full_pulses = 0; engine_label = "x" } in
   Alcotest.(check (float 1e-9)) "47%" 47.
@@ -165,7 +157,6 @@ let tests =
     ( "power.activity",
       [
         Alcotest.test_case "step counts" `Quick test_activity_step;
-        Alcotest.test_case "classic counts" `Quick test_activity_classic;
         Alcotest.test_case "overestimation pct" `Quick test_overestimation;
         Alcotest.test_case "busiest" `Quick test_busiest;
         Alcotest.test_case "cdm overestimates" `Quick test_cdm_overestimates_on_multiplier;

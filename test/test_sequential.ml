@@ -20,33 +20,34 @@ let level (r : Iddm.result) sid t = D.level_at r.Iddm.waveforms.(sid) ~vt t
 (* --- gated D latch --- *)
 
 let test_latch_transparent () =
-  let l = G.d_latch () in
+  let l = Fixtures.d_latch () in
   (* en high: q follows d *)
   let drives =
     [
-      (l.G.dl_en, Drive.constant true);
-      (l.G.dl_d, Drive.of_levels ~slope:100. ~initial:false [ (2000., true); (6000., false) ]);
+      (l.Fixtures.dl_en, Drive.constant true);
+      ( l.Fixtures.dl_d,
+        Drive.of_levels ~slope:100. ~initial:false [ (2000., true); (6000., false) ] );
     ]
   in
-  let r = Iddm.run (Iddm.config DL.tech) l.G.dl_circuit ~drives in
-  checkb "follows up" true (level r l.G.dl_q 4000.);
-  checkb "follows down" false (level r l.G.dl_q 9000.)
+  let r = Iddm.run (Iddm.config DL.tech) l.Fixtures.dl_circuit ~drives in
+  checkb "follows up" true (level r l.Fixtures.dl_q 4000.);
+  checkb "follows down" false (level r l.Fixtures.dl_q 9000.)
 
 let test_latch_holds () =
-  let l = G.d_latch () in
+  let l = Fixtures.d_latch () in
   (* capture 1, close the latch, wiggle d: q must hold *)
   let drives =
     [
-      (l.G.dl_en, Drive.of_levels ~slope:100. ~initial:true [ (4000., false) ]);
-      ( l.G.dl_d,
+      (l.Fixtures.dl_en, Drive.of_levels ~slope:100. ~initial:true [ (4000., false) ]);
+      ( l.Fixtures.dl_d,
         Drive.of_levels ~slope:100. ~initial:false
           [ (2000., true); (6000., false); (8000., true) ] );
     ]
   in
-  let r = Iddm.run (Iddm.config DL.tech) l.G.dl_circuit ~drives in
-  checkb "captured" true (level r l.G.dl_q 3500.);
-  checkb "holds through d wiggles" true (level r l.G.dl_q 9500.);
-  checkb "qb is the complement" false (level r l.G.dl_qb 9500.)
+  let r = Iddm.run (Iddm.config DL.tech) l.Fixtures.dl_circuit ~drives in
+  checkb "captured" true (level r l.Fixtures.dl_q 3500.);
+  checkb "holds through d wiggles" true (level r l.Fixtures.dl_q 9500.);
+  checkb "qb is the complement" false (level r l.Fixtures.dl_qb 9500.)
 
 (* --- DFF --- *)
 
@@ -171,17 +172,17 @@ let lfsr_step ~bits ~taps state =
 
 let test_lfsr_matches_software_model () =
   let bits = 4 and taps = [ 2; 3 ] and pulses = 10 in
-  let l = G.lfsr ~bits ~taps () in
+  let l = Fixtures.lfsr ~bits ~taps () in
   let period = 6000. in
   let clk = Halotis_stim.Vectors.clock ~slope:100. ~period ~start:2000. ~pulses () in
   let r =
     Iddm.run
       (Iddm.config ~budget:(Budget.make ~max_events:2_000_000 ()) DL.tech)
-      l.G.lfsr_circuit
-      ~drives:[ (l.G.lfsr_clk, clk) ]
+      l.Fixtures.lfsr_circuit
+      ~drives:[ (l.Fixtures.lfsr_clk, clk) ]
   in
   checkb "terminates" false r.Iddm.truncated;
-  let state_at t = List.map (fun s -> level r s t) l.G.lfsr_taps in
+  let state_at t = List.map (fun s -> level r s t) l.Fixtures.lfsr_taps in
   let initial = state_at 1000. in
   let expected = ref initial in
   List.iter
@@ -195,17 +196,17 @@ let test_lfsr_matches_software_model () =
 
 let test_lfsr_state_evolution () =
   let bits = 3 and taps = [ 1; 2 ] in
-  let l = G.lfsr ~bits ~taps () in
+  let l = Fixtures.lfsr ~bits ~taps () in
   let period = 6000. in
   let pulses = 6 in
   let clk = Halotis_stim.Vectors.clock ~slope:100. ~period ~start:2000. ~pulses () in
   let r =
     Iddm.run
       (Iddm.config ~budget:(Budget.make ~max_events:2_000_000 ()) DL.tech)
-      l.G.lfsr_circuit
-      ~drives:[ (l.G.lfsr_clk, clk) ]
+      l.Fixtures.lfsr_circuit
+      ~drives:[ (l.Fixtures.lfsr_clk, clk) ]
   in
-  let state_at t = List.map (fun s -> level r s t) l.G.lfsr_taps in
+  let state_at t = List.map (fun s -> level r s t) l.Fixtures.lfsr_taps in
   let states =
     List.init (pulses + 1) (fun k -> state_at (1900. +. (period *. float_of_int k)))
   in

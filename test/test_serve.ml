@@ -112,12 +112,16 @@ let request_gen : Protocol.request QCheck.Gen.t =
       return Protocol.Shutdown;
     ]
 
-let request_print r = Json.to_string ~indent:false (Protocol.request_to_json r)
+let request_print r = Protocol.request_to_line ~id:0 r
 let request_arb = QCheck.make ~print:request_print request_gen
 
 let prop_request_roundtrip =
   QCheck.Test.make ~name:"protocol request round-trip (json level)" ~count:500 request_arb
-    (fun r -> Protocol.request_of_json (Protocol.request_to_json r) = Ok r)
+    (fun r ->
+      (* the request object alone, without the framing's "id" *)
+      match Json.parse (Protocol.request_to_line ~id:7 r) with
+      | Ok (Json.Obj (("id", _) :: fields)) -> Protocol.request_of_json (Json.Obj fields) = Ok r
+      | _ -> false)
 
 let prop_request_wire_roundtrip =
   QCheck.Test.make ~name:"protocol request round-trip (wire level)" ~count:500 request_arb
@@ -737,11 +741,6 @@ let walk_requests =
     Protocol.Close 1;
   |]
 
-let framed ~id r =
-  match Protocol.request_to_json r with
-  | Json.Obj fields -> Json.to_string ~indent:false (Json.Obj (("id", Json.Num (float_of_int id)) :: fields))
-  | _ -> assert false
-
 (* One hostile line, given the id the connection expects next. *)
 let hostile_gen =
   let open QCheck.Gen in
@@ -760,14 +759,14 @@ let hostile_gen =
       ]
   in
   return (fun ~id ->
-      let line = framed ~id walk_requests.(base) in
+      let line = Protocol.request_to_line ~id walk_requests.(base) in
       match how with
       | 0 -> String.sub line 0 (cut mod (String.length line + 1))
       | 1 ->
           let b = Bytes.of_string line in
           List.iter (fun (i, c) -> Bytes.set b (i mod Bytes.length b) c) flips;
           Bytes.to_string b
-      | _ -> framed ~id (load_inline garbage))
+      | _ -> Protocol.request_to_line ~id (load_inline garbage))
 
 let prop_handle_line_never_raises =
   QCheck.Test.make ~name:"handle_line total on hostile lines" ~count:150
@@ -790,7 +789,7 @@ let prop_handle_line_never_raises =
       in
       let valid r =
         let id = !next in
-        if reply (framed ~id r) <> Some (Json.Bool true) then
+        if reply (Protocol.request_to_line ~id r) <> Some (Json.Bool true) then
           QCheck.Test.fail_reportf "valid request %d failed after hostile input" id
       in
       valid (Protocol.Hello Protocol.version);
@@ -819,7 +818,9 @@ let test_deep_nesting_line () =
       checkb "message at the first bracket too deep" true
         (field "message"
         = Some (Json.Str (Printf.sprintf "nesting too deep at offset %d" Json.max_depth)))));
-  ignore (expect_ok "next request" (send conn ~id:2 (framed ~id:2 (load_inline inline_hnl))))
+  ignore
+    (expect_ok "next request"
+       (send conn ~id:2 (Protocol.request_to_line ~id:2 (load_inline inline_hnl))))
 
 (* ------------------------------------------------------------------ *)
 

@@ -329,36 +329,33 @@ let test_survival_chain_map () =
   Alcotest.(check (float 0.)) "canonical width" 150. (Survival.width an);
   checkb "chain has candidates" true (Survival.candidates an <> []);
   checkb "no degenerate verdict" false (Survival.all_sites_filtered an);
-  Array.iter
-    (fun (g : N.gate) ->
-      match Survival.gate_attenuation an g.N.gate_id with
-      | Some _ -> ()
-      | None ->
-          Alcotest.failf "%s filters the canonical pulse outright"
-            (N.gate_name c g.N.gate_id))
-    (N.gates c);
+  let module J = Halotis_util.Json in
+  let j = Survival.to_json an in
+  let rows name = match J.member name j with Some a -> J.to_list a | None -> [] in
+  let num field row =
+    match J.member field row with Some (J.Num x) -> x | _ -> infinity
+  in
+  let str field row = match J.member field row with Some (J.Str s) -> s | _ -> "" in
+  List.iter
+    (fun g ->
+      if J.member "attenuation_bound" g = Some J.Null then
+        Alcotest.failf "%s filters the canonical pulse outright" (str "gate" g))
+    (rows "gates");
   (* every candidate survives to the single output at some width, and
      the weakest-surviving summary agrees with the per-site bound *)
-  (match Survival.weakest_surviving an with
-  | [ (po, w) ] ->
-      Alcotest.(check string) "one output" "out" (N.signal_name c po);
-      checkb "weakest width is feasible" true (Float.is_finite w && w > 0.);
-      checkb "weakest is the min over sites" true
-        (List.exists
-           (fun sid ->
-             Float.min
-               (Survival.surviving_width an sid ~rising:true)
-               (Survival.surviving_width an sid ~rising:false)
-             = w)
-           (Survival.candidates an))
-  | l -> Alcotest.failf "expected one output, got %d" (List.length l));
-  (* deeper sites need wider pulses: more gates left to attenuate *)
-  let min_w name =
-    let sid = sid c name in
-    Float.min
-      (Survival.surviving_width an sid ~rising:true)
-      (Survival.surviving_width an sid ~rising:false)
+  let site_min =
+    List.map (fun s -> (str "signal" s, Float.min (num "rise" s) (num "fall" s))) (rows "sites")
   in
+  (match rows "outputs" with
+  | [ po ] ->
+      let w = num "weakest_surviving_width" po in
+      Alcotest.(check string) "one output" "out" (str "output" po);
+      checkb "weakest width is feasible" true (Float.is_finite w && w > 0.);
+      checkb "weakest is the min over sites" true (List.exists (fun (_, m) -> m = w) site_min)
+  | l -> Alcotest.failf "expected one output, got %d" (List.length l));
+  checki "every candidate is a site" (List.length (Survival.candidates an)) (List.length site_min);
+  (* deeper sites need wider pulses: more gates left to attenuate *)
+  let min_w name = List.assoc name site_min in
   checkb "first stage needs the widest pulse" true (min_w "out1" >= min_w "out3")
 
 let test_survival_constant_site_excluded () =

@@ -29,7 +29,7 @@ let test_bit () =
   checkb "bit2" true (V.bit 5 2)
 
 let test_random_ops_range () =
-  let ops = V.random_ops ~bits:4 ~count:50 ~seed:1 in
+  let ops = Fixtures.random_ops ~bits:4 ~count:50 ~seed:1 in
   checki "count" 50 (List.length ops);
   List.iter
     (fun { V.op_a; op_b } ->
@@ -38,13 +38,19 @@ let test_random_ops_range () =
     ops
 
 let test_random_ops_deterministic () =
-  checkb "same seed" true (V.random_ops ~bits:4 ~count:10 ~seed:3 = V.random_ops ~bits:4 ~count:10 ~seed:3);
-  checkb "different seed" false
-    (V.random_ops ~bits:4 ~count:10 ~seed:3 = V.random_ops ~bits:4 ~count:10 ~seed:4)
+  let ops seed = Fixtures.random_ops ~bits:4 ~count:10 ~seed in
+  checkb "same seed" true (ops 3 = ops 3);
+  checkb "different seed" false (ops 3 = ops 4)
+
+(* The multiplicand bus's drives for a sequence of multiplicand values. *)
+let bus_drives values =
+  let m = G.array_multiplier ~m:4 ~n:4 () in
+  let ops = List.map (fun v -> { V.op_a = v; op_b = 0 }) values in
+  V.multiplier_drives ~slope:100. ~period:1000. ~a_bits:m.G.ma_bits ~b_bits:m.G.mb_bits ops
+  |> List.filteri (fun i _ -> i < 4)
 
 let test_bus_drives () =
-  let m = G.array_multiplier ~m:4 ~n:4 () in
-  let drives = V.bus_drives ~slope:100. ~period:1000. ~bits:m.G.ma_bits ~values:[ 0x0; 0xF; 0x0 ] in
+  let drives = bus_drives [ 0x0; 0xF; 0x0 ] in
   checki "one drive per bit" 4 (List.length drives);
   List.iter
     (fun (_, d) ->
@@ -59,14 +65,12 @@ let test_bus_drives () =
     drives
 
 let test_bus_drives_dedup () =
-  let m = G.array_multiplier ~m:4 ~n:4 () in
   (* value never changes: no transitions at all *)
-  let drives = V.bus_drives ~slope:100. ~period:1000. ~bits:m.G.ma_bits ~values:[ 0x3; 0x3; 0x3 ] in
+  let drives = bus_drives [ 0x3; 0x3; 0x3 ] in
   List.iter (fun (_, d) -> checki "no changes" 0 (List.length d.Drive.transitions)) drives
 
 let test_bus_drives_empty () =
-  let m = G.array_multiplier ~m:4 ~n:4 () in
-  let drives = V.bus_drives ~slope:100. ~period:1000. ~bits:m.G.ma_bits ~values:[] in
+  let drives = bus_drives [] in
   checki "constant drives" 4 (List.length drives);
   List.iter (fun (_, d) -> checkb "flat" true (d.Drive.transitions = [])) drives
 
@@ -174,11 +178,11 @@ let tests =
   ]
 
 let test_walking_ones () =
-  let p = V.walking_ones ~bits:3 in
+  let p = Fixtures.walking_ones ~bits:3 in
   Alcotest.(check (list int)) "pattern" [ 0; 1; 0; 2; 0; 4; 0 ] p
 
 let test_gray_code () =
-  let g = V.gray_code ~bits:3 in
+  let g = Fixtures.gray_code ~bits:3 in
   checki "length" 8 (List.length g);
   (* exactly one bit flips between consecutive codes *)
   let rec check = function

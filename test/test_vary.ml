@@ -83,7 +83,7 @@ let test_sampler_covers_all_gates () =
   let c = Lazy.force chain in
   let sg = Sampler.sigmas ~device:0.1 () in
   checki "every gate gets a corner" (N.gate_count c)
-    (Overlay.cardinal (Sampler.sample sg ~seed:7 ~index:0 c))
+    (List.length (Overlay.to_list (Sampler.sample sg ~seed:7 ~index:0 c)))
 
 (* ------------------------------------------------------------------ *)
 (* Aging                                                              *)
@@ -95,7 +95,10 @@ let test_aging_identity_at_zero () =
   checkb "overlay is exactly empty" true
     (Overlay.is_empty (Aging.overlay ~stress_hours:0. ~gates:5));
   checkb "age_scale is the physical identity" true
-    (Overlay.scale_is_identity (Aging.age_scale ~stress_hours:0. Overlay.scale_identity))
+    (let s = Aging.age_scale ~stress_hours:0. Overlay.scale_identity in
+     (* an identity entry binds nothing *)
+     Overlay.is_empty
+       (Overlay.set Overlay.empty ~gate:0 { Overlay.entry_identity with Overlay.en_rise = s }))
 
 let test_aging_shifts () =
   let s = Aging.age_scale ~stress_hours:10000. Overlay.scale_identity in
@@ -203,9 +206,33 @@ let test_vary_report_deterministic () =
   checki "three samples tallied" 3 (List.length a.Vary_report.vr_samples);
   checkb "nominal owns index -1" true (a.Vary_report.vr_nominal.Vary_report.vs_index = -1)
 
+(* A report whose samples mask 3, 1 and 2 of ten sites. *)
 let test_percentiles () =
-  checkb "empty list has no percentiles" true (Vary_report.percentiles [] = None);
-  match Vary_report.percentiles [ 0.3; 0.1; 0.2 ] with
+  let verdict propagated =
+    {
+      Campaign.vd_site =
+        {
+          Halotis_fault.Site.st_signal = 0;
+          st_gate = 0;
+          st_polarity = Halotis_wave.Transition.Rising;
+          st_at = 0.;
+        };
+      vd_outcome = (if propagated then Campaign.Propagated else Campaign.Logically_masked);
+      vd_po_edges_delta = 0;
+      vd_first_diff_output = None;
+      vd_stats = Halotis_engine.Stats.create ();
+    }
+  in
+  let masking k = List.init 10 (fun i -> verdict (i >= k)) in
+  let report samples =
+    Vary_report.make ~circuit:"c" ~engine:"ddm" ~seed:1 ~sigmas:Sampler.zero ~stress_hours:0.
+      ~nominal:(masking 0) ~samples ()
+  in
+  checkb "no samples, no percentiles" true (Vary_report.masking_percentiles (report []) = None);
+  match
+    Vary_report.masking_percentiles
+      (report (List.mapi (fun i k -> (i, "", masking k)) [ 3; 1; 2 ]))
+  with
   | None -> Alcotest.fail "non-empty list must summarize"
   | Some p ->
       checkb "median" true (p.Vary_report.pc_p50 = 0.2);
@@ -225,7 +252,7 @@ let test_cache_overlay_isolation () =
   in
   let key ov = Circuit_cache.key_of_source source ^ "\x00" ^ Overlay.fingerprint ov in
   checkb "corner fingerprint differs from nominal" true
-    (Overlay.fingerprint corner <> Overlay.empty_fingerprint);
+    (Overlay.fingerprint corner <> Overlay.fingerprint Overlay.empty);
   checkb "corner keys a different cache slot" true (key Overlay.empty <> key corner);
   let cache = Circuit_cache.create ~capacity:4 in
   let c =

@@ -66,8 +66,8 @@ let test_polarity_helpers () =
 let test_waveform_flat () =
   let w = W.create ~vdd () in
   checkf "initial" 0. (W.value_at w 123.);
-  checkb "no last" true (W.last_segment w = None);
-  checkb "no crossing" true (W.crossing_of_last w ~vt:2.5 = None);
+  checkb "no last" true (Float.is_nan (W.last_start_or_nan w));
+  checkb "no crossing" true (Float.is_nan (W.last_crossing w ~vt:2.5));
   checki "no edges" 0 (D.edge_count w ~vt:2.5)
 
 let test_waveform_step () =
@@ -78,7 +78,7 @@ let test_waveform_step () =
   checkf "before" 0. (W.value_at w 50.);
   checkf "mid" 2.5 (W.value_at w 150.);
   checkf "after" 5. (W.value_at w 500.);
-  checkb "last start" true (W.last_start w = Some 100.)
+  checkf "last start" 100. (W.last_start_or_nan w)
 
 let test_waveform_noop_append () =
   let w = W.create ~vdd () in
@@ -157,15 +157,11 @@ let test_waveform_same_polarity_resume () =
 let test_crossing_of_last () =
   let w = W.create ~vdd () in
   ignore (W.append w (rise ~start:100. ~tau:100.));
-  (match W.crossing_of_last w ~vt:4. with
-  | Some c -> checkf "crossing" 180. c
-  | None -> Alcotest.fail "expected crossing");
+  checkf "crossing" 180. (W.last_crossing w ~vt:4.);
   ignore (W.append w (fall ~start:150. ~tau:100.));
   (* fall starts at 2.5 V: crossing of 4.0 V is impossible now *)
-  checkb "unreachable" true (W.crossing_of_last w ~vt:4. = None);
-  match W.crossing_of_last w ~vt:1. with
-  | Some c -> checkf "fall crossing" (150. +. (1.5 /. 5. *. 100.)) c
-  | None -> Alcotest.fail "expected fall crossing"
+  checkb "unreachable" true (Float.is_nan (W.last_crossing w ~vt:4.));
+  checkf "fall crossing" (150. +. (1.5 /. 5. *. 100.)) (W.last_crossing w ~vt:1.)
 
 let test_crossings_skip_truncated () =
   let w = W.create ~vdd () in
@@ -685,58 +681,5 @@ let tests =
         [
           Alcotest.test_case "latencies" `Quick test_measure_latencies;
           Alcotest.test_case "empty" `Quick test_measure_empty;
-        ] );
-    ]
-
-(* --- hysteresis --- *)
-
-let test_hysteresis_clean_pulse () =
-  let w = W.create ~vdd () in
-  ignore (W.append w (rise ~start:100. ~tau:100.));
-  ignore (W.append w (fall ~start:500. ~tau:100.));
-  let es = D.edges_hysteresis w ~vt_low:1.5 ~vt_high:3.5 in
-  checki "two edges" 2 (List.length es);
-  match es with
-  | [ e1; e2 ] ->
-      (* rise reported at the vt_high crossing, fall at vt_low *)
-      checkf "rise at 3.5V" (100. +. (3.5 /. 5. *. 100.)) e1.D.at;
-      checkf "fall at 1.5V" (500. +. (3.5 /. 5. *. 100.)) e2.D.at
-  | _ -> Alcotest.fail "shape"
-
-let test_hysteresis_suppresses_band_runts () =
-  (* a runt peaking at 2.5 V: a mid-threshold observer chatters, the
-     Schmitt trigger stays silent *)
-  let w = W.create ~vdd () in
-  ignore (W.append w (rise ~start:100. ~tau:100.));
-  ignore (W.append w (fall ~start:150. ~tau:100.));
-  checki "single threshold sees it" 2 (D.edge_count w ~vt:2.0);
-  checki "hysteresis silent" 0
-    (List.length (D.edges_hysteresis w ~vt_low:1.5 ~vt_high:3.5))
-
-let test_hysteresis_validation () =
-  let w = W.create ~vdd () in
-  checkb "raises" true
-    (try
-       ignore (D.edges_hysteresis w ~vt_low:3.0 ~vt_high:2.0);
-       false
-     with Invalid_argument _ -> true)
-
-let test_hysteresis_initial_high () =
-  let w = W.create ~initial:vdd ~vdd () in
-  ignore (W.append w (fall ~start:100. ~tau:100.));
-  match D.edges_hysteresis w ~vt_low:1.5 ~vt_high:3.5 with
-  | [ e ] -> checkb "falling" true (T.equal_polarity e.D.polarity T.Falling)
-  | l -> Alcotest.failf "expected one edge, got %d" (List.length l)
-
-let tests =
-  tests
-  @ [
-      ( "wave.hysteresis",
-        [
-          Alcotest.test_case "clean pulse" `Quick test_hysteresis_clean_pulse;
-          Alcotest.test_case "band runts suppressed" `Quick
-            test_hysteresis_suppresses_band_runts;
-          Alcotest.test_case "validation" `Quick test_hysteresis_validation;
-          Alcotest.test_case "initial high" `Quick test_hysteresis_initial_high;
         ] );
     ]
