@@ -50,13 +50,9 @@ let run_campaign ~jobs out =
 
 let run () =
   section "JOBS -- supervised fault campaigns: identity and scaling (extension)";
-  Printf.printf "circuit mult4x4, %d injections, seed %d, host cores: %s\n\n" injections
+  Printf.printf "circuit mult4x4, %d injections, seed %d, host cores: %d\n\n" injections
     seed
-    (try String.trim (In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all)
-         |> String.split_on_char '\n'
-         |> List.filter (fun l -> String.length l > 9 && String.sub l 0 9 = "processor")
-         |> List.length |> string_of_int
-     with Sys_error _ -> "?");
+    (Halotis_fault.Shard.available_cores ());
   let out = Filename.temp_file "halotis_jobs" ".json" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())

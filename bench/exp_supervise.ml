@@ -4,7 +4,7 @@
    of chunks with heartbeats, retry/backoff and poison quarantine.  Its
    costs are (a) a fixed overhead over the serial in-process run —
    process spawns, per-chunk re-parse and baseline, per-verdict fsyncs
-   with a cursor, and the merge — and (b) recovery cost per injected
+   and the merge — and (b) recovery cost per injected
    worker death.  This experiment measures both: a supervised campaign
    with 0, 1 and 2 injected SIGKILLs (bounded by a chaos token
    directory) against the serial `--jobs 1` run, the same denominator

@@ -672,10 +672,10 @@ let run_vary a samples sigma_device sigma_chip sigma_lot stress_hours ttf =
     @ [ "--sigma-device"; farg sigma_device; "--sigma-chip"; farg sigma_chip ]
     @ [ "--sigma-lot"; farg sigma_lot; "--stress-hours"; farg stress_hours ]
   in
-  (* A worker replays the nominal campaign and its sample's baseline
-     before its first verdict moves the heartbeat cursor, so the stall
-     timeout must outlast that silent start even when all [jobs] workers
-     share a single core. *)
+  (* A worker replays the nominal campaign before it opens its chunk
+     journal, and its sample's baseline before its first verdict grows
+     it, so the stall timeout must outlast each silent stretch even
+     when all [jobs] workers share a single core. *)
   let worker_timeout = Float.max 30. (2. *. float jobs *. nominal_s) in
   match
     drive_campaign ~cmd:"vary" a ~jobs ~journal ~horizon ~extra ~quarantine:Driver.Fail
@@ -1176,9 +1176,10 @@ let range_arg =
     & info [ "range" ] ~docv:"LO:HI"
         ~doc:
           "Internal (spawned by the campaign supervisor): run as a worker owning \
-           global site indices [LO, HI), journaling each verdict fsynced with a \
-           heartbeat cursor into $(b,--journal); an existing chunk journal is \
-           resumed automatically.  No report is rendered.")
+           global site indices [LO, HI), journaling each verdict fsynced into \
+           $(b,--journal), whose growth is the supervisor's heartbeat; an \
+           existing chunk journal is resumed automatically.  No report is \
+           rendered.")
 
 (* The flags [faults] and [vary] share; only their help texts differ. *)
 let campaign_term ~n_doc ~seed_doc ~jobs_doc =
@@ -1261,8 +1262,9 @@ let faults_cmd =
          that repeatedly crash or hang workers are quarantined (the campaign then \
          completes $(i,degraded), exit code 5, with the quarantined sites listed \
          in the report).  The merged report is byte-identical to $(b,--jobs) 1 \
-         with the same seed.  N=0 auto-detects the available cores (getconf, \
-         falling back to /proc/cpuinfo).  Default: 1 (serial, in-process)."
+         with the same seed.  N=0 uses the core count the OCaml runtime \
+         recommends (the online cores, at most 128).  Default: 1 (serial, \
+         in-process)."
   in
   let exhaustive =
     Arg.(
@@ -1363,8 +1365,8 @@ let vary_cmd =
          stall-kill (after the larger of 30 s and 2N nominal passes without \
          progress) and retry; a strike that repeatedly crashes or hangs its \
          worker is quarantined and fails the run.  The report is byte-identical \
-         to $(b,--jobs) 1 with the same seed.  N=0 auto-detects the available \
-         cores.  Default: 1 (serial)."
+         to $(b,--jobs) 1 with the same seed.  N=0 uses the core count the OCaml \
+         runtime recommends.  Default: 1 (serial)."
   in
   let samples =
     Arg.(

@@ -6,35 +6,6 @@ type kind = Cdm | Ddm
 
 let kind_to_string = function Cdm -> "CDM" | Ddm -> "DDM"
 
-type request = {
-  rising_out : bool;
-  pin : int;
-  tau_in : float;
-  t_event : float;
-  last_output_start : float option;
-}
-
-type response = { tp : float; tau_out : float; tp_nominal : float; degraded : bool }
-
-let compute tech ~gate_tech ~cl kind req =
-  let p = Tech.edge gate_tech ~rising:req.rising_out in
-  let pin_factor = gate_tech.Tech.pin_factor req.pin in
-  let tp0 = Tech.base_delay p ~pin_factor ~cl ~tau_in:req.tau_in in
-  let tau_out = Tech.output_slope p ~cl in
-  match kind with
-  | Cdm -> { tp = tp0; tau_out; tp_nominal = tp0; degraded = false }
-  | Ddm -> (
-      match req.last_output_start with
-      | None -> { tp = tp0; tau_out; tp_nominal = tp0; degraded = false }
-      | Some t_last ->
-          let time_since_last = req.t_event +. tp0 -. t_last in
-          let tau = Tech.degradation_tau tech p ~cl in
-          let t0 = Tech.degradation_t0 tech p ~tau_in:req.tau_in in
-          let tp =
-            Halotis_tech.Calibrate.predicted_delay ~tp0 ~tau ~t0 ~time_since_last
-          in
-          { tp; tau_out; tp_nominal = tp0; degraded = tp < tp0 -. 1e-9 })
-
 (* Per-run coefficient cache.  [Tech.gate_tech] is a lookup per call
    (each kind's cell is resolved once and kept), and the load term,
    output slope, degradation tau and the T0 coefficient of eqs. 2-3 are
@@ -45,8 +16,9 @@ let compute tech ~gate_tech ~cl kind req =
    Layout: edge-indexed arrays use slot [2 * gid] for a rising output
    edge and [2 * gid + 1] for a falling one; per-pin factors are
    flattened with a per-gate offset table.  All partial expressions are
-   evaluated exactly as {!compute} associates them, so cached delays are
-   bit-identical to evaluating [compute] on the cell record. *)
+   associated exactly as in the uncached evaluation of eqs. 1-3 on the
+   cell record (the test suite's [Ref_delay.compute]), so cached delays
+   are bit-identical to it. *)
 module Cache = struct
   (* Coefficients are interleaved, five per (gate, edge), so one delay
      evaluation reads a single run of adjacent floats:

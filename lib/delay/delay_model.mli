@@ -19,32 +19,6 @@ type kind = Cdm | Ddm
 
 val kind_to_string : kind -> string
 
-type request = {
-  rising_out : bool;  (** direction of the candidate output transition *)
-  pin : int;  (** input pin whose event triggers the evaluation *)
-  tau_in : float;  (** slope time of the causing input transition, ps *)
-  t_event : float;  (** instant of the input event, ps *)
-  last_output_start : float option;
-      (** start of the most recent live output transition; [None] when
-          the output never switched *)
-}
-
-type response = {
-  tp : float;  (** propagation delay to the output ramp start, ps; >= 0 *)
-  tau_out : float;  (** output ramp full-swing time, ps *)
-  tp_nominal : float;  (** the undegraded [tp0], ps *)
-  degraded : bool;  (** [tp < tp_nominal] beyond tolerance *)
-}
-
-val compute :
-  Halotis_tech.Tech.t ->
-  gate_tech:Halotis_tech.Tech.gate_tech ->
-  cl:float ->
-  kind ->
-  request ->
-  response
-(** Evaluates the chosen model.  [cl] is the output load in fF. *)
-
 (** Per-run delay coefficient cache.
 
     [Tech.gate_tech] re-resolves the cell record (and, with the default
@@ -55,9 +29,10 @@ val compute :
     A [Cache.t] precomputes all of them once at [run] setup into flat
     unboxed arrays.
 
-    Delays are bit-identical to {!compute} on the gate's cell record
-    and output load: every partial expression is associated exactly as
-    [compute] associates it. *)
+    Delays are bit-identical to evaluating eqs. 1-3 straight from the
+    gate's cell record and output load (the test suite's uncached
+    reference, [test/ref_delay.ml]): every partial expression is
+    associated exactly as there. *)
 module Cache : sig
   type t
 
@@ -87,10 +62,13 @@ module Cache : sig
     t_event:float ->
     last_output_start:float ->
     unit
-  (** {!compute} for the event hot paths, with no record built: scalar
-      arguments instead of a {!request} ([last_output_start] is
-      [Float.nan] when the output has no previous live transition), and
-      the [tp] / [tau_out] results are deposited in the cache — read
+  (** Evaluates the model for gate [gid]'s candidate output edge
+      ([rising_out]), triggered on input [pin] by a ramp of slope
+      [tau_in] at [t_event]; [last_output_start] is the start of the
+      output's most recent live transition, [Float.nan] when there is
+      none.  No record is built: the [tp] (propagation delay to the
+      output ramp start, ps, >= 0) and [tau_out] (output ramp
+      full-swing time, ps) results are deposited in the cache — read
       them with {!tp} and {!tau_out} before the next [eval].  Eq. 2 is
       evaluated inline, so the call allocates nothing beyond the boxes
       of its float arguments (under the dev profile a float that

@@ -22,11 +22,11 @@ type result = { campaigns : Campaign.t array; exit_code : int }
 let usage ?hint m = Diag.fail ~code:"usage" ?hint m
 
 let resolve_jobs ?(log = ignore) jobs =
-  if jobs < 0 then usage "--jobs must be non-negative (0 auto-detects cores)";
+  if jobs < 0 then usage "--jobs must be non-negative (0 uses the recommended core count)";
   if jobs > 0 then jobs
   else begin
     let n = Shard.available_cores () in
-    log (Printf.sprintf "--jobs 0: using %d detected core%s" n (if n = 1 then "" else "s"));
+    log (Printf.sprintf "--jobs 0: using %d core%s" n (if n = 1 then "" else "s"));
     n
   end
 
@@ -276,7 +276,7 @@ let run_worker ?(log = ignore) ?(chaos = no_chaos) plan ~range:(lo, hi) ~journal
   let open_fresh () =
     ( [],
       [],
-      Journal.open_new ~sync_every:1 ~cursor:true journal
+      Journal.open_new ~sync_every:1 journal
         (Journal.header_of ~circuit ~range:(lo, hi) cfg) )
   in
   let completed, quarantined, writer =
@@ -290,7 +290,7 @@ let run_worker ?(log = ignore) ?(chaos = no_chaos) plan ~range:(lo, hi) ~journal
             (Printf.sprintf "range [%d,%d): resuming %s: %d of %d entries kept" lo hi journal
                (List.length completed + List.length quarantined)
                (hi - lo));
-          (completed, quarantined, Journal.open_append ~sync_every:1 ~cursor:true journal)
+          (completed, quarantined, Journal.open_append ~sync_every:1 journal)
       | exception Diag.Fail _ ->
           (* died inside the header write: nothing durable to keep *)
           open_fresh ()

@@ -22,12 +22,12 @@
     holds only serial journals, and a serial resume of a base that holds
     only chunk journals, are usage errors naming the mode to use.
 
-    {b Cleanup.}  Chunk cursors and chaos sentinels are removed on every
-    exit.  Without a journal the campaign runs on a private temporary
-    directory that is removed on every exit, failures included.  A
-    user's base keeps its chunk journals and worker stderr captures when
-    the run fails, so it can be resumed and diagnosed; on success they
-    are removed.  Supervision files are listed by {!Shard.chunk_files}. *)
+    {b Cleanup.}  Chaos sentinels are removed on every exit.  Without a
+    journal the campaign runs on a private temporary directory that is
+    removed on every exit, failures included.  A user's base keeps its
+    chunk journals and worker stderr captures when the run fails, so it
+    can be resumed and diagnosed; on success they are removed.
+    Supervision files are listed by {!Shard.chunk_files}. *)
 
 type plan
 
@@ -59,7 +59,7 @@ type result = {
 }
 
 val resolve_jobs : ?log:(string -> unit) -> int -> int
-(** A [--jobs] count: [0] auto-detects the available cores
+(** A [--jobs] count: [0] asks the OCaml runtime how many cores to use
     ({!Shard.available_cores}) and logs the choice.
     @raise Halotis_guard.Diag.Fail ([usage]) on a negative count. *)
 
@@ -122,8 +122,8 @@ val run_worker :
   unit
 (** The supervised worker: simulates global indices [\[lo, hi)], which
     must lie inside one part, journaling each verdict under its global
-    index into the chunk journal [journal], fsynced per verdict with a
-    heartbeat cursor.  An existing chunk journal is resumed, quarantine
-    records included.
+    index into the chunk journal [journal], fsynced per verdict: the
+    journal's growth is the supervisor's heartbeat.  An existing chunk
+    journal is resumed, quarantine records included.
     @raise Halotis_guard.Diag.Fail ([usage]) on a range outside the plan
     or across parts, ([journal-mismatch]) on a foreign chunk journal. *)

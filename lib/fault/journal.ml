@@ -169,64 +169,18 @@ let parse_entry_line line =
   | _ ->
       Option.map (fun (idx, v) -> (idx, Verdict v)) (parse_verdict_line line)
 
-(* --- progress cursor ------------------------------------------------
-
-   A sidecar file ("journal.cursor") holding the highest fsync'd entry
-   index as one ASCII integer — the supervisor's heartbeat.  It is
-   rewritten in place and fsync'd only {e after} the journal itself has
-   been synced, so it may understate progress (a kill between the two
-   fsyncs) but never overstate it. *)
-
 let cursor_path path = path ^ ".cursor"
 
-let read_cursor path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | content -> int_of_string_opt (String.trim content)
-  | exception Sys_error _ -> None
-
-let write_cursor_fd fd idx =
-  let s = string_of_int idx ^ "\n" in
-  let b = Bytes.of_string s in
-  ignore (Unix.lseek fd 0 Unix.SEEK_SET);
-  let rec put o =
-    if o < Bytes.length b then put (o + Unix.write fd b o (Bytes.length b - o))
-  in
-  put 0;
-  Unix.ftruncate fd (Bytes.length b);
-  Unix.fsync fd
-
-type writer = {
-  oc : out_channel;
-  sync_every : int;
-  mutable unsynced : int;
-  cursor_fd : Unix.file_descr option;
-  mutable last_idx : int;  (** highest entry index written; [-1] = none yet *)
-}
+type writer = { oc : out_channel; sync_every : int; mutable unsynced : int }
 
 let sync w =
   flush w.oc;
   Unix.fsync (Unix.descr_of_out_channel w.oc);
-  w.unsynced <- 0;
-  match w.cursor_fd with
-  | Some fd when w.last_idx >= 0 -> write_cursor_fd fd w.last_idx
-  | Some _ | None -> ()
+  w.unsynced <- 0
 
-let open_cursor ~cursor path =
-  if not cursor then None
-  else
-    Some (Unix.openfile (cursor_path path) [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644)
-
-let open_new ?(sync_every = 8) ?(cursor = false) path h =
+let open_new ?(sync_every = 8) path h =
   let oc = open_out path in
-  let w =
-    {
-      oc;
-      sync_every = max 1 sync_every;
-      unsynced = 0;
-      cursor_fd = open_cursor ~cursor path;
-      last_idx = -1;
-    }
-  in
+  let w = { oc; sync_every = max 1 sync_every; unsynced = 0 } in
   output_string oc (magic ^ "\n");
   output_string oc (Printf.sprintf "! circuit %s\n" h.jh_circuit);
   let w0, w1 =
@@ -247,7 +201,7 @@ let open_new ?(sync_every = 8) ?(cursor = false) path h =
   sync w;
   w
 
-let open_append ?(sync_every = 8) ?(cursor = false) path =
+let open_append ?(sync_every = 8) path =
   (* A torn final record (the crash wrote half a line) must go before
      appending, or the next verdict line would begin mid-record and a
      later {!load} would reject the file. *)
@@ -258,18 +212,10 @@ let open_append ?(sync_every = 8) ?(cursor = false) path =
   let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
   Unix.ftruncate fd keep;
   ignore (Unix.lseek fd keep Unix.SEEK_SET);
-  let oc = Unix.out_channel_of_descr fd in
-  {
-    oc;
-    sync_every = max 1 sync_every;
-    unsynced = 0;
-    cursor_fd = open_cursor ~cursor path;
-    last_idx = -1;
-  }
+  { oc = Unix.out_channel_of_descr fd; sync_every = max 1 sync_every; unsynced = 0 }
 
 let write_entry w idx e =
   output_string w.oc (entry_line idx e ^ "\n");
-  w.last_idx <- idx;
   w.unsynced <- w.unsynced + 1;
   if w.unsynced >= w.sync_every then sync w
 
@@ -278,7 +224,6 @@ let write_quarantine w idx = write_entry w idx Quarantined
 
 let close w =
   sync w;
-  (match w.cursor_fd with Some fd -> Unix.close fd | None -> ());
   close_out w.oc
 
 let parse_fail path msg =

@@ -36,10 +36,9 @@
     journal's record stream; {!contiguous} then recovers the plain
     entry list (or pinpoints the missing site after a worker died).
 
-    Supervised workers additionally maintain a {e progress cursor} — a
-    sidecar file ({!cursor_path}) holding the highest fsync'd entry
-    index — which the supervisor polls as a heartbeat and to pick the
-    blame site after a kill. *)
+    A supervised worker's chunk journal is also its heartbeat: the
+    worker fsyncs every verdict, and the supervisor watches the file's
+    size. *)
 
 type header = {
   jh_circuit : string;
@@ -81,13 +80,11 @@ type entry =
 
 type writer
 
-val open_new : ?sync_every:int -> ?cursor:bool -> string -> header -> writer
+val open_new : ?sync_every:int -> string -> header -> writer
 (** Creates (or truncates) the journal, writes and fsyncs the header.
-    [sync_every] (default 8) is how many verdicts may sit unsynced.
-    [cursor] (default false) additionally maintains the fsync'd
-    progress-cursor sidecar at {!cursor_path}. *)
+    [sync_every] (default 8) is how many verdicts may sit unsynced. *)
 
-val open_append : ?sync_every:int -> ?cursor:bool -> string -> writer
+val open_append : ?sync_every:int -> string -> writer
 (** Opens an existing journal for appending after a {!load}; writes
     nothing until {!write}. *)
 
@@ -103,14 +100,9 @@ val close : writer -> unit
 (** Final flush + fsync + close. *)
 
 val cursor_path : string -> string
-(** [cursor_path journal] is ["journal.cursor"], the sidecar holding
-    the highest fsync'd entry index as one ASCII integer. *)
-
-val read_cursor : string -> int option
-(** Reads a cursor sidecar (pass the {e journal} path's
-    {!cursor_path}); [None] when missing or torn.  The value may
-    understate the journal's true progress (the sidecar is synced after
-    the journal) but never overstates it. *)
+(** ["journal.cursor"], a name kept only for the benchmark harness
+    ([perfbench/]), which removes the file: nothing writes it any more.
+    It will be deleted in the next change to that harness. *)
 
 val load : string -> header * (int * entry) list
 (** Parses a journal: the header and the entries paired with their

@@ -1,55 +1,6 @@
 module Diag = Halotis_guard.Diag
 
-(* Core-count autodetection for [--jobs 0].  [getconf] is POSIX and
-   respects the process's scheduling restrictions on glibc; [sysctl]
-   covers the BSDs and macOS, and the /proc/cpuinfo scan is the last
-   resort for stripped-down Linux containers.  Never raises — an
-   undetectable count degrades to serial.  The parsing is split from
-   the process/file plumbing so tests can stub the readers. *)
-
-let parse_core_count line =
-  match int_of_string_opt (String.trim line) with
-  | Some n when n >= 1 -> Some n
-  | _ -> None
-
-let count_cpuinfo_processors contents =
-  let n = ref 0 in
-  String.split_on_char '\n' contents
-  |> List.iter (fun line ->
-         if String.length line >= 9 && String.sub line 0 9 = "processor" then incr n);
-  if !n > 0 then Some !n else None
-
-let read_command_line cmd =
-  try
-    let ic = Unix.open_process_in cmd in
-    let line = try Some (input_line ic) with End_of_file -> None in
-    match (Unix.close_process_in ic, line) with
-    | Unix.WEXITED 0, Some l -> Some l
-    | _ -> None
-  with Unix.Unix_error _ | Sys_error _ -> None
-
-let read_file_contents path =
-  try
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Some (really_input_string ic (in_channel_length ic)))
-  with Sys_error _ | End_of_file -> None
-
-let detect_cores ?(getconf = fun () -> read_command_line "getconf _NPROCESSORS_ONLN 2>/dev/null")
-    ?(sysctl = fun () -> read_command_line "sysctl -n hw.ncpu 2>/dev/null")
-    ?(cpuinfo = fun () -> read_file_contents "/proc/cpuinfo") () =
-  match Option.bind (getconf ()) parse_core_count with
-  | Some n -> n
-  | None -> (
-      match Option.bind (sysctl ()) parse_core_count with
-      | Some n -> n
-      | None -> (
-          match Option.bind (cpuinfo ()) count_cpuinfo_processors with
-          | Some n -> n
-          | None -> 1))
-
-let available_cores () = detect_cores ()
+let available_cores = Domain.recommended_domain_count
 
 let journal_path base k = Printf.sprintf "%s.%d" base k
 let stderr_path base k = Printf.sprintf "%s.%d.err" base k
@@ -83,7 +34,7 @@ let chunk_files base =
           | None -> (rest, "")
         in
         match int_of_string_opt id with
-        | Some id when id >= 0 && List.mem suffix [ ""; ".err"; ".cursor"; ".chaos" ] ->
+        | Some id when id >= 0 && List.mem suffix [ ""; ".err"; ".chaos" ] ->
             Some (id, Filename.concat dir f, suffix)
         | _ -> None)
     (Array.to_list files)
@@ -92,9 +43,9 @@ let chunk_files base =
    supervisor's diagnostic.  Best effort: a missing or empty capture
    file yields []. *)
 let stderr_tail ?(lines = 5) path =
-  match read_file_contents path with
-  | None -> []
-  | Some contents ->
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error _ -> []
+  | contents ->
       let all =
         String.split_on_char '\n' contents
         |> List.filter (fun l -> String.trim l <> "")

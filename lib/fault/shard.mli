@@ -9,38 +9,16 @@
     and {!Driver} merges their journals.
 
     This module holds what the supervisor needs from the operating
-    system: core-count detection, worker spawn via
+    system: the core count, worker spawn via
     [Unix.create_process], stderr capture and the journal/capture file
     naming.  The argv a worker receives is the caller's business — the
     CLI builds it for a {!Driver.run_worker} process. *)
 
 val available_cores : unit -> int
-(** The number of processor cores available to this process — what
-    [faults --jobs 0] resolves to.  Asks [getconf _NPROCESSORS_ONLN]
-    first, then [sysctl -n hw.ncpu] (the BSD/macOS spelling), then
-    counts [/proc/cpuinfo] processor lines, and returns [1] when no
-    source answers.  Never raises. *)
-
-val detect_cores :
-  ?getconf:(unit -> string option) ->
-  ?sysctl:(unit -> string option) ->
-  ?cpuinfo:(unit -> string option) ->
-  unit ->
-  int
-(** {!available_cores} with injectable readers, for testing the
-    fallback chain without the host's real core count: [getconf] and
-    [sysctl] yield the command's first output line (or [None] on
-    failure), [cpuinfo] the whole file's contents.  A reader whose
-    output does not parse to a count [>= 1] falls through to the
-    next. *)
-
-val parse_core_count : string -> int option
-(** Parses one command-output line into a core count: whitespace is
-    trimmed, and anything that is not an integer [>= 1] is [None]. *)
-
-val count_cpuinfo_processors : string -> int option
-(** Counts [processor] lines in [/proc/cpuinfo]-format contents;
-    [None] when there are none (the caller falls through). *)
+(** The number of cores this process should use — what [--jobs 0]
+    resolves to: the OCaml runtime's
+    [Domain.recommended_domain_count], at least 1 and at most the
+    runtime's domain limit (128 on 64-bit hosts). *)
 
 val journal_path : string -> int -> string
 (** [journal_path base k] is ["base.k"] — where chunk [k]'s journal
@@ -59,9 +37,9 @@ val spawn : ?stderr_file:string -> string list -> int
 
 val chunk_files : string -> (int * string * string) list
 (** Every supervision file beside [base], as [(id, path, suffix)]: the
-    chunk journals [base.ID] (suffix [""]) and their stderr captures,
-    progress cursors and chaos sentinels ([".err"], [".cursor"],
-    [".chaos"]), in no particular order. *)
+    chunk journals [base.ID] (suffix [""]) and their stderr captures
+    and chaos sentinels ([".err"], [".chaos"]), in no particular
+    order. *)
 
 val stderr_tail : ?lines:int -> string -> string list
 (** The last [lines] (default 5) non-blank lines of a worker's stderr

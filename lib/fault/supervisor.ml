@@ -96,7 +96,7 @@ type chunk = {
 type running = {
   rn_chunk : chunk;
   rn_pid : int;
-  mutable rn_last_cursor : int;
+  mutable rn_last_size : int;  (** chunk journal bytes at the last progress; [-1] = none *)
   mutable rn_last_progress : float;
 }
 
@@ -196,7 +196,7 @@ let run cfg ~total ~base ~worker_argv ~check ~mk_header ?(log = fun _ -> ()) () 
       {
         rn_chunk = chunk;
         rn_pid = pid;
-        rn_last_cursor = -1;
+        rn_last_size = -1;
         rn_last_progress = Unix.gettimeofday ();
       }
       :: !running
@@ -324,13 +324,14 @@ let run cfg ~total ~base ~worker_argv ~check ~mk_header ?(log = fun _ -> ()) () 
       (fun r ->
         match Unix.waitpid [ Unix.WNOHANG ] r.rn_pid with
         | 0, _ ->
-            let cursor =
-              match Journal.read_cursor (Journal.cursor_path r.rn_chunk.ch_journal) with
-              | Some c -> c
-              | None -> -1
+            (* the worker fsyncs every verdict: a journal that changes
+               size is a worker making progress *)
+            let size =
+              try (Unix.stat r.rn_chunk.ch_journal).Unix.st_size
+              with Unix.Unix_error _ -> -1
             in
-            if cursor > r.rn_last_cursor then begin
-              r.rn_last_cursor <- cursor;
+            if size <> r.rn_last_size then begin
+              r.rn_last_size <- size;
               r.rn_last_progress <- Unix.gettimeofday ()
             end
             else if Unix.gettimeofday () -. r.rn_last_progress > cfg.sv_worker_timeout

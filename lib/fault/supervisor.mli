@@ -8,10 +8,10 @@
     whose injected run trips a simulator bug — costs at most its
     in-flight site:
 
-    - {e heartbeats} — supervised workers fsync every verdict and
-      maintain a progress cursor ({!Journal.cursor_path}); a worker
-      whose cursor stops advancing for [worker_timeout] seconds is
-      killed and its chunk re-queued;
+    - {e heartbeats} — supervised workers fsync every verdict into
+      their chunk journal, so the journal's size is the heartbeat: a
+      worker whose journal stops changing size for [worker_timeout]
+      seconds is killed and its chunk re-queued;
     - {e retry with backoff} — a crashed, killed or incompletely
       exited worker's chunk is re-queued after
       [backoff * 2^(attempt-1)] seconds; the journal already holds the
@@ -44,7 +44,7 @@ type config = {
   sv_jobs : int;  (** worker-pool size *)
   sv_chunk_sites : int;  (** max sites per chunk; [0] = auto (~4/worker) *)
   sv_worker_timeout : float;
-      (** seconds without cursor progress before a stall kill *)
+      (** seconds without a chunk-journal size change before a stall kill *)
   sv_max_retries : int;  (** per-chunk failure cap before aborting *)
   sv_poison_after : int;
       (** consecutive same-site blames before quarantine *)
@@ -102,7 +102,7 @@ val run :
 (** Supervises a campaign of [total] global sites.  [worker_argv]
     builds the complete argv (program name at its head) of a worker
     owning [range] and journaling to [journal] — a {!Driver.run_worker}
-    process, which fsyncs per verdict and maintains the cursor.
+    process, which fsyncs every verdict.
     [check] validates a pre-existing chunk journal's header against
     the campaign (raise {!Halotis_guard.Diag.Fail} [journal-mismatch]
     on a stale file); [mk_header] builds the header the supervisor

@@ -61,10 +61,6 @@ let eval_bool kind inputs =
   | Oai21 -> not ((inputs.(0) || inputs.(1)) && inputs.(2))
   | Mux2 -> if inputs.(2) then inputs.(1) else inputs.(0)
 
-let inverting = function
-  | Inv | Nand _ | Nor _ | Aoi21 | Oai21 -> true
-  | Buf | And _ | Or _ | Xor _ | Xnor _ | Mux2 -> false
-
 let name = function
   | Buf -> "buf"
   | Inv -> "inv"

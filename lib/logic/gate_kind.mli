@@ -30,11 +30,6 @@ val eval_bool : t -> bool array -> bool
 (** Boolean fast path used by the classical engine and by workload
     checking; same arity contract as {!eval}. *)
 
-val inverting : t -> bool
-(** Whether a lone rising input edge can only produce a falling output
-    edge (NAND/NOR/INV family).  XOR-like gates are reported as
-    non-inverting. *)
-
 val name : t -> string
 (** Canonical lowercase mnemonic, e.g. ["nand2"], ["inv"]. *)
 

@@ -15,9 +15,6 @@ val paper_sequence_b : mult_op list
 
 val expected_product : mult_op -> int
 
-val bit : int -> int -> bool
-(** [bit v i] is bit [i] of [v]. *)
-
 val clock :
   ?duty:float ->
   slope:Halotis_util.Units.time ->

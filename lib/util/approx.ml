@@ -1,8 +1,6 @@
 let default_eps = 1e-6
 
 let equal ?(eps = default_eps) a b = Float.abs (a -. b) <= eps
-let lt ?(eps = default_eps) a b = a < b -. eps
-let gt ?(eps = default_eps) a b = a > b +. eps
 
 let clamp ~lo ~hi x =
   assert (lo <= hi);

@@ -10,13 +10,6 @@
 val equal : ?eps:float -> float -> float -> bool
 (** [equal a b] is true when [|a - b| <= eps]. *)
 
-val lt : ?eps:float -> float -> float -> bool
-(** [lt a b] is true when [a < b - eps] (strictly before, beyond the
-    tolerance). *)
-
-val gt : ?eps:float -> float -> float -> bool
-(** [gt a b] is true when [a > b + eps]. *)
-
 val clamp : lo:float -> hi:float -> float -> float
 (** [clamp ~lo ~hi x] bounds [x] into [\[lo, hi\]]. *)
 

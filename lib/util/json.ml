@@ -287,44 +287,75 @@ let parse text = Result.map_error parse_error_to_string (parse_strict text)
 (* --- newline-delimited streams --- *)
 
 module Lines = struct
+  (* Unconsumed input is [buf.[pos, len)]; the bytes of a line that
+     spans refills collect in [part].  Each byte is scanned for '\n' and
+     copied a bounded number of times, so a line costs time linear in
+     its length however many refills it spans. *)
   type reader = {
     refill : bytes -> int;  (* 0 = end of stream *)
-    chunk : bytes;
-    mutable acc : string;  (* bytes read but not yet consumed *)
+    buf : bytes;
+    mutable pos : int;
+    mutable len : int;
+    part : Buffer.t;
     mutable eof : bool;
   }
 
   let of_channel ic =
     {
       refill = (fun b -> input ic b 0 (Bytes.length b));
-      chunk = Bytes.create 4096;
-      acc = "";
+      buf = Bytes.create 4096;
+      pos = 0;
+      len = 0;
+      part = Buffer.create 256;
       eof = false;
     }
 
   let of_string s =
-    { refill = (fun _ -> 0); chunk = Bytes.create 1; acc = s; eof = true }
+    {
+      refill = (fun _ -> 0);
+      buf = Bytes.of_string s;
+      pos = 0;
+      len = String.length s;
+      part = Buffer.create 16;
+      eof = true;
+    }
 
   let strip_cr line =
     let n = String.length line in
     if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
 
-  let rec next r =
-    match String.index_opt r.acc '\n' with
-    | Some i ->
-        let line = String.sub r.acc 0 i in
-        r.acc <- String.sub r.acc (i + 1) (String.length r.acc - i - 1);
-        Some (strip_cr line)
-    | None ->
-        if r.eof then None
-        else begin
-          let k = r.refill r.chunk in
-          if k = 0 then r.eof <- true
-          else r.acc <- r.acc ^ Bytes.sub_string r.chunk 0 k;
-          next r
-        end
+  (* the first '\n' of [buf.[i, len)], or [len] *)
+  let rec newline r i = if i >= r.len || Bytes.get r.buf i = '\n' then i else newline r (i + 1)
 
-  let leftover r = r.acc
+  let rec next r =
+    let i = newline r r.pos in
+    if i < r.len then begin
+      let line =
+        if Buffer.length r.part = 0 then Bytes.sub_string r.buf r.pos (i - r.pos)
+        else begin
+          Buffer.add_subbytes r.part r.buf r.pos (i - r.pos);
+          let line = Buffer.contents r.part in
+          Buffer.clear r.part;
+          line
+        end
+      in
+      r.pos <- i + 1;
+      Some (strip_cr line)
+    end
+    else begin
+      Buffer.add_subbytes r.part r.buf r.pos (r.len - r.pos);
+      r.pos <- r.len;
+      if r.eof then None
+      else begin
+        let k = r.refill r.buf in
+        if k = 0 then r.eof <- true;
+        r.pos <- 0;
+        r.len <- k;
+        next r
+      end
+    end
+
+  let leftover r = Buffer.contents r.part ^ Bytes.sub_string r.buf r.pos (r.len - r.pos)
 
   let fold r ~init ~f =
     let rec go acc = match next r with None -> acc | Some l -> go (f acc l) in

@@ -14,9 +14,6 @@ val r_squared : (float * float) list -> a:float -> b:float -> float
 (** [r_squared samples ~a ~b] is the coefficient of determination of
     the fit [y = a * x + b] on [samples] (1.0 = perfect). *)
 
-val mean : float list -> float
-(** Arithmetic mean; 0 on the empty list. *)
-
 val multiple_regression : ((float array * float) list) -> float array option
 (** [multiple_regression rows] fits [y = c0 + c1*x1 + ... + cn*xn] by
     ordinary least squares; each row is [(\[|x1; ...; xn|\], y)].

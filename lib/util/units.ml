@@ -3,7 +3,6 @@ type voltage = float
 type capacitance = float
 
 let ps x = x
-let ns x = x *. 1000.
 let volts x = x
 
 let pp_time fmt t =

@@ -17,9 +17,6 @@ type capacitance = float
 val ps : float -> time
 (** [ps x] is [x] picoseconds. *)
 
-val ns : float -> time
-(** [ns x] is [x] nanoseconds expressed in picoseconds. *)
-
 val volts : float -> voltage
 (** [volts x] is [x] volts. *)
 

@@ -10,9 +10,12 @@
 # test/), and one "STALE Module.name" line per allowlist entry that is
 # no longer a test-only export; exits 1 when it prints anything.
 #
-# The match is by word: a name counts as used wherever it appears as a
-# word, so a common name (say [create]) always passes.  The audit can
-# miss an unused export, never flag a used one.
+# A name counts as used outside its module where it appears there as a
+# word.  A common name (say [mean]) appears as a word almost everywhere,
+# so a second, dot-qualified match ([X.mean]) decides: a name that is
+# named qualified somewhere, but only under test/, is test-only.  The
+# audit can still miss an unused export; it flags a used one only when
+# every caller outside test/ names it unqualified (after [open]).
 
 set -eu
 cd "$(dirname "$0")/.."
@@ -20,12 +23,10 @@ cd "$(dirname "$0")/.."
 # Deliberate test seams: exported only so the suite can reach them.
 # One line each: Module.name, then why it stays.
 allowlist='
-Shard.parse_core_count  core-count parsing is tested on canned command output
-Shard.count_cpuinfo_processors  core-count parsing is tested on canned /proc/cpuinfo text
-Shard.detect_cores  the fallback chain is tested with stubbed readers
 Supervisor.plan_chunks  the chunk-partition property checks the fresh plan directly
 Iddm.checkpoint_time  the checkpoint properties place strikes at and before grid instants
 Json.max_depth  the nesting-limit tests send documents nested past it
+Json.leftover  the torn-tail tests read the unterminated fragment the line reader never yields
 '
 
 sources=$(find lib bin bench perfbench examples doc test \
@@ -43,9 +44,13 @@ for mli in $(find lib -name '*.mli' | sort); do
   others=$(printf '%s\n' "$sources" | grep -v -x -e "$mli" -e "$ml")
   for v in $(sed -n "s/^ *val \([a-z_][A-Za-z0-9_']*\).*/\1/p" "$mli" | sort -u); do
     hits=$(printf '%s\n' "$others" | xargs grep -l -w -- "$v" 2>/dev/null || true)
+    qualified=$(printf '%s\n' "$others" |
+      xargs grep -l -E -- "\.$v([^A-Za-z0-9_']|\$)" 2>/dev/null || true)
     if [ -z "$hits" ]; then
       kind=DEAD
     elif [ -z "$(printf '%s\n' "$hits" | grep -v '^test/')" ]; then
+      kind=TEST
+    elif [ -n "$qualified" ] && [ -z "$(printf '%s\n' "$qualified" | grep -v '^test/')" ]; then
       kind=TEST
     else
       continue

@@ -200,7 +200,7 @@ let test_faults_jobs_crash_resume () =
      removes the chunk files *)
   checkb "merged journal written" true (Sys.file_exists base);
   checkb "chunk journals cleaned up" false (Sys.file_exists shard1);
-  checkb "chunk cursor cleaned up" false (Sys.file_exists (shard1 ^ ".cursor"));
+  checkb "no cursor sidecar" false (Sys.file_exists (shard1 ^ ".cursor"));
   Sys.remove base
 
 (* A Diag raised inside a subcommand renders as a diagnostic with exit

@@ -91,47 +91,47 @@ let test_thresholds_override () =
 
 let base_request ?(t_event = 1000.) ?(last = None) ?(tau_in = 100.) ?(pin = 0)
     ?(rising = true) () =
-  { DM.rising_out = rising; pin; tau_in; t_event; last_output_start = last }
+  { Ref_delay.rising_out = rising; pin; tau_in; t_event; last_output_start = last }
 
 let inv_tech () = Tech.gate_tech DL.tech Gate_kind.Inv
 
 let test_cdm_stateless () =
   let gt = inv_tech () in
-  let r1 = DM.compute DL.tech ~gate_tech:gt ~cl:10. DM.Cdm (base_request ()) in
+  let r1 = Ref_delay.compute DL.tech ~gate_tech:gt ~cl:10. DM.Cdm (base_request ()) in
   let r2 =
-    DM.compute DL.tech ~gate_tech:gt ~cl:10. DM.Cdm (base_request ~last:(Some 999.) ())
+    Ref_delay.compute DL.tech ~gate_tech:gt ~cl:10. DM.Cdm (base_request ~last:(Some 999.) ())
   in
-  checkf "history ignored" r1.DM.tp r2.DM.tp;
-  checkb "never degraded" true (not r1.DM.degraded && not r2.DM.degraded);
-  checkf "tp = nominal" r1.DM.tp_nominal r1.DM.tp
+  checkf "history ignored" r1.Ref_delay.tp r2.Ref_delay.tp;
+  checkb "never degraded" true (not r1.Ref_delay.degraded && not r2.Ref_delay.degraded);
+  checkf "tp = nominal" r1.Ref_delay.tp_nominal r1.Ref_delay.tp
 
 let test_ddm_no_history () =
   let gt = inv_tech () in
-  let r = DM.compute DL.tech ~gate_tech:gt ~cl:10. DM.Ddm (base_request ~last:None ()) in
-  checkf "full delay" r.DM.tp_nominal r.DM.tp;
-  checkb "not degraded" true (not r.DM.degraded)
+  let r = Ref_delay.compute DL.tech ~gate_tech:gt ~cl:10. DM.Ddm (base_request ~last:None ()) in
+  checkf "full delay" r.Ref_delay.tp_nominal r.Ref_delay.tp;
+  checkb "not degraded" true (not r.Ref_delay.degraded)
 
 let test_ddm_degrades_close_history () =
   let gt = inv_tech () in
   let far =
-    DM.compute DL.tech ~gate_tech:gt ~cl:10. DM.Ddm (base_request ~last:(Some (-1e6)) ())
+    Ref_delay.compute DL.tech ~gate_tech:gt ~cl:10. DM.Ddm (base_request ~last:(Some (-1e6)) ())
   in
   let near =
-    DM.compute DL.tech ~gate_tech:gt ~cl:10. DM.Ddm (base_request ~last:(Some 980.) ())
+    Ref_delay.compute DL.tech ~gate_tech:gt ~cl:10. DM.Ddm (base_request ~last:(Some 980.) ())
   in
-  checkb "far = nominal" true (Float.abs (far.DM.tp -. far.DM.tp_nominal) < 1e-6);
-  checkb "near degraded" true near.DM.degraded;
-  checkb "near smaller" true (near.DM.tp < far.DM.tp)
+  checkb "far = nominal" true (Float.abs (far.Ref_delay.tp -. far.Ref_delay.tp_nominal) < 1e-6);
+  checkb "near degraded" true near.Ref_delay.degraded;
+  checkb "near smaller" true (near.Ref_delay.tp < far.Ref_delay.tp)
 
 let test_ddm_collapse () =
   let gt = inv_tech () in
   (* the previous output transition lies *after* the nominal instant of
      the new one (T <= T0): the delay collapses to 0 *)
   let r =
-    DM.compute DL.tech ~gate_tech:gt ~cl:10. DM.Ddm
+    Ref_delay.compute DL.tech ~gate_tech:gt ~cl:10. DM.Ddm
       (base_request ~t_event:1000. ~last:(Some 1500.) ())
   in
-  checkf "collapsed" 0. r.DM.tp
+  checkf "collapsed" 0. r.Ref_delay.tp
 
 let prop_ddm_monotone_in_history =
   QCheck.Test.make ~name:"DDM delay monotone in time since last output" ~count:200
@@ -140,9 +140,9 @@ let prop_ddm_monotone_in_history =
       let gt = inv_tech () in
       let lo = Float.min t1 t2 and hi = Float.max t1 t2 in
       let d last =
-        (DM.compute DL.tech ~gate_tech:gt ~cl:10. DM.Ddm
+        (Ref_delay.compute DL.tech ~gate_tech:gt ~cl:10. DM.Ddm
            (base_request ~t_event:5000. ~last:(Some (5000. -. last)) ()))
-          .DM.tp
+          .Ref_delay.tp
       in
       d hi >= d lo -. 1e-9)
 
@@ -152,9 +152,9 @@ let prop_ddm_bounded_by_cdm =
     (fun (gap, cl, tau_in) ->
       let gt = inv_tech () in
       let req = base_request ~t_event:5000. ~last:(Some (5000. -. gap)) ~tau_in () in
-      let ddm = DM.compute DL.tech ~gate_tech:gt ~cl DM.Ddm req in
-      let cdm = DM.compute DL.tech ~gate_tech:gt ~cl DM.Cdm req in
-      ddm.DM.tp <= cdm.DM.tp +. 1e-9 && ddm.DM.tau_out = cdm.DM.tau_out)
+      let ddm = Ref_delay.compute DL.tech ~gate_tech:gt ~cl DM.Ddm req in
+      let cdm = Ref_delay.compute DL.tech ~gate_tech:gt ~cl DM.Cdm req in
+      ddm.Ref_delay.tp <= cdm.Ref_delay.tp +. 1e-9 && ddm.Ref_delay.tau_out = cdm.Ref_delay.tau_out)
 
 let test_for_gate_uses_pin_factor () =
   let b = Builder.create "p" in
@@ -165,7 +165,7 @@ let test_for_gate_uses_pin_factor () =
   Builder.mark_output b y;
   let c = Builder.finalize b in
   let loads = Loads.of_netlist DL.tech c in
-  let d pin = (Ref_delay.for_gate DL.tech c ~loads 0 DM.Cdm (base_request ~pin ())).DM.tp in
+  let d pin = (Ref_delay.for_gate DL.tech c ~loads 0 DM.Cdm (base_request ~pin ())).Ref_delay.tp in
   checkb "pin 1 slower" true (d 1 > d 0)
 
 let test_kind_to_string () =

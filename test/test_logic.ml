@@ -146,12 +146,6 @@ let test_of_name_errors () =
   checkb "no arity" true (Gate_kind.of_name "nand" = None);
   checkb "alias" true (Gate_kind.of_name "not" = Some Gate_kind.Inv)
 
-let test_inverting () =
-  checkb "nand" true (Gate_kind.inverting (Gate_kind.Nand 2));
-  checkb "inv" true (Gate_kind.inverting Gate_kind.Inv);
-  checkb "and" false (Gate_kind.inverting (Gate_kind.And 2));
-  checkb "xor" false (Gate_kind.inverting (Gate_kind.Xor 2))
-
 let tests =
   [
     ( "logic.value",
@@ -173,7 +167,6 @@ let tests =
         Alcotest.test_case "wide gates" `Quick test_wide_gates;
         Alcotest.test_case "arity mismatch" `Quick test_eval_arity_mismatch;
         Alcotest.test_case "of_name errors" `Quick test_of_name_errors;
-        Alcotest.test_case "inverting" `Quick test_inverting;
         QCheck_alcotest.to_alcotest prop_eval_consistent;
         QCheck_alcotest.to_alcotest prop_name_roundtrip;
       ] );

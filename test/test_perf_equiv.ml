@@ -141,7 +141,7 @@ module Ref_iddm = struct
         let resp =
           Ref_delay.for_gate cfg.Iddm.tech c ~loads gate cfg.Iddm.delay_kind
             {
-              Delay_model.rising_out = new_out;
+              Ref_delay.rising_out = new_out;
               pin;
               tau_in;
               t_event = now;
@@ -150,8 +150,8 @@ module Ref_iddm = struct
         in
         let tr =
           Transition.make
-            ~start:(now +. resp.Delay_model.tp)
-            ~slope_time:resp.Delay_model.tau_out
+            ~start:(now +. resp.Ref_delay.tp)
+            ~slope_time:resp.Ref_delay.tau_out
             ~polarity:(if new_out then Transition.Rising else Transition.Falling)
         in
         out_target.(gate) <- new_out;
@@ -325,15 +325,15 @@ module Ref_classic = struct
             let resp =
               Ref_delay.for_gate cfg.Classic.tech c ~loads gid Delay_model.Cdm
                 {
-                  Delay_model.rising_out = new_out;
+                  Ref_delay.rising_out = new_out;
                   pin = find 0;
                   tau_in = 0.;
                   t_event = now;
                   last_output_start = None;
                 }
             in
-            schedule_inertial out_sid ~at:(now +. resp.Delay_model.tp) ~value:new_out
-              ~window:resp.Delay_model.tp
+            schedule_inertial out_sid ~at:(now +. resp.Ref_delay.tp) ~value:new_out
+              ~window:resp.Ref_delay.tp
           end
           else stats.Stats.noop_evaluations <- stats.Stats.noop_evaluations + 1)
         (N.fanout_gates c sid)
@@ -563,15 +563,20 @@ let prop_iddm_matches_reference =
           opt.Iddm.stats.Stats.stale_skipped opt.Iddm.stats.Stats.events_filtered;
       true)
 
-(* [ties]: a tie-rich case — the inputs of {!tie_workload}, and
-   injection toggles on the clean run's edge instants. *)
-let classic_case_gen =
+(* [ties]: tie-rich inputs ({!tie_workload}).  [inject], drawn from
+   [sources]: no injected toggles, toggles at random instants, or
+   toggles on the clean run's edge instants, where simultaneous
+   transactions are likeliest. *)
+let classic_case_gen sources =
   QCheck.make
     ~print:(fun (gates, seed, inject, ties) ->
-      Printf.sprintf "gates=%d seed=%d injections=%b ties=%b" gates seed inject ties)
+      Printf.sprintf "gates=%d seed=%d injections=%s ties=%b" gates seed
+        (match inject with `None -> "none" | `Random -> "random" | `Edges -> "edges")
+        ties)
     QCheck.Gen.(
       (fun gates seed inject ties -> (gates, seed, inject, ties))
-      <$> int_range 5 60 <*> int_range 0 10_000 <*> bool <*> bool)
+      <$> int_range 5 60 <*> int_range 0 10_000
+      <*> oneofl sources <*> bool)
 
 let check_classic label (reference : Ref_classic.result) (opt : Classic.result) =
   check_stats_equal label opt.Classic.stats reference.Ref_classic.stats;
@@ -581,54 +586,43 @@ let check_classic label (reference : Ref_classic.result) (opt : Classic.result) 
   if opt.Classic.end_time <> reference.Ref_classic.end_time then
     Alcotest.failf "%s: end_time differs" label
 
-let prop_classic_matches_reference =
-  QCheck.Test.make ~name:"optimized Classic == reference kernel (exact)" ~count:60
-    classic_case_gen (fun (gates, seed, inject, ties) ->
-      let c, drives = random_workload ~ties ~gates ~seed in
-      let cfg = Classic.config tech in
-      let injections =
-        if not inject then []
-        else if ties then
-          classic_injections c ~seed
-            ~instants:(edge_instants (Ref_classic.run cfg c ~drives).Ref_classic.edges)
-        else classic_injections c ~seed
-      in
-      let reference = Ref_classic.run ~injections cfg c ~drives in
-      let check label opt = check_classic label reference opt in
-      let label = Printf.sprintf "classic gates=%d seed=%d" gates seed in
-      check label (Classic.run ~injections cfg c ~drives);
-      (* two runs on one shared compiled circuit: neither may leave
-         state behind for the other *)
-      let compiled = Compiled.compile tech c in
-      check (label ^ " shared 1") (Classic.run ~injections ~compiled cfg c ~drives);
-      check (label ^ " shared 2") (Classic.run ~injections ~compiled cfg c ~drives);
-      true)
-
-(* The tie-order check.  Which of two inputs of one gate commits last
+(* The classic check.  Which of two inputs of one gate commits last
    prices the gate's delay, so where two transactions commit at one
    instant into one gate, the tie order decides the gate's edge time.
    The engine's must be the specification's ({!tie_order}): on random
-   circuits, tie-rich stimuli and edge-instant injections included, its
-   output is the first-in first-out, tie-sorted reference's, byte for
-   byte. *)
-let classic_matches_tie_order (gates, seed, inject, ties) =
+   circuits, tie-rich stimuli and injections included, its output is
+   the first-in first-out, tie-sorted reference's, byte for byte — also
+   for two runs on one shared compiled circuit, neither of which may
+   leave state behind for the other. *)
+let classic_matches_reference (gates, seed, inject, ties) =
   let c, drives = random_workload ~ties ~gates ~seed in
   let cfg = Classic.config tech in
   let injections =
-    if not inject then []
-    else
-      classic_injections c ~seed
-        ~instants:(edge_instants (Ref_classic.run cfg c ~drives).Ref_classic.edges)
+    match inject with
+    | `None -> []
+    | `Random -> classic_injections c ~seed
+    | `Edges ->
+        classic_injections c ~seed
+          ~instants:(edge_instants (Ref_classic.run cfg c ~drives).Ref_classic.edges)
   in
-  check_classic
-    (Printf.sprintf "ties gates=%d seed=%d ties=%b" gates seed ties)
-    (Ref_classic.run ~injections cfg c ~drives)
-    (Classic.run ~injections cfg c ~drives);
+  let reference = Ref_classic.run ~injections cfg c ~drives in
+  let label = Printf.sprintf "classic gates=%d seed=%d ties=%b" gates seed ties in
+  check_classic label reference (Classic.run ~injections cfg c ~drives);
+  let compiled = Compiled.compile tech c in
+  check_classic (label ^ " shared 1") reference (Classic.run ~injections ~compiled cfg c ~drives);
+  check_classic (label ^ " shared 2") reference (Classic.run ~injections ~compiled cfg c ~drives);
   true
+
+let prop_classic_matches_reference =
+  QCheck.Test.make ~name:"optimized Classic == reference kernel (exact)" ~count:60
+    (classic_case_gen [ `None; `Random ])
+    classic_matches_reference
 
 let prop_classic_tie_order =
   QCheck.Test.make ~name:"Classic == first-in first-out reference on random circuits"
-    ~count:60 classic_case_gen classic_matches_tie_order
+    ~count:60
+    (classic_case_gen [ `None; `Edges ])
+    classic_matches_reference
 
 (* The random property's known tie-rich counterexamples from when the
    engine was checked against a plain first-in first-out order; each
@@ -637,8 +631,8 @@ let test_classic_tie_counterexamples () =
   List.iter
     (fun (gates, seed) ->
       List.iter
-        (fun inject -> ignore (classic_matches_tie_order (gates, seed, inject, true)))
-        [ false; true ])
+        (fun inject -> ignore (classic_matches_reference (gates, seed, inject, true)))
+        [ `None; `Edges ])
     [ (7, 2005); (32, 8674); (34, 2097); (34, 8674); (20, 7330); (29, 4609); (16, 7554) ]
 
 (* A gate reading one signal on several pins evaluates once per change
@@ -811,7 +805,7 @@ let prop_cache_matches_reference =
         for _ = 1 to 4 do
           let req =
             {
-              Delay_model.rising_out = Prng.bool rng;
+              Ref_delay.rising_out = Prng.bool rng;
               pin = Prng.int rng ~bound:(Array.length g.N.fanin);
               tau_in = Prng.float rng ~bound:200.;
               t_event = Prng.float rng ~bound:3000.;
@@ -824,21 +818,21 @@ let prop_cache_matches_reference =
               let r = Ref_delay.for_gate ~overlay tech c ~loads gid kind req in
               let cached = Ref_delay.cached cache gid kind req in
               if
-                r.Delay_model.tp <> cached.Delay_model.tp
-                || r.Delay_model.tau_out <> cached.Delay_model.tau_out
-                || r.Delay_model.tp_nominal <> cached.Delay_model.tp_nominal
-                || r.Delay_model.degraded <> cached.Delay_model.degraded
+                r.Ref_delay.tp <> cached.Ref_delay.tp
+                || r.Ref_delay.tau_out <> cached.Ref_delay.tau_out
+                || r.Ref_delay.tp_nominal <> cached.Ref_delay.tp_nominal
+                || r.Ref_delay.degraded <> cached.Ref_delay.degraded
               then Alcotest.failf "cached coefficients differ on gate %d" gid;
-              Delay_model.Cache.eval cache gid kind ~rising_out:req.Delay_model.rising_out
-                ~pin:req.Delay_model.pin ~tau_in:req.Delay_model.tau_in
-                ~t_event:req.Delay_model.t_event
+              Delay_model.Cache.eval cache gid kind ~rising_out:req.Ref_delay.rising_out
+                ~pin:req.Ref_delay.pin ~tau_in:req.Ref_delay.tau_in
+                ~t_event:req.Ref_delay.t_event
                 ~last_output_start:
-                  (match req.Delay_model.last_output_start with
+                  (match req.Ref_delay.last_output_start with
                   | Some t -> t
                   | None -> Float.nan);
               if
-                Delay_model.Cache.tp cache <> r.Delay_model.tp
-                || Delay_model.Cache.tau_out cache <> r.Delay_model.tau_out
+                Delay_model.Cache.tp cache <> r.Ref_delay.tp
+                || Delay_model.Cache.tau_out cache <> r.Ref_delay.tau_out
               then Alcotest.failf "Cache.eval differs on gate %d" gid)
             [ Delay_model.Cdm; Delay_model.Ddm ]
         done

@@ -697,13 +697,33 @@ let test_parse_strict () =
   | Ok (Json.Arr [ Json.Num 1.; Json.Num 2.; Json.Num 3. ]) -> ()
   | _ -> Alcotest.fail "valid input rejected"
 
+(* A channel reader refills 4 KiB at a time: the 8191-byte first line's
+   CRLF straddles the second refill boundary, and the 10 000-byte third
+   line spans three refills. *)
 let test_lines_reader () =
   let reader = Json.Lines.of_string "a\r\nb\n\nc-torn" in
   Alcotest.(check (list string)) "lines" [ "a"; "b"; "" ] (Json.Lines.to_list reader);
   checks "torn tail survives as leftover" "c-torn" (Json.Lines.leftover reader);
   let r2 = Json.Lines.of_string "x\ny\n" in
   Alcotest.(check (list string)) "clean tail" [ "x"; "y" ] (Json.Lines.to_list r2);
-  checks "no leftover" "" (Json.Lines.leftover r2)
+  checks "no leftover" "" (Json.Lines.leftover r2);
+  let long = String.init 8191 (fun i -> Char.chr (Char.code 'a' + (i mod 26))) in
+  let content = long ^ "\r\nshort\n" ^ String.make 10_000 'x' ^ "\ntail" in
+  let path = Filename.temp_file "halotis_lines" ".txt" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc content);
+  let lines, leftover =
+    In_channel.with_open_bin path (fun ic ->
+        let r = Json.Lines.of_channel ic in
+        let lines = Json.Lines.to_list r in
+        (lines, Json.Lines.leftover r))
+  in
+  Sys.remove path;
+  let expected = [ long; "short"; String.make 10_000 'x' ] in
+  checkb "long lines from a channel" true (lines = expected);
+  checks "unterminated tail from a channel" "tail" leftover;
+  let r3 = Json.Lines.of_string content in
+  checkb "long lines from a string" true (Json.Lines.to_list r3 = expected);
+  checks "unterminated tail from a string" "tail" (Json.Lines.leftover r3)
 
 (* --- hostile NDJSON: handle_line never raises ---
 

@@ -23,11 +23,6 @@ let test_expected_product () =
   checki "FxF" 225 (V.expected_product { V.op_a = 15; op_b = 15 });
   checki "5xA" 50 (V.expected_product { V.op_a = 5; op_b = 10 })
 
-let test_bit () =
-  checkb "bit0" true (V.bit 5 0);
-  checkb "bit1" false (V.bit 5 1);
-  checkb "bit2" true (V.bit 5 2)
-
 let test_random_ops_range () =
   let ops = Fixtures.random_ops ~bits:4 ~count:50 ~seed:1 in
   checki "count" 50 (List.length ops);
@@ -48,6 +43,11 @@ let bus_drives values =
   let ops = List.map (fun v -> { V.op_a = v; op_b = 0 }) values in
   V.multiplier_drives ~slope:100. ~period:1000. ~a_bits:m.G.ma_bits ~b_bits:m.G.mb_bits ops
   |> List.filteri (fun i _ -> i < 4)
+
+(* bit [i] of the first value is the initial level of bus bit [i] *)
+let test_bit () =
+  let initial = List.map (fun (_, d) -> d.Drive.initial) (bus_drives [ 5 ]) in
+  Alcotest.(check (list bool)) "bits of 5, LSB first" [ true; false; true; false ] initial
 
 let test_bus_drives () =
   let drives = bus_drives [ 0x0; 0xF; 0x0 ] in

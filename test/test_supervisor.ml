@@ -1,11 +1,12 @@
 (* Fault-tolerant campaign supervision.
 
    Three layers:
-   - unit tests of the core-count fallback chain (stubbed readers) and
-     the chunk planner;
+   - unit tests of the core count and the chunk planner;
    - end-to-end CLI tests of recovery: a worker SIGKILLed mid-journal
-     (torn tail), a hung worker (heartbeat stall), and a deterministic
-     poison site that must be quarantined with the degraded exit code —
+     (torn tail), a hung worker (heartbeat stall), a slow worker whose
+     growing journal keeps it alive past the stall timeout, and a
+     deterministic poison site that must be quarantined with the
+     degraded exit code —
      for [faults], and for [vary], whose samples are supervisor chunks
      and whose quarantine fails the run;
    - a QCheck property: over random circuits, seeds, chunk sizes and
@@ -25,63 +26,8 @@ let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 
-(* --- satellite: core-count detection with stubbed readers --- *)
-
-let test_parse_core_count () =
-  let cases =
-    [ ("8", Some 8); (" 12 \n", Some 12); ("1", Some 1); ("0", None);
-      ("-3", None); ("eight", None); ("", None) ]
-  in
-  List.iter
-    (fun (s, want) ->
-      checkb (Printf.sprintf "parse %S" s) true (Shard.parse_core_count s = want))
-    cases
-
-let cpuinfo_sample n =
-  String.concat "\n"
-    (List.concat_map
-       (fun i ->
-         [
-           Printf.sprintf "processor\t: %d" i; "vendor_id\t: GenuineTest";
-           "model name\t: Test CPU"; "";
-         ])
-       (List.init n Fun.id))
-
-let test_count_cpuinfo () =
-  checkb "three processors" true
-    (Shard.count_cpuinfo_processors (cpuinfo_sample 3) = Some 3);
-  checkb "one processor" true
-    (Shard.count_cpuinfo_processors (cpuinfo_sample 1) = Some 1);
-  checkb "no processor lines" true
-    (Shard.count_cpuinfo_processors "vendor_id: x\nmodel: y\n" = None);
-  checkb "empty contents" true (Shard.count_cpuinfo_processors "" = None)
-
-let test_detect_cores_fallback_chain () =
-  let const v () = v in
-  let n =
-    Shard.detect_cores ~getconf:(const (Some "16")) ~sysctl:(const (Some "4"))
-      ~cpuinfo:(const (Some (cpuinfo_sample 2))) ()
-  in
-  checki "getconf wins when it answers" 16 n;
-  let n =
-    Shard.detect_cores ~getconf:(const None) ~sysctl:(const (Some "4"))
-      ~cpuinfo:(const (Some (cpuinfo_sample 2))) ()
-  in
-  checki "sysctl is the second source" 4 n;
-  let n =
-    Shard.detect_cores
-      ~getconf:(const (Some "garbage"))
-      ~sysctl:(const (Some "0"))
-      ~cpuinfo:(const (Some (cpuinfo_sample 2)))
-      ()
-  in
-  checki "unparseable outputs fall through to /proc/cpuinfo" 2 n;
-  let n =
-    Shard.detect_cores ~getconf:(const None) ~sysctl:(const None)
-      ~cpuinfo:(const None) ()
-  in
-  checki "no source at all degrades to 1" 1 n;
-  checkb "real detection answers >= 1" true (Shard.available_cores () >= 1)
+let test_available_cores () =
+  checkb "the runtime answers >= 1" true (Shard.available_cores () >= 1)
 
 (* --- chunk planning --- *)
 
@@ -186,6 +132,34 @@ let test_chaos_hang_recovers_byte_identical () =
   checks "recovered report byte-identical to serial" serial recovered;
   checkb "the stall kill is reported" true (contains stderr "no journal progress")
 
+(* The chunk journal is the heartbeat: a worker journaling 5000 verdicts
+   in one chunk runs for longer than the 0.4 s stall timeout in total
+   (each verdict is fsynced), but its journal grows every few
+   milliseconds, so it must never be stall-killed. *)
+let test_growing_journal_is_a_heartbeat () =
+  let args =
+    [
+      "faults"; data "mult4x4.hnl"; "--stim"; data "mult4x4.hsv"; "-n"; "5000";
+      "--seed"; "7"; "--t-stop"; "20000"; "--format"; "json";
+    ]
+  in
+  let timeout = 0.4 in
+  let s0, serial, _ = run_env [] args in
+  checki "serial exits 0" 0 s0;
+  let t0 = Unix.gettimeofday () in
+  let s1, supervised, stderr =
+    run_env []
+      (args
+      @ [ "--jobs"; "2"; "--chunk-sites"; "5000"; "--worker-timeout"; string_of_float timeout ])
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  checki "supervised exits 0" 0 s1;
+  checks "report byte-identical to serial" serial supervised;
+  checkb "no worker was stall-killed" false (contains stderr "worker-stall");
+  if elapsed <= timeout then
+    Alcotest.failf "the worker finished in %.3fs, inside the %.2fs timeout: raise -n" elapsed
+      timeout
+
 (* --- deterministic poison site: quarantine + degraded exit code --- *)
 
 let test_poison_quarantine_degraded () =
@@ -257,8 +231,7 @@ let test_vary_journals_match_serial () =
     Sys.remove pj
   done;
   checkb "chunk journals removed" false (Sys.file_exists (Shard.journal_path pbase 0));
-  checkb "chunk cursors removed" false
-    (Sys.file_exists (Shard.journal_path pbase 0 ^ ".cursor"))
+  checkb "no cursor sidecar" false (Sys.file_exists (Shard.journal_path pbase 0 ^ ".cursor"))
 
 let test_vary_poison_fails_naming_site () =
   (* global index 8 is strike 2 of sample 1 *)
@@ -276,7 +249,7 @@ let test_vary_poison_fails_naming_site () =
   for id = 0 to 2 do
     checkb (Printf.sprintf "chunk journal %d kept" id) true
       (Sys.file_exists (Shard.journal_path base id));
-    checkb (Printf.sprintf "chunk cursor %d removed" id) false
+    checkb (Printf.sprintf "no cursor sidecar %d" id) false
       (Sys.file_exists (Shard.journal_path base id ^ ".cursor"))
   done;
   let sj k = Printf.sprintf "%s.s%d" base k in
@@ -315,9 +288,7 @@ let test_vary_resume_refused_across_modes () =
   checki "serial resume of chunk journals is refused" 1 s3;
   checks "no report is rendered" "" report;
   checkb "points at --jobs N" true (contains stderr "resume it with --jobs N");
-  List.iter
-    (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ chunk; chunk ^ ".cursor" ]
+  Sys.remove chunk
 
 (* --- property: supervised == serial over random campaigns --- *)
 
@@ -455,12 +426,7 @@ let test_failed_run_leaves_no_temporaries () =
 let tests =
   [
     ( "supervisor.cores",
-      [
-        Alcotest.test_case "parse_core_count" `Quick test_parse_core_count;
-        Alcotest.test_case "count_cpuinfo_processors" `Quick test_count_cpuinfo;
-        Alcotest.test_case "fallback chain with stubbed readers" `Quick
-          test_detect_cores_fallback_chain;
-      ] );
+      [ Alcotest.test_case "available_cores is at least 1" `Quick test_available_cores ] );
     ( "supervisor.plan",
       [ Alcotest.test_case "chunk planning" `Quick test_plan_chunks ] );
     ( "supervisor.recovery",
@@ -469,6 +435,8 @@ let tests =
           test_chaos_kill_recovers_byte_identical;
         Alcotest.test_case "hung worker recovers byte-identical" `Quick
           test_chaos_hang_recovers_byte_identical;
+        Alcotest.test_case "growing journal outlives the stall timeout" `Quick
+          test_growing_journal_is_a_heartbeat;
         Alcotest.test_case "poison site quarantined, exit 5" `Quick
           test_poison_quarantine_degraded;
         Alcotest.test_case "failed run leaves no temporaries" `Quick
