@@ -37,7 +37,7 @@ let print_waveforms (f, r, rc, ra) =
   print_endline "analog reference, out0 voltage (runt between VT1 and VT2):";
   let tr = Sim.trace ra "out0" in
   print_string
-    (Figures.voltage_lane ~width:90 ~rows:5 ~t0 ~t1 ~vdd:DL.vdd ~label:"out0" (fun t ->
+    (Figures.voltage_lane ~width:90 ~t0 ~t1 ~vdd:DL.vdd ~label:"out0" (fun t ->
          Sim.value_at tr t));
   print_endline "classical inertial model (boolean view):";
   let lanes_c =

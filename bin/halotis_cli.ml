@@ -169,7 +169,7 @@ let preflight ?stim ?(suggest_watchdog = false) tech c =
       Format.eprintf
         "preflight: hint: this design risks oscillation — consider --watchdog \
          --watchdog-threshold %d (sized to the largest flagged feedback loop, %d gates)@."
-        (Watchdog.suggest_threshold ~scc_gates ())
+        (Watchdog.suggest_threshold ~scc_gates)
         scc_gates
   end
 

@@ -53,7 +53,7 @@ let () =
   let tr = Sim.trace ra "out0" in
   print_endline "out0 (analog reference; '*' marks the waveform, 5 rows = 0..5 V):";
   print_string
-    (Figures.voltage_lane ~width:80 ~rows:5 ~t0:800. ~t1:3000. ~vdd:DL.vdd ~label:"out0"
+    (Figures.voltage_lane ~width:80 ~t0:800. ~t1:3000. ~vdd:DL.vdd ~label:"out0"
        (fun t -> Sim.value_at tr t));
   print_endline "-> the runt tops out between VT1 = 1.5 V and VT2 = 4.0 V.";
 

@@ -81,8 +81,7 @@ let () =
           List.concat_map
             (fun out ->
               Halotis_wave.Measure.latencies ~cause
-                ~response:(Digital.edges r.Iddm.waveforms.(out) ~vt:2.5)
-                ())
+                ~response:(Digital.edges r.Iddm.waveforms.(out) ~vt:2.5))
             (N.primary_outputs c))
         (adder.G.a_bits @ adder.G.b_bits)
     in

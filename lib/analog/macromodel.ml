@@ -12,7 +12,7 @@ type t = {
   vdd : float;
 }
 
-let of_gate tech c ~loads ?(switch_width = 0.5) gid =
+let of_gate tech c ~loads gid =
   let g = Netlist.gate c gid in
   let gt = Tech.gate_tech tech g.Netlist.kind in
   let cl = loads.(g.Netlist.output) in
@@ -23,7 +23,7 @@ let of_gate tech c ~loads ?(switch_width = 0.5) gid =
   {
     kind = g.Netlist.kind;
     vt;
-    switch_width;
+    switch_width = 0.5;
     tau_rise = Tech.output_slope (Tech.edge gt ~rising:true) ~cl /. 2.2;
     tau_fall = Tech.output_slope (Tech.edge gt ~rising:false) ~cl /. 2.2;
     transport =

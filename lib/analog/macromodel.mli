@@ -38,11 +38,10 @@ val of_gate :
   Halotis_tech.Tech.t ->
   Halotis_netlist.Netlist.t ->
   loads:float array ->
-  ?switch_width:float ->
   Halotis_netlist.Netlist.gate_id ->
   t
-(** Derives the macromodel of one gate instance (default sigmoid width
-    0.5 V); [tau_rc = tau_out / 2.2], the usual 10–90 % conversion. *)
+(** Derives the macromodel of one gate instance (sigmoid width 0.5 V);
+    [tau_rc = tau_out / 2.2], the usual 10–90 % conversion. *)
 
 val goal_voltage : t -> Halotis_util.Units.voltage array -> Halotis_util.Units.voltage
 (** Target output voltage for the given input voltages. *)

@@ -13,13 +13,12 @@ type config = {
   dt : float;
   record_every : int;
   t_stop : float;
-  switch_width : float;
 }
 
-let config ?(dt = 1.0) ?(record_every = 2) ?(switch_width = 0.5) ~t_stop tech =
+let config ?(dt = 1.0) ?(record_every = 2) ~t_stop tech =
   if dt <= 0. then invalid_arg "Sim.config: dt must be positive";
   if record_every < 1 then invalid_arg "Sim.config: record_every must be >= 1";
-  { tech; dt; record_every; t_stop; switch_width }
+  { tech; dt; record_every; t_stop }
 
 type trace = { sample_dt : float; volts : float array }
 
@@ -48,7 +47,7 @@ let run cfg c ~drives =
   let loads = Halotis_delay.Loads.of_netlist cfg.tech c in
   let models =
     Array.init ngates (fun gid ->
-        Macromodel.of_gate cfg.tech c ~loads ~switch_width:cfg.switch_width gid)
+        Macromodel.of_gate cfg.tech c ~loads gid)
   in
   let gate_out = Array.init ngates (fun gid -> (Netlist.gate c gid).Netlist.output) in
   let gate_fanin = Array.init ngates (fun gid -> (Netlist.gate c gid).Netlist.fanin) in
@@ -144,6 +143,4 @@ let crossings tr ~vt =
   done;
   List.rev !out
 
-let edges ?vt result name =
-  let vt = match vt with Some x -> x | None -> Tech.vdd result.run_config.tech /. 2. in
-  crossings (trace result name) ~vt
+let edges result name = crossings (trace result name) ~vt:(Tech.vdd result.run_config.tech /. 2.)

@@ -11,17 +11,15 @@ type config = {
   dt : Halotis_util.Units.time;  (** integration step, ps *)
   record_every : int;  (** store one sample every N steps *)
   t_stop : Halotis_util.Units.time;
-  switch_width : Halotis_util.Units.voltage;  (** macromodel sigmoid width *)
 }
 
 val config :
   ?dt:Halotis_util.Units.time ->
   ?record_every:int ->
-  ?switch_width:Halotis_util.Units.voltage ->
   t_stop:Halotis_util.Units.time ->
   Halotis_tech.Tech.t ->
   config
-(** Defaults: dt 1 ps, record every 2 steps, sigmoid width 0.5 V. *)
+(** Defaults: dt 1 ps, record every 2 steps. *)
 
 type trace = {
   sample_dt : Halotis_util.Units.time;
@@ -53,6 +51,5 @@ val crossings :
   trace -> vt:Halotis_util.Units.voltage -> Halotis_wave.Digital.edge list
 (** Interpolated threshold crossings, time-ordered. *)
 
-val edges :
-  ?vt:Halotis_util.Units.voltage -> result -> string -> Halotis_wave.Digital.edge list
-(** Digitized view of one signal (default threshold VDD/2). *)
+val edges : result -> string -> Halotis_wave.Digital.edge list
+(** Digitized view of one signal at threshold VDD/2. *)

@@ -27,18 +27,10 @@ let slope_coefficient inv dev =
   let vthn = dev.vth /. inv.vdd in
   Float.max 0. (0.5 -. ((1. -. vthn) /. (1. +. dev.alpha)))
 
-let delay inv ~rising_out ~cl ~tau_in =
-  let dev = driver inv ~rising_out in
-  let c_total = cl +. inv.c_intrinsic in
-  (slope_coefficient inv dev *. tau_in) +. (c_total *. inv.vdd /. (2. *. dev.i_d0))
-
-(* Full-swing ramp time of the output: the saturation discharge slope
-   C dV/dt = I_D0, widened by the usual 10-90 -> rail-to-rail factor. *)
-let output_slope inv ~rising_out ~cl =
-  let dev = driver inv ~rising_out in
-  let c_total = cl +. inv.c_intrinsic in
-  Float.max 1.0 (1.5 *. c_total *. inv.vdd /. dev.i_d0)
-
+(* The closed form [tp] (see the interface) split into the affine
+   coefficients of [Tech.base_delay]; the output ramp is the saturation
+   discharge time C Vdd / I_D0, widened by the usual 10-90 ->
+   rail-to-rail factor 1.5. *)
 let to_edge_params inv ~rising_out ~base =
   let dev = driver inv ~rising_out in
   {

@@ -33,14 +33,6 @@ val default_inverter : inverter
 (** 0.6 um-flavoured values: Vdd 5 V, Vth 0.8/0.9 V, alpha 1.3,
     1.5/1.0 mA drives. *)
 
-val delay :
-  inverter -> rising_out:bool -> cl:float -> tau_in:float -> Halotis_util.Units.time
-(** Propagation delay (input 50 % to output ramp start, the engine
-    convention), ps.  [cl] in fF. *)
-
-val output_slope : inverter -> rising_out:bool -> cl:float -> Halotis_util.Units.time
-(** Full-swing output ramp time, ps. *)
-
 val to_tech :
   ?name:string -> base:Halotis_tech.Tech.t -> inverter ->
   sized:(Halotis_logic.Gate_kind.t -> float) ->

@@ -456,8 +456,7 @@ let advance st ~upto =
   done;
   snapshot st
 
-let run ?injections ?compiled cfg c ~drives =
-  advance (start ?injections ?compiled cfg c ~drives) ~upto:infinity
+let run cfg c ~drives = advance (start cfg c ~drives) ~upto:infinity
 
 (* Live stimulus replaces the input's queued future: switches at or
    after a new one are annulled first, as {!Iddm.session_set_input}'s

@@ -82,8 +82,6 @@ val toggle : Halotis_wave.Transition.t -> Halotis_util.Units.time * bool
     to. *)
 
 val run :
-  ?injections:injection list ->
-  ?compiled:Compiled.t ->
   config ->
   Halotis_netlist.Netlist.t ->
   drives:(Halotis_netlist.Netlist.signal_id * Drive.t) list ->

@@ -19,8 +19,8 @@ let of_levels ~slope ~initial changes =
   in
   { initial; transitions = build initial [] sorted }
 
-let pulse ~slope ~at ~width ?(initial = false) () =
-  of_levels ~slope ~initial [ (at, not initial); (at +. width, initial) ]
+let pulse ~slope ~at ~width () =
+  of_levels ~slope ~initial:false [ (at, true); (at +. width, false) ]
 
 let check d =
   let rec ordered = function

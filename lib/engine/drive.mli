@@ -23,13 +23,9 @@ val pulse :
   slope:Halotis_util.Units.time ->
   at:Halotis_util.Units.time ->
   width:Halotis_util.Units.time ->
-  ?initial:bool ->
   unit ->
   t
-(** A single positive pulse (or negative when [initial] is [true]). *)
-
-val check : t -> unit
-(** @raise Invalid_argument when transitions are unordered. *)
+(** A single positive pulse from a low initial level. *)
 
 val check_input : who:string -> Halotis_netlist.Netlist.t -> Halotis_netlist.Netlist.signal_id -> unit
 (** @raise Invalid_argument prefixed with [who] unless the signal is a
@@ -41,7 +37,8 @@ val bind :
   (Halotis_netlist.Netlist.signal_id * t) list ->
   (Halotis_netlist.Netlist.signal_id, t) Hashtbl.t * bool array
 (** The drives of one run on the compiled circuit's netlist, keyed by
-    signal, each {!check}ed and {!check_input}ed (a later drive of a
-    signal replaces an earlier one), and the DC operating point
-    ({!Dc.levels}) they start from, undriven inputs low.
+    signal, each checked for ordered transitions and {!check_input}ed
+    (a later drive of a signal replaces an earlier one), and the DC
+    operating point ({!Dc.levels}) they start from, undriven inputs
+    low.
     @raise Invalid_argument prefixed with [who], or as {!Dc.levels}. *)

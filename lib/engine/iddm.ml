@@ -747,8 +747,7 @@ let start_cone ?(injections = []) ws ~(cone : Compiled.cone) ~from =
   List.iter (add_injection st) injections;
   st
 
-let run ?injections ?compiled cfg c ~drives =
-  advance (start ?injections ?compiled cfg c ~drives) ~upto:infinity
+let run ?compiled cfg c ~drives = advance (start ?compiled cfg c ~drives) ~upto:infinity
 
 let session_set_input st sid transitions =
   Drive.check_input ~who:"Iddm.session_set_input" st.c sid;
@@ -818,10 +817,3 @@ let waveform result name =
   match Netlist.find_signal result.circuit name with
   | Some sid -> result.waveforms.(sid)
   | None -> raise Not_found
-
-let output_edges ?vt result =
-  let vt = match vt with Some v -> v | None -> Tech.vdd result.run_config.tech /. 2. in
-  List.map
-    (fun sid ->
-      (Netlist.signal_name result.circuit sid, Digital.edges result.waveforms.(sid) ~vt))
-    (Netlist.primary_outputs result.circuit)

@@ -103,7 +103,6 @@ type injection = {
 }
 
 val run :
-  ?injections:injection list ->
   ?compiled:Compiled.t ->
   config ->
   Halotis_netlist.Netlist.t ->
@@ -289,10 +288,3 @@ val explain :
 val pp_explanation :
   result -> Format.formatter -> trace_entry list -> unit
 (** One line per link: time, gate, pin, signal. *)
-
-val output_edges :
-  ?vt:Halotis_util.Units.voltage ->
-  result ->
-  (string * Halotis_wave.Digital.edge list) list
-(** Digitized primary outputs (default threshold VDD/2), in declaration
-    order. *)

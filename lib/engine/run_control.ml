@@ -38,7 +38,7 @@ let create ?pool budget ~t_stop ~stats =
         end_time = 0.;
         now = 0.;
         finished = false;
-        queue = Heap.create ~capacity:64 ();
+        queue = Heap.create ();
         at = [||];
         dead = Bytes.empty;
         int0 = [||];

@@ -159,9 +159,6 @@ let top_offenders ?(n = 5) r =
 
 let iddm r = match r.rs_raw with Iddm_result ir -> Some ir | Classic_result _ -> None
 
-let classic r =
-  match r.rs_raw with Classic_result cr -> Some cr | Iddm_result _ -> None
-
 (* The run configurations shared by sessions and the cone context. *)
 let classic_config spec =
   Classic.config ~overlay:spec.sp_overlay ?t_stop:spec.sp_t_stop ~budget:spec.sp_budget

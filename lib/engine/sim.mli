@@ -136,8 +136,6 @@ val top_offenders : ?n:int -> result -> (string * int) list
 val iddm : result -> Iddm.result option
 (** The full IDDM result (waveforms, trace) — [None] for classic runs. *)
 
-val classic : result -> Classic.result option
-
 (** {1 Incremental cone re-simulation}
 
     The fault-campaign fast path: an injection on [victim] can only

@@ -58,10 +58,6 @@ let diff a b =
     stopped_by = a.stopped_by;
   }
 
-let total t =
-  t.events_scheduled + t.events_processed + t.events_filtered + t.transitions_emitted
-  + t.transitions_annulled + t.noop_evaluations
-
 let pp fmt t =
   Format.fprintf fmt
     "events: %d scheduled, %d processed, %d filtered, %d stale-skipped; transitions: %d emitted, %d annulled; %d no-op evals"

@@ -14,8 +14,7 @@ type t = {
           lazy-cancellation kernel marks a cancelled event dead in place
           instead of restructuring the heap, and reclaims it here.  In
           an {!Iddm} run that drains its queue,
-          [stale_skipped = events_filtered]; purely diagnostic, not
-          part of {!total} *)
+          [stale_skipped = events_filtered]; purely diagnostic *)
   mutable transitions_emitted : int;  (** output transitions appended to waveforms *)
   mutable transitions_annulled : int;  (** stored transitions wiped by later ones *)
   mutable noop_evaluations : int;  (** gate evaluations that left the output unchanged *)
@@ -38,9 +37,6 @@ val diff : t -> t -> t
 (** [diff a b] is a fresh record of per-counter differences [a - b]:
     what an injected run cost {e beyond} its baseline.  Counters may be
     negative when [b] outgrew [a].  [stopped_by] is taken from [a]. *)
-
-val total : t -> int
-(** Sum of all counters — a scalar activity measure. *)
 
 val pp : Format.formatter -> t -> unit
 (** Appends ["; stopped: <reason>"] only when the run did not

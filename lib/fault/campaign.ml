@@ -74,8 +74,7 @@ let default =
 
 let config ?(engine = Ddm) ?(seed = 1) ?(n = 100) ?(pulse = Inject.pulse ~width:150. ())
     ?window ?(site_budget = Budget.unlimited) ?(prune = false) ?(incremental = true)
-    ?(overlay = Halotis_tech.Param_overlay.empty) ?sites ?range ?(completed = [])
-    ?(quarantined = []) ?limit ~t_stop () =
+    ?sites ?limit ~t_stop () =
   if n < 0 then invalid_arg "Campaign.config: n must be non-negative";
   if t_stop <= 0. then invalid_arg "Campaign.config: t_stop must be positive";
   if prune then invalid_arg "Campaign.config: static pruning was removed";
@@ -88,11 +87,11 @@ let config ?(engine = Ddm) ?(seed = 1) ?(n = 100) ?(pulse = Inject.pulse ~width:
     window;
     site_budget;
     incremental;
-    overlay;
+    overlay = Halotis_tech.Param_overlay.empty;
     sites;
-    range;
-    completed;
-    quarantined;
+    range = None;
+    completed = [];
+    quarantined = [];
     limit;
   }
 
@@ -225,11 +224,15 @@ let run ?on_verdict cfg tech c ~drives =
      truncated, frozen or replay-hazardous baseline.  When armed, a site
      whose cone graft is exact skips the full re-run entirely; any
      fallback re-runs it the old way, so verdicts, reports and journals
-     are byte-identical with the optimization on or off. *)
+     are byte-identical with the optimization on or off.  Built at the
+     first fresh site: on DDM/CDM it replays the whole baseline to
+     record checkpoints, which a resume with nothing left to run would
+     throw away. *)
   let cone_ctx =
-    if cfg.incremental && Budget.is_unlimited cfg.site_budget then
-      Sim.Cone.create ~compiled cfg.engine (spec ()) ~baseline:base_run
-    else None
+    lazy
+      (if cfg.incremental && Budget.is_unlimited cfg.site_budget then
+         Sim.Cone.create ~compiled cfg.engine (spec ()) ~baseline:base_run
+       else None)
   in
   let run_site_full site =
     observe
@@ -237,7 +240,7 @@ let run ?on_verdict cfg tech c ~drives =
          (spec ~injections:[ Inject.injection site cfg.pulse ] ~budget:cfg.site_budget ()))
   in
   let run_site site =
-    match cone_ctx with
+    match Lazy.force cone_ctx with
     | None -> run_site_full site
     | Some ctx -> (
         match Sim.Cone.run_site ctx (Inject.injection site cfg.pulse) with
@@ -336,7 +339,9 @@ let run ?on_verdict cfg tech c ~drives =
     cam_total_stats = total;
     cam_sites_total = nsites;
     cam_complete = List.length verdicts = nactive;
-    cam_cone = Option.map Sim.Cone.totals cone_ctx;
+    cam_cone =
+      (if Lazy.is_val cone_ctx then Option.map Sim.Cone.totals (Lazy.force cone_ctx)
+       else None);
     cam_quarantined = List.map (fun i -> (i, site_arr.(i))) quarantined;
   }
 

@@ -117,11 +117,7 @@ val config :
   ?site_budget:Halotis_guard.Budget.t ->
   ?prune:bool ->
   ?incremental:bool ->
-  ?overlay:Halotis_tech.Param_overlay.t ->
   ?sites:Site.t list ->
-  ?range:int * int ->
-  ?completed:verdict list ->
-  ?quarantined:int list ->
   ?limit:int ->
   t_stop:Halotis_util.Units.time ->
   unit ->
@@ -151,9 +147,10 @@ type t = {
   cam_cone : Halotis_engine.Sim.Cone.totals option;
       (** incremental accounting (exact/fallback site counts,
           fallbacks by reason, cone sizes) when cone re-simulation was
-          armed; [None] when it was
-          off or refused.  Never rendered into reports — report bytes
-          must not depend on the engine path. *)
+          armed; [None] when it was off or refused, or when no site ran
+          fresh (the cone context is built at the first fresh site).
+          Never rendered into reports — report bytes must not depend on
+          the engine path. *)
   cam_quarantined : (int * Site.t) list;
       (** sites the supervisor quarantined (global index, site), in
           index order: they own no verdict, and the campaign is

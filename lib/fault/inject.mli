@@ -15,15 +15,9 @@ val pulse : ?slope:Halotis_util.Units.time -> width:Halotis_util.Units.time -> u
 (** Default slope: 100 ps (the conventional input-ramp slope).
     @raise Invalid_argument when [width <= 0] or [slope <= 0]. *)
 
-val transitions :
-  at:Halotis_util.Units.time ->
-  polarity:Halotis_wave.Transition.polarity ->
-  pulse ->
-  Halotis_wave.Transition.t list
-(** The two ramps of the SET: leading edge at [at], trailing (opposed)
-    edge at [at +. width]. *)
-
 val injection : Site.t -> pulse -> Halotis_engine.Sim.injection
 (** The site's pulse as an engine-agnostic {!Halotis_engine.Sim}
-    injection: any engine run through the facade splices (or, for the
-    classic engine, boolean-abstracts) the same two ramps. *)
+    injection, two ramps: the leading edge at the strike instant, the
+    trailing (opposed) edge [width] later.  Any engine run through the
+    facade splices (or, for the classic engine, boolean-abstracts) the
+    same two ramps. *)

@@ -34,7 +34,7 @@ let chunk_files base =
           | None -> (rest, "")
         in
         match int_of_string_opt id with
-        | Some id when id >= 0 && List.mem suffix [ ""; ".err"; ".chaos" ] ->
+        | Some id when id >= 0 && List.mem suffix [ ""; ".err"; ".chaos"; ".cursor" ] ->
             Some (id, Filename.concat dir f, suffix)
         | _ -> None)
     (Array.to_list files)
@@ -42,7 +42,7 @@ let chunk_files base =
 (* The last few stderr lines of a dead worker, for replay into the
    supervisor's diagnostic.  Best effort: a missing or empty capture
    file yields []. *)
-let stderr_tail ?(lines = 5) path =
+let stderr_tail path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error _ -> []
   | contents ->
@@ -51,7 +51,7 @@ let stderr_tail ?(lines = 5) path =
         |> List.filter (fun l -> String.trim l <> "")
       in
       let n = List.length all in
-      List.filteri (fun i _ -> i >= n - lines) all
+      List.filteri (fun i _ -> i >= n - 5) all
 
 let status_to_string = function
   | Unix.WEXITED n -> Printf.sprintf "exit %d" n

@@ -37,12 +37,13 @@ val spawn : ?stderr_file:string -> string list -> int
 
 val chunk_files : string -> (int * string * string) list
 (** Every supervision file beside [base], as [(id, path, suffix)]: the
-    chunk journals [base.ID] (suffix [""]) and their stderr captures
-    and chaos sentinels ([".err"], [".chaos"]), in no particular
-    order. *)
+    chunk journals [base.ID] (suffix [""]), their stderr captures and
+    chaos sentinels ([".err"], [".chaos"]), and the progress cursors
+    ([".cursor"]) that releases before the journal-size heartbeat wrote
+    and nothing reads any more, in no particular order. *)
 
-val stderr_tail : ?lines:int -> string -> string list
-(** The last [lines] (default 5) non-blank lines of a worker's stderr
+val stderr_tail : string -> string list
+(** The last five non-blank lines of a worker's stderr
     capture file; [[]] when the file is missing or empty.  Replayed
     into the supervisor's diagnostics after a worker dies. *)
 

@@ -15,8 +15,8 @@ let unlimited =
     max_transitions = None;
   }
 
-let make ?max_events ?max_wall_s ?max_queue ?max_sim_time ?max_transitions () =
-  { max_events; max_wall_s; max_queue; max_sim_time; max_transitions }
+let make ?max_events ?max_wall_s ?max_queue ?max_sim_time () =
+  { max_events; max_wall_s; max_queue; max_sim_time; max_transitions = None }
 
 let is_unlimited b =
   b.max_events = None && b.max_wall_s = None && b.max_queue = None && b.max_sim_time = None
@@ -25,9 +25,11 @@ let is_unlimited b =
 module Monitor = struct
   type budget = t
 
+  (* events between slow-path checks *)
+  let interval = 1024
+
   type t = {
     budget : budget;
-    interval : int;
     mutable countdown : int;  (* events left before the next slow-path check *)
     mutable fill : int;  (* what countdown was last refilled to *)
     mutable events : int;  (* events accounted at the last refill *)
@@ -37,16 +39,15 @@ module Monitor = struct
   let refill m =
     let fill =
       match m.budget.max_events with
-      | Some lim -> min m.interval (lim - m.events)
-      | None -> m.interval
+      | Some lim -> min interval (lim - m.events)
+      | None -> interval
     in
     m.fill <- fill;
     m.countdown <- fill
 
-  let create ?(interval = 1024) budget =
-    let interval = max 1 interval in
+  let create budget =
     let wall_start = if budget.max_wall_s <> None then Unix.gettimeofday () else 0. in
-    let m = { budget; interval; countdown = 0; fill = 0; events = 0; wall_start } in
+    let m = { budget; countdown = 0; fill = 0; events = 0; wall_start } in
     refill m;
     m
 

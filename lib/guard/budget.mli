@@ -4,9 +4,9 @@
     gracefully.  All limits are optional; {!unlimited} disables them
     all.  The hot loop pays one countdown decrement and one branch per
     event via {!Monitor.hit}; the expensive checks (wall clock, queue
-    occupancy) only run every [interval] events.  The event budget is
+    occupancy) only run every 1024 events.  The event budget is
     exact: the monitor refills the countdown with
-    [min interval (remaining events)], so a run with
+    [min 1024 (remaining events)], so a run with
     [max_events = Some n] processes exactly [n] events before
     stopping. *)
 
@@ -33,7 +33,6 @@ val make :
   ?max_wall_s:float ->
   ?max_queue:int ->
   ?max_sim_time:float ->
-  ?max_transitions:int ->
   unit ->
   t
 
@@ -43,13 +42,7 @@ val is_unlimited : t -> bool
     reusable across runs (it owns the wall-clock start time and the
     event countdown). *)
 module Monitor : sig
-  type budget = t
   type t
-
-  val create : ?interval:int -> budget -> t
-  (** [interval] is how many events pass between slow-path checks
-      (default 1024).  The event budget stays exact regardless of
-      [interval]. *)
 
   val hit : t -> queue:int -> Stop.t option
   (** Call once per live event, {e before} processing it.  [queue] is

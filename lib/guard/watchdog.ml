@@ -79,7 +79,7 @@ let trip t netlist fz ~signal ~at =
       fz.fz_any <- true;
       None
 
-let suggest_threshold ?(window = default_window) ~scc_gates () =
+let suggest_threshold ~scc_gates =
   (* A feedback loop of [scc_gates] gates oscillates with a period of
      roughly 2 x scc_gates x one gate delay (~50 ps in the built-in
      technology), so each loop signal toggles about
@@ -88,5 +88,5 @@ let suggest_threshold ?(window = default_window) ~scc_gates () =
      above what quiescing logic produces; the floor keeps tiny loops
      (an inverter pair) from tripping on legitimate bursts. *)
   let scc_gates = max 1 scc_gates in
-  let expected = window /. (50. *. float_of_int scc_gates) in
+  let expected = default_window /. (50. *. float_of_int scc_gates) in
   max 16 (int_of_float (expected /. 2.))

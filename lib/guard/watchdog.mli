@@ -65,10 +65,10 @@ val trip :
     returns the [Stop.Oscillation] naming it, which the run must stop
     with; [Degrade] mode marks it in [frozen] and returns [None]. *)
 
-val suggest_threshold : ?window:float -> scc_gates:int -> unit -> int
+val suggest_threshold : scc_gates:int -> int
 (** A trip threshold tuned to a feedback loop of [scc_gates] gates
     (e.g. the size of a preflight NL008 finding's SCC): half the event
-    rate a ring of that size sustains per [window] (default
-    {!default_window}), floored at 16.  Smaller loops oscillate faster,
+    rate a ring of that size sustains per {!default_window}, floored at
+    16.  Smaller loops oscillate faster,
     so they get a {e higher} suggested threshold — the suggestion stays
     comfortably between real oscillation and quiescing activity. *)

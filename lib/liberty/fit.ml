@@ -41,7 +41,7 @@ let fit_edge ~delay ~transition ~base =
 
 let default_kind_of_cell = Gate_kind.of_name
 
-let to_tech ?name ~base ~kind_of_cell (lib : Liberty.t) =
+let to_tech ~base ~kind_of_cell (lib : Liberty.t) =
   let fitted = Hashtbl.create 8 in
   let qualities = ref [] in
   List.iter
@@ -88,8 +88,7 @@ let to_tech ?name ~base ~kind_of_cell (lib : Liberty.t) =
     | Some gt -> gt
     | None -> Tech.gate_tech base kind
   in
-  let tech_name =
-    match name with Some n -> n | None -> lib.Liberty.lib_name ^ "-fitted"
+  let tech_name = lib.Liberty.lib_name ^ "-fitted"
   in
   ( Tech.create ~name:tech_name ~vdd:(Tech.vdd base)
       ~wire_cap_per_fanout:(Tech.wire_cap_per_fanout base) ~lookup (),

@@ -12,7 +12,6 @@ type quality = { delay_rmse : float; slope_rmse : float }
 (** Root-mean-square residuals of the two fits, in ps. *)
 
 val to_tech :
-  ?name:string ->
   base:Halotis_tech.Tech.t ->
   kind_of_cell:(string -> Halotis_logic.Gate_kind.t option) ->
   Liberty.t ->

@@ -139,11 +139,3 @@ let delay cell ~rising ~pin ~slope ~load =
       match if rising then arc.cell_rise else arc.cell_fall with
       | Some table -> Some (Table2d.lookup table slope load)
       | None -> None)
-
-let output_slope cell ~rising ~pin ~slope ~load =
-  match arc_for cell pin with
-  | None -> None
-  | Some arc -> (
-      match if rising then arc.rise_transition else arc.fall_transition with
-      | Some table -> Some (Table2d.lookup table slope load)
-      | None -> None)

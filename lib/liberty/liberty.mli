@@ -31,6 +31,3 @@ val delay :
   cell -> rising:bool -> pin:string -> slope:float -> load:float -> float option
 (** NLDM delay lookup on the arc related to [pin]; [None] when the arc
     or table is absent. *)
-
-val output_slope :
-  cell -> rising:bool -> pin:string -> slope:float -> load:float -> float option

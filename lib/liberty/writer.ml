@@ -1,13 +1,13 @@
 module Tech = Halotis_tech.Tech
 module Gate_kind = Halotis_logic.Gate_kind
 
-let default_slopes = [| 20.; 60.; 150.; 300. |]
-let default_loads = [| 4.; 10.; 25.; 60. |]
+let slopes = [| 20.; 60.; 150.; 300. |]
+let loads = [| 4.; 10.; 25.; 60. |]
 
 let floats_csv a =
   String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%g") a))
 
-let of_tech ?(slopes = default_slopes) ?(loads = default_loads) tech ~kinds =
+let of_tech tech ~kinds =
   let buf = Buffer.create 4096 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pr "/* characterised from %s by HALOTIS */\n" (Tech.name tech);
@@ -55,7 +55,7 @@ let of_tech ?(slopes = default_slopes) ?(loads = default_loads) tech ~kinds =
   pr "}\n";
   Buffer.contents buf
 
-let write_file ?slopes ?loads path tech ~kinds =
+let write_file path tech ~kinds =
   let oc = open_out path in
-  output_string oc (of_tech ?slopes ?loads tech ~kinds);
+  output_string oc (of_tech tech ~kinds);
   close_out oc

@@ -7,18 +7,14 @@
     on a grid is recovered exactly by least squares). *)
 
 val of_tech :
-  ?slopes:float array ->
-  ?loads:float array ->
   Halotis_tech.Tech.t ->
   kinds:Halotis_logic.Gate_kind.t list ->
   string
 (** [of_tech tech ~kinds] renders a Liberty document with one cell per
-    kind (named by {!Halotis_logic.Gate_kind.name}); default grid:
+    kind (named by {!Halotis_logic.Gate_kind.name}), sampled at
     slopes [20, 60, 150, 300] ps, loads [4, 10, 25, 60] fF. *)
 
 val write_file :
-  ?slopes:float array ->
-  ?loads:float array ->
   string ->
   Halotis_tech.Tech.t ->
   kinds:Halotis_logic.Gate_kind.t list ->

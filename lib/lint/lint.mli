@@ -27,7 +27,6 @@ val preflight :
     default configuration, filtered to warnings and errors — what
     [simulate] and [compare] print before running. *)
 
-val errors : Finding.t list -> int
 val warnings : Finding.t list -> int
 
 val exit_code : strict:bool -> Finding.t list -> int

@@ -86,7 +86,6 @@ val default_config : config
     slopes [{50, 200}] ps. *)
 
 val enabled : config -> t -> bool
-val severity : config -> t -> Finding.severity
 
 val emit :
   config -> t -> Finding.location -> ('a, Format.formatter, unit, Finding.t option) format4 -> 'a

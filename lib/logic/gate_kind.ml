@@ -106,12 +106,3 @@ let all_basic =
   [ Buf; Inv; And 2; Nand 2; Nand 3; Or 2; Nor 2; Xor 2; Xnor 2; Aoi21; Oai21; Mux2 ]
 
 let pp fmt kind = Format.pp_print_string fmt (name kind)
-
-let equal a b =
-  match (a, b) with
-  | Buf, Buf | Inv, Inv | Aoi21, Aoi21 | Oai21, Oai21 | Mux2, Mux2 -> true
-  | And n, And m | Nand n, Nand m | Or n, Or m | Nor n, Nor m | Xor n, Xor m | Xnor n, Xnor m
-    ->
-      n = m
-  | (Buf | Inv | And _ | Nand _ | Or _ | Nor _ | Xor _ | Xnor _ | Aoi21 | Oai21 | Mux2), _ ->
-      false

@@ -40,5 +40,3 @@ val all_basic : t list
 (** A representative list of kinds used by tests and generators. *)
 
 val pp : Format.formatter -> t -> unit
-
-val equal : t -> t -> bool

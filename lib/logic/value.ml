@@ -7,7 +7,6 @@ let equal a b =
 
 let to_char = function L0 -> '0' | L1 -> '1' | X -> 'x' | Z -> 'z'
 
-let pp fmt v = Format.pp_print_char fmt (to_char v)
 let to_bool = function L0 -> Some false | L1 -> Some true | X | Z -> None
 let of_bool b = if b then L1 else L0
 let lnot = function L0 -> L1 | L1 -> L0 | X | Z -> X
@@ -29,9 +28,3 @@ let lxor_ a b =
   | Some x, Some y -> of_bool (x <> y)
   | (Some _ | None), _ -> X
 
-let resolve a b =
-  match (a, b) with
-  | Z, v | v, Z -> v
-  | L0, L0 -> L0
-  | L1, L1 -> L1
-  | (L0 | L1 | X), (L0 | L1 | X) -> X

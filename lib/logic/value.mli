@@ -10,7 +10,6 @@ type t = L0 | L1 | X | Z
 
 val equal : t -> t -> bool
 val to_char : t -> char
-val pp : Format.formatter -> t -> unit
 
 val to_bool : t -> bool option
 (** [to_bool v] is [Some] for the resolved rails, [None] for [X]/[Z]. *)
@@ -26,7 +25,3 @@ val lor_ : t -> t -> t
 
 val lxor_ : t -> t -> t
 (** Exclusive or; any unknown operand yields [X]. *)
-
-val resolve : t -> t -> t
-(** Bus resolution of two drivers: [Z] yields to anything, conflicting
-    rails give [X]. *)

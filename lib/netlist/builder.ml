@@ -96,9 +96,9 @@ let signal b name =
   | Some id -> id
   | None -> add_signal b ~name ~constant:None
 
-let fresh_signal ?(hint = "n") b =
+let fresh_signal b =
   let rec next () =
-    let name = hint ^ string_of_int b.fresh_counter in
+    let name = "w" ^ string_of_int b.fresh_counter in
     b.fresh_counter <- b.fresh_counter + 1;
     if Names.mem b.by_name name then next () else name
   in

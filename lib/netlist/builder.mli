@@ -23,8 +23,8 @@ val signal : t -> string -> Netlist.signal_id
 (** Declares (or returns, if already declared by [signal]) an internal
     signal by name. *)
 
-val fresh_signal : ?hint:string -> t -> Netlist.signal_id
-(** A new internal signal with a generated unique name ([hint ^ number]). *)
+val fresh_signal : t -> Netlist.signal_id
+(** A new internal signal with a generated unique name (["w" ^ number]). *)
 
 val const : t -> Halotis_logic.Value.t -> Netlist.signal_id
 (** A tie-cell signal stuck at the given value.  One shared signal per

@@ -31,7 +31,9 @@ let outputs_for c ~inputs =
     order;
   List.map (fun sid -> levels.(sid)) (Netlist.primary_outputs c)
 
-let check ?(max_inputs = 16) a b =
+let max_inputs = 16
+
+let check a b =
   let n = List.length (Netlist.primary_inputs a) in
   if n <> List.length (Netlist.primary_inputs b) then
     Incompatible "different primary-input counts"

@@ -11,10 +11,9 @@ type verdict =
   | Counterexample of { inputs : bool list; outputs_a : bool list; outputs_b : bool list }
   | Incompatible of string  (** differing input/output counts, cycles *)
 
-val check : ?max_inputs:int -> Netlist.t -> Netlist.t -> verdict
-(** [check a b] evaluates both circuits on every input vector
-    (default limit 16 inputs, i.e. 65536 vectors).
+val check : Netlist.t -> Netlist.t -> verdict
+(** [check a b] evaluates both circuits on every input vector.
     Returns [Incompatible] when interfaces differ, either circuit is
-    cyclic, or the input count exceeds [max_inputs]. *)
+    cyclic, or it has more than 16 inputs (65536 vectors). *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -1,9 +1,9 @@
 module Gate_kind = Halotis_logic.Gate_kind
 module Value = Halotis_logic.Value
 
-let inverter_chain ?(name = "inverter_chain") ~n () =
+let inverter_chain ~n () =
   assert (n >= 1);
-  let b = Builder.create name in
+  let b = Builder.create "inverter_chain" in
   let src = Builder.input b "in" in
   let rec stage prev i =
     let out = if i = n then Builder.signal b "out" else Builder.signal b (Printf.sprintf "out%d" i) in
@@ -100,9 +100,9 @@ type adder = {
   sum_bits : Netlist.signal_id list;
 }
 
-let ripple_carry_adder ?(name = "rca") ?(nand_only = false) ~bits () =
+let ripple_carry_adder ?(nand_only = false) ~bits () =
   assert (bits >= 1);
-  let b = Builder.create name in
+  let b = Builder.create "rca" in
   let a_bits = List.init bits (fun i -> Builder.input b (Printf.sprintf "a%d" i)) in
   let b_bits = List.init bits (fun i -> Builder.input b (Printf.sprintf "b%d" i)) in
   let fa = if nand_only then full_adder_nand9 else full_adder in
@@ -137,10 +137,9 @@ type multiplier = {
    ripple (vector-merge) adder produces the high bits.  Carries thus
    propagate row-to-row instead of rippling within a row, which keeps
    the critical path short, exactly as in the figure. *)
-let array_multiplier ?name ?(nand_only = false) ~m ~n () =
+let array_multiplier ?(nand_only = false) ~m ~n () =
   assert (m >= 1 && n >= 1);
-  let cname = match name with Some s -> s | None -> Printf.sprintf "mult%dx%d" m n in
-  let b = Builder.create cname in
+  let b = Builder.create (Printf.sprintf "mult%dx%d" m n) in
   let ma_bits = List.init m (fun i -> Builder.input b (Printf.sprintf "a%d" i)) in
   let mb_bits = List.init n (fun j -> Builder.input b (Printf.sprintf "b%d" j)) in
   let ma = Array.of_list ma_bits and mb = Array.of_list mb_bits in
@@ -207,7 +206,7 @@ let random_combinational ?(name = "random") ~gates ~inputs ~seed () =
       sid
     in
     let ins = List.init (Gate_kind.arity kind) (fun _ -> pick ()) in
-    let out = Builder.fresh_signal ~hint:"w" b in
+    let out = Builder.fresh_signal b in
     let _ = Builder.add_gate b kind ~name:(Printf.sprintf "rg%d" g) ~inputs:ins ~output:out in
     let extended = Array.make (Array.length !pool + 1) out in
     Array.blit !pool 0 extended 0 (Array.length !pool);
@@ -237,8 +236,8 @@ let sr_latch_into builder ~prefix ~s_n ~r_n =
   in
   (q, qb)
 
-let sr_latch ?(name = "sr_latch") () =
-  let b = Builder.create name in
+let sr_latch () =
+  let b = Builder.create "sr_latch" in
   let sig_s_n = Builder.input b "s_n" in
   let sig_r_n = Builder.input b "r_n" in
   let sig_q, sig_qb = sr_latch_into b ~prefix:"l" ~s_n:sig_s_n ~r_n:sig_r_n in
@@ -254,7 +253,7 @@ type latch_glitch = {
   lg_q_high : Netlist.signal_id;
 }
 
-let latch_glitch_circuit ?(vt_low = 1.5) ?(vt_high = 4.0) () =
+let latch_glitch_circuit () =
   let b = Builder.create "latch_glitch" in
   let lg_in = Builder.input b "in" in
   let mid = Builder.signal b "mid" in
@@ -271,8 +270,8 @@ let latch_glitch_circuit ?(vt_low = 1.5) ?(vt_high = 4.0) () =
   (* the Fig. 1 pair: a low-threshold and a high-threshold inverter
      watch the same runt, each turning it into an active-low reset
      pulse for its own latch *)
-  inv ~input_vt:[ Some vt_low ] "sense_low" [ glitch ] r_n_low;
-  inv ~input_vt:[ Some vt_high ] "sense_high" [ glitch ] r_n_high;
+  inv ~input_vt:[ Some 1.5 ] "sense_low" [ glitch ] r_n_low;
+  inv ~input_vt:[ Some 4.0 ] "sense_high" [ glitch ] r_n_high;
   let q_low, qb_low = sr_latch_into b ~prefix:"ll" ~s_n ~r_n:r_n_low in
   let q_high, qb_high = sr_latch_into b ~prefix:"lh" ~s_n ~r_n:r_n_high in
   List.iter (Builder.mark_output b) [ q_low; qb_low; q_high; qb_high; glitch ];
@@ -288,10 +287,9 @@ let latch_glitch_circuit ?(vt_low = 1.5) ?(vt_high = 4.0) () =
    products, then a ripple vector-merge.  Structurally very different
    from the Fig. 5 array (log-depth reduction, XOR-heavy), which makes
    it the natural foil for glitch-activity comparisons. *)
-let wallace_multiplier ?name ~m ~n () =
+let wallace_multiplier ~m ~n () =
   assert (m >= 1 && n >= 1);
-  let cname = match name with Some s -> s | None -> Printf.sprintf "wallace%dx%d" m n in
-  let b = Builder.create cname in
+  let b = Builder.create (Printf.sprintf "wallace%dx%d" m n) in
   let ma_bits = List.init m (fun i -> Builder.input b (Printf.sprintf "a%d" i)) in
   let mb_bits = List.init n (fun j -> Builder.input b (Printf.sprintf "b%d" j)) in
   let ma = Array.of_list ma_bits and mb = Array.of_list mb_bits in
@@ -380,9 +378,9 @@ let wallace_multiplier ?name ~m ~n () =
    AND-OR lookahead within 4-bit groups, group carries rippling.  Same
    function as the ripple-carry adder with a very different timing
    profile — the STA and hazard analyses tell them apart. *)
-let carry_lookahead_adder ?(name = "cla") ~bits () =
+let carry_lookahead_adder ~bits () =
   assert (bits >= 1);
-  let b = Builder.create name in
+  let b = Builder.create "cla" in
   let a_bits = List.init bits (fun i -> Builder.input b (Printf.sprintf "a%d" i)) in
   let b_bits = List.init bits (fun i -> Builder.input b (Printf.sprintf "b%d" i)) in
   let a = Array.of_list a_bits and bb = Array.of_list b_bits in
@@ -494,8 +492,8 @@ let dff_into b ~prefix ~d ~clk =
   let q, qb = d_latch_into b ~prefix:(prefix ^ "_s") ~d:mq ~en:clk in
   (q, qb)
 
-let dff ?(name = "dff") () =
-  let b = Builder.create name in
+let dff () =
+  let b = Builder.create "dff" in
   let dff_d = Builder.input b "d" in
   let dff_clk = Builder.input b "clk" in
   let dff_q, dff_qb = dff_into b ~prefix:"f" ~d:dff_d ~clk:dff_clk in
@@ -511,9 +509,9 @@ type counter = {
 
 (* Asynchronous (ripple) counter: each stage is a DFF toggling on the
    falling edge of the previous stage's q (clocked by qb). *)
-let ripple_counter ?(name = "counter") ~bits () =
+let ripple_counter ~bits () =
   assert (bits >= 1);
-  let b = Builder.create name in
+  let b = Builder.create "counter" in
   let ctr_clk = Builder.input b "clk" in
   let rec stage i clk qs =
     if i = bits then List.rev qs

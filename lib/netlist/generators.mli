@@ -3,7 +3,7 @@
     Everything returns a finalized {!Netlist.t}; signal names follow
     the paper's figures where one exists. *)
 
-val inverter_chain : ?name:string -> n:int -> unit -> Netlist.t
+val inverter_chain : n:int -> unit -> Netlist.t
 (** [inverter_chain ~n ()] is [in -> inv^n -> out], with the
     intermediate signals named [out1 .. out(n-1)] and the last one
     [out].  [n >= 1]. *)
@@ -32,10 +32,10 @@ type adder = {
   sum_bits : Netlist.signal_id list;  (** LSB first, includes carry-out bit *)
 }
 
-val ripple_carry_adder : ?name:string -> ?nand_only:bool -> bits:int -> unit -> adder
+val ripple_carry_adder : ?nand_only:bool -> bits:int -> unit -> adder
 (** An n-bit ripple-carry adder built from full adders. *)
 
-val carry_lookahead_adder : ?name:string -> bits:int -> unit -> adder
+val carry_lookahead_adder : bits:int -> unit -> adder
 (** An n-bit carry-lookahead adder (4-bit lookahead groups, rippling
     group carries).  Functionally identical to
     {!ripple_carry_adder} — see [Equiv.check] — with a much flatter
@@ -48,7 +48,7 @@ type multiplier = {
   product_bits : Netlist.signal_id list;  (** s0 .. s(m+n-1), LSB first *)
 }
 
-val array_multiplier : ?name:string -> ?nand_only:bool -> m:int -> n:int -> unit -> multiplier
+val array_multiplier : ?nand_only:bool -> m:int -> n:int -> unit -> multiplier
 (** The carry-save (Braun) array multiplier of the paper's Fig. 5: an
     AND partial-product matrix, [n - 1] rows of [m] full adders whose
     carries are saved into the next row (tie-0 inputs on the boundary
@@ -62,7 +62,7 @@ val random_combinational :
     INV/NAND2/NOR2/XOR2 wired to earlier signals.  Every sink-less
     signal is marked as a primary output. *)
 
-val wallace_multiplier : ?name:string -> m:int -> n:int -> unit -> multiplier
+val wallace_multiplier : m:int -> n:int -> unit -> multiplier
 (** A Wallace-tree multiplier (column-wise 3:2 reduction, then a ripple
     vector merge).  Same interface as {!array_multiplier}; used by the
     tree-vs-array glitch ablation. *)
@@ -75,7 +75,7 @@ type sr_latch = {
   sig_qb : Netlist.signal_id;
 }
 
-val sr_latch : ?name:string -> unit -> sr_latch
+val sr_latch : unit -> sr_latch
 (** A cross-coupled NAND set/reset latch — the feedback structure
     behind the paper's metastability motivation.  With both inputs
     inactive (high) the DC relaxation settles at [q = 1]. *)
@@ -88,10 +88,10 @@ type latch_glitch = {
   lg_q_high : Netlist.signal_id;  (** state of the latch behind the high-VT sense *)
 }
 
-val latch_glitch_circuit : ?vt_low:float -> ?vt_high:float -> unit -> latch_glitch
+val latch_glitch_circuit : unit -> latch_glitch
 (** The latch-triggering scenario, combining Fig. 1 with the paper's
     metastability motivation: an inverter chain degrades an input pulse
-    into a runt; a low-VT (default 1.5 V) and a high-VT (default 4.0 V)
+    into a runt; a low-VT (1.5 V) and a high-VT (4.0 V)
     sense inverter watch the same runt, each feeding the active-low
     reset of its own NAND latch (both initialised to [q = 1]).  Inside
     the degradation band the low latch flips and the high one holds —
@@ -106,7 +106,7 @@ type dff = {
   dff_qb : Netlist.signal_id;
 }
 
-val dff : ?name:string -> unit -> dff
+val dff : unit -> dff
 (** A positive-edge master-slave D flip-flop built from two gated
     latches and a clock inverter (nine gates).  Used by the SETUP
     experiment to probe the capture boundary and metastability onset
@@ -118,7 +118,7 @@ type counter = {
   ctr_q : Netlist.signal_id list;  (** LSB first *)
 }
 
-val ripple_counter : ?name:string -> bits:int -> unit -> counter
+val ripple_counter : bits:int -> unit -> counter
 (** An asynchronous (ripple) counter of toggling flip-flops — the
     engines exercise genuine sequential feedback here, clocked only by
     the primary input. *)

@@ -144,4 +144,3 @@ let to_string c =
   pr "end\n";
   Buffer.contents buf
 
-let write_file path c = Out_channel.with_open_text path (fun oc -> output_string oc (to_string c))

@@ -33,4 +33,3 @@ val to_string : Netlist.t -> string
 (** Prints a circuit as HNL; [parse_string (to_string c)] reproduces an
     isomorphic circuit. *)
 
-val write_file : string -> Netlist.t -> unit

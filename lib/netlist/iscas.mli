@@ -18,8 +18,6 @@
 
 type error = { line : int; message : string }
 
-val pp_error : Format.formatter -> error -> unit
-
 val parse_string : ?name:string -> string -> (Netlist.t, error) result
 (** [parse_string ~name text] parses a .bench document; [name] is the
     circuit name (default ["bench"]). *)

@@ -10,10 +10,8 @@ type report = {
   engine_label : string;
 }
 
-let of_iddm ?vt (r : Iddm.result) =
-  let vt =
-    match vt with Some v -> v | None -> Tech.vdd r.Iddm.run_config.Iddm.tech /. 2.
-  in
+let of_iddm (r : Iddm.result) =
+  let vt = Tech.vdd r.Iddm.run_config.Iddm.tech /. 2. in
   let c = r.Iddm.circuit in
   let pulses = ref 0 in
   let per_signal =

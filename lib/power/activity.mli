@@ -13,9 +13,8 @@ type report = {
   engine_label : string;
 }
 
-val of_iddm : ?vt:Halotis_util.Units.voltage -> Halotis_engine.Iddm.result -> report
-(** Digitizes every waveform at [vt] (default VDD/2) and counts
-    edges. *)
+val of_iddm : Halotis_engine.Iddm.result -> report
+(** Digitizes every waveform at VDD/2 and counts edges. *)
 
 val overestimation_pct : reference:report -> candidate:report -> float
 (** [100 * (candidate - reference) / reference]; the paper reports CDM

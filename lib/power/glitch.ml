@@ -1,9 +1,12 @@
 module Digital = Halotis_wave.Digital
 module Waveform = Halotis_wave.Waveform
 
-type histogram = { bucket_width : float; counts : int array; overflow : int }
+type histogram = { counts : int array; overflow : int }
 
-let pulse_width_histogram ?(bucket_width = 100.) ?(buckets = 10) ~vt waveforms =
+let bucket_width = 100.
+let buckets = 10
+
+let pulse_width_histogram ~vt waveforms =
   let counts = Array.make buckets 0 in
   let overflow = ref 0 in
   Array.iter
@@ -15,14 +18,14 @@ let pulse_width_histogram ?(bucket_width = 100.) ?(buckets = 10) ~vt waveforms =
           else counts.(bucket) <- counts.(bucket) + 1)
         (Digital.pulses w ~vt))
     waveforms;
-  { bucket_width; counts; overflow = !overflow }
+  { counts; overflow = !overflow }
 
 let pp_histogram fmt h =
   Array.iteri
     (fun i n ->
       Format.fprintf fmt "  %4.0f-%4.0f ps: %s (%d)@."
-        (float_of_int i *. h.bucket_width)
-        (float_of_int (i + 1) *. h.bucket_width)
+        (float_of_int i *. bucket_width)
+        (float_of_int (i + 1) *. bucket_width)
         (String.make (min n 60) '#') n)
     h.counts;
   if h.overflow > 0 then Format.fprintf fmt "  wider      : (%d)@." h.overflow

@@ -9,19 +9,14 @@
     full — the mechanism behind Table 1. *)
 
 type histogram = {
-  bucket_width : Halotis_util.Units.time;
-  counts : int array;  (** bucket [i] counts pulses in [[i*w, (i+1)*w)] *)
-  overflow : int;  (** pulses wider than the last bucket *)
+  counts : int array;  (** bucket [i] counts pulses in [[i*100, (i+1)*100)] ps *)
+  overflow : int;  (** pulses of 1000 ps and wider *)
 }
 
 val pulse_width_histogram :
-  ?bucket_width:Halotis_util.Units.time ->
-  ?buckets:int ->
-  vt:Halotis_util.Units.voltage ->
-  Halotis_wave.Waveform.t array ->
-  histogram
-(** Histogram of complete pulse widths over a set of waveforms
-    (default 100 ps buckets, 10 of them). *)
+  vt:Halotis_util.Units.voltage -> Halotis_wave.Waveform.t array -> histogram
+(** Histogram of complete pulse widths over a set of waveforms: ten
+    100 ps buckets. *)
 
 val pp_histogram : Format.formatter -> histogram -> unit
 

@@ -60,7 +60,8 @@ let timing_diagram ?(width = 100) ~t0 ~t1 lanes =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-let voltage_lane ?(width = 100) ?(rows = 5) ~t0 ~t1 ~vdd ~label f =
+let voltage_lane ?(width = 100) ~t0 ~t1 ~vdd ~label f =
+  let rows = 5 in
   if t1 <= t0 then invalid_arg "Figures.voltage_lane: empty time range";
   let dt = (t1 -. t0) /. float_of_int width in
   let samples =

@@ -24,13 +24,12 @@ val timing_diagram :
 
 val voltage_lane :
   ?width:int ->
-  ?rows:int ->
   t0:Halotis_util.Units.time ->
   t1:Halotis_util.Units.time ->
   vdd:Halotis_util.Units.voltage ->
   label:string ->
   (Halotis_util.Units.time -> Halotis_util.Units.voltage) ->
   string
-(** Renders a sampled analog trace as a small character plot ([rows]
-    vertical buckets, default 5) — used to show runt pulses that a
+(** Renders a sampled analog trace as a small character plot (five
+    vertical buckets) — used to show runt pulses that a
     digital lane cannot express. *)

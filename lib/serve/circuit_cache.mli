@@ -30,7 +30,6 @@ val find_or_compile :
     inserted.  [compile]'s exceptions propagate without corrupting the
     cache. *)
 
-val entries : t -> int
 val hits : t -> int
 val misses : t -> int
 val evictions : t -> int

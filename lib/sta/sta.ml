@@ -42,7 +42,7 @@ let fail_cyclic c ~what =
     (Printf.sprintf "%s: circuit %s has a combinational cycle: %s" what
        (Netlist.name c) witness)
 
-let analyze ?(input_arrival = 0.) ?(input_slope = 100.) tech c =
+let analyze ?(input_slope = 100.) tech c =
   let order =
     match Check.topological_gates c with
     | Some order -> order
@@ -55,8 +55,8 @@ let analyze ?(input_arrival = 0.) ?(input_slope = 100.) tech c =
         let s = Netlist.signal c sid in
         if s.Netlist.is_primary_input then
           {
-            rise_at = input_arrival +. input_slope;
-            fall_at = input_arrival +. input_slope;
+            rise_at = input_slope;
+            fall_at = input_slope;
             slope = input_slope;
           }
         else { rise_at = never; fall_at = never; slope = input_slope })

@@ -21,13 +21,12 @@ type arrival = {
 type t
 
 val analyze :
-  ?input_arrival:Halotis_util.Units.time ->
   ?input_slope:Halotis_util.Units.time ->
   Halotis_tech.Tech.t ->
   Halotis_netlist.Netlist.t ->
   t
-(** Worst-case analysis with all primary inputs switching at
-    [input_arrival] (default 0) with [input_slope] (default 100 ps).
+(** Worst-case analysis with all primary inputs switching at time 0
+    with [input_slope] (default 100 ps).
     @raise Halotis_guard.Diag.Fail (code [cyclic-circuit], with a
     witness cycle) on a combinational cycle. *)
 

@@ -5,8 +5,6 @@ module Line_scan = Halotis_util.Line_scan
 
 type error = { line : int; message : string }
 
-let pp_error fmt e = Format.fprintf fmt "line %d: %s" e.line e.message
-
 exception Parse_error of error
 
 let fail line fmt = Format.kasprintf (fun message -> raise (Parse_error { line; message })) fmt

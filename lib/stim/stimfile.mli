@@ -14,8 +14,6 @@
 
 type error = { line : int; message : string }
 
-val pp_error : Format.formatter -> error -> unit
-
 type t = {
   slope : Halotis_util.Units.time;
   entries : (string * Halotis_engine.Drive.t) list;  (** in file order *)

@@ -43,13 +43,12 @@ let multiplier_drives ~slope ~period ~a_bits ~b_bits ops =
   bus_drives ~slope ~period ~bits:a_bits ~values:(List.map (fun o -> o.op_a) ops)
   @ bus_drives ~slope ~period ~bits:b_bits ~values:(List.map (fun o -> o.op_b) ops)
 
-let clock ?(duty = 0.5) ~slope ~period ~start ~pulses () =
-  if not (duty > 0. && duty < 1.) then invalid_arg "Vectors.clock: duty must be in (0, 1)";
+let clock ~slope ~period ~start ~pulses () =
   if pulses < 0 then invalid_arg "Vectors.clock: pulses must be non-negative";
   let changes =
     List.concat
       (List.init pulses (fun k ->
            let base = start +. (period *. float_of_int k) in
-           [ (base, true); (base +. (duty *. period), false) ]))
+           [ (base, true); (base +. (0.5 *. period), false) ]))
   in
   Drive.of_levels ~slope ~initial:false changes

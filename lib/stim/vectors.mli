@@ -16,7 +16,6 @@ val paper_sequence_b : mult_op list
 val expected_product : mult_op -> int
 
 val clock :
-  ?duty:float ->
   slope:Halotis_util.Units.time ->
   period:Halotis_util.Units.time ->
   start:Halotis_util.Units.time ->
@@ -24,7 +23,7 @@ val clock :
   unit ->
   Halotis_engine.Drive.t
 (** A clock drive: [pulses] rising edges at [start], [start + period],
-    ..., each high for [duty * period] (default 0.5), initially low. *)
+    ..., each high for half a period, initially low. *)
 
 val multiplier_drives :
   slope:Halotis_util.Units.time ->

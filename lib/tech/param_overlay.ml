@@ -120,6 +120,3 @@ let fingerprint t =
     t;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let fold f t acc = IMap.fold f t acc
-let to_list t = IMap.bindings t
-let of_list l = List.fold_left (fun t (gate, e) -> set t ~gate e) empty l

@@ -85,13 +85,3 @@ val fingerprint : t -> string
 (** Hex content digest of the canonical serialization ([%h] floats,
     gates in id order).  [fingerprint empty] is the well-known empty
     fingerprint; structurally equal overlays fingerprint equally. *)
-
-val fold : (int -> entry -> 'a -> 'a) -> t -> 'a -> 'a
-(** Folds over bound gates in increasing id order. *)
-
-val to_list : t -> (int * entry) list
-(** Bound gates in increasing id order. *)
-
-val of_list : (int * entry) list -> t
-(** Builds an overlay via {!set} (identity entries dropped; later
-    duplicates win). *)

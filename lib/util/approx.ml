@@ -1,7 +1,3 @@
-let default_eps = 1e-6
-
-let equal ?(eps = default_eps) a b = Float.abs (a -. b) <= eps
-
 let clamp ~lo ~hi x =
   assert (lo <= hi);
   if x < lo then lo else if x > hi then hi else x

@@ -16,11 +16,13 @@ type t = {
   mutable size : int;
 }
 
-let create ?(capacity = 0) () =
+let initial_capacity = 64
+
+let create () =
   {
-    keys = Array.make capacity 0.;
-    ids = Array.make capacity 0;
-    vals = Array.make capacity 0;
+    keys = Array.make initial_capacity 0.;
+    ids = Array.make initial_capacity 0;
+    vals = Array.make initial_capacity 0;
     size = 0;
   }
 
@@ -94,7 +96,7 @@ let sift_down h =
 let grow h =
   let capacity = Array.length h.keys in
   if h.size = capacity then begin
-    let cap = max 8 (2 * capacity) in
+    let cap = 2 * capacity in
     let keys = Array.make cap 0. and ids = Array.make cap 0 and vals = Array.make cap 0 in
     Array.blit h.keys 0 keys 0 h.size;
     Array.blit h.ids 0 ids 0 h.size;

@@ -22,9 +22,8 @@
     lazily, with tombstone flags on the payload. *)
 type t
 
-val create : ?capacity:int -> unit -> t
-(** [create ()] is a fresh empty heap; [capacity] pre-sizes the
-    arrays. *)
+val create : unit -> t
+(** [create ()] is a fresh empty heap, pre-sized for 64 entries. *)
 
 val length : t -> int
 val is_empty : t -> bool

@@ -370,5 +370,3 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let to_list = function Arr items -> items | _ -> []
-let to_float = function Num f -> Some f | _ -> None

@@ -74,8 +74,3 @@ end
 
 val member : string -> t -> t option
 (** Field lookup on [Obj]; [None] otherwise. *)
-
-val to_list : t -> t list
-(** Elements of an [Arr]; [[]] otherwise. *)
-
-val to_float : t -> float option

@@ -16,7 +16,6 @@ let bits64 g =
   g.state <- Int64.add g.state golden_gamma;
   mix g.state
 
-let split g = { state = bits64 g }
 
 let int g ~bound =
   assert (bound > 0);

@@ -10,8 +10,6 @@ type t
 val create : seed:int -> t
 (** [create ~seed] builds a generator from a 63-bit seed. *)
 
-val split : t -> t
-(** [split g] derives an independent generator, advancing [g]. *)
 
 val int : t -> bound:int -> int
 (** [int g ~bound] is uniform in [\[0, bound)], [bound > 0]. *)

@@ -36,14 +36,10 @@
     is the float literal [1.0], so a zero-stress overlay stays empty
     and bit-identity with the nominal campaign holds. *)
 
-val scale : stress_hours:float -> float
-(** The strong power-law factor [1 + 0.08 x]; exactly [1.0] at zero
-    stress.
-    @raise Invalid_argument on negative stress. *)
-
 val vt_scale : stress_hours:float -> float
-(** The threshold-drift multiplier [1 / scale]; exactly [1.0] at zero
-    stress. *)
+(** The threshold-drift multiplier [1 / (1 + 0.08 x)]; exactly [1.0]
+    at zero stress.
+    @raise Invalid_argument on negative stress. *)
 
 val age_scale :
   stress_hours:float -> Halotis_tech.Param_overlay.scale -> Halotis_tech.Param_overlay.scale

@@ -1,11 +1,12 @@
 type step = { sw_hours : float; sw_failed : bool }
 type t = { sw_steps : step list; sw_ttf : float option }
 
-let run ?(h0 = 100.) ?(factor = 2.) ?(max_steps = 16) ?(refine = 4) ~probe () =
-  if h0 <= 0. then invalid_arg "Sweep.run: h0 must be positive";
-  if factor <= 1. then invalid_arg "Sweep.run: factor must exceed 1";
+let h0 = 100.
+let factor = 2.
+let refine = 4
+
+let run ?(max_steps = 16) ~probe () =
   if max_steps <= 0 then invalid_arg "Sweep.run: max_steps must be positive";
-  if refine < 0 then invalid_arg "Sweep.run: refine must be non-negative";
   let steps = ref [] in
   let probe ~stress_hours =
     let failed = probe ~stress_hours in

@@ -4,7 +4,7 @@
     probe flips — the canonical probe re-runs one reference SET site
     (a pulse the {e fresh} circuit electrically masks) and answers
     "does it propagate now?".  The driver climbs a geometric ladder
-    [h0, h0*factor, h0*factor^2, ...] until the probe first answers
+    [100, 200, 400, ...] hours until the probe first answers
     [true] (or the ladder runs out), then bisects the bracketing
     interval a fixed number of times.  Aging is monotone, so the
     refined upper bound is the reported TTF.
@@ -27,20 +27,12 @@ type t = {
           never fails — the site is immune within the swept range *)
 }
 
-val run :
-  ?h0:float ->
-  ?factor:float ->
-  ?max_steps:int ->
-  ?refine:int ->
-  probe:(stress_hours:float -> bool) ->
-  unit ->
-  t
-(** Defaults: [h0 = 100.] hours, [factor = 2.], [max_steps = 16]
-    ladder rungs, [refine = 4] bisection steps.  [probe] must be
-    monotone in stress for the bracket refinement to be meaningful
+val run : ?max_steps:int -> probe:(stress_hours:float -> bool) -> unit -> t
+(** The ladder starts at 100 hours and doubles for [max_steps]
+    (default 16) rungs; the bracket is bisected 4 times.  [probe] must
+    be monotone in stress for the bracket refinement to be meaningful
     (the {!Aging} law is).
-    @raise Invalid_argument on a non-positive [h0]/[factor <= 1]/
-    non-positive [max_steps] or negative [refine]. *)
+    @raise Invalid_argument on a non-positive [max_steps]. *)
 
 val aging_probe :
   Halotis_fault.Campaign.config ->

@@ -1,10 +1,7 @@
 type stats = { count : int; min_ps : float; max_ps : float; mean_ps : float }
 
-let latencies ?(same_polarity = false) ~cause ~response () =
-  let matches (c : Digital.edge) (r : Digital.edge) =
-    r.Digital.at >= c.Digital.at
-    && ((not same_polarity) || Transition.equal_polarity c.Digital.polarity r.Digital.polarity)
-  in
+let latencies ~cause ~response =
+  let matches (c : Digital.edge) (r : Digital.edge) = r.Digital.at >= c.Digital.at in
   List.filter_map
     (fun c ->
       match List.find_opt (matches c) response with

@@ -11,15 +11,10 @@ type stats = {
 }
 
 val latencies :
-  ?same_polarity:bool ->
-  cause:Digital.edge list ->
-  response:Digital.edge list ->
-  unit ->
-  Halotis_util.Units.time list
+  cause:Digital.edge list -> response:Digital.edge list -> Halotis_util.Units.time list
 (** For each cause edge, the delay to the earliest response edge not
-    before it (and of equal polarity when [same_polarity], default
-    false); cause edges with no following response are skipped.  Both
-    lists must be time-ordered. *)
+    before it, of either polarity; cause edges with no following
+    response are skipped.  Both lists must be time-ordered. *)
 
 val stats : Halotis_util.Units.time list -> stats option
 (** [None] on the empty list. *)

@@ -39,7 +39,3 @@ let crossing ~vdd ~v_start tr ~vt =
   in
   if reachable then Some (tr.start +. ((vt -. v_start) /. slope ~vdd tr)) else None
 
-let pp fmt tr =
-  Format.fprintf fmt "%s@%a(tau=%a)" (polarity_to_string tr.polarity)
-    Halotis_util.Units.pp_time tr.start Halotis_util.Units.pp_time tr.slope_time
-

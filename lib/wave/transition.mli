@@ -58,4 +58,3 @@ val crossing :
     and the target rail (reaching the rail itself counts).  [None] when
     the ramp starts at or beyond [vt]. *)
 
-val pp : Format.formatter -> t -> unit

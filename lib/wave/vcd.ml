@@ -15,14 +15,14 @@ let ident_of_index i =
   in
   build i ""
 
-let render ?(timescale_ps = 1) ?(module_name = "halotis") ?comment dumps =
+let render ?comment dumps =
   let buf = Buffer.create 4096 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pr "$date reproduction run $end\n";
   pr "$version HALOTIS-ocaml $end\n";
   (match comment with Some c -> pr "$comment %s $end\n" c | None -> ());
-  pr "$timescale %dps $end\n" timescale_ps;
-  pr "$scope module %s $end\n" module_name;
+  pr "$timescale 1ps $end\n";
+  pr "$scope module halotis $end\n";
   List.iteri
     (fun i d -> pr "$var wire 1 %s %s $end\n" (ident_of_index i) d.dump_name)
     dumps;
@@ -32,7 +32,7 @@ let render ?(timescale_ps = 1) ?(module_name = "halotis") ?comment dumps =
     (fun i d -> pr "%c%s\n" (if d.dump_initial then '1' else '0') (ident_of_index i))
     dumps;
   pr "$end\n";
-  let tick_of at = int_of_float (Float.round (at /. float_of_int timescale_ps)) in
+  let tick_of at = int_of_float (Float.round at) in
   let changes =
     List.concat
       (List.mapi
@@ -72,12 +72,12 @@ let render ?(timescale_ps = 1) ?(module_name = "halotis") ?comment dumps =
     sorted;
   Buffer.contents buf
 
-let of_waveform ~name ~vt ?x_from w =
+let of_waveform ~name ~vt w =
   {
     dump_name = name;
     dump_initial = Waveform.initial w > vt;
     dump_edges = Digital.edges w ~vt;
-    dump_x_from = x_from;
+    dump_x_from = None;
   }
 
 let write_file ?comment path dumps =

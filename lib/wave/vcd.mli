@@ -10,23 +10,11 @@ type signal_dump = {
           or truncated the run); edges at or after it are dropped *)
 }
 
-val render :
-  ?timescale_ps:int ->
-  ?module_name:string ->
-  ?comment:string ->
-  signal_dump list ->
-  string
-(** [render dumps] produces a complete VCD document.  Edge times are
-    rounded to multiples of [timescale_ps] (default 1).  [comment]
-    becomes a [$comment ... $end] header line — how partial dumps from
-    a budget-stopped run are marked. *)
-
-val of_waveform :
-  name:string ->
-  vt:Halotis_util.Units.voltage ->
-  ?x_from:float ->
-  Waveform.t ->
-  signal_dump
+val of_waveform : name:string -> vt:Halotis_util.Units.voltage -> Waveform.t -> signal_dump
 (** Digitizes one waveform under threshold [vt]. *)
 
 val write_file : ?comment:string -> string -> signal_dump list -> unit
+(** [write_file path dumps] writes a complete VCD document, edge times
+    rounded to whole picoseconds, under one module [halotis].
+    [comment] becomes a [$comment ... $end] header line — how partial
+    dumps from a budget-stopped run are marked. *)

@@ -1,4 +1,4 @@
-(** Reader for the subset of VCD that {!Vcd.render} produces (and most
+(** Reader for the subset of VCD that {!Vcd.write_file} writes (and most
     digital tools emit for scalar wires): timescale, 1-bit [$var]
     declarations, [$dumpvars] initial values, and [#time] change
     records.  Vector variables and real values are rejected. *)
@@ -15,7 +15,6 @@ type error = { line : int; message : string }
 
 val pp_error : Format.formatter -> error -> unit
 
-val parse_string : string -> (t, error) result
 val parse_file : string -> (t, error) result
 
 val find : t -> string -> signal option

@@ -60,7 +60,6 @@ let get_segment w i =
   segment_at w i
 
 let segments w = List.init w.len (segment_at w)
-let transitions w = List.init w.len (transition_at w)
 let last_start_or_nan w = if w.len = 0 then Float.nan else w.starts.(w.len - 1)
 
 (* Index of the last segment with start <= t, or -1. *)
@@ -207,8 +206,3 @@ let crossings w ~vt =
   List.map
     (fun (t, tr) -> (t, tr.Transition.polarity))
     (crossings_with_transitions w ~vt)
-
-let sample w ~t0 ~t1 ~dt =
-  if dt <= 0. then invalid_arg "Waveform.sample: dt must be positive";
-  let rec loop t acc = if t > t1 then List.rev acc else loop (t +. dt) ((t, value_at w t) :: acc) in
-  loop t0 []

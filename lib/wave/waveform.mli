@@ -72,9 +72,6 @@ val get_segment : t -> int -> segment
     0-based).  O(1).
     @raise Invalid_argument when [i] is out of bounds. *)
 
-val transitions : t -> Transition.t list
-(** Oldest first. *)
-
 val assign_prefix : t -> src:t -> len:int -> unit
 (** [assign_prefix w ~src ~len] makes [w] hold the first [len] live
     segments of [src], reusing [w]'s storage.  Appending the
@@ -126,8 +123,3 @@ val crossings_with_transitions :
     ramp produced it (the crossing polarity is the transition's).  Used
     to seed events from primary-input waveforms, where the event must
     carry the causing ramp's slope. *)
-
-val sample :
-  t -> t0:Halotis_util.Units.time -> t1:Halotis_util.Units.time -> dt:Halotis_util.Units.time ->
-  (Halotis_util.Units.time * Halotis_util.Units.voltage) list
-(** Uniform sampling, for plots and analog comparison. *)

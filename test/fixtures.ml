@@ -28,7 +28,7 @@ let buffer_tree ?(name = "buffer_tree") ~depth () =
         List.concat_map
           (fun src ->
             let mk side =
-              let out = Builder.fresh_signal ~hint:"t" b in
+              let out = Builder.fresh_signal b in
               let _ =
                 Builder.add_gate b Gate_kind.Buf
                   ~name:(Printf.sprintf "buf_l%d_%d_%s" level out side)

@@ -78,4 +78,4 @@ let findings_of_json j =
             | Ok f -> collect (f :: acc) rest
             | Error _ as e -> e)
       in
-      collect [] (Json.to_list arr)
+      collect [] (match arr with Json.Arr l -> l | _ -> [])

@@ -37,9 +37,15 @@ let test_pulse_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* The two ramps of a SET striking at [at], as {!Inject.injection}
+   builds them for any site. *)
+let set_ramps ~at ~polarity p =
+  (Inject.injection { Site.st_signal = 0; st_gate = 0; st_polarity = polarity; st_at = at } p)
+    .Sim.inj_ramps
+
 let test_pulse_transitions () =
   let p = Inject.pulse ~slope:80. ~width:200. () in
-  match Inject.transitions ~at:1000. ~polarity:T.Rising p with
+  match set_ramps ~at:1000. ~polarity:T.Rising p with
   | [ lead; trail ] ->
       checkb "leading at" true (lead.T.start = 1000.);
       checkb "leading rises" true (lead.T.polarity = T.Rising);
@@ -137,7 +143,7 @@ let test_fig1_split () =
     in
     match Sim.iddm r with Some r -> r | None -> assert false
   in
-  let tx r s = List.length (W.transitions r.Iddm.waveforms.(s)) in
+  let tx r s = List.length (W.transitions_from r.Iddm.waveforms.(s) 0) in
   checkb "g1 branch disturbed" true (tx injected f.G.sig_out1 > tx baseline f.G.sig_out1);
   checki "g2 output untouched" (tx baseline f.G.sig_out2) (tx injected f.G.sig_out2);
   checki "g2 buffer untouched" (tx baseline f.G.sig_out2c) (tx injected f.G.sig_out2c);
@@ -158,6 +164,22 @@ let test_campaign_reports_reproducible () =
   let other = Campaign.run (Campaign.config ~seed:6 ~n:20 ~t_stop:9000. ()) DL.tech c ~drives in
   checkb "different seed samples different sites" true
     (Fault_report.to_string a <> Fault_report.to_string other)
+
+(* A campaign whose [completed] already covers every site (the resume
+   of a finished journal, or a supervised merge) runs no site: it
+   reports what the fresh run did, and never builds the cone context. *)
+let test_campaign_resume_of_finished_run () =
+  let c = G.inverter_chain ~n:6 () in
+  let drives = [ (sid c "in", Drive.constant false) ] in
+  let cfg = Campaign.config ~seed:5 ~n:20 ~t_stop:9000. () in
+  let fresh = Campaign.run cfg DL.tech c ~drives in
+  checkb "the fresh run armed the cone" true (fresh.Campaign.cam_cone <> None);
+  let resumed =
+    Campaign.run { cfg with Campaign.completed = fresh.Campaign.cam_verdicts } DL.tech c ~drives
+  in
+  Alcotest.(check string) "report byte-identical" (Fault_report.to_string fresh)
+    (Fault_report.to_string resumed);
+  checkb "no cone context built" true (resumed.Campaign.cam_cone = None)
 
 let test_campaign_counts_consistent () =
   let c = G.inverter_chain ~n:6 () in
@@ -495,7 +517,7 @@ let test_cone_pi_victim_falls_back () =
       {
         Sim.inj_signal = sid c "in";
         inj_ramps =
-          Inject.transitions ~at:2000. ~polarity:T.Rising (Inject.pulse ~width:150. ());
+          set_ramps ~at:2000. ~polarity:T.Rising (Inject.pulse ~width:150. ());
       }
   with
   | Sim.Cone.Fallback _ -> ()
@@ -611,7 +633,7 @@ let test_classic_cone_tie_exact () =
   in
   let pulse = Inject.pulse ~width:150. () in
   let toggle_at at =
-    fst (Halotis_engine.Classic.toggle (List.hd (Inject.transitions ~at ~polarity:T.Rising pulse)))
+    fst (Halotis_engine.Classic.toggle (List.hd (set_ramps ~at ~polarity:T.Rising pulse)))
   in
   (* the ramp start whose 50 % point is [edge_at] *)
   let site = Site.of_signal ~baseline victim ~at:(edge_at -. (pulse.Inject.slope /. 2.)) in
@@ -720,7 +742,7 @@ let prop_classic_cone_ties_exact =
         let inj =
           {
             Sim.inj_signal = victim;
-            inj_ramps = Inject.transitions ~at:(Float.min a b -. (slope /. 2.)) ~polarity pulse;
+            inj_ramps = set_ramps ~at:(Float.min a b -. (slope /. 2.)) ~polarity pulse;
           }
         in
         match Sim.Cone.run_site ctx inj with
@@ -783,7 +805,7 @@ let prop_cone_reuse_equals_fresh =
         let inj =
           match step with
           | `Pi (s, at) ->
-              { Sim.inj_signal = s; inj_ramps = Inject.transitions ~at ~polarity:T.Rising pulse }
+              { Sim.inj_signal = s; inj_ramps = set_ramps ~at ~polarity:T.Rising pulse }
           | `Late site | `Early site -> Inject.injection site pulse
         in
         match (Sim.Cone.run_site shared inj, Sim.Cone.run_site (fresh ()) inj, step) with
@@ -1053,7 +1075,9 @@ let test_checkpoint_at_strike_instant () =
   let cone = Compiled.fanout_cone cp ~victim in
   let inj = iddm_strike ~baseline victim ~at in
   checkb "checkpoint run == DC-state run" true (same_from_checkpoint ws ~cone ~from:1 inj);
-  let full = Iddm.run ~injections:[ inj ] ~compiled:cp cfg c ~drives in
+  let full =
+    Iddm.advance (Iddm.start ~injections:[ inj ] ~compiled:cp cfg c ~drives) ~upto:infinity
+  in
   checkb "struck edges == full injected run" true
     ((cone_view ws ~cone ~from:1 [ inj ]).cv_edges
     = Array.map (fun sid -> D.edges full.Iddm.waveforms.(sid) ~vt:vdd2) cone.Compiled.cone_signals)
@@ -1120,7 +1144,9 @@ let test_checkpoint_annulled_segment () =
         (Printf.sprintf "checkpoint run == DC-state run (strike at %.0f)" at)
         true
         (same_from_checkpoint ws ~cone ~from:1 inj);
-      let full = Iddm.run ~injections:[ inj ] ~compiled:cp cfg c ~drives in
+      let full =
+    Iddm.advance (Iddm.start ~injections:[ inj ] ~compiled:cp cfg c ~drives) ~upto:infinity
+  in
       checkb "struck edges == full injected run" true
         ((cone_view ws ~cone ~from:1 [ inj ]).cv_edges
         = Array.map (fun sid -> D.edges full.Iddm.waveforms.(sid) ~vt:vdd2) cone.Compiled.cone_signals))
@@ -1173,6 +1199,7 @@ let tests =
         Alcotest.test_case "fig1 threshold split" `Quick test_fig1_split;
         Alcotest.test_case "reports reproducible" `Quick test_campaign_reports_reproducible;
         Alcotest.test_case "counts consistent" `Quick test_campaign_counts_consistent;
+        Alcotest.test_case "resume of a finished run" `Quick test_campaign_resume_of_finished_run;
         Alcotest.test_case "classic strike not preempted" `Quick
           test_classic_strike_not_preempted;
         Alcotest.test_case "engine names" `Quick test_engine_of_string;

@@ -104,19 +104,22 @@ let pulse_loop_drives c =
 (* Budget monitor unit tests                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The monitor one run of budget [b] arms. *)
+let monitor b = (Budget.limits b ~t_stop:None).Budget.monitor
+
 let test_monitor_exact_events () =
-  (* interval smaller than the budget: refill logic must stay exact *)
-  let m = Budget.Monitor.create ~interval:4 (Budget.make ~max_events:10 ()) in
-  for i = 1 to 10 do
+  (* a budget past the slow-path interval: refill logic must stay exact *)
+  let m = monitor (Budget.make ~max_events:3000 ()) in
+  for i = 1 to 3000 do
     checkb (Printf.sprintf "event %d allowed" i) true
       (Budget.Monitor.hit m ~queue:0 = None)
   done;
   match Budget.Monitor.hit m ~queue:0 with
-  | Some (Stop.Event_budget 10) -> ()
-  | _ -> Alcotest.fail "11th event must trip the event budget"
+  | Some (Stop.Event_budget 3000) -> ()
+  | _ -> Alcotest.fail "3001st event must trip the event budget"
 
 let test_monitor_queue_cap () =
-  let m = Budget.Monitor.create ~interval:2 (Budget.make ~max_queue:5 ()) in
+  let m = monitor (Budget.make ~max_queue:5 ()) in
   let rec spin n =
     if n = 0 then Alcotest.fail "queue cap never tripped"
     else
@@ -125,11 +128,11 @@ let test_monitor_queue_cap () =
       | Some s -> Alcotest.failf "unexpected stop %s" (Stop.to_string s)
       | None -> spin (n - 1)
   in
-  spin 50
+  spin 5000
 
 let test_monitor_unlimited () =
-  let m = Budget.Monitor.create ~interval:8 Budget.unlimited in
-  for _ = 1 to 1000 do
+  let m = monitor Budget.unlimited in
+  for _ = 1 to 5000 do
     checkb "unlimited never trips" true (Budget.Monitor.hit m ~queue:1_000_000 = None)
   done
 
@@ -236,8 +239,8 @@ let prop_budget_prefix =
             let upto lst =
               List.filter (fun tr -> tr.Transition.start < cut) lst
             in
-            let want = upto (Waveform.transitions full.Iddm.waveforms.(i)) in
-            let got = upto (Waveform.transitions w) in
+            let want = upto (Waveform.transitions_from full.Iddm.waveforms.(i) 0) in
+            let got = upto (Waveform.transitions_from w 0) in
             if want <> got then
               QCheck.Test.fail_reportf
                 "signal %d diverges below the stop time (budget %d)" i k)
@@ -251,8 +254,8 @@ let prop_budget_prefix =
         Array.iteri
           (fun i w ->
             if
-              Waveform.transitions w
-              <> Waveform.transitions full.Iddm.waveforms.(i)
+              Waveform.transitions_from w 0
+              <> Waveform.transitions_from full.Iddm.waveforms.(i) 0
             then QCheck.Test.fail_reportf "signal %d differs without a trip" i)
           limited.Iddm.waveforms;
         true
@@ -321,7 +324,7 @@ let test_watchdog_ddm_quiesces () =
         (Stop.to_string s));
   (* degradation killed the pulse within a lap or two; CDM was still
      circulating it when halted *)
-  let edges r = List.length (Waveform.transitions (Iddm.waveform r "q")) in
+  let edges r = List.length (Waveform.transitions_from (Iddm.waveform r "q") 0) in
   checkb "degradation quenched the pulse" true (edges ddm < edges cdm)
 
 let test_watchdog_degrade_mode () =
@@ -340,7 +343,7 @@ let test_watchdog_degrade_mode () =
   let late =
     List.filter
       (fun tr -> tr.Transition.start > frozen_at)
-      (Waveform.transitions (Iddm.waveform r "c"))
+      (Waveform.transitions_from (Iddm.waveform r "c") 0)
   in
   checki "no activity after the freeze" 0 (List.length late)
 
@@ -623,12 +626,12 @@ let test_worst_exit_code () =
   checki "hard error beats everything" 2 (Stop.worst_exit_code [ 4; 2; 3 ])
 
 let test_watchdog_suggest_threshold () =
-  let small = Watchdog.suggest_threshold ~scc_gates:3 () in
-  let large = Watchdog.suggest_threshold ~scc_gates:40 () in
+  let small = Watchdog.suggest_threshold ~scc_gates:3 in
+  let large = Watchdog.suggest_threshold ~scc_gates:40 in
   checkb "bigger loop, lower threshold" true (large <= small);
-  checkb "floor holds" true (Watchdog.suggest_threshold ~scc_gates:100_000 () >= 16);
-  checki "zero-size SCC clamps" (Watchdog.suggest_threshold ~scc_gates:1 ())
-    (Watchdog.suggest_threshold ~scc_gates:0 ())
+  checkb "floor holds" true (Watchdog.suggest_threshold ~scc_gates:100_000 >= 16);
+  checki "zero-size SCC clamps" (Watchdog.suggest_threshold ~scc_gates:1)
+    (Watchdog.suggest_threshold ~scc_gates:0)
 
 let test_site_budget_times_out () =
   let c, drives, cfg0 = Lazy.force campaign_fixture in

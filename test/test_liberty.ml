@@ -162,10 +162,7 @@ let test_liberty_lookup () =
       (match Liberty.delay c ~rising:true ~pin:"a" ~slope:55. ~load:27.5 with
       | Some d -> checkf "center" 52.5 d
       | None -> Alcotest.fail "expected delay");
-      checkb "unknown pin" true (Liberty.delay c ~rising:true ~pin:"zz" ~slope:1. ~load:1. = None);
-      match Liberty.output_slope c ~rising:false ~pin:"a" ~slope:10. ~load:50. with
-      | Some s -> checkf "fall transition" 70. s
-      | None -> Alcotest.fail "expected slope"
+      checkb "unknown pin" true (Liberty.delay c ~rising:true ~pin:"zz" ~slope:1. ~load:1. = None)
 
 (* --- round trip: tech -> liberty -> fitted tech --- *)
 
@@ -272,7 +269,11 @@ let prop_vcd_never_raises =
   QCheck.Test.make ~name:"vcd reader total on garbage" ~count:300
     QCheck.(string_gen_of_size (QCheck.Gen.int_range 0 200) QCheck.Gen.printable)
     (fun text ->
-      match Halotis_wave.Vcd_reader.parse_string text with Ok _ | Error _ -> true)
+      let path = Filename.temp_file "halotis" ".vcd" in
+      Out_channel.with_open_text path (fun oc -> output_string oc text);
+      let parsed = Halotis_wave.Vcd_reader.parse_file path in
+      Sys.remove path;
+      match parsed with Ok _ | Error _ -> true)
 
 let tests =
   tests

@@ -139,8 +139,13 @@ let test_config_overrides () =
   in
   checkb "last wins: re-enabled" true (Rule.enabled config Rule.nl001);
   checkb "disabled" false (Rule.enabled config Rule.nl002);
-  checkb "default severity" true (Rule.severity config Rule.nl001 = Finding.Error);
-  checkb "overridden severity" true (Rule.severity config Rule.nl003 = Finding.Info)
+  let severity rule =
+    Option.map
+      (fun (f : Finding.t) -> f.Finding.severity)
+      (Rule.emit config rule Finding.Circuit "x")
+  in
+  checkb "default severity" true (severity Rule.nl001 = Some Finding.Error);
+  checkb "overridden severity" true (severity Rule.nl003 = Some Finding.Info)
 
 (* --- netlist rules --- *)
 
@@ -361,7 +366,7 @@ let test_stim_rules_fire () =
      input nope 0\n"
   in
   match Stimfile.parse_string text with
-  | Error e -> Alcotest.failf "parse: %a" Stimfile.pp_error e
+  | Error e -> Alcotest.failf "parse: line %d: %s" e.Stimfile.line e.Stimfile.message
   | Ok stim ->
       let findings = Stim_rules.run cfg stim c in
       List.iter
@@ -374,7 +379,7 @@ let test_stim_rules_fire () =
 let test_stim_rules_clean () =
   let c = Lazy.force Halotis_netlist.Iscas.c17 in
   match Stimfile.parse_string "slope 100\ninput G1 0 1@1000 0@3000\n" with
-  | Error e -> Alcotest.failf "parse: %a" Stimfile.pp_error e
+  | Error e -> Alcotest.failf "parse: line %d: %s" e.Stimfile.line e.Stimfile.message
   | Ok stim -> checki "clean stimulus" 0 (List.length (Stim_rules.run cfg stim c))
 
 (* --- engine-level run / exit codes --- *)

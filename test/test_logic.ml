@@ -7,7 +7,7 @@ let checkb = Alcotest.(check bool)
 let all_values = [ Value.L0; Value.L1; Value.X; Value.Z ]
 
 let value_testable =
-  Alcotest.testable (fun fmt v -> Value.pp fmt v) Value.equal
+  Alcotest.testable (fun fmt v -> Format.pp_print_char fmt (Value.to_char v)) Value.equal
 
 (* Each value prints as its own character (tie cells are named after it). *)
 let test_value_char_roundtrip () =
@@ -39,12 +39,6 @@ let test_value_xor_unknown () =
   Alcotest.check value_testable "x ^ 1" Value.X (Value.lxor_ Value.X Value.L1);
   Alcotest.check value_testable "1 ^ 0" Value.L1 (Value.lxor_ Value.L1 Value.L0);
   Alcotest.check value_testable "1 ^ 1" Value.L0 (Value.lxor_ Value.L1 Value.L1)
-
-let test_value_resolve () =
-  Alcotest.check value_testable "z yields" Value.L1 (Value.resolve Value.Z Value.L1);
-  Alcotest.check value_testable "z yields2" Value.L0 (Value.resolve Value.L0 Value.Z);
-  Alcotest.check value_testable "conflict" Value.X (Value.resolve Value.L0 Value.L1);
-  Alcotest.check value_testable "agree" Value.L1 (Value.resolve Value.L1 Value.L1)
 
 let prop_land_commutative =
   QCheck.Test.make ~name:"land commutative" ~count:100
@@ -137,7 +131,7 @@ let prop_name_roundtrip =
   let kind_gen = QCheck.Gen.oneofl Gate_kind.all_basic in
   QCheck.Test.make ~name:"of_name (name k) = k" ~count:100 (QCheck.make kind_gen) (fun kind ->
       match Gate_kind.of_name (Gate_kind.name kind) with
-      | Some k -> Gate_kind.equal k kind
+      | Some k -> k = kind
       | None -> false)
 
 let test_of_name_errors () =
@@ -155,7 +149,6 @@ let tests =
         Alcotest.test_case "negation" `Quick test_value_not;
         Alcotest.test_case "dominance" `Quick test_value_dominance;
         Alcotest.test_case "xor unknown" `Quick test_value_xor_unknown;
-        Alcotest.test_case "resolve" `Quick test_value_resolve;
         QCheck_alcotest.to_alcotest prop_land_commutative;
         QCheck_alcotest.to_alcotest prop_lor_associative;
       ] );

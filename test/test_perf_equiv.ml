@@ -484,6 +484,11 @@ let check_stats_equal label (a : Stats.t) (b : Stats.t) =
   field "noop_evaluations" a.Stats.noop_evaluations b.Stats.noop_evaluations
 
 let check_waveforms_equal label (a : Waveform.t array) (b : Waveform.t array) =
+  let show (tr : Transition.t) =
+    Printf.sprintf "%s@%g(tau=%g)"
+      (Transition.polarity_to_string tr.Transition.polarity)
+      tr.Transition.start tr.Transition.slope_time
+  in
   Array.iteri
     (fun sid wa ->
       let wb = b.(sid) in
@@ -502,8 +507,7 @@ let check_waveforms_equal label (a : Waveform.t array) (b : Waveform.t array) =
           || sa.Waveform.v_start <> sb.Waveform.v_start
         then
           Alcotest.failf "%s: signal %d segment %d differs (%s vs %s)" label sid i
-            (Format.asprintf "%a" Transition.pp ta)
-            (Format.asprintf "%a" Transition.pp tb)
+            (show ta) (show tb)
       done)
     a
 
@@ -544,7 +548,7 @@ let prop_iddm_matches_reference =
           ~cancellation tech
       in
       let injections = if inject then iddm_injections c ~seed else [] in
-      let opt = Iddm.run ~injections cfg c ~drives in
+      let opt = Iddm.advance (Iddm.start ~injections cfg c ~drives) ~upto:infinity in
       let reference = Ref_iddm.run ~injections cfg c ~drives in
       let label = Printf.sprintf "iddm gates=%d seed=%d" gates seed in
       check_stats_equal label opt.Iddm.stats reference.Ref_iddm.stats;
@@ -607,10 +611,13 @@ let classic_matches_reference (gates, seed, inject, ties) =
   in
   let reference = Ref_classic.run ~injections cfg c ~drives in
   let label = Printf.sprintf "classic gates=%d seed=%d ties=%b" gates seed ties in
-  check_classic label reference (Classic.run ~injections cfg c ~drives);
+  let run ?compiled () =
+    Classic.advance (Classic.start ~injections ?compiled cfg c ~drives) ~upto:infinity
+  in
+  check_classic label reference (run ());
   let compiled = Compiled.compile tech c in
-  check_classic (label ^ " shared 1") reference (Classic.run ~injections ~compiled cfg c ~drives);
-  check_classic (label ^ " shared 2") reference (Classic.run ~injections ~compiled cfg c ~drives);
+  check_classic (label ^ " shared 1") reference (run ~compiled ());
+  check_classic (label ^ " shared 2") reference (run ~compiled ());
   true
 
 let prop_classic_matches_reference =
@@ -704,7 +711,7 @@ let prop_unboxed_heap_oracle =
   in
   QCheck.Test.make ~name:"Heap.Unboxed == sorted-list oracle" ~count:200
     (QCheck.make ~print op_gen) (fun ops ->
-      let h = Heap.create ~capacity:2 () in
+      let h = Heap.create () in
       let oracle = ref [] (* (key, rank, payload) *) in
       let seq = ref 0 in
       let order (ka, ra, _) (kb, rb, _) =
@@ -763,7 +770,9 @@ let random_overlay c rng =
       sc_ddm_c = factor ();
     }
   in
-  Param_overlay.of_list
+  List.fold_left
+    (fun t (gate, e) -> Param_overlay.set t ~gate e)
+    Param_overlay.empty
     (List.filter_map
        (fun gid ->
          if Prng.bool rng then None

@@ -98,7 +98,7 @@ let pulse_train widths =
 
 let test_histogram () =
   let w = pulse_train [ 120.; 130.; 350.; 2000. ] in
-  let h = Glitch.pulse_width_histogram ~bucket_width:100. ~buckets:5 ~vt:2.5 [| w |] in
+  let h = Glitch.pulse_width_histogram ~vt:2.5 [| w |] in
   checki "bucket 1 (100-200)" 2 h.Glitch.counts.(1);
   checki "bucket 3 (300-400)" 1 h.Glitch.counts.(3);
   checki "overflow" 1 h.Glitch.overflow;

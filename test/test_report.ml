@@ -66,7 +66,7 @@ let test_timing_diagram_errors () =
 let test_voltage_lane () =
   let w = pulse_waveform () in
   let text =
-    Figures.voltage_lane ~width:40 ~rows:5 ~t0:0. ~t1:5000. ~vdd:5. ~label:"v(out)"
+    Figures.voltage_lane ~width:40 ~t0:0. ~t1:5000. ~vdd:5. ~label:"v(out)"
       (fun t -> W.value_at w t)
   in
   checkb "label" true (contains text "v(out)");

@@ -82,15 +82,17 @@ let test_sampler_distinct_corners () =
 let test_sampler_covers_all_gates () =
   let c = Lazy.force chain in
   let sg = Sampler.sigmas ~device:0.1 () in
-  checki "every gate gets a corner" (N.gate_count c)
-    (List.length (Overlay.to_list (Sampler.sample sg ~seed:7 ~index:0 c)))
+  let ov = Sampler.sample sg ~seed:7 ~index:0 c in
+  checkb "every gate gets a corner" true
+    (List.for_all
+       (fun gate -> Overlay.edge_scale ov ~gate ~rising:true <> Overlay.scale_identity)
+       (List.init (N.gate_count c) Fun.id))
 
 (* ------------------------------------------------------------------ *)
 (* Aging                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let test_aging_identity_at_zero () =
-  checkb "scale is exactly 1.0" true (Aging.scale ~stress_hours:0. = 1.0);
   checkb "vt_scale is exactly 1.0" true (Aging.vt_scale ~stress_hours:0. = 1.0);
   checkb "overlay is exactly empty" true
     (Overlay.is_empty (Aging.overlay ~stress_hours:0. ~gates:5));
@@ -111,8 +113,8 @@ let test_aging_shifts () =
   checkb "window decay dominates slowdown" true
     (1.0 /. s.Overlay.sc_ddm_a -. 1.0 > 5.0 *. (s.Overlay.sc_d0 -. 1.0));
   checkb "threshold drifts toward ground" true (Aging.vt_scale ~stress_hours:10000. < 1.0);
-  checkb "scale is monotone in stress" true
-    (Aging.scale ~stress_hours:1000. < Aging.scale ~stress_hours:2000.)
+  checkb "drift is monotone in stress" true
+    (Aging.vt_scale ~stress_hours:1000. > Aging.vt_scale ~stress_hours:2000.)
 
 (* ------------------------------------------------------------------ *)
 (* Sweep                                                              *)
@@ -268,7 +270,9 @@ let test_cache_overlay_isolation () =
   let compiled, hit_corner = load corner in
   checkb "nominal load misses" false hit_nominal;
   checkb "corner load misses too — no aliasing" false hit_corner;
-  checki "both corners cached" 2 (Circuit_cache.entries cache);
+  checkb "both corners cached" true
+    (Halotis_util.Json.member "entries" (Circuit_cache.to_json cache)
+    = Some (Halotis_util.Json.Num 2.));
   checkb "cached entry carries its overlay" true
     (Overlay.equal compiled.Compiled.overlay corner);
   let _, hit_again = load corner in
