@@ -65,7 +65,7 @@ let front_end c =
   let parse () =
     match Halotis_netlist.Hnl.parse_string text with
     | Ok c -> c
-    | Error e -> Format.kasprintf failwith "SCALE: %a" Halotis_netlist.Hnl.pp_error e
+    | Error e -> Format.kasprintf failwith "SCALE: %a" Halotis_util.Diag.pp e
   in
   let parsed = parse () in
   Gc.compact ();

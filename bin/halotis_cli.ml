@@ -14,6 +14,7 @@ open Cmdliner
 
 module N = Halotis_netlist.Netlist
 module Hnl = Halotis_netlist.Hnl
+module Circuit_file = Halotis_netlist.Circuit_file
 module Check = Halotis_netlist.Check
 module G = Halotis_netlist.Generators
 module Iddm = Halotis_engine.Iddm
@@ -49,7 +50,7 @@ module Budget = Halotis_guard.Budget
 module Server = Halotis_serve.Server
 module Protocol = Halotis_serve.Protocol
 module Watchdog = Halotis_guard.Watchdog
-module Diag = Halotis_guard.Diag
+module Diag = Halotis_util.Diag
 
 let vt = DL.vdd /. 2.
 
@@ -62,62 +63,22 @@ let die_diag d =
   prerr_endline ("halotis: " ^ Diag.to_string d);
   exit 1
 
-let io_diag m = Diag.make ~code:"io" m
-
-let load_circuit path =
-  (* dispatch on extension: .bench is ISCAS-85, anything else is HNL *)
-  if Filename.check_suffix path ".bench" then
-    match Halotis_netlist.Iscas.parse_file path with
-    | Ok c -> Ok c
-    | Error e ->
-        Error
-          (Diag.make ~code:"iscas-parse" ~file:path ~line:e.Halotis_netlist.Iscas.line
-             ~hint:"ISCAS-85 lines look like `G10 = NAND(G1, G3)`"
-             e.Halotis_netlist.Iscas.message)
-    | exception Sys_error m -> Error (io_diag m)
-  else
-    match Hnl.parse_file path with
-    | Ok c -> Ok c
-    | Error e ->
-        Error
-          (Diag.make ~code:"netlist-parse" ~file:path ~line:e.Hnl.line
-             ~hint:"see doc/FORMATS.md for the HNL grammar" e.Hnl.message)
-    | exception Sys_error m -> Error (io_diag m)
-
-let load_stimfile path =
-  match Stimfile.parse_file path with
-  | Error e ->
-      Error
-        (Diag.make ~code:"stim-parse" ~file:path ~line:e.Stimfile.line
-           ~hint:"stimulus lines look like `input a 0 1@2000 0@4000`"
-           e.Stimfile.message)
-  | exception Sys_error m -> Error (io_diag m)
-  | Ok stim -> Ok stim
-
-let load_liberty path =
-  match Liberty.parse_file path with
-  | Ok lib -> Ok lib
-  | Error e -> Error (Diag.make ~code:"liberty-parse" ~file:path e.Liberty.message)
-  | exception Sys_error m -> Error (io_diag m)
+let or_die = function Ok v -> v | Error d -> die_diag d
 
 let load_tech = function
   | None -> DL.tech
-  | Some path -> (
-      match load_liberty path with
-      | Ok lib ->
-          let tech, qualities =
-            Lib_fit.to_tech ~base:DL.tech ~kind_of_cell:Lib_fit.default_kind_of_cell lib
-          in
-          List.iter
-            (fun (kind, q) ->
-              Printf.eprintf "liberty: fitted %s (delay rmse %.2f ps)\n"
-                (Halotis_logic.Gate_kind.name kind)
-                q.Lib_fit.delay_rmse)
-            qualities;
-          tech
-      | Error d -> die_diag d)
-
-let or_die = function Ok v -> v | Error d -> die_diag d
+  | Some path ->
+      let tech, qualities =
+        Lib_fit.to_tech ~base:DL.tech ~kind_of_cell:Lib_fit.default_kind_of_cell
+          (or_die (Liberty.parse_file path))
+      in
+      List.iter
+        (fun (kind, q) ->
+          Printf.eprintf "liberty: fitted %s (delay rmse %.2f ps)\n"
+            (Halotis_logic.Gate_kind.name kind)
+            q.Lib_fit.delay_rmse)
+        qualities;
+      tech
 
 let bind_stim stim c =
   match Stimfile.bind stim c with
@@ -198,15 +159,15 @@ let run_lint path stim_path liberty_path format strict disables enables severiti
              "warnings under --strict" *)
           exit 124
     in
-    let c = or_die (load_circuit path) in
-    let liberty = Option.map (fun p -> or_die (load_liberty p)) liberty_path in
+    let c = or_die (Circuit_file.parse_file path) in
+    let liberty = Option.map (fun p -> or_die (Liberty.parse_file p)) liberty_path in
     let tech =
       match liberty with
       | None -> DL.tech
       | Some lib ->
           fst (Lib_fit.to_tech ~base:DL.tech ~kind_of_cell:Lib_fit.default_kind_of_cell lib)
     in
-    let stim = Option.map (fun p -> or_die (load_stimfile p)) stim_path in
+    let stim = Option.map (fun p -> or_die (Stimfile.parse_file p)) stim_path in
     let overrides =
       List.map (fun id -> (id, `Off)) disables
       @ List.map (fun id -> (id, `On)) enables
@@ -225,7 +186,7 @@ let run_lint path stim_path liberty_path format strict disables enables severiti
 (* `check` stays as a thin alias for lint at default configuration; its
    structural summary moves to stderr so stdout stays clean. *)
 let run_check path =
-  let c = or_die (load_circuit path) in
+  let c = or_die (Circuit_file.parse_file path) in
   Format.eprintf "%a@." N.pp_summary c;
   (match Check.depth c with
   | Some d -> Format.eprintf "logic depth: %d@." d
@@ -360,8 +321,8 @@ let warn_stop stopped =
 let run_simulate path stim_path model t_stop vcd_path diagram liberty report max_events
     max_wall max_queue max_sim_time watchdog degrade wd_window wd_threshold json =
   let tech = load_tech liberty in
-  let c = or_die (load_circuit path) in
-  let stim = or_die (load_stimfile stim_path) in
+  let c = or_die (Circuit_file.parse_file path) in
+  let stim = or_die (Stimfile.parse_file stim_path) in
   preflight ~stim ~suggest_watchdog:(not (watchdog || degrade)) tech c;
   let drives = bind_stim stim c in
   let horizon = horizon_of_drives drives t_stop in
@@ -430,8 +391,8 @@ let run_simulate path stim_path model t_stop vcd_path diagram liberty report max
 (* --- compare --- *)
 
 let run_compare path stim_path t_stop =
-  let c = or_die (load_circuit path) in
-  let stim = or_die (load_stimfile stim_path) in
+  let c = or_die (Circuit_file.parse_file path) in
+  let stim = or_die (Stimfile.parse_file stim_path) in
   preflight ~stim DL.tech c;
   let drives = bind_stim stim c in
   let horizon = match t_stop with Some t -> t | None -> 25_000. in
@@ -504,8 +465,8 @@ let campaign_log cmd m = Printf.eprintf "%s: %s\n%!" cmd m
    bound drives, horizon, SET pulse, resolved --jobs and journal mode. *)
 let campaign_setup ~cmd a =
   let tech = load_tech a.ca_liberty in
-  let c = or_die (load_circuit a.ca_circuit) in
-  let stim = or_die (load_stimfile a.ca_stim) in
+  let c = or_die (Circuit_file.parse_file a.ca_circuit) in
+  let stim = or_die (Stimfile.parse_file a.ca_stim) in
   let jobs = Driver.resolve_jobs ~log:(campaign_log cmd) a.ca_jobs in
   let is_worker = a.ca_range <> None in
   if is_worker && jobs > 1 then usage_diag "--range and --jobs are mutually exclusive";
@@ -749,7 +710,7 @@ let run_vary a samples sigma_device sigma_chip sigma_lot stress_hours ttf =
 (* --- export-verilog --- *)
 
 let run_export path output =
-  let c = or_die (load_circuit path) in
+  let c = or_die (Circuit_file.parse_file path) in
   let text = Halotis_netlist.Verilog.to_string c in
   (match output with
   | Some p ->
@@ -764,7 +725,7 @@ let run_export path output =
 
 let run_timing path input_slope liberty period =
   let tech = load_tech liberty in
-  let c = or_die (load_circuit path) in
+  let c = or_die (Circuit_file.parse_file path) in
   let t = Sta.analyze ~input_slope tech c in
   Format.printf "%a@." N.pp_summary c;
   Printf.printf "worst arrival: %.1f ps%s\n" (Sta.worst t)
@@ -797,8 +758,8 @@ let run_timing path input_slope liberty period =
 (* --- explain --- *)
 
 let run_explain path stim_path signal_name at t_stop =
-  let c = or_die (load_circuit path) in
-  let stim = or_die (load_stimfile stim_path) in
+  let c = or_die (Circuit_file.parse_file path) in
+  let stim = or_die (Stimfile.parse_file stim_path) in
   let drives = bind_stim stim c in
   let sid =
     match N.find_signal c signal_name with
@@ -840,7 +801,7 @@ let run_explain path stim_path signal_name at t_stop =
 (* --- hazards --- *)
 
 let run_hazards path input_slope =
-  let c = or_die (load_circuit path) in
+  let c = or_die (Circuit_file.parse_file path) in
   let module Hazard = Halotis_sta.Hazard in
   let h = Hazard.analyze ~input_slope DL.tech c in
   let sites = Hazard.sites h in
@@ -856,7 +817,7 @@ let run_hazards path input_slope =
 
 let run_survival path width slope engine liberty format =
   let tech = load_tech liberty in
-  let c = or_die (load_circuit path) in
+  let c = or_die (Circuit_file.parse_file path) in
   let module Survival = Halotis_sta.Survival in
   let kind = match engine with `Ddm -> DM.Ddm | `Cdm -> DM.Cdm in
   let s = Survival.analyze ~width ~slope ~kind tech c in
@@ -868,8 +829,8 @@ let run_survival path width slope engine liberty format =
 (* --- equiv --- *)
 
 let run_equiv path_a path_b =
-  let a = or_die (load_circuit path_a) in
-  let b = or_die (load_circuit path_b) in
+  let a = or_die (Circuit_file.parse_file path_a) in
+  let b = or_die (Circuit_file.parse_file path_b) in
   let module Equiv = Halotis_netlist.Equiv in
   let verdict = Equiv.check a b in
   Format.printf "%a@." Equiv.pp_verdict verdict;
@@ -878,18 +839,8 @@ let run_equiv path_a path_b =
 (* --- diff-vcd --- *)
 
 let run_diff_vcd path_a path_b tolerance =
-  let load path =
-    match Halotis_wave.Vcd_reader.parse_file path with
-    | Ok t -> t
-    | Error e ->
-        Format.eprintf "halotis: %s: %a@." path Halotis_wave.Vcd_reader.pp_error e;
-        exit 1
-    | exception Sys_error m ->
-        prerr_endline ("halotis: " ^ m);
-        exit 1
-  in
-  let a = load path_a and b = load path_b in
   let module Vr = Halotis_wave.Vcd_reader in
+  let a = or_die (Vr.parse_file path_a) and b = or_die (Vr.parse_file path_b) in
   let module Cmp = Halotis_wave.Compare in
   let reports =
     List.filter_map
@@ -930,18 +881,18 @@ let run_characterize output =
 (* --- cmdliner wiring --- *)
 
 let circuit_arg =
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"CIRCUIT" ~doc:"HNL netlist file.")
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"CIRCUIT" ~doc:"HNL netlist file.")
 
 let stim_arg =
   Arg.(
     required
-    & opt (some file) None
+    & opt (some string) None
     & info [ "stim"; "s" ] ~docv:"STIM" ~doc:"HSV stimulus file.")
 
 let liberty_arg =
   Arg.(
     value
-    & opt (some file) None
+    & opt (some string) None
     & info [ "liberty" ] ~docv:"LIB"
         ~doc:"Liberty file: fit the delay model coefficients from its NLDM tables.")
 
@@ -982,13 +933,13 @@ let lint_cmd =
   let circuit =
     Arg.(
       value
-      & pos 0 (some file) None
+      & pos 0 (some string) None
       & info [] ~docv:"CIRCUIT" ~doc:"HNL or ISCAS netlist file.")
   in
   let stim =
     Arg.(
       value
-      & opt (some file) None
+      & opt (some string) None
       & info [ "stim"; "s" ] ~docv:"STIM" ~doc:"Also lint this HSV stimulus file.")
   in
   let format =
@@ -1492,14 +1443,14 @@ let survival_cmd =
 let equiv_cmd =
   let doc = "exhaustive combinational equivalence check" in
   let file position docv =
-    Arg.(required & pos position (some file) None & info [] ~docv ~doc:"Netlist file.")
+    Arg.(required & pos position (some string) None & info [] ~docv ~doc:"Netlist file.")
   in
   Cmd.v (Cmd.info "equiv" ~doc) Term.(const run_equiv $ file 0 "A" $ file 1 "B")
 
 let diff_vcd_cmd =
   let doc = "compare two VCD dumps edge-for-edge" in
   let file position docv =
-    Arg.(required & pos position (some file) None & info [] ~docv ~doc:"VCD file.")
+    Arg.(required & pos position (some string) None & info [] ~docv ~doc:"VCD file.")
   in
   let tolerance =
     Arg.(
@@ -1551,14 +1502,7 @@ let run_serve socket cache_size max_events max_transitions no_watchdog liberty =
    1, 2, 3, ... in script order), so transcripts are deterministic no
    matter how the script file is formatted. *)
 let client_lines script_path =
-  let text =
-    try
-      let ic = open_in_bin script_path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with Sys_error m -> die_diag (io_diag m)
-  in
+  let text = or_die (Diag.parse_file Result.ok script_path) in
   let requests =
     List.filter
       (fun l ->
@@ -1677,7 +1621,7 @@ let client_cmd =
   let script =
     Arg.(
       required
-      & pos 0 (some file) None
+      & pos 0 (some string) None
       & info [] ~docv:"SCRIPT"
           ~doc:
             "File of JSON requests, one per line ($(b,#) comments and blank lines \

@@ -27,7 +27,7 @@ let () =
   let lib =
     match Liberty.parse_string text with
     | Ok l -> l
-    | Error e -> Format.kasprintf failwith "parse: %a" Liberty.pp_error e
+    | Error e -> Format.kasprintf failwith "parse: %a" Halotis_util.Diag.pp e
   in
   (match Liberty.find_cell lib "nand2" with
   | Some cell ->

@@ -26,7 +26,7 @@ let () =
   let circuit =
     match Hnl.parse_string source with
     | Ok c -> c
-    | Error e -> Format.kasprintf failwith "parse error: %a" Hnl.pp_error e
+    | Error e -> Format.kasprintf failwith "parse error: %a" Halotis_util.Diag.pp e
   in
   Format.printf "parsed: %a@." N.pp_summary circuit;
 

@@ -52,17 +52,12 @@ let mem_sorted (a : int array) x =
    run restricted to these gates is self-contained; the driver gate is
    included because its native output activity interleaves with (and is
    degraded by) the spliced pulse on the victim waveform itself. *)
-let fanout_cone ?marks cp ~victim =
+let fanout_cone ~marks cp ~victim =
   if victim < 0 || victim >= cp.nsignals then
     invalid_arg "Compiled.fanout_cone: unknown signal";
-  let { cm_signal = smem; cm_gate = gmem } =
-    match marks with
-    | Some m ->
-        if Bytes.length m.cm_signal <> cp.nsignals then
-          invalid_arg "Compiled.fanout_cone: marks are for a different netlist";
-        m
-    | None -> cone_marks cp
-  in
+  if Bytes.length marks.cm_signal <> cp.nsignals then
+    invalid_arg "Compiled.fanout_cone: marks are for a different netlist";
+  let { cm_signal = smem; cm_gate = gmem } = marks in
   (* members are listed as the walk marks them, then sorted, and the
      marks are cleared over the members again: a cone costs
      O(cone log cone), not a scan of the circuit *)

@@ -111,11 +111,10 @@ type cone_marks
 
 val cone_marks : t -> cone_marks
 
-val fanout_cone : ?marks:cone_marks -> t -> victim:int -> cone
+val fanout_cone : marks:cone_marks -> t -> victim:int -> cone
 (** A walk over the CSR fanout arrays that lists members as it marks
     them and clears the marks over the members afterwards, so its cost
-    is the cone's, not the circuit's — given [marks]; without them the
-    walk zeroes two fresh circuit-sized marks.  The closure property — a
+    is the cone's, not the circuit's.  The closure property — a
     member gate's output is always a member signal — means events born
     inside the cone can never reach a non-member gate, so a
     cone-restricted run needs no runtime escape check; only the boundary

@@ -52,7 +52,7 @@ type result = {
 
 type injection = {
   inj_signal : Netlist.signal_id;
-  inj_transitions : Transition.t list;
+  inj_ramps : Transition.t list;
 }
 
 (* The netlist's gate records, fanin arrays and load lists are boxed
@@ -260,7 +260,7 @@ let append_external st sid (tr : Transition.t) =
    truncation and event cancellation all apply.  The splice itself is
    external stimulus, so — like primary-input drives — it does not
    count towards [transitions_emitted]. *)
-let process_injection st inj = List.iter (append_external st inj.inj_signal) inj.inj_transitions
+let process_injection st inj = List.iter (append_external st inj.inj_signal) inj.inj_ramps
 
 (* Register an injection and queue its splice as a first-class event so
    it happens at its instant, after any earlier native activity on the
@@ -270,7 +270,7 @@ let process_injection st inj = List.iter (append_external st inj.inj_signal) inj
 let add_injection st inj =
   if inj.inj_signal < 0 || inj.inj_signal >= Array.length st.wf then
     invalid_arg "Iddm.run: injection on unknown signal";
-  match inj.inj_transitions with
+  match inj.inj_ramps with
   | [] -> ()
   | first :: _ ->
       let idx = Array.length st.injections in
@@ -679,7 +679,7 @@ let start_cone ?(injections = []) ws ~(cone : Compiled.cone) ~from =
          baseline waveform — a correctness bug, not a fallback case *)
       if not (Compiled.mem_sorted cone.Compiled.cone_signals inj.inj_signal) then
         invalid_arg "Iddm.start_cone: injection outside the cone";
-      match inj.inj_transitions with
+      match inj.inj_ramps with
       | first :: _ when first.Transition.start < ck.ck_time ->
           invalid_arg "Iddm.start_cone: injection before the checkpoint"
       | _ -> ())

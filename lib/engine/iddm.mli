@@ -97,7 +97,7 @@ type result = {
 type injection = {
   inj_signal : Halotis_netlist.Netlist.signal_id;
       (** victim signal — typically a gate output (SET strike node) *)
-  inj_transitions : Halotis_wave.Transition.t list;
+  inj_ramps : Halotis_wave.Transition.t list;
       (** ramps spliced into the victim waveform, time-ordered; a SET
           pulse is a leading ramp plus its reversal [width] later *)
 }

@@ -25,10 +25,7 @@ let engine_display_name = function
   | Cdm -> DM.kind_to_string DM.Cdm
   | Classic_inertial -> "classic"
 
-type injection = {
-  inj_signal : Netlist.signal_id;
-  inj_ramps : Transition.t list;
-}
+type injection = Iddm.injection = { inj_signal : Netlist.signal_id; inj_ramps : Transition.t list }
 
 type spec = {
   sp_circuit : Netlist.t;
@@ -42,7 +39,7 @@ type spec = {
   sp_trace : bool;
 }
 
-let spec ?(drives = []) ?(injections = []) ?t_stop ?(budget = Budget.unlimited)
+let spec ~drives ?(injections = []) ?t_stop ?(budget = Budget.unlimited)
     ?watchdog ?(trace = false) ?(overlay = Halotis_tech.Param_overlay.empty)
     ~tech circuit =
   {
@@ -165,7 +162,6 @@ let classic_config spec =
     ?watchdog:spec.sp_watchdog spec.sp_tech
 
 let classic_injection i = (i.inj_signal, List.map Classic.toggle i.inj_ramps)
-let iddm_injection i = { Iddm.inj_signal = i.inj_signal; inj_transitions = i.inj_ramps }
 
 (* Incremental cone re-simulation: the fault-campaign fast path.  For
    an injection on [victim], only the victim's static fanout cone can
@@ -321,7 +317,7 @@ module Cone = struct
     | Iddm_ws (ws, base_wf) ->
         let r =
           Iddm.advance
-            (Iddm.start_cone ~injections:(List.map iddm_injection injections) ws ~cone ~from)
+            (Iddm.start_cone ~injections ws ~cone ~from)
             ~upto:infinity
         in
         {
@@ -471,7 +467,7 @@ module Session = struct
       | Ddm | Cdm ->
           Iddm_session
             (Iddm.start
-               ~injections:(List.map iddm_injection spec.sp_injections)
+               ~injections:spec.sp_injections
                ?compiled (iddm_config engine spec) c ~drives)
       | Classic_inertial ->
           Classic_session
@@ -502,7 +498,7 @@ module Session = struct
 
   let inject t i =
     match t.ss_sess with
-    | Iddm_session s -> Iddm.session_inject s (iddm_injection i)
+    | Iddm_session s -> Iddm.session_inject s i
     | Classic_session s -> Classic.session_inject s (classic_injection i)
 
   let finished t =

@@ -37,12 +37,11 @@ val engine_display_name : engine -> string
     [simulate] output (matches the historical
     {!Halotis_delay.Delay_model.kind_to_string} rendering). *)
 
-type injection = {
-  inj_signal : Halotis_netlist.Netlist.signal_id;  (** victim signal *)
+type injection = Iddm.injection = {
+  inj_signal : Halotis_netlist.Netlist.signal_id;
   inj_ramps : Halotis_wave.Transition.t list;
-      (** ramps spliced into the victim, time-ordered; a SET pulse is a
-          leading ramp plus its reversal [width] later *)
 }
+(** A splice of ramps into a victim signal (see {!Iddm.injection}). *)
 
 type spec = {
   sp_circuit : Halotis_netlist.Netlist.t;
@@ -60,7 +59,7 @@ type spec = {
 }
 
 val spec :
-  ?drives:(Halotis_netlist.Netlist.signal_id * Drive.t) list ->
+  drives:(Halotis_netlist.Netlist.signal_id * Drive.t) list ->
   ?injections:injection list ->
   ?t_stop:Halotis_util.Units.time ->
   ?budget:Halotis_guard.Budget.t ->
@@ -70,8 +69,8 @@ val spec :
   tech:Halotis_tech.Tech.t ->
   Halotis_netlist.Netlist.t ->
   spec
-(** Defaults: no drives, no injections, no horizon, unlimited budget,
-    no watchdog, tracing off, empty overlay. *)
+(** Defaults: no injections, no horizon, unlimited budget, no
+    watchdog, tracing off, empty overlay. *)
 
 type raw =
   | Iddm_result of Iddm.result  (** [Ddm] and [Cdm] runs *)

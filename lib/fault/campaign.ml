@@ -7,7 +7,7 @@ module Hazard = Halotis_sta.Hazard
 module Prng = Halotis_util.Prng
 module Stop = Halotis_guard.Stop
 module Budget = Halotis_guard.Budget
-module Diag = Halotis_guard.Diag
+module Diag = Halotis_util.Diag
 
 type engine = Sim.engine = Ddm | Cdm | Classic_inertial
 

@@ -193,7 +193,7 @@ val run :
     [cam_complete = false]).  [on_verdict] fires after each fresh site
     with its global index — the journaling hook.
     @raise Invalid_argument on an empty window or site list trouble.
-    @raise Halotis_guard.Diag.Fail ([journal-mismatch]) when
+    @raise Halotis_util.Diag.Fail ([journal-mismatch]) when
     [completed] does not match the campaign's site list, or
     ([shard-range]) when [range] exceeds the enumeration. *)
 

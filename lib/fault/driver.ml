@@ -1,4 +1,4 @@
-module Diag = Halotis_guard.Diag
+module Diag = Halotis_util.Diag
 module Stop = Halotis_guard.Stop
 
 type plan = { parts : Campaign.config array; part_size : int; sampled : bool }
@@ -21,7 +21,7 @@ type result = { campaigns : Campaign.t array; exit_code : int }
 
 let usage ?hint m = Diag.fail ~code:"usage" ?hint m
 
-let resolve_jobs ?(log = ignore) jobs =
+let resolve_jobs ~log jobs =
   if jobs < 0 then usage "--jobs must be non-negative (0 uses the recommended core count)";
   if jobs > 0 then jobs
   else begin
@@ -186,7 +186,7 @@ let run_supervised ~log ~quarantine ~scfg ~worker_argv ?journal plan tech c ~dri
   keep := temp_dir = None && Array.exists failed merged;
   (Array.map snd merged, outcome.Supervisor.sv_exit_code)
 
-let run ?(log = ignore) ?journal ?(quarantine = Degrade) ?(chunk_sites = 0) ?worker_timeout
+let run ~log ?journal ?(quarantine = Degrade) ?(chunk_sites = 0) ?worker_timeout
     ?max_retries ?poison_after ~jobs ~worker_argv plan tech c ~drives =
   let nparts = Array.length plan.parts in
   let total = nparts * plan.part_size in
@@ -231,8 +231,6 @@ type chaos = {
   tokens : string option;
 }
 
-let no_chaos = { kill = None; hang = None; poison = None; tokens = None }
-
 (* One chaos event per claim: a token file from the bounding directory,
    or (without one) a per-chunk sentinel created O_EXCL so retries of
    the same chunk don't crash forever. *)
@@ -259,8 +257,7 @@ let chaos_claim chaos ~journal =
 
 let chaos_die () = Unix.kill (Unix.getpid ()) Sys.sigkill
 
-let run_worker ?(log = ignore) ?(chaos = no_chaos) plan ~range:(lo, hi) ~journal tech c
-    ~drives =
+let run_worker ~log ~chaos plan ~range:(lo, hi) ~journal tech c ~drives =
   let nparts = Array.length plan.parts and size = plan.part_size in
   if lo < 0 || lo >= hi then usage (Printf.sprintf "--range %d:%d: expected 0 <= LO < HI" lo hi);
   if hi > nparts * size then

@@ -58,13 +58,13 @@ type result = {
           when any part has quarantined sites *)
 }
 
-val resolve_jobs : ?log:(string -> unit) -> int -> int
+val resolve_jobs : log:(string -> unit) -> int -> int
 (** A [--jobs] count: [0] asks the OCaml runtime how many cores to use
     ({!Shard.available_cores}) and logs the choice.
-    @raise Halotis_guard.Diag.Fail ([usage]) on a negative count. *)
+    @raise Halotis_util.Diag.Fail ([usage]) on a negative count. *)
 
 val run :
-  ?log:(string -> unit) ->
+  log:(string -> unit) ->
   ?journal:journal ->
   ?quarantine:quarantine ->
   ?chunk_sites:int ->
@@ -87,9 +87,9 @@ val run :
     worker) must divide the part size of a multi-part plan, so no chunk
     straddles two parts; [worker_timeout], [max_retries] and
     [poison_after] default as in {!Supervisor.config}.  [quarantine]
-    defaults to {!Degrade}.  [log] (default silent) receives progress
-    and supervision warnings.  Never exits the process.
-    @raise Halotis_guard.Diag.Fail on a journal that does not match the
+    defaults to {!Degrade}.  [log] receives progress and supervision
+    warnings.  Never exits the process.
+    @raise Halotis_util.Diag.Fail on a journal that does not match the
     plan, a resume across modes or a missing resume journal ([usage],
     [journal-parse], [journal-mismatch]), invalid supervision settings
     ([usage]), or a chunk out of retries ([worker-retries]). *)
@@ -111,8 +111,8 @@ type chaos = {
 (** Fault injection for supervised workers, to test recovery. *)
 
 val run_worker :
-  ?log:(string -> unit) ->
-  ?chaos:chaos ->
+  log:(string -> unit) ->
+  chaos:chaos ->
   plan ->
   range:int * int ->
   journal:string ->
@@ -125,5 +125,5 @@ val run_worker :
     index into the chunk journal [journal], fsynced per verdict: the
     journal's growth is the supervisor's heartbeat.  An existing chunk
     journal is resumed, quarantine records included.
-    @raise Halotis_guard.Diag.Fail ([usage]) on a range outside the plan
+    @raise Halotis_util.Diag.Fail ([usage]) on a range outside the plan
     or across parts, ([journal-mismatch]) on a foreign chunk journal. *)

@@ -1,7 +1,7 @@
 module Stats = Halotis_engine.Stats
 module Transition = Halotis_wave.Transition
 module Stop = Halotis_guard.Stop
-module Diag = Halotis_guard.Diag
+module Diag = Halotis_util.Diag
 
 type header = {
   jh_circuit : string;

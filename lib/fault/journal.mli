@@ -69,7 +69,7 @@ val header_of : circuit:string -> ?range:int * int -> Campaign.config -> header
 val check : header -> circuit:string -> ?range:int * int -> Campaign.config -> unit
 (** Validates the journal fingerprint against the campaign about to run,
     including the shard range (default: expect a serial journal).
-    @raise Halotis_guard.Diag.Fail ([journal-mismatch]) naming the
+    @raise Halotis_util.Diag.Fail ([journal-mismatch]) naming the
     first campaign parameter that differs. *)
 
 type entry =
@@ -109,14 +109,14 @@ val load : string -> header * (int * entry) list
     global site indices, which must be strictly increasing (a shard
     journal starts at its range's [lo], not 0).  A torn final line is
     silently dropped.
-    @raise Halotis_guard.Diag.Fail ([journal-parse]) on a missing or
+    @raise Halotis_util.Diag.Fail ([journal-parse]) on a missing or
     malformed file, or one written by a statically pruned campaign. *)
 
 val contiguous : first:int -> (int * entry) list -> entry list
 (** Checks the indices run [first, first+1, ...] without gaps and drops
     them — the bridge from {!load}/{!merge} output to
     {!Campaign.run}'s [completed]/[quarantined] (via {!partition}).
-    @raise Halotis_guard.Diag.Fail ([journal-merge]) naming the first
+    @raise Halotis_util.Diag.Fail ([journal-merge]) naming the first
     missing site. *)
 
 val partition : first:int -> entry list -> Campaign.verdict list * int list
@@ -135,5 +135,5 @@ val merge :
     collapse, disagreement is fatal).  Gaps are allowed here — a dead
     worker's missing slice surfaces in {!contiguous}, after the
     survivors' work has been preserved.
-    @raise Halotis_guard.Diag.Fail ([journal-merge]) on an empty list,
+    @raise Halotis_util.Diag.Fail ([journal-merge]) on an empty list,
     mismatched headers or conflicting records. *)

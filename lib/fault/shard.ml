@@ -1,21 +1,15 @@
-module Diag = Halotis_guard.Diag
+module Diag = Halotis_util.Diag
 
 let available_cores = Domain.recommended_domain_count
 
 let journal_path base k = Printf.sprintf "%s.%d" base k
 let stderr_path base k = Printf.sprintf "%s.%d.err" base k
 
-let spawn ?stderr_file argv =
-  let err_fd, close_err =
-    match stderr_file with
-    | None -> (Unix.stderr, fun () -> ())
-    | Some path ->
-        let fd =
-          Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-        in
-        (fd, fun () -> Unix.close fd)
-  in
-  Fun.protect ~finally:close_err (fun () ->
+let spawn ~stderr_file argv =
+  let err_fd = Unix.openfile stderr_file [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close err_fd)
+    (fun () ->
       Unix.create_process Sys.executable_name (Array.of_list argv) Unix.stdin Unix.stdout
         err_fd)
 

@@ -28,12 +28,12 @@ val stderr_path : string -> int -> string
 (** [stderr_path base k] is ["base.k.err"] — where chunk [k]'s worker
     stderr lands when the caller passes it to {!spawn}. *)
 
-val spawn : ?stderr_file:string -> string list -> int
-(** [spawn argv] forks a worker by re-executing [Sys.executable_name]
-    with [argv] (complete, including the program name at its head) and
-    returns its pid; the child inherits stdin/stdout, and stderr too
-    unless [stderr_file] redirects it into a fresh capture file
-    (created/truncated). *)
+val spawn : stderr_file:string -> string list -> int
+(** [spawn ~stderr_file argv] forks a worker by re-executing
+    [Sys.executable_name] with [argv] (complete, including the program
+    name at its head) and returns its pid; the child inherits
+    stdin/stdout, and its stderr goes to a fresh capture file
+    [stderr_file] (created/truncated). *)
 
 val chunk_files : string -> (int * string * string) list
 (** Every supervision file beside [base], as [(id, path, suffix)]: the
@@ -58,5 +58,5 @@ val load_merged :
     are skipped — the gap surfaces in {!Journal.contiguous}.  The
     chunks must share one campaign fingerprint: {!Driver} groups a
     multi-part plan's chunk journals by part instead.
-    @raise Halotis_guard.Diag.Fail ([journal-merge]) when no chunk
+    @raise Halotis_util.Diag.Fail ([journal-merge]) when no chunk
     journal exists at all, or on merge conflicts. *)

@@ -1,5 +1,5 @@
 module Stop = Halotis_guard.Stop
-module Diag = Halotis_guard.Diag
+module Diag = Halotis_util.Diag
 
 type config = {
   sv_jobs : int;

@@ -104,7 +104,7 @@ val run :
     owning [range] and journaling to [journal] — a {!Driver.run_worker}
     process, which fsyncs every verdict.
     [check] validates a pre-existing chunk journal's header against
-    the campaign (raise {!Halotis_guard.Diag.Fail} [journal-mismatch]
+    the campaign (raise {!Halotis_util.Diag.Fail} [journal-mismatch]
     on a stale file); [mk_header] builds the header the supervisor
     uses when it must create a chunk journal itself to write a
     quarantine record.  [log] receives progress and
@@ -115,5 +115,5 @@ val run :
     On return every chunk journal covers its range (verdicts plus [q]
     records); the caller merges them ({!Driver} per part, or
     {!Shard.load_merged} [~jobs:outcome.sv_slots] for one part).
-    @raise Halotis_guard.Diag.Fail ([worker-retries]) when a chunk
+    @raise Halotis_util.Diag.Fail ([worker-retries]) when a chunk
     exhausts [sv_max_retries]. *)

@@ -5,14 +5,9 @@ type item =
 
 and group = { g_name : string; g_args : string list; g_items : item list }
 
-type error = { position : int; message : string }
+module Diag = Halotis_util.Diag
 
-let pp_error fmt e = Format.fprintf fmt "offset %d: %s" e.position e.message
-
-exception Parse_error of error
-
-let fail position fmt =
-  Format.kasprintf (fun message -> raise (Parse_error { position; message })) fmt
+let fail position fmt = Diag.failf ~code:"liberty-parse" ("offset %d: " ^^ fmt) position
 
 type token = Ident of string | Str of string | Punct of char
 
@@ -155,9 +150,9 @@ let parse_string text =
             (match peek cur with
             | None -> Ok g
             | Some (pos, _) -> fail pos "content after top-level group")
-        | Attr _ | Complex _ -> Error { position = 0; message = "expected a group body" })
+        | Attr _ | Complex _ -> fail 0 "expected a group body")
     | pos, _ -> fail pos "expected a top-level group"
-  with Parse_error e -> Error e
+  with Diag.Fail e -> Error e
 
 let find_groups g name =
   List.filter_map

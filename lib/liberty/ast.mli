@@ -30,12 +30,10 @@ type item =
 
 and group = { g_name : string; g_args : string list; g_items : item list }
 
-type error = { position : int; message : string }
-
-val pp_error : Format.formatter -> error -> unit
-
-val parse_string : string -> (group, error) result
-(** Parses one top-level group. *)
+val parse_string : string -> (group, Halotis_util.Diag.t) result
+(** Parses one top-level group.  An error is a [liberty-parse]
+    diagnostic whose message starts with the byte offset
+    (["offset 12: expected ';'"]). *)
 
 val find_groups : group -> string -> group list
 (** Child groups with the given name. *)

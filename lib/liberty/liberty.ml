@@ -15,13 +15,9 @@ type cell = {
 
 type t = { lib_name : string; cells : cell list }
 
-type error = { message : string }
+module Diag = Halotis_util.Diag
 
-let pp_error fmt e = Format.pp_print_string fmt e.message
-
-exception Interp_error of string
-
-let fail fmt = Format.kasprintf (fun m -> raise (Interp_error m)) fmt
+let fail fmt = Diag.failf ~code:"liberty-parse" fmt
 
 let floats_of_strings where strings =
   List.concat_map
@@ -114,19 +110,11 @@ let of_ast (g : Ast.group) =
     let lib_name = match g.Ast.g_args with n :: _ -> n | [] -> "unnamed" in
     let cells = List.filter_map cell_of_group (Ast.find_groups g "cell") in
     Ok { lib_name; cells }
-  with Interp_error message -> Error { message }
+  with Diag.Fail e -> Error e
 
-let parse_string text =
-  match Ast.parse_string text with
-  | Ok g -> of_ast g
-  | Error e -> Error { message = Format.asprintf "%a" Ast.pp_error e }
+let parse_string text = Result.bind (Ast.parse_string text) of_ast
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string text
+let parse_file path = Diag.parse_file parse_string path
 
 let find_cell t name = List.find_opt (fun c -> c.cell_name = name) t.cells
 

@@ -18,12 +18,12 @@ type cell = {
 
 type t = { lib_name : string; cells : cell list }
 
-type error = { message : string }
+val parse_string : string -> (t, Halotis_util.Diag.t) result
+(** An error is a [liberty-parse] diagnostic: the syntax errors of
+    {!Ast.parse_string}, or a tree that is not a cell library. *)
 
-val pp_error : Format.formatter -> error -> unit
-
-val parse_string : string -> (t, error) result
-val parse_file : string -> (t, error) result
+val parse_file : string -> (t, Halotis_util.Diag.t) result
+(** See {!Halotis_util.Diag.parse_file}. *)
 
 val find_cell : t -> string -> cell option
 

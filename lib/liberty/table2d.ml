@@ -60,7 +60,7 @@ let index1 t = t.index1
 let index2 t = t.index2
 let values t = t.values
 
-let monotone ?(tolerance = 0.) t axis =
+let monotone ~tolerance t axis =
   let ok = ref true in
   let ni = Array.length t.index1 and nj = Array.length t.index2 in
   (match axis with

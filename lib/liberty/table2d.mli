@@ -19,7 +19,7 @@ val index1 : t -> float array
 val index2 : t -> float array
 val values : t -> float array array
 
-val monotone : ?tolerance:float -> t -> [ `Index1 | `Index2 ] -> bool
+val monotone : tolerance:float -> t -> [ `Index1 | `Index2 ] -> bool
 (** Whether values are non-decreasing along the given axis (every other
     coordinate held fixed), allowing dips up to [tolerance].  Delay and
     transition tables should be monotone in output load ([`Index2]);

@@ -74,3 +74,5 @@ let to_json f =
       ("location", Json.Obj [ ("kind", Json.Str kind); ("name", Json.Str name) ]);
       ("message", Json.Str f.message);
     ]
+
+let edge_name rising = if rising then "rising" else "falling"

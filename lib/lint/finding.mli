@@ -35,3 +35,6 @@ val compare : t -> t -> int
     order independent of rule evaluation order. *)
 
 val to_json : t -> Halotis_util.Json.t
+
+val edge_name : bool -> string
+(** How a finding's message names an edge: ["rising"] or ["falling"]. *)

@@ -4,8 +4,6 @@ module N = Halotis_netlist.Netlist
 module Check = Halotis_netlist.Check
 module Survival = Halotis_sta.Survival
 
-let edge_name rising = if rising then "rising" else "falling"
-
 (* TK007: the eq. 3 dead window T0 = (1/2 - ddm_c/VDD) * tau_in covers
    the stage's own nominal delay at some representative operating
    point.  Then an edge arriving up to tp0 after the previous output
@@ -37,7 +35,7 @@ let check_kind config tech kind =
           Rule.emit config Rule.tk007 loc
             "%s T0 = %.2f ps >= tp0 = %.2f ps at CL = %g fF, tau_in = %g ps: \
              a pulse can widen by up to tp0 per stage"
-            (edge_name rising)
+            (Finding.edge_name rising)
             (Tech.degradation_t0 tech p ~tau_in)
             (Tech.base_delay p ~pin_factor:1.0 ~cl ~tau_in)
             cl tau_in

@@ -2,8 +2,6 @@ module Tech = Halotis_tech.Tech
 module Gate_kind = Halotis_logic.Gate_kind
 module N = Halotis_netlist.Netlist
 
-let edge_name rising = if rising then "rising" else "falling"
-
 (* One finding per (kind, edge, rule): the first violating operating
    point is the witness; listing every grid point would flood the
    report without adding information. *)
@@ -23,7 +21,7 @@ let check_kind config tech kind =
           push
             (Rule.emit config Rule.tk001 loc
                "%s tau_out = %.2f ps at CL = %g fF; output ramps must take positive time"
-               (edge_name rising)
+               (Finding.edge_name rising)
                (Tech.raw_output_slope p ~cl)
                cl)
       | None -> ());
@@ -35,7 +33,7 @@ let check_kind config tech kind =
           push
             (Rule.emit config Rule.tk002 loc
                "%s degradation tau = %.2f ps at CL = %g fF; eq. 1 needs tau > 0"
-               (edge_name rising)
+               (Finding.edge_name rising)
                (Tech.raw_degradation_tau tech p ~cl)
                cl)
       | None -> ());
@@ -47,7 +45,7 @@ let check_kind config tech kind =
           push
             (Rule.emit config Rule.tk003 loc
                "%s T0 = %.2f ps at tau_in = %g ps (ddm_c = %.2f V > VDD/2 = %.2f V)"
-               (edge_name rising)
+               (Finding.edge_name rising)
                (Tech.raw_degradation_t0 tech p ~tau_in)
                tau_in p.Tech.ddm_c (vdd /. 2.))
       | None -> ());
@@ -68,7 +66,7 @@ let check_kind config tech kind =
           push
             (Rule.emit config Rule.tk005 loc
                "%s tp0 = %.2f ps at CL = %g fF, tau_in = %g ps, pin %d"
-               (edge_name rising)
+               (Finding.edge_name rising)
                (Tech.base_delay p ~pin_factor:(gt.Tech.pin_factor pin) ~cl ~tau_in)
                cl tau_in pin)
       | None -> ())

@@ -1,14 +1,19 @@
 module Gate_kind = Halotis_logic.Gate_kind
 module Line_scan = Halotis_util.Line_scan
 module Value = Halotis_logic.Value
+module Diag = Halotis_util.Diag
 
-type error = { line : int; message : string }
+type error = Diag.t = {
+  severity : Diag.severity;
+  code : string;
+  file : string option;
+  line : int option;
+  message : string;
+  hint : string option;
+}
 
-let pp_error fmt e = Format.fprintf fmt "line %d: %s" e.line e.message
-
-exception Parse_error of error
-
-let fail line fmt = Format.kasprintf (fun message -> raise (Parse_error { line; message })) fmt
+let fail line fmt =
+  Diag.failf ~code:"netlist-parse" ~hint:"see doc/FORMATS.md for the HNL grammar" ~line fmt
 
 (* A tie operand's shared signal is named const_0/const_1, which a
    document may already have declared itself. *)
@@ -100,12 +105,10 @@ let parse_string text =
       else fail lineno "unknown directive %S" (Line_scan.token sc 0)
     done;
     match !builder with
-    | None -> Error { line = 0; message = "empty document" }
-    | Some _ when not !ended -> Error { line = Line_scan.line sc; message = "missing 'end'" }
-    | Some b -> ( try Ok (Builder.finalize b) with Invalid_argument m -> Error { line = 0; message = m })
-  with Parse_error e -> Error e
-
-let parse_file path = parse_string (In_channel.with_open_text path In_channel.input_all)
+    | None -> fail 0 "empty document"
+    | Some _ when not !ended -> fail (Line_scan.line sc) "missing 'end'"
+    | Some b -> ( try Ok (Builder.finalize b) with Invalid_argument m -> fail 0 "%s" m)
+  with Diag.Fail e -> Error e
 
 let to_string c =
   let buf = Buffer.create 1024 in

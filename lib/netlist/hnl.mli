@@ -19,15 +19,19 @@
     tie cell is an internal signal.  Attributes accepted on a gate line:
     [vt<pin>=<volts>] and [load=<fF>]. *)
 
-type error = { line : int; message : string }
-
-val pp_error : Format.formatter -> error -> unit
+type error = Halotis_util.Diag.t = {
+  severity : Halotis_util.Diag.severity;
+  code : string;
+  file : string option;
+  line : int option;
+  message : string;
+  hint : string option;
+}
 
 val parse_string : string -> (Netlist.t, error) result
-(** Parses a full HNL document. *)
-
-val parse_file : string -> (Netlist.t, error) result
-(** Reads and parses a file. *)
+(** Parses a full HNL document.  An error is a [netlist-parse]
+    diagnostic at its line (0 for an empty document or a circuit that
+    does not elaborate). *)
 
 val to_string : Netlist.t -> string
 (** Prints a circuit as HNL; [parse_string (to_string c)] reproduces an

@@ -1,13 +1,9 @@
 module Gate_kind = Halotis_logic.Gate_kind
 module Line_scan = Halotis_util.Line_scan
+module Diag = Halotis_util.Diag
 
-type error = { line : int; message : string }
-
-let pp_error fmt e = Format.fprintf fmt "line %d: %s" e.line e.message
-
-exception Parse_error of error
-
-let fail line fmt = Format.kasprintf (fun message -> raise (Parse_error { line; message })) fmt
+let fail line fmt =
+  Diag.failf ~code:"iscas-parse" ~hint:"ISCAS-85 lines look like `G10 = NAND(G1, G3)`" ~line fmt
 
 let strip s = String.trim s
 
@@ -78,14 +74,8 @@ let parse_string ?(name = "bench") text =
       end
     done;
     List.iter (fun n -> Builder.mark_output b (Builder.signal b n)) (List.rev !outputs);
-    try Ok (Builder.finalize b)
-    with Invalid_argument m -> Error { line = 0; message = m }
-  with Parse_error e -> Error e
-
-let parse_file path =
-  parse_string
-    ~name:(Filename.remove_extension (Filename.basename path))
-    (In_channel.with_open_text path In_channel.input_all)
+    try Ok (Builder.finalize b) with Invalid_argument m -> fail 0 "%s" m
+  with Diag.Fail e -> Error e
 
 let c17_text =
   {|# ISCAS-85 c17
@@ -108,7 +98,7 @@ let c17 =
   lazy
     (match parse_string ~name:"c17" c17_text with
     | Ok c -> c
-    | Error e -> Format.kasprintf failwith "embedded c17 failed to parse: %a" pp_error e)
+    | Error e -> failwith ("embedded c17 failed to parse: " ^ Diag.to_string e))
 
 let to_string c =
   let buf = Buffer.create 1024 in

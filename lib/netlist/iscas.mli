@@ -16,14 +16,10 @@
     NOT and BUFF (arity 1).  Names are case-insensitive for functions
     and case-sensitive for signals. *)
 
-type error = { line : int; message : string }
-
-val parse_string : ?name:string -> string -> (Netlist.t, error) result
+val parse_string : ?name:string -> string -> (Netlist.t, Halotis_util.Diag.t) result
 (** [parse_string ~name text] parses a .bench document; [name] is the
-    circuit name (default ["bench"]). *)
-
-val parse_file : string -> (Netlist.t, error) result
-(** The circuit is named after the file's basename. *)
+    circuit name (default ["bench"]).  An error is an [iscas-parse]
+    diagnostic at its line. *)
 
 val c17 : Netlist.t Lazy.t
 (** The ISCAS-85 c17 benchmark, embedded. *)

@@ -70,7 +70,7 @@ val request_of_json : Halotis_util.Json.t -> (request, string) result
 type error = { err_code : string; err_message : string }
 (** Protocol error reply: a stable machine code (["parse"],
     ["protocol"], ["bad-request"], ["unknown-session"], or a
-    {!Halotis_guard.Diag} code such as ["netlist-parse"] /
+    {!Halotis_util.Diag} code such as ["netlist-parse"] /
     ["unknown-signal"] / ["past-time"]) plus a human message. *)
 
 type response = { rp_id : int option; rp_payload : (Halotis_util.Json.t, error) result }

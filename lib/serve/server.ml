@@ -2,13 +2,13 @@ module Json = Halotis_util.Json
 module P = Protocol
 module Netlist = Halotis_netlist.Netlist
 module Hnl = Halotis_netlist.Hnl
-module Iscas = Halotis_netlist.Iscas
+module Circuit_file = Halotis_netlist.Circuit_file
 module Stimfile = Halotis_stim.Stimfile
 module Sim = Halotis_engine.Sim
 module Compiled = Halotis_engine.Compiled
 module Budget = Halotis_guard.Budget
 module Watchdog = Halotis_guard.Watchdog
-module Diag = Halotis_guard.Diag
+module Diag = Halotis_util.Diag
 
 type config = {
   cf_cache_size : int;
@@ -60,40 +60,15 @@ let connect server =
 
 (* --- circuit loading --- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let strip_ext name = Filename.remove_extension (Filename.basename name)
+let or_fail = function Ok v -> v | Error d -> raise (Diag.Fail d)
 
 (* The cache key covers the parse recipe, not just the bytes: the same
    source text means different circuits under ISCAS and HNL rules. *)
-let parse_recipe = function
-  | P.Inline _ -> "hnl:inline"
+let circuit_source = function
+  | P.Inline text -> ("hnl:inline", text, Hnl.parse_string)
   | P.Path p ->
-      if Filename.check_suffix p ".bench" then "iscas:" ^ strip_ext p else "hnl:"
-
-let circuit_bytes = function
-  | P.Inline s -> s
-  | P.Path p -> ( try read_file p with Sys_error m -> Diag.fail ~code:"io" m)
-
-let parse_circuit source text =
-  match source with
-  | P.Path p when Filename.check_suffix p ".bench" -> (
-      match Iscas.parse_string ~name:(strip_ext p) text with
-      | Ok c -> c
-      | Error e ->
-          Diag.fail ~code:"iscas-parse" ~file:p ~line:e.Iscas.line e.Iscas.message)
-  | P.Path p -> (
-      match Hnl.parse_string text with
-      | Ok c -> c
-      | Error e -> Diag.fail ~code:"netlist-parse" ~file:p ~line:e.Hnl.line e.Hnl.message)
-  | P.Inline _ -> (
-      match Hnl.parse_string text with
-      | Ok c -> c
-      | Error e -> Diag.fail ~code:"netlist-parse" ~line:e.Hnl.line e.Hnl.message)
+      let recipe, parse = Circuit_file.reader p in
+      (recipe, or_fail (Diag.parse_file Result.ok p), parse)
 
 (* --- request handlers --- *)
 
@@ -110,32 +85,28 @@ let handle_load conn (l : P.load) =
     | Some e -> e
     | None -> Diag.fail ~code:"bad-request" (Printf.sprintf "unknown engine %S" l.P.ld_engine)
   in
-  let text = circuit_bytes l.P.ld_circuit in
+  let recipe, text, parse = circuit_source l.P.ld_circuit in
   let overlay = conn.server.cfg.cf_overlay in
   (* The key also covers the parameter overlay's fingerprint: two
      corners of the same source must never alias a compiled circuit.
      Only the source text is hashed, so it is never copied. *)
   let key =
     String.concat "\x00"
-      [ parse_recipe l.P.ld_circuit; Circuit_cache.key_of_source text; conn.server.fingerprint ]
+      [ recipe; Circuit_cache.key_of_source text; conn.server.fingerprint ]
   in
   let compiled, hit =
     Circuit_cache.find_or_compile conn.server.cache ~key ~compile:(fun () ->
-        Compiled.compile ~overlay conn.server.cfg.cf_tech
-          (parse_circuit l.P.ld_circuit text))
+        Compiled.compile ~overlay conn.server.cfg.cf_tech (or_fail (parse text)))
   in
   let circuit = compiled.Compiled.circuit in
   let drives, slope =
     match l.P.ld_stim with
     | None -> ([], 100.)
     | Some path -> (
-        match Stimfile.parse_file path with
-        | Error e ->
-            Diag.fail ~code:"stim-parse" ~file:path ~line:e.Stimfile.line e.Stimfile.message
-        | Ok sf -> (
-            match Stimfile.bind sf circuit with
-            | Error m -> Diag.fail ~code:"stim-bind" ~file:path m
-            | Ok drives -> (drives, sf.Stimfile.slope)))
+        let sf = or_fail (Stimfile.parse_file path) in
+        match Stimfile.bind sf circuit with
+        | Error m -> Diag.fail ~code:"stim-bind" ~file:path m
+        | Ok drives -> (drives, sf.Stimfile.slope))
   in
   let cfg = conn.server.cfg in
   let pick ov default = match ov with Some v -> Some v | None -> default in
@@ -239,8 +210,7 @@ let handle_line conn line =
                   else
                     try P.ok ~id (handle_request conn req) with
                     | Diag.Fail d -> P.err ~id ~code:d.Diag.code d.Diag.message
-                    | Invalid_argument m -> P.err ~id ~code:"bad-request" m
-                    | Sys_error m -> P.err ~id ~code:"io" m)
+                    | Invalid_argument m -> P.err ~id ~code:"bad-request" m)
             end)
         | _ -> P.err ~code:"protocol" "every request needs an integer \"id\"")
   in

@@ -43,7 +43,7 @@ val connect : t -> conn
 val handle_line : conn -> string -> string
 (** Maps one request line to one response line (no trailing newline).
     Never raises: parse failures, protocol violations and
-    {!Halotis_guard.Diag.Fail} all become error responses. *)
+    {!Halotis_util.Diag.Fail} all become error responses. *)
 
 val serve_stdio : t -> unit
 

@@ -7,7 +7,7 @@ module Sim = Halotis_engine.Sim
 module Compiled = Halotis_engine.Compiled
 module Stats = Halotis_engine.Stats
 module Stop = Halotis_guard.Stop
-module Diag = Halotis_guard.Diag
+module Diag = Halotis_util.Diag
 
 type t = {
   se_id : int;

@@ -3,7 +3,7 @@
     frontier, the last commanded level of every primary input, and
     JSON rendering of every query reply.
 
-    All validation errors raise {!Halotis_guard.Diag.Fail} with stable
+    All validation errors raise {!Halotis_util.Diag.Fail} with stable
     codes the server maps to protocol error replies: ["unknown-signal"],
     ["not-an-input"], ["past-time"], ["bad-request"]. *)
 

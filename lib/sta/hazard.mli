@@ -41,7 +41,7 @@ val analyze :
   Halotis_netlist.Netlist.t ->
   t
 (** Min/max arrival analysis with all inputs switching at time 0.
-    @raise Halotis_guard.Diag.Fail (code [cyclic-circuit], with a
+    @raise Halotis_util.Diag.Fail (code [cyclic-circuit], with a
     witness cycle) on a combinational cycle. *)
 
 val window : t -> Halotis_netlist.Netlist.signal_id -> window option

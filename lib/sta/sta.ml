@@ -15,9 +15,6 @@ type t = {
       (* per gate: argmax cause of (rise, fall) at its output *)
 }
 
-(* Can an input edge of polarity [in_rising] on any pin produce an
-   output edge of polarity [out_rising]?  Unate gates constrain the
-   combination; XOR-like gates allow both. *)
 let can_cause kind ~in_rising ~out_rising =
   match kind with
   | Gate_kind.Inv | Gate_kind.Nand _ | Gate_kind.Nor _ | Gate_kind.Aoi21 | Gate_kind.Oai21
@@ -37,7 +34,7 @@ let fail_cyclic c ~what =
           (List.map (Netlist.gate_name c) (cycle @ [ List.hd cycle ]))
     | None -> "<no witness>"
   in
-  Halotis_guard.Diag.fail ~code:"cyclic-circuit"
+  Halotis_util.Diag.fail ~code:"cyclic-circuit"
     ~hint:"static analyses need an acyclic gate graph; break the feedback loop or simulate with the oscillation watchdog instead"
     (Printf.sprintf "%s: circuit %s has a combinational cycle: %s" what
        (Netlist.name c) witness)

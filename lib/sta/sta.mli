@@ -27,13 +27,18 @@ val analyze :
   t
 (** Worst-case analysis with all primary inputs switching at time 0
     with [input_slope] (default 100 ps).
-    @raise Halotis_guard.Diag.Fail (code [cyclic-circuit], with a
+    @raise Halotis_util.Diag.Fail (code [cyclic-circuit], with a
     witness cycle) on a combinational cycle. *)
+
+val can_cause : Halotis_logic.Gate_kind.t -> in_rising:bool -> out_rising:bool -> bool
+(** Can an input edge of polarity [in_rising] on any pin produce an
+    output edge of polarity [out_rising]?  Unate gates constrain the
+    combination; XOR-like gates and the mux allow both. *)
 
 val fail_cyclic : Halotis_netlist.Netlist.t -> what:string -> 'a
 (** Rejects a cyclic circuit with a [cyclic-circuit] diagnostic naming
     a witness cycle; shared by every static analysis in this library.
-    @raise Halotis_guard.Diag.Fail always. *)
+    @raise Halotis_util.Diag.Fail always. *)
 
 val arrival : t -> Halotis_netlist.Netlist.signal_id -> arrival
 

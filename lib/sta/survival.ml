@@ -159,13 +159,6 @@ let may_cross_digital pb = pb.pb_w_hi > (0.5 *. pb.pb_sl_lo) -. margin
 
 (* {1 Baseline-free vulnerability map} *)
 
-let can_cause kind ~in_rising ~out_rising =
-  match kind with
-  | Gate_kind.Inv | Gate_kind.Nand _ | Gate_kind.Nor _ | Gate_kind.Aoi21 | Gate_kind.Oai21 ->
-      in_rising <> out_rising
-  | Gate_kind.Buf | Gate_kind.And _ | Gate_kind.Or _ -> in_rising = out_rising
-  | Gate_kind.Xor _ | Gate_kind.Xnor _ | Gate_kind.Mux2 -> true
-
 type t = {
   an_cx : ctx;
   an_width : float;
@@ -218,7 +211,7 @@ let static_walk cx blocked ~sid0 ~rising0 ~width ~slope =
                     | Some (wc_lo, wc_hi) ->
                         List.iter
                           (fun out_rising ->
-                            if can_cause g.Netlist.kind ~in_rising ~out_rising then
+                            if Sta.can_cause g.Netlist.kind ~in_rising ~out_rising then
                               match
                                 through_gate cx ~gid ~pin ~rising_out:out_rising ~wc_lo
                                   ~wc_hi ~pb
@@ -296,7 +289,7 @@ let analyze ?(width = 150.) ?(slope = 100.) ?(kind = Delay_model.Ddm) tech c =
                 | Some (wc_lo, wc_hi) ->
                     List.iter
                       (fun out_rising ->
-                        if can_cause g.Netlist.kind ~in_rising ~out_rising then
+                        if Sta.can_cause g.Netlist.kind ~in_rising ~out_rising then
                           match
                             through_gate cx ~gid ~pin ~rising_out:out_rising ~wc_lo
                               ~wc_hi ~pb

@@ -40,7 +40,7 @@ val analyze :
 (** [analyze tech c] propagates a canonical pulse (default width 150 ps,
     slope 100 ps — the campaign defaults) from every candidate site
     through its fanout cone under the upper-bound transfer function.
-    @raise Halotis_guard.Diag.Fail on a combinational cycle. *)
+    @raise Halotis_util.Diag.Fail on a combinational cycle. *)
 
 val width : t -> float
 val slope : t -> float

@@ -2,12 +2,20 @@ module Drive = Halotis_engine.Drive
 module Transition = Halotis_wave.Transition
 module Netlist = Halotis_netlist.Netlist
 module Line_scan = Halotis_util.Line_scan
+module Diag = Halotis_util.Diag
 
-type error = { line : int; message : string }
+type error = Diag.t = {
+  severity : Diag.severity;
+  code : string;
+  file : string option;
+  line : int option;
+  message : string;
+  hint : string option;
+}
 
-exception Parse_error of error
-
-let fail line fmt = Format.kasprintf (fun message -> raise (Parse_error { line; message })) fmt
+let fail line fmt =
+  Diag.failf ~code:"stim-parse" ~hint:"stimulus lines look like `input a 0 1@2000 0@4000`" ~line
+    fmt
 
 type t = {
   slope : float;
@@ -58,9 +66,9 @@ let parse_string text =
       else fail lineno "unknown directive %S" (tok 0)
     done;
     Ok { slope = !slope; entries = List.rev !entries; raw_changes = List.rev !raws }
-  with Parse_error e -> Error e
+  with Diag.Fail e -> Error e
 
-let parse_file path = parse_string (In_channel.with_open_text path In_channel.input_all)
+let parse_file path = Diag.parse_file parse_string path
 
 let to_string t =
   let buf = Buffer.create 256 in

@@ -12,7 +12,14 @@
 
     Levels are [0]/[1]; change instants are in picoseconds. *)
 
-type error = { line : int; message : string }
+type error = Halotis_util.Diag.t = {
+  severity : Halotis_util.Diag.severity;
+  code : string;
+  file : string option;
+  line : int option;
+  message : string;
+  hint : string option;
+}
 
 type t = {
   slope : Halotis_util.Units.time;
@@ -24,7 +31,10 @@ type t = {
 }
 
 val parse_string : string -> (t, error) result
+(** An error is a [stim-parse] diagnostic at its line. *)
+
 val parse_file : string -> (t, error) result
+(** See {!Halotis_util.Diag.parse_file}. *)
 
 val to_string : t -> string
 (** Prints a document that {!parse_string} reads back equivalently. *)

@@ -1,5 +1,3 @@
-module Json = Halotis_util.Json
-
 type severity = Error | Warning | Note
 
 type t = {
@@ -13,11 +11,21 @@ type t = {
 
 exception Fail of t
 
-let make ?(severity = Error) ?file ?line ?hint ~code message =
-  { severity; code; file; line; message; hint }
+let make ?(severity = Error) ?file ?hint ~code message =
+  { severity; code; file; line = None; message; hint }
 
-let fail ?file ?line ?hint ~code message =
-  raise (Fail (make ?file ?line ?hint ~code message))
+let fail ?file ?hint ~code message = raise (Fail (make ?file ?hint ~code message))
+
+let failf ~code ?hint ?line fmt =
+  Format.kasprintf (fun m -> raise (Fail { (make ?hint ~code m) with line })) fmt
+
+let parse_file parse path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> Result.map_error (fun d -> { d with file = Some path }) (parse text)
+  | exception Sys_error m ->
+      (* opening names the path in its message; a failed read does not *)
+      let m = if String.starts_with ~prefix:path m then m else path ^ ": " ^ m in
+      Error (make ~code:"io" m)
 
 let severity_string = function Error -> "error" | Warning -> "warning" | Note -> "note"
 

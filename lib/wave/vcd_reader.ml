@@ -1,12 +1,11 @@
 type signal = { rd_name : string; rd_initial : bool; rd_edges : Digital.edge list }
 type t = { timescale_ps : float; signals : signal list }
-type error = { line : int; message : string }
 
-let pp_error fmt e = Format.fprintf fmt "line %d: %s" e.line e.message
+module Diag = Halotis_util.Diag
 
-exception Parse_error of error
-
-let fail line fmt = Format.kasprintf (fun message -> raise (Parse_error { line; message })) fmt
+let fail line fmt =
+  Diag.failf ~code:"vcd-parse"
+    ~hint:"the reader takes scalar 1-bit wires, as `halotis simulate --vcd` writes them" ~line fmt
 
 (* whitespace-separated tokens with their line numbers *)
 let tokenize text =
@@ -156,13 +155,8 @@ let parse_string text =
         !order
     in
     Ok { timescale_ps = !timescale; signals }
-  with Parse_error e -> Error e
+  with Diag.Fail e -> Error e
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string text
+let parse_file path = Diag.parse_file parse_string path
 
 let find t name = List.find_opt (fun s -> s.rd_name = name) t.signals

@@ -11,10 +11,8 @@ type signal = {
 
 type t = { timescale_ps : float; signals : signal list }
 
-type error = { line : int; message : string }
-
-val pp_error : Format.formatter -> error -> unit
-
-val parse_file : string -> (t, error) result
+val parse_file : string -> (t, Halotis_util.Diag.t) result
+(** A malformed file is a [vcd-parse] diagnostic at its line (see
+    {!Halotis_util.Diag.parse_file}). *)
 
 val find : t -> string -> signal option

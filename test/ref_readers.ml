@@ -44,7 +44,7 @@ module Hnl = struct
         end
         else fail lineno "unknown attribute %S" tok
 
-  let parse_string text : (Halotis_netlist.Netlist.t, Halotis_netlist.Hnl.error) result =
+  let parse_string text : (Halotis_netlist.Netlist.t, int * string) result =
     let lines = String.split_on_char '\n' text in
     try
       let builder = ref None in
@@ -131,14 +131,14 @@ module Hnl = struct
           | tok :: _ -> fail lineno "unknown directive %S" tok)
         lines;
       match !builder with
-      | None -> Error { line = 0; message = "empty document" }
+      | None -> Error (0, "empty document")
       | Some b ->
-          if not !ended then Error { line = List.length lines; message = "missing 'end'" }
+          if not !ended then Error (List.length lines, "missing 'end'")
           else begin
             try Ok (Builder.finalize b)
-            with Invalid_argument m -> Error { line = 0; message = m }
+            with Invalid_argument m -> Error (0, m)
           end
-    with Parse_error (line, message) -> Error { line; message }
+    with Parse_error (line, message) -> Error (line, message)
 end
 
 module Iscas = struct
@@ -182,7 +182,7 @@ module Iscas = struct
     | _, _ -> fail lineno "unknown function %S" fn
 
   let parse_string ?(name = "bench") text :
-      (Halotis_netlist.Netlist.t, Halotis_netlist.Iscas.error) result =
+      (Halotis_netlist.Netlist.t, int * string) result =
     let lines = String.split_on_char '\n' text in
     try
       let b = Builder.create name in
@@ -214,8 +214,8 @@ module Iscas = struct
         lines;
       List.iter (fun n -> Builder.mark_output b (Builder.signal b n)) (List.rev !outputs);
       try Ok (Builder.finalize b)
-      with Invalid_argument m -> Error { line = 0; message = m }
-    with Parse_error (line, message) -> Error { line; message }
+      with Invalid_argument m -> Error (0, m)
+    with Parse_error (line, message) -> Error (line, message)
 end
 
 module Stimfile = struct
@@ -238,7 +238,7 @@ module Stimfile = struct
         | Some time when time >= 0. -> (time, level)
         | Some _ | None -> fail lineno "bad time %S" time_str)
 
-  let parse_string text : (S.t, S.error) result =
+  let parse_string text : (S.t, int * string) result =
     let lines = String.split_on_char '\n' text in
     try
       let slope = ref 100. in
@@ -273,5 +273,5 @@ module Stimfile = struct
           entries = List.rev !entries;
           raw_changes = List.rev !raws;
         }
-    with Parse_error (line, message) -> Error { line; message }
+    with Parse_error (line, message) -> Error (line, message)
 end

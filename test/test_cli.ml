@@ -322,12 +322,28 @@ let test_simulate_removed_options () =
   let status, _ = run_capture (ring_args @ [ "--model"; "ddm"; "--checkpoint"; "x" ]) in
   checki "--checkpoint is an unknown option" 124 status
 
+(* A missing input file reaches its reader, whose [io] diagnostic exits
+   1 (not cmdliner's usage error, 124). *)
+let test_missing_inputs () =
+  let missing ext =
+    let p = Filename.temp_file "halotis_cli_missing" ext in
+    Sys.remove p;
+    p
+  in
+  let status, _ = run_capture [ "simulate"; missing ".hnl"; "--stim"; data "c17_walk.hsv" ] in
+  checki "missing netlist" 1 status;
+  let status, _ = run_capture [ "simulate"; data "c17.hnl"; "--stim"; missing ".hsv" ] in
+  checki "missing stimulus" 1 status;
+  let status, _ = run_capture [ "diff-vcd"; missing ".vcd"; missing ".vcd" ] in
+  checki "missing vcd" 1 status
+
 let tests =
   [
     ( "cli.simulate",
       [
         Alcotest.test_case "stopped run json" `Quick test_simulate_stopped_json;
         Alcotest.test_case "--checkpoint removed" `Quick test_simulate_removed_options;
+        Alcotest.test_case "missing inputs are io diagnostics" `Quick test_missing_inputs;
       ] );
     ( "cli.survival",
       [

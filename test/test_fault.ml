@@ -216,7 +216,7 @@ let test_classic_strike_not_preempted () =
 (* --- journal loader on hostile input --- *)
 
 module Journal = Halotis_fault.Journal
-module Diag = Halotis_guard.Diag
+module Diag = Halotis_util.Diag
 
 let with_temp_file contents f =
   let path = Filename.temp_file "halotis_journal_fuzz" ".journal" in
@@ -435,7 +435,7 @@ let test_fanout_cone_structure () =
   let marks = Compiled.cone_marks cp in
   List.iter
     (fun victim ->
-      let cone = Compiled.fanout_cone cp ~victim in
+      let cone = Compiled.fanout_cone ~marks:(Compiled.cone_marks cp) cp ~victim in
       (* shared marks are cleared after every walk *)
       checkb "walk with shared marks == fresh walk" true
         (Compiled.fanout_cone ~marks cp ~victim = cone);
@@ -683,7 +683,7 @@ let test_classic_cone_simultaneous_inputs_exact () =
          gate g2 inv n2 n1\ngate g3 inv y n2\nend\n"
     with
     | Ok c -> c
-    | Error e -> Alcotest.failf "fixture: %a" Halotis_netlist.Hnl.pp_error e
+    | Error e -> Alcotest.failf "fixture: %a" Halotis_util.Diag.pp e
   in
   let drive = Drive.of_levels ~slope:60. ~initial:false [ (4000., true); (8000., false) ] in
   let drives = List.map (fun n -> (sid c n, drive)) [ "a"; "b"; "c"; "d" ] in
@@ -877,7 +877,7 @@ let test_cone_site_alloc_independent_of_circuit () =
     Buffer.add_string b "end\n";
     match Halotis_netlist.Hnl.parse_string (Buffer.contents b) with
     | Ok c -> c
-    | Error e -> Alcotest.failf "fixture: %a" Halotis_netlist.Hnl.pp_error e
+    | Error e -> Alcotest.failf "fixture: %a" Halotis_util.Diag.pp e
   in
   (* [first_strike]: measure the first strike on the victim, which
      walks its cone and replays it clean, after one on another victim
@@ -976,8 +976,7 @@ let cone_view ws ~cone ~from injections =
   }
 
 let iddm_strike ~baseline victim ~at =
-  let i = Inject.injection (Site.of_signal ~baseline victim ~at) (Inject.pulse ~width:150. ()) in
-  { Iddm.inj_signal = i.Sim.inj_signal; inj_transitions = i.Sim.inj_ramps }
+  Inject.injection (Site.of_signal ~baseline victim ~at) (Inject.pulse ~width:150. ())
 
 (* The struck and clean runs of a strike from checkpoint [from] against
    the same pair from the DC state: identical member edges, hazard
@@ -1024,7 +1023,7 @@ let prop_checkpoint_equals_dc_start =
       let checks =
         List.init 4 (fun k ->
             let victim = victims.(Prng.int rng ~bound:(Array.length victims)) in
-            let cone = Compiled.fanout_cone cp ~victim in
+            let cone = Compiled.fanout_cone ~marks:(Compiled.cone_marks cp) cp ~victim in
             let at =
               match k mod 3 with
               | 0 -> List.nth cuts (Prng.int rng ~bound:(List.length cuts))
@@ -1072,7 +1071,7 @@ let test_checkpoint_at_strike_instant () =
   checki "checkpoint kept" 2 (Iddm.checkpoint_count ws);
   checki "strike starts from it" 1 (Iddm.checkpoint_at ws at);
   checkb "at the strike instant" true (Iddm.checkpoint_time ws 1 = at);
-  let cone = Compiled.fanout_cone cp ~victim in
+  let cone = Compiled.fanout_cone ~marks:(Compiled.cone_marks cp) cp ~victim in
   let inj = iddm_strike ~baseline victim ~at in
   checkb "checkpoint run == DC-state run" true (same_from_checkpoint ws ~cone ~from:1 inj);
   let full =
@@ -1132,7 +1131,7 @@ let test_checkpoint_annulled_segment () =
   in
   let ws = Iddm.cone_workspace ~grid:[ between ] ~compiled:cp ~baseline cfg c ~drives in
   checki "checkpoint kept" 2 (Iddm.checkpoint_count ws);
-  let cone = Compiled.fanout_cone cp ~victim in
+  let cone = Compiled.fanout_cone ~marks:(Compiled.cone_marks cp) cp ~victim in
   let restored = Iddm.session_result (Iddm.start_cone ws ~cone ~from:1) in
   checki "the checkpoint holds the doomed segment" 1
     (W.segment_count restored.Iddm.waveforms.(victim));

@@ -24,7 +24,7 @@ module Prng = Halotis_util.Prng
 module Stop = Halotis_guard.Stop
 module Budget = Halotis_guard.Budget
 module Watchdog = Halotis_guard.Watchdog
-module Diag = Halotis_guard.Diag
+module Diag = Halotis_util.Diag
 module Campaign = Halotis_fault.Campaign
 module Journal = Halotis_fault.Journal
 module Supervisor = Halotis_fault.Supervisor
@@ -156,8 +156,12 @@ let test_stop_render () =
 
 let test_diag_render () =
   let d =
-    Diag.make ~code:"netlist-parse" ~file:"c17.hnl" ~line:12
-      ~hint:"see doc/FORMATS.md" "unknown gate kind 'nand9'"
+    {
+      (Diag.make ~code:"netlist-parse" ~file:"c17.hnl" ~hint:"see doc/FORMATS.md"
+         "unknown gate kind 'nand9'")
+      with
+      Diag.line = Some 12;
+    }
   in
   checks "to_string"
     "error[netlist-parse]: c17.hnl:12: unknown gate kind 'nand9'\n\

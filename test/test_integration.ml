@@ -192,7 +192,7 @@ let test_hnl_roundtrip_preserves_simulation () =
   let c2 =
     match Hnl.parse_string (Hnl.to_string f.G.circuit) with
     | Ok c -> c
-    | Error e -> Alcotest.failf "parse: %a" Hnl.pp_error e
+    | Error e -> Alcotest.failf "parse: %a" Halotis_util.Diag.pp e
   in
   let drives c = [ (sid c "in", Drive.pulse ~slope:100. ~at:1000. ~width:225. ()) ] in
   let r1 = Iddm.run (Iddm.config DL.tech) f.G.circuit ~drives:(drives f.G.circuit) in

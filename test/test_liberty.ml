@@ -114,7 +114,7 @@ library (demo) {
 
 let test_ast_parse () =
   match Ast.parse_string sample_lib with
-  | Error e -> Alcotest.failf "parse: %a" Ast.pp_error e
+  | Error e -> Alcotest.failf "parse: %a" Halotis_util.Diag.pp e
   | Ok g ->
       Alcotest.(check string) "library" "library" g.Ast.g_name;
       Alcotest.(check (list string)) "args" [ "demo" ] g.Ast.g_args;
@@ -138,7 +138,7 @@ let test_ast_comments_and_errors () =
 let parsed_lib () =
   match Liberty.parse_string sample_lib with
   | Ok l -> l
-  | Error e -> Alcotest.failf "interp: %a" Liberty.pp_error e
+  | Error e -> Alcotest.failf "interp: %a" Halotis_util.Diag.pp e
 
 let test_liberty_cells () =
   let l = parsed_lib () in
@@ -170,7 +170,7 @@ let test_roundtrip_exact () =
   let kinds = [ Gate_kind.Inv; Gate_kind.Nand 2; Gate_kind.Xor 2 ] in
   let text = Writer.of_tech DL.tech ~kinds in
   match Liberty.parse_string text with
-  | Error e -> Alcotest.failf "reparse: %a" Liberty.pp_error e
+  | Error e -> Alcotest.failf "reparse: %a" Halotis_util.Diag.pp e
   | Ok lib ->
       let fitted, qualities =
         Fit.to_tech ~base:DL.tech ~kind_of_cell:Fit.default_kind_of_cell lib
@@ -204,7 +204,7 @@ let test_fit_preserves_ddm () =
   let kinds = [ Gate_kind.Inv ] in
   let text = Writer.of_tech DL.tech ~kinds in
   match Liberty.parse_string text with
-  | Error e -> Alcotest.failf "reparse: %a" Liberty.pp_error e
+  | Error e -> Alcotest.failf "reparse: %a" Halotis_util.Diag.pp e
   | Ok lib ->
       let fitted, _ = Fit.to_tech ~base:DL.tech ~kind_of_cell:Fit.default_kind_of_cell lib in
       let p0 = Tech.edge (Tech.gate_tech DL.tech Gate_kind.Inv) ~rising:true in
@@ -215,7 +215,7 @@ let test_fit_preserves_ddm () =
 let test_fit_fallback_for_missing_cells () =
   let text = Writer.of_tech DL.tech ~kinds:[ Gate_kind.Inv ] in
   match Liberty.parse_string text with
-  | Error e -> Alcotest.failf "reparse: %a" Liberty.pp_error e
+  | Error e -> Alcotest.failf "reparse: %a" Halotis_util.Diag.pp e
   | Ok lib ->
       let fitted, _ = Fit.to_tech ~base:DL.tech ~kind_of_cell:Fit.default_kind_of_cell lib in
       (* NOR2 was not exported: falls back to the base *)

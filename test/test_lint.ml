@@ -336,7 +336,7 @@ let flawed_lib_text =
 
 let test_liberty_rules_fire () =
   match Liberty.parse_string flawed_lib_text with
-  | Error e -> Alcotest.failf "parse: %a" Liberty.pp_error e
+  | Error e -> Alcotest.failf "parse: %a" Halotis_util.Diag.pp e
   | Ok lib ->
       let findings = Liberty_rules.run cfg ~base:DL.tech lib in
       List.iter
@@ -349,7 +349,7 @@ let test_liberty_rules_clean () =
     Halotis_liberty.Writer.of_tech DL.tech ~kinds:[ Gate_kind.Inv; Gate_kind.Nand 2 ]
   in
   match Liberty.parse_string text with
-  | Error e -> Alcotest.failf "parse: %a" Liberty.pp_error e
+  | Error e -> Alcotest.failf "parse: %a" Halotis_util.Diag.pp e
   | Ok lib ->
       checki "self-characterised library is clean" 0
         (List.length (Liberty_rules.run cfg ~base:DL.tech lib))
@@ -366,7 +366,7 @@ let test_stim_rules_fire () =
      input nope 0\n"
   in
   match Stimfile.parse_string text with
-  | Error e -> Alcotest.failf "parse: line %d: %s" e.Stimfile.line e.Stimfile.message
+  | Error e -> Alcotest.failf "parse: %s" (Halotis_util.Diag.to_string e)
   | Ok stim ->
       let findings = Stim_rules.run cfg stim c in
       List.iter
@@ -379,7 +379,7 @@ let test_stim_rules_fire () =
 let test_stim_rules_clean () =
   let c = Lazy.force Halotis_netlist.Iscas.c17 in
   match Stimfile.parse_string "slope 100\ninput G1 0 1@1000 0@3000\n" with
-  | Error e -> Alcotest.failf "parse: line %d: %s" e.Stimfile.line e.Stimfile.message
+  | Error e -> Alcotest.failf "parse: %s" (Halotis_util.Diag.to_string e)
   | Ok stim -> checki "clean stimulus" 0 (List.length (Stim_rules.run cfg stim c))
 
 (* --- engine-level run / exit codes --- *)

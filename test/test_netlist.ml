@@ -395,7 +395,7 @@ let test_hnl_roundtrip_simple () =
   let c = G.inverter_chain ~n:3 () in
   match Hnl.parse_string (Hnl.to_string c) with
   | Ok c' -> Alcotest.(check string) "identical print" (Hnl.to_string c) (Hnl.to_string c')
-  | Error e -> Alcotest.failf "parse error: %a" Hnl.pp_error e
+  | Error e -> Alcotest.failf "parse error: %a" Halotis_util.Diag.pp e
 
 let test_hnl_roundtrip_attributes () =
   let f = G.fig1_circuit () in
@@ -404,7 +404,7 @@ let test_hnl_roundtrip_attributes () =
       Alcotest.(check string) "identical print" (Hnl.to_string f.G.circuit) (Hnl.to_string c');
       let g1 = Fixtures.gate_named c' "g1" in
       checkb "vt survives" true ((N.gate c' g1).N.input_vt.(0) = Some 1.5)
-  | Error e -> Alcotest.failf "parse error: %a" Hnl.pp_error e
+  | Error e -> Alcotest.failf "parse error: %a" Halotis_util.Diag.pp e
 
 let test_hnl_roundtrip_constants () =
   let a = G.ripple_carry_adder ~bits:2 () in
@@ -412,7 +412,7 @@ let test_hnl_roundtrip_constants () =
   | Ok c' ->
       Alcotest.(check string) "identical print"
         (Hnl.to_string a.G.adder_circuit) (Hnl.to_string c')
-  | Error e -> Alcotest.failf "parse error: %a" Hnl.pp_error e
+  | Error e -> Alcotest.failf "parse error: %a" Halotis_util.Diag.pp e
 
 let test_hnl_parse_errors () =
   let expect_error text =
@@ -447,15 +447,15 @@ let test_hnl_comments_and_whitespace () =
   | Ok c ->
       Alcotest.(check string) "name" "demo" (N.name c);
       checki "gates" 1 (N.gate_count c)
-  | Error e -> Alcotest.failf "parse error: %a" Hnl.pp_error e
+  | Error e -> Alcotest.failf "parse error: %a" Halotis_util.Diag.pp e
 
 let test_hnl_file_io () =
   let c = G.inverter_chain ~n:2 () in
   let path = Filename.temp_file "halotis" ".hnl" in
   Out_channel.with_open_text path (fun oc -> output_string oc (Hnl.to_string c));
-  (match Hnl.parse_file path with
+  (match Halotis_netlist.Circuit_file.parse_file path with
   | Ok c' -> Alcotest.(check string) "roundtrip" (Hnl.to_string c) (Hnl.to_string c')
-  | Error e -> Alcotest.failf "parse error: %a" Hnl.pp_error e);
+  | Error e -> Alcotest.failf "parse error: %a" Halotis_util.Diag.pp e);
   Sys.remove path
 
 let prop_hnl_roundtrip_random =
@@ -504,7 +504,7 @@ let test_iscas_functions () =
      y = OR(t1, t2, t4)\n"
   in
   match Iscas.parse_string text with
-  | Error e -> Alcotest.failf "parse: line %d: %s" e.Iscas.line e.Iscas.message
+  | Error e -> Alcotest.failf "parse: %s" (Halotis_util.Diag.to_string e)
   | Ok c ->
       checki "gates" 5 (N.gate_count c);
       let levels = static_eval c ~input_levels:[ true; true; true ] in
@@ -529,9 +529,13 @@ let test_iscas_file () =
   let oc = open_out path in
   output_string oc "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n";
   close_out oc;
-  (match Iscas.parse_file path with
-  | Ok c -> checki "one gate" 1 (N.gate_count c)
-  | Error e -> Alcotest.failf "parse: line %d: %s" e.Iscas.line e.Iscas.message);
+  (match Halotis_netlist.Circuit_file.parse_file path with
+  | Ok c ->
+      checki "one gate" 1 (N.gate_count c);
+      Alcotest.(check string) "named after the file"
+        (Filename.remove_extension (Filename.basename path))
+        (N.name c)
+  | Error e -> Alcotest.failf "parse: %s" (Halotis_util.Diag.to_string e));
   Sys.remove path
 
 (* --- Verilog export --- *)
@@ -700,8 +704,9 @@ let prop_hnl_never_raises_structured =
    The library readers against the reference readers of
    [Ref_readers] (the pre-scanner implementations): on every input
    without a carriage return both return [Ok] with the same signals,
-   gates, PI/PO lists and name lookups, or both return the same
-   [Error {line; message}]. *)
+   gates, PI/PO lists and name lookups, or both return an [Error] with
+   the same line and message (the library's is a diagnostic carrying
+   the reader's code and hint, and no file). *)
 
 module Ref = Ref_readers
 module Stimfile = Halotis_stim.Stimfile
@@ -717,17 +722,26 @@ let same_netlist a b =
   && N.primary_outputs a = N.primary_outputs b
   && lookups a = lookups b
 
-let agree same r1 r2 =
+let agree same same_error r1 r2 =
   match (r1, r2) with
   | Ok a, Ok b -> same a b
-  | Error e1, Error e2 -> e1 = e2
+  | Error e1, Error e2 -> same_error e1 e2
   | Ok _, Error _ | Error _, Ok _ -> false
 
-let hnl_agree text = agree same_netlist (Hnl.parse_string text) (Ref.Hnl.parse_string text)
-let iscas_agree text = agree same_netlist (Iscas.parse_string text) (Ref.Iscas.parse_string text)
+let ref_error code (d : Halotis_util.Diag.t) (line, message) =
+  d.code = code && d.line = Some line && d.message = message && d.file = None && d.hint <> None
+
+let hnl_agree text =
+  agree same_netlist (ref_error "netlist-parse") (Hnl.parse_string text) (Ref.Hnl.parse_string text)
+
+let iscas_agree text =
+  agree same_netlist (ref_error "iscas-parse") (Iscas.parse_string text)
+    (Ref.Iscas.parse_string text)
 
 let stim_agree text =
-  agree (fun a b -> compare a b = 0) (Stimfile.parse_string text) (Ref.Stimfile.parse_string text)
+  agree
+    (fun a b -> compare a b = 0)
+    (ref_error "stim-parse") (Stimfile.parse_string text) (Ref.Stimfile.parse_string text)
 
 (* A real circuit printed as HNL, its gate lines decorated with vt/load
    attributes; one document in four carries one bad attribute (a pin
@@ -878,7 +892,7 @@ let test_crlf_fixtures () =
   let crlf text = String.concat "\r\n" (String.split_on_char '\n' text) in
   let check label same parse f =
     let text = read f in
-    checkb (label ^ " " ^ f) true (agree same (parse text) (parse (crlf text)))
+    checkb (label ^ " " ^ f) true (agree same ( = ) (parse text) (parse (crlf text)))
   in
   List.iter (check "hnl" same_netlist Hnl.parse_string)
     [ "c17.hnl"; "fig1.hnl"; "flawed.hnl"; "mult4x4.hnl"; "ring.hnl" ];
@@ -887,10 +901,10 @@ let test_crlf_fixtures () =
   check "bench" same_netlist (Iscas.parse_string ~name:"c17") "c17.bench";
   (match Hnl.parse_string "circuit c\r\ninput a\r\noutput y\r\ngate g inv y a\r\nend\r\n" with
   | Ok c -> checkb "no CR in names" true (N.find_signal c "a" <> None)
-  | Error e -> Alcotest.failf "CRLF hnl: %a" Hnl.pp_error e);
+  | Error e -> Alcotest.failf "CRLF hnl: %a" Halotis_util.Diag.pp e);
   match Stimfile.parse_string "slope 100\r\ninput a 0 1@5\r\n" with
   | Ok st -> checkb "slope" true (st.Stimfile.slope = 100.)
-  | Error e -> Alcotest.failf "CRLF hsv: line %d: %s" e.Stimfile.line e.Stimfile.message
+  | Error e -> Alcotest.failf "CRLF hsv: %s" (Halotis_util.Diag.to_string e)
 
 (* A tie operand's shared signal is named const_0/const_1; a document
    that already uses that name gets an error on the gate's line, the
@@ -906,12 +920,47 @@ let test_tie_name_collision () =
   List.iter
     (fun text ->
       (match Hnl.parse_string text with
-      | Error { Hnl.line; message } ->
-          checki (text ^ " line") (List.length (String.split_on_char '\n' text) - 2) line;
+      | Error { Hnl.line; message; _ } ->
+          checkb (text ^ " line") true
+            (line = Some (List.length (String.split_on_char '\n' text) - 2));
           checkb message true (String.ends_with ~suffix:"already used" message)
       | Ok _ -> Alcotest.failf "expected a tie-name error for %S" text);
       checkb ("reference reader agrees on " ^ text) true (hnl_agree text))
     (docs 0 @ docs 1)
+
+(* Every reader's [parse_file] returns a path it cannot read (missing,
+   or a directory) as an [io] diagnostic naming the path, never an
+   exception; a malformed file is the reader's own code, at the file. *)
+let test_readers_file_errors () =
+  let dir = Filename.temp_dir "halotis" "" in
+  let check name ext bad read =
+    let missing = Filename.concat dir ("absent" ^ ext)
+    and sub = Filename.concat dir ("dir" ^ ext)
+    and malformed = Filename.concat dir ("bad" ^ ext) in
+    Sys.mkdir sub 0o755;
+    Out_channel.with_open_bin malformed (fun oc -> output_string oc bad);
+    List.iter
+      (fun (path, code) ->
+        match read path with
+        | Ok () -> Alcotest.failf "%s: %s parsed" name path
+        | Error (d : Halotis_util.Diag.t) ->
+            Alcotest.(check string) (name ^ " code " ^ path) code d.code;
+            if code = "io" then
+              checkb (name ^ " io names the path") true (String.starts_with ~prefix:path d.message)
+            else checkb (name ^ " parse error at the file") true (d.file = Some path)
+        | exception e -> Alcotest.failf "%s raised %s on %s" name (Printexc.to_string e) path)
+      [ (missing, "io"); (sub, "io"); (malformed, name ^ "-parse") ];
+    Sys.rmdir sub;
+    Sys.remove malformed
+  in
+  let drop r = Result.map ignore r in
+  let circuit p = drop (Halotis_netlist.Circuit_file.parse_file p) in
+  check "netlist" ".hnl" "circuit x\nbogus\n" circuit;
+  check "iscas" ".bench" "INPUT(a)\ny NOT(a)\n" circuit;
+  check "stim" ".hsv" "input a 2\n" (fun p -> drop (Stimfile.parse_file p));
+  check "vcd" ".vcd" "$var wire 8 ! a $end\n" (fun p -> drop (Halotis_wave.Vcd_reader.parse_file p));
+  check "liberty" ".lib" "library (x {" (fun p -> drop (Halotis_liberty.Liberty.parse_file p));
+  Sys.rmdir dir
 
 let tests =
   tests
@@ -926,6 +975,8 @@ let tests =
           QCheck_alcotest.to_alcotest prop_stim_differential;
           Alcotest.test_case "CRLF reads like LF" `Quick test_crlf_fixtures;
           Alcotest.test_case "tie name collision is a line error" `Quick test_tie_name_collision;
+          Alcotest.test_case "parse_file: unreadable path is an io error" `Quick
+            test_readers_file_errors;
         ] );
     ]
 
@@ -937,7 +988,7 @@ let test_bench_writer_roundtrip () =
   | Error m -> Alcotest.fail m
   | Ok text -> (
       match Iscas.parse_string ~name:"c17" text with
-      | Error e -> Alcotest.failf "reparse: line %d: %s" e.Iscas.line e.Iscas.message
+      | Error e -> Alcotest.failf "reparse: %s" (Halotis_util.Diag.to_string e)
       | Ok c2 ->
           checkb "equivalent" true (Equiv.check c c2 = Equiv.Equivalent);
           checki "same gates" (N.gate_count c) (N.gate_count c2))

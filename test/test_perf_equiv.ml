@@ -168,7 +168,7 @@ module Ref_iddm = struct
         (fun (tr : Transition.t) ->
           let outcome = Waveform.append wf.(inj.Iddm.inj_signal) tr in
           fan_out inj.Iddm.inj_signal outcome tr)
-        inj.Iddm.inj_transitions
+        inj.Iddm.inj_ramps
     in
     Hashtbl.iter
       (fun sid (d : Drive.t) ->
@@ -191,7 +191,7 @@ module Ref_iddm = struct
       drives_tbl;
     Array.iteri
       (fun idx (inj : Iddm.injection) ->
-        match inj.Iddm.inj_transitions with
+        match inj.Iddm.inj_ramps with
         | [] -> ()
         | first :: _ ->
             ignore
@@ -441,7 +441,7 @@ let iddm_injections c ~seed =
       let slope = 15. +. Prng.float rng ~bound:30. in
       {
         Iddm.inj_signal = sid;
-        inj_transitions =
+        inj_ramps =
           [
             Transition.make ~start:at ~slope_time:slope ~polarity:Transition.Rising;
             Transition.make ~start:(at +. width) ~slope_time:slope

@@ -259,7 +259,7 @@ let data f =
 
 let fixture_spec ~circuit ~stim ?budget ?watchdog () =
   let c =
-    match Hnl.parse_file (data circuit) with
+    match Halotis_netlist.Circuit_file.parse_file (data circuit) with
     | Ok c -> c
     | Error _ -> Alcotest.failf "%s did not parse" circuit
   in

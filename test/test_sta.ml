@@ -87,12 +87,12 @@ let test_cyclic_rejected () =
   let expect_diag what f =
     match f () with
     | _ -> Alcotest.failf "%s accepted a cyclic circuit" what
-    | exception Halotis_guard.Diag.Fail d ->
-        Alcotest.(check string) (what ^ " code") "cyclic-circuit" d.Halotis_guard.Diag.code;
+    | exception Halotis_util.Diag.Fail d ->
+        Alcotest.(check string) (what ^ " code") "cyclic-circuit" d.Halotis_util.Diag.code;
         checkb (what ^ " witness names a cycle gate") true
-          (contains d.Halotis_guard.Diag.message "g1"
-          || contains d.Halotis_guard.Diag.message "g2");
-        checkb (what ^ " has a hint") true (d.Halotis_guard.Diag.hint <> None)
+          (contains d.Halotis_util.Diag.message "g1"
+          || contains d.Halotis_util.Diag.message "g2");
+        checkb (what ^ " has a hint") true (d.Halotis_util.Diag.hint <> None)
   in
   expect_diag "Sta.analyze" (fun () -> ignore (Sta.analyze DL.tech c));
   expect_diag "Hazard.analyze" (fun () ->
@@ -265,7 +265,7 @@ let data f =
 
 let test_hazard_soundness_mult4x4_fixture () =
   let c =
-    match Halotis_netlist.Hnl.parse_file (data "mult4x4.hnl") with
+    match Halotis_netlist.Circuit_file.parse_file (data "mult4x4.hnl") with
     | Ok c -> c
     | Error e -> Alcotest.failf "mult4x4.hnl: %s" e.Halotis_netlist.Hnl.message
   in
@@ -385,8 +385,8 @@ let test_survival_constant_site_excluded () =
 let test_survival_cyclic_rejected () =
   match Survival.analyze DL.tech (cyclic_circuit ()) with
   | _ -> Alcotest.fail "accepted a cyclic circuit"
-  | exception Halotis_guard.Diag.Fail d ->
-      Alcotest.(check string) "code" "cyclic-circuit" d.Halotis_guard.Diag.code
+  | exception Halotis_util.Diag.Fail d ->
+      Alcotest.(check string) "code" "cyclic-circuit" d.Halotis_util.Diag.code
 
 let test_survival_json_shape () =
   let c = G.inverter_chain ~n:3 () in

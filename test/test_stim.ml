@@ -90,7 +90,7 @@ let sample_hsv = "# demo\nslope 50\ninput a 0 1@1000 0@2000\ninput b 1\n"
 
 let test_stimfile_parse () =
   match Stimfile.parse_string sample_hsv with
-  | Error e -> Alcotest.failf "parse error: line %d: %s" e.Stimfile.line e.Stimfile.message
+  | Error e -> Alcotest.failf "parse error: %s" (Halotis_util.Diag.to_string e)
   | Ok t ->
       Alcotest.(check (float 0.)) "slope" 50. t.Stimfile.slope;
       checki "entries" 2 (List.length t.Stimfile.entries);
@@ -102,11 +102,11 @@ let test_stimfile_parse () =
 
 let test_stimfile_roundtrip () =
   match Stimfile.parse_string sample_hsv with
-  | Error e -> Alcotest.failf "parse error: line %d: %s" e.Stimfile.line e.Stimfile.message
+  | Error e -> Alcotest.failf "parse error: %s" (Halotis_util.Diag.to_string e)
   | Ok t -> (
       let printed = Stimfile.to_string t in
       match Stimfile.parse_string printed with
-      | Error e -> Alcotest.failf "reparse error: line %d: %s" e.Stimfile.line e.Stimfile.message
+      | Error e -> Alcotest.failf "reparse error: %s" (Halotis_util.Diag.to_string e)
       | Ok t2 -> Alcotest.(check string) "stable print" printed (Stimfile.to_string t2))
 
 let test_stimfile_errors () =
@@ -129,7 +129,7 @@ let test_stimfile_errors () =
 let test_stimfile_bind () =
   let c = G.inverter_chain ~n:2 () in
   (match Stimfile.parse_string "input in 0 1@500\n" with
-  | Error e -> Alcotest.failf "parse: line %d: %s" e.Stimfile.line e.Stimfile.message
+  | Error e -> Alcotest.failf "parse: %s" (Halotis_util.Diag.to_string e)
   | Ok t -> (
       match Stimfile.bind t c with
       | Ok [ (sid, _) ] ->
@@ -137,10 +137,10 @@ let test_stimfile_bind () =
       | Ok l -> Alcotest.failf "expected 1 binding, got %d" (List.length l)
       | Error m -> Alcotest.fail m));
   (match Stimfile.parse_string "input zz 0\n" with
-  | Error e -> Alcotest.failf "parse: line %d: %s" e.Stimfile.line e.Stimfile.message
+  | Error e -> Alcotest.failf "parse: %s" (Halotis_util.Diag.to_string e)
   | Ok t -> checkb "unknown rejected" true (Result.is_error (Stimfile.bind t c)));
   match Stimfile.parse_string "input out 0\n" with
-  | Error e -> Alcotest.failf "parse: line %d: %s" e.Stimfile.line e.Stimfile.message
+  | Error e -> Alcotest.failf "parse: %s" (Halotis_util.Diag.to_string e)
   | Ok t -> checkb "non-input rejected" true (Result.is_error (Stimfile.bind t c))
 
 let test_stimfile_file_io () =
@@ -150,7 +150,7 @@ let test_stimfile_file_io () =
   close_out oc;
   (match Stimfile.parse_file path with
   | Ok t -> checki "entries" 2 (List.length t.Stimfile.entries)
-  | Error e -> Alcotest.failf "parse: line %d: %s" e.Stimfile.line e.Stimfile.message);
+  | Error e -> Alcotest.failf "parse: %s" (Halotis_util.Diag.to_string e));
   Sys.remove path
 
 let tests =

@@ -540,7 +540,7 @@ let test_vcd_roundtrip () =
       [ Vcd.of_waveform ~name:"a" ~vt:2.5 w1; Vcd.of_waveform ~name:"b" ~vt:2.5 w2 ]
   in
   match parse_vcd text with
-  | Error e -> Alcotest.failf "parse: %a" Vr.pp_error e
+  | Error e -> Alcotest.failf "parse: %a" Halotis_util.Diag.pp e
   | Ok t -> (
       checkf "timescale" 1. t.Vr.timescale_ps;
       checki "two signals" 2 (List.length t.Vr.signals);
@@ -564,7 +564,7 @@ let test_vcd_roundtrip () =
 let test_vcd_reader_timescale () =
   let text = "$timescale 10ns $end\n$var wire 1 ! x $end\n$enddefinitions $end\n$dumpvars\n0!\n$end\n#5\n1!\n" in
   match parse_vcd text with
-  | Error e -> Alcotest.failf "parse: %a" Vr.pp_error e
+  | Error e -> Alcotest.failf "parse: %a" Halotis_util.Diag.pp e
   | Ok t -> (
       checkf "scale" 10000. t.Vr.timescale_ps;
       match Vr.find t "x" with
@@ -579,7 +579,7 @@ let test_vcd_reader_first_change_late () =
      opposite so the change is a real edge *)
   let text = "$var wire 1 ! x $end\n#100\n1!\n" in
   match parse_vcd text with
-  | Error e -> Alcotest.failf "parse: %a" Vr.pp_error e
+  | Error e -> Alcotest.failf "parse: %a" Halotis_util.Diag.pp e
   | Ok t -> (
       match Vr.find t "x" with
       | Some s ->
@@ -602,7 +602,7 @@ let test_vcd_reader_duplicate_changes () =
   (* repeated same-value changes collapse into nothing *)
   let text = "$var wire 1 ! x $end\n$dumpvars\n0!\n$end\n#10\n1!\n#20\n1!\n#30\n0!\n" in
   match parse_vcd text with
-  | Error e -> Alcotest.failf "parse: %a" Vr.pp_error e
+  | Error e -> Alcotest.failf "parse: %a" Halotis_util.Diag.pp e
   | Ok t -> (
       match Vr.find t "x" with
       | Some s -> checki "two real edges" 2 (List.length s.Vr.rd_edges)
