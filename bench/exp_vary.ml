@@ -14,9 +14,10 @@ open Common
 module Inject = Halotis_fault.Inject
 module Campaign = Halotis_fault.Campaign
 module Fault_report = Halotis_fault.Fault_report
-module Overlay = Halotis_tech.Param_overlay
+module Driver = Halotis_fault.Driver
 module Sampler = Halotis_vary.Sampler
 module Sweep = Halotis_vary.Sweep
+module Variation = Halotis_vary.Variation
 module Vary_report = Halotis_vary.Vary_report
 
 let seed = 42
@@ -52,20 +53,22 @@ let run () =
   Printf.printf
     "circuit %s, %d strikes, seed %d, pulse %.0f ps wide, %d corners per sigma rung\n\n"
     (N.name c) injections seed width samples_per_rung;
-  (* The nominal campaign enumerates the shared strike list every
-     corner replays. *)
+  (* The nominal campaign enumerates the strike list the zero-sigma
+     corner replays, and picks the TTF reference strike; each sigma rung
+     is a whole variation campaign, which runs the nominal campaign
+     again for its own report. *)
   let nominal = Campaign.run campaign_config DL.tech c ~drives in
   let sites =
     List.map (fun (v : Campaign.verdict) -> v.Campaign.vd_site) nominal.Campaign.cam_verdicts
   in
-  let run_corner overlay =
+  (* Bit-identity anchor: the zero-sigma corner is the empty overlay
+     and must reproduce the nominal report byte-for-byte. *)
+  let zero =
+    let overlay = Sampler.sample Sampler.zero ~seed ~index:0 c in
     Campaign.run
       { campaign_config with Campaign.overlay; sites = Some sites }
       DL.tech c ~drives
   in
-  (* Bit-identity anchor: the zero-sigma corner is the empty overlay
-     and must reproduce the nominal report byte-for-byte. *)
-  let zero = run_corner (Sampler.sample Sampler.zero ~seed ~index:0 c) in
   let identical =
     String.equal (Fault_report.to_string nominal) (Fault_report.to_string zero)
     && String.equal (Fault_report.to_text nominal) (Fault_report.to_text zero)
@@ -78,16 +81,13 @@ let run () =
   let rungs =
     List.map
       (fun sigma ->
-        let sg = Sampler.sigmas ~device:sigma () in
-        let samples =
-          List.init samples_per_rung (fun k ->
-              let overlay = Sampler.sample sg ~seed ~index:k c in
-              let t = run_corner overlay in
-              (k, Overlay.fingerprint overlay, t.Campaign.cam_verdicts))
-        in
         let report =
-          Vary_report.make ~circuit:(N.name c) ~engine:"ddm" ~seed ~sigmas:sg
-            ~stress_hours:0. ~nominal:nominal.Campaign.cam_verdicts ~samples ()
+          Option.get
+            (Variation.run ~log:ignore ~worker_argv:(fun ~range:_ ~journal:_ -> [])
+               ~samples:samples_per_rung ~sigmas:(Sampler.sigmas ~device:sigma ())
+               ~stress_hours:0. ~ttf:false
+               (Driver.Parent { jobs = 1; journal = None })
+               campaign_config DL.tech c ~drives)
         in
         let p =
           match Vary_report.masking_percentiles report with

@@ -41,9 +41,8 @@ module Campaign = Halotis_fault.Campaign
 module Fault_report = Halotis_fault.Fault_report
 module Driver = Halotis_fault.Driver
 module Sampler = Halotis_vary.Sampler
-module Sweep = Halotis_vary.Sweep
+module Variation = Halotis_vary.Variation
 module Vary_report = Halotis_vary.Vary_report
-module Param_overlay = Halotis_tech.Param_overlay
 module Stats = Halotis_engine.Stats
 module Stop = Halotis_guard.Stop
 module Budget = Halotis_guard.Budget
@@ -420,7 +419,7 @@ let run_compare path stim_path t_stop =
   Format.printf "cdm: %a@." Halotis_engine.Stats.pp rc.Sim.rs_stats;
   0
 
-(* --- faults and vary: shells over Halotis_fault.Driver --- *)
+(* --- faults and vary: shells over Halotis_fault.Driver and Halotis_vary.Variation --- *)
 
 let usage_diag ?hint m = die_diag (Diag.make ~code:"usage" ?hint m)
 
@@ -428,18 +427,6 @@ let usage_diag ?hint m = die_diag (Diag.make ~code:"usage" ?hint m)
    reads hex floats back bit-exactly, which keeps a worker's campaign
    fingerprint (journal header) byte-identical to the parent's. *)
 let farg = Printf.sprintf "%h"
-
-(* Chaos injection for [--range] workers (see [Driver.chaos]), read
-   from the environment so the supervisor tests, the CI chaos smoke job
-   and bench/exp_supervise can crash and hang workers. *)
-let chaos_of_env () =
-  let geti v = Option.bind (Sys.getenv_opt v) int_of_string_opt in
-  {
-    Driver.kill = geti "HALOTIS_CHAOS_KILL";
-    hang = geti "HALOTIS_CHAOS_HANG";
-    poison = geti "HALOTIS_CHAOS_POISON";
-    tokens = Sys.getenv_opt "HALOTIS_CHAOS_TOKENS";
-  }
 
 (* The flags [faults] and [vary] share. *)
 type campaign_args = {
@@ -462,33 +449,25 @@ type campaign_args = {
 let campaign_log cmd m = Printf.eprintf "%s: %s\n%!" cmd m
 
 (* What both commands derive from the shared flags: technology, circuit,
-   bound drives, horizon, SET pulse, resolved --jobs and journal mode. *)
+   bound drives, horizon, SET pulse and the driver mode. *)
 let campaign_setup ~cmd a =
   let tech = load_tech a.ca_liberty in
   let c = or_die (Circuit_file.parse_file a.ca_circuit) in
   let stim = or_die (Stimfile.parse_file a.ca_stim) in
-  let jobs = Driver.resolve_jobs ~log:(campaign_log cmd) a.ca_jobs in
-  let is_worker = a.ca_range <> None in
-  if is_worker && jobs > 1 then usage_diag "--range and --jobs are mutually exclusive";
+  let mode =
+    Driver.mode ~log:(campaign_log cmd) ~jobs:a.ca_jobs ~range:a.ca_range
+      ~journal:a.ca_journal ~resume:a.ca_resume
+  in
   (* A worker's stderr should carry verdict progress, not N copies of
      the same preflight report the parent already printed. *)
-  if not is_worker then preflight ~stim tech c;
+  (match mode with Driver.Worker _ -> () | Driver.Parent _ -> preflight ~stim tech c);
   let drives = bind_stim stim c in
   let horizon = horizon_of_drives drives a.ca_t_stop in
   let pulse =
     try Inject.pulse ~slope:a.ca_slope ~width:a.ca_width ()
     with Invalid_argument m -> die_diag (Diag.make ~code:"invalid-input" m)
   in
-  let journal =
-    match (a.ca_journal, a.ca_resume) with
-    | Some _, Some _ ->
-        usage_diag ~hint:"--resume already appends new verdicts to the journals it loads"
-          "--journal and --resume are mutually exclusive"
-    | Some p, None -> Some (Driver.Fresh p)
-    | None, Some p -> Some (Driver.Resume p)
-    | None, None -> None
-  in
-  (tech, c, drives, horizon, pulse, jobs, journal)
+  (tech, c, drives, horizon, pulse, mode)
 
 (* The argv of a [--range] worker: the campaign-defining flags, the
    command's own [extra] ones, and the chunk it owns. *)
@@ -502,34 +481,9 @@ let worker_argv ~cmd a ~horizon extra ~range:(lo, hi) ~journal =
   @ extra
   @ [ "--range"; Printf.sprintf "%d:%d" lo hi; "--journal"; journal ]
 
-(* Runs [plan] as a [--range] worker (no report: [None]) or through the
-   driver, serially or supervised. *)
-let drive_campaign ~cmd a ~jobs ~journal ~horizon ~extra ?quarantine ?chunk_sites
-    ?worker_timeout ?max_retries ?poison_after plan tech c ~drives =
-  let log = campaign_log cmd in
-  match a.ca_range with
-  | Some range ->
-      (* the supervisor always passes --journal, and a retried worker
-         resumes it by itself *)
-      let journal =
-        match journal with
-        | None -> usage_diag "a --range worker needs --journal"
-        | Some (Driver.Resume _) ->
-            usage_diag "--range workers resume their own --journal automatically"
-        | Some (Driver.Fresh p) -> p
-      in
-      Driver.run_worker ~log ~chaos:(chaos_of_env ()) plan ~range ~journal tech c ~drives;
-      None
-  | None ->
-      Some
-        (Driver.run ~log ?journal ?quarantine ?chunk_sites ?worker_timeout ?max_retries
-           ?poison_after ~jobs
-           ~worker_argv:(worker_argv ~cmd a ~horizon extra)
-           plan tech c ~drives)
-
 let run_faults a exhaustive grid vcd_dir limit_sites site_max_events worker_timeout
     max_retries chunk_sites poison_after incremental =
-  let tech, c, drives, horizon, pulse, jobs, journal = campaign_setup ~cmd:"faults" a in
+  let tech, c, drives, horizon, pulse, mode = campaign_setup ~cmd:"faults" a in
   let engine = a.ca_engine in
   let site_budget = Budget.make ?max_events:site_max_events () in
   let cfg =
@@ -540,9 +494,7 @@ let run_faults a exhaustive grid vcd_dir limit_sites site_max_events worker_time
     if not exhaustive then None
     else
       let baseline =
-        match Sim.iddm (Sim.run Sim.Ddm (Sim.spec ~drives ~t_stop:horizon ~tech c)) with
-        | Some r -> r
-        | None -> assert false
+        Option.get (Sim.iddm (Sim.run Sim.Ddm (Sim.spec ~drives ~t_stop:horizon ~tech c)))
       in
       Some (Site.exhaustive ~baseline ~times:(Site.grid ~t0:0. ~t1:horizon ~points:grid))
   in
@@ -554,8 +506,10 @@ let run_faults a exhaustive grid vcd_dir limit_sites site_max_events worker_time
     @ [ "--incremental"; (if incremental then "on" else "off") ]
   in
   match
-    drive_campaign ~cmd:"faults" a ~jobs ~journal ~horizon ~extra ~chunk_sites
-      ~worker_timeout ~max_retries ~poison_after
+    Driver.run ~log:(campaign_log "faults") ~chunk_sites ~worker_timeout ~max_retries
+      ~poison_after
+      ~worker_argv:(worker_argv ~cmd:"faults" a ~horizon extra)
+      mode
       (Driver.plan [ { cfg with Campaign.sites } ])
       tech c ~drives
   with
@@ -570,10 +524,11 @@ let run_faults a exhaustive grid vcd_dir limit_sites site_max_events worker_time
         Format.eprintf "faults: campaign parked after %d of %d sites%s@."
           (List.length campaign.Campaign.cam_verdicts)
           campaign.Campaign.cam_sites_total
-          (match journal with
-          | Some (Driver.Fresh p | Driver.Resume p) ->
+          (match mode with
+          | Driver.Parent { journal = Some (Driver.Fresh p | Driver.Resume p); _ } ->
               Printf.sprintf " — continue with --resume %s" p
-          | None -> " (no --journal: progress was not saved)");
+          | Driver.Parent { journal = None; _ } | Driver.Worker _ ->
+              " (no --journal: progress was not saved)");
         exit 3
       end;
       (match campaign.Campaign.cam_quarantined with
@@ -601,107 +556,28 @@ let run_faults a exhaustive grid vcd_dir limit_sites site_max_events worker_time
       result.Driver.exit_code
 
 let run_vary a samples sigma_device sigma_chip sigma_lot stress_hours ttf =
-  let tech, c, drives, horizon, pulse, jobs, journal = campaign_setup ~cmd:"vary" a in
+  let tech, c, drives, horizon, pulse, mode = campaign_setup ~cmd:"vary" a in
   let sigmas =
     try Sampler.sigmas ~device:sigma_device ~chip:sigma_chip ~lot:sigma_lot ()
     with Invalid_argument m -> usage_diag m
   in
   if samples < 0 then usage_diag "--samples must be non-negative";
   if stress_hours < 0. then usage_diag "--stress-hours must be non-negative";
-  let engine = a.ca_engine and seed = a.ca_seed in
-  let cfg = Campaign.config ~engine ~seed ~n:a.ca_n ~pulse ~t_stop:horizon () in
-  (* The nominal (empty overlay) campaign fixes the shared strike list
-     every sampled corner replays, and is the flip reference of the
-     report.  It is deterministic, so workers re-derive the identical
-     list without any coordination. *)
-  let t_nominal = Unix.gettimeofday () in
-  let nominal = Campaign.run cfg tech c ~drives in
-  let nominal_s = Unix.gettimeofday () -. t_nominal in
-  let sites =
-    List.map (fun (v : Campaign.verdict) -> v.Campaign.vd_site) nominal.Campaign.cam_verdicts
-  in
-  let overlay_of k = Sampler.sample ~stress_hours sigmas ~seed ~index:k c in
-  (* one part per sample, so global index [k * nsites + i] is strike i
-     of sample k, and one supervisor chunk per sample *)
-  let plan =
-    Driver.plan ~sampled:true
-      (List.init samples (fun k ->
-           { cfg with Campaign.overlay = overlay_of k; sites = Some sites }))
+  let cfg =
+    Campaign.config ~engine:a.ca_engine ~seed:a.ca_seed ~n:a.ca_n ~pulse ~t_stop:horizon ()
   in
   let extra =
     [ "--samples"; string_of_int samples ]
     @ [ "--sigma-device"; farg sigma_device; "--sigma-chip"; farg sigma_chip ]
     @ [ "--sigma-lot"; farg sigma_lot; "--stress-hours"; farg stress_hours ]
   in
-  (* A worker replays the nominal campaign before it opens its chunk
-     journal, and its sample's baseline before its first verdict grows
-     it, so the stall timeout must outlast each silent stretch even
-     when all [jobs] workers share a single core. *)
-  let worker_timeout = Float.max 30. (2. *. float jobs *. nominal_s) in
   match
-    drive_campaign ~cmd:"vary" a ~jobs ~journal ~horizon ~extra ~quarantine:Driver.Fail
-      ~chunk_sites:(max 1 (List.length sites)) ~worker_timeout plan tech c ~drives
+    Variation.run ~log:(campaign_log "vary")
+      ~worker_argv:(worker_argv ~cmd:"vary" a ~horizon extra)
+      ~samples ~sigmas ~stress_hours ~ttf mode cfg tech c ~drives
   with
   | None -> 0
-  | Some result ->
-      let campaigns = result.Driver.campaigns in
-      Array.iteri
-        (fun k cam ->
-          Printf.eprintf "vary: sample %d/%d: %s\n%!" (k + 1) samples
-            (Fault_report.summary cam);
-          match cam.Campaign.cam_quarantined with
-          | [] -> ()
-          | (i, site) :: _ ->
-              die_diag
-                (Diag.make ~code:"site-quarantined"
-                   ~hint:
-                     (match journal with
-                     | Some (Driver.Fresh base | Driver.Resume base) ->
-                         Printf.sprintf
-                           "vary has no degraded report: --jobs 1 --resume %s reproduces \
-                            the crash in-process and re-simulates only the failing samples"
-                           base
-                     | None ->
-                         "vary has no degraded report: rerun with --jobs 1 to reproduce \
-                          the crash in-process")
-                   (Printf.sprintf
-                      "sample %d site %d (%s) crashed or hung its worker repeatedly and \
-                       was quarantined"
-                      k i
-                      (Format.asprintf "%a" (Site.pp c) site))))
-        campaigns;
-      (* TTF sweep: age the whole circuit along the stress-hours ladder
-         until the reference pulse — the first strike the fresh circuit
-         electrically masked — becomes an observable soft error. *)
-      let ttf_result =
-        if not ttf then None
-        else
-          let ref_verdict =
-            List.find_opt
-              (fun (v : Campaign.verdict) ->
-                v.Campaign.vd_outcome = Campaign.Electrically_masked)
-              nominal.Campaign.cam_verdicts
-          in
-          match ref_verdict with
-          | None ->
-              prerr_endline
-                "vary: --ttf: the nominal campaign has no electrically masked site to \
-                 use as a reference pulse; skipping the sweep";
-              None
-          | Some v ->
-              Some (Sweep.run ~probe:(Sweep.aging_probe cfg tech c ~drives v.Campaign.vd_site) ())
-      in
-      let report =
-        Vary_report.make ~circuit:(N.name c)
-          ~engine:(Campaign.engine_to_string engine)
-          ~seed ~sigmas ~stress_hours ~nominal:nominal.Campaign.cam_verdicts
-          ~samples:
-            (List.init samples (fun k ->
-                 ( k,
-                   Param_overlay.fingerprint (overlay_of k),
-                   campaigns.(k).Campaign.cam_verdicts )))
-          ?ttf:ttf_result ()
-      in
+  | Some report ->
       (match a.ca_format with
       | `Json -> print_endline (Vary_report.to_string report)
       | `Text -> print_string (Vary_report.to_text report));
@@ -1313,8 +1189,7 @@ let vary_cmd =
       ~jobs_doc:
         "Run samples across N supervised worker processes, one sample per \
          work-queue chunk, with the $(b,faults) supervisor's heartbeat, \
-         stall-kill (after the larger of 30 s and 2N nominal passes without \
-         progress) and retry; a strike that repeatedly crashes or hangs its \
+         stall-kill (after 30 s without progress) and retry; a strike that repeatedly crashes or hangs its \
          worker is quarantined and fails the run.  The report is byte-identical \
          to $(b,--jobs) 1 with the same seed.  N=0 uses the core count the OCaml \
          runtime recommends.  Default: 1 (serial)."
@@ -1484,7 +1359,6 @@ let serve_config cache_size max_events max_transitions no_watchdog liberty =
     cf_max_transitions = cap d.Server.cf_max_transitions max_transitions;
     cf_watchdog = not no_watchdog;
     cf_tech = load_tech liberty;
-    cf_overlay = d.Server.cf_overlay;
   }
 
 let run_serve socket cache_size max_events max_transitions no_watchdog liberty =

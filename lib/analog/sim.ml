@@ -41,7 +41,7 @@ let run cfg c ~drives =
   Hashtbl.iter
     (fun sid (d : Drive.t) ->
       let w = Waveform.create ~initial:(if d.Drive.initial then vdd else 0.) ~vdd () in
-      List.iter (fun tr -> ignore (Waveform.append w tr)) d.Drive.transitions;
+      List.iter (Waveform.append w) d.Drive.transitions;
       input_wf.(sid) <- Some w)
     drives_tbl;
   let loads = Halotis_delay.Loads.of_netlist cfg.tech c in

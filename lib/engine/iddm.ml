@@ -352,7 +352,7 @@ let start ?(injections = []) ?compiled cfg c ~drives =
      the finished input waveforms actually contain. *)
   Hashtbl.iter
     (fun sid (d : Drive.t) ->
-      List.iter (fun tr -> ignore (Waveform.append st.wf.(sid) tr)) d.Drive.transitions)
+      List.iter (Waveform.append st.wf.(sid)) d.Drive.transitions)
     drives_tbl;
   Hashtbl.iter
     (fun sid (_ : Drive.t) ->
@@ -690,7 +690,7 @@ let start_cone ?(injections = []) ws ~(cone : Compiled.cone) ~from =
     (fun sid ->
       let w = ws.cw_own.(sid) in
       Waveform.assign_prefix w ~src:final.(sid) ~len:ck.ck_wf_len.(sid);
-      List.iter (fun tr -> ignore (Waveform.append w tr)) ck.ck_wf_extra.(sid);
+      List.iter (Waveform.append w) ck.ck_wf_extra.(sid);
       ws.cw_wf.(sid) <- w)
     cone.Compiled.cone_signals;
   let st =

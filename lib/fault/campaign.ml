@@ -180,8 +180,22 @@ let classify ~c ~is_classic ~(base : observed) ~(site : Site.t) (inj : observed)
     vd_stats = delta;
   }
 
+(* [cfg]'s site list: [cfg.sites], or [n] strikes drawn by [seed]
+   inside [window] against the DDM run [ddm ()], made only then. *)
+let site_list cfg ~ddm =
+  match cfg.sites with
+  | Some s -> s
+  | None ->
+      let t0, t1 = match cfg.window with Some w -> w | None -> (0., cfg.t_stop) in
+      let baseline = Option.get (Sim.iddm (ddm ())) in
+      Site.sample ~baseline ~prng:(Prng.create ~seed:cfg.seed) ~n:cfg.n ~t0 ~t1
+
+let strikes cfg tech c ~drives =
+  site_list cfg ~ddm:(fun () ->
+      Sim.run Sim.Ddm (Sim.spec ~drives ~t_stop:cfg.t_stop ~overlay:cfg.overlay ~tech c))
+
 let run ?on_verdict cfg tech c ~drives =
-  let { sites; range; completed; quarantined; limit; _ } = cfg in
+  let { range; completed; quarantined; limit; _ } = cfg in
   (* Every engine run flows through the {!Sim} facade; the baseline
      never carries the per-site budget — it is the reference every
      verdict is diffed against, so it must be whole.  Every run — the
@@ -199,19 +213,10 @@ let run ?on_verdict cfg tech c ~drives =
      explicit site list no DDM run is needed unless it is the
      baseline. *)
   let sites =
-    match sites with
-    | Some s -> s
-    | None ->
-        let ddm_baseline =
-          Option.get
-            (Sim.iddm
-               (match cfg.engine with
-               | Ddm -> base_run
-               | Cdm | Classic_inertial -> Sim.run ~compiled Sim.Ddm (spec ())))
-        in
-        let t0, t1 = match cfg.window with Some w -> w | None -> (0., cfg.t_stop) in
-        let prng = Prng.create ~seed:cfg.seed in
-        Site.sample ~baseline:ddm_baseline ~prng ~n:cfg.n ~t0 ~t1
+    site_list cfg ~ddm:(fun () ->
+        match cfg.engine with
+        | Ddm -> base_run
+        | Cdm | Classic_inertial -> Sim.run ~compiled Sim.Ddm (spec ()))
   in
   let observe (r : Sim.result) =
     { ob_edges = Sim.edges r; ob_stats = r.Sim.rs_stats; ob_members = None }

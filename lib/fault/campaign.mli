@@ -158,6 +158,12 @@ type t = {
           unsupervised campaigns. *)
 }
 
+val strikes :
+  config -> Halotis_tech.Tech.t -> Halotis_netlist.Netlist.t ->
+  drives:(Halotis_netlist.Netlist.signal_id * Halotis_engine.Drive.t) list -> Site.t list
+(** The sites {!run} simulates, without simulating them: a variation
+    worker takes the nominal strike list from here. *)
+
 val run :
   ?on_verdict:(int -> verdict -> unit) ->
   config ->

@@ -21,14 +21,37 @@ type result = { campaigns : Campaign.t array; exit_code : int }
 
 let usage ?hint m = Diag.fail ~code:"usage" ?hint m
 
-let resolve_jobs ~log jobs =
+type mode =
+  | Parent of { jobs : int; journal : journal option }
+  | Worker of { range : int * int; journal : string }
+
+let mode ~log ~jobs ~range ~journal ~resume =
   if jobs < 0 then usage "--jobs must be non-negative (0 uses the recommended core count)";
-  if jobs > 0 then jobs
-  else begin
-    let n = Shard.available_cores () in
-    log (Printf.sprintf "--jobs 0: using %d core%s" n (if n = 1 then "" else "s"));
-    n
-  end
+  let jobs =
+    if jobs > 0 then jobs
+    else begin
+      let n = Shard.available_cores () in
+      log (Printf.sprintf "--jobs 0: using %d core%s" n (if n = 1 then "" else "s"));
+      n
+    end
+  in
+  if range <> None && jobs > 1 then usage "--range and --jobs are mutually exclusive";
+  let journal =
+    match (journal, resume) with
+    | Some _, Some _ ->
+        usage ~hint:"--resume already appends new verdicts to the journals it loads"
+          "--journal and --resume are mutually exclusive"
+    | Some p, None -> Some (Fresh p)
+    | None, Some p -> Some (Resume p)
+    | None, None -> None
+  in
+  match (range, journal) with
+  | None, journal -> Parent { jobs; journal }
+  (* the supervisor always passes --journal, and a retried worker
+     resumes it by itself *)
+  | Some range, Some (Fresh journal) -> Worker { range; journal }
+  | Some _, None -> usage "a --range worker needs --journal"
+  | Some _, Some (Resume _) -> usage "--range workers resume their own --journal automatically"
 
 (* The completed verdicts and part-local quarantined indices of a
    journal's entries, the first of which owns global index [first]. *)
@@ -186,56 +209,23 @@ let run_supervised ~log ~quarantine ~scfg ~worker_argv ?journal plan tech c ~dri
   keep := temp_dir = None && Array.exists failed merged;
   (Array.map snd merged, outcome.Supervisor.sv_exit_code)
 
-let run ~log ?journal ?(quarantine = Degrade) ?(chunk_sites = 0) ?worker_timeout
-    ?max_retries ?poison_after ~jobs ~worker_argv plan tech c ~drives =
-  let nparts = Array.length plan.parts in
-  let total = nparts * plan.part_size in
-  let supervised = jobs > 1 && total > 0 in
-  if jobs > 1 && Array.exists (fun p -> p.Campaign.limit <> None) plan.parts then
-    usage ~hint:"chunking is per worker range under --jobs"
-      "--limit-sites cannot be combined with --jobs";
-  (match journal with
-  | Some (Resume base) -> check_resume_mode plan ~supervised base
-  | _ -> ());
-  let campaigns, codes =
-    if not supervised then (run_serial ~log ?journal plan tech c ~drives, [])
-    else begin
-      let chunk_sites =
-        if chunk_sites > 0 then chunk_sites else Supervisor.auto_chunk_sites ~total ~jobs
-      in
-      if nparts > 1 && plan.part_size mod chunk_sites <> 0 then
-        invalid_arg "Driver.run: chunk_sites must divide the part size";
-      let scfg =
-        try Supervisor.config ~chunk_sites ?worker_timeout ?max_retries ?poison_after ~jobs ()
-        with Invalid_argument m -> usage m
-      in
-      let campaigns, code =
-        run_supervised ~log ~quarantine ~scfg ~worker_argv ?journal plan tech c ~drives
-      in
-      (campaigns, [ code ])
-    end
-  in
-  let degraded =
-    if Array.exists (fun cam -> cam.Campaign.cam_quarantined <> []) campaigns then
-      [ Stop.degraded_exit_code ]
-    else []
-  in
-  { campaigns; exit_code = Stop.worst_exit_code (codes @ degraded) }
-
 (* ---- worker: one chunk of the index space --------------------------- *)
 
-type chaos = {
-  kill : int option;
-  hang : int option;
-  poison : int option;
-  tokens : string option;
-}
+(* Fault injection, to test recovery, read from the environment so the
+   supervisor tests, the CI chaos smoke job and bench/exp_supervise can
+   crash and hang workers: after [HALOTIS_CHAOS_KILL] fresh verdicts
+   tear the journal's last line and SIGKILL the worker, after
+   [HALOTIS_CHAOS_HANG] stop heartbeating forever (each once per chunk,
+   or once per file claimed from the [HALOTIS_CHAOS_TOKENS] directory);
+   SIGKILL just before journaling global index [HALOTIS_CHAOS_POISON],
+   on every attempt. *)
+let chaos v = Option.bind (Sys.getenv_opt ("HALOTIS_CHAOS_" ^ v)) int_of_string_opt
 
 (* One chaos event per claim: a token file from the bounding directory,
    or (without one) a per-chunk sentinel created O_EXCL so retries of
    the same chunk don't crash forever. *)
-let chaos_claim chaos ~journal =
-  match chaos.tokens with
+let chaos_claim ~journal =
+  match Sys.getenv_opt "HALOTIS_CHAOS_TOKENS" with
   | Some dir -> (
       match Sys.readdir dir with
       | files ->
@@ -257,7 +247,7 @@ let chaos_claim chaos ~journal =
 
 let chaos_die () = Unix.kill (Unix.getpid ()) Sys.sigkill
 
-let run_worker ~log ~chaos plan ~range:(lo, hi) ~journal tech c ~drives =
+let run_worker ~log plan ~range:(lo, hi) ~journal tech c ~drives =
   let nparts = Array.length plan.parts and size = plan.part_size in
   if lo < 0 || lo >= hi then usage (Printf.sprintf "--range %d:%d: expected 0 <= LO < HI" lo hi);
   if hi > nparts * size then
@@ -292,22 +282,23 @@ let run_worker ~log ~chaos plan ~range:(lo, hi) ~journal tech c ~drives =
           (* died inside the header write: nothing durable to keep *)
           open_fresh ()
   in
+  let poison = chaos "POISON" and hang = chaos "HANG" and kill = chaos "KILL" in
   let fresh = ref 0 in
   let campaign =
     Campaign.run
       ~on_verdict:(fun idx v ->
         let g = idx + offset in
-        if chaos.poison = Some g then chaos_die ();
+        if poison = Some g then chaos_die ();
         Journal.write writer g v;
         incr fresh;
-        (match chaos.hang with
-        | Some n when !fresh >= n && chaos_claim chaos ~journal ->
+        (match hang with
+        | Some n when !fresh >= n && chaos_claim ~journal ->
             while true do
               Unix.sleep 3600
             done
         | _ -> ());
-        match chaos.kill with
-        | Some n when !fresh >= n && chaos_claim chaos ~journal ->
+        match kill with
+        | Some n when !fresh >= n && chaos_claim ~journal ->
             (* leave a torn final line behind: readers must cope with it *)
             let oc = open_out_gen [ Open_append ] 0o644 journal in
             output_string oc "v 99999 torn";
@@ -326,3 +317,44 @@ let run_worker ~log ~chaos plan ~range:(lo, hi) ~journal tech c ~drives =
   log
     (Printf.sprintf "range [%d,%d): %d sites done" lo hi
        (List.length campaign.Campaign.cam_verdicts))
+
+let run ~log ?(quarantine = Degrade) ?(chunk_sites = 0) ?worker_timeout ?max_retries
+    ?poison_after ~worker_argv mode plan tech c ~drives =
+  match mode with
+  | Worker { range; journal } ->
+      run_worker ~log plan ~range ~journal tech c ~drives;
+      None
+  | Parent { jobs; journal } ->
+      let nparts = Array.length plan.parts in
+      let total = nparts * plan.part_size in
+      let supervised = jobs > 1 && total > 0 in
+      if jobs > 1 && Array.exists (fun p -> p.Campaign.limit <> None) plan.parts then
+        usage ~hint:"chunking is per worker range under --jobs"
+          "--limit-sites cannot be combined with --jobs";
+      (match journal with
+      | Some (Resume base) -> check_resume_mode plan ~supervised base
+      | _ -> ());
+      let campaigns, codes =
+        if not supervised then (run_serial ~log ?journal plan tech c ~drives, [])
+        else begin
+          let chunk_sites =
+            if chunk_sites > 0 then chunk_sites else Supervisor.auto_chunk_sites ~total ~jobs
+          in
+          if nparts > 1 && plan.part_size mod chunk_sites <> 0 then
+            invalid_arg "Driver.run: chunk_sites must divide the part size";
+          let scfg =
+            try Supervisor.config ~chunk_sites ?worker_timeout ?max_retries ?poison_after ~jobs ()
+            with Invalid_argument m -> usage m
+          in
+          let campaigns, code =
+            run_supervised ~log ~quarantine ~scfg ~worker_argv ?journal plan tech c ~drives
+          in
+          (campaigns, [ code ])
+        end
+      in
+      let degraded =
+        if Array.exists (fun cam -> cam.Campaign.cam_quarantined <> []) campaigns then
+          [ Stop.degraded_exit_code ]
+        else []
+      in
+      Some { campaigns; exit_code = Stop.worst_exit_code (codes @ degraded) }

@@ -58,32 +58,57 @@ type result = {
           when any part has quarantined sites *)
 }
 
-val resolve_jobs : log:(string -> unit) -> int -> int
-(** A [--jobs] count: [0] asks the OCaml runtime how many cores to use
-    ({!Shard.available_cores}) and logs the choice.
-    @raise Halotis_util.Diag.Fail ([usage]) on a negative count. *)
+type mode =
+  | Parent of { jobs : int; journal : journal option }
+      (** run the campaign: in-process with [jobs = 1], else across
+          [jobs] supervised worker processes *)
+  | Worker of { range : int * int; journal : string }
+      (** be one of those workers: simulate global indices [\[lo, hi)],
+          which must lie inside one part, journaling each verdict under
+          its global index into the chunk journal [journal], fsynced per
+          verdict (the journal's growth is the supervisor's heartbeat).
+          An existing chunk journal is resumed, quarantine records
+          included.  The [HALOTIS_CHAOS_KILL], [_HANG], [_POISON] and
+          [_TOKENS] environment variables inject worker deaths, hangs
+          and poison sites, to test recovery. *)
+
+val mode :
+  log:(string -> unit) ->
+  jobs:int ->
+  range:(int * int) option ->
+  journal:string option ->
+  resume:string option ->
+  mode
+(** The mode the campaign flags ([--jobs], [--range], [--journal],
+    [--resume]) ask for.  [jobs = 0] asks the OCaml runtime how many
+    cores to use ({!Shard.available_cores}) and logs the choice.  A
+    [range] makes a {!Worker}, which needs a fresh [journal]: a retried
+    worker resumes its chunk journal by itself.
+    @raise Halotis_util.Diag.Fail ([usage]) on a negative [jobs], a
+    [range] with [jobs > 1], both [journal] and [resume], or a [range]
+    without [journal] or with [resume]. *)
 
 val run :
   log:(string -> unit) ->
-  ?journal:journal ->
   ?quarantine:quarantine ->
   ?chunk_sites:int ->
   ?worker_timeout:float ->
   ?max_retries:int ->
   ?poison_after:int ->
-  jobs:int ->
   worker_argv:(range:int * int -> journal:string -> string list) ->
+  mode ->
   plan ->
   Halotis_tech.Tech.t ->
   Halotis_netlist.Netlist.t ->
   drives:(Halotis_netlist.Netlist.signal_id * Halotis_engine.Drive.t) list ->
-  result
-(** Runs the plan.  With [jobs = 1] (or nothing to simulate) every part
-    runs in-process, journaled with the serial discipline; a part's
+  result option
+(** Runs the plan; [None] for a {!Worker}, which renders nothing.
+    With [jobs = 1] (or nothing to simulate) every part runs
+    in-process, journaled with the serial discipline; a part's
     [Campaign.config.limit] parks it early ([cam_complete = false]).
     With [jobs > 1] the whole index space goes to {!Supervisor.run},
-    whose workers are [worker_argv] — a {!run_worker} process of the
-    same plan.  [chunk_sites] (default [0] = about four chunks per
+    whose workers are [worker_argv] — a {!Worker} process of the same
+    plan.  [chunk_sites] (default [0] = about four chunks per
     worker) must divide the part size of a multi-part plan, so no chunk
     straddles two parts; [worker_timeout], [max_retries] and
     [poison_after] default as in {!Supervisor.config}.  [quarantine]
@@ -92,38 +117,6 @@ val run :
     @raise Halotis_util.Diag.Fail on a journal that does not match the
     plan, a resume across modes or a missing resume journal ([usage],
     [journal-parse], [journal-mismatch]), invalid supervision settings
-    ([usage]), or a chunk out of retries ([worker-retries]). *)
-
-type chaos = {
-  kill : int option;
-      (** after this many fresh verdicts, tear the journal's last line
-          and SIGKILL the worker (once per chunk) *)
-  hang : int option;
-      (** after this many fresh verdicts, stop heartbeating forever
-          (once per chunk) *)
-  poison : int option;
-      (** SIGKILL the worker just before journaling this global index,
-          on every attempt *)
-  tokens : string option;
-      (** bound kills and hangs globally: each claims a file from this
-          directory instead of the per-chunk sentinel [JOURNAL.chaos] *)
-}
-(** Fault injection for supervised workers, to test recovery. *)
-
-val run_worker :
-  log:(string -> unit) ->
-  chaos:chaos ->
-  plan ->
-  range:int * int ->
-  journal:string ->
-  Halotis_tech.Tech.t ->
-  Halotis_netlist.Netlist.t ->
-  drives:(Halotis_netlist.Netlist.signal_id * Halotis_engine.Drive.t) list ->
-  unit
-(** The supervised worker: simulates global indices [\[lo, hi)], which
-    must lie inside one part, journaling each verdict under its global
-    index into the chunk journal [journal], fsynced per verdict: the
-    journal's growth is the supervisor's heartbeat.  An existing chunk
-    journal is resumed, quarantine records included.
-    @raise Halotis_util.Diag.Fail ([usage]) on a range outside the plan
-    or across parts, ([journal-mismatch]) on a foreign chunk journal. *)
+    ([usage]), or a chunk out of retries ([worker-retries]); for a
+    {!Worker}, ([usage]) on a range outside the plan or across parts
+    and ([journal-mismatch]) on a foreign chunk journal. *)

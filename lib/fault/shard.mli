@@ -12,7 +12,7 @@
     system: the core count, worker spawn via
     [Unix.create_process], stderr capture and the journal/capture file
     naming.  The argv a worker receives is the caller's business — the
-    CLI builds it for a {!Driver.run_worker} process. *)
+    CLI builds it for a {!Driver.Worker} process. *)
 
 val available_cores : unit -> int
 (** The number of cores this process should use — what [--jobs 0]

@@ -101,7 +101,7 @@ val run :
   outcome
 (** Supervises a campaign of [total] global sites.  [worker_argv]
     builds the complete argv (program name at its head) of a worker
-    owning [range] and journaling to [journal] — a {!Driver.run_worker}
+    owning [range] and journaling to [journal] — a {!Driver.Worker}
     process, which fsyncs every verdict.
     [check] validates a pre-existing chunk journal's header against
     the campaign (raise {!Halotis_util.Diag.Fail} [journal-mismatch]

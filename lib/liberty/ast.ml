@@ -3,11 +3,11 @@ type item =
   | Attr of string * string
   | Complex of string * string list
 
-and group = { g_name : string; g_args : string list; g_items : item list }
+and group = { g_name : string; g_args : string list; g_items : item list; g_line : int }
 
 module Diag = Halotis_util.Diag
 
-let fail position fmt = Diag.failf ~code:"liberty-parse" ("offset %d: " ^^ fmt) position
+let fail line fmt = Diag.failf ~code:"liberty-parse" ~line fmt
 
 type token = Ident of string | Str of string | Punct of char
 
@@ -15,66 +15,68 @@ let is_ident_char = function
   | '(' | ')' | '{' | '}' | ';' | ':' | ',' | '"' | ' ' | '\t' | '\n' | '\r' -> false
   | _ -> true
 
-(* Tokenize the whole input up front; each token carries its offset. *)
+(* Tokenize the whole input up front; each token carries its line.  Also
+   returns the last line, where an error at the end of input sits. *)
 let tokenize text =
   let n = String.length text in
   let tokens = ref [] in
-  let i = ref 0 in
+  let i = ref 0 and line = ref 1 in
+  (* step over one character, counting newlines *)
+  let skip () =
+    if text.[!i] = '\n' then incr line;
+    incr i
+  in
   while !i < n do
     let c = text.[!i] in
-    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
+    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then skip ()
     else if c = '/' && !i + 1 < n && text.[!i + 1] = '/' then begin
       while !i < n && text.[!i] <> '\n' do
         incr i
       done
     end
     else if c = '/' && !i + 1 < n && text.[!i + 1] = '*' then begin
-      let start = !i in
+      let start = !line in
       i := !i + 2;
-      let rec skip () =
-        if !i + 1 >= n then fail start "unterminated comment"
-        else if text.[!i] = '*' && text.[!i + 1] = '/' then i := !i + 2
-        else begin
-          incr i;
-          skip ()
-        end
-      in
-      skip ()
+      while !i < n && not (text.[!i] = '*' && !i + 1 < n && text.[!i + 1] = '/') do
+        skip ()
+      done;
+      if !i >= n then fail start "unterminated comment";
+      i := !i + 2
     end
     else if c = '"' then begin
-      let start = !i in
+      let start = !line in
       incr i;
-      let buf = Buffer.create 16 in
+      let from = !i in
       while !i < n && text.[!i] <> '"' do
-        Buffer.add_char buf text.[!i];
-        incr i
+        skip ()
       done;
       if !i >= n then fail start "unterminated string";
-      incr i;
-      tokens := (start, Str (Buffer.contents buf)) :: !tokens
+      tokens := (start, Str (String.sub text from (!i - from))) :: !tokens;
+      incr i
     end
     else if is_ident_char c then begin
       let start = !i in
       while !i < n && is_ident_char text.[!i] do
         incr i
       done;
-      tokens := (start, Ident (String.sub text start (!i - start))) :: !tokens
+      tokens := (!line, Ident (String.sub text start (!i - start))) :: !tokens
     end
     else begin
-      tokens := (!i, Punct c) :: !tokens;
+      tokens := (!line, Punct c) :: !tokens;
       incr i
     end
   done;
-  List.rev !tokens
+  let last = if n > 0 && text.[n - 1] = '\n' then max 1 (!line - 1) else !line in
+  (List.rev !tokens, last)
 
 (* A tiny recursive-descent parser over the token list. *)
-type cursor = { mutable rest : (int * token) list }
+type cursor = { mutable rest : (int * token) list; last : int }
 
 let peek cur = match cur.rest with [] -> None | t :: _ -> Some t
 
 let advance cur =
   match cur.rest with
-  | [] -> fail max_int "unexpected end of input"
+  | [] -> fail cur.last "unexpected end of input"
   | t :: rest ->
       cur.rest <- rest;
       t
@@ -82,7 +84,7 @@ let advance cur =
 let expect_punct cur ch =
   match advance cur with
   | _, Punct c when c = ch -> ()
-  | pos, _ -> fail pos "expected '%c'" ch
+  | line, _ -> fail line "expected '%c'" ch
 
 let rec parse_args cur acc =
   match peek cur with
@@ -93,65 +95,66 @@ let rec parse_args cur acc =
       let arg =
         match advance cur with
         | _, Ident s | _, Str s -> s
-        | pos, Punct c -> fail pos "unexpected '%c' in argument list" c
+        | line, Punct c -> fail line "unexpected '%c' in argument list" c
       in
       (match peek cur with
       | Some (_, Punct ',') -> ignore (advance cur)
       | Some _ | None -> ());
       parse_args cur (arg :: acc)
-  | None -> fail max_int "unterminated argument list"
+  | None -> fail cur.last "unterminated argument list"
 
-let rec parse_group cur name =
+let rec parse_group cur name g_line =
   let args = parse_args cur [] in
   match peek cur with
   | Some (_, Punct '{') ->
       ignore (advance cur);
       let items = parse_items cur [] in
-      Group { g_name = name; g_args = args; g_items = items }
+      Group { g_name = name; g_args = args; g_items = items; g_line }
   | Some (_, Punct ';') ->
       ignore (advance cur);
       Complex (name, args)
-  | Some (pos, _) -> fail pos "expected '{' or ';' after %s(...)" name
-  | None -> fail max_int "unexpected end after %s(...)" name
+  | Some (line, _) -> fail line "expected '{' or ';' after %s(...)" name
+  | None -> fail cur.last "unexpected end after %s(...)" name
 
 and parse_items cur acc =
   match peek cur with
   | Some (_, Punct '}') ->
       ignore (advance cur);
       List.rev acc
-  | Some (pos, Ident name) -> (
+  | Some (line, Ident name) -> (
       ignore (advance cur);
       match peek cur with
       | Some (_, Punct '(') ->
           ignore (advance cur);
-          parse_items cur (parse_group cur name :: acc)
+          parse_items cur (parse_group cur name line :: acc)
       | Some (_, Punct ':') ->
           ignore (advance cur);
           let value =
             match advance cur with
             | _, Ident s | _, Str s -> s
-            | pos, Punct c -> fail pos "unexpected '%c' as attribute value" c
+            | line, Punct c -> fail line "unexpected '%c' as attribute value" c
           in
           expect_punct cur ';';
           parse_items cur (Attr (name, value) :: acc)
-      | Some (pos, _) -> fail pos "expected '(' or ':' after %s" name
-      | None -> fail pos "unexpected end after %s" name)
-  | Some (pos, _) -> fail pos "expected an identifier or '}'"
-  | None -> fail max_int "unterminated group"
+      | Some (line, _) -> fail line "expected '(' or ':' after %s" name
+      | None -> fail cur.last "unexpected end after %s" name)
+  | Some (line, _) -> fail line "expected an identifier or '}'"
+  | None -> fail cur.last "unterminated group"
 
 let parse_string text =
   try
-    let cur = { rest = tokenize text } in
+    let rest, last = tokenize text in
+    let cur = { rest; last } in
     match advance cur with
-    | _, Ident name -> (
+    | line, Ident name -> (
         expect_punct cur '(';
-        match parse_group cur name with
+        match parse_group cur name line with
         | Group g ->
             (match peek cur with
             | None -> Ok g
-            | Some (pos, _) -> fail pos "content after top-level group")
-        | Attr _ | Complex _ -> fail 0 "expected a group body")
-    | pos, _ -> fail pos "expected a top-level group"
+            | Some (line, _) -> fail line "content after top-level group")
+        | Attr _ | Complex _ -> fail line "expected a group body")
+    | line, _ -> fail line "expected a top-level group"
   with Diag.Fail e -> Error e
 
 let find_groups g name =

@@ -28,12 +28,17 @@ type item =
   | Attr of string * string  (** [key : value;] *)
   | Complex of string * string list  (** [key ("...", "...");] *)
 
-and group = { g_name : string; g_args : string list; g_items : item list }
+and group = {
+  g_name : string;
+  g_args : string list;
+  g_items : item list;
+  g_line : int;  (** the line of the group's name *)
+}
 
 val parse_string : string -> (group, Halotis_util.Diag.t) result
 (** Parses one top-level group.  An error is a [liberty-parse]
-    diagnostic whose message starts with the byte offset
-    (["offset 12: expected ';'"]). *)
+    diagnostic at its line; an input that ends too early fails at its
+    last line. *)
 
 val find_groups : group -> string -> group list
 (** Child groups with the given name. *)

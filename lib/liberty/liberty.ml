@@ -17,9 +17,10 @@ type t = { lib_name : string; cells : cell list }
 
 module Diag = Halotis_util.Diag
 
-let fail fmt = Diag.failf ~code:"liberty-parse" fmt
+(* every error names the line of the group it is about *)
+let fail (g : Ast.group) fmt = Diag.failf ~code:"liberty-parse" ~line:g.Ast.g_line fmt
 
-let floats_of_strings where strings =
+let floats_of_strings g where strings =
   List.concat_map
     (fun s ->
       String.split_on_char ',' s
@@ -28,35 +29,35 @@ let floats_of_strings where strings =
       |> List.map (fun x ->
              match float_of_string_opt x with
              | Some f -> f
-             | None -> fail "%s: bad number %S" where x))
+             | None -> fail g "%s: bad number %S" where x))
     strings
 
 let table_of_group (g : Ast.group) =
   let index name =
     match Ast.find_complex g name with
-    | Some args -> Array.of_list (floats_of_strings name args)
-    | None -> fail "table %s: missing %s" g.Ast.g_name name
+    | Some args -> Array.of_list (floats_of_strings g name args)
+    | None -> fail g "table %s: missing %s" g.Ast.g_name name
   in
   let index1 = index "index_1" and index2 = index "index_2" in
   let rows =
     match Ast.find_complex g "values" with
-    | Some args -> List.map (fun row -> Array.of_list (floats_of_strings "values" [ row ])) args
-    | None -> fail "table %s: missing values" g.Ast.g_name
+    | Some args -> List.map (fun row -> Array.of_list (floats_of_strings g "values" [ row ])) args
+    | None -> fail g "table %s: missing values" g.Ast.g_name
   in
   try Table2d.make ~index1 ~index2 ~values:(Array.of_list rows)
-  with Invalid_argument m -> fail "table %s: %s" g.Ast.g_name m
+  with Invalid_argument m -> fail g "table %s: %s" g.Ast.g_name m
 
 let arc_of_timing (timing : Ast.group) =
   let related_pin =
     match Ast.find_attr timing "related_pin" with
     | Some p -> p
-    | None -> fail "timing group without related_pin"
+    | None -> fail timing "timing group without related_pin"
   in
   let table name =
     match Ast.find_groups timing name with
     | [ g ] -> Some (table_of_group g)
     | [] -> None
-    | _ :: _ :: _ -> fail "duplicate %s table" name
+    | _ :: _ :: _ -> fail timing "duplicate %s table" name
   in
   {
     related_pin;
@@ -67,10 +68,10 @@ let arc_of_timing (timing : Ast.group) =
   }
 
 let cell_of_group (cg : Ast.group) =
-  let cell_name = match cg.Ast.g_args with n :: _ -> n | [] -> fail "cell without a name" in
+  let cell_name = match cg.Ast.g_args with n :: _ -> n | [] -> fail cg "cell without a name" in
   let pins = Ast.find_groups cg "pin" in
   let pin_name (p : Ast.group) =
-    match p.Ast.g_args with n :: _ -> n | [] -> fail "pin without a name"
+    match p.Ast.g_args with n :: _ -> n | [] -> fail p "pin without a name"
   in
   let input_caps =
     List.filter_map
@@ -82,7 +83,7 @@ let cell_of_group (cg : Ast.group) =
               | Some c -> (
                   match float_of_string_opt c with
                   | Some f -> f
-                  | None -> fail "cell %s: bad capacitance %S" cell_name c)
+                  | None -> fail p "cell %s: bad capacitance %S" cell_name c)
               | None -> 0.
             in
             Some (pin_name p, cap)
@@ -106,7 +107,7 @@ let cell_of_group (cg : Ast.group) =
 
 let of_ast (g : Ast.group) =
   try
-    if g.Ast.g_name <> "library" then fail "expected a library group, got %s" g.Ast.g_name;
+    if g.Ast.g_name <> "library" then fail g "expected a library group, got %s" g.Ast.g_name;
     let lib_name = match g.Ast.g_args with n :: _ -> n | [] -> "unnamed" in
     let cells = List.filter_map cell_of_group (Ast.find_groups g "cell") in
     Ok { lib_name; cells }

@@ -20,7 +20,8 @@ type t = { lib_name : string; cells : cell list }
 
 val parse_string : string -> (t, Halotis_util.Diag.t) result
 (** An error is a [liberty-parse] diagnostic: the syntax errors of
-    {!Ast.parse_string}, or a tree that is not a cell library. *)
+    {!Ast.parse_string}, or a tree that is not a cell library, at the
+    line of the group at fault. *)
 
 val parse_file : string -> (t, Halotis_util.Diag.t) result
 (** See {!Halotis_util.Diag.parse_file}. *)

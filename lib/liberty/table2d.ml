@@ -60,22 +60,14 @@ let index1 t = t.index1
 let index2 t = t.index2
 let values t = t.values
 
-let monotone ~tolerance t axis =
+let monotone ~tolerance t =
   let ok = ref true in
-  let ni = Array.length t.index1 and nj = Array.length t.index2 in
-  (match axis with
-  | `Index1 ->
-      for j = 0 to nj - 1 do
-        for i = 0 to ni - 2 do
-          if t.values.(i + 1).(j) < t.values.(i).(j) -. tolerance then ok := false
-        done
-      done
-  | `Index2 ->
-      for i = 0 to ni - 1 do
-        for j = 0 to nj - 2 do
-          if t.values.(i).(j + 1) < t.values.(i).(j) -. tolerance then ok := false
-        done
-      done);
+  Array.iter
+    (fun row ->
+      for j = 0 to Array.length row - 2 do
+        if row.(j + 1) < row.(j) -. tolerance then ok := false
+      done)
+    t.values;
   !ok
 
 let sample_points t =

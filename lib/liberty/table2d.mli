@@ -19,11 +19,11 @@ val index1 : t -> float array
 val index2 : t -> float array
 val values : t -> float array array
 
-val monotone : tolerance:float -> t -> [ `Index1 | `Index2 ] -> bool
-(** Whether values are non-decreasing along the given axis (every other
-    coordinate held fixed), allowing dips up to [tolerance].  Delay and
-    transition tables should be monotone in output load ([`Index2]);
-    violations usually mean corrupted characterisation data. *)
+val monotone : tolerance:float -> t -> bool
+(** Whether values are non-decreasing in output load ([index_2], every
+    input slope held fixed), allowing dips up to [tolerance].  Delay
+    and transition tables should be; violations usually mean corrupted
+    characterisation data. *)
 
 val sample_points : t -> (float * float * float) list
 (** All grid points as [(x1, x2, value)] — fitting input. *)

@@ -51,7 +51,7 @@ let run config ~base lib =
                       (fun acc row -> Array.fold_left (fun a v -> Float.max a (Float.abs v)) acc row)
                       0. (Table2d.values table)
                   in
-                  if not (Table2d.monotone ~tolerance:(0.01 *. span) table `Index2) then
+                  if not (Table2d.monotone ~tolerance:(0.01 *. span) table) then
                     push
                       (Rule.emit config Rule.lb002 loc
                          "%s (arc from %s) decreases with output load; characterisation \

@@ -12,8 +12,8 @@ type error = Diag.t = {
   hint : string option;
 }
 
-let fail line fmt =
-  Diag.failf ~code:"netlist-parse" ~hint:"see doc/FORMATS.md for the HNL grammar" ~line fmt
+let code = "netlist-parse" and hint = "see doc/FORMATS.md for the HNL grammar"
+let fail line fmt = Diag.failf ~code ~hint ~line fmt
 
 (* A tie operand's shared signal is named const_0/const_1, which a
    document may already have declared itself. *)
@@ -105,9 +105,9 @@ let parse_string text =
       else fail lineno "unknown directive %S" (Line_scan.token sc 0)
     done;
     match !builder with
-    | None -> fail 0 "empty document"
+    | None -> Diag.fail ~code ~hint "empty document"
     | Some _ when not !ended -> fail (Line_scan.line sc) "missing 'end'"
-    | Some b -> ( try Ok (Builder.finalize b) with Invalid_argument m -> fail 0 "%s" m)
+    | Some b -> ( try Ok (Builder.finalize b) with Invalid_argument m -> Diag.fail ~code ~hint m)
   with Diag.Fail e -> Error e
 
 let to_string c =

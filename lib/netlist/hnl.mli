@@ -30,8 +30,8 @@ type error = Halotis_util.Diag.t = {
 
 val parse_string : string -> (Netlist.t, error) result
 (** Parses a full HNL document.  An error is a [netlist-parse]
-    diagnostic at its line (0 for an empty document or a circuit that
-    does not elaborate). *)
+    diagnostic at its line, or with no line for an empty document or a
+    circuit that does not elaborate. *)
 
 val to_string : Netlist.t -> string
 (** Prints a circuit as HNL; [parse_string (to_string c)] reproduces an

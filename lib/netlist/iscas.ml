@@ -2,8 +2,8 @@ module Gate_kind = Halotis_logic.Gate_kind
 module Line_scan = Halotis_util.Line_scan
 module Diag = Halotis_util.Diag
 
-let fail line fmt =
-  Diag.failf ~code:"iscas-parse" ~hint:"ISCAS-85 lines look like `G10 = NAND(G1, G3)`" ~line fmt
+let code = "iscas-parse" and hint = "ISCAS-85 lines look like `G10 = NAND(G1, G3)`"
+let fail line fmt = Diag.failf ~code ~hint ~line fmt
 
 let strip s = String.trim s
 
@@ -74,7 +74,7 @@ let parse_string ?(name = "bench") text =
       end
     done;
     List.iter (fun n -> Builder.mark_output b (Builder.signal b n)) (List.rev !outputs);
-    try Ok (Builder.finalize b) with Invalid_argument m -> fail 0 "%s" m
+    try Ok (Builder.finalize b) with Invalid_argument m -> Diag.fail ~code ~hint m
   with Diag.Fail e -> Error e
 
 let c17_text =

@@ -19,7 +19,8 @@
 val parse_string : ?name:string -> string -> (Netlist.t, Halotis_util.Diag.t) result
 (** [parse_string ~name text] parses a .bench document; [name] is the
     circuit name (default ["bench"]).  An error is an [iscas-parse]
-    diagnostic at its line. *)
+    diagnostic at its line, or with no line for a circuit that does not
+    elaborate. *)
 
 val c17 : Netlist.t Lazy.t
 (** The ISCAS-85 c17 benchmark, embedded. *)

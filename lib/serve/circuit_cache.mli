@@ -18,9 +18,8 @@ val create : capacity:int -> t
 
 val key_of_source : string -> string
 (** Content hash (hex digest) of the circuit's source bytes.  The
-    server runs one technology, but its cache key joins the parse
-    recipe, this digest and the parameter-overlay fingerprint, so two
-    corners of the same source never alias a compilation. *)
+    server runs one technology at the nominal corner, and its cache key
+    joins the parse recipe and this digest. *)
 
 val find_or_compile :
   t -> key:string -> compile:(unit -> Halotis_engine.Compiled.t) -> Halotis_engine.Compiled.t * bool

@@ -16,7 +16,6 @@ type config = {
   cf_max_transitions : int option;
   cf_watchdog : bool;
   cf_tech : Halotis_tech.Tech.t;
-  cf_overlay : Halotis_tech.Param_overlay.t;
 }
 
 let default_config () =
@@ -26,23 +25,12 @@ let default_config () =
     cf_max_transitions = Some 5_000_000;
     cf_watchdog = true;
     cf_tech = Halotis_tech.Default_lib.tech;
-    cf_overlay = Halotis_tech.Param_overlay.empty;
   }
 
-type t = {
-  cfg : config;
-  cache : Circuit_cache.t;
-  fingerprint : string;  (* of [cfg.cf_overlay], part of every cache key *)
-  mutable stopping : bool;
-}
+type t = { cfg : config; cache : Circuit_cache.t; mutable stopping : bool }
 
 let create cfg =
-  {
-    cfg;
-    cache = Circuit_cache.create ~capacity:cfg.cf_cache_size;
-    fingerprint = Halotis_tech.Param_overlay.fingerprint cfg.cf_overlay;
-    stopping = false;
-  }
+  { cfg; cache = Circuit_cache.create ~capacity:cfg.cf_cache_size; stopping = false }
 
 let cache t = t.cache
 let stopping t = t.stopping
@@ -86,17 +74,11 @@ let handle_load conn (l : P.load) =
     | None -> Diag.fail ~code:"bad-request" (Printf.sprintf "unknown engine %S" l.P.ld_engine)
   in
   let recipe, text, parse = circuit_source l.P.ld_circuit in
-  let overlay = conn.server.cfg.cf_overlay in
-  (* The key also covers the parameter overlay's fingerprint: two
-     corners of the same source must never alias a compiled circuit.
-     Only the source text is hashed, so it is never copied. *)
-  let key =
-    String.concat "\x00"
-      [ recipe; Circuit_cache.key_of_source text; conn.server.fingerprint ]
-  in
+  (* Only the source text is hashed, so it is never copied. *)
+  let key = recipe ^ "\x00" ^ Circuit_cache.key_of_source text in
   let compiled, hit =
     Circuit_cache.find_or_compile conn.server.cache ~key ~compile:(fun () ->
-        Compiled.compile ~overlay conn.server.cfg.cf_tech (or_fail (parse text)))
+        Compiled.compile conn.server.cfg.cf_tech (or_fail (parse text)))
   in
   let circuit = compiled.Compiled.circuit in
   let drives, slope =

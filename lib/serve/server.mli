@@ -14,10 +14,6 @@ type config = {
       (** default per-session transition (memory) budget *)
   cf_watchdog : bool;  (** oscillation watchdog on by default? *)
   cf_tech : Halotis_tech.Tech.t;
-  cf_overlay : Halotis_tech.Param_overlay.t;
-      (** parameter overlay every session's circuit is priced under;
-          its fingerprint is part of the compiled-circuit cache key, so
-          two corners of the same source never alias a compilation *)
 }
 
 val default_config : unit -> config

@@ -78,7 +78,6 @@ let value_at w t =
   let i = locate w t in
   if i < 0 then w.initial else seg_value w i t
 
-type append_outcome = { dropped : Transition.t list; accepted : bool }
 type appended = int (* annulled count lsl 1, lor 1 when accepted *)
 
 let accepted r = r land 1 = 1
@@ -124,18 +123,11 @@ let append_ramp w ~start ~slope_time ~rising =
   end
 
 let append w tr =
-  let start = tr.Transition.start in
-  (* the segments [append_ramp] is about to annul, oldest first *)
-  let rec annulled_from i acc =
-    if i >= 0 && w.starts.(i) >= start then annulled_from (i - 1) (transition_at w i :: acc)
-    else acc
-  in
-  let dropped = annulled_from (w.len - 1) [] in
   let rising =
     match tr.Transition.polarity with Transition.Rising -> true | Transition.Falling -> false
   in
-  let r = append_ramp w ~start ~slope_time:tr.Transition.slope_time ~rising in
-  { dropped; accepted = accepted r }
+  ignore
+    (append_ramp w ~start:tr.Transition.start ~slope_time:tr.Transition.slope_time ~rising)
 
 let assign_prefix w ~src ~len =
   if len < 0 || len > src.len then invalid_arg "Waveform.assign_prefix: length out of bounds";

@@ -25,19 +25,9 @@ val create : ?initial:Halotis_util.Units.voltage -> vdd:Halotis_util.Units.volta
 val vdd : t -> Halotis_util.Units.voltage
 val initial : t -> Halotis_util.Units.voltage
 
-type append_outcome = {
-  dropped : Transition.t list;
-      (** stored transitions annulled because they start at or after the
-          new transition, oldest first *)
-  accepted : bool;
-      (** [false] when the new ramp was a no-op (the waveform value at
-          its start already sits at the target rail), in which case it
-          was not stored *)
-}
-
-val append : t -> Transition.t -> append_outcome
-(** Adds a transition, truncating/annulling as described above: a
-    wrapper over {!append_ramp} that also lists what it annulled. *)
+val append : t -> Transition.t -> unit
+(** Adds a transition, truncating/annulling as described above:
+    {!append_ramp} on the record's fields. *)
 
 type appended = private int
 (** What {!append_ramp} did, packed into an immediate: read it with
@@ -50,17 +40,18 @@ val append_ramp :
   rising:bool ->
   appended
 (** {!append} on the ramp's scalars, for the event kernel: it builds no
-    {!Transition.t}, no outcome record and no list of annulled
-    segments.
+    {!Transition.t}, and tells what the append did.
     @raise Invalid_argument where {!Transition.make} would: [start] not
     finite, or [slope_time] not a positive finite number. *)
 
 val accepted : appended -> bool
-(** {!append_outcome}'s [accepted]. *)
+(** [false] when the new ramp was a no-op (the waveform value at its
+    start already sits at the target rail), in which case it was not
+    stored. *)
 
 val annulled : appended -> int
-(** How many stored transitions the append annulled: the length of
-    {!append_outcome}'s [dropped]. *)
+(** How many stored transitions the append annulled because they start
+    at or after the new one. *)
 
 val segment_count : t -> int
 

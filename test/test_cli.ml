@@ -337,6 +337,49 @@ let test_missing_inputs () =
   let status, _ = run_capture [ "diff-vcd"; missing ".vcd"; missing ".vcd" ] in
   checki "missing vcd" 1 status
 
+(* Runs the CLI for its exit status and stderr. *)
+let run_stderr args =
+  let err = Filename.temp_file "halotis_cli" ".err" in
+  let cmd =
+    Printf.sprintf "%s %s > /dev/null 2> %s" (Filename.quote exe)
+      (String.concat " " (List.map Filename.quote args))
+      (Filename.quote err)
+  in
+  let status = Sys.command cmd in
+  let stderr = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  (status, stderr)
+
+let with_temp_file ext text f =
+  let p = Filename.temp_file "halotis_cli_input" ext in
+  Out_channel.with_open_bin p (fun oc -> output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove p) (fun () -> f p)
+
+(* An error that belongs to no line carries none: an empty netlist is
+   [FILE: empty document], not [FILE:0: ...]. *)
+let test_empty_netlist_has_no_line () =
+  with_temp_file ".hnl" "" @@ fun p ->
+  let status, stderr = run_stderr [ "check"; p ] in
+  checki "empty netlist exits 1" 1 status;
+  Alcotest.(check string)
+    "line-less diagnostic"
+    (Printf.sprintf
+       "halotis: error[netlist-parse]: %s: empty document\n\
+       \  hint: see doc/FORMATS.md for the HNL grammar\n"
+       p)
+    stderr
+
+(* A Liberty file cut short inside a group fails at its last line, not
+   at a byte offset. *)
+let test_truncated_liberty_names_last_line () =
+  with_temp_file ".lib" "library (t) {\n  cell (inv) {\n    pin (a) {\n" @@ fun p ->
+  let status, stderr = run_stderr [ "lint"; data "c17.hnl"; "--liberty"; p ] in
+  checki "truncated liberty exits 1" 1 status;
+  Alcotest.(check string)
+    "diagnostic at the last line"
+    (Printf.sprintf "halotis: error[liberty-parse]: %s:3: unterminated group\n" p)
+    stderr
+
 let tests =
   [
     ( "cli.simulate",
@@ -377,5 +420,8 @@ let tests =
         Alcotest.test_case "json stdout parses" `Quick test_json_stdout_parses;
         Alcotest.test_case "list-rules json" `Quick test_list_rules_json;
         Alcotest.test_case "check alias" `Quick test_check_alias;
+        Alcotest.test_case "empty netlist has no line" `Quick test_empty_netlist_has_no_line;
+        Alcotest.test_case "truncated liberty names its last line" `Quick
+          test_truncated_liberty_names_last_line;
       ] );
   ]

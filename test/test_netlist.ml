@@ -728,8 +728,11 @@ let agree same same_error r1 r2 =
   | Error e1, Error e2 -> same_error e1 e2
   | Ok _, Error _ | Error _, Ok _ -> false
 
+(* the reference readers put an error that belongs to no line at line 0 *)
 let ref_error code (d : Halotis_util.Diag.t) (line, message) =
-  d.code = code && d.line = Some line && d.message = message && d.file = None && d.hint <> None
+  d.code = code
+  && d.line = (if line = 0 then None else Some line)
+  && d.message = message && d.file = None && d.hint <> None
 
 let hnl_agree text =
   agree same_netlist (ref_error "netlist-parse") (Hnl.parse_string text) (Ref.Hnl.parse_string text)

@@ -112,7 +112,21 @@ module Ref_iddm = struct
             | Some _ -> true)
           pending.(gate).(pin)
     in
-    let fan_out sid (outcome : Waveform.append_outcome) (tr : Transition.t) =
+    (* Appends [tr] and returns how many stored segments it annulled
+       (those starting at or after it) and whether it was stored. *)
+    let append w (tr : Transition.t) =
+      let before = Waveform.segments w in
+      let dropped =
+        List.length
+          (List.filter
+             (fun (s : Waveform.segment) ->
+               s.Waveform.transition.Transition.start >= tr.Transition.start)
+             before)
+      in
+      Waveform.append w tr;
+      (dropped, Waveform.segment_count w = List.length before - dropped + 1)
+    in
+    let fan_out sid accepted (tr : Transition.t) =
       let rising =
         match tr.Transition.polarity with
         | Transition.Rising -> true
@@ -122,7 +136,7 @@ module Ref_iddm = struct
         (fun (lg, lpin) ->
           if cfg.Iddm.cancellation then
             cancel_invalidated ~gate:lg ~pin:lpin ~from_time:tr.Transition.start;
-          if outcome.Waveform.accepted then
+          if accepted then
             match some_unless_nan (Waveform.last_crossing wf.(sid) ~vt:vt_table.(lg).(lpin)) with
             | Some crossing ->
                 schedule ~key:crossing ~gate:lg ~pin:lpin ~rising
@@ -155,24 +169,22 @@ module Ref_iddm = struct
             ~polarity:(if new_out then Transition.Rising else Transition.Falling)
         in
         out_target.(gate) <- new_out;
-        let outcome = Waveform.append wf.(out_sid) tr in
-        stats.Stats.transitions_annulled <-
-          stats.Stats.transitions_annulled + List.length outcome.Waveform.dropped;
-        if outcome.Waveform.accepted then
-          stats.Stats.transitions_emitted <- stats.Stats.transitions_emitted + 1;
-        fan_out out_sid outcome tr
+        let dropped, accepted = append wf.(out_sid) tr in
+        stats.Stats.transitions_annulled <- stats.Stats.transitions_annulled + dropped;
+        if accepted then stats.Stats.transitions_emitted <- stats.Stats.transitions_emitted + 1;
+        fan_out out_sid accepted tr
       end
     in
     let process_injection (inj : Iddm.injection) =
       List.iter
         (fun (tr : Transition.t) ->
-          let outcome = Waveform.append wf.(inj.Iddm.inj_signal) tr in
-          fan_out inj.Iddm.inj_signal outcome tr)
+          let _, accepted = append wf.(inj.Iddm.inj_signal) tr in
+          fan_out inj.Iddm.inj_signal accepted tr)
         inj.Iddm.inj_ramps
     in
     Hashtbl.iter
       (fun sid (d : Drive.t) ->
-        List.iter (fun tr -> ignore (Waveform.append wf.(sid) tr)) d.Drive.transitions)
+        List.iter (Waveform.append wf.(sid)) d.Drive.transitions)
       drives_tbl;
     Hashtbl.iter
       (fun sid (_ : Drive.t) ->

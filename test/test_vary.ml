@@ -16,12 +16,14 @@ module DL = Halotis_tech.Default_lib
 module Overlay = Halotis_tech.Param_overlay
 module Campaign = Halotis_fault.Campaign
 module Journal = Halotis_fault.Journal
+module Driver = Halotis_fault.Driver
 module Fault_report = Halotis_fault.Fault_report
 module Circuit_cache = Halotis_serve.Circuit_cache
 module Sampler = Halotis_vary.Sampler
 module Aging = Halotis_vary.Aging
 module Sweep = Halotis_vary.Sweep
 module Vary_report = Halotis_vary.Vary_report
+module Variation = Halotis_vary.Variation
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -177,16 +179,46 @@ let test_zero_sigma_bit_identity engine () =
     (Fault_report.to_text vary);
   checks "journals byte-identical" plain_j vary_j
 
+(* A variation worker takes the strike list from [Campaign.strikes]
+   instead of running the nominal campaign: it must be the nominal
+   campaign's own list, on every engine, at the nominal corner or a
+   sampled one, sampled or given. *)
+let test_strikes_are_the_nominal_sites engine () =
+  let c = Lazy.force chain in
+  let drives = [ (sid c "in", Drive.of_levels ~slope:80. ~initial:false [ (1000., true) ]) ] in
+  let cfg = Campaign.config ~engine ~seed:9 ~n:12 ~window:(500., 6000.) ~t_stop:8000. () in
+  let overlay = Sampler.sample (Sampler.sigmas ~device:0.3 ~chip:0.1 ()) ~seed:9 ~index:0 c in
+  let given = List.filteri (fun i _ -> i mod 2 = 0) (Campaign.strikes cfg DL.tech c ~drives) in
+  List.iter
+    (fun (what, cfg) ->
+      let nominal = Campaign.run cfg DL.tech c ~drives in
+      let strikes = Campaign.strikes cfg DL.tech c ~drives in
+      checkb (what ^ ": the nominal campaign's sites") true
+        (List.equal
+           (fun a b -> Halotis_fault.Site.compare a b = 0)
+           (List.map (fun v -> v.Campaign.vd_site) nominal.Campaign.cam_verdicts)
+           strikes))
+    [
+      ("nominal corner", cfg);
+      (* strikes dense around the input edge, where a shifted corner
+         moves a transition past one of them *)
+      ("sampled corner", { cfg with Campaign.overlay; n = 200; window = Some (1000., 2500.) });
+      ("given sites", { cfg with Campaign.sites = Some given });
+    ];
+  checki "n strikes" 12 (List.length (Campaign.strikes cfg DL.tech c ~drives))
+
 let test_vary_report_deterministic () =
   (* Fixed seed, real spread: the whole distribution report must
-     reproduce byte-for-byte. *)
+     reproduce byte-for-byte, and match the composition built by hand
+     from the nominal campaign, its strike list and one campaign per
+     sampled corner. *)
   let c = Lazy.force chain in
   let drives = [ (sid c "in", Drive.constant false) ] in
   let cfg = Campaign.config ~engine:Campaign.Ddm ~seed:11 ~n:8 ~t_stop:8000. () in
-  let build () =
+  let sg = Sampler.sigmas ~device:0.2 ~chip:0.05 () in
+  let reference =
     let nominal = Campaign.run cfg DL.tech c ~drives in
     let sites = List.map (fun v -> v.Campaign.vd_site) nominal.Campaign.cam_verdicts in
-    let sg = Sampler.sigmas ~device:0.2 ~chip:0.05 () in
     let samples =
       List.map
         (fun k ->
@@ -202,9 +234,24 @@ let test_vary_report_deterministic () =
     Vary_report.make ~circuit:(N.name c) ~engine:"ddm" ~seed:11 ~sigmas:sg
       ~stress_hours:0. ~nominal:nominal.Campaign.cam_verdicts ~samples ()
   in
+  let build () =
+    match
+      Variation.run ~log:ignore
+        ~worker_argv:(fun ~range:_ ~journal:_ -> Alcotest.fail "a serial run spawns no worker")
+        ~samples:3 ~sigmas:sg ~stress_hours:0. ~ttf:false
+        (Driver.Parent { jobs = 1; journal = None })
+        cfg DL.tech c ~drives
+    with
+    | Some report -> report
+    | None -> Alcotest.fail "the parent renders a report"
+  in
   let a = build () and b = build () in
   checks "json reports byte-identical" (Vary_report.to_string a) (Vary_report.to_string b);
   checks "text reports byte-identical" (Vary_report.to_text a) (Vary_report.to_text b);
+  checks "json report == hand-built composition" (Vary_report.to_string reference)
+    (Vary_report.to_string a);
+  checks "text report == hand-built composition" (Vary_report.to_text reference)
+    (Vary_report.to_text a);
   checki "three samples tallied" 3 (List.length a.Vary_report.vr_samples);
   checkb "nominal owns index -1" true (a.Vary_report.vr_nominal.Vary_report.vs_index = -1)
 
@@ -382,5 +429,9 @@ let tests =
         Alcotest.test_case "cli: --jobs 2 byte-identical" `Slow test_cli_jobs_identical;
         Alcotest.test_case "cli: zero-sigma journal == faults" `Slow
           test_cli_zero_sigma_journal_matches_faults;
+        Alcotest.test_case "strikes: nominal sites (ddm)" `Quick
+          (test_strikes_are_the_nominal_sites Campaign.Ddm);
+        Alcotest.test_case "strikes: nominal sites (classic)" `Quick
+          (test_strikes_are_the_nominal_sites Campaign.Classic_inertial);
       ] );
   ]
