@@ -47,7 +47,8 @@ type injection = Netlist.signal_id * (float * bool) list
 
    Transactions are slots of the shared event kernel
    ({!Run_control}), as IDDM events are: [int0] is the signal, [flag]
-   '\001' drives it high.  So the hot path builds no transaction
+   '\001' drives it high, and an input switch keeps its rank in [int1]
+   for the checkpoints of cone runs.  So the hot path builds no transaction
    record; what it still allocates is the boxes of floats passed across
    module boundaries (see the [Iddm] header).  A preempted transaction
    is tombstoned in place and discarded when the queue surfaces it.
@@ -192,7 +193,9 @@ let toggle (tr : Transition.t) =
 let seed_input st sid (tr : Transition.t) =
   let at, value = toggle tr in
   preempt st sid ~at:(Float.succ at);
-  Slot_deque.push st.pending.(sid) (enqueue_tx st ~rank:st.seeded ~sid ~at ~value);
+  let slot = enqueue_tx st ~rank:st.seeded ~sid ~at ~value in
+  st.ctl.Run_control.int1.(slot) <- st.seeded;
+  Slot_deque.push st.pending.(sid) slot;
   st.seeded <- st.seeded + 1;
   st.stats.Stats.events_scheduled <- st.stats.Stats.events_scheduled + 1
 
@@ -274,126 +277,6 @@ let start ?(injections = []) ?compiled cfg c ~drives =
   List.iter (add_injection st) injections;
   st
 
-(* Cone-restricted re-simulation, the classic counterpart of
-   {!Iddm.start_cone}: only the cone's gates evaluate, and the events of
-   its boundary feeds — the signals outside the cone that drive its
-   gates — are replayed from outside.  A driven primary input replays
-   its drive's own switches, ranked as [start] ranks them; any other
-   boundary signal replays the baseline's committed edges, the only
-   events of that signal a cone gate ever reacts to, each ranked as the
-   transaction that committed it.  So the cone's events pop in the full
-   run's order, although the full run queued the replayed edges mid-run
-   and a cone run queues them at the start.
-   The run flags [replay_hazard] only when a delay of tp <= 0 could
-   queue a transaction ahead of pops already due.
-
-   The circuit-sized arrays (values, pending deques, committed edges,
-   evaluation stamps, freeze and boundary marks) live in the workspace;
-   a run resets the entries of its cone and boundary signals and bars
-   every other gate from evaluation by a [max_int] stamp.  The
-   transaction pool and queue carry over from run to run. *)
-type cone_workspace = {
-  cw_cfg : config;
-  cw_cp : Compiled.t;
-  cw_levels : bool array;
-  cw_drives : (int, int * Transition.t list) Hashtbl.t;
-      (* driven input -> the rank of its first switch, its switches *)
-  cw_base_edges : Digital.edge list array; (* the baseline's committed edges *)
-  cw_value : bool array;
-  cw_pending : Slot_deque.t array;
-  cw_rev_edges : Digital.edge list array;
-  cw_seen : int array; (* [max_int] outside the current cone *)
-  cw_bnd : Bytes.t; (* signal -> '\001' iff a boundary feed of the latest run *)
-  cw_fz : Watchdog.frozen;
-  mutable cw_prev : (Compiled.cone * int list * state) option;
-      (* the latest run, with its boundary signals *)
-}
-
-let cone_workspace ~compiled:cp ~(baseline : result) cfg c ~drives =
-  Compiled.check ~who:"Classic.cone_workspace" cp ~overlay:cfg.overlay cfg.tech c;
-  let drives_tbl, levels = Drive.bind ~who:"Classic.cone_workspace" cp drives in
-  let nsignals = cp.Compiled.nsignals in
-  if Array.length baseline.final_levels <> nsignals then
-    invalid_arg "Classic.cone_workspace: baseline is for a different netlist";
-  {
-    cw_cfg = cfg;
-    cw_cp = cp;
-    cw_levels = levels;
-    cw_drives =
-      (let t = Hashtbl.create 16 in
-       List.iter (fun (sid, rank, trs) -> Hashtbl.replace t sid (rank, trs)) (input_seeds drives_tbl);
-       t);
-    cw_base_edges = Lazy.force baseline.edges;
-    cw_value = Array.copy levels;
-    cw_pending = Array.init nsignals (fun _ -> Slot_deque.create ());
-    cw_rev_edges = Array.make nsignals [];
-    cw_seen = Array.make cp.Compiled.ngates max_int;
-    cw_bnd = Bytes.make nsignals '\000';
-    cw_fz = Watchdog.frozen ~nsignals;
-    cw_prev = None;
-  }
-
-(* Undo what the latest run left outside its cone and hand back its
-   kernel, whose pool and queue the next run reuses. *)
-let reclaim ws =
-  match ws.cw_prev with
-  | None -> None
-  | Some (cone, bnd, prev) ->
-      Array.iter (fun g -> ws.cw_seen.(g) <- max_int) cone.Compiled.cone_gates;
-      List.iter (fun sid -> Bytes.set ws.cw_bnd sid '\000') bnd;
-      Watchdog.thaw ws.cw_fz;
-      ws.cw_prev <- None;
-      Some prev.ctl
-
-let start_cone ?(injections = []) ws ~(cone : Compiled.cone) =
-  let cp = ws.cw_cp in
-  Compiled.check_cone ~who:"Classic.start_cone" cp cone;
-  List.iter
-    (fun (sid, _) ->
-      if sid < 0 || sid >= cp.Compiled.nsignals then
-        invalid_arg "Classic.start_cone: injection on unknown signal";
-      if not (Compiled.mem_sorted cone.Compiled.cone_signals sid) then
-        invalid_arg "Classic.start_cone: injection outside the cone")
-    injections;
-  let pool = reclaim ws in
-  let st =
-    make_state ?pool ~cone:true ws.cw_cfg cp ~levels:ws.cw_levels ~value:ws.cw_value
-      ~pending:ws.cw_pending ~rev_edges:ws.cw_rev_edges ~seen:ws.cw_seen ~fz:ws.cw_fz
-  in
-  let reset sid =
-    ws.cw_value.(sid) <- ws.cw_levels.(sid);
-    ws.cw_rev_edges.(sid) <- [];
-    let q : Slot_deque.t = ws.cw_pending.(sid) in
-    q.head <- 0;
-    q.tail <- 0
-  in
-  Array.iter (fun g -> ws.cw_seen.(g) <- 0) cone.Compiled.cone_gates;
-  Array.iter reset cone.Compiled.cone_signals;
-  let bnd = ref [] in
-  Array.iteri
-    (fun k g ->
-      let sid = cp.Compiled.pin_fanin.(cp.Compiled.g_base.(g) + cone.Compiled.cone_bnd_pin.(k)) in
-      if Bytes.get ws.cw_bnd sid = '\000' then begin
-        Bytes.set ws.cw_bnd sid '\001';
-        reset sid;
-        bnd := sid :: !bnd;
-        match Hashtbl.find_opt ws.cw_drives sid with
-        | Some (rank, transitions) -> seed_drive st (sid, rank, transitions)
-        | None ->
-            List.iter
-              (fun (e : Digital.edge) ->
-                ignore
-                  (enqueue_tx st ~rank:sid ~sid ~at:e.Digital.at
-                     ~value:(e.Digital.polarity = Transition.Rising)))
-              ws.cw_base_edges.(sid)
-      end)
-    cone.Compiled.cone_bnd_gate;
-  List.iter (add_injection st) injections;
-  ws.cw_prev <- Some (cone, !bnd, st);
-  st
-
-let cone_edges ws sid = List.rev ws.cw_rev_edges.(sid)
-
 (* The edge lists are fixed at the call (the per-signal lists are
    immutable) but reversed only when read, so a snapshot costs
    O(signals) however long the run.  A cone run's result aliases its
@@ -457,6 +340,231 @@ let advance st ~upto =
   snapshot st
 
 let run cfg c ~drives = advance (start cfg c ~drives) ~upto:infinity
+
+(* Cone-restricted re-simulation, the classic counterpart of
+   {!Iddm.start_cone}: only the cone's gates evaluate, and the events of
+   its boundary feeds — the signals outside the cone that drive its
+   gates — are replayed from outside.  A driven primary input replays
+   its drive's own switches, ranked as [start] ranks them; any other
+   boundary signal replays the baseline's committed edges, the only
+   events of that signal a cone gate ever reacts to, each ranked as the
+   transaction that committed it.  So the cone's events pop in the full
+   run's order, although the full run queued the replayed edges mid-run
+   and a cone run queues them at the start.
+   The run flags [replay_hazard] only when a delay of tp <= 0 could
+   queue a transaction ahead of pops already due.
+
+   Time slicing, as in {!Iddm}: before the strike a cone run only
+   replays the baseline, so the workspace steps one replay of the
+   baseline through the checkpoint grid ({!Checkpoint_grid}), and a
+   cone run starts from the latest checkpoint at or before its strike.
+   A checkpoint at [t] is the full run's state after every event keyed
+   before [t]: each signal's committed value, its live pending
+   transactions (key, value and rank), and its committed edges as the
+   suffix of its baseline edge list from [t] on.  From it a cone run
+   restores only its members and boundary feeds.  Members get their
+   values and live transactions back; a driven input feeding the cone
+   gets its live transactions, which are its switches at or after [t];
+   any other boundary feed replays its baseline edges at or after [t].
+   Everything a run from the DC state does before [t] is the same in a
+   clean and a struck run sharing the checkpoint, so their counter
+   delta is unchanged; transactions the full run had tombstoned before
+   [t] are left out, and those would be skipped as stale in both.  The
+   DC state is checkpoint 0, so every cone run takes this one path.
+
+   A run records only the edges it commits; {!cone_edges} puts the
+   baseline's edges before the checkpoint in front of them.  The
+   circuit-sized arrays (values, pending deques, committed edges,
+   evaluation stamps, freeze and boundary marks) live in the workspace;
+   a run resets the entries of its cone and boundary signals and bars
+   every other gate from evaluation by a [max_int] stamp.  The
+   transaction pool and queue carry over from run to run. *)
+type checkpoint = {
+  ck_value : Bytes.t; (* signal -> committed value, '\001' high *)
+  ck_edges_from : Digital.edge list array;
+      (* signal -> its baseline edges at or after the instant: a suffix
+         of the baseline's own list *)
+  ck_tx_off : int array; (* signal -> first live transaction; length nsignals + 1 *)
+  ck_tx_key : float array;
+  ck_tx_rank : int array;
+  ck_tx_value : Bytes.t;
+}
+
+let byte b = if b then '\001' else '\000'
+
+(* The replay's state on the way to [time]; [from] holds each signal's
+   baseline edges at or after the previous checkpoint and moves on to
+   [time].  An input switch carries its rank in [int1] ({!seed_input});
+   a driver transaction ranks by its signal. *)
+let capture st ~inputs ~(from : Digital.edge list array) ~time =
+  let rec drop = function (e : Digital.edge) :: rest when e.Digital.at < time -> drop rest | l -> l in
+  Array.iteri (fun sid es -> from.(sid) <- drop es) from;
+  let nsignals = Array.length st.pending and k = st.ctl in
+  let off = Array.make (nsignals + 1) 0 in
+  for sid = 0 to nsignals - 1 do
+    let q : Slot_deque.t = st.pending.(sid) in
+    off.(sid + 1) <- off.(sid) + (q.tail - q.head)
+  done;
+  let n = off.(nsignals) in
+  let key = Array.make n 0. and rank = Array.make n 0 and value = Bytes.make n '\000' in
+  for sid = 0 to nsignals - 1 do
+    let q : Slot_deque.t = st.pending.(sid) in
+    for i = q.head to q.tail - 1 do
+      let slot = q.buf.(i) and j = off.(sid) + i - q.head in
+      key.(j) <- k.Run_control.at.(slot);
+      rank.(j) <- (if Bytes.get inputs sid = '\001' then k.Run_control.int1.(slot) else sid);
+      Bytes.set value j (Bytes.get k.Run_control.flag slot)
+    done
+  done;
+  {
+    ck_value = Bytes.init nsignals (fun sid -> byte st.value.(sid));
+    ck_edges_from = Array.copy from;
+    ck_tx_off = off;
+    ck_tx_key = key;
+    ck_tx_rank = rank;
+    ck_tx_value = value;
+  }
+
+type cone_workspace = {
+  cw_cfg : config;
+  cw_cp : Compiled.t;
+  cw_levels : bool array;
+  cw_inputs : Bytes.t; (* signal -> '\001' iff a driven primary input *)
+  cw_base_edges : Digital.edge list array; (* the baseline's committed edges *)
+  cw_ckpts : checkpoint Checkpoint_grid.t;
+  cw_value : bool array;
+  cw_pending : Slot_deque.t array;
+  cw_rev_edges : Digital.edge list array; (* committed since the run's checkpoint *)
+  cw_from : Digital.edge list array; (* member -> [ck_edges_from] of the run's checkpoint *)
+  cw_seen : int array; (* [max_int] outside the current cone *)
+  cw_bnd : Bytes.t; (* signal -> '\001' iff a boundary feed of the latest run *)
+  cw_fz : Watchdog.frozen;
+  mutable cw_prev : (Compiled.cone * int list * state) option;
+      (* the latest run, with its boundary signals *)
+}
+
+let cone_workspace ?grid ~compiled:cp ~(baseline : result) cfg c ~drives =
+  Compiled.check ~who:"Classic.cone_workspace" cp ~overlay:cfg.overlay cfg.tech c;
+  let drives_tbl, levels = Drive.bind ~who:"Classic.cone_workspace" cp drives in
+  let nsignals = cp.Compiled.nsignals in
+  if Array.length baseline.final_levels <> nsignals then
+    invalid_arg "Classic.cone_workspace: baseline is for a different netlist";
+  let inputs = Bytes.init nsignals (fun sid -> byte (Hashtbl.mem drives_tbl sid)) in
+  let base_edges = Lazy.force baseline.edges in
+  let rp = start ~compiled:cp cfg c ~drives in
+  let from = Array.copy base_edges in
+  {
+    cw_cfg = cfg;
+    cw_cp = cp;
+    cw_levels = levels;
+    cw_inputs = inputs;
+    cw_base_edges = base_edges;
+    cw_ckpts =
+      Checkpoint_grid.take ?grid ~watchdog:(cfg.watchdog <> None) rp.ctl
+        ~last:baseline.end_time
+        ~capture:(fun time -> capture rp ~inputs ~from ~time)
+        ~advance:(fun upto -> ignore (advance rp ~upto))
+        ~replayed:(fun () -> (advance rp ~upto:infinity).stats = baseline.stats);
+    cw_value = Array.copy levels;
+    cw_pending = Array.init nsignals (fun _ -> Slot_deque.create ());
+    cw_rev_edges = Array.make nsignals [];
+    cw_from = Array.make nsignals [];
+    cw_seen = Array.make cp.Compiled.ngates max_int;
+    cw_bnd = Bytes.make nsignals '\000';
+    cw_fz = Watchdog.frozen ~nsignals;
+    cw_prev = None;
+  }
+
+let checkpoints ws = ws.cw_ckpts.Checkpoint_grid.instants
+
+(* Undo what the latest run left outside its cone and hand back its
+   kernel, whose pool and queue the next run reuses. *)
+let reclaim ws =
+  match ws.cw_prev with
+  | None -> None
+  | Some (cone, bnd, prev) ->
+      Array.iter (fun g -> ws.cw_seen.(g) <- max_int) cone.Compiled.cone_gates;
+      List.iter (fun sid -> Bytes.set ws.cw_bnd sid '\000') bnd;
+      Watchdog.thaw ws.cw_fz;
+      ws.cw_prev <- None;
+      Some prev.ctl
+
+let start_cone ?(injections = []) ws ~(cone : Compiled.cone) ~from =
+  let cp = ws.cw_cp in
+  Compiled.check_cone ~who:"Classic.start_cone" cp cone;
+  let grid = ws.cw_ckpts in
+  if from < 0 || from >= Array.length grid.Checkpoint_grid.states then
+    invalid_arg "Classic.start_cone: no such checkpoint";
+  let ck = grid.Checkpoint_grid.states.(from) and ck_time = grid.Checkpoint_grid.instants.(from) in
+  List.iter
+    (fun (sid, toggles) ->
+      if sid < 0 || sid >= cp.Compiled.nsignals then
+        invalid_arg "Classic.start_cone: injection on unknown signal";
+      if not (Compiled.mem_sorted cone.Compiled.cone_signals sid) then
+        invalid_arg "Classic.start_cone: injection outside the cone";
+      if List.exists (fun (at, _) -> at < ck_time) toggles then
+        invalid_arg "Classic.start_cone: injection before the checkpoint")
+    injections;
+  let pool = reclaim ws in
+  let st =
+    make_state ?pool ~cone:true ws.cw_cfg cp ~levels:ws.cw_levels ~value:ws.cw_value
+      ~pending:ws.cw_pending ~rev_edges:ws.cw_rev_edges ~seen:ws.cw_seen ~fz:ws.cw_fz
+  in
+  let restore sid =
+    ws.cw_value.(sid) <- Bytes.get ck.ck_value sid = '\001';
+    ws.cw_rev_edges.(sid) <- [];
+    ws.cw_from.(sid) <- ck.ck_edges_from.(sid);
+    let q : Slot_deque.t = ws.cw_pending.(sid) in
+    q.head <- 0;
+    q.tail <- 0
+  in
+  let requeue sid =
+    for k = ck.ck_tx_off.(sid) to ck.ck_tx_off.(sid + 1) - 1 do
+      Slot_deque.push ws.cw_pending.(sid)
+        (enqueue_tx st ~rank:ck.ck_tx_rank.(k) ~sid ~at:ck.ck_tx_key.(k)
+           ~value:(Bytes.get ck.ck_tx_value k = '\001'))
+    done
+  in
+  Array.iter (fun g -> ws.cw_seen.(g) <- 0) cone.Compiled.cone_gates;
+  Array.iter
+    (fun sid ->
+      restore sid;
+      requeue sid)
+    cone.Compiled.cone_signals;
+  let bnd = ref [] in
+  Array.iteri
+    (fun k g ->
+      let sid = cp.Compiled.pin_fanin.(cp.Compiled.g_base.(g) + cone.Compiled.cone_bnd_pin.(k)) in
+      if Bytes.get ws.cw_bnd sid = '\000' then begin
+        Bytes.set ws.cw_bnd sid '\001';
+        restore sid;
+        bnd := sid :: !bnd;
+        if Bytes.get ws.cw_inputs sid = '\001' then requeue sid
+        else
+          List.iter
+            (fun (e : Digital.edge) ->
+              ignore
+                (enqueue_tx st ~rank:sid ~sid ~at:e.Digital.at
+                   ~value:(e.Digital.polarity = Transition.Rising)))
+            ck.ck_edges_from.(sid)
+      end)
+    cone.Compiled.cone_bnd_gate;
+  List.iter (add_injection st) injections;
+  ws.cw_prev <- Some (cone, !bnd, st);
+  st
+
+(* The baseline's edges before the run's checkpoint, then the run's
+   own; the baseline's list itself when the run ended the signal as the
+   baseline did. *)
+let cone_edges ws sid =
+  let from = ws.cw_from.(sid) and fresh = List.rev ws.cw_rev_edges.(sid) in
+  if fresh = from then ws.cw_base_edges.(sid)
+  else
+    let rec prefix acc l =
+      if l == from then List.rev_append acc fresh
+      else match l with e :: rest -> prefix (e :: acc) rest | [] -> assert false
+    in
+    prefix [] ws.cw_base_edges.(sid)
 
 (* Live stimulus replaces the input's queued future: switches at or
    after a new one are annulled first, as {!Iddm.session_set_input}'s

@@ -138,14 +138,16 @@ val session_result : session -> result
     baseline. *)
 
 type cone_workspace
-(** The circuit-sized state of cone runs, allocated once and reused by
-    every {!start_cone} against one baseline: values, pending deques,
-    committed edges, evaluation stamps, freeze and boundary marks, and
-    the transaction pool.  Each run resets only its cone and boundary
+(** The state of cone runs against one baseline, built once and reused
+    by every {!start_cone}: the baseline's checkpoints, and the
+    circuit-sized per-run arrays (values, pending deques, committed
+    edges, evaluation stamps, freeze and boundary marks, the
+    transaction pool).  Each run resets only its cone and boundary
     signals, so a run costs O(cone), not O(circuit).  Single-threaded,
     like {!Compiled.t}. *)
 
 val cone_workspace :
+  ?grid:Halotis_util.Units.time list ->
   compiled:Compiled.t ->
   baseline:result ->
   config ->
@@ -155,29 +157,51 @@ val cone_workspace :
 (** A workspace for cone runs of [config] against [baseline], the
     finished {!run} of the same netlist, config and drives.  Soundness
     requires the baseline to be [Completed] and unfrozen.
+
+    Checkpoints: building the workspace replays the baseline once and
+    records its state at the instants of {!Checkpoint_grid.take}
+    ([grid] replaces the default grid).  A checkpoint at [t] is the
+    state after every event keyed before [t]: each signal's committed
+    value, its live pending transactions with their keys, values and
+    ranks, and its committed edges as the suffix of its baseline edge
+    list from [t] on — O(signals + live transactions) each, never a
+    copy of an edge list.  When the replay does not end on the
+    baseline's exact counters, or [config] has a watchdog, only
+    checkpoint 0, the DC state, is kept.
     @raise Invalid_argument as {!start} does, or when [baseline] is for
     another netlist. *)
 
-val start_cone : ?injections:injection list -> cone_workspace -> cone:Compiled.cone -> session
-(** A run in which only the cone's gates evaluate.  Each boundary feed
-    replays its events: a driven primary input its drive's switches,
-    ranked as {!start} ranks them; any other signal the baseline's
+val checkpoints : cone_workspace -> Halotis_util.Units.time array
+(** The checkpoints' instants, as {!Iddm.checkpoints} has them. *)
+
+val start_cone :
+  ?injections:injection list -> cone_workspace -> cone:Compiled.cone -> from:int -> session
+(** A run in which only the cone's gates evaluate, started from
+    checkpoint [from]: the member signals' values and live transactions
+    restored from it, and each boundary feed's events at or after the
+    checkpoint queued — a driven primary input its drive's switches,
+    ranked as {!start} ranks them, any other signal the baseline's
     committed edges, each ranked as the transaction that committed it.
-    Unless the result carries [replay_hazard], the run
-    processes the cone's events in the full run's order, so its
-    counters differ from a full run's by the same amount with or
-    without the injections.
+    Unless the result carries [replay_hazard], the run processes the
+    cone's events in the full run's order, so a struck run's counters
+    minus its clean run's from the same checkpoint equal the full
+    runs' difference.  Its own counters cover only the events from the
+    checkpoint on.
 
     The session and its results live in the workspace: the next
     {!start_cone} invalidates them.  Read the member signals' edges
-    with {!cone_edges}; the result's [edges] alias the workspace and are
-    meaningful for the member signals only.
-    @raise Invalid_argument on a cone of a different netlist or an
-    injection outside the cone. *)
+    with {!cone_edges}; the result's [edges] alias the workspace and
+    hold the edges the run committed, for the member signals only.
+    @raise Invalid_argument on a cone of a different netlist, an
+    unknown checkpoint, or an injection outside the cone or with a
+    toggle before the checkpoint. *)
 
 val cone_edges : cone_workspace -> Halotis_netlist.Netlist.signal_id -> Halotis_wave.Digital.edge list
 (** The committed edges of a member signal in the workspace's latest
-    cone run, time-ordered. *)
+    cone run, time-ordered: the baseline's before the run's checkpoint,
+    then the run's own.  Exactly when they equal the baseline's, the
+    list is the baseline's own (an element of its forced [edges]), so
+    a physical comparison tells. *)
 
 val edges_of_name : result -> string -> Halotis_wave.Digital.edge list
 (** @raise Not_found for unknown names. *)

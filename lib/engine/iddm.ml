@@ -5,7 +5,6 @@ module Transition = Halotis_wave.Transition
 module Digital = Halotis_wave.Digital
 module Tech = Halotis_tech.Tech
 module Delay_model = Halotis_delay.Delay_model
-module Heap = Halotis_util.Heap
 module Gate_kind = Halotis_logic.Gate_kind
 module Value = Halotis_logic.Value
 module Stop = Halotis_guard.Stop
@@ -472,7 +471,6 @@ let advance st ~upto =
    run's freeze marks are cleared.  The event pool and queue carry over
    from run to run ({!Run_control.create}'s [pool]). *)
 type checkpoint = {
-  ck_time : float; (* [neg_infinity] for the DC state *)
   ck_pin_level : Bytes.t;
   ck_out_target : bool array;
   ck_last_pop : float array;
@@ -484,12 +482,7 @@ type checkpoint = {
   ck_ev_rising : Bytes.t;
 }
 
-(* Checkpoints after the DC state.  A strike lands anywhere on the
-   horizon, so they are spread evenly in time over the baseline's
-   active span; the last sits just past its last event. *)
-let grid_points = 16
-
-let capture st ~(final : Waveform.t array) ~time =
+let capture st ~(final : Waveform.t array) =
   let npins = Array.length st.pending in
   let off = Array.make (npins + 1) 0 in
   for p = 0 to npins - 1 do
@@ -516,7 +509,6 @@ let capture st ~(final : Waveform.t array) ~time =
     if len < Waveform.segment_count w then wf_extra.(sid) <- Waveform.transitions_from w len
   done;
   {
-    ck_time = time;
     ck_pin_level = Bytes.copy st.pin_level;
     ck_out_target = Array.copy st.out_target;
     ck_last_pop = Array.copy st.last_pop;
@@ -528,38 +520,15 @@ let capture st ~(final : Waveform.t array) ~time =
     ck_ev_rising = rising;
   }
 
-(* The DC checkpoint plus, when the replay of the baseline reproduces
-   its counters exactly, the grid.  A watchdog's sliding window would
-   need the history before the checkpoint, so its runs keep the DC
-   state only. *)
+(* The checkpoints of one replay of the baseline, on the grid rule both
+   engines share. *)
 let checkpoints ?grid cfg cp c ~drives (baseline : result) =
   let rp = start ~compiled:cp { cfg with trace = false } c ~drives in
   let final = baseline.waveforms in
-  let dc = capture rp ~final ~time:neg_infinity in
-  let queue = rp.ctl.Run_control.queue in
-  if cfg.watchdog <> None || Heap.is_empty queue then [| dc |]
-  else begin
-    let first = rp.ctl.Run_control.at.(Heap.top queue) and last = baseline.end_time in
-    let grid =
-      match grid with
-      | Some g -> g
-      | None ->
-          List.init grid_points (fun k ->
-              if k = grid_points - 1 then Float.succ last
-              else first +. ((last -. first) *. float_of_int (k + 1) /. float_of_int grid_points))
-    in
-    (* an instant at or before the first event would repeat the DC state *)
-    let grid = List.sort_uniq Float.compare (List.filter (fun t -> t > first) grid) in
-    let later =
-      List.map
-        (fun t ->
-          ignore (advance rp ~upto:(Float.pred t));
-          capture rp ~final ~time:t)
-        grid
-    in
-    let replayed = advance rp ~upto:infinity in
-    if replayed.stats = baseline.stats then Array.of_list (dc :: later) else [| dc |]
-  end
+  Checkpoint_grid.take ?grid ~watchdog:(cfg.watchdog <> None) rp.ctl ~last:baseline.end_time
+    ~capture:(fun _ -> capture rp ~final)
+    ~advance:(fun upto -> ignore (advance rp ~upto))
+    ~replayed:(fun () -> (advance rp ~upto:infinity).stats = baseline.stats)
 
 (* A boundary pin's replay: the final baseline crossings of its driving
    signal at its threshold, in time order. *)
@@ -571,7 +540,7 @@ type cone_workspace = {
   cw_cfg : config;
   cw_cp : Compiled.t;
   cw_baseline : result;
-  cw_ckpts : checkpoint array; (* ascending instants; 0 is the DC state *)
+  cw_ckpts : checkpoint Checkpoint_grid.t;
   cw_feeds : feed array; (* pin slot -> its replay, [unset_feed] until first used *)
   cw_wf : Waveform.t array; (* baseline aliases, own waveforms for the current cone *)
   cw_own : Waveform.t array; (* signal -> its own waveform, reused from run to run *)
@@ -611,19 +580,7 @@ let cone_workspace ?grid ~compiled:cp ~(baseline : result) cfg c ~drives =
     cw_prev = None;
   }
 
-let checkpoint_count ws = Array.length ws.cw_ckpts
-
-let checkpoint_at ws at =
-  let ck = ws.cw_ckpts in
-  (* the last index whose instant is <= at; index 0 always qualifies *)
-  let lo = ref 0 and hi = ref (Array.length ck) in
-  while !hi - !lo > 1 do
-    let mid = (!lo + !hi) / 2 in
-    if ck.(mid).ck_time <= at then lo := mid else hi := mid
-  done;
-  !lo
-
-let checkpoint_time ws i = ws.cw_ckpts.(i).ck_time
+let checkpoints ws = ws.cw_ckpts.Checkpoint_grid.instants
 
 let feed ws slot =
   let f = ws.cw_feeds.(slot) in
@@ -668,9 +625,10 @@ let reclaim ws =
 let start_cone ?(injections = []) ws ~(cone : Compiled.cone) ~from =
   let cp = ws.cw_cp in
   Compiled.check_cone ~who:"Iddm.start_cone" cp cone;
-  if from < 0 || from >= Array.length ws.cw_ckpts then
+  if from < 0 || from >= Array.length ws.cw_ckpts.Checkpoint_grid.states then
     invalid_arg "Iddm.start_cone: no such checkpoint";
-  let ck = ws.cw_ckpts.(from) in
+  let ck = ws.cw_ckpts.Checkpoint_grid.states.(from)
+  and ck_time = ws.cw_ckpts.Checkpoint_grid.instants.(from) in
   List.iter
     (fun inj ->
       if inj.inj_signal < 0 || inj.inj_signal >= cp.Compiled.nsignals then
@@ -680,7 +638,7 @@ let start_cone ?(injections = []) ws ~(cone : Compiled.cone) ~from =
       if not (Compiled.mem_sorted cone.Compiled.cone_signals inj.inj_signal) then
         invalid_arg "Iddm.start_cone: injection outside the cone";
       match inj.inj_ramps with
-      | first :: _ when first.Transition.start < ck.ck_time ->
+      | first :: _ when first.Transition.start < ck_time ->
           invalid_arg "Iddm.start_cone: injection before the checkpoint"
       | _ -> ())
     injections;
@@ -728,7 +686,7 @@ let start_cone ?(injections = []) ws ~(cone : Compiled.cone) ~from =
           let lo = ref 0 and hi = ref n in
           while !lo < !hi do
             let mid = (!lo + !hi) / 2 in
-            if f.fd_key.(mid) < ck.ck_time then lo := mid + 1 else hi := mid
+            if f.fd_key.(mid) < ck_time then lo := mid + 1 else hi := mid
           done;
           for e = !lo to n - 1 do
             schedule st ~key:f.fd_key.(e) ~gate:g ~pin ~slot:p

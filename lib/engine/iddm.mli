@@ -174,34 +174,27 @@ val cone_workspace :
     {!start_cone}).
 
     Checkpoints: building the workspace replays the baseline once and
-    records its state at checkpoint 0, the DC state before any event,
-    and at a fixed grid of instants spread evenly over the baseline's
-    active span, the last just past its last event ([grid] replaces
-    these instants; ones at or before the first event are dropped, as
-    they would repeat the DC state).  A checkpoint at
+    records its state at the instants of {!Checkpoint_grid.take}
+    ([grid] replaces the default grid).  A checkpoint at
     [t] is the state after every event keyed before [t]: pin levels,
     output targets, last-pop keys, live pending pin events, and each
     signal's waveform as a prefix length into its final baseline
     waveform plus the segments annulled after [t] — O(pins + signals +
     live events) each, never a copy of whole waveforms.  When the replay
     does not end on the baseline's exact counters, or [config] has a
-    watchdog (whose sliding window needs the history before [t]), only
-    checkpoint 0 is kept.
+    watchdog, only checkpoint 0, the DC state, is kept.
     @raise Invalid_argument on compiled/baseline mismatches (compiled
     is checked by physical equality), drives {!start} rejects, or
     [config.cancellation = false] (without cancellation, processed
     events and final-waveform crossings no longer coincide, so the
     boundary seeding is unsound). *)
 
-val checkpoint_count : cone_workspace -> int
-(** At least 1: checkpoint 0 is the DC state. *)
-
-val checkpoint_at : cone_workspace -> Halotis_util.Units.time -> int
-(** The latest checkpoint whose instant is at or before the given one
-    (0 for instants before the first grid point). *)
-
-val checkpoint_time : cone_workspace -> int -> Halotis_util.Units.time
-(** A checkpoint's instant; [neg_infinity] for checkpoint 0. *)
+val checkpoints : cone_workspace -> Halotis_util.Units.time array
+(** The checkpoints' instants, ascending, as {!Checkpoint_grid.t} has
+    them: at least one, as checkpoint 0 is the DC state
+    ([neg_infinity]).  {!Checkpoint_grid.latest} of a strike's instant
+    picks the checkpoint its runs start from.  The array is the
+    workspace's own: do not write it. *)
 
 val start_cone :
   ?injections:injection list ->
@@ -235,8 +228,8 @@ val start_cone :
     every check and falls back to a full run otherwise).  Every
     injection must name a cone member signal — an outside splice would
     write an aliased baseline waveform — and start at or after the
-    checkpoint ({!checkpoint_at} of its first ramp's start picks the
-    latest such).
+    checkpoint ({!Checkpoint_grid.latest} of its first ramp's start
+    picks the latest such).
     @raise Invalid_argument on a cone of a different netlist, an
     unknown checkpoint, or an out-of-cone or too-early injection. *)
 

@@ -225,6 +225,7 @@ module Cone = struct
     cx_spec : spec;
     cx_compiled : Compiled.t;
     cx_ws : workspace;
+    cx_grid : Halotis_util.Units.time array; (* the workspace's checkpoint instants *)
     cx_base_edges : Digital.edge list array; (* full-baseline digitized view *)
     cx_edges : Digital.edge list array;
         (* the latest graft: [cx_base_edges] with [cx_grafted] replaced *)
@@ -267,17 +268,20 @@ module Cone = struct
       let compiled =
         Compiled.resolve ~who:"Sim.Cone.create" ?compiled ~overlay:spec.sp_overlay spec.sp_tech c
       in
-      let ws =
+      let ws, grid =
         match baseline.rs_raw with
         | Iddm_result br ->
-            Iddm_ws
-              ( Iddm.cone_workspace ~compiled ~baseline:br (iddm_config engine spec) c
-                  ~drives:spec.sp_drives,
-                br.Iddm.waveforms )
+            let ws =
+              Iddm.cone_workspace ~compiled ~baseline:br (iddm_config engine spec) c
+                ~drives:spec.sp_drives
+            in
+            (Iddm_ws (ws, br.Iddm.waveforms), Iddm.checkpoints ws)
         | Classic_result br ->
-            Classic_ws
-              (Classic.cone_workspace ~compiled ~baseline:br (classic_config spec) c
-                 ~drives:spec.sp_drives)
+            let ws =
+              Classic.cone_workspace ~compiled ~baseline:br (classic_config spec) c
+                ~drives:spec.sp_drives
+            in
+            (Classic_ws ws, Classic.checkpoints ws)
       in
       let base_edges = Lazy.force baseline.rs_edges in
       Some
@@ -285,6 +289,7 @@ module Cone = struct
           cx_spec = spec;
           cx_compiled = compiled;
           cx_ws = ws;
+          cx_grid = grid;
           cx_base_edges = base_edges;
           cx_edges = Array.copy base_edges;
           cx_grafted = [||];
@@ -300,17 +305,13 @@ module Cone = struct
         }
     end
 
-  (* Classic cone runs keep no checkpoints: they start from the DC
-     state. *)
-  let checkpoint_count ctx =
-    match ctx.cx_ws with Iddm_ws (ws, _) -> Iddm.checkpoint_count ws | Classic_ws _ -> 1
-
   (* The latest checkpoint at or before the strike: the splice is
-     queued at its first ramp's start. *)
+     queued at its first ramp's start, and a classic toggle at a ramp's
+     50 % point, no earlier. *)
   let checkpoint_of ctx (i : injection) =
-    match (ctx.cx_ws, i.inj_ramps) with
-    | Iddm_ws (ws, _), first :: _ -> Iddm.checkpoint_at ws first.Transition.start
-    | Iddm_ws _, [] | Classic_ws _, _ -> 0
+    match i.inj_ramps with
+    | first :: _ -> Checkpoint_grid.latest ctx.cx_grid first.Transition.start
+    | [] -> 0
 
   let run_cone ctx ~cone ~from ~injections =
     match ctx.cx_ws with
@@ -334,7 +335,7 @@ module Cone = struct
     | Classic_ws ws ->
         let r =
           Classic.advance
-            (Classic.start_cone ~injections:(List.map classic_injection injections) ws ~cone)
+            (Classic.start_cone ~injections:(List.map classic_injection injections) ws ~cone ~from)
             ~upto:infinity
         in
         {
@@ -343,7 +344,10 @@ module Cone = struct
           cr_frozen = r.Classic.frozen <> [];
           cr_stats = r.Classic.stats;
           cr_edges = Classic.cone_edges ws;
-          cr_as_baseline = (fun sid -> Classic.cone_edges ws sid = ctx.cx_base_edges.(sid));
+          (* the workspace hands back the baseline's own list exactly
+             when the run ended the signal as the baseline did, and
+             [cx_base_edges] holds those lists *)
+          cr_as_baseline = (fun sid -> Classic.cone_edges ws sid == ctx.cx_base_edges.(sid));
         }
 
   (* Why a cone run cannot be trusted, if it cannot. *)
@@ -364,7 +368,7 @@ module Cone = struct
             Good
               {
                 ve_cone = Compiled.fanout_cone ~marks:ctx.cx_marks ctx.cx_compiled ~victim;
-                ve_clean = Array.make (checkpoint_count ctx) None;
+                ve_clean = Array.make (Array.length ctx.cx_grid) None;
               }
         in
         Hashtbl.replace ctx.cx_victims victim st;

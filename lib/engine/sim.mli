@@ -144,10 +144,10 @@ val iddm : result -> Iddm.result option
     and grafts the difference onto the full baseline.  One context
     serves every engine: the cone runs are {!Iddm.start_cone} runs for
     DDM and CDM and {!Classic.start_cone} runs for the classic engine.
-    On DDM and CDM both runs of a site start from the latest baseline
-    checkpoint at or before the strike ({!Iddm.cone_workspace}), so the
+    On every engine both runs of a site start from the latest baseline
+    checkpoint at or before the strike ({!Checkpoint_grid}), so the
     stretch before the strike, where they would only replay the
-    baseline, is skipped.  Classic runs start from the DC state.
+    baseline, is skipped.
     The grafted edges and statistics are {e exactly} what a full
     injected run would produce whenever every involved run is
     replayable (hazard-free, see {!Iddm.result.replay_hazard} and
@@ -194,10 +194,10 @@ module Cone : sig
   val create : ?compiled:Compiled.t -> engine -> spec -> baseline:result -> ctx option
   (** Compiles the circuit (or takes [compiled], checked as in {!run}),
       captures the baseline's digitized view, allocates the engine's
-      cone workspace ({!Iddm.cone_workspace}, which replays the
-      baseline once to record its checkpoints, or
-      {!Classic.cone_workspace}) every cone run of the context reuses,
-      and arms the per-victim memo.  [spec] must be the baseline's spec
+      cone workspace ({!Iddm.cone_workspace} or
+      {!Classic.cone_workspace}, each of which replays the baseline
+      once to record its checkpoints) every cone run of the context
+      reuses, and arms the per-victim memo.  [spec] must be the baseline's spec
       (same circuit, drives, tech, horizon) and [baseline] its finished
       result on [engine].  Returns [None] — incremental disabled for
       the whole campaign — for an engine/baseline mismatch, or a

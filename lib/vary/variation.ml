@@ -33,8 +33,17 @@ let run ~log ~worker_argv ~samples ~sigmas ~stress_hours ~ttf mode (cfg : Campai
     | None -> Campaign.strikes cfg tech c ~drives
   in
   let seed = cfg.Campaign.seed in
+  let sample k = Sampler.sample ~stress_hours sigmas ~seed ~index:k c in
+  (* A worker prices only the part its range lies in; the other parts
+     stand in the plan for their count and size, so they keep the
+     nominal overlay instead of a sampled corner. *)
   let overlays =
-    List.init samples (fun k -> Sampler.sample ~stress_hours sigmas ~seed ~index:k c)
+    match mode with
+    | Driver.Parent _ -> List.init samples sample
+    | Driver.Worker { range = lo, _; _ } ->
+        let own = lo / max 1 (List.length sites) in
+        List.init samples (fun k ->
+            if k = own then sample k else Halotis_tech.Param_overlay.empty)
   in
   (* one part per sample, so global index [k * nsites + i] is strike i
      of sample k, and one supervisor chunk per sample *)

@@ -35,11 +35,11 @@ root=$(pwd)
 # One line each: Module.name (or Module.name?label), then why it stays.
 allowlist='
 Supervisor.plan_chunks  the chunk-partition property checks the fresh plan directly
-Iddm.checkpoint_time  the checkpoint properties place strikes at and before grid instants
 Json.max_depth  the nesting-limit tests send documents nested past it
 Json.leftover  the torn-tail tests read the unterminated fragment the line reader never yields
 Table.render  the table tests read the text that Table.print writes to stdout
 Iddm.cone_workspace?grid  the cut-point properties put checkpoints at instants they choose
+Classic.cone_workspace?grid  the classic cut-point property puts checkpoints at instants it chooses
 Generators.fig1_circuit?vt_low  the threshold tests check that a non-default pin VT reaches g1
 Generators.fig1_circuit?vt_high  the threshold tests check that a non-default pin VT reaches g2
 Generators.ripple_carry_adder?nand_only  a 2-bit adder drives the NAND9 full adder with every (a, b, cin)

@@ -951,6 +951,8 @@ let test_cone_site_alloc_independent_of_circuit () =
 
 module Stats = Halotis_engine.Stats
 module Delay_model = Halotis_delay.Delay_model
+module Classic = Halotis_engine.Classic
+module Checkpoint_grid = Halotis_engine.Checkpoint_grid
 
 (* Every instant the baseline processed an event at: the final
    crossings of each pin's driving signal at the pin's threshold. *)
@@ -980,12 +982,13 @@ let iddm_strike ~baseline victim ~at =
 
 (* The struck and clean runs of a strike from checkpoint [from] against
    the same pair from the DC state: identical member edges, hazard
-   flags, and struck-minus-clean counters. *)
-let same_from_checkpoint ws ~cone ~from inj =
-  let clean0 = cone_view ws ~cone ~from:0 [] in
-  let struck0 = cone_view ws ~cone ~from:0 [ inj ] in
-  let clean = cone_view ws ~cone ~from [] in
-  let struck = cone_view ws ~cone ~from [ inj ] in
+   flags, and struck-minus-clean counters.  [view ~from injections]
+   runs one cone run to the end. *)
+let same_from_checkpoint view ~from inj =
+  let clean0 = view ~from:0 [] in
+  let struck0 = view ~from:0 [ inj ] in
+  let clean = view ~from [] in
+  let struck = view ~from [ inj ] in
   clean.cv_edges = clean0.cv_edges
   && struck.cv_edges = struck0.cv_edges
   && clean.cv_hazard = clean0.cv_hazard
@@ -1038,15 +1041,15 @@ let prop_checkpoint_equals_dc_start =
                    (fun sid es -> es = D.edges baseline.Iddm.waveforms.(sid) ~vt:vdd2)
                    cone.Compiled.cone_signals clean0.cv_edges
             in
-            let latest = Iddm.checkpoint_at ws at in
+            let latest = Checkpoint_grid.latest (Iddm.checkpoints ws) at in
             (not trusted)
-            || Iddm.checkpoint_time ws latest <= at
+            || (Iddm.checkpoints ws).(latest) <= at
                && List.for_all
-                    (fun from -> same_from_checkpoint ws ~cone ~from inj)
+                    (fun from -> same_from_checkpoint (cone_view ws ~cone) ~from inj)
                     [ latest; Prng.int rng ~bound:(latest + 1) ])
       in
       (* every kept cut became a checkpoint: the replay matched *)
-      Iddm.checkpoint_count ws = 1 + List.length kept && List.for_all Fun.id checks)
+      Array.length (Iddm.checkpoints ws) = 1 + List.length kept && List.for_all Fun.id checks)
 
 (* The chain fixture of the same-instant test, with a checkpoint at
    exactly the strike instant, where a boundary event of the victim's
@@ -1068,12 +1071,12 @@ let test_checkpoint_at_strike_instant () =
   in
   checkb "fixture has a boundary crossing" true (not (Float.is_nan at));
   let ws = Iddm.cone_workspace ~grid:[ at ] ~compiled:cp ~baseline cfg c ~drives in
-  checki "checkpoint kept" 2 (Iddm.checkpoint_count ws);
-  checki "strike starts from it" 1 (Iddm.checkpoint_at ws at);
-  checkb "at the strike instant" true (Iddm.checkpoint_time ws 1 = at);
+  checki "checkpoint kept" 2 (Array.length (Iddm.checkpoints ws));
+  checki "strike starts from it" 1 (Checkpoint_grid.latest (Iddm.checkpoints ws) at);
+  checkb "at the strike instant" true ((Iddm.checkpoints ws).(1) = at);
   let cone = Compiled.fanout_cone ~marks:(Compiled.cone_marks cp) cp ~victim in
   let inj = iddm_strike ~baseline victim ~at in
-  checkb "checkpoint run == DC-state run" true (same_from_checkpoint ws ~cone ~from:1 inj);
+  checkb "checkpoint run == DC-state run" true (same_from_checkpoint (cone_view ws ~cone) ~from:1 inj);
   let full =
     Iddm.advance (Iddm.start ~injections:[ inj ] ~compiled:cp cfg c ~drives) ~upto:infinity
   in
@@ -1089,9 +1092,9 @@ let test_checkpoint_strike_before_grid () =
   let cp = Compiled.compile DL.tech c in
   let baseline = Iddm.run ~compiled:cp cfg c ~drives in
   let ws = Iddm.cone_workspace ~compiled:cp ~baseline cfg c ~drives in
-  checkb "the default grid was kept" true (Iddm.checkpoint_count ws > 1);
-  let at = Iddm.checkpoint_time ws 1 -. 1. in
-  checki "DC state" 0 (Iddm.checkpoint_at ws at);
+  checkb "the default grid was kept" true (Array.length (Iddm.checkpoints ws) > 1);
+  let at = (Iddm.checkpoints ws).(1) -. 1. in
+  checki "DC state" 0 (Checkpoint_grid.latest (Iddm.checkpoints ws) at);
   let spec = Sim.spec ~drives ~t_stop:12_000. ~tech:DL.tech c in
   let ctx = Option.get (Sim.Cone.create ~compiled:cp Sim.Ddm spec ~baseline:(Sim.run Sim.Ddm spec)) in
   let exact = ref 0 in
@@ -1130,7 +1133,7 @@ let test_checkpoint_annulled_segment () =
     | _ -> Alcotest.fail "fixture: the input pulse crosses twice"
   in
   let ws = Iddm.cone_workspace ~grid:[ between ] ~compiled:cp ~baseline cfg c ~drives in
-  checki "checkpoint kept" 2 (Iddm.checkpoint_count ws);
+  checki "checkpoint kept" 2 (Array.length (Iddm.checkpoints ws));
   let cone = Compiled.fanout_cone ~marks:(Compiled.cone_marks cp) cp ~victim in
   let restored = Iddm.session_result (Iddm.start_cone ws ~cone ~from:1) in
   checki "the checkpoint holds the doomed segment" 1
@@ -1138,11 +1141,11 @@ let test_checkpoint_annulled_segment () =
   List.iter
     (fun at ->
       let inj = iddm_strike ~baseline victim ~at in
-      checki "strike starts from the checkpoint" 1 (Iddm.checkpoint_at ws at);
+      checki "strike starts from the checkpoint" 1 (Checkpoint_grid.latest (Iddm.checkpoints ws) at);
       checkb
         (Printf.sprintf "checkpoint run == DC-state run (strike at %.0f)" at)
         true
-        (same_from_checkpoint ws ~cone ~from:1 inj);
+        (same_from_checkpoint (cone_view ws ~cone) ~from:1 inj);
       let full =
     Iddm.advance (Iddm.start ~injections:[ inj ] ~compiled:cp cfg c ~drives) ~upto:infinity
   in
@@ -1161,7 +1164,7 @@ let test_checkpoint_grid_dropped () =
   let cp = Compiled.compile DL.tech c in
   let baseline = Iddm.run ~compiled:cp cfg c ~drives in
   let count ?(cfg = cfg) baseline =
-    Iddm.checkpoint_count (Iddm.cone_workspace ~compiled:cp ~baseline cfg c ~drives)
+    Array.length (Iddm.checkpoints (Iddm.cone_workspace ~compiled:cp ~baseline cfg c ~drives))
   in
   checkb "the grid is kept for a matching baseline" true (count baseline > 1);
   checki "watchdog: DC state only" 1
@@ -1170,6 +1173,170 @@ let test_checkpoint_grid_dropped () =
   checkb "fixture: a shorter run counts less" true
     (other.Iddm.stats <> baseline.Iddm.stats);
   checki "counter mismatch: DC state only" 1 (count { other with Iddm.waveforms = baseline.Iddm.waveforms })
+
+(* --- the same checkpoints on the classic engine --- *)
+
+let classic_view ws ~cone ~from injections =
+  let r = Classic.advance (Classic.start_cone ~injections ws ~cone ~from) ~upto:infinity in
+  {
+    cv_edges = Array.map (Classic.cone_edges ws) cone.Compiled.cone_signals;
+    cv_stats = Stats.copy r.Classic.stats;
+    cv_hazard = r.Classic.replay_hazard;
+  }
+
+let classic_run ?(injections = []) cp cfg c ~drives =
+  Classic.advance (Classic.start ~injections ~compiled:cp cfg c ~drives) ~upto:infinity
+
+(* A classic strike: the victim forced to [level] at [at] and back 150
+   ps later. *)
+let classic_strike victim ~at ~level = (victim, [ (at, level); (at +. 150., not level) ])
+
+(* The classic property: random circuits, plain or tie-rich stimuli
+   ({!Test_perf_equiv.tie_workload}), and cut points of which some sit
+   exactly on an instant the baseline commits edges at (a transaction
+   there is not yet processed at the checkpoint).  A cone run from any
+   checkpoint at or before its strike equals the run from the DC state
+   on every member edge and on the struck-minus-clean counter delta,
+   wherever the DC-state clean run reproduces the baseline. *)
+let prop_classic_checkpoint_equals_dc_start =
+  QCheck.Test.make ~name:"classic cone run from a checkpoint == cone run from the DC state"
+    ~count:25
+    QCheck.(quad (int_range 10 35) (int_range 0 1000) (int_range 0 1000) bool)
+    (fun (gates, seed, cut_seed, ties) ->
+      let t_stop = 12_000. in
+      let c, drives =
+        (if ties then Test_perf_equiv.tie_workload else Test_perf_equiv.workload) ~gates ~seed
+      in
+      let cfg = Classic.config ~t_stop DL.tech in
+      let cp = Compiled.compile DL.tech c in
+      let baseline = classic_run cp cfg c ~drives in
+      let base_edges = Lazy.force baseline.Classic.edges in
+      let instants = Test_perf_equiv.edge_instants base_edges in
+      QCheck.assume (instants <> [||] && not baseline.Classic.replay_hazard);
+      let rng = Prng.create ~seed:cut_seed in
+      let instant () = instants.(Prng.int rng ~bound:(Array.length instants)) in
+      let cuts =
+        List.init 6 (fun k -> if k mod 2 = 0 then instant () else Prng.float rng ~bound:t_stop)
+      in
+      let ws = Classic.cone_workspace ~grid:cuts ~compiled:cp ~baseline cfg c ~drives in
+      (* the replay's first queued entry: its earliest input switch *)
+      let first =
+        List.fold_left
+          (fun t (_, (d : Drive.t)) ->
+            List.fold_left (fun t tr -> Float.min t (fst (Classic.toggle tr))) t d.Drive.transitions)
+          infinity drives
+      in
+      let kept = List.sort_uniq Float.compare (List.filter (fun t -> t > first) cuts) in
+      let victims = Array.of_list (Site.candidates c) in
+      let checks =
+        List.init 4 (fun k ->
+            let victim = victims.(Prng.int rng ~bound:(Array.length victims)) in
+            let cone = Compiled.fanout_cone ~marks:(Compiled.cone_marks cp) cp ~victim in
+            let at =
+              match k mod 3 with
+              | 0 -> List.nth cuts (Prng.int rng ~bound:(List.length cuts))
+              | 1 -> instant ()
+              | _ -> Prng.float rng ~bound:t_stop
+            in
+            let inj = classic_strike victim ~at ~level:(Prng.bool rng) in
+            let view = classic_view ws ~cone in
+            let clean0 = view ~from:0 [] in
+            let trusted =
+              (not clean0.cv_hazard)
+              && Array.for_all2
+                   (fun sid es -> es = base_edges.(sid))
+                   cone.Compiled.cone_signals clean0.cv_edges
+            in
+            let latest = Checkpoint_grid.latest (Classic.checkpoints ws) at in
+            (not trusted)
+            || (Classic.checkpoints ws).(latest) <= at
+               && List.for_all
+                    (fun from -> same_from_checkpoint view ~from inj)
+                    [ latest; Prng.int rng ~bound:(latest + 1) ])
+      in
+      (* every kept cut became a checkpoint: the replay matched *)
+      Array.length (Classic.checkpoints ws) = 1 + List.length kept && List.for_all Fun.id checks)
+
+(* The chain fixture with a checkpoint at exactly the instant out1, the
+   boundary feed of out2's cone, commits its edge, and a strike on out2
+   there.  The checkpoint holds out1's transaction unprocessed, so the
+   restored run pops the strike's toggle and the replayed edge at one
+   instant — the toggle first, by rank, as the full run does. *)
+let test_classic_checkpoint_at_strike_instant () =
+  let c = Lazy.force chain in
+  let drives = [ (sid c "in", Drive.of_levels ~slope:100. ~initial:false [ (1000., true) ]) ] in
+  let cfg = Classic.config ~t_stop:8000. DL.tech in
+  let cp = Compiled.compile DL.tech c in
+  let baseline = classic_run cp cfg c ~drives in
+  let victim = sid c "out2" in
+  let at =
+    match (Lazy.force baseline.Classic.edges).(sid c "out1") with
+    | e :: _ -> e.D.at
+    | [] -> Alcotest.fail "fixture: out1 never switches"
+  in
+  let ws = Classic.cone_workspace ~grid:[ at ] ~compiled:cp ~baseline cfg c ~drives in
+  checki "checkpoint kept" 2 (Array.length (Classic.checkpoints ws));
+  checki "strike starts from it" 1 (Checkpoint_grid.latest (Classic.checkpoints ws) at);
+  checkb "at the strike instant" true ((Classic.checkpoints ws).(1) = at);
+  let cone = Compiled.fanout_cone ~marks:(Compiled.cone_marks cp) cp ~victim in
+  let inj = classic_strike victim ~at ~level:(not baseline.Classic.initial_levels.(victim)) in
+  checkb "checkpoint run == DC-state run" true
+    (same_from_checkpoint (classic_view ws ~cone) ~from:1 inj);
+  let full = Lazy.force (classic_run ~injections:[ inj ] cp cfg c ~drives).Classic.edges in
+  checkb "struck edges == full injected run" true
+    ((classic_view ws ~cone ~from:1 [ inj ]).cv_edges
+    = Array.map (fun sid -> full.(sid)) cone.Compiled.cone_signals)
+
+(* Strikes before the first grid checkpoint start from the DC state,
+   and still graft exactly. *)
+let test_classic_checkpoint_strike_before_grid () =
+  let c, drives = Test_perf_equiv.workload ~gates:30 ~seed:42 in
+  let cfg = Classic.config ~t_stop:12_000. DL.tech in
+  let cp = Compiled.compile DL.tech c in
+  let baseline = classic_run cp cfg c ~drives in
+  let ws = Classic.cone_workspace ~compiled:cp ~baseline cfg c ~drives in
+  checkb "the default grid was kept" true (Array.length (Classic.checkpoints ws) > 1);
+  (* the ramp start whose toggle lands just before the first grid point *)
+  let pulse = Inject.pulse ~width:150. () in
+  let at = (Classic.checkpoints ws).(1) -. 1. -. (pulse.Inject.slope /. 2.) in
+  checki "DC state" 0 (Checkpoint_grid.latest (Classic.checkpoints ws) at);
+  let spec = Sim.spec ~drives ~t_stop:12_000. ~tech:DL.tech c in
+  let ctx =
+    Option.get
+      (Sim.Cone.create ~compiled:cp Sim.Classic_inertial spec
+         ~baseline:(Sim.run Sim.Classic_inertial spec))
+  in
+  let dbase = Iddm.run (Iddm.config ~t_stop:12_000. DL.tech) c ~drives in
+  let exact = ref 0 in
+  List.iter
+    (fun victim ->
+      let inj = Inject.injection (Site.of_signal ~baseline:dbase victim ~at) pulse in
+      match Sim.Cone.run_site ctx inj with
+      | Sim.Cone.Fallback r -> Alcotest.failf "unexpected fallback: %s" r
+      | Sim.Cone.Exact { edges; stats; _ } ->
+          incr exact;
+          let full = Sim.run Sim.Classic_inertial { spec with Sim.sp_injections = [ inj ] } in
+          checkb "edges identical" true (edges = Sim.edges full);
+          checkb "stats identical" true (stats = Stats.copy full.Sim.rs_stats))
+    (Site.candidates c);
+  checkb "some site grafted (non-vacuous)" true (!exact > 0)
+
+(* As on the IDDM engines, only the DC checkpoint survives under a
+   watchdog or a replay that does not end on the baseline's counters. *)
+let test_classic_checkpoint_grid_dropped () =
+  let c, drives = Test_perf_equiv.workload ~gates:20 ~seed:5 in
+  let cfg = Classic.config ~t_stop:12_000. DL.tech in
+  let cp = Compiled.compile DL.tech c in
+  let baseline = classic_run cp cfg c ~drives in
+  let count ?(cfg = cfg) baseline =
+    Array.length (Classic.checkpoints (Classic.cone_workspace ~compiled:cp ~baseline cfg c ~drives))
+  in
+  checkb "the grid is kept for a matching baseline" true (count baseline > 1);
+  checki "watchdog: DC state only" 1
+    (count ~cfg:{ cfg with Classic.watchdog = Some (Halotis_guard.Watchdog.config ()) } baseline);
+  let other = classic_run cp (Classic.config ~t_stop:1_000. DL.tech) c ~drives in
+  checkb "fixture: a shorter run counts less" true (other.Classic.stats <> baseline.Classic.stats);
+  checki "counter mismatch: DC state only" 1 (count { other with Classic.edges = baseline.Classic.edges })
 
 let test_engine_of_string () =
   checkb "ddm" true (Campaign.engine_of_string "ddm" = Some Campaign.Ddm);
@@ -1235,5 +1402,12 @@ let tests =
         Alcotest.test_case "segment annulled after a checkpoint" `Quick
           test_checkpoint_annulled_segment;
         Alcotest.test_case "checkpoint grid dropped" `Quick test_checkpoint_grid_dropped;
+        QCheck_alcotest.to_alcotest prop_classic_checkpoint_equals_dc_start;
+        Alcotest.test_case "classic checkpoint at the strike instant" `Quick
+          test_classic_checkpoint_at_strike_instant;
+        Alcotest.test_case "classic strike before the first grid checkpoint" `Quick
+          test_classic_checkpoint_strike_before_grid;
+        Alcotest.test_case "classic checkpoint grid dropped" `Quick
+          test_classic_checkpoint_grid_dropped;
       ] );
   ]
