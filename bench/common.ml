@@ -22,6 +22,20 @@ module Experiment = Halotis_report.Experiment
 
 let vdd2 = DL.vdd /. 2.
 
+(* The bench binary is _build/.../bench/main.exe; the CLI sits in the
+   sibling bin/ directory.  Data files resolve against the invocation
+   cwd (repo root under `dune exec`) with the build tree as fallback. *)
+let cli_exe =
+  Filename.concat (Filename.dirname Sys.executable_name)
+    (Filename.concat ".." (Filename.concat "bin" "halotis_cli.exe"))
+
+let data f =
+  let local = Filename.concat "examples" (Filename.concat "data" f) in
+  if Sys.file_exists local then local
+  else
+    Filename.concat (Filename.dirname Sys.executable_name)
+      (Filename.concat ".." local)
+
 (* Experiment parameters mirroring the paper's evaluation: 4x4 array
    multiplier, one vector every 5 ns, 25 ns horizon. *)
 let period = 5000.

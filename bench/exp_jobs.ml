@@ -18,20 +18,6 @@ let injections = 4000
 let seed = 42
 let job_counts = [ 1; 2; 4 ]
 
-(* The bench binary is _build/.../bench/main.exe; the CLI sits in the
-   sibling bin/ directory.  Data files resolve against the invocation
-   cwd (repo root under `dune exec`) with the build tree as fallback. *)
-let cli_exe =
-  Filename.concat (Filename.dirname Sys.executable_name)
-    (Filename.concat ".." (Filename.concat "bin" "halotis_cli.exe"))
-
-let data f =
-  let local = Filename.concat "examples" (Filename.concat "data" f) in
-  if Sys.file_exists local then local
-  else
-    Filename.concat (Filename.dirname Sys.executable_name)
-      (Filename.concat ".." local)
-
 let run_campaign ~jobs out =
   let cmd =
     Printf.sprintf

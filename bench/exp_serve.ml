@@ -18,15 +18,6 @@ let nsessions = 4
 let rounds = 64
 let warm_loads = 32
 
-(* Data files resolve against the invocation cwd (repo root under
-   `dune exec`) with the build tree as fallback. *)
-let data f =
-  let local = Filename.concat "examples" (Filename.concat "data" f) in
-  if Sys.file_exists local then local
-  else
-    Filename.concat (Filename.dirname Sys.executable_name)
-      (Filename.concat ".." local)
-
 let inputs = [| "a0"; "a1"; "a2"; "a3"; "b0"; "b1"; "b2"; "b3" |]
 
 let run () =

@@ -17,17 +17,6 @@ let injections = 800
 let seed = 42
 let jobs = 2
 
-let cli_exe =
-  Filename.concat (Filename.dirname Sys.executable_name)
-    (Filename.concat ".." (Filename.concat "bin" "halotis_cli.exe"))
-
-let data f =
-  let local = Filename.concat "examples" (Filename.concat "data" f) in
-  if Sys.file_exists local then local
-  else
-    Filename.concat (Filename.dirname Sys.executable_name)
-      (Filename.concat ".." local)
-
 (* A token directory holding exactly [kills] claimable files bounds how
    many times HALOTIS_CHAOS_KILL may fire across all workers. *)
 let with_token_dir kills f =

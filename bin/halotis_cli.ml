@@ -482,7 +482,7 @@ let worker_argv ~cmd a ~horizon extra ~range:(lo, hi) ~journal =
   @ [ "--range"; Printf.sprintf "%d:%d" lo hi; "--journal"; journal ]
 
 let run_faults a exhaustive grid vcd_dir limit_sites site_max_events worker_timeout
-    max_retries chunk_sites poison_after incremental =
+    max_retries chunk_sites incremental =
   let tech, c, drives, horizon, pulse, mode = campaign_setup ~cmd:"faults" a in
   let engine = a.ca_engine in
   let site_budget = Budget.make ?max_events:site_max_events () in
@@ -507,7 +507,6 @@ let run_faults a exhaustive grid vcd_dir limit_sites site_max_events worker_time
   in
   match
     Driver.run ~log:(campaign_log "faults") ~chunk_sites ~worker_timeout ~max_retries
-      ~poison_after
       ~worker_argv:(worker_argv ~cmd:"faults" a ~horizon extra)
       mode
       (Driver.plan [ { cfg with Campaign.sites } ])
@@ -1155,14 +1154,6 @@ let faults_cmd =
             "Supervision: sites per work-queue chunk.  0 (default) picks \
              about four chunks per worker.")
   in
-  let poison_after =
-    Arg.(
-      value & opt int 3
-      & info [ "poison-after" ] ~docv:"N"
-          ~doc:
-            "Supervision: quarantine a site after it is the blame site of N \
-             consecutive failures of its chunk.  Default: 3.")
-  in
   let incremental =
     Arg.(
       value
@@ -1178,8 +1169,7 @@ let faults_cmd =
   Cmd.v (Cmd.info "faults" ~doc)
     Term.(
       const run_faults $ campaign $ exhaustive $ grid $ vcd_dir $ limit_sites
-      $ site_max_events $ worker_timeout $ max_retries $ chunk_sites $ poison_after
-      $ incremental)
+      $ site_max_events $ worker_timeout $ max_retries $ chunk_sites $ incremental)
 
 let vary_cmd =
   let doc = "Monte-Carlo variation & aging campaigns over sampled parameter corners" in

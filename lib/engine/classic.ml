@@ -30,7 +30,6 @@ type result = {
   final_levels : bool array;
   stats : Stats.t;
   end_time : float;
-  truncated : bool;
   stopped_by : Stop.t;
   frozen : (Netlist.signal_id * float) list;
   replay_hazard : bool;
@@ -292,7 +291,6 @@ let snapshot st =
     final_levels = st.value;
     stats = st.stats;
     end_time = ctl.Run_control.end_time;
-    truncated = not (Stop.completed ctl.Run_control.stop);
     stopped_by = ctl.Run_control.stop;
     frozen = List.rev st.fz.Watchdog.fz_rev;
     replay_hazard = st.replay_hazard;

@@ -54,11 +54,10 @@ type result = {
   final_levels : bool array;
   stats : Stats.t;
   end_time : Halotis_util.Units.time;
-  truncated : bool;
-      (** true when a guardrail stopped the run; the edges are a valid
-          prefix of the full run *)
   stopped_by : Halotis_guard.Stop.t;
-      (** the precise stop reason ([Completed] iff [not truncated]) *)
+      (** why the run stopped: anything but [Completed] means a
+          guardrail stopped it, and the edges are a valid prefix of the
+          full run *)
   frozen : (Halotis_netlist.Netlist.signal_id * Halotis_util.Units.time) list;
       (** signals a [Degrade]-mode watchdog froze, with the freeze
           instant — their values are meaningless (X) from that time on *)

@@ -42,7 +42,6 @@ type result = {
   waveforms : Waveform.t array;
   stats : Stats.t;
   end_time : float;
-  truncated : bool;
   stopped_by : Stop.t;
   frozen : (Netlist.signal_id * float) list;
   replay_hazard : bool;
@@ -382,7 +381,6 @@ let snapshot st =
     waveforms = st.wf;
     stats = st.stats;
     end_time = ctl.Run_control.end_time;
-    truncated = not (Stop.completed ctl.Run_control.stop);
     stopped_by = ctl.Run_control.stop;
     frozen = List.rev st.fz.Watchdog.fz_rev;
     replay_hazard = st.replay_hazard;

@@ -67,12 +67,11 @@ type result = {
   waveforms : Halotis_wave.Waveform.t array;  (** indexed by signal id *)
   stats : Stats.t;
   end_time : Halotis_util.Units.time;  (** time of the last processed event *)
-  truncated : bool;
-      (** true when a guardrail (budget or watchdog halt) stopped the
-          run before it quiesced or reached [t_stop]; the waveforms are
-          a valid prefix of the full run *)
   stopped_by : Halotis_guard.Stop.t;
-      (** the precise stop reason ([Completed] iff [not truncated]) *)
+      (** why the run stopped: anything but [Completed] means a
+          guardrail (budget or watchdog halt) stopped it before it
+          quiesced or reached [t_stop], and the waveforms are a valid
+          prefix of the full run *)
   frozen : (Halotis_netlist.Netlist.signal_id * Halotis_util.Units.time) list;
       (** signals a [Degrade]-mode watchdog froze, with the freeze
           instant — their waveforms are meaningless (X) from that time

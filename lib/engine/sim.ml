@@ -61,7 +61,6 @@ type result = {
   rs_spec : spec;
   rs_stats : Stats.t;
   rs_end_time : Halotis_util.Units.time;
-  rs_truncated : bool;
   rs_stopped_by : Halotis_guard.Stop.t;
   rs_frozen : (Netlist.signal_id * Halotis_util.Units.time) list;
   rs_vt : Halotis_util.Units.voltage;
@@ -86,7 +85,6 @@ let wrap engine spec ~vt raw =
         rs_spec = spec;
         rs_stats = r.Iddm.stats;
         rs_end_time = r.Iddm.end_time;
-        rs_truncated = r.Iddm.truncated;
         rs_stopped_by = r.Iddm.stopped_by;
         rs_frozen = r.Iddm.frozen;
         rs_vt = vt;
@@ -101,7 +99,6 @@ let wrap engine spec ~vt raw =
         rs_spec = spec;
         rs_stats = r.Classic.stats;
         rs_end_time = r.Classic.end_time;
-        rs_truncated = r.Classic.truncated;
         rs_stopped_by = r.Classic.stopped_by;
         rs_frozen = r.Classic.frozen;
         rs_vt = vt;

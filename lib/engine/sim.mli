@@ -81,7 +81,6 @@ type result = {
   rs_spec : spec;
   rs_stats : Stats.t;
   rs_end_time : Halotis_util.Units.time;
-  rs_truncated : bool;
   rs_stopped_by : Halotis_guard.Stop.t;
   rs_frozen : (Halotis_netlist.Netlist.signal_id * Halotis_util.Units.time) list;
   rs_vt : Halotis_util.Units.voltage;

@@ -54,24 +54,6 @@ type config = {
   limit : int option;
 }
 
-let default =
-  {
-    engine = Ddm;
-    seed = 1;
-    n = 100;
-    pulse = Inject.pulse ~width:150. ();
-    t_stop = 10_000.;
-    window = None;
-    site_budget = Budget.unlimited;
-    incremental = true;
-    overlay = Halotis_tech.Param_overlay.empty;
-    sites = None;
-    range = None;
-    completed = [];
-    quarantined = [];
-    limit = None;
-  }
-
 let config ?(engine = Ddm) ?(seed = 1) ?(n = 100) ?(pulse = Inject.pulse ~width:150. ())
     ?window ?(site_budget = Budget.unlimited) ?(prune = false) ?(incremental = true)
     ?sites ?limit ~t_stop () =

@@ -100,14 +100,6 @@ type config = {
           then [cam_complete = false] *)
 }
 
-val default : config
-(** The nominal campaign: DDM, seed 1, 100 injections, a
-    150 ps / 100 ps pulse, a 10 000 ps horizon, unlimited per-site
-    budget, incremental cone re-simulation on,
-    empty overlay, whole range, nothing completed, nothing
-    quarantined, no limit.  Override fields with [{ default with ... }]
-    or build through {!config}. *)
-
 val config :
   ?engine:engine ->
   ?seed:int ->
@@ -122,7 +114,11 @@ val config :
   t_stop:Halotis_util.Units.time ->
   unit ->
   config
-(** {!default} with the horizon set and any field overridden.
+(** The nominal campaign with the horizon set and any field
+    overridden: DDM, seed 1, 100 injections, a 150 ps / 100 ps pulse,
+    unlimited per-site budget, incremental cone re-simulation on, empty
+    overlay, whole range, nothing completed, nothing quarantined, no
+    limit.
 
     [?prune] is a source-compatibility label with no field behind it:
     static campaign pruning was removed, so [~prune:false] is a no-op

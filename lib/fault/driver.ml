@@ -319,7 +319,7 @@ let run_worker ~log plan ~range:(lo, hi) ~journal tech c ~drives =
        (List.length campaign.Campaign.cam_verdicts))
 
 let run ~log ?(quarantine = Degrade) ?(chunk_sites = 0) ?worker_timeout ?max_retries
-    ?poison_after ~worker_argv mode plan tech c ~drives =
+    ~worker_argv mode plan tech c ~drives =
   match mode with
   | Worker { range; journal } ->
       run_worker ~log plan ~range ~journal tech c ~drives;
@@ -343,7 +343,7 @@ let run ~log ?(quarantine = Degrade) ?(chunk_sites = 0) ?worker_timeout ?max_ret
           if nparts > 1 && plan.part_size mod chunk_sites <> 0 then
             invalid_arg "Driver.run: chunk_sites must divide the part size";
           let scfg =
-            try Supervisor.config ~chunk_sites ?worker_timeout ?max_retries ?poison_after ~jobs ()
+            try Supervisor.config ~chunk_sites ?worker_timeout ?max_retries ~jobs ()
             with Invalid_argument m -> usage m
           in
           let campaigns, code =

@@ -94,7 +94,6 @@ val run :
   ?chunk_sites:int ->
   ?worker_timeout:float ->
   ?max_retries:int ->
-  ?poison_after:int ->
   worker_argv:(range:int * int -> journal:string -> string list) ->
   mode ->
   plan ->
@@ -110,8 +109,8 @@ val run :
     whose workers are [worker_argv] — a {!Worker} process of the same
     plan.  [chunk_sites] (default [0] = about four chunks per
     worker) must divide the part size of a multi-part plan, so no chunk
-    straddles two parts; [worker_timeout], [max_retries] and
-    [poison_after] default as in {!Supervisor.config}.  [quarantine]
+    straddles two parts; [worker_timeout] and [max_retries]
+    default as in {!Supervisor.config}.  [quarantine]
     defaults to {!Degrade}.  [log] receives progress and supervision
     warnings.  Never exits the process.
     @raise Halotis_util.Diag.Fail on a journal that does not match the

@@ -6,16 +6,13 @@
     seeds produce byte-identical reports (the reproducibility contract
     golden-tested in the suite). *)
 
-val to_json : Campaign.t -> Halotis_util.Json.t
-(** The report document: tool/version header, configuration, outcome
-    summary with masking rate, per-site verdicts and the
+val to_string : Campaign.t -> string
+(** The JSON report document: tool/version header, configuration,
+    outcome summary with masking rate, per-site verdicts and the
     most-vulnerable-gate ranking.  The degradation fields ([degraded],
     [sites_quarantined], [quarantined_sites]) are always present —
     [false]/[0]/[[]] on a clean campaign — so a supervised run that
     recovered everything is byte-identical to a serial one. *)
-
-val to_string : Campaign.t -> string
-(** [to_string t] is {!to_json} serialised. *)
 
 val to_text : Campaign.t -> string
 (** Human-readable report: configuration header, outcome summary,

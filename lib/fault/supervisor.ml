@@ -6,7 +6,6 @@ type config = {
   sv_chunk_sites : int;
   sv_worker_timeout : float;
   sv_max_retries : int;
-  sv_poison_after : int;
 }
 
 (* base retry delay, seconds: doubles per attempt *)
@@ -15,20 +14,20 @@ let backoff = 0.05
 (* pool polling period, seconds *)
 let poll_interval = 0.02
 
-let config ?(chunk_sites = 0) ?(worker_timeout = 30.) ?(max_retries = 10)
-    ?(poison_after = 3) ~jobs () =
+(* consecutive same-site blames before quarantine *)
+let poison_after = 3
+
+let config ?(chunk_sites = 0) ?(worker_timeout = 30.) ?(max_retries = 10) ~jobs () =
   if jobs < 1 then invalid_arg "Supervisor.config: jobs must be positive";
   if chunk_sites < 0 then invalid_arg "Supervisor.config: chunk_sites must be >= 0";
   if worker_timeout <= 0. then
     invalid_arg "Supervisor.config: worker_timeout must be positive";
   if max_retries < 0 then invalid_arg "Supervisor.config: max_retries must be >= 0";
-  if poison_after < 1 then invalid_arg "Supervisor.config: poison_after must be >= 1";
   {
     sv_jobs = jobs;
     sv_chunk_sites = chunk_sites;
     sv_worker_timeout = worker_timeout;
     sv_max_retries = max_retries;
-    sv_poison_after = poison_after;
   }
 
 type outcome = {
@@ -244,7 +243,7 @@ let run cfg ~total ~base ~worker_argv ~check ~mk_header ?(log = fun _ -> ()) () 
       | Some b when b = blame -> chunk.ch_streak <- chunk.ch_streak + 1
       | _ -> chunk.ch_streak <- 1);
       chunk.ch_last_blame <- Some blame;
-      if chunk.ch_streak >= cfg.sv_poison_after then quarantine chunk blame
+      if chunk.ch_streak >= poison_after then quarantine chunk blame
     end
     else begin
       (* journal already covers the range: the worker died after the

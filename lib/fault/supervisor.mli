@@ -20,7 +20,7 @@
       the campaign ([worker-retries]);
     - {e poison quarantine} — the {e blame site} of a failure is the
       first unjournaled site of the chunk.  When the same site is
-      blamed [poison_after] consecutive times, the supervisor writes a
+      blamed three consecutive times, the supervisor writes a
       [q] record for it into the chunk journal and moves on: a
       [faults] campaign completes {e degraded}
       ({!Halotis_guard.Stop.degraded_exit_code}) instead of failing,
@@ -46,23 +46,20 @@ type config = {
   sv_worker_timeout : float;
       (** seconds without a chunk-journal size change before a stall kill *)
   sv_max_retries : int;  (** per-chunk failure cap before aborting *)
-  sv_poison_after : int;
-      (** consecutive same-site blames before quarantine *)
 }
 
 val config :
   ?chunk_sites:int ->
   ?worker_timeout:float ->
   ?max_retries:int ->
-  ?poison_after:int ->
   jobs:int ->
   unit ->
   config
-(** Defaults: auto chunk size, 30 s timeout, 10 retries, quarantine
-    after 3 consecutive blames.  The retry backoff (50 ms, doubling)
+(** Defaults: auto chunk size, 30 s timeout, 10 retries.  The retry
+    backoff (50 ms, doubling), quarantine after 3 consecutive blames
     and the 20 ms pool polling period are fixed.
-    @raise Invalid_argument on non-positive [jobs]/[worker_timeout],
-    negative [chunk_sites]/[max_retries], or [poison_after < 1]. *)
+    @raise Invalid_argument on non-positive [jobs]/[worker_timeout] or
+    negative [chunk_sites]/[max_retries]. *)
 
 type outcome = {
   sv_exit_code : int;

@@ -56,8 +56,6 @@ let lookup t x1 x2 =
   ((1. -. fi) *. (((1. -. fj) *. v00) +. (fj *. v01)))
   +. (fi *. (((1. -. fj) *. v10) +. (fj *. v11)))
 
-let index1 t = t.index1
-let index2 t = t.index2
 let values t = t.values
 
 let monotone ~tolerance t =

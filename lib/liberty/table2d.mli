@@ -15,8 +15,6 @@ val lookup : t -> float -> float -> float
 (** [lookup t x1 x2] interpolates bilinearly inside the grid and
     extrapolates linearly from the border cells outside it. *)
 
-val index1 : t -> float array
-val index2 : t -> float array
 val values : t -> float array array
 
 val monotone : tolerance:float -> t -> bool

@@ -27,8 +27,6 @@ val preflight :
     default configuration, filtered to warnings and errors — what
     [simulate] and [compare] print before running. *)
 
-val warnings : Finding.t list -> int
-
 val exit_code : strict:bool -> Finding.t list -> int
 (** [2] when any error remains, [1] when warnings remain and [strict]
     is set, [0] otherwise. *)

@@ -104,5 +104,3 @@ let of_name s =
 
 let all_basic =
   [ Buf; Inv; And 2; Nand 2; Nand 3; Or 2; Nor 2; Xor 2; Xnor 2; Aoi21; Oai21; Mux2 ]
-
-let pp fmt kind = Format.pp_print_string fmt (name kind)

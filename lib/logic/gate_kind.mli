@@ -38,5 +38,3 @@ val of_name : string -> t option
 
 val all_basic : t list
 (** A representative list of kinds used by tests and generators. *)
-
-val pp : Format.formatter -> t -> unit

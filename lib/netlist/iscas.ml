@@ -140,6 +140,3 @@ let to_string c =
       (Netlist.gates c);
     Ok (Buffer.contents buf)
   with Unsupported m -> Error m
-
-let write_file path c =
-  Result.map (fun text -> Out_channel.with_open_text path (fun oc -> output_string oc text)) (to_string c)

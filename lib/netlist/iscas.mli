@@ -29,5 +29,3 @@ val to_string : Netlist.t -> (string, string) result
 (** Renders a circuit in .bench syntax.  Fails with a message when the
     circuit uses constructs the format cannot express (tie cells,
     AOI/OAI/MUX complex gates). *)
-
-val write_file : string -> Netlist.t -> (unit, string) result

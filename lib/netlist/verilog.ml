@@ -101,8 +101,3 @@ let to_string c =
     (Netlist.gates c);
   pr "endmodule\n";
   Buffer.contents buf
-
-let write_file path c =
-  let oc = open_out path in
-  output_string oc (to_string c);
-  close_out oc

@@ -9,5 +9,3 @@
 
 val to_string : Netlist.t -> string
 (** A complete [module ... endmodule] document. *)
-
-val write_file : string -> Netlist.t -> unit

@@ -56,7 +56,6 @@ let entries t = Hashtbl.length t.tbl
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
-let capacity t = t.capacity
 
 let to_json t =
   Halotis_util.Json.Obj

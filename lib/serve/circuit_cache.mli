@@ -32,7 +32,6 @@ val find_or_compile :
 val hits : t -> int
 val misses : t -> int
 val evictions : t -> int
-val capacity : t -> int
 
 val to_json : t -> Halotis_util.Json.t
 (** [{"entries", "capacity", "hits", "misses", "evictions"}] — the

@@ -33,7 +33,6 @@ let create cfg =
   { cfg; cache = Circuit_cache.create ~capacity:cfg.cf_cache_size; stopping = false }
 
 let cache t = t.cache
-let stopping t = t.stopping
 
 type conn = {
   server : t;
@@ -106,7 +105,7 @@ let handle_load conn (l : P.load) =
   in
   let id = conn.next_session in
   let session =
-    Session.create ~id ~engine ~compiled ~drives ~slope ~budget ~watchdog
+    Session.create ~engine ~compiled ~drives ~slope ~budget ~watchdog
       ~t_stop:l.P.ld_t_stop
   in
   conn.next_session <- id + 1;

@@ -26,10 +26,6 @@ type t
 val create : config -> t
 val cache : t -> Circuit_cache.t
 
-val stopping : t -> bool
-(** Set by a [shutdown] request; transports stop accepting after the
-    current line. *)
-
 type conn
 (** One client connection: session table, expected next id, hello
     state. *)

@@ -10,7 +10,6 @@ module Stop = Halotis_guard.Stop
 module Diag = Halotis_util.Diag
 
 type t = {
-  se_id : int;
   se_compiled : Compiled.t;
   se_sim : Sim.Session.t;
   se_slope : float;
@@ -23,7 +22,7 @@ let drive_final_level (d : Halotis_engine.Drive.t) =
     (fun _ (tr : Transition.t) -> tr.Transition.polarity = Transition.Rising)
     d.Halotis_engine.Drive.initial d.Halotis_engine.Drive.transitions
 
-let create ~id ~engine ~compiled ~drives ~slope ~budget ~watchdog ~t_stop =
+let create ~engine ~compiled ~drives ~slope ~budget ~watchdog ~t_stop =
   let spec =
     Sim.spec ~drives ?t_stop ~budget ?watchdog
       ~overlay:compiled.Compiled.overlay ~tech:compiled.Compiled.tech
@@ -33,7 +32,6 @@ let create ~id ~engine ~compiled ~drives ~slope ~budget ~watchdog ~t_stop =
   let levels = Array.make compiled.Compiled.nsignals false in
   List.iter (fun (sid, d) -> levels.(sid) <- drive_final_level d) drives;
   {
-    se_id = id;
     se_compiled = compiled;
     se_sim = sim;
     se_slope = slope;
@@ -41,7 +39,6 @@ let create ~id ~engine ~compiled ~drives ~slope ~budget ~watchdog ~t_stop =
     se_levels = levels;
   }
 
-let id t = t.se_id
 let circuit t = t.se_compiled.Compiled.circuit
 let frontier t = t.se_frontier
 
@@ -108,7 +105,7 @@ let status_json t (r : Sim.result) =
     ("events", Json.Num (float_of_int r.Sim.rs_stats.Stats.events_processed));
     ( "transitions",
       Json.Num (float_of_int r.Sim.rs_stats.Stats.transitions_emitted) );
-    ("truncated", Json.Bool r.Sim.rs_truncated);
+    ("truncated", Json.Bool (not (Stop.completed r.Sim.rs_stopped_by)));
     ("stopped_by", Stop.to_json r.Sim.rs_stopped_by);
     ("finished", Json.Bool (Sim.Session.finished t.se_sim));
   ]
@@ -182,5 +179,3 @@ let query_offenders t n =
 let query_stats t =
   let r = Sim.Session.snapshot t.se_sim in
   Json.Obj (("stats", Stats.to_json r.Sim.rs_stats) :: status_json t r)
-
-let status t = Json.Obj (status_json t (Sim.Session.snapshot t.se_sim))

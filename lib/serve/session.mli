@@ -10,7 +10,6 @@
 type t
 
 val create :
-  id:int ->
   engine:Halotis_engine.Sim.engine ->
   compiled:Halotis_engine.Compiled.t ->
   drives:(Halotis_netlist.Netlist.signal_id * Halotis_engine.Drive.t) list ->
@@ -24,9 +23,6 @@ val create :
     [set_input]/[inject] requests that omit one.
     @raise Invalid_argument as {!Halotis_engine.Sim.Session.start}
     does. *)
-
-val id : t -> int
-val circuit : t -> Halotis_netlist.Netlist.t
 
 val frontier : t -> float
 (** The highest instant ever passed to {!advance}; stimulus strictly
@@ -59,6 +55,3 @@ val query_offenders : t -> int -> Halotis_util.Json.t
 
 val query_stats : t -> Halotis_util.Json.t
 (** Full engine counters plus the status object. *)
-
-val status : t -> Halotis_util.Json.t
-(** The status object without advancing — the [load] reply's core. *)

@@ -58,9 +58,6 @@ val set : t -> gate:int -> entry -> t
     entry removes the binding instead (so [is_empty] and
     {!fingerprint} never depend on identity noise). *)
 
-val find : t -> gate:int -> entry
-(** The gate's corner; {!entry_identity} when absent. *)
-
 val edge_scale : t -> gate:int -> rising:bool -> scale
 (** The scale applied to [Tech.edge gt ~rising] for this gate. *)
 

@@ -54,15 +54,3 @@ let to_string t =
   Buffer.contents b
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
-
-let to_json t =
-  let opt k f v rest = match v with None -> rest | Some x -> (k, f x) :: rest in
-  Json.Obj
-    (("severity", Json.Str (severity_string t.severity))
-    :: ("code", Json.Str t.code)
-    :: opt "file" (fun f -> Json.Str f) t.file
-         (opt "line"
-            (fun l -> Json.Num (float_of_int l))
-            t.line
-            (("message", Json.Str t.message)
-            :: opt "hint" (fun h -> Json.Str h) t.hint [])))

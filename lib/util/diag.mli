@@ -7,8 +7,7 @@
     [parse_file] ([Hnl], [Iscas] and [Circuit_file], [Stimfile],
     [Vcd_reader], [Liberty]) return [(_, t) result], and guarded code
     raises {!Fail}.  The CLI prints {!to_string} without a
-    backtrace; serve replies carry [code] and [message]; JSON emitters
-    embed {!to_json}. *)
+    backtrace; serve replies carry [code] and [message]. *)
 
 type severity = Error | Warning | Note
 
@@ -49,7 +48,3 @@ val to_string : t -> string
     present. *)
 
 val pp : Format.formatter -> t -> unit
-
-val to_json : t -> Json.t
-(** Object with [severity]/[code]/[message] and, when present,
-    [file]/[line]/[hint]. *)

@@ -357,11 +357,9 @@ module Lines = struct
 
   let leftover r = Buffer.contents r.part ^ Bytes.sub_string r.buf r.pos (r.len - r.pos)
 
-  let fold r ~init ~f =
-    let rec go acc = match next r with None -> acc | Some l -> go (f acc l) in
-    go init
-
-  let to_list r = List.rev (fold r ~init:[] ~f:(fun acc l -> l :: acc))
+  let to_list r =
+    let rec go acc = match next r with None -> List.rev acc | Some l -> go (l :: acc) in
+    go []
 end
 
 (* --- accessors --- *)

@@ -68,7 +68,6 @@ module Lines : sig
   (** After {!next} returns [None]: the unterminated tail, [""] when
       the stream ended cleanly. *)
 
-  val fold : reader -> init:'a -> f:('a -> string -> 'a) -> 'a
   val to_list : reader -> string list
 end
 

@@ -14,11 +14,5 @@ type voltage = float
 type capacitance = float
 (** Capacitance in femtofarads. *)
 
-val ps : float -> time
-(** [ps x] is [x] picoseconds. *)
-
-val volts : float -> voltage
-(** [volts x] is [x] volts. *)
-
 val pp_time : Format.formatter -> time -> unit
 (** Prints a time with an adaptive unit ([ps] or [ns]). *)

@@ -46,11 +46,6 @@ val age_scale :
 (** Composes aging onto an already-sampled corner (field-wise multiply
     or divide as described above).  Identity at zero stress. *)
 
-val entry : stress_hours:float -> Halotis_tech.Param_overlay.entry
-(** The uniform aged corner of one gate (same factor on both edges,
-    VT and pins untouched); {!Halotis_tech.Param_overlay.entry_identity}
-    at zero stress. *)
-
 val overlay : stress_hours:float -> gates:int -> Halotis_tech.Param_overlay.t
 (** Every gate of a [gates]-gate circuit aged uniformly;
     {!Halotis_tech.Param_overlay.empty} at zero stress. *)

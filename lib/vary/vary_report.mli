@@ -76,6 +76,5 @@ val masking_percentiles : t -> percentiles option
 (** Nearest-rank percentiles of the per-sample masking rates ([None]
     with zero samples). *)
 
-val to_json : t -> Halotis_util.Json.t
 val to_string : t -> string
 val to_text : t -> string

@@ -31,11 +31,3 @@ let value_at ~vdd ~v_start tr t =
   let raw = v_start +. (slope ~vdd tr *. (t -. tr.start)) in
   match tr.polarity with Rising -> Float.min raw vdd | Falling -> Float.max raw 0.
 
-let crossing ~vdd ~v_start tr ~vt =
-  let reachable =
-    match tr.polarity with
-    | Rising -> v_start < vt && vt <= vdd
-    | Falling -> v_start > vt && vt >= 0.
-  in
-  if reachable then Some (tr.start +. ((vt -. v_start) /. slope ~vdd tr)) else None
-

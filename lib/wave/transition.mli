@@ -34,9 +34,6 @@ val equal_polarity : polarity -> polarity -> bool
 val target : vdd:Halotis_util.Units.voltage -> t -> Halotis_util.Units.voltage
 (** The rail the ramp heads to: [vdd] when rising, [0] when falling. *)
 
-val slope : vdd:Halotis_util.Units.voltage -> t -> float
-(** Signed voltage slope in V/ps. *)
-
 val value_at :
   vdd:Halotis_util.Units.voltage ->
   v_start:Halotis_util.Units.voltage ->
@@ -46,15 +43,4 @@ val value_at :
 (** [value_at ~vdd ~v_start tr t] is the ramp voltage at time
     [t >= tr.start], starting from [v_start] and saturating at the
     target rail. *)
-
-val crossing :
-  vdd:Halotis_util.Units.voltage ->
-  v_start:Halotis_util.Units.voltage ->
-  t ->
-  vt:Halotis_util.Units.voltage ->
-  Halotis_util.Units.time option
-(** [crossing ~vdd ~v_start tr ~vt] is the instant the unbounded ramp
-    crosses threshold [vt], when [vt] lies strictly between [v_start]
-    and the target rail (reaching the rail itself counts).  [None] when
-    the ramp starts at or beyond [vt]. *)
 

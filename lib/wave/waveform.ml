@@ -26,9 +26,9 @@ let segment_count w = w.len
 let rising_at w i = Bytes.get w.pols i = '\001'
 
 (* Segment [i]'s ramp value at [t] and the instant it crosses [vt]:
-   the float expressions of [Transition.value_at] and
-   [Transition.crossing], read straight from the flat arrays.  They are
-   written here, inlined, rather than called in [Transition]: a float
+   the float expressions of [Transition.value_at] (the suite's
+   crossing reference uses the same ones), read straight from the flat
+   arrays.  They are written here, inlined, rather than called in [Transition]: a float
    passed to or returned from a function that is not inlined is boxed,
    and the dev profile compiles every module [-opaque], so nothing is
    inlined across a module boundary. *)

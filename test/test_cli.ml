@@ -252,7 +252,11 @@ let test_faults_removed_options () =
   in
   checki "--keep-shards is an unknown option" 124 status_keep;
   let status_prune, _ = run_capture (mult_faults_args @ [ "--prune"; "static" ]) in
-  checki "--prune is an unknown option" 124 status_prune
+  checki "--prune is an unknown option" 124 status_prune;
+  let status_poison, _ =
+    run_capture (mult_faults_args @ [ "--jobs"; "2"; "--poison-after"; "3" ])
+  in
+  checki "--poison-after is an unknown option" 124 status_poison
 
 (* A serial journal (here one parked by --limit-sites) holds no chunk
    journals: a --jobs resume must refuse it instead of silently

@@ -77,7 +77,7 @@ let step_drive ?(at = 1000.) ?(slope = 100.) () =
 let test_step_through_chain () =
   let c = G.inverter_chain ~n:4 () in
   let r = Iddm.run (ddm_cfg ()) c ~drives:[ (sid c "in", step_drive ()) ] in
-  checkb "not truncated" false r.Iddm.truncated;
+  checkb "not truncated" true (Halotis_guard.Stop.completed r.Iddm.stopped_by);
   checki "events" 4 r.Iddm.stats.Stats.events_processed;
   (* each internal stage switches exactly once, alternating direction *)
   List.iteri
@@ -210,7 +210,7 @@ let test_max_events_truncation () =
   let r = Iddm.run
       (Iddm.config ~budget:(Halotis_guard.Budget.make ~max_events:10 ()) DL.tech)
       c ~drives in
-  checkb "truncated" true r.Iddm.truncated;
+  checkb "truncated" false (Halotis_guard.Stop.completed r.Iddm.stopped_by);
   checki "stopped at limit" 10 r.Iddm.stats.Stats.events_processed
 
 let test_t_stop () =
@@ -360,7 +360,7 @@ let test_latch_holds_state () =
   in
   let r = Iddm.run (ddm_cfg ()) l.G.latch_circuit ~drives in
   checkb "holds low" false (D.final_level r.Iddm.waveforms.(l.G.sig_q) ~vt:vt_mid);
-  checkb "finished" false r.Iddm.truncated
+  checkb "finished" true (Halotis_guard.Stop.completed r.Iddm.stopped_by)
 
 let test_latch_glitch_discrimination () =
   (* the LATCH experiment's operating point: the degraded glitch flips

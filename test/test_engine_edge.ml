@@ -145,7 +145,7 @@ let test_glitch_train () =
   in
   let drives = [ (sid c "in", Drive.of_levels ~slope:100. ~initial:false changes) ] in
   let r = Iddm.run (Iddm.config DL.tech) c ~drives in
-  checkb "terminates" false r.Iddm.truncated;
+  checkb "terminates" true (Halotis_guard.Stop.completed r.Iddm.stopped_by);
   let in_edges = D.edge_count (Iddm.waveform r "in") ~vt in
   let out_edges = D.edge_count (Iddm.waveform r "out") ~vt in
   checkb "no amplification" true (out_edges <= in_edges);

@@ -184,7 +184,7 @@ let test_iddm_event_budget_exact () =
       DL.tech
   in
   let r = Iddm.run cfg c ~drives:(ring_drives c) in
-  checkb "truncated" true r.Iddm.truncated;
+  checkb "truncated" false (Stop.completed r.Iddm.stopped_by);
   (match r.Iddm.stopped_by with
   | Stop.Event_budget 50 -> ()
   | s -> Alcotest.failf "expected event-budget(50), got %s" (Stop.to_string s));
@@ -200,7 +200,7 @@ let test_iddm_sim_time_budget () =
       DL.tech
   in
   let r = Iddm.run cfg c ~drives:(ring_drives c) in
-  checkb "truncated" true r.Iddm.truncated;
+  checkb "truncated" false (Stop.completed r.Iddm.stopped_by);
   (match r.Iddm.stopped_by with
   | Stop.Sim_time 5_000. -> ()
   | s -> Alcotest.failf "expected sim-time(5000), got %s" (Stop.to_string s));
@@ -212,7 +212,7 @@ let test_classic_event_budget () =
     Classic.config ~t_stop:100_000. ~budget:(Budget.make ~max_events:200 ()) DL.tech
   in
   let r = Classic.run cfg c ~drives:(ring_drives c) in
-  checkb "truncated" true r.Classic.truncated;
+  checkb "truncated" false (Stop.completed r.Classic.stopped_by);
   (match r.Classic.stopped_by with
   | Stop.Event_budget 200 -> ()
   | s -> Alcotest.failf "expected event-budget(200), got %s" (Stop.to_string s));
@@ -231,7 +231,7 @@ let prop_budget_prefix =
           (Iddm.config ~t_stop:4_000. ~budget:(Budget.make ~max_events:k ()) DL.tech)
           c ~drives
       in
-      if limited.Iddm.truncated then begin
+      if not (Stop.completed limited.Iddm.stopped_by) then begin
         if limited.Iddm.stats.Stats.events_processed <> k then
           QCheck.Test.fail_reportf "processed %d events under a budget of %d"
             limited.Iddm.stats.Stats.events_processed k;
@@ -278,7 +278,7 @@ let test_watchdog_trips_cdm () =
       DL.tech
   in
   let r = Iddm.run cfg c ~drives:(ring_drives c) in
-  checkb "truncated" true r.Iddm.truncated;
+  checkb "truncated" false (Stop.completed r.Iddm.stopped_by);
   match r.Iddm.stopped_by with
   | Stop.Oscillation names ->
       (* the whole feedback SCC is named, not just the hot signal *)
@@ -290,7 +290,7 @@ let test_watchdog_trips_classic () =
   let c = Lazy.force ring in
   let cfg = Classic.config ~t_stop:100_000. ~watchdog:wd_trip DL.tech in
   let r = Classic.run cfg c ~drives:(ring_drives c) in
-  checkb "truncated" true r.Classic.truncated;
+  checkb "truncated" false (Stop.completed r.Classic.stopped_by);
   match r.Classic.stopped_by with
   | Stop.Oscillation names ->
       checkb "names the ring loop" true
@@ -312,7 +312,7 @@ let test_watchdog_ddm_quiesces () =
   in
   checkb "DDM quiesces without tripping" true
     (ddm.Iddm.stopped_by = Stop.Completed);
-  checkb "not truncated" false ddm.Iddm.truncated;
+  checkb "not truncated" true (Stop.completed ddm.Iddm.stopped_by);
   let cdm =
     Iddm.run
       (Iddm.config ~delay_kind:Delay_model.Cdm ~t_stop:100_000. ~watchdog:wd_trip
@@ -340,7 +340,7 @@ let test_watchdog_degrade_mode () =
   let r = Iddm.run cfg c ~drives:(ring_drives c) in
   (* degrade mode sacrifices the loop, not the run *)
   checkb "run completes" true (r.Iddm.stopped_by = Stop.Completed);
-  checkb "not truncated" false r.Iddm.truncated;
+  checkb "not truncated" true (Stop.completed r.Iddm.stopped_by);
   checki "the whole SCC is frozen" 3 (List.length r.Iddm.frozen);
   let frozen_at = List.assoc (sid c "c") r.Iddm.frozen in
   (* no transitions on the frozen signal after the freeze instant *)

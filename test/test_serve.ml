@@ -245,8 +245,7 @@ let prop_stepped_equals_oneshot =
       if oneshot.Sim.rs_end_time <> stepped.Sim.rs_end_time then
         Alcotest.failf "%s: end_time %g <> %g" label oneshot.Sim.rs_end_time
           stepped.Sim.rs_end_time;
-      oneshot.Sim.rs_truncated = stepped.Sim.rs_truncated
-      && oneshot.Sim.rs_stopped_by = stepped.Sim.rs_stopped_by)
+      oneshot.Sim.rs_stopped_by = stepped.Sim.rs_stopped_by)
 
 (* ------------------------------------------------------------------ *)
 (* Transition cap                                                     *)
@@ -275,7 +274,7 @@ let check_capped label k (r : Sim.result) =
   checkb (label ^ " stopped by transition cap") true
     (r.Sim.rs_stopped_by = Stop.Transition_cap k);
   checki (label ^ " emitted exactly k") k r.Sim.rs_stats.Stats.transitions_emitted;
-  checkb (label ^ " truncated") true r.Sim.rs_truncated
+  checkb (label ^ " truncated") false (Stop.completed r.Sim.rs_stopped_by)
 
 let test_transition_cap () =
   (* The free-running ring emits forever under CDM and classic (no

@@ -15,6 +15,24 @@ let fall ~start ~tau = T.make ~start ~slope_time:tau ~polarity:T.Falling
 
 (* --- Transition --- *)
 
+(* Reference for [Waveform.last_crossing]: the instant the unbounded
+   ramp [tr] from [v_start] crosses [vt], when [vt] lies strictly between
+   [v_start] and the target rail (reaching the rail itself counts);
+   [None] when the ramp starts at or beyond [vt].  The same float
+   expressions as [Transition.value_at], so the two agree bit for bit. *)
+let crossing ~vdd ~v_start (tr : T.t) ~vt =
+  let slope =
+    match tr.T.polarity with
+    | T.Rising -> vdd /. tr.T.slope_time
+    | T.Falling -> -.(vdd /. tr.T.slope_time)
+  in
+  let reachable =
+    match tr.T.polarity with
+    | T.Rising -> v_start < vt && vt <= vdd
+    | T.Falling -> v_start > vt && vt >= 0.
+  in
+  if reachable then Some (tr.T.start +. ((vt -. v_start) /. slope)) else None
+
 let test_transition_validation () =
   checkb "bad tau" true
     (try
@@ -39,19 +57,19 @@ let test_transition_value () =
 
 let test_transition_crossing () =
   let tr = rise ~start:100. ~tau:100. in
-  (match T.crossing ~vdd ~v_start:0. tr ~vt:2.5 with
+  (match crossing ~vdd ~v_start:0. tr ~vt:2.5 with
   | Some c -> checkf "cross mid" 150. c
   | None -> Alcotest.fail "expected crossing");
-  checkb "already above" true (T.crossing ~vdd ~v_start:3. tr ~vt:2.5 = None);
+  checkb "already above" true (crossing ~vdd ~v_start:3. tr ~vt:2.5 = None);
   (* partial start voltage *)
-  (match T.crossing ~vdd ~v_start:2. tr ~vt:4.5 with
+  (match crossing ~vdd ~v_start:2. tr ~vt:4.5 with
   | Some c -> checkf "from 2V" (100. +. (2.5 /. 5. *. 100.)) c
   | None -> Alcotest.fail "expected crossing");
   let tf = fall ~start:0. ~tau:100. in
-  (match T.crossing ~vdd ~v_start:5. tf ~vt:2.5 with
+  (match crossing ~vdd ~v_start:5. tf ~vt:2.5 with
   | Some c -> checkf "fall cross" 50. c
   | None -> Alcotest.fail "expected crossing");
-  checkb "fall below" true (T.crossing ~vdd ~v_start:1. tf ~vt:2.5 = None)
+  checkb "fall below" true (crossing ~vdd ~v_start:1. tf ~vt:2.5 = None)
 
 let test_polarity_helpers () =
   checkb "opp" true (T.opposite T.Rising = T.Falling);
@@ -392,7 +410,7 @@ let prop_append_core_matches_record =
               List.iter
                 (fun vt ->
                   let c = W.last_crossing wr ~vt in
-                  match T.crossing ~vdd ~v_start:v tr ~vt with
+                  match crossing ~vdd ~v_start:v tr ~vt with
                   | Some e when c = e -> ()
                   | None when Float.is_nan c -> ()
                   | _ -> Alcotest.failf "last_crossing at vt %g: %g" vt c)
