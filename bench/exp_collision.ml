@@ -17,7 +17,7 @@ let nand2 () =
   let a = Builder.input b "a" in
   let bb = Builder.input b "b" in
   let y = Builder.signal b "y" in
-  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g" ~inputs:[ a; bb ] ~output:y in
+  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g" ~inputs:[| a; bb |] ~output:y in
   Builder.mark_output b y;
   (Builder.finalize b, a, bb)
 

@@ -21,9 +21,9 @@ let () =
   let n1 = Builder.signal b "n1" in
   let n2 = Builder.signal b "n2" in
   let y = Builder.signal b "y" in
-  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g1" ~inputs:[ a; b_in ] ~output:n1 in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g2" ~inputs:[ n1 ] ~output:n2 in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g3" ~inputs:[ n2 ] ~output:y in
+  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g1" ~inputs:[| a; b_in |] ~output:n1 in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g2" ~inputs:[| n1 |] ~output:n2 in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g3" ~inputs:[| n2 |] ~output:y in
   Builder.mark_output b y;
   let circuit = Builder.finalize b in
   Format.printf "circuit: %a@." Halotis_netlist.Netlist.pp_summary circuit;

@@ -75,32 +75,64 @@ let name = function
   | Mux2 -> "mux2"
 
 let families =
-  [
+  [|
     ("and", fun n -> And n);
     ("nand", fun n -> Nand n);
     ("nor", fun n -> Nor n);
     ("or", fun n -> Or n);
     ("xnor", fun n -> Xnor n);
     ("xor", fun n -> Xor n);
-  ]
+  |]
 
-let of_name s =
-  match s with
-  | "buf" -> Some Buf
-  | "inv" | "not" -> Some Inv
-  | "aoi21" -> Some Aoi21
-  | "oai21" -> Some Oai21
-  | "mux2" -> Some Mux2
-  | _ -> (
-      (* FAMILY<arity>: at most one family name is a prefix of [s] *)
-      let prefixes (p, _) = String.length s > String.length p && String.starts_with ~prefix:p s in
-      match List.find_opt prefixes families with
-      | None -> None
-      | Some (p, make) -> (
-          let plen = String.length p in
-          match int_of_string_opt (String.sub s plen (String.length s - plen)) with
-          | Some n when n >= 1 -> Some (make n)
-          | Some _ | None -> None))
+(* Each family's kinds up to 16 inputs, as options made once: a reader
+   resolving a gate line's kind allocates nothing. *)
+let shared = Array.map (fun (_, make) -> Array.init 17 (fun n -> Some (make n))) families
+
+(* [p] is at [s.[pos]], for a caller that knows it fits *)
+let rec is_at s pos p j =
+  j = String.length p || (String.unsafe_get s (pos + j) = p.[j] && is_at s pos p (j + 1))
+
+let is s pos len p = String.length p = len && is_at s pos p 0
+
+(* the value of the decimal digits [s.[i] .. s.[stop - 1]], or -1 *)
+let rec digits s i stop acc =
+  if i = stop then acc
+  else
+    match s.[i] with
+    | '0' .. '9' as c -> digits s (i + 1) stop ((10 * acc) + Char.code c - 48)
+    | _ -> -1
+
+(* FAMILY<arity>: at most one family name is a proper prefix *)
+let rec family s pos len f =
+  if f = Array.length families then None
+  else
+    let p, make = families.(f) in
+    let plen = String.length p in
+    if len > plen && is_at s pos p 0 then
+      (* up to 18 digits cannot overflow; anything else goes through
+         [int_of_string_opt] (signs, [0x], [_]) *)
+      let n = if len - plen <= 18 then digits s (pos + plen) (pos + len) 0 else -1 in
+      let n =
+        if n >= 0 then n
+        else Option.value (int_of_string_opt (String.sub s (pos + plen) (len - plen))) ~default:0
+      in
+      if n >= 1 && n <= 16 then shared.(f).(n) else if n >= 1 then Some (make n) else None
+    else family s pos len (f + 1)
+
+let of_sub s pos len =
+  if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Gate_kind.of_sub";
+  if len = 0 then None
+  else
+    match String.unsafe_get s pos with
+    | 'b' when is s pos len "buf" -> Some Buf
+    | 'i' when is s pos len "inv" -> Some Inv
+    | 'n' when is s pos len "not" -> Some Inv
+    | 'a' when is s pos len "aoi21" -> Some Aoi21
+    | 'o' when is s pos len "oai21" -> Some Oai21
+    | 'm' when is s pos len "mux2" -> Some Mux2
+    | _ -> family s pos len 0
+
+let of_name s = of_sub s 0 (String.length s)
 
 let all_basic =
   [ Buf; Inv; And 2; Nand 2; Nand 3; Or 2; Nor 2; Xor 2; Xnor 2; Aoi21; Oai21; Mux2 ]

@@ -36,5 +36,10 @@ val name : t -> string
 val of_name : string -> t option
 (** Parses mnemonics produced by {!name}. *)
 
+val of_sub : string -> int -> int -> t option
+(** [of_sub s pos len] is [of_name (String.sub s pos len)] without the
+    copy.
+    @raise Invalid_argument if the slice is not inside [s]. *)
+
 val all_basic : t list
 (** A representative list of kinds used by tests and generators. *)

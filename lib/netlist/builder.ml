@@ -2,14 +2,6 @@ module Gate_kind = Halotis_logic.Gate_kind
 module Value = Halotis_logic.Value
 module Names = Netlist.Names
 
-type sig_info = {
-  mutable s_driver : Netlist.gate_id option;
-  mutable s_is_input : bool;
-  mutable s_is_output : bool;
-  s_constant : Value.t option;
-  s_name : string;
-}
-
 (* A minimal growable vector (Dynarray only landed in OCaml 5.2). *)
 module Vec = struct
   type 'a t = { mutable data : 'a array; mutable len : int }
@@ -25,22 +17,24 @@ module Vec = struct
     v.data.(v.len) <- x;
     v.len <- v.len + 1
 
-  let get v i =
-    assert (i >= 0 && i < v.len);
-    v.data.(i)
-
   let to_array v = Array.sub v.data 0 v.len
 end
 
+(* a signal's role bits *)
+let is_input = 1
+and is_output = 2
+and is_constant = 4
+
 type t = {
   name : string;
-  sigs : sig_info Vec.t;
+  names : Names.t;  (* signal names; signal [i] is the table's id [i] *)
+  mutable driver : int array;  (* per signal: its driving gate, or -1 *)
+  mutable role : Bytes.t;  (* per signal: role bits *)
   gts : Netlist.gate Vec.t;
-  by_name : Netlist.signal_id Names.t;
-  gate_names : Netlist.gate_id Names.t;
+  gate_names : Names.t;
   mutable inputs : Netlist.signal_id list; (* reversed *)
   mutable outputs : Netlist.signal_id list; (* reversed *)
-  consts : (Value.t, Netlist.signal_id) Hashtbl.t;
+  mutable consts : (Value.t * Netlist.signal_id) list;
   mutable fresh_counter : int;
   mutable finalized : bool;
 }
@@ -48,141 +42,182 @@ type t = {
 let create name =
   {
     name;
-    sigs = Vec.create ();
+    names = Names.create ();
+    driver = Array.make 64 (-1);
+    role = Bytes.make 64 '\000';
     gts = Vec.create ();
-    by_name = Names.create 64;
-    gate_names = Names.create 64;
+    gate_names = Names.create ();
     inputs = [];
     outputs = [];
-    consts = Hashtbl.create 4;
+    consts = [];
     fresh_counter = 0;
     finalized = false;
   }
 
 let check_live b = if b.finalized then invalid_arg "Builder: already finalized"
 
-(* [name] must be unused: [new_signal] checks, [signal] and
-   [fresh_signal] already know. *)
-let add_signal b ~name ~constant =
+let check_signal nsigs id =
+  if id < 0 || id >= nsigs then invalid_arg (Printf.sprintf "Builder: no signal %d" id)
+
+(* The default [input_vt] of each arity up to 16: one all-[None] array
+   shared by every gate, as a netlist is immutable. *)
+let no_vt = Array.init 17 (fun n -> Array.make n None)
+
+let has b id bit = Char.code (Bytes.get b.role id) land bit <> 0
+let set b id bit = Bytes.set b.role id (Char.chr (Char.code (Bytes.get b.role id) lor bit))
+
+(* The id of the slice's name, declaring it when it is new. *)
+let intern b s pos len =
   check_live b;
-  let id = b.sigs.Vec.len in
-  let info =
-    {
-      s_driver = None;
-      s_is_input = false;
-      s_is_output = false;
-      s_constant = constant;
-      s_name = name;
-    }
-  in
-  Vec.push b.sigs info;
-  Names.add b.by_name name id;
+  let count = Names.count b.names in
+  let id = Names.intern b.names s pos len in
+  if id = count && id = Array.length b.driver then begin
+    let driver = Array.make (2 * id) (-1) and role = Bytes.make (2 * id) '\000' in
+    Array.blit b.driver 0 driver 0 id;
+    Bytes.blit b.role 0 role 0 id;
+    b.driver <- driver;
+    b.role <- role
+  end;
   id
 
-let new_signal b ~name ~constant =
+let new_signal b name =
   check_live b;
-  if Names.mem b.by_name name then
+  if Names.find b.names name 0 (String.length name) >= 0 then
     invalid_arg (Printf.sprintf "Builder: signal name %S already used" name);
-  add_signal b ~name ~constant
+  intern b name 0 (String.length name)
 
 let input b name =
-  let id = new_signal b ~name ~constant:None in
-  (Vec.get b.sigs id).s_is_input <- true;
+  let id = new_signal b name in
+  set b id is_input;
   b.inputs <- id :: b.inputs;
   id
 
-let signal b name =
-  match Names.find_opt b.by_name name with
-  | Some id -> id
-  | None -> add_signal b ~name ~constant:None
+let signal_sub b s pos len = intern b s pos len
+let signal b name = intern b name 0 (String.length name)
 
 let fresh_signal b =
   let rec next () =
     let name = "w" ^ string_of_int b.fresh_counter in
     b.fresh_counter <- b.fresh_counter + 1;
-    if Names.mem b.by_name name then next () else name
+    if Names.find b.names name 0 (String.length name) >= 0 then next () else name
   in
-  add_signal b ~name:(next ()) ~constant:None
+  signal b (next ())
 
 let const b value =
-  match Hashtbl.find_opt b.consts value with
+  match List.assoc_opt value b.consts with
   | Some id -> id
   | None ->
-      let name = Printf.sprintf "const_%c" (Value.to_char value) in
-      let id = new_signal b ~name ~constant:(Some value) in
-      Hashtbl.replace b.consts value id;
+      let id = new_signal b (Printf.sprintf "const_%c" (Value.to_char value)) in
+      set b id is_constant;
+      b.consts <- (value, id) :: b.consts;
       id
 
 let add_gate ?name ?input_vt ?(extra_load = 0.) b kind ~inputs ~output =
   check_live b;
   let arity = Gate_kind.arity kind in
-  if List.length inputs <> arity then
+  if Array.length inputs <> arity then
     invalid_arg
       (Printf.sprintf "Builder: gate kind %s expects %d inputs, got %d"
-         (Gate_kind.name kind) arity (List.length inputs));
+         (Gate_kind.name kind) arity (Array.length inputs));
   let gname =
     match name with
     | Some n -> n
     | None -> Gate_kind.name kind ^ "_" ^ string_of_int b.gts.Vec.len
   in
-  if Names.mem b.gate_names gname then
+  if Names.find b.gate_names gname 0 (String.length gname) >= 0 then
     invalid_arg (Printf.sprintf "Builder: gate name %S already used" gname);
   let vt =
     match input_vt with
-    | None -> Array.make arity None
-    | Some l ->
-        if List.length l <> arity then
+    | None -> if arity < Array.length no_vt then no_vt.(arity) else Array.make arity None
+    | Some vt ->
+        if Array.length vt <> arity then
           invalid_arg "Builder: input_vt length must match gate arity";
-        Array.of_list l
+        vt
   in
-  let out_info = Vec.get b.sigs output in
-  if out_info.s_driver <> None then
-    invalid_arg (Printf.sprintf "Builder: signal %S already driven" out_info.s_name);
-  if out_info.s_is_input then
-    invalid_arg (Printf.sprintf "Builder: cannot drive primary input %S" out_info.s_name);
-  if out_info.s_constant <> None then
-    invalid_arg (Printf.sprintf "Builder: cannot drive constant %S" out_info.s_name);
-  let gid = b.gts.Vec.len in
-  out_info.s_driver <- Some gid;
-  (* range-check the inputs here: finalize indexes by them *)
-  List.iter (fun sid -> ignore (Vec.get b.sigs sid)) inputs;
-  let fanin = Array.of_list inputs in
+  (* finalize indexes by the pins' signals *)
+  let nsigs = Names.count b.names in
+  check_signal nsigs output;
+  for pin = 0 to arity - 1 do
+    check_signal nsigs inputs.(pin)
+  done;
+  if b.driver.(output) >= 0 then
+    invalid_arg (Printf.sprintf "Builder: signal %S already driven" (Names.name b.names output));
+  if has b output is_input then
+    invalid_arg
+      (Printf.sprintf "Builder: cannot drive primary input %S" (Names.name b.names output));
+  if has b output is_constant then
+    invalid_arg (Printf.sprintf "Builder: cannot drive constant %S" (Names.name b.names output));
+  let gid = Names.intern b.gate_names gname 0 (String.length gname) in
+  b.driver.(output) <- gid;
   Vec.push b.gts
-    { Netlist.gate_id = gid; gate_name = gname; kind; fanin; output; input_vt = vt; extra_load };
-  Names.add b.gate_names gname gid;
+    {
+      Netlist.gate_id = gid;
+      gate_name = gname;
+      kind;
+      fanin = inputs;
+      output;
+      input_vt = vt;
+      extra_load;
+    };
   gid
 
 let mark_output b id =
   check_live b;
-  let info = Vec.get b.sigs id in
-  if not info.s_is_output then b.outputs <- id :: b.outputs;
-  info.s_is_output <- true
+  check_signal (Names.count b.names) id;
+  if not (has b id is_output) then begin
+    b.outputs <- id :: b.outputs;
+    set b id is_output
+  end
+
+(* [k] placeholder loads: small arrays are literals, which allocate
+   inline instead of through [Array.make]'s C call *)
+let load_array k =
+  let z = (0, 0) in
+  match k with
+  | 0 -> [||]
+  | 1 -> [| z |]
+  | 2 -> [| z; z |]
+  | 3 -> [| z; z; z |]
+  | 4 -> [| z; z; z; z |]
+  | k -> Array.make k z
 
 let finalize b =
   check_live b;
   b.finalized <- true;
-  let gates = Vec.to_array b.gts and nsigs = b.sigs.Vec.len in
+  let gates = Vec.to_array b.gts and nsigs = Names.count b.names in
   (* each signal's loads in (gate, pin) order: count, then fill *)
   let fill = Array.make nsigs 0 in
-  let each_pin f = Array.iter (fun (g : Netlist.gate) -> Array.iteri (f g.gate_id) g.fanin) gates in
-  each_pin (fun _ _ sid -> fill.(sid) <- fill.(sid) + 1);
-  let loads = Array.map (fun k -> Array.make k (0, 0)) fill in
+  Array.iter
+    (fun (g : Netlist.gate) ->
+      for pin = 0 to Array.length g.fanin - 1 do
+        fill.(g.fanin.(pin)) <- fill.(g.fanin.(pin)) + 1
+      done)
+    gates;
+  let loads = Array.map load_array fill in
   Array.fill fill 0 nsigs 0;
-  each_pin (fun g pin sid ->
-      loads.(sid).(fill.(sid)) <- (g, pin);
-      fill.(sid) <- fill.(sid) + 1);
+  Array.iter
+    (fun (g : Netlist.gate) ->
+      for pin = 0 to Array.length g.fanin - 1 do
+        let sid = g.fanin.(pin) in
+        loads.(sid).(fill.(sid)) <- (g.gate_id, pin);
+        fill.(sid) <- fill.(sid) + 1
+      done)
+    gates;
   let signals =
     Array.init nsigs (fun i ->
-        let info = b.sigs.Vec.data.(i) in
+        let d = b.driver.(i) in
         {
           Netlist.signal_id = i;
-          signal_name = info.s_name;
-          driver = info.s_driver;
+          signal_name = Names.name b.names i;
+          driver = (if d < 0 then None else Some d);
           loads = loads.(i);
-          is_primary_input = info.s_is_input;
-          is_primary_output = info.s_is_output;
-          constant = info.s_constant;
+          is_primary_input = has b i is_input;
+          is_primary_output = has b i is_output;
+          constant =
+            (if has b i is_constant then
+               List.find_map (fun (v, id) -> if id = i then Some v else None) b.consts
+             else None);
         })
   in
   Netlist.make ~name:b.name ~signals ~gates ~primary_inputs:(List.rev b.inputs)
-    ~primary_outputs:(List.rev b.outputs) ~signal_by_name:b.by_name
+    ~primary_outputs:(List.rev b.outputs) ~signal_by_name:b.names

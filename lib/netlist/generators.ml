@@ -8,7 +8,7 @@ let inverter_chain ~n () =
   let rec stage prev i =
     let out = if i = n then Builder.signal b "out" else Builder.signal b (Printf.sprintf "out%d" i) in
     let _ =
-      Builder.add_gate b Gate_kind.Inv ~name:(Printf.sprintf "g%d" i) ~inputs:[ prev ]
+      Builder.add_gate b Gate_kind.Inv ~name:(Printf.sprintf "g%d" i) ~inputs:[| prev |]
         ~output:out
     in
     if i = n then out else stage out (i + 1)
@@ -39,12 +39,12 @@ let fig1_circuit ?(vt_low = 1.5) ?(vt_high = 4.0) () =
   let inv ?input_vt gname inputs output =
     ignore (Builder.add_gate b Gate_kind.Inv ~name:gname ?input_vt ~inputs ~output)
   in
-  inv "chain_a" [ sig_in ] mid;
-  inv "chain_b" [ mid ] sig_out0;
-  inv ~input_vt:[ Some vt_low ] "g1" [ sig_out0 ] sig_out1;
-  inv ~input_vt:[ Some vt_high ] "g2" [ sig_out0 ] sig_out2;
-  inv "g1c" [ sig_out1 ] sig_out1c;
-  inv "g2c" [ sig_out2 ] sig_out2c;
+  inv "chain_a" [| sig_in |] mid;
+  inv "chain_b" [| mid |] sig_out0;
+  inv ~input_vt:[| Some vt_low |] "g1" [| sig_out0 |] sig_out1;
+  inv ~input_vt:[| Some vt_high |] "g2" [| sig_out0 |] sig_out2;
+  inv "g1c" [| sig_out1 |] sig_out1c;
+  inv "g2c" [| sig_out2 |] sig_out2c;
   List.iter (Builder.mark_output b) [ sig_out0; sig_out1; sig_out1c; sig_out2; sig_out2c ];
   let circuit = Builder.finalize b in
   { circuit; sig_in; sig_out0; sig_out1; sig_out2; sig_out1c; sig_out2c }
@@ -59,11 +59,11 @@ let full_adder b ~prefix ~a ~b:bb ~cin =
   let g kind gname inputs output =
     ignore (Builder.add_gate b kind ~name:(prefix ^ "_" ^ gname) ~inputs ~output)
   in
-  g (Gate_kind.Xor 2) "x1" [ a; bb ] axb;
-  g (Gate_kind.Xor 2) "x2" [ axb; cin ] sum;
-  g (Gate_kind.And 2) "a1" [ a; bb ] ab;
-  g (Gate_kind.And 2) "a2" [ axb; cin ] cx;
-  g (Gate_kind.Or 2) "o1" [ ab; cx ] cout;
+  g (Gate_kind.Xor 2) "x1" [| a; bb |] axb;
+  g (Gate_kind.Xor 2) "x2" [| axb; cin |] sum;
+  g (Gate_kind.And 2) "a1" [| a; bb |] ab;
+  g (Gate_kind.And 2) "a2" [| axb; cin |] cx;
+  g (Gate_kind.Or 2) "o1" [| ab; cx |] cout;
   (sum, cout)
 
 let full_adder_nand9 b ~prefix ~a ~b:bb ~cin =
@@ -76,21 +76,21 @@ let full_adder_nand9 b ~prefix ~a ~b:bb ~cin =
   let n2 = net "n2" in
   let n3 = net "n3" in
   let axb = net "axb" in
-  g "g1" [ a; bb ] n1;
-  g "g2" [ a; n1 ] n2;
-  g "g3" [ bb; n1 ] n3;
-  g "g4" [ n2; n3 ] axb;
+  g "g1" [| a; bb |] n1;
+  g "g2" [| a; n1 |] n2;
+  g "g3" [| bb; n1 |] n3;
+  g "g4" [| n2; n3 |] axb;
   (* Second half: sum = axb xor cin; cout = nand (n5, n1). *)
   let n5 = net "n5" in
   let n6 = net "n6" in
   let n7 = net "n7" in
   let sum = net "s" in
   let cout = net "cout" in
-  g "g5" [ axb; cin ] n5;
-  g "g6" [ axb; n5 ] n6;
-  g "g7" [ cin; n5 ] n7;
-  g "g8" [ n6; n7 ] sum;
-  g "g9" [ n5; n1 ] cout;
+  g "g5" [| axb; cin |] n5;
+  g "g6" [| axb; n5 |] n6;
+  g "g7" [| cin; n5 |] n7;
+  g "g8" [| n6; n7 |] sum;
+  g "g9" [| n5; n1 |] cout;
   (sum, cout)
 
 type adder = {
@@ -150,7 +150,7 @@ let array_multiplier ?(nand_only = false) ~m ~n () =
     let _ =
       Builder.add_gate b (Gate_kind.And 2)
         ~name:(Printf.sprintf "ppg_%d_%d" i j)
-        ~inputs:[ ma.(i); mb.(j) ]
+        ~inputs:[| ma.(i); mb.(j) |]
         ~output:out
     in
     out
@@ -205,7 +205,7 @@ let random_combinational ?(name = "random") ~gates ~inputs ~seed () =
       Hashtbl.replace loaded sid ();
       sid
     in
-    let ins = List.init (Gate_kind.arity kind) (fun _ -> pick ()) in
+    let ins = Array.init (Gate_kind.arity kind) (fun _ -> pick ()) in
     let out = Builder.fresh_signal b in
     let _ = Builder.add_gate b kind ~name:(Printf.sprintf "rg%d" g) ~inputs:ins ~output:out in
     let extended = Array.make (Array.length !pool + 1) out in
@@ -227,11 +227,11 @@ let sr_latch_into builder ~prefix ~s_n ~r_n =
   let q = Builder.signal builder (prefix ^ "_q") in
   let qb = Builder.signal builder (prefix ^ "_qb") in
   let _ =
-    Builder.add_gate builder (Gate_kind.Nand 2) ~name:(prefix ^ "_n1") ~inputs:[ s_n; qb ]
+    Builder.add_gate builder (Gate_kind.Nand 2) ~name:(prefix ^ "_n1") ~inputs:[| s_n; qb |]
       ~output:q
   in
   let _ =
-    Builder.add_gate builder (Gate_kind.Nand 2) ~name:(prefix ^ "_n2") ~inputs:[ r_n; q ]
+    Builder.add_gate builder (Gate_kind.Nand 2) ~name:(prefix ^ "_n2") ~inputs:[| r_n; q |]
       ~output:qb
   in
   (q, qb)
@@ -265,13 +265,13 @@ let latch_glitch_circuit () =
     ignore (Builder.add_gate b Gate_kind.Inv ~name:gname ?input_vt ~inputs ~output)
   in
   (* two-inverter chain degrades the input pulse into a runt on glitch *)
-  inv "chain_a" [ lg_in ] mid;
-  inv "chain_b" [ mid ] glitch;
+  inv "chain_a" [| lg_in |] mid;
+  inv "chain_b" [| mid |] glitch;
   (* the Fig. 1 pair: a low-threshold and a high-threshold inverter
      watch the same runt, each turning it into an active-low reset
      pulse for its own latch *)
-  inv ~input_vt:[ Some 1.5 ] "sense_low" [ glitch ] r_n_low;
-  inv ~input_vt:[ Some 4.0 ] "sense_high" [ glitch ] r_n_high;
+  inv ~input_vt:[| Some 1.5 |] "sense_low" [| glitch |] r_n_low;
+  inv ~input_vt:[| Some 4.0 |] "sense_high" [| glitch |] r_n_high;
   let q_low, qb_low = sr_latch_into b ~prefix:"ll" ~s_n ~r_n:r_n_low in
   let q_high, qb_high = sr_latch_into b ~prefix:"lh" ~s_n ~r_n:r_n_high in
   List.iter (Builder.mark_output b) [ q_low; qb_low; q_high; qb_high; glitch ];
@@ -304,10 +304,10 @@ let wallace_multiplier ~m ~n () =
     let sum = Builder.signal b (prefix ^ "_s") in
     let carry = Builder.signal b (prefix ^ "_c") in
     let _ =
-      Builder.add_gate b (Gate_kind.Xor 2) ~name:(prefix ^ "_x") ~inputs:[ a; x ] ~output:sum
+      Builder.add_gate b (Gate_kind.Xor 2) ~name:(prefix ^ "_x") ~inputs:[| a; x |] ~output:sum
     in
     let _ =
-      Builder.add_gate b (Gate_kind.And 2) ~name:(prefix ^ "_a") ~inputs:[ a; x ]
+      Builder.add_gate b (Gate_kind.And 2) ~name:(prefix ^ "_a") ~inputs:[| a; x |]
         ~output:carry
     in
     (sum, carry)
@@ -320,7 +320,7 @@ let wallace_multiplier ~m ~n () =
       let _ =
         Builder.add_gate b (Gate_kind.And 2)
           ~name:(Printf.sprintf "ppg_%d_%d" i j)
-          ~inputs:[ ma.(i); mb.(j) ]
+          ~inputs:[| ma.(i); mb.(j) |]
           ~output:out
       in
       columns.(i + j) <- out :: columns.(i + j)
@@ -392,8 +392,8 @@ let carry_lookahead_adder ~bits () =
   for i = 0 to bits - 1 do
     let pi = Builder.signal b (Printf.sprintf "p%d" i) in
     let gi = Builder.signal b (Printf.sprintf "g%d" i) in
-    g (Gate_kind.Xor 2) (Printf.sprintf "px%d" i) [ a.(i); bb.(i) ] pi;
-    g (Gate_kind.And 2) (Printf.sprintf "ga%d" i) [ a.(i); bb.(i) ] gi;
+    g (Gate_kind.Xor 2) (Printf.sprintf "px%d" i) [| a.(i); bb.(i) |] pi;
+    g (Gate_kind.And 2) (Printf.sprintf "ga%d" i) [| a.(i); bb.(i) |] gi;
     p.(i) <- pi;
     gn.(i) <- gi
   done;
@@ -418,7 +418,7 @@ let carry_lookahead_adder ~bits () =
           | [ single ] -> single
           | fs ->
               let t = Builder.signal b (Printf.sprintf "t%d_%d" i k) in
-              g (Gate_kind.And (List.length fs)) (Printf.sprintf "ta%d_%d" i k) fs t;
+              g (Gate_kind.And (List.length fs)) (Printf.sprintf "ta%d_%d" i k) (Array.of_list fs) t;
               t
         in
         terms := term :: !terms
@@ -430,7 +430,7 @@ let carry_lookahead_adder ~bits () =
           factors := p.(j) :: !factors
         done;
         let t = Builder.signal b (Printf.sprintf "tc%d" i) in
-        g (Gate_kind.And (List.length !factors)) (Printf.sprintf "tca%d" i) !factors t;
+        g (Gate_kind.And (List.length !factors)) (Printf.sprintf "tca%d" i) (Array.of_list !factors) t;
         terms := t :: !terms
       end;
       let ci =
@@ -438,7 +438,7 @@ let carry_lookahead_adder ~bits () =
         | [ single ] -> single
         | ts ->
             let ci = Builder.signal b (Printf.sprintf "c%d" i) in
-            g (Gate_kind.Or (List.length ts)) (Printf.sprintf "co%d" i) ts ci;
+            g (Gate_kind.Or (List.length ts)) (Printf.sprintf "co%d" i) (Array.of_list ts) ci;
             ci
       in
       c.(i) <- ci
@@ -448,7 +448,7 @@ let carry_lookahead_adder ~bits () =
   let sum_bits =
     List.init bits (fun i ->
         let si = Builder.signal b (Printf.sprintf "s%d" i) in
-        g (Gate_kind.Xor 2) (Printf.sprintf "sx%d" i) [ p.(i); c.(i) ] si;
+        g (Gate_kind.Xor 2) (Printf.sprintf "sx%d" i) [| p.(i); c.(i) |] si;
         si)
     @ [ c.(bits) ]
   in
@@ -467,10 +467,10 @@ let d_latch_into b ~prefix ~d ~en =
   let n2 = net "n2" in
   let q = net "q" in
   let qb = net "qb" in
-  g "g1" [ d; en ] n1;
-  g "g2" [ n1; en ] n2;
-  g "g3" [ n1; qb ] q;
-  g "g4" [ n2; q ] qb;
+  g "g1" [| d; en |] n1;
+  g "g2" [| n1; en |] n2;
+  g "g3" [| n1; qb |] q;
+  g "g4" [| n2; q |] qb;
   (q, qb)
 
 type dff = {
@@ -486,7 +486,7 @@ type dff = {
 let dff_into b ~prefix ~d ~clk =
   let nclk = Builder.signal b (prefix ^ "_nclk") in
   let _ =
-    Builder.add_gate b Gate_kind.Inv ~name:(prefix ^ "_ck") ~inputs:[ clk ] ~output:nclk
+    Builder.add_gate b Gate_kind.Inv ~name:(prefix ^ "_ck") ~inputs:[| clk |] ~output:nclk
   in
   let mq, _mqb = d_latch_into b ~prefix:(prefix ^ "_m") ~d ~en:nclk in
   let q, qb = d_latch_into b ~prefix:(prefix ^ "_s") ~d:mq ~en:clk in

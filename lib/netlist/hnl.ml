@@ -15,29 +15,42 @@ type error = Diag.t = {
 let code = "netlist-parse" and hint = "see doc/FORMATS.md for the HNL grammar"
 let fail line fmt = Diag.failf ~code ~hint ~line fmt
 
+(* Token [i] as a signal: looked up in place, copied only when new. *)
+let signal_at sc text b i =
+  let a = Line_scan.start sc i in
+  Builder.signal_sub b text a (Line_scan.stop sc i - a)
+
 (* A tie operand's shared signal is named const_0/const_1, which a
    document may already have declared itself. *)
-let operand sc b lineno i =
-  let const v = try Builder.const b v with Invalid_argument m -> fail lineno "%s" m in
-  if Line_scan.is sc i "const0" then const Value.L0
-  else if Line_scan.is sc i "const1" then const Value.L1
-  else Builder.signal b (Line_scan.token sc i)
+let tie b lineno v = try Builder.const b v with Invalid_argument m -> fail lineno "%s" m
+
+let operand sc text b lineno i =
+  let a = Line_scan.start sc i in
+  let len = Line_scan.stop sc i - a in
+  if len = 6 && Line_scan.is sc i "const0" then tie b lineno Value.L0
+  else if len = 6 && Line_scan.is sc i "const1" then tie b lineno Value.L1
+  else Builder.signal_sub b text a len
 
 (* One gate line: gate NAME KIND OUT IN... ATTR..., where an attribute
    is vt<pin>=<float> or load=<float>.  The checks keep their order:
    every attribute parses before a token without '=' is reported, and
    pin ranges are checked after the operands resolve.  Operands resolve
-   before the output, so signal ids follow first mention. *)
-let gate_line sc b lineno =
-  let n = Line_scan.count sc and name = Line_scan.token sc 1 and kind_name = Line_scan.token sc 2 in
+   before the output, so signal ids follow first mention.  A line
+   without attributes copies only the gate's name. *)
+let gate_line sc text b lineno =
+  let n = Line_scan.count sc in
   let kind =
-    match Gate_kind.of_name kind_name with
+    let a = Line_scan.start sc 2 in
+    match Gate_kind.of_sub text a (Line_scan.stop sc 2 - a) with
     | Some k -> k
-    | None -> fail lineno "unknown gate kind %S" kind_name
+    | None -> fail lineno "unknown gate kind %S" (Line_scan.token sc 2)
   in
   let arity = Gate_kind.arity kind in
-  if n - 4 < arity then fail lineno "gate %s: kind %s needs %d inputs" name kind_name arity;
-  let vt = Array.make arity None and extra_load = ref None in
+  if n - 4 < arity then
+    fail lineno "gate %s: kind %s needs %d inputs" (Line_scan.token sc 1) (Line_scan.token sc 2)
+      arity;
+  let attrs = n > 4 + arity in
+  let vt = if attrs then Array.make arity None else [||] and extra_load = ref None in
   let stray = ref None and bad_pin = ref None in
   for i = 4 + arity to n - 1 do
     let t = Line_scan.token sc i in
@@ -61,11 +74,20 @@ let gate_line sc b lineno =
         else fail lineno "unknown attribute %S" t)
   done;
   (match !stray with Some t -> fail lineno "unexpected token %S" t | None -> ());
-  let inputs = List.init arity (fun k -> operand sc b lineno (4 + k)) in
-  let output = Builder.signal b (Line_scan.token sc 3) in
-  (match !bad_pin with Some p -> fail lineno "gate %s: vt pin %d out of range" name p | None -> ());
+  (* small arrays as literals, which allocate inline instead of through
+     [Array.make]'s C call *)
+  let inputs =
+    match arity with 1 -> [| 0 |] | 2 -> [| 0; 0 |] | 3 -> [| 0; 0; 0 |] | n -> Array.make n 0
+  in
+  for k = 0 to arity - 1 do
+    inputs.(k) <- operand sc text b lineno (4 + k)
+  done;
+  let output = signal_at sc text b 3 in
+  (match !bad_pin with
+  | Some p -> fail lineno "gate %s: vt pin %d out of range" (Line_scan.token sc 1) p
+  | None -> ());
   (* without attributes, the Builder defaults are the same values *)
-  let input_vt = if Array.for_all Option.is_none vt then None else Some (Array.to_list vt) in
+  let input_vt = if attrs then Some vt else None and name = Line_scan.token sc 1 in
   try ignore (Builder.add_gate b kind ~name ?input_vt ?extra_load:!extra_load ~inputs ~output)
   with Invalid_argument m -> fail lineno "%s" m
 
@@ -75,29 +97,32 @@ let parse_string text =
   let get_builder lineno =
     match !builder with Some b -> b | None -> fail lineno "missing 'circuit NAME' header"
   in
-  (* input/output NAME...: [f] on each name *)
-  let names lineno n f =
-    let b = get_builder lineno in
-    if n = 1 then fail lineno "usage: %s NAME..." (Line_scan.token sc 0);
-    for i = 1 to n - 1 do f b (Line_scan.token sc i) done
-  in
   try
     while Line_scan.next sc do
       let lineno = Line_scan.line sc and n = Line_scan.count sc in
       if n = 0 then ()
       else if !ended then fail lineno "content after 'end'"
+      else if Line_scan.is sc 0 "gate" && n >= 4 then gate_line sc text (get_builder lineno) lineno
       else if Line_scan.is sc 0 "circuit" then begin
         if n <> 2 then fail lineno "usage: circuit NAME";
         if !builder <> None then fail lineno "duplicate 'circuit' header";
         builder := Some (Builder.create (Line_scan.token sc 1))
       end
-      else if Line_scan.is sc 0 "input" then
-        names lineno n (fun b s ->
-            try ignore (Builder.input b s) with Invalid_argument m -> fail lineno "%s" m)
-      else if Line_scan.is sc 0 "output" then
-        names lineno n (fun b s -> Builder.mark_output b (Builder.signal b s))
-      else if Line_scan.is sc 0 "gate" && n >= 4 then
-        gate_line sc (get_builder lineno) lineno
+      else if Line_scan.is sc 0 "input" then begin
+        let b = get_builder lineno in
+        if n = 1 then fail lineno "usage: input NAME...";
+        for i = 1 to n - 1 do
+          try ignore (Builder.input b (Line_scan.token sc i))
+          with Invalid_argument m -> fail lineno "%s" m
+        done
+      end
+      else if Line_scan.is sc 0 "output" then begin
+        let b = get_builder lineno in
+        if n = 1 then fail lineno "usage: output NAME...";
+        for i = 1 to n - 1 do
+          Builder.mark_output b (signal_at sc text b i)
+        done
+      end
       else if Line_scan.is sc 0 "end" && n = 1 then begin
         ignore (get_builder lineno);
         ended := true

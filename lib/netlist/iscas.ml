@@ -5,46 +5,104 @@ module Diag = Halotis_util.Diag
 let code = "iscas-parse" and hint = "ISCAS-85 lines look like `G10 = NAND(G1, G3)`"
 let fail line fmt = Diag.failf ~code ~hint ~line fmt
 
-let strip s = String.trim s
+(* The readers work on slices [a, b) of the text: a line is the span of
+   its tokens, and a name or a function is copied only when it is new
+   or quoted in an error.  Trimming drops [String.trim]'s blanks, form
+   feeds included, as .bench files have them. *)
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+let rec trim_start text a b = if a < b && is_blank text.[a] then trim_start text (a + 1) b else a
+let rec trim_stop text a b = if b > a && is_blank text.[b - 1] then trim_stop text a (b - 1) else b
+let rec index text a b c = if a = b then -1 else if text.[a] = c then a else index text (a + 1) b c
+let sub text a b = String.sub text a (b - a)
 
-(* "INPUT(G1)" -> Some ("INPUT", "G1") *)
-let directive line =
-  match String.index_opt line '(' with
-  | None -> None
-  | Some i ->
-      if String.length line > 0 && line.[String.length line - 1] = ')' then
-        Some
-          ( String.uppercase_ascii (strip (String.sub line 0 i)),
-            strip (String.sub line (i + 1) (String.length line - i - 2)) )
-      else None
+let rec upper_from text a kw j =
+  j = String.length kw
+  || (Char.uppercase_ascii text.[a + j] = kw.[j] && upper_from text a kw (j + 1))
 
-(* "G10 = NAND(G1, G3)" -> (out, fn, operands) *)
-let assignment lineno line =
-  match String.index_opt line '=' with
-  | None -> fail lineno "expected '=' in %S" line
-  | Some eq ->
-      let out = strip (String.sub line 0 eq) in
-      let rhs = strip (String.sub line (eq + 1) (String.length line - eq - 1)) in
-      (match directive rhs with
-      | Some (fn, args) ->
-          let operands = List.map strip (String.split_on_char ',' args) in
-          (out, fn, List.filter (fun s -> s <> "") operands)
-      | None -> fail lineno "expected FUNC(args) on the right of %S" line)
+(* [text.[a .. b - 1]], upper-cased, is [kw] *)
+let is_upper text a b kw = b - a = String.length kw && upper_from text a kw 0
 
-let kind_of lineno fn arity =
-  match (fn, arity) with
-  | "NOT", 1 -> Gate_kind.Inv
-  | "BUFF", 1 | "BUF", 1 -> Gate_kind.Buf
-  | "NOT", n | "BUFF", n | "BUF", n -> fail lineno "%s expects one operand, got %d" fn n
-  | "AND", n when n >= 2 -> Gate_kind.And n
-  | "NAND", n when n >= 2 -> Gate_kind.Nand n
-  | "OR", n when n >= 2 -> Gate_kind.Or n
-  | "NOR", n when n >= 2 -> Gate_kind.Nor n
-  | "XOR", n when n >= 2 -> Gate_kind.Xor n
-  | "XNOR", n when n >= 2 -> Gate_kind.Xnor n
-  | ("AND" | "NAND" | "OR" | "NOR" | "XOR" | "XNOR"), n ->
-      fail lineno "%s expects at least two operands, got %d" fn n
-  | _, _ -> fail lineno "unknown function %S" fn
+let fn_name text a b = String.uppercase_ascii (sub text a b)
+
+let families =
+  [|
+    ("AND", fun n -> Gate_kind.And n);
+    ("NAND", fun n -> Gate_kind.Nand n);
+    ("OR", fun n -> Gate_kind.Or n);
+    ("NOR", fun n -> Gate_kind.Nor n);
+    ("XOR", fun n -> Gate_kind.Xor n);
+    ("XNOR", fun n -> Gate_kind.Xnor n);
+  |]
+
+let rec family text a b f =
+  if f = Array.length families || is_upper text a b (fst families.(f)) then f
+  else family text a b (f + 1)
+
+(* The gate kind of the function [a, b) with [n] operands. *)
+let kind_of lineno text a b n =
+  let inv = is_upper text a b "NOT" in
+  if inv || is_upper text a b "BUFF" || is_upper text a b "BUF" then
+    if n <> 1 then fail lineno "%s expects one operand, got %d" (fn_name text a b) n
+    else if inv then Gate_kind.Inv
+    else Gate_kind.Buf
+  else
+    let f = family text a b 0 in
+    if f = Array.length families then fail lineno "unknown function %S" (fn_name text a b)
+    else if n < 2 then fail lineno "%s expects at least two operands, got %d" (fn_name text a b) n
+    else snd families.(f) n
+
+(* The comma-separated operands in [a, b), trimmed, empty ones skipped:
+   their count, or with [ids] each one's signal, in order. *)
+let operands builder text a b ids =
+  let k = ref 0 and s = ref a in
+  while !s <= b do
+    let e = match index text !s b ',' with -1 -> b | c -> c in
+    let fa = trim_start text !s e in
+    let fb = trim_stop text fa e in
+    if fb > fa then begin
+      if Array.length ids > 0 then ids.(!k) <- Builder.signal_sub builder text fa (fb - fa);
+      incr k
+    end;
+    s := e + 1
+  done;
+  !k
+
+(* OUT = FUNC(ARG, ...) on the line [a, b) *)
+let assignment lineno builder counter text a b =
+  let eq = index text a b '=' in
+  if eq < 0 then fail lineno "expected '=' in %S" (sub text a b);
+  let oa = trim_start text a eq in
+  let ob = trim_stop text oa eq in
+  let ra = trim_start text (eq + 1) b in
+  let rb = trim_stop text ra b in
+  let p = index text ra rb '(' in
+  if p < 0 || text.[rb - 1] <> ')' then
+    fail lineno "expected FUNC(args) on the right of %S" (sub text a b);
+  let fa = trim_start text ra p in
+  let fb = trim_stop text fa p in
+  let aa = trim_start text (p + 1) (rb - 1) in
+  let ab = trim_stop text aa (rb - 1) in
+  let kind = kind_of lineno text fa fb (operands builder text aa ab [||]) in
+  let inputs = Array.make (Gate_kind.arity kind) 0 in
+  ignore (operands builder text aa ab inputs);
+  let output = Builder.signal_sub builder text oa (ob - oa) in
+  let name = String.concat "" [ "g"; string_of_int counter; "_"; sub text oa ob ] in
+  try ignore (Builder.add_gate builder kind ~name ~inputs ~output)
+  with Invalid_argument m -> fail lineno "%s" m
+
+(* The line [a, z), whose first '(' is at [p] (or [p] is -1), is
+   KW(NAME) for a keyword [kw] in any case. *)
+let is_directive text a z p kw =
+  p >= 0
+  && text.[z - 1] = ')'
+  &&
+  let fb = trim_stop text a p in
+  is_upper text (trim_start text a fb) fb kw
+
+(* the NAME of such a line *)
+let directive_arg text z p =
+  let na = trim_start text (p + 1) (z - 1) in
+  sub text na (trim_stop text na (z - 1))
 
 let parse_string ?(name = "bench") text =
   let sc = Line_scan.create text in
@@ -53,24 +111,19 @@ let parse_string ?(name = "bench") text =
     let outputs = ref [] and gate_counter = ref 0 in
     while Line_scan.next sc do
       let lineno = Line_scan.line sc and n = Line_scan.count sc in
-      let lo = if n = 0 then 0 else Line_scan.start sc 0 in
-      let hi = if n = 0 then 0 else Line_scan.stop sc (n - 1) in
-      (* the tokens' span; strip also drops form feeds, as .bench always has *)
-      let line = strip (String.sub text lo (hi - lo)) in
-      if line <> "" then begin
-        match directive line with
-        | Some ("INPUT", sig_name) -> (
-            try ignore (Builder.input b sig_name) with Invalid_argument m -> fail lineno "%s" m)
-        | Some ("OUTPUT", sig_name) -> outputs := sig_name :: !outputs
-        | Some _ | None -> (
-            let out, fn, operands = assignment lineno line in
-            let kind = kind_of lineno fn (List.length operands) in
-            let inputs = List.map (Builder.signal b) operands in
-            let output = Builder.signal b out in
-            incr gate_counter;
-            let name = String.concat "" [ "g"; string_of_int !gate_counter; "_"; out ] in
-            try ignore (Builder.add_gate b kind ~name ~inputs ~output)
-            with Invalid_argument m -> fail lineno "%s" m)
+      let last = if n = 0 then 0 else Line_scan.stop sc (n - 1) in
+      let a = if n = 0 then 0 else trim_start text (Line_scan.start sc 0) last in
+      let z = trim_stop text a last in
+      if z > a then begin
+        let p = index text a z '(' in
+        if is_directive text a z p "INPUT" then (
+          try ignore (Builder.input b (directive_arg text z p))
+          with Invalid_argument m -> fail lineno "%s" m)
+        else if is_directive text a z p "OUTPUT" then outputs := directive_arg text z p :: !outputs
+        else begin
+          incr gate_counter;
+          assignment lineno b !gate_counter text a z
+        end
       end
     done;
     List.iter (fun n -> Builder.mark_output b (Builder.signal b n)) (List.rev !outputs);

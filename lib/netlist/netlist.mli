@@ -58,7 +58,29 @@ val gate_name : t -> gate_id -> string
 val fanout_gates : t -> signal_id -> gate_id list
 (** Distinct gates loading a signal. *)
 
-module Names : Hashtbl.S with type key = string  (** the signal name table, see {!make} *)
+(** The name table: names to dense ids [0 .. count - 1] in the order
+    they were added.  Names are looked up as slices [(s, pos, len)] of
+    a source text, so a reader copies a name only when it is new.
+    [find] and [intern] raise [Invalid_argument] on a slice outside
+    [s]. *)
+module Names : sig
+  type t
+
+  val create : unit -> t
+
+  val count : t -> int
+  (** Names added so far; the next new name gets this id. *)
+
+  val name : t -> int -> string
+
+  val find : t -> string -> int -> int -> int
+  (** [find t s pos len] is the id of [String.sub s pos len], or [-1]. *)
+
+  val intern : t -> string -> int -> int -> int
+  (** [intern t s pos len] is [find t s pos len] when that is an id;
+      otherwise it adds the name (sharing [s] itself when the slice is
+      all of it) with id [count t] and returns that. *)
+end
 
 val make :
   name:string ->
@@ -66,12 +88,12 @@ val make :
   gates:gate array ->
   primary_inputs:signal_id list ->
   primary_outputs:signal_id list ->
-  signal_by_name:signal_id Names.t ->
+  signal_by_name:Names.t ->
   t
 (** Used by {!Halotis_netlist.Builder}, which hands over its signal
-    name table (each name to its id; the circuit keeps it); validates
-    internal consistency (ids match indices, pins in range, loads
-    consistent with fanin).
+    name table (signal [i] is the table's id [i]; the circuit keeps
+    it); validates internal consistency (ids match indices, pins in
+    range, loads consistent with fanin).
     @raise Invalid_argument on inconsistency. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -11,9 +11,18 @@ let create text = { text; pos = 0; line = 0; count = 0; offsets = Array.make 32 
 let push t a b =
   let k = 2 * t.count in
   if k = Array.length t.offsets then t.offsets <- Array.append t.offsets (Array.make k 0);
-  t.offsets.(k) <- a;
-  t.offsets.(k + 1) <- b;
+  Array.unsafe_set t.offsets k a;
+  Array.unsafe_set t.offsets (k + 1) b;
   t.count <- t.count + 1
+
+(* A byte's class: 0 in a token, 1 a blank, 2 the end of the line's
+   tokens (a newline or a comment). *)
+let classes =
+  String.init 256 (fun c ->
+      match Char.chr c with ' ' | '\t' | '\r' -> '\001' | '\n' | '#' -> '\002' | _ -> '\000')
+
+let[@inline] class_at s i =
+  Char.code (String.unsafe_get classes (Char.code (String.unsafe_get s i)))
 
 let next t =
   let s = t.text and n = String.length t.text in
@@ -21,33 +30,42 @@ let next t =
   && begin
        t.line <- t.line + 1;
        t.count <- 0;
-       let i = ref t.pos in
-       while !i < n && s.[!i] <> '\n' && s.[!i] <> '#' do
-         let a = !i in
-         (* to the next blank, newline or comment; [!i < n] bounds the read *)
-         while
-           !i < n
-           && match String.unsafe_get s !i with ' ' | '\t' | '\r' | '\n' | '#' -> false | _ -> true
-         do
+       (* [!i < n] bounds every read *)
+       let i = ref t.pos and c = ref 1 in
+       while !c <> 2 do
+         while !i < n && class_at s !i = 1 do
            incr i
          done;
-         if !i > a then push t a !i else incr i
+         c := if !i = n then 2 else class_at s !i;
+         if !c = 0 then begin
+           let a = !i in
+           while !i < n && class_at s !i = 0 do
+             incr i
+           done;
+           push t a !i
+         end
        done;
-       t.pos <- (match String.index_from_opt s !i '\n' with Some e -> e + 1 | None -> n + 1);
+       (* past the comment to the newline, or past the end *)
+       while !i < n && String.unsafe_get s !i <> '\n' do
+         incr i
+       done;
+       t.pos <- !i + 1;
        true
      end
 
 let line t = t.line
 let count t = t.count
 
-let offset t i k =
-  if i < 0 || i >= t.count then invalid_arg "Line_scan: no such token";
-  t.offsets.((2 * i) + k)
-
-let start t i = offset t i 0
-let stop t i = offset t i 1
+let no_token () = invalid_arg "Line_scan: no such token"
+let start t i = if i < 0 || i >= t.count then no_token () else Array.unsafe_get t.offsets (2 * i)
+let stop t i =
+  if i < 0 || i >= t.count then no_token () else Array.unsafe_get t.offsets ((2 * i) + 1)
 let token t i = String.sub t.text (start t i) (stop t i - start t i)
 
 (* a top-level loop: a local closure would allocate on every call *)
-let rec equal_from text a s j = j = String.length s || (text.[a + j] = s.[j] && equal_from text a s (j + 1))
-let is t i s = stop t i - start t i = String.length s && equal_from t.text (start t i) s 0
+let rec equal_from text a s j =
+  j = String.length s || (String.unsafe_get text (a + j) = s.[j] && equal_from text a s (j + 1))
+
+let is t i s =
+  let a = start t i in
+  Array.unsafe_get t.offsets ((2 * i) + 1) - a = String.length s && equal_from t.text a s 0

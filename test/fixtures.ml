@@ -32,7 +32,7 @@ let buffer_tree ?(name = "buffer_tree") ~depth () =
               let _ =
                 Builder.add_gate b Gate_kind.Buf
                   ~name:(Printf.sprintf "buf_l%d_%d_%s" level out side)
-                  ~inputs:[ src ] ~output:out
+                  ~inputs:[| src |] ~output:out
               in
               out
             in
@@ -57,10 +57,10 @@ let d_latch_into b ~prefix ~d ~en =
   let n2 = net "n2" in
   let q = net "q" in
   let qb = net "qb" in
-  g "g1" [ d; en ] n1;
-  g "g2" [ n1; en ] n2;
-  g "g3" [ n1; qb ] q;
-  g "g4" [ n2; q ] qb;
+  g "g1" [| d; en |] n1;
+  g "g2" [| n1; en |] n2;
+  g "g3" [| n1; qb |] q;
+  g "g4" [| n2; q |] qb;
   (q, qb)
 
 type d_latch = {
@@ -86,7 +86,7 @@ let d_latch ?(name = "d_latch") () =
 let dff_into b ~prefix ~d ~clk =
   let nclk = Builder.signal b (prefix ^ "_nclk") in
   let _ =
-    Builder.add_gate b Gate_kind.Inv ~name:(prefix ^ "_ck") ~inputs:[ clk ] ~output:nclk
+    Builder.add_gate b Gate_kind.Inv ~name:(prefix ^ "_ck") ~inputs:[| clk |] ~output:nclk
   in
   let mq, _mqb = d_latch_into b ~prefix:(prefix ^ "_m") ~d ~en:nclk in
   d_latch_into b ~prefix:(prefix ^ "_s") ~d:mq ~en:clk
@@ -119,12 +119,12 @@ let lfsr ?(name = "lfsr") ~bits ~taps () =
   let stages = List.rev !qs in
   (match List.map (fun t -> List.nth stages t) taps with
   | [ single ] ->
-      ignore (Builder.add_gate b Gate_kind.Buf ~name:"fb" ~inputs:[ single ] ~output:feedback)
+      ignore (Builder.add_gate b Gate_kind.Buf ~name:"fb" ~inputs:[| single |] ~output:feedback)
   | tap_signals ->
       ignore
         (Builder.add_gate b
            (Gate_kind.Xor (List.length tap_signals))
-           ~name:"fb" ~inputs:tap_signals ~output:feedback));
+           ~name:"fb" ~inputs:(Array.of_list tap_signals) ~output:feedback));
   { lfsr_circuit = Builder.finalize b; lfsr_clk; lfsr_taps = stages }
 
 (* Uniformly random operand pairs. *)

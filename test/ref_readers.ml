@@ -122,8 +122,8 @@ module Hnl = struct
                 attrs;
               (try
                  ignore
-                   (Builder.add_gate b kind ~name ~input_vt:(Array.to_list vt)
-                      ~extra_load:!extra_load ~inputs ~output)
+                   (Builder.add_gate b kind ~name ~input_vt:vt ~extra_load:!extra_load
+                      ~inputs:(Array.of_list inputs) ~output)
                with Invalid_argument m -> fail lineno "%s" m)
           | [ "end" ] ->
               ignore (get_builder lineno);
@@ -208,7 +208,7 @@ module Iscas = struct
                    ignore
                      (Builder.add_gate b kind
                         ~name:(Printf.sprintf "g%d_%s" !gate_counter out)
-                        ~inputs ~output)
+                        ~inputs:(Array.of_list inputs) ~output)
                  with Invalid_argument m -> fail lineno "%s" m)
           end)
         lines;

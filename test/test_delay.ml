@@ -17,11 +17,11 @@ let fanout_circuit n =
   let b = Builder.create "fan" in
   let a = Builder.input b "a" in
   let y = Builder.signal b "y" in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"drv" ~inputs:[ a ] ~output:y in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"drv" ~inputs:[| a |] ~output:y in
   for i = 1 to n do
     let o = Builder.signal b (Printf.sprintf "o%d" i) in
     let _ =
-      Builder.add_gate b Gate_kind.Inv ~name:(Printf.sprintf "ld%d" i) ~inputs:[ y ]
+      Builder.add_gate b Gate_kind.Inv ~name:(Printf.sprintf "ld%d" i) ~inputs:[| y |]
         ~output:o
     in
     Builder.mark_output b o
@@ -49,7 +49,7 @@ let test_loads_extra_load () =
   let a = Builder.input b "a" in
   let y = Builder.signal b "y" in
   let _ =
-    Builder.add_gate b Gate_kind.Inv ~name:"g" ~extra_load:25. ~inputs:[ a ] ~output:y
+    Builder.add_gate b Gate_kind.Inv ~name:"g" ~extra_load:25. ~inputs:[| a |] ~output:y
   in
   Builder.mark_output b y;
   let c = Builder.finalize b in
@@ -161,7 +161,7 @@ let test_for_gate_uses_pin_factor () =
   let a = Builder.input b "a" in
   let a2 = Builder.input b "a2" in
   let y = Builder.signal b "y" in
-  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g" ~inputs:[ a; a2 ] ~output:y in
+  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g" ~inputs:[| a; a2 |] ~output:y in
   Builder.mark_output b y;
   let c = Builder.finalize b in
   let loads = Loads.of_netlist DL.tech c in

@@ -133,9 +133,9 @@ let ring_oscillator () =
   let x = Builder.signal b "x" in
   let y = Builder.signal b "y" in
   let z = Builder.signal b "z" in
-  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g1" ~inputs:[ a; z ] ~output:x in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g2" ~inputs:[ x ] ~output:y in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g3" ~inputs:[ y ] ~output:z in
+  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g1" ~inputs:[| a; z |] ~output:x in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g2" ~inputs:[| x |] ~output:y in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g3" ~inputs:[| y |] ~output:z in
   Builder.mark_output b z;
   Builder.finalize b
 

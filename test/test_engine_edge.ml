@@ -26,7 +26,7 @@ let test_both_pins_same_signal () =
   let b = Builder.create "tied" in
   let a = Builder.input b "a" in
   let y = Builder.signal b "y" in
-  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g" ~inputs:[ a; a ] ~output:y in
+  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g" ~inputs:[| a; a |] ~output:y in
   Builder.mark_output b y;
   let c = Builder.finalize b in
   let r = Iddm.run (Iddm.config DL.tech) c ~drives:[ (sid c "a", step 1000.) ] in
@@ -46,7 +46,7 @@ let test_constant_input_gate () =
   let a = Builder.input b "a" in
   let zero = Builder.const b Value.L0 in
   let y = Builder.signal b "y" in
-  let _ = Builder.add_gate b (Gate_kind.And 2) ~name:"g" ~inputs:[ a; zero ] ~output:y in
+  let _ = Builder.add_gate b (Gate_kind.And 2) ~name:"g" ~inputs:[| a; zero |] ~output:y in
   Builder.mark_output b y;
   let c = Builder.finalize b in
   let r = Iddm.run (Iddm.config DL.tech) c ~drives:[ (sid c "a", step 1000.) ] in
@@ -60,7 +60,7 @@ let test_simultaneous_input_events () =
   let a = Builder.input b "a" in
   let bb = Builder.input b "b" in
   let y = Builder.signal b "y" in
-  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g" ~inputs:[ a; bb ] ~output:y in
+  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g" ~inputs:[| a; bb |] ~output:y in
   Builder.mark_output b y;
   let c = Builder.finalize b in
   let drives = [ (sid c "a", step 1000.); (sid c "b", step 1000.) ] in
@@ -78,8 +78,8 @@ let test_complex_cells_in_engine () =
   let s = Builder.input b "s" in
   let y_aoi = Builder.signal b "y_aoi" in
   let y_mux = Builder.signal b "y_mux" in
-  let _ = Builder.add_gate b Gate_kind.Aoi21 ~name:"g1" ~inputs:[ a; x; s ] ~output:y_aoi in
-  let _ = Builder.add_gate b Gate_kind.Mux2 ~name:"g2" ~inputs:[ a; x; s ] ~output:y_mux in
+  let _ = Builder.add_gate b Gate_kind.Aoi21 ~name:"g1" ~inputs:[| a; x; s |] ~output:y_aoi in
+  let _ = Builder.add_gate b Gate_kind.Mux2 ~name:"g2" ~inputs:[| a; x; s |] ~output:y_mux in
   Builder.mark_output b y_aoi;
   Builder.mark_output b y_mux;
   let c = Builder.finalize b in
@@ -109,7 +109,7 @@ let test_complex_cells_in_engine () =
 
 let test_wide_gate_in_engine () =
   let b = Builder.create "wide" in
-  let ins = List.init 4 (fun i -> Builder.input b (Printf.sprintf "i%d" i)) in
+  let ins = Array.init 4 (fun i -> Builder.input b (Printf.sprintf "i%d" i)) in
   let y = Builder.signal b "y" in
   let _ = Builder.add_gate b (Gate_kind.Nand 4) ~name:"g" ~inputs:ins ~output:y in
   Builder.mark_output b y;
@@ -120,7 +120,7 @@ let test_wide_gate_in_engine () =
     List.mapi
       (fun i s ->
         if i < 3 then (s, Drive.constant true) else (s, step (1000. +. (200. *. float_of_int i))))
-      ins
+      (Array.to_list ins)
   in
   let r = Iddm.run (Iddm.config DL.tech) c ~drives in
   checki "one falling edge" 1 (D.edge_count (Iddm.waveform r "y") ~vt)
@@ -196,7 +196,7 @@ let prop_every_kind_settles =
       let take l = List.filteri (fun i _ -> i < arity) (l @ [ false; false; false; false ]) in
       let v1 = take v1 and v2 = take v2 in
       let b = Builder.create "k" in
-      let ins = List.init arity (fun i -> Builder.input b (Printf.sprintf "i%d" i)) in
+      let ins = Array.init arity (fun i -> Builder.input b (Printf.sprintf "i%d" i)) in
       let y = Builder.signal b "y" in
       let _ = Builder.add_gate b kind ~name:"g" ~inputs:ins ~output:y in
       Builder.mark_output b y;
@@ -207,7 +207,7 @@ let prop_every_kind_settles =
             ( s,
               Drive.of_levels ~slope:100. ~initial:(List.nth v1 i)
                 [ (1000., List.nth v2 i) ] ))
-          ins
+          (Array.to_list ins)
       in
       let r = Iddm.run (Iddm.config DL.tech) c ~drives in
       let expected = Gate_kind.eval_bool kind (Array.of_list v2) in

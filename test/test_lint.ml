@@ -94,7 +94,7 @@ let test_report_json_roundtrip () =
   let a = Builder.input b "a" in
   let ghost = Builder.signal b "ghost" in
   let y = Builder.signal b "y" in
-  let _ = Builder.add_gate b (Gate_kind.And 2) ~name:"g" ~inputs:[ a; ghost ] ~output:y in
+  let _ = Builder.add_gate b (Gate_kind.And 2) ~name:"g" ~inputs:[| a; ghost |] ~output:y in
   Builder.mark_output b y;
   let c = Builder.finalize b in
   let findings = Lint.run c in
@@ -159,21 +159,21 @@ let flawed_netlist () =
   let _unused = Builder.input b "unused" in
   let w1 = Builder.signal b "w1" in
   let w2 = Builder.signal b "w2" in
-  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"f1" ~inputs:[ a; w2 ] ~output:w1 in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"f2" ~inputs:[ w1 ] ~output:w2 in
+  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"f1" ~inputs:[| a; w2 |] ~output:w1 in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"f2" ~inputs:[| w1 |] ~output:w2 in
   let w3 = Builder.signal b "w3" in
   let w4 = Builder.signal b "w4" in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"f3" ~inputs:[ w4 ] ~output:w3 in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"f4" ~inputs:[ w3 ] ~output:w4 in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"f3" ~inputs:[| w4 |] ~output:w3 in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"f4" ~inputs:[| w3 |] ~output:w4 in
   let ghost = Builder.signal b "ghost" in
   let q = Builder.signal b "q" in
-  let _ = Builder.add_gate b (Gate_kind.And 2) ~name:"g1" ~inputs:[ w1; ghost ] ~output:q in
+  let _ = Builder.add_gate b (Gate_kind.And 2) ~name:"g1" ~inputs:[| w1; ghost |] ~output:q in
   Builder.mark_output b q;
   let d = Builder.signal b "d" in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g2" ~inputs:[ bb ] ~output:d in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g2" ~inputs:[| bb |] ~output:d in
   let one = Builder.const b Value.L1 in
   let r = Builder.signal b "r" in
-  let _ = Builder.add_gate b (Gate_kind.Nor 2) ~name:"g3" ~inputs:[ one; bb ] ~output:r in
+  let _ = Builder.add_gate b (Gate_kind.Nor 2) ~name:"g3" ~inputs:[| one; bb |] ~output:r in
   Builder.mark_output b r;
   Builder.finalize b
 
@@ -209,7 +209,7 @@ let test_fanout_threshold () =
   let a = Builder.input b "a" in
   for i = 0 to 5 do
     let y = Builder.signal b (Printf.sprintf "y%d" i) in
-    let _ = Builder.add_gate b Gate_kind.Inv ~name:(Printf.sprintf "g%d" i) ~inputs:[ a ] ~output:y in
+    let _ = Builder.add_gate b Gate_kind.Inv ~name:(Printf.sprintf "g%d" i) ~inputs:[| a |] ~output:y in
     Builder.mark_output b y
   done;
   let c = Builder.finalize b in
@@ -256,7 +256,7 @@ let kinds_circuit kinds =
   List.iteri
     (fun i kind ->
       let inputs =
-        List.init (Gate_kind.arity kind) (fun p -> Builder.input b (Printf.sprintf "i%d_%d" i p))
+        Array.init (Gate_kind.arity kind) (fun p -> Builder.input b (Printf.sprintf "i%d_%d" i p))
       in
       let y = Builder.signal b (Printf.sprintf "y%d" i) in
       ignore (Builder.add_gate b kind ~inputs ~output:y);
@@ -280,7 +280,7 @@ let test_tech_rules_pin_override () =
   let a = Builder.input b "a" in
   let y = Builder.signal b "y" in
   let _ =
-    Builder.add_gate b Gate_kind.Inv ~name:"g" ~input_vt:[ Some 6.0 ] ~inputs:[ a ]
+    Builder.add_gate b Gate_kind.Inv ~name:"g" ~input_vt:[| Some 6.0 |] ~inputs:[| a |]
       ~output:y
   in
   Builder.mark_output b y;
@@ -419,7 +419,7 @@ let one_inverter () =
   let b = Builder.create "one" in
   let a = Builder.input b "a" in
   let y = Builder.signal b "y" in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g" ~inputs:[ a ] ~output:y in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g" ~inputs:[| a |] ~output:y in
   Builder.mark_output b y;
   Builder.finalize b
 
@@ -455,7 +455,7 @@ let test_nl020_degenerate () =
   let a = Builder.input b "a" in
   let zero = Builder.const b Value.L0 in
   let x = Builder.signal b "x" in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g" ~inputs:[ a ] ~output:x in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g" ~inputs:[| a |] ~output:x in
   Builder.mark_output b zero;
   let c = Builder.finalize b in
   let findings = Survival_rules.run cfg DL.tech c in
@@ -476,8 +476,8 @@ let test_nl020_cyclic_silent () =
   let b = Builder.create "ring" in
   let x = Builder.signal b "x" in
   let y = Builder.signal b "y" in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g1" ~inputs:[ x ] ~output:y in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g2" ~inputs:[ y ] ~output:x in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g1" ~inputs:[| x |] ~output:y in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g2" ~inputs:[| y |] ~output:x in
   Builder.mark_output b x;
   let c = Builder.finalize b in
   checkb "no NL020 on a cycle" false (fired "NL020" (Survival_rules.run cfg DL.tech c));

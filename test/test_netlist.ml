@@ -15,7 +15,7 @@ let simple_inverter () =
   let b = Builder.create "inv1" in
   let a = Builder.input b "a" in
   let y = Builder.signal b "y" in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g" ~inputs:[ a ] ~output:y in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g" ~inputs:[| a |] ~output:y in
   Builder.mark_output b y;
   Builder.finalize b
 
@@ -39,10 +39,10 @@ let test_builder_double_drive () =
   let b = Builder.create "bad" in
   let a = Builder.input b "a" in
   let y = Builder.signal b "y" in
-  let _ = Builder.add_gate b Gate_kind.Inv ~inputs:[ a ] ~output:y in
+  let _ = Builder.add_gate b Gate_kind.Inv ~inputs:[| a |] ~output:y in
   checkb "raises" true
     (try
-       ignore (Builder.add_gate b Gate_kind.Buf ~inputs:[ a ] ~output:y);
+       ignore (Builder.add_gate b Gate_kind.Buf ~inputs:[| a |] ~output:y);
        false
      with Invalid_argument _ -> true)
 
@@ -52,7 +52,7 @@ let test_builder_drive_input () =
   let a2 = Builder.input b "a2" in
   checkb "raises" true
     (try
-       ignore (Builder.add_gate b Gate_kind.Inv ~inputs:[ a ] ~output:a2);
+       ignore (Builder.add_gate b Gate_kind.Inv ~inputs:[| a |] ~output:a2);
        false
      with Invalid_argument _ -> true)
 
@@ -62,7 +62,7 @@ let test_builder_arity_mismatch () =
   let y = Builder.signal b "y" in
   checkb "raises" true
     (try
-       ignore (Builder.add_gate b (Gate_kind.And 2) ~inputs:[ a ] ~output:y);
+       ignore (Builder.add_gate b (Gate_kind.And 2) ~inputs:[| a |] ~output:y);
        false
      with Invalid_argument _ -> true)
 
@@ -94,11 +94,38 @@ let test_fanout () =
   let a = Builder.input b "a" in
   let y1 = Builder.signal b "y1" in
   let y2 = Builder.signal b "y2" in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g1" ~inputs:[ a ] ~output:y1 in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g2" ~inputs:[ a ] ~output:y2 in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g1" ~inputs:[| a |] ~output:y1 in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g2" ~inputs:[| a |] ~output:y2 in
   let c = Builder.finalize b in
   checki "fanout" 2 (List.length (N.fanout_gates c a));
   checki "loads" 2 (Array.length (N.signal c a).N.loads)
+
+(* A signal id the builder never returned is an [Invalid_argument], not
+   an assertion, and leaves the builder usable: the bad gate is not
+   added and the good one after it finalizes. *)
+let test_builder_bad_ids () =
+  let b = Builder.create "ids" in
+  let a = Builder.input b "a" in
+  let y = Builder.signal b "y" in
+  let raises label f =
+    match f () with
+    | () -> Alcotest.failf "%s: no exception" label
+    | exception Invalid_argument _ -> ()
+  in
+  raises "unknown input" (fun () ->
+      ignore (Builder.add_gate b Gate_kind.Inv ~inputs:[| 999 |] ~output:y));
+  raises "negative input" (fun () ->
+      ignore (Builder.add_gate b Gate_kind.Inv ~inputs:[| -1 |] ~output:y));
+  raises "unknown output" (fun () ->
+      ignore (Builder.add_gate b Gate_kind.Inv ~inputs:[| a |] ~output:5));
+  raises "mark unknown output" (fun () -> Builder.mark_output b 5);
+  raises "bad slice" (fun () -> ignore (Builder.signal_sub b "abc" 2 5));
+  ignore (Builder.add_gate b Gate_kind.Inv ~name:"g" ~inputs:[| a |] ~output:y);
+  Builder.mark_output b y;
+  let c = Builder.finalize b in
+  checki "one gate" 1 (N.gate_count c);
+  checki "two signals" 2 (N.signal_count c);
+  checkb "y driven by g" true ((N.signal c y).N.driver = Some 0)
 
 (* --- Check --- *)
 
@@ -129,8 +156,8 @@ let cyclic_circuit () =
   let a = Builder.input b "a" in
   let x = Builder.signal b "x" in
   let y = Builder.signal b "y" in
-  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g1" ~inputs:[ a; y ] ~output:x in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g2" ~inputs:[ x ] ~output:y in
+  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g1" ~inputs:[| a; y |] ~output:x in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g2" ~inputs:[| x |] ~output:y in
   Builder.mark_output b x;
   Builder.finalize b
 
@@ -152,7 +179,7 @@ let test_undriven_dangling () =
   let a = Builder.input b "a" in
   let floating = Builder.signal b "floating" in
   let y = Builder.signal b "y" in
-  let _ = Builder.add_gate b (Gate_kind.And 2) ~name:"g" ~inputs:[ a; floating ] ~output:y in
+  let _ = Builder.add_gate b (Gate_kind.And 2) ~name:"g" ~inputs:[| a; floating |] ~output:y in
   (* y is not marked output: dangling *)
   let c = Builder.finalize b in
   let issues = Check.structural_issues c in
@@ -328,7 +355,7 @@ let test_equiv_detects_difference () =
     let a = Builder.input b "a" in
     let x = Builder.input b "x" in
     let y = Builder.signal b "y" in
-    let _ = Builder.add_gate b (Gate_kind.And 2) ~name:"g" ~inputs:[ a; x ] ~output:y in
+    let _ = Builder.add_gate b (Gate_kind.And 2) ~name:"g" ~inputs:[| a; x |] ~output:y in
     Builder.mark_output b y;
     Builder.finalize b
   in
@@ -337,7 +364,7 @@ let test_equiv_detects_difference () =
     let a = Builder.input b "a" in
     let x = Builder.input b "x" in
     let y = Builder.signal b "y" in
-    let _ = Builder.add_gate b (Gate_kind.Or 2) ~name:"g" ~inputs:[ a; x ] ~output:y in
+    let _ = Builder.add_gate b (Gate_kind.Or 2) ~name:"g" ~inputs:[| a; x |] ~output:y in
     Builder.mark_output b y;
     Builder.finalize b
   in
@@ -561,8 +588,8 @@ let test_verilog_decomposition () =
   let s = Builder.input b "s" in
   let y1 = Builder.signal b "y1" in
   let y2 = Builder.signal b "y2" in
-  let _ = Builder.add_gate b Gate_kind.Aoi21 ~name:"g1" ~inputs:[ a; x; s ] ~output:y1 in
-  let _ = Builder.add_gate b Gate_kind.Mux2 ~name:"g2" ~inputs:[ a; x; s ] ~output:y2 in
+  let _ = Builder.add_gate b Gate_kind.Aoi21 ~name:"g1" ~inputs:[| a; x; s |] ~output:y1 in
+  let _ = Builder.add_gate b Gate_kind.Mux2 ~name:"g2" ~inputs:[| a; x; s |] ~output:y2 in
   Builder.mark_output b y1;
   Builder.mark_output b y2;
   let c = Builder.finalize b in
@@ -606,6 +633,7 @@ let tests =
         Alcotest.test_case "const shared" `Quick test_builder_const_shared;
         Alcotest.test_case "fresh names" `Quick test_builder_fresh_names_unique;
         Alcotest.test_case "fanout" `Quick test_fanout;
+        Alcotest.test_case "unknown signal ids" `Quick test_builder_bad_ids;
       ] );
     ( "netlist.check",
       [
@@ -746,18 +774,62 @@ let stim_agree text =
     (fun a b -> compare a b = 0)
     (ref_error "stim-parse") (Stimfile.parse_string text) (Ref.Stimfile.parse_string text)
 
+(* A random NAND circuit whose signal names share a 48-byte prefix (on
+   even seeds) and run in groups of 62 that differ only in their last
+   byte: [s0_0] .. [s0_z], [s1_0] ... *)
+let similar_names_circuit ~gates ~seed =
+  let rng = Halotis_util.Prng.create ~seed in
+  let prefix = if seed mod 2 = 0 then String.make 48 'q' else "" in
+  let alnum = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz" in
+  let name k = Printf.sprintf "%ss%d_%c" prefix (k / 62) alnum.[k mod 62] in
+  let b = Builder.create "similar" in
+  let inputs = 4 in
+  let ids =
+    Array.init (inputs + gates) (fun k -> if k < inputs then Builder.input b (name k) else 0)
+  in
+  for g = 0 to gates - 1 do
+    let pick () = ids.(Halotis_util.Prng.int rng ~bound:(inputs + g)) in
+    let x = pick () in
+    let y = pick () in
+    let out = Builder.signal b (name (inputs + g)) in
+    ignore (Builder.add_gate b (Gate_kind.Nand 2) ~inputs:[| x; y |] ~output:out);
+    ids.(inputs + g) <- out
+  done;
+  Builder.mark_output b ids.(inputs + gates - 1);
+  Builder.finalize b
+
+(* Circuits for the reader properties: small ones of every shape, then
+   one in ten a 1,500-3,000-gate random circuit (so the name tables
+   grow through several sizes) and one in ten with similar names. *)
+let reader_circuit_gen ~small =
+  QCheck.Gen.(
+    let* seed = int_range 0 10_000 in
+    (* a generator is a function of the random state: only the branch
+       drawn builds its circuit *)
+    frequency
+      [
+        (8, small seed);
+        ( 1,
+          fun _ ->
+            G.random_combinational ~gates:(1500 + (seed mod 1501)) ~inputs:(1 + (seed mod 32))
+              ~seed () );
+        (1, fun _ -> similar_names_circuit ~gates:(1 + (seed mod 400)) ~seed);
+      ])
+
 (* A real circuit printed as HNL, its gate lines decorated with vt/load
    attributes; one document in four carries one bad attribute (a pin
    out of range, a bad value or a bad key). *)
 let hnl_text_gen =
   QCheck.Gen.(
-    let* shape = int_range 0 3 and* seed = int_range 0 10_000 in
-    let c =
-      match shape with
-      | 0 -> G.random_combinational ~gates:(1 + (seed mod 60)) ~inputs:(1 + (seed mod 6)) ~seed ()
-      | 1 -> (G.array_multiplier ~m:(1 + (seed mod 3)) ~n:(1 + (seed mod 4)) ()).G.mult_circuit
-      | 2 -> (G.fig1_circuit ()).G.circuit
-      | _ -> (G.ripple_carry_adder ~bits:(1 + (seed mod 4)) ()).G.adder_circuit
+    let* c =
+      reader_circuit_gen ~small:(fun seed ->
+          let+ shape = int_range 0 3 in
+          match shape with
+          | 0 ->
+              G.random_combinational ~gates:(1 + (seed mod 60)) ~inputs:(1 + (seed mod 6)) ~seed ()
+          | 1 -> (G.array_multiplier ~m:(1 + (seed mod 3)) ~n:(1 + (seed mod 4)) ()).G.mult_circuit
+          | 2 -> (G.fig1_circuit ()).G.circuit
+          | _ -> (G.ripple_carry_adder ~bits:(1 + (seed mod 4)) ()).G.adder_circuit)
     in
     let good = [| ""; ""; " vt0=1.25"; " load=3.5"; " vt0=0.9 load=1 vt0=1" |]
     and bad = [| " vt9=1"; " vt0=x"; " vt=1"; " volts=2"; " load="; " stray"; " stray vt7=1" |] in
@@ -814,9 +886,12 @@ let lines_gen line_gen = QCheck.Gen.(map (String.concat "\n") (list_size (int_ra
 
 let bench_text_gen =
   QCheck.Gen.(
-    let* gates = int_range 1 50 and* seed = int_range 0 10_000 in
-    let c = G.random_combinational ~gates ~inputs:(1 + (seed mod 5)) ~seed () in
-    return (match Iscas.to_string c with Ok t -> t | Error m -> failwith m))
+    let+ c =
+      reader_circuit_gen ~small:(fun seed ->
+          let+ gates = int_range 1 50 in
+          G.random_combinational ~gates ~inputs:(1 + (seed mod 5)) ~seed ())
+    in
+    match Iscas.to_string c with Ok t -> t | Error m -> failwith m)
 
 let bench_line_gen =
   QCheck.Gen.oneofl
@@ -1015,7 +1090,7 @@ let test_bench_writer_complex_cells () =
   let a = Builder.input b "a" in
   let s = Builder.input b "s" in
   let y = Builder.signal b "y" in
-  let _ = Builder.add_gate b Gate_kind.Mux2 ~name:"g" ~inputs:[ a; a; s ] ~output:y in
+  let _ = Builder.add_gate b Gate_kind.Mux2 ~name:"g" ~inputs:[| a; a; s |] ~output:y in
   Builder.mark_output b y;
   let c = Builder.finalize b in
   match Iscas.to_string c with
@@ -1057,9 +1132,9 @@ let chain_circuit () =
   let w1 = Builder.signal b "w1" in
   let w2 = Builder.signal b "w2" in
   let y = Builder.signal b "y" in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g1" ~inputs:[ a ] ~output:w1 in
-  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g2" ~inputs:[ w1; bb ] ~output:w2 in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g3" ~inputs:[ w2 ] ~output:y in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g1" ~inputs:[| a |] ~output:w1 in
+  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g2" ~inputs:[| w1; bb |] ~output:w2 in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g3" ~inputs:[| w2 |] ~output:y in
   Builder.mark_output b y;
   Builder.finalize b
 
@@ -1069,11 +1144,11 @@ let two_scc_circuit () =
   let a = Builder.input b "a" in
   let w1 = Builder.signal b "w1" in
   let w2 = Builder.signal b "w2" in
-  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"f1" ~inputs:[ a; w2 ] ~output:w1 in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"f2" ~inputs:[ w1 ] ~output:w2 in
+  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"f1" ~inputs:[| a; w2 |] ~output:w1 in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"f2" ~inputs:[| w1 |] ~output:w2 in
   Builder.mark_output b w1;
   let s = Builder.signal b "s" in
-  let _ = Builder.add_gate b (Gate_kind.And 2) ~name:"s" ~inputs:[ s; a ] ~output:s in
+  let _ = Builder.add_gate b (Gate_kind.And 2) ~name:"s" ~inputs:[| s; a |] ~output:s in
   Builder.mark_output b s;
   Builder.finalize b
 
@@ -1121,7 +1196,7 @@ let test_unused_pi_vs_dangling () =
   let a = Builder.input b "a" in
   let _unused = Builder.input b "unused" in
   let d = Builder.signal b "d" in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g" ~inputs:[ a ] ~output:d in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g" ~inputs:[| a |] ~output:d in
   let c = Builder.finalize b in
   let issues = Check.structural_issues c in
   let unused_pis =

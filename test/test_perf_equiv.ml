@@ -991,6 +991,31 @@ let test_session_start_words () =
   if words > bound then
     Alcotest.failf "starting a DDM session allocates %.0f minor words (bound %.0f)" words bound
 
+(* Reading a netlist, as a serve load miss does: a seeded 115-gate
+   random circuit (the serve-mix mean) printed as HNL.  When every token
+   was copied with [String.sub], names went through a string hash table
+   and gate lines through lists, the parse allocated 5.50 minor words
+   per source byte here (5.6 on the twelve serve-mix texts); interning
+   names from slices of the source brings it to 2.14.  The bound is
+   half the former. *)
+let test_hnl_parse_words () =
+  let text =
+    Halotis_netlist.Hnl.to_string (G.random_combinational ~gates:115 ~inputs:8 ~seed:7 ())
+  in
+  let parse () =
+    match Halotis_netlist.Hnl.parse_string text with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "parse: %s" (Halotis_util.Diag.to_string e)
+  in
+  ignore (parse ());
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (parse ()));
+  let per_byte = (Gc.minor_words () -. w0) /. float_of_int (String.length text) in
+  let bound = 5.50 /. 2. in
+  if per_byte > bound then
+    Alcotest.failf "Hnl.parse_string allocates %.2f minor words per source byte (bound %.2f)"
+      per_byte bound
+
 let tests =
   [
     ( "perf.equiv",
@@ -1011,5 +1036,7 @@ let tests =
         QCheck_alcotest.to_alcotest prop_topo_order;
         Alcotest.test_case "Iddm.start minor words on a 170-gate circuit" `Quick
           test_session_start_words;
+        Alcotest.test_case "Hnl.parse_string minor words per source byte" `Quick
+          test_hnl_parse_words;
       ] );
   ]

@@ -70,8 +70,8 @@ let cyclic_circuit () =
   let a = Builder.input b "a" in
   let x = Builder.signal b "x" in
   let y = Builder.signal b "y" in
-  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g1" ~inputs:[ a; y ] ~output:x in
-  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g2" ~inputs:[ x ] ~output:y in
+  let _ = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g1" ~inputs:[| a; y |] ~output:x in
+  let _ = Builder.add_gate b Gate_kind.Inv ~name:"g2" ~inputs:[| x |] ~output:y in
   Builder.mark_output b x;
   Builder.finalize b
 
@@ -104,7 +104,7 @@ let test_constant_cone_never_switches () =
   let zero = Builder.const b Halotis_logic.Value.L0 in
   let one = Builder.const b Halotis_logic.Value.L1 in
   let y = Builder.signal b "y" in
-  let _ = Builder.add_gate b (Gate_kind.And 2) ~name:"g" ~inputs:[ zero; one ] ~output:y in
+  let _ = Builder.add_gate b (Gate_kind.And 2) ~name:"g" ~inputs:[| zero; one |] ~output:y in
   Builder.mark_output b y;
   let c = Builder.finalize b in
   let t = Sta.analyze DL.tech c in
@@ -179,7 +179,7 @@ let test_hazard_balanced_nand () =
   let a = Builder.input b "a" in
   let x = Builder.input b "x" in
   let y = Builder.signal b "y" in
-  let gid = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g" ~inputs:[ a; x ] ~output:y in
+  let gid = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g" ~inputs:[| a; x |] ~output:y in
   Builder.mark_output b y;
   let c = Builder.finalize b in
   let h = Hazard.analyze DL.tech c in
@@ -195,7 +195,7 @@ let test_hazard_constant_input_not_flagged () =
   let a = Builder.input b "a" in
   let one = Builder.const b Halotis_logic.Value.L1 in
   let y = Builder.signal b "y" in
-  let gid = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g" ~inputs:[ a; one ] ~output:y in
+  let gid = Builder.add_gate b (Gate_kind.Nand 2) ~name:"g" ~inputs:[| a; one |] ~output:y in
   Builder.mark_output b y;
   let c = Builder.finalize b in
   let h = Hazard.analyze DL.tech c in
@@ -358,8 +358,8 @@ let test_survival_constant_site_excluded () =
   let zero = Builder.const b Halotis_logic.Value.L0 in
   let x = Builder.signal b "x" in
   let y = Builder.signal b "y" in
-  let _ = Builder.add_gate b (Gate_kind.And 2) ~name:"g1" ~inputs:[ a; zero ] ~output:x in
-  let _ = Builder.add_gate b (Gate_kind.Or 2) ~name:"g2" ~inputs:[ x; a ] ~output:y in
+  let _ = Builder.add_gate b (Gate_kind.And 2) ~name:"g1" ~inputs:[| a; zero |] ~output:x in
+  let _ = Builder.add_gate b (Gate_kind.Or 2) ~name:"g2" ~inputs:[| x; a |] ~output:y in
   Builder.mark_output b y;
   let c = Builder.finalize b in
   let an = Survival.analyze DL.tech c in
