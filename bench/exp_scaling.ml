@@ -7,7 +7,8 @@
    so the throughput should stay flat (no superlinear blow-up) and
    within a small factor of each other.  The same sweep records the
    front end's cost per gate (HNL parse, then compile), which must stay
-   flat too: a superlinear parse would dominate set-up at scale. *)
+   flat too: a superlinear parse would dominate set-up at scale, and a
+   warm DDM run's allocation (host-independent, unlike the rates). *)
 
 open Common
 
@@ -40,6 +41,21 @@ let throughput run events_of (c, drives) =
   done;
   let dt = Unix.gettimeofday () -. t0 in
   (events, float_of_int (events * !reps) /. dt)
+
+(* A warm run's allocation: minor words per processed event, and the
+   words promoted to the major heap over the run.  The minor heap is
+   emptied before it and collected after it while its result is live,
+   so what the result keeps counts as promoted, at every size. *)
+let allocation run events_of (c, drives) =
+  ignore (run c drives);
+  Gc.minor ();
+  let s0 = Gc.quick_stat () and w0 = Gc.minor_words () in
+  let r = run c drives in
+  let minor = Gc.minor_words () -. w0 in
+  Gc.minor ();
+  let s1 = Gc.quick_stat () in
+  ignore (Sys.opaque_identity r);
+  (minor /. float_of_int (events_of r), s1.Gc.promoted_words -. s0.Gc.promoted_words)
 
 (* Front-end cost of a circuit: parse its HNL text, then compile the
    result, each timed as the best of repeats filling ~0.2 s; in
@@ -102,12 +118,10 @@ let run () =
     List.map
       (fun gates ->
         let w = workload gates (gates + 1) in
-        let ev_ddm, thr_ddm =
-          throughput
-            (fun c drives -> Iddm.run (Iddm.config DL.tech) c ~drives)
-            (fun r -> r.Iddm.stats.Stats.events_processed)
-            w
-        in
+        let ddm c drives = Iddm.run (Iddm.config DL.tech) c ~drives
+        and ddm_events r = r.Iddm.stats.Stats.events_processed in
+        let ev_ddm, thr_ddm = throughput ddm ddm_events w in
+        let words_ddm, promoted_ddm = allocation ddm ddm_events w in
         let _, thr_classic =
           throughput
             (fun c drives -> Classic.run (Classic.config DL.tech) c ~drives)
@@ -115,7 +129,7 @@ let run () =
             w
         in
         let parse_us, compile_us = front_end (fst w) in
-        (gates, ev_ddm, thr_ddm, thr_classic, parse_us, compile_us))
+        (gates, ev_ddm, thr_ddm, thr_classic, parse_us, compile_us, words_ddm, promoted_ddm))
       sizes
   in
   Table.print
@@ -123,11 +137,11 @@ let run () =
        ~header:
          [
            "gates"; "events (DDM)"; "DDM events/s"; "classic events/s"; "parse us/gate";
-           "compile us/gate";
+           "compile us/gate"; "DDM minor words/event"; "DDM promoted words/run";
          ]
        ~rows:
          (List.map
-            (fun (g, ev, td, tc, pu, cu) ->
+            (fun (g, ev, td, tc, pu, cu, mw, pw) ->
               [
                 string_of_int g;
                 string_of_int ev;
@@ -135,25 +149,31 @@ let run () =
                 Printf.sprintf "%.2fM" (tc /. 1e6);
                 Printf.sprintf "%.2f" pu;
                 Printf.sprintf "%.2f" cu;
+                Printf.sprintf "%.2f" mw;
+                Printf.sprintf "%.0f" pw;
               ])
             results));
   (* compare the extremes of whatever sweep ran (identical when CI
      smokes a single size) *)
-  let g_small, ev_small, d_small, _, p_small, c_small = List.hd results in
-  let g_big, ev_big, d_big, c_big, p_big, cc_big = List.nth results (List.length results - 1) in
+  let g_small, ev_small, d_small, _, p_small, c_small, _, _ = List.hd results in
+  let g_big, ev_big, d_big, c_big, p_big, cc_big, _, _ =
+    List.nth results (List.length results - 1)
+  in
   (* deterministic: the event count per gate must not blow up with
      size (the algorithmic claim behind "similar CPU time") *)
   let per_gate_small = float_of_int ev_small /. float_of_int g_small in
   let per_gate_big = float_of_int ev_big /. float_of_int g_big in
   let data =
     List.concat_map
-      (fun (g, ev, td, tc, pu, cu) ->
+      (fun (g, ev, td, tc, pu, cu, mw, pw) ->
         [
           (Printf.sprintf "ddm_events_per_s_%d" g, td);
           (Printf.sprintf "classic_events_per_s_%d" g, tc);
           (Printf.sprintf "ddm_events_%d" g, float_of_int ev);
           (Printf.sprintf "parse_us_per_gate_%d" g, pu);
           (Printf.sprintf "compile_us_per_gate_%d" g, cu);
+          (Printf.sprintf "ddm_minor_words_per_event_%d" g, mw);
+          (Printf.sprintf "ddm_promoted_words_%d" g, pw);
         ])
       results
   in

@@ -11,12 +11,16 @@
     starts many sessions against the same {!t} (the compiled-circuit
     cache of [lib/serve] stores exactly these).
 
-    Sharing discipline: every array here is read-only to the engines
-    (per-run state — waveforms, pin levels, pending queues, event pools
-    — lives in the run itself).  The delay cache carries a small
-    scratch buffer written by each [eval] and read back immediately, so
-    a {!t} may be shared by any number of {e interleaved} sessions in
-    one thread but must not be used from several threads at once. *)
+    Sharing discipline: every array here is read-only to the engines.
+    Per-run state (waveforms, pin levels, pending queues, event pools)
+    never lives here: a session owns its own, a one-shot {!Iddm.run}
+    borrows its domain's run workspace, which is sized to the largest
+    circuit that domain has run rather than kept per {!t}, and a cone
+    workspace keeps one for all its runs.  The delay cache carries a
+    small scratch buffer written by each [eval] and read back
+    immediately, so a {!t} may be shared by any number of
+    {e interleaved} sessions in one thread but must not be used from
+    several threads at once. *)
 
 type t = {
   circuit : Halotis_netlist.Netlist.t;

@@ -80,8 +80,10 @@ type injection = {
 type state = {
   cfg : config;
   c : Netlist.t;
+  nsignals : int;
+  npins : int;
   mutable rev_trace : trace_entry list;
-  wf : Waveform.t array;
+  wf : Waveform.t array; (* signal -> waveform; may be longer than [nsignals] *)
   g_kind : Gate_kind.t array; (* gate -> logic function *)
   g_out : int array; (* gate -> output signal *)
   g_base : int array; (* gate -> first pin slot; length ngates + 1 *)
@@ -89,9 +91,9 @@ type state = {
   pin_vt : float array; (* pin slot -> switching threshold *)
   pin_level : Bytes.t; (* pin slot -> current logic level, '\000' / '\001' *)
   pending : Slot_deque.t array;
-      (* pin slot -> live scheduled events; [||] = off.  Key-sorted:
-         every cancellation at T precedes at most one fresh crossing at
-         a key >= T *)
+      (* pin slot -> live scheduled events, unused without cancellation.
+         Key-sorted: every cancellation at T precedes at most one fresh
+         crossing at a key >= T *)
   fan_off : int array; (* signal -> first fanout edge; length nsignals + 1 *)
   fan_gate : int array; (* fanout edge -> loading gate *)
   fan_pin : int array; (* fanout edge -> pin of that gate *)
@@ -266,7 +268,7 @@ let process_injection st inj = List.iter (append_external st inj.inj_signal) inj
    injection array grows, never shrinks, so pool slots referencing
    earlier indices stay valid. *)
 let add_injection st inj =
-  if inj.inj_signal < 0 || inj.inj_signal >= Array.length st.wf then
+  if inj.inj_signal < 0 || inj.inj_signal >= st.nsignals then
     invalid_arg "Iddm.run: injection on unknown signal";
   match inj.inj_ramps with
   | [] -> ()
@@ -284,17 +286,93 @@ let add_injection st inj =
    locals when [run] was monolithic. *)
 type session = state
 
-(* The per-run state shared by a whole-circuit [start] and a
-   cone-restricted [start_cone]: everything except the circuit-sized
-   arrays, which [start] allocates fresh and a cone run borrows from its
-   workspace.  [pool]: an earlier run's kernel, whose event pool and
-   queue carry over (cone runs, see {!start_cone}). *)
-let make_state ?pool cfg c (cp : Compiled.t) ~wf ~pin_level ~out_target ~pending
-    ~last_pop ~fz =
+(* The per-run arrays a run works in: a working waveform per signal,
+   the level, pending events and last-pop key of each pin, each gate's
+   output target, the freeze marks, and the latest run's kernel, whose
+   event pool and queue the next run takes over
+   ({!Run_control.create}'s [pool]).  The arrays only grow, so they fit
+   the largest circuit a workspace has run, and a run reads and writes
+   only the entries of its own circuit.  A session ({!start}) gets a
+   fresh workspace sized to its circuit and keeps it; a one-shot {!run}
+   borrows its domain's; a {!cone_workspace} keeps one for all its
+   runs. *)
+type workspace = {
+  mutable w_wf : Waveform.t array;
+  mutable w_pin_level : Bytes.t;
+  mutable w_pending : Slot_deque.t array;
+  mutable w_last_pop : float array;
+  mutable w_out_target : bool array;
+  mutable w_fz : Watchdog.frozen;
+  mutable w_pool : Run_control.t option;
+}
+
+let workspace () =
+  {
+    w_wf = [||];
+    w_pin_level = Bytes.empty;
+    w_pending = [||];
+    w_last_pop = [||];
+    w_out_target = [||];
+    w_fz = Watchdog.frozen ~nsignals:0;
+    w_pool = None;
+  }
+
+(* A whole-circuit run's state before its first event: every signal of
+   [cp] flat at its DC level, every pin at its driver's level with no
+   pending event, every gate's target its output's level, nothing
+   frozen.  Arrays too short for [cp] grow, keeping the waveforms and
+   deques [ws] has (and their storage), and an entry a grown array adds
+   starts in that state: a session's fresh workspace is built once, not
+   built and then reset. *)
+let reset ws (cp : Compiled.t) ~levels ~vdd =
+  let nsignals = cp.Compiled.nsignals and npins = cp.Compiled.npins in
+  let initial sid = if levels.(sid) then vdd else 0. in
+  let have = Array.length ws.w_wf in
+  for sid = 0 to min have nsignals - 1 do
+    Waveform.reset ws.w_wf.(sid) ~initial:(initial sid) ~vdd
+  done;
+  if nsignals > have then begin
+    ws.w_wf <-
+      Array.init nsignals (fun sid ->
+          if sid < have then ws.w_wf.(sid) else Waveform.create ~initial:(initial sid) ~vdd ());
+    ws.w_fz <- Watchdog.frozen ~nsignals
+  end
+  else Watchdog.thaw ws.w_fz;
+  let have = Array.length ws.w_pending in
+  for p = 0 to min have npins - 1 do
+    let pq : Slot_deque.t = ws.w_pending.(p) in
+    pq.head <- 0;
+    pq.tail <- 0;
+    ws.w_last_pop.(p) <- neg_infinity
+  done;
+  if npins > have then begin
+    ws.w_pending <-
+      Array.init npins (fun p -> if p < have then ws.w_pending.(p) else Slot_deque.create ());
+    ws.w_pin_level <- Bytes.create npins;
+    ws.w_last_pop <- Array.make npins neg_infinity
+  end;
+  for p = 0 to npins - 1 do
+    Bytes.set ws.w_pin_level p (if levels.(cp.Compiled.pin_fanin.(p)) then '\001' else '\000')
+  done;
+  if cp.Compiled.ngates > Array.length ws.w_out_target then
+    ws.w_out_target <- Array.make cp.Compiled.ngates false;
+  for g = 0 to cp.Compiled.ngates - 1 do
+    ws.w_out_target.(g) <- levels.(cp.Compiled.g_out.(g))
+  done
+
+(* The state of a run in [ws]; [wf] is [ws]'s waveforms, or a cone run's
+   view that aliases the baseline outside its cone.  The run's kernel
+   becomes the workspace's pool: the next run in [ws] drains and reuses
+   it. *)
+let make_state ws cfg c (cp : Compiled.t) ~wf =
   let stats = Stats.create () in
+  let ctl = Run_control.create ?pool:ws.w_pool cfg.budget ~t_stop:cfg.t_stop ~stats in
+  ws.w_pool <- Some ctl;
   {
     cfg;
     c;
+    nsignals = cp.Compiled.nsignals;
+    npins = cp.Compiled.npins;
     rev_trace = [];
     wf;
     g_kind = cp.Compiled.g_kind;
@@ -302,50 +380,30 @@ let make_state ?pool cfg c (cp : Compiled.t) ~wf ~pin_level ~out_target ~pending
     g_base = cp.Compiled.g_base;
     pin_fanin = cp.Compiled.pin_fanin;
     pin_vt = cp.Compiled.pin_vt;
-    pin_level;
-    pending;
+    pin_level = ws.w_pin_level;
+    pending = ws.w_pending;
     fan_off = cp.Compiled.fan_off;
     fan_gate = cp.Compiled.fan_gate;
     fan_pin = cp.Compiled.fan_pin;
-    out_target;
+    out_target = ws.w_out_target;
     cache = cp.Compiled.cache;
     injections = [||];
     stats;
     wd = Option.map (fun w -> Watchdog.create w ~nsignals:cp.Compiled.nsignals) cfg.watchdog;
-    fz;
-    ctl = Run_control.create ?pool cfg.budget ~t_stop:cfg.t_stop ~stats;
-    last_pop;
+    fz = ws.w_fz;
+    ctl;
+    last_pop = ws.w_last_pop;
     replay_hazard = false;
   }
 
-let start ?(injections = []) ?compiled cfg c ~drives =
+(* A whole-circuit run in [ws], validated and seeded. *)
+let start_in ws ?(injections = []) ?compiled cfg c ~drives =
   (* Everything that depends only on (netlist, tech) comes precompiled
-     or is compiled here; per-run state is built fresh below. *)
+     or is compiled here; per-run state is reset below. *)
   let cp = Compiled.resolve ~who:"Iddm.start" ?compiled ~overlay:cfg.overlay cfg.tech c in
   let drives_tbl, levels = Drive.bind ~who:"Iddm.start" cp drives in
-  let vdd = Tech.vdd cfg.tech in
-  let nsignals = cp.Compiled.nsignals and npins = cp.Compiled.npins in
-  let ngates = cp.Compiled.ngates in
-  let wf =
-    Array.init nsignals (fun sid ->
-        Waveform.create ~initial:(if levels.(sid) then vdd else 0.) ~vdd ())
-  in
-  let pin_level = Bytes.make (max 1 npins) '\000' in
-  for p = 0 to npins - 1 do
-    Bytes.set pin_level p (if levels.(cp.Compiled.pin_fanin.(p)) then '\001' else '\000')
-  done;
-  let out_target =
-    Array.init ngates (fun gid -> levels.(cp.Compiled.g_out.(gid)))
-  in
-  let st =
-    make_state cfg c cp ~wf ~pin_level ~out_target
-      ~pending:
-        (if cfg.cancellation then
-           Array.init npins (fun _ -> Slot_deque.create ())
-         else [||])
-      ~last_pop:(Array.make (max 1 npins) neg_infinity)
-      ~fz:(Watchdog.frozen ~nsignals)
-  in
+  reset ws cp ~levels ~vdd:(Tech.vdd cfg.tech);
+  let st = make_state ws cfg c cp ~wf:ws.w_wf in
   (* Seed: apply the primary-input drives, then schedule the crossings
      the finished input waveforms actually contain. *)
   Hashtbl.iter
@@ -372,13 +430,16 @@ let start ?(injections = []) ?compiled cfg c ~drives =
   List.iter (fun inj -> add_injection st inj) injections;
   st
 
-let snapshot st =
+let start ?injections ?compiled cfg c ~drives =
+  start_in (workspace ()) ?injections ?compiled cfg c ~drives
+
+let snapshot st ~waveforms =
   let ctl = st.ctl in
   st.stats.Stats.stopped_by <- ctl.Run_control.stop;
   {
     circuit = st.c;
     run_config = st.cfg;
-    waveforms = st.wf;
+    waveforms;
     stats = st.stats;
     end_time = ctl.Run_control.end_time;
     stopped_by = ctl.Run_control.stop;
@@ -393,7 +454,7 @@ let snapshot st =
    at that point — resuming pops the same events in the same order, and
    the stepped run stays bit-identical to the one-shot run (the
    equivalence suite pins this down). *)
-let advance st ~upto =
+let step st ~upto =
   let k = st.ctl in
   let continue = ref true in
   while !continue do
@@ -422,8 +483,11 @@ let advance st ~upto =
         process_pin_event st ~now:t ~gate ~pin ~rising ~tau_in
       end
     end
-  done;
-  snapshot st
+  done
+
+let advance st ~upto =
+  step st ~upto;
+  snapshot st ~waveforms:st.wf
 
 (* Cone-restricted re-simulation: the cone's member signals get their
    own waveforms, the finished [baseline] waveforms are aliased
@@ -481,7 +545,7 @@ type checkpoint = {
 }
 
 let capture st ~(final : Waveform.t array) =
-  let npins = Array.length st.pending in
+  let npins = st.npins in
   let off = Array.make (npins + 1) 0 in
   for p = 0 to npins - 1 do
     let pq : Slot_deque.t = st.pending.(p) in
@@ -498,7 +562,7 @@ let capture st ~(final : Waveform.t array) =
       Bytes.set rising k (Bytes.get st.ctl.Run_control.flag ev)
     done
   done;
-  let nsignals = Array.length st.wf in
+  let nsignals = st.nsignals in
   let wf_len = Array.make nsignals 0 and wf_extra = Array.make nsignals [] in
   for sid = 0 to nsignals - 1 do
     let w = st.wf.(sid) in
@@ -507,9 +571,9 @@ let capture st ~(final : Waveform.t array) =
     if len < Waveform.segment_count w then wf_extra.(sid) <- Waveform.transitions_from w len
   done;
   {
-    ck_pin_level = Bytes.copy st.pin_level;
-    ck_out_target = Array.copy st.out_target;
-    ck_last_pop = Array.copy st.last_pop;
+    ck_pin_level = Bytes.sub st.pin_level 0 npins;
+    ck_out_target = Array.sub st.out_target 0 (Array.length st.g_out);
+    ck_last_pop = Array.sub st.last_pop 0 npins;
     ck_wf_len = wf_len;
     ck_wf_extra = wf_extra;
     ck_ev_off = off;
@@ -518,10 +582,10 @@ let capture st ~(final : Waveform.t array) =
     ck_ev_rising = rising;
   }
 
-(* The checkpoints of one replay of the baseline, on the grid rule both
-   engines share. *)
-let checkpoints ?grid cfg cp c ~drives (baseline : result) =
-  let rp = start ~compiled:cp { cfg with trace = false } c ~drives in
+(* The checkpoints of one replay of the baseline, run in the cone
+   workspace's own [ws], on the grid rule both engines share. *)
+let checkpoints ?grid ws cfg cp c ~drives (baseline : result) =
+  let rp = start_in ws ~compiled:cp { cfg with trace = false } c ~drives in
   let final = baseline.waveforms in
   Checkpoint_grid.take ?grid ~watchdog:(cfg.watchdog <> None) rp.ctl ~last:baseline.end_time
     ~capture:(fun _ -> capture rp ~final)
@@ -541,13 +605,8 @@ type cone_workspace = {
   cw_ckpts : checkpoint Checkpoint_grid.t;
   cw_feeds : feed array; (* pin slot -> its replay, [unset_feed] until first used *)
   cw_wf : Waveform.t array; (* baseline aliases, own waveforms for the current cone *)
-  cw_own : Waveform.t array; (* signal -> its own waveform, reused from run to run *)
-  cw_pin_level : Bytes.t;
-  cw_pending : Slot_deque.t array;
-  cw_out_target : bool array;
-  cw_last_pop : float array;
-  cw_fz : Watchdog.frozen;
-  mutable cw_prev : (Compiled.cone * state) option; (* the latest run *)
+  cw_ws : workspace; (* the baseline replay's, then every cone run's *)
+  mutable cw_prev : Compiled.cone option; (* the latest run's *)
 }
 
 let cone_workspace ?grid ~compiled:cp ~(baseline : result) cfg c ~drives =
@@ -556,25 +615,17 @@ let cone_workspace ?grid ~compiled:cp ~(baseline : result) cfg c ~drives =
     (* without Fig. 4 cancellation, processed events and final-waveform
        crossings no longer coincide, so boundary seeding is unsound *)
     invalid_arg "Iddm.cone_workspace: requires event cancellation";
-  let nsignals = cp.Compiled.nsignals and npins = cp.Compiled.npins in
-  if Array.length baseline.waveforms <> nsignals then
+  if Array.length baseline.waveforms <> cp.Compiled.nsignals then
     invalid_arg "Iddm.cone_workspace: baseline is for a different netlist";
+  let ws = workspace () in
   {
     cw_cfg = cfg;
     cw_cp = cp;
     cw_baseline = baseline;
-    cw_ckpts = checkpoints ?grid cfg cp c ~drives baseline;
-    cw_feeds = Array.make npins unset_feed;
+    cw_ckpts = checkpoints ?grid ws cfg cp c ~drives baseline;
+    cw_feeds = Array.make cp.Compiled.npins unset_feed;
     cw_wf = Array.copy baseline.waveforms;
-    cw_own =
-      Array.map
-        (fun w -> Waveform.create ~initial:(Waveform.initial w) ~vdd:(Waveform.vdd w) ())
-        baseline.waveforms;
-    cw_pin_level = Bytes.make (max 1 npins) '\000';
-    cw_pending = Array.init npins (fun _ -> Slot_deque.create ());
-    cw_out_target = Array.make cp.Compiled.ngates false;
-    cw_last_pop = Array.make (max 1 npins) neg_infinity;
-    cw_fz = Watchdog.frozen ~nsignals;
+    cw_ws = ws;
     cw_prev = None;
   }
 
@@ -607,18 +658,17 @@ let feed ws slot =
   end
 
 (* Undo what the latest run left outside its own cone's pins and gates
-   (see above) and hand back its kernel, whose pool and queue the next
-   run reuses. *)
+   (see above); its kernel stays in the workspace as the next run's
+   pool. *)
 let reclaim ws =
-  match ws.cw_prev with
-  | None -> None
-  | Some (cone, prev) ->
+  Option.iter
+    (fun (cone : Compiled.cone) ->
       Array.iter
         (fun sid -> ws.cw_wf.(sid) <- ws.cw_baseline.waveforms.(sid))
-        cone.Compiled.cone_signals;
-      Watchdog.thaw ws.cw_fz;
-      ws.cw_prev <- None;
-      Some prev.ctl
+        cone.Compiled.cone_signals)
+    ws.cw_prev;
+  ws.cw_prev <- None;
+  Watchdog.thaw ws.cw_ws.w_fz
 
 let start_cone ?(injections = []) ws ~(cone : Compiled.cone) ~from =
   let cp = ws.cw_cp in
@@ -640,21 +690,18 @@ let start_cone ?(injections = []) ws ~(cone : Compiled.cone) ~from =
           invalid_arg "Iddm.start_cone: injection before the checkpoint"
       | _ -> ())
     injections;
-  let pool = reclaim ws in
+  reclaim ws;
+  let own = ws.cw_ws in
   let final = ws.cw_baseline.waveforms in
   Array.iter
     (fun sid ->
-      let w = ws.cw_own.(sid) in
+      let w = own.w_wf.(sid) in
       Waveform.assign_prefix w ~src:final.(sid) ~len:ck.ck_wf_len.(sid);
       List.iter (Waveform.append w) ck.ck_wf_extra.(sid);
       ws.cw_wf.(sid) <- w)
     cone.Compiled.cone_signals;
-  let st =
-    make_state ?pool ws.cw_cfg cp.Compiled.circuit cp ~wf:ws.cw_wf ~pin_level:ws.cw_pin_level
-      ~out_target:ws.cw_out_target ~pending:ws.cw_pending ~last_pop:ws.cw_last_pop
-      ~fz:ws.cw_fz
-  in
-  ws.cw_prev <- Some (cone, st);
+  let st = make_state own ws.cw_cfg cp.Compiled.circuit cp ~wf:ws.cw_wf in
+  ws.cw_prev <- Some cone;
   (* Restore each member gate and seed its pins.  A pin fed from inside
      the cone gets the checkpoint's live events, in key order.  A
      boundary pin (listed in gate, then pin order) replays its driver's
@@ -663,14 +710,14 @@ let start_cone ?(injections = []) ws ~(cone : Compiled.cone) ~from =
   let bnd = ref 0 and nbnd = Array.length cone.Compiled.cone_bnd_gate in
   Array.iter
     (fun g ->
-      ws.cw_out_target.(g) <- ck.ck_out_target.(g);
+      own.w_out_target.(g) <- ck.ck_out_target.(g);
       let base = cp.Compiled.g_base.(g) in
       for p = base to cp.Compiled.g_base.(g + 1) - 1 do
-        Bytes.set ws.cw_pin_level p (Bytes.get ck.ck_pin_level p);
-        let pq : Slot_deque.t = ws.cw_pending.(p) in
+        Bytes.set own.w_pin_level p (Bytes.get ck.ck_pin_level p);
+        let pq : Slot_deque.t = own.w_pending.(p) in
         pq.head <- 0;
         pq.tail <- 0;
-        ws.cw_last_pop.(p) <- ck.ck_last_pop.(p);
+        own.w_last_pop.(p) <- ck.ck_last_pop.(p);
         let pin = p - base in
         if
           !bnd < nbnd
@@ -703,7 +750,25 @@ let start_cone ?(injections = []) ws ~(cone : Compiled.cone) ~from =
   List.iter (add_injection st) injections;
   st
 
-let run ?compiled cfg c ~drives = advance (start ?compiled cfg c ~drives) ~upto:infinity
+(* One spare workspace per domain.  A run takes it out and puts it
+   back when it returns, so a run that raises drops it (its state is
+   half-way through a run) and the next run starts a fresh one. *)
+let spare : workspace option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let run ?injections ?compiled cfg c ~drives =
+  let ws =
+    match Domain.DLS.get spare with
+    | Some ws ->
+        Domain.DLS.set spare None;
+        ws
+    | None -> workspace ()
+  in
+  let st = start_in ws ?injections ?compiled cfg c ~drives in
+  step st ~upto:infinity;
+  (* the result owns exact-size copies; the workspace keeps its stores *)
+  let r = snapshot st ~waveforms:(Array.init st.nsignals (fun sid -> Waveform.copy st.wf.(sid))) in
+  Domain.DLS.set spare (Some ws);
+  r
 
 let session_set_input st sid transitions =
   Drive.check_input ~who:"Iddm.session_set_input" st.c sid;
@@ -715,7 +780,7 @@ let session_inject st inj =
   Run_control.revive st.ctl
 
 let session_finished st = st.ctl.Run_control.finished
-let session_result sess = snapshot sess
+let session_result st = snapshot st ~waveforms:st.wf
 
 (* The most recent traced ramp on [signal] at or before [at].  The
    trace is chronological but annulled ramps also appear in it; accept

@@ -102,6 +102,7 @@ type injection = {
 }
 
 val run :
+  ?injections:injection list ->
   ?compiled:Compiled.t ->
   config ->
   Halotis_netlist.Netlist.t ->
@@ -113,8 +114,17 @@ val run :
 
     [compiled], when given, must be {!Compiled.compile} of exactly this
     netlist and [config.tech] (checked by physical equality) — the run
-    then skips the flattening/coefficient setup.  Equivalent to
-    [advance (start ...) ~upto:infinity].
+    then skips the flattening/coefficient setup.  Equal to
+    [advance (start ...) ~upto:infinity], field for field.
+
+    The run does not build its per-run state afresh: it borrows a workspace
+    kept per domain (pin levels and pending queues, output targets,
+    freeze marks, the event pool and queue, and a working waveform per
+    signal), sized to the largest circuit the domain has run, resets
+    only the entries this circuit uses, and hands back a result that
+    owns an exact-size copy of each waveform ({!Halotis_wave.Waveform.copy}),
+    so later runs never touch it.  A run that raises drops the
+    workspace, and the domain's next run builds a fresh one.
 
     Each [injection] is spliced into its victim's waveform when the
     simulation clock reaches its first transition, using the engine's
@@ -153,11 +163,14 @@ val start :
 
 type cone_workspace
 (** The state of cone-restricted runs against one baseline, built once
-    and reused by every {!start_cone}: the baseline's checkpoints, and
-    the circuit-sized per-run arrays (waveform aliases, per-pin levels
-    and pending queues, per-gate output targets, freeze marks, the event
-    pool).  Each run resets only what its cone touches, so a run costs
-    O(cone), not O(circuit).  Single-threaded, like {!Compiled.t}. *)
+    and reused by every {!start_cone}: the baseline's checkpoints, the
+    waveform aliases, and the workspace a {!run} borrows, of its own
+    and sized to this circuit (per-pin levels and pending queues,
+    per-gate output targets, freeze marks, the event pool, a working
+    waveform per signal).  The checkpoint replay runs in that
+    workspace, reset as {!run} resets it; each cone run then resets
+    only what its cone touches, so a run costs O(cone), not
+    O(circuit).  Single-threaded, like {!Compiled.t}. *)
 
 val cone_workspace :
   ?grid:Halotis_util.Units.time list ->
@@ -172,10 +185,10 @@ val cone_workspace :
     the baseline to be [Completed] with [replay_hazard = false] (see
     {!start_cone}).
 
-    Checkpoints: building the workspace replays the baseline once and
-    records its state at the instants of {!Checkpoint_grid.take}
-    ([grid] replaces the default grid).  A checkpoint at
-    [t] is the state after every event keyed before [t]: pin levels,
+    Checkpoints: building the workspace replays the baseline once, in
+    the workspace itself, and records its state at the instants of
+    {!Checkpoint_grid.take} ([grid] replaces the default grid).  A
+    checkpoint at [t] is the state after every event keyed before [t]: pin levels,
     output targets, last-pop keys, live pending pin events, and each
     signal's waveform as a prefix length into its final baseline
     waveform plus the segments annulled after [t] — O(pins + signals +

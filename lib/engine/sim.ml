@@ -107,6 +107,9 @@ let wrap engine spec ~vt raw =
         rs_initial_levels = lazy r.Classic.initial_levels;
       }
 
+(* A run's result, digitized at half the rail. *)
+let wrap_run engine spec raw = wrap engine spec ~vt:(Tech.vdd spec.sp_tech /. 2.) raw
+
 let edges r = Lazy.force r.rs_edges
 let initial_levels r = Lazy.force r.rs_initial_levels
 
@@ -454,8 +457,8 @@ module Cone = struct
 end
 
 (* Every engine runs through the same start/advance shape, so one
-   session type covers them all and a one-shot run is a session
-   advanced to the end. *)
+   session type covers them all and a one-shot run returns what a
+   session advanced to the end returns. *)
 module Session = struct
   type engine_session = Iddm_session of Iddm.session | Classic_session of Classic.session
 
@@ -478,7 +481,7 @@ module Session = struct
     in
     { ss_engine = engine; ss_spec = spec; ss_sess = sess }
 
-  let wrap t raw = wrap t.ss_engine t.ss_spec ~vt:(Tech.vdd t.ss_spec.sp_tech /. 2.) raw
+  let wrap t raw = wrap_run t.ss_engine t.ss_spec raw
 
   let advance t ~upto =
     wrap t
@@ -508,4 +511,13 @@ module Session = struct
     | Classic_session s -> Classic.session_finished s
 end
 
-let run ?compiled engine spec = Session.advance (Session.start ?compiled engine spec) ~upto:infinity
+(* A one-shot IDDM run borrows the domain's run workspace
+   ({!Iddm.run}); a session keeps state of its own. *)
+let run ?compiled engine spec =
+  match engine with
+  | Ddm | Cdm ->
+      wrap_run engine spec
+        (Iddm_result
+           (Iddm.run ~injections:spec.sp_injections ?compiled (iddm_config engine spec)
+              spec.sp_circuit ~drives:spec.sp_drives))
+  | Classic_inertial -> Session.advance (Session.start ?compiled engine spec) ~upto:infinity

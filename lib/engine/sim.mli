@@ -13,9 +13,9 @@
 
     Both kernels ({!Iddm} and {!Classic}) run on one substrate, a
     {!Compiled.t}, and have one run shape: [start], [advance ~upto],
-    live [set_input]/[inject], with a one-shot run being [advance (start
-    ...) ~upto:infinity].  {!Session} wraps that shape for every engine
-    and {!run} is a session advanced to the end.
+    live [set_input]/[inject], with a one-shot run equal to [advance
+    (start ...) ~upto:infinity].  {!Session} wraps that shape for every
+    engine, and {!run} gives a session's result advanced to the end.
 
     Injections are engine-agnostic too: a list of linear ramps spliced
     into a victim signal.  The IDDM engines consume the ramps verbatim;
@@ -94,8 +94,10 @@ type result = {
 }
 
 val run : ?compiled:Compiled.t -> engine -> spec -> result
-(** Runs the spec on the chosen engine to the end:
+(** Runs the spec on the chosen engine to the end, with the result of
     [Session.advance (Session.start ?compiled engine spec) ~upto:infinity].
+    A DDM or CDM run is an {!Iddm.run}: it simulates in its domain's
+    reused run workspace, not in state of its own.
 
     [compiled] shares a pre-flattened circuit with any engine, which
     then skips its own compilation (a campaign compiles once for its

@@ -195,24 +195,34 @@ let random_combinational ?(name = "random") ~gates ~inputs ~seed () =
   assert (gates >= 1 && inputs >= 1);
   let rng = Halotis_util.Prng.create ~seed in
   let b = Builder.create name in
+  (* the signals a gate may read: the inputs, then every gate output so
+     far, in the first [!n] cells of a store that doubles when full *)
   let pool = ref (Array.init inputs (fun i -> Builder.input b (Printf.sprintf "in%d" i))) in
+  let n = ref inputs in
   let kinds = [| Gate_kind.Inv; Gate_kind.Nand 2; Gate_kind.Nor 2; Gate_kind.Xor 2 |] in
   let loaded = Hashtbl.create (gates * 2) in
   for g = 0 to gates - 1 do
     let kind = kinds.(Halotis_util.Prng.int rng ~bound:(Array.length kinds)) in
     let pick () =
-      let sid = !pool.(Halotis_util.Prng.int rng ~bound:(Array.length !pool)) in
+      let sid = !pool.(Halotis_util.Prng.int rng ~bound:!n) in
       Hashtbl.replace loaded sid ();
       sid
     in
     let ins = Array.init (Gate_kind.arity kind) (fun _ -> pick ()) in
     let out = Builder.fresh_signal b in
     let _ = Builder.add_gate b kind ~name:(Printf.sprintf "rg%d" g) ~inputs:ins ~output:out in
-    let extended = Array.make (Array.length !pool + 1) out in
-    Array.blit !pool 0 extended 0 (Array.length !pool);
-    pool := extended
+    if !n = Array.length !pool then begin
+      let grown = Array.make (2 * !n) out in
+      Array.blit !pool 0 grown 0 !n;
+      pool := grown
+    end;
+    !pool.(!n) <- out;
+    incr n
   done;
-  Array.iter (fun sid -> if not (Hashtbl.mem loaded sid) then Builder.mark_output b sid) !pool;
+  for i = 0 to !n - 1 do
+    let sid = !pool.(i) in
+    if not (Hashtbl.mem loaded sid) then Builder.mark_output b sid
+  done;
   Builder.finalize b
 
 type sr_latch = {

@@ -6,8 +6,8 @@ type segment = { transition : Transition.t; v_start : Halotis_util.Units.voltage
    segment and transition records.  [segment] values are materialised
    on demand for the inspection API. *)
 type t = {
-  vdd : Halotis_util.Units.voltage;
-  initial : Halotis_util.Units.voltage;
+  mutable vdd : Halotis_util.Units.voltage;
+  mutable initial : Halotis_util.Units.voltage;
   mutable starts : float array; (* chronological; live prefix of length len *)
   mutable slopes : float array;
   mutable vstarts : float array; (* waveform value at the ramp start *)
@@ -18,6 +18,23 @@ type t = {
 let create ?(initial = 0.) ~vdd () =
   if vdd <= 0. then invalid_arg "Waveform.create: vdd must be positive";
   { vdd; initial; starts = [||]; slopes = [||]; vstarts = [||]; pols = Bytes.empty; len = 0 }
+
+let reset w ~initial ~vdd =
+  if vdd <= 0. then invalid_arg "Waveform.reset: vdd must be positive";
+  w.initial <- initial;
+  w.vdd <- vdd;
+  w.len <- 0
+
+let copy w =
+  {
+    vdd = w.vdd;
+    initial = w.initial;
+    starts = Array.sub w.starts 0 w.len;
+    slopes = Array.sub w.slopes 0 w.len;
+    vstarts = Array.sub w.vstarts 0 w.len;
+    pols = Bytes.sub w.pols 0 w.len;
+    len = w.len;
+  }
 
 let vdd w = w.vdd
 let initial w = w.initial

@@ -22,6 +22,17 @@ type t
 val create : ?initial:Halotis_util.Units.voltage -> vdd:Halotis_util.Units.voltage -> unit -> t
 (** [create ~vdd ()] starts a flat waveform at [initial] (default 0 V). *)
 
+val reset : t -> initial:Halotis_util.Units.voltage -> vdd:Halotis_util.Units.voltage -> unit
+(** [reset w ~initial ~vdd] makes [w] what [create ~initial ~vdd ()]
+    returns, a flat waveform with no transition, but keeps its storage:
+    how a reused run workspace starts a run without allocating.
+    @raise Invalid_argument when [vdd] is not positive. *)
+
+val copy : t -> t
+(** An {!equal} waveform with its own storage, sized to its live
+    segments exactly: what a run hands back when the waveform it
+    simulated in is reused by the next run. *)
+
 val vdd : t -> Halotis_util.Units.voltage
 val initial : t -> Halotis_util.Units.voltage
 

@@ -416,6 +416,22 @@ let test_random_combinational_deterministic () =
   let c2 = G.random_combinational ~gates:50 ~inputs:4 ~seed:11 () in
   Alcotest.(check string) "same netlist" (Hnl.to_string c1) (Hnl.to_string c2)
 
+(* The pool grows by doubling and draws the same numbers as the
+   one-cell-per-gate copy it replaced ({!Ref_generators}): the same
+   text for every seed and size, the benchmark's 2000-gate and 250-gate
+   circuits among them. *)
+let test_random_combinational_matches_reference () =
+  List.iter
+    (fun (gates, inputs) ->
+      List.iter
+        (fun seed ->
+          Alcotest.(check string)
+            (Printf.sprintf "%d gates, %d inputs, seed %d" gates inputs seed)
+            (Hnl.to_string (Ref_generators.random_combinational ~gates ~inputs ~seed ()))
+            (Hnl.to_string (G.random_combinational ~gates ~inputs ~seed ())))
+        [ 1; 4; 7; 1234 ])
+    [ (1, 1); (1, 5); (10, 20); (33, 2); (115, 8); (250, 16); (2000, 32) ]
+
 (* --- HNL --- *)
 
 let test_hnl_roundtrip_simple () =
@@ -675,6 +691,8 @@ let tests =
         Alcotest.test_case "random combinational" `Quick test_random_combinational;
         Alcotest.test_case "random deterministic" `Quick
           test_random_combinational_deterministic;
+        Alcotest.test_case "random == pre-doubling reference" `Quick
+          test_random_combinational_matches_reference;
       ] );
     ( "netlist.hnl",
       [
